@@ -127,10 +127,6 @@ def _round_floats(obj):
     return obj
 
 
-def _json_round_trip(records):
-    return _round_floats(records)
-
-
 def _run_shift(args, constants, spec, stream) -> int:
     state = QuantumState(N=args.n, L=args.l, J=args.j, Z=args.z)
     result = lamb_shift(state, _dipole_options(args), spec, constants)
@@ -227,7 +223,7 @@ def _run_table(args, constants, spec, stream) -> int:
         for cell in cells
     ]
     if args.format == "json":
-        json.dump(_json_round_trip(records), stream, indent=2)
+        json.dump(_round_floats(records), stream, indent=2)
         stream.write("\n")
     else:
         _emit_records(records, args.format, stream)
@@ -257,7 +253,7 @@ def _run_verify(args, constants, spec, stream) -> int:
     for c in checks:
         c["pass"] = bool(c["deviation"] <= c["tolerance"])
     if args.format == "json":
-        json.dump(_json_round_trip(checks), stream, indent=2)
+        json.dump(_round_floats(checks), stream, indent=2)
         stream.write("\n")
     else:
         _emit_records(checks, args.format, stream)

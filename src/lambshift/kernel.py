@@ -8,19 +8,22 @@ where pi is a polynomial of degree 2N - L with coefficients computable in
 closed form from the terminating Gauss series.  Expanding the geometric
 factor turns Q into its exponential series sum_j q_j u^j: the coefficients
 with j < N are the residue coefficients R_j, and the j >= N tail is the
-remainder Q~.  Working directly with the q_j removes the catastrophic
-cancellation that subtracting the finite series from the closed form would
-cause at small phi, where the integrand weight e^{nu tau} grows almost as
-fast as the kernel decays.  At large phi the series converges too slowly
-(ratio t^2 -> 1) and the closed u-form takes over; there the growth of
-e^{nu tau} is harmless because nu = N e^{-phi} is small.
+remainder Q~.  The R_j always come from SU(1,1) matrix elements
+(residue_coeffs): the expanded polynomial convolution loses digits to
+cancellation as N grows, so it supplies only the tail.  Summing the tail
+q_j directly removes the catastrophic cancellation that subtracting the
+finite series from the closed form would cause at small phi, where the
+integrand weight e^{nu tau} grows almost as fast as the kernel decays.  At
+large phi the series converges too slowly (ratio t^2 -> 1) and the closed
+u-form takes over; there the growth of e^{nu tau} is harmless because
+nu = N e^{-phi} is small.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -78,15 +81,11 @@ def residue_coeffs(N: int, L: int, phi: float) -> ResidueTable:
     validate_quantum_numbers(N, L)
     label = RepLabel(L + 1)
     u = scaling_coords(phi)
-
-    def dsq(n: int) -> float:
-        if n < L + 1:
-            return 0.0
-        return abs(rep_matrix_element(label, N, n, u)) ** 2
+    dsq = {n: abs(rep_matrix_element(label, N, n, u)) ** 2 for n in range(L + 1, N + 1)}
 
     entries = []
     for n in range(L, N):
-        value = 0.5 * dsq(n) - 0.25 * dsq(n + 1) - 0.25 * dsq(n - 1)
+        value = 0.5 * dsq.get(n, 0.0) - 0.25 * dsq.get(n + 1, 0.0) - 0.25 * dsq.get(n - 1, 0.0)
         pole = math.log(N / n) if n >= 1 else None
         entries.append(ResidueEntry(n=n, value=value, pole_phi=pole))
     return ResidueTable(N=N, L=L, phi=phi, entries=tuple(entries))
@@ -103,7 +102,7 @@ def _series_term_ratios(N: int, L: int) -> tuple[float, ...]:
 
 
 class PhiKernel:
-    """Kernel data at fixed (N, L, phi): polynomial, residues, series tools."""
+    """Kernel data at fixed (N, L, phi): polynomial, series tail, closed branch."""
 
     def __init__(self, N: int, L: int, phi: float):
         validate_quantum_numbers(N, L)
@@ -124,7 +123,6 @@ class PhiKernel:
         self._terms = self._build_terms()
         self._poly = self._build_poly()
         self._nb = np.ones(1)  # partial sums of the (1 - u t^2)^{-2N} expansion
-        self.residues = self._low_coeffs()
 
     def _build_terms(self) -> tuple[tuple[float, int, int], ...]:
         """The polynomial as factored terms A_k u^{N-1-k} (1-u)^{2k+2}.
@@ -190,9 +188,11 @@ class PhiKernel:
             out[j1 - j0 - seg.size :] += c * seg
         return out
 
-    def _low_coeffs(self) -> np.ndarray:
-        """q_0 .. q_{N-1}; identical to the residue table."""
-        return self._coeff_range(0, self.N)
+    @cached_property
+    def residues(self) -> tuple[float, ...]:
+        """R_0 .. R_{N-1} (zero below L), needed only by the closed branch."""
+        table = residue_coeffs(self.N, self.L, self.phi)
+        return (0.0,) * self.L + tuple(e.value for e in table.entries)
 
     def q_imag_time(self, tau: float) -> float:
         """Full kernel Q(-i tau, phi) via the closed u-form."""
@@ -215,8 +215,9 @@ class PhiKernel:
             2 * self.N * self.t2 * self._pi(u, omu) * geom / (1.0 - u * self.t2)
         )
         value = -u * dq_du
+        res = self.residues
         for n in range(self.L, self.N):
-            value += n * self.residues[n] * u**n
+            value += n * res[n] * u**n
         return value
 
     def _use_series(self) -> bool:
@@ -263,8 +264,8 @@ class PhiKernel:
 
         Returns (value, error_bound, evaluations, converged).  In the
         series regime the integral is the exact sum -sum_j j q_j/(j - nu);
-        otherwise the integrand is assembled in u-powers (every exponential
-        combined analytically) and integrated adaptively.
+        otherwise e^{nu tau} times the closed-branch dQ~/dtau is integrated
+        adaptively.
         """
         spec = spec or QuadratureSpec(rel_tol=1.0e-10, abs_tol=1.0e-15, max_subdivisions=400)
         nu = self.nu
@@ -276,22 +277,8 @@ class PhiKernel:
             )
             return value, spec.rel_tol * abs(value) + spec.abs_tol, 0, True
 
-        t2 = self.t2
-        n_exp = 2 * self.N
-        res = self.residues
-        L, N = self.L, self.N
-
         def integrand(tau: float) -> float:
-            u = math.exp(-tau)
-            omu = -math.expm1(-tau)
-            geom = (1.0 - u * t2) ** (-n_exp)
-            dq_du = self._pi_du(u, omu) * geom + (
-                n_exp * t2 * self._pi(u, omu) * geom / (1.0 - u * t2)
-            )
-            value = -dq_du * math.exp((nu - 1.0) * tau)
-            for n in range(max(L, 1), N):
-                value += n * res[n] * math.exp((nu - n) * tau)
-            return value
+            return math.exp(nu * tau) * self._closed_remainder_dtau(tau)
 
         result = integrate_semi_infinite(integrand, spec)
         return result.value, result.error_estimate, result.evaluations, result.converged

@@ -18,7 +18,7 @@ import numpy as np
 from .constants import PhysicalConstants, default_constants
 from .kernel import validate_quantum_numbers
 from .quadrature import kronrod_nodes_weights
-from .shifts import QuantumState, neville_extrapolate, weight_nondipole
+from .shifts import QuantumState, neville_extrapolate, shift_prefactor, weight_nondipole
 from .specfun import jacobi_p, jacobi_p_dw
 from .su11 import BchCoordinates, RepLabel, rep_matrix_element, scaling_coords
 
@@ -203,7 +203,7 @@ def shift_via_eps_real_axis(
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     constants = constants or default_constants()
-    N, L, Z = state.N, state.L, state.Z
+    N, L = state.N, state.L
     if t_max is None:
         # e^{-eps t_max} = e^{-25}; anything shorter leaves a truncation tail
         # that masquerades as spurious eps-dependence under extrapolation.
@@ -234,10 +234,7 @@ def shift_via_eps_real_axis(
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         total += h * np.dot(weights, phi_integrand(c + h * nodes))
 
-    prefactor = -4.0 * constants.mec2_eV * constants.alpha0 * (Z * constants.alpha0) ** 2 / (
-        3.0 * math.pi * N * N
-    )
-    return constants.eV_to_MHz(prefactor) * total
+    return constants.eV_to_MHz(shift_prefactor(state, constants)) * total
 
 
 def shift_via_eps_extrapolated(

@@ -56,25 +56,17 @@ class IntegrandError(ValueError):
 class QuadratureSpec:
     """Tolerances and budget for one integral.
 
-    tail_cut is the decay-based truncation threshold of semi-infinite
-    domains: panel extension stops once a whole panel contributes less
-    than this (defaults to abs_tol).
+    abs_tol is also the truncation threshold of semi-infinite domains:
+    panel extension stops once a whole panel contributes less than it.
     """
 
     rel_tol: float = 1.0e-9
     abs_tol: float = 1.0e-14
     max_subdivisions: int = 2000
-    tail_cut: float | None = None
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.tail_cut is not None and self.tail_cut <= 0:
-            raise ValueError("tail_cut must be positive")
-
-    @property
-    def tail_threshold(self) -> float:
-        return self.abs_tol if self.tail_cut is None else self.tail_cut
 
     def target(self, value: float) -> float:
         return max(self.rel_tol * abs(value), self.abs_tol)
@@ -192,10 +184,10 @@ def integrate_panels(f, edges: Sequence[float], spec: QuadratureSpec | None = No
     return _refine(f, panels, spec, evals)
 
 
-def dyadic_edges_upto(a: float, b: float, first_width: float = 1.0) -> tuple[float, ...]:
+def dyadic_edges_upto(a: float, b: float) -> tuple[float, ...]:
     """Panel edges a, a+1, a+2, a+4, ... clipped to end exactly at b."""
     edges = [a]
-    width = first_width
+    width = 1.0
     while edges[-1] + width < b:
         edges.append(edges[-1] + width)
         width *= 2.0
@@ -203,16 +195,9 @@ def dyadic_edges_upto(a: float, b: float, first_width: float = 1.0) -> tuple[flo
     return tuple(edges)
 
 
-def integrate_interval(f, a: float, b: float, spec: QuadratureSpec | None = None) -> QuadratureResult:
-    """Adaptive integral over a finite interval (endpoints never sampled)."""
-    if not b > a:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    return integrate_panels(f, (a, b), spec)
-
-
-def _dyadic_edges(origin: float, first: float = 1.0):
-    edge = origin + first
-    width = first
+def _dyadic_edges(origin: float):
+    edge = origin + 1.0
+    width = 1.0
     while True:
         yield edge
         width *= 2.0
@@ -223,7 +208,6 @@ def integrate_semi_infinite(
     f,
     spec: QuadratureSpec | None = None,
     origin: float = 0.0,
-    first_width: float = 1.0,
 ) -> QuadratureResult:
     """Adaptive integral over (origin, infinity) for eventually decaying f.
 
@@ -236,11 +220,11 @@ def integrate_semi_infinite(
     evals = 0
     lo = origin
     quiet = 0
-    for hi in _dyadic_edges(origin, first_width):
+    for hi in _dyadic_edges(origin):
         value, error = _gk15(f, lo, hi)
         evals += 15
         panels.append(_Panel(lo, hi, value, error))
-        if abs(value) < spec.tail_threshold and error < spec.tail_threshold:
+        if abs(value) < spec.abs_tol and error < spec.abs_tol:
             quiet += 1
             if quiet >= 2:
                 break
@@ -288,13 +272,13 @@ def integrate_principal_value(
     def folded(s: float) -> float:
         return h(pole + s) + h(pole - s)
 
-    total = integrate_interval(folded, 0.0, delta, spec)
+    total = integrate_panels(folded, (0.0, delta), spec)
     if pole - delta > 0.0:
-        total = total + integrate_interval(h, 0.0, pole - delta, spec)
+        total = total + integrate_panels(h, (0.0, pole - delta), spec)
     if upper is None:
         total = total + integrate_semi_infinite(h, spec, origin=pole + delta)
     elif upper > pole + delta:
-        total = total + integrate_interval(h, pole + delta, upper, spec)
+        total = total + integrate_panels(h, (pole + delta, upper), spec)
     return total
 
 

@@ -72,6 +72,26 @@ class DipoleOptions:
 NON_DIPOLE = DipoleOptions()
 
 
+def shift_prefactor(state: QuantumState, constants: PhysicalConstants) -> float:
+    """-4 mec2 a0 (Z a0)^2/(3 pi N^2) in eV, the factor of every shift integral."""
+    N, Z = state.N, state.Z
+    return -4.0 * constants.mec2_eV * constants.alpha0 * (Z * constants.alpha0) ** 2 / (
+        3.0 * math.pi * N * N
+    )
+
+
+def bethe_amplitude(state: QuantumState, constants: PhysicalConstants) -> float:
+    """(8 a0^3 Z^4/(3 pi N^3)) (mec2 a0^2/2) in eV, the scale of the Bethe logarithm."""
+    N, Z = state.N, state.Z
+    return (
+        8.0
+        * constants.alpha0**3
+        * Z**4
+        / (3.0 * math.pi * N**3)
+        * (constants.mec2_eV * constants.alpha0**2 / 2.0)
+    )
+
+
 def weight_nondipole(state: QuantumState, phi: float, constants: PhysicalConstants) -> float:
     """Photon-energy weight 2x/(1+2x) with x(1+x) = (Z a0/N)^2 e^phi sinh(phi)/2."""
     s = (state.Z * constants.alpha0 / state.N) ** 2 * math.expm1(2.0 * phi)
@@ -226,10 +246,7 @@ def lamb_shift(
     spec = spec or QuadratureSpec()
     tau_term, pv_total, diag = _shift_bracket(state, options, spec, constants)
 
-    N, Z = state.N, state.Z
-    prefactor = -4.0 * constants.mec2_eV * constants.alpha0 * (Z * constants.alpha0) ** 2 / (
-        3.0 * math.pi * N * N
-    )
+    prefactor = shift_prefactor(state, constants)
     tau_MHz = constants.eV_to_MHz(prefactor * tau_term.value)
     pv_MHz = constants.eV_to_MHz(prefactor * pv_total.value)
 
@@ -305,13 +322,7 @@ def bethe_log(
     if len(cutoffs) < 3 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("need at least three ascending cutoff values")
     state = QuantumState(N=N, L=L, Z=Z)
-    amplitude = (
-        8.0
-        * constants.alpha0**3
-        * Z**4
-        / (3.0 * math.pi * N**3)
-        * (constants.mec2_eV * constants.alpha0**2 / 2.0)
-    )
+    amplitude = bethe_amplitude(state, constants)
     estimates = []
     nodes = []
     ok = True
@@ -356,14 +367,8 @@ def dipole_lamb_full(
     if state.J is None:
         raise ValueError("state needs a total angular momentum J")
     constants = constants or default_constants()
-    N, L, Z = state.N, state.L, state.Z
-    amplitude = (
-        8.0
-        * constants.alpha0**3
-        * Z**4
-        / (3.0 * math.pi * N**3)
-        * (constants.mec2_eV * constants.alpha0**2 / 2.0)
-    )
+    L, Z = state.L, state.Z
+    amplitude = bethe_amplitude(state, constants)
     if L == 0:
         atomic = -gamma - 2.0 * math.log(Z * constants.alpha0)
         qed = 19.0 / 30.0

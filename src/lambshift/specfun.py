@@ -17,20 +17,6 @@ from fractions import Fraction
 CONDITION_LIMIT = 4.0
 
 
-def neumaier_sum(values) -> float:
-    """Compensated (Neumaier) summation of an iterable of floats."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
 class _NeumaierAcc:
     """Running compensated sum; also tracks the sum of magnitudes."""
 
@@ -186,5 +172,5 @@ def ln_gamma_ratio(num: int, den: int) -> float:
     if num == den:
         return 0.0
     lo, hi = min(num, den), max(num, den)
-    total = neumaier_sum(math.log(k) for k in range(lo, hi))
+    total = math.fsum(math.log(k) for k in range(lo, hi))
     return total if num > den else -total

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,6 +14,27 @@ from lambshift.kernel import (
     residue_coeffs,
 )
 from lambshift.oracles import kernel_via_spectral_series
+
+
+def _mp_low_coeffs(N, L, phi):
+    """q_0 .. q_{N-1} of the exponential series, expanded at 60 digits."""
+    with mp.workdps(60):
+        half = mp.mpf(phi) / 2
+        sh2, ch2 = mp.sinh(half) ** 2, mp.cosh(half) ** 2
+        t2 = sh2 / ch2
+        a, b = L + 1 - N, -L - N
+        # pi(u) = sum_k A_k u^{N-1-k} (1-u)^{2k+2}, A_k from 2F1(a, b; 1; z)
+        poly = [mp.mpf(0)] * (2 * N - L + 1)
+        t_k = mp.mpf(1)
+        for k in range(N - L):
+            if k:
+                t_k *= mp.mpf((a + k - 1) * (b + k - 1)) / (k * k)
+            amp = -t_k * (sh2 * ch2) ** k / (4 * ch2 ** (2 * N))
+            for j in range(2 * k + 3):
+                poly[N - 1 - k + j] += amp * mp.binomial(2 * k + 2, j) * (-1) ** j
+        # times (1 - u t^2)^{-2N} = sum_m C(2N-1+m, m) t^{2m} u^m
+        geom = [mp.binomial(2 * N - 1 + m, m) * t2**m for m in range(N)]
+        return [float(mp.fsum(poly[i] * geom[n - i] for i in range(n + 1))) for n in range(N)]
 
 
 class TestKernelQ:
@@ -86,12 +108,25 @@ class TestResidues:
         assert entry.value == pytest.approx(want, rel=1e-13)
 
     def test_matches_series_coefficients(self):
-        # independent route: coefficients of the u-expansion
+        # independent route: low coefficients of the u-expansion convolution
         for (N, L, phi) in ((2, 0, 0.4), (4, 1, 1.7), (6, 3, 2.8), (5, 0, 3.6)):
             table = residue_coeffs(N, L, phi)
-            ker = PhiKernel(N, L, phi)
-            for n in range(L, N):
-                assert table.value(n) == pytest.approx(float(ker.residues[n]), rel=5e-12, abs=1e-16)
+            low = PhiKernel(N, L, phi)._coeff_range(0, N)
+            for n in range(N):
+                assert table.value(n) == pytest.approx(float(low[n]), rel=5e-12, abs=1e-16)
+
+    @pytest.mark.parametrize("N", (8, 10, 12))
+    @pytest.mark.parametrize("phi", (3.5, 5.0))
+    def test_closed_branch_residues_match_mpmath(self, N, phi):
+        # at these phi the closed branch subtracts the residues; the
+        # expanded convolution is off by 2e-10..9e-7 of the scale here
+        L = 0
+        ker = PhiKernel(N, L, phi)
+        assert not ker._use_series()
+        want = _mp_low_coeffs(N, L, phi)
+        scale = max(abs(x) for x in want)
+        for n in range(N):
+            assert abs(ker.residues[n] - want[n]) <= 1e-12 * scale
 
     def test_pole_entries_skip_n_zero(self):
         table = residue_coeffs(3, 0, 0.9)

@@ -6,7 +6,6 @@ import pytest
 from lambshift.quadrature import (
     IntegrandError,
     QuadratureSpec,
-    integrate_interval,
     integrate_panels,
     integrate_principal_value,
     integrate_semi_infinite,
@@ -97,7 +96,7 @@ class TestSemiInfinite:
 
 class TestFinitePanels:
     def test_simple_interval(self):
-        r = integrate_interval(lambda x: x * x, 0.0, 1.0)
+        r = integrate_panels(lambda x: x * x, (0.0, 1.0))
         assert r.value == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_panel_edges(self):
@@ -108,7 +107,7 @@ class TestFinitePanels:
         with pytest.raises(ValueError):
             integrate_panels(lambda x: x, (0.0, 0.0, 1.0))
         with pytest.raises(ValueError):
-            integrate_interval(lambda x: x, 2.0, 1.0)
+            integrate_panels(lambda x: x, (2.0, 1.0))
 
 
 class TestPrincipalValue:

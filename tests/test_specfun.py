@@ -12,7 +12,7 @@ from lambshift.specfun import (
     jacobi_p,
     jacobi_p_dw,
     ln_gamma_ratio,
-    neumaier_sum,
+    _NeumaierAcc,
 )
 
 
@@ -185,5 +185,8 @@ class TestLnGammaRatio:
 
 def test_neumaier_handles_cancellation():
     values = [1.0e16, 1.0, -1.0e16]
-    assert neumaier_sum(values) == 1.0
+    acc = _NeumaierAcc()
+    for v in values:
+        acc.add(v)
+    assert acc.value == 1.0
     assert sum(values) == 0.0  # plain summation loses the 1.0
