@@ -122,7 +122,7 @@ class PhiKernel:
         )
         self._terms = self._build_terms()
         self._poly = self._build_poly()
-        self._nb = np.ones(1)  # partial sums of the (1 - u t^2)^{-2N} expansion
+        self._nb = np.ones(1)  # coefficients of the (1 - u t^2)^{-2N} expansion
 
     def _build_terms(self) -> tuple[tuple[float, int, int], ...]:
         """The polynomial as factored terms A_k u^{N-1-k} (1-u)^{2k+2}.
@@ -164,13 +164,9 @@ class PhiKernel:
     def _nb_upto(self, m: int) -> np.ndarray:
         """Binomial-series coefficients C(2N-1+m, m) t^{2m}, cached."""
         if m >= self._nb.size:
-            old = self._nb
-            new = np.empty(m + 1)
-            new[: old.size] = old
-            two_n = 2 * self.N - 1
-            for i in range(old.size, m + 1):
-                new[i] = new[i - 1] * self.t2 * (two_n + i) / i
-            self._nb = new
+            i = np.arange(self._nb.size, m + 1)
+            ratios = self.t2 * (2 * self.N - 1 + i) / i
+            self._nb = np.concatenate((self._nb, self._nb[-1] * np.cumprod(ratios)))
         return self._nb
 
     def _coeff_range(self, j0: int, j1: int) -> np.ndarray:

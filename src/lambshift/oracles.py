@@ -5,11 +5,14 @@ as an explicit sum over the compact-generator eigenbasis, the disentangled
 2x2 product behind the polar decomposition, and the un-rotated real-axis
 double integral at finite damping epsilon.  Tolerances here are looser by
 construction; the oscillatory epsilon route in particular only makes sense
-after extrapolating the damping to zero.
+after extrapolating the damping to zero.  Its inner time integral is exact
+at every finite epsilon: one period of the 2 pi-periodic dQ/dT divided by
+1 - e^{2 pi (i nu - eps)}, or the kernel's exponential series at large phi.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -149,18 +152,24 @@ def _phi_breakpoints(N: int, L: int, eps: float, phi_max: float):
 PHI_OSCILLATORY_MAX = 3.5
 
 
-def _inner_t_integral_grid(N, L, phi, nu, eps, t_max, nodes, weights) -> complex:
-    """int_0^{t_max} e^{(i nu - eps) T} dQ/dT dT on a frequency-adapted grid."""
-    width = min(0.5, 4.0 / (N * math.cosh(phi)))
-    n_panels = int(math.ceil(t_max / width))
-    edges = np.linspace(0.0, t_max, n_panels + 1)
+def _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights) -> complex:
+    """int_0^inf e^{(i nu - eps) T} dQ/dT dT, exactly, from one period.
+
+    dQ/dT is 2 pi-periodic, so the damped integral is the one over [0, 2 pi]
+    divided by 1 - e^{2 pi (i nu - eps)}.  Panels of width 2/(N cosh phi), a
+    third of the local oscillation period, hold ~1e-14 up to phi = 3.5.
+    """
+    width = min(0.25, 2.0 / (N * math.cosh(phi)))
+    n_panels = int(math.ceil(2.0 * math.pi / width))
+    edges = np.linspace(0.0, 2.0 * math.pi, n_panels + 1)
     centers = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * (edges[1:] - edges[:-1])
     t_grid = (centers[:, None] + halves[:, None] * nodes[None, :]).ravel()
     t_weights = (halves[:, None] * weights[None, :]).ravel()
     dq = _dq_dt_grid(N, L, t_grid, phi)
     damped = np.exp((1j * nu - eps) * t_grid)
-    return complex(np.dot(t_weights, damped * dq))
+    period = complex(np.dot(t_weights, damped * dq))
+    return period / (1.0 - cmath.exp(2.0 * math.pi * (1j * nu - eps)))
 
 
 def _inner_t_integral_spectral(N, L, phi, nu, eps) -> complex:
@@ -190,12 +199,11 @@ def _inner_t_integral_spectral(N, L, phi, nu, eps) -> complex:
 def shift_via_eps_real_axis(
     state: QuantumState,
     eps: float,
-    t_max: float | None = None,
     constants: PhysicalConstants | None = None,
 ) -> complex:
     """Complex shift in MHz from the un-rotated representation at finite eps.
 
-    Evaluates -C int dphi w(phi) int_0^{t_max} dT e^{i(nu + i eps)T} dQ/dT
+    Evaluates -C int dphi w(phi) int_0^inf dT e^{i(nu + i eps)T} dQ/dT
     with composite Gauss-Kronrod grids in both variables; the real part
     estimates the Lamb shift and the imaginary part -Gamma/2 (in the same
     frequency units).  Meant to be extrapolated in eps.
@@ -204,12 +212,6 @@ def shift_via_eps_real_axis(
         raise ValueError(f"eps must be positive, got {eps}")
     constants = constants or default_constants()
     N, L = state.N, state.L
-    if t_max is None:
-        # e^{-eps t_max} = e^{-25}; anything shorter leaves a truncation tail
-        # that masquerades as spurious eps-dependence under extrapolation.
-        t_max = 25.0 / eps
-    if t_max * eps < 10.0:
-        raise ValueError("t_max too short: the damped tail would be truncated")
 
     nodes, weights, _ = kronrod_nodes_weights()
     nodes = np.asarray(nodes)
@@ -223,7 +225,7 @@ def shift_via_eps_real_axis(
         for i, phi in enumerate(phi_nodes):
             nu = N * math.exp(-phi)
             if phi <= PHI_OSCILLATORY_MAX:
-                inner = _inner_t_integral_grid(N, L, phi, nu, eps, t_max, nodes, weights)
+                inner = _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights)
             else:
                 inner = _inner_t_integral_spectral(N, L, phi, nu, eps)
             out[i] = weight_nondipole(state, phi, constants) * inner

@@ -186,6 +186,21 @@ class TestRemainder:
         )
         assert got == pytest.approx(full - sub, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "N, phi, m", [(1, 2.0, 300), (4, 2.9, 600), (1, 9.0, 80000), (3, 10.1, 80000)]
+    )
+    def test_binomial_series_matches_mpmath(self, N, phi, m):
+        # C(2N-1+i, i) t^{2i}, grown in two steps so the cached prefix is extended
+        ker = PhiKernel(N, 0, phi)
+        ker._nb_upto(m // 3)
+        nb = ker._nb_upto(m)
+        assert nb.size == m + 1
+        with mp.workdps(30):
+            t2 = mp.mpf(ker.t2)
+            for i in sorted({round(k * m / 59) for k in range(60)}):
+                want = mp.binomial(2 * N - 1 + i, i) * t2**i
+                assert abs(nb[i] - want) <= 5e-14 * want, i
+
     def test_reality_of_rotated_kernel(self):
         # the full rotated kernel is real; assert through the spectral sum
         for (N, L, tau, phi) in ((2, 0, 0.7, 1.2), (5, 3, 0.3, 2.1)):

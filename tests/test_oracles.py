@@ -1,14 +1,49 @@
 import cmath
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from lambshift.kernel import PhiKernel
 from lambshift.oracles import (
+    _inner_t_integral_grid,
     kernel_via_spectral_series,
     shift_via_eps_real_axis,
 )
+from lambshift.quadrature import kronrod_nodes_weights
 from lambshift.shifts import QuantumState, lamb_shift
+
+
+def _mp_damped_inner(N, L, phi, nu, eps):
+    """int_0^inf e^{(i nu - eps)T} dQ/dT dT at 20 digits, from one period.
+
+    Q(T) = sin^2(T/2) f^{-2N} 2F1(a, b; 1; z) with f = cos(T/2) + i sin(T/2)
+    cosh(phi), z = -(sin(T/2) sinh(phi))^2, a = L+1-N and b = -L-N; dQ/dT is
+    2 pi-periodic, so the damped tail is a geometric series of periods.
+    """
+    with mp.workdps(20):
+        a, b = L + 1 - N, -L - N
+        ch, sh = mp.cosh(phi), mp.sinh(phi)
+        s = 1j * mp.mpf(nu) - mp.mpf(eps)
+
+        def integrand(T):
+            sn, cs = mp.sin(T / 2), mp.cos(T / 2)
+            f = cs + 1j * sn * ch
+            df = (-sn + 1j * cs * ch) / 2
+            z = -((sn * sh) ** 2)
+            dz = -mp.sin(T) * sh**2 / 2
+            poly = mp.hyp2f1(a, b, 1, z)
+            dpoly = a * b * mp.hyp2f1(a + 1, b + 1, 2, z) * dz
+            dq = f ** (-2 * N) * (
+                mp.sin(T) / 2 * poly + sn**2 * (dpoly - 2 * N * df / f * poly)
+            )
+            return mp.exp(s * T) * dq
+
+        # the integrand bursts at frequency ~ N cosh(phi) near T = 0 and 2 pi
+        panels = mp.linspace(0, 2 * mp.pi, int(2 * N * ch) + 9)
+        period = mp.quad(integrand, panels, method="gauss-legendre")
+        return complex(period / (1 - mp.exp(2 * mp.pi * s)))
 
 
 class TestSpectralSeries:
@@ -45,8 +80,16 @@ class TestEpsilonAxis:
         state = QuantumState(N=1, L=0)
         with pytest.raises(ValueError):
             shift_via_eps_real_axis(state, 0.0)
-        with pytest.raises(ValueError):
-            shift_via_eps_real_axis(state, 0.05, t_max=10.0)
+
+    @pytest.mark.parametrize(
+        "N, L, phi, eps", [(1, 0, 3.4, 0.0125), (2, 1, 1.0, 0.00625), (3, 0, 3.4, 0.05)]
+    )
+    def test_inner_grid_matches_mpmath_period(self, N, L, phi, eps):
+        nodes, weights, _ = kronrod_nodes_weights()
+        nu = N * math.exp(-phi)
+        got = _inner_t_integral_grid(N, L, phi, nu, eps, np.asarray(nodes), np.asarray(weights))
+        want = _mp_damped_inner(N, L, phi, nu, eps)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_single_eps_near_primary(self):
         # one finite-damping point lands within O(eps) of the converged shift
