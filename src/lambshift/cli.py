@@ -227,7 +227,7 @@ def _run_table(args, constants, spec, stream) -> int:
         stream.write("\n")
     else:
         _emit_records(records, args.format, stream)
-    return EXIT_OK
+    return EXIT_OK if all(cell.converged for cell in cells) else EXIT_NOT_CONVERGED
 
 
 def _run_verify(args, constants, spec, stream) -> int:

@@ -182,29 +182,37 @@ class ShiftResult:
 def _shift_bracket(
     state: QuantumState,
     options: DipoleOptions,
-    spec: QuadratureSpec,
+    spec: QuadratureSpec | None,
     constants: PhysicalConstants,
+    memo: dict[float, tuple[float, bool]],
 ):
-    """The two bracket integrals of the shift: (tau term, PV term, diagnostics)."""
+    """The two bracket terms of the shift in MHz: (tau term, PV term, diagnostics).
+
+    memo maps phi to (w(phi) x inner tau integral, inner converged flag).
+    That value does not depend on the cutoff, so calls that differ only in
+    cutoff_x can share one memo.
+    """
     N, L = state.N, state.L
+    spec = spec or QuadratureSpec()
     phi_cut = options.phi_cut(state, constants) if options.enabled else None
     diag = Diagnostics()
-    inner_state = {"converged": True, "evals": 0, "error": 0.0}
+    inner_ok = True
 
     def outer_integrand(phi: float) -> float:
-        w = _weight(state, phi, options, constants)
-        value, err, evals, ok = PhiKernel(N, L, phi).tau_integral()
-        inner_state["converged"] &= ok
-        inner_state["evals"] += evals
-        inner_state["error"] = max(inner_state["error"], err)
-        return w * value
+        nonlocal inner_ok
+        if phi not in memo:
+            value, _, _, ok = PhiKernel(N, L, phi).tau_integral()
+            memo[phi] = (_weight(state, phi, options, constants) * value, ok)
+        value, ok = memo[phi]
+        inner_ok &= ok
+        return value
 
     if phi_cut is None:
         tau_term = integrate_semi_infinite(outer_integrand, spec)
     else:
         edges = dyadic_edges_upto(0.0, phi_cut)
         tau_term = integrate_panels(outer_integrand, edges, spec)
-    tau_term.converged &= inner_state["converged"]
+    tau_term.converged &= inner_ok
     diag.record("tau_phi_integral", tau_term)
 
     pv_total = QuadratureResult(0.0, 0.0, 0, True)
@@ -227,7 +235,11 @@ def _shift_bracket(
         )
         diag.record(f"pv_pole_n{n}", result)
         pv_total = pv_total + result
-    return tau_term, pv_total, diag
+
+    prefactor = shift_prefactor(state, constants)
+    tau_MHz = constants.eV_to_MHz(prefactor * tau_term.value)
+    pv_MHz = constants.eV_to_MHz(prefactor * pv_total.value)
+    return tau_MHz, pv_MHz, diag
 
 
 def lamb_shift(
@@ -243,12 +255,7 @@ def lamb_shift(
     weighted inner tau integral plus one principal value per pole.
     """
     constants = constants or default_constants()
-    spec = spec or QuadratureSpec()
-    tau_term, pv_total, diag = _shift_bracket(state, options, spec, constants)
-
-    prefactor = shift_prefactor(state, constants)
-    tau_MHz = constants.eV_to_MHz(prefactor * tau_term.value)
-    pv_MHz = constants.eV_to_MHz(prefactor * pv_total.value)
+    tau_MHz, pv_MHz, diag = _shift_bracket(state, options, spec, constants, {})
 
     rates = decay_rates(state, options, constants)
     return ShiftResult(
@@ -323,14 +330,15 @@ def bethe_log(
         raise ValueError("need at least three ascending cutoff values")
     state = QuantumState(N=N, L=L, Z=Z)
     amplitude = bethe_amplitude(state, constants)
+    memo: dict[float, tuple[float, bool]] = {}
     estimates = []
     nodes = []
     ok = True
     for x in cutoffs:
         options = DipoleOptions(enabled=True, cutoff_x=x)
-        result = lamb_shift(state, options, spec, constants)
-        ok &= result.converged
-        shift_eV = constants.MHz_to_eV(result.lamb_shift_MHz)
+        tau_MHz, pv_MHz, diag = _shift_bracket(state, options, spec, constants, memo)
+        ok &= diag.converged
+        shift_eV = constants.MHz_to_eV(tau_MHz + pv_MHz)
         estimate = -shift_eV / amplitude
         if L == 0:
             estimate += math.log(4.0 * x) - 2.0 * math.log(Z * constants.alpha0)
@@ -395,6 +403,7 @@ class TableCell:
     computed: float
     reference: float | None
     rel_dev: float | None
+    converged: bool = True
 
 
 def _load_reference_values() -> dict:
@@ -414,12 +423,12 @@ def _load_reference_values() -> dict:
     return refs
 
 
-def _cell(refs, table_id, N, L, J, n, quantity, unit, computed) -> TableCell:
+def _cell(refs, table_id, N, L, J, n, quantity, unit, computed, converged=True) -> TableCell:
     reference = refs.get((table_id, quantity, N, L, J, n))
     rel_dev = None
     if reference is not None and reference != 0.0:
         rel_dev = (computed - reference) / abs(reference)
-    return TableCell(table_id, N, L, J, n, quantity, unit, computed, reference, rel_dev)
+    return TableCell(table_id, N, L, J, n, quantity, unit, computed, reference, rel_dev, converged)
 
 
 TABLE1_STATES = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1))
@@ -442,7 +451,8 @@ def generate_table(
         for N, L in TABLE1_STATES:
             state = QuantumState(N=N, L=L)
             result = lamb_shift(state, NON_DIPOLE, spec, constants)
-            cells.append(_cell(refs, 1, N, L, None, None, "lamb_shift", "MHz", result.lamb_shift_MHz))
+            cells.append(_cell(refs, 1, N, L, None, None, "lamb_shift", "MHz", result.lamb_shift_MHz,
+                               result.converged))
             # the published table prints a zero-rate line for the stable
             # ground state, so every state gets at least one rate cell
             for n in range(1, max(N, 2)):
@@ -455,19 +465,21 @@ def generate_table(
         j_values = (0.5,) if table_id == 2 else (0.5, 1.5)
         for N, L in states:
             bethe = bethe_log(N, L, bethe_cutoffs, constants, spec)
-            cells.append(_cell(refs, table_id, N, L, None, None, "bethe_log", "1", bethe.gamma))
-            cells.append(
-                _cell(refs, table_id, N, L, None, None, "mean_excitation", "Ry", bethe.mean_excitation_Ry)
-            )
+            # every cell derived from gamma inherits its convergence flag
+            ok = bethe.converged
+            cells.append(_cell(refs, table_id, N, L, None, None, "bethe_log", "1", bethe.gamma, ok))
+            cells.append(_cell(
+                refs, table_id, N, L, None, None, "mean_excitation", "Ry", bethe.mean_excitation_Ry, ok
+            ))
             for J in j_values:
                 state = QuantumState(N=N, L=L, J=J)
                 full, _ = dipole_lamb_full(state, bethe.gamma, constants)
                 cells.append(
-                    _cell(refs, table_id, N, L, J, None, "lamb_shift_dipole", "MHz", full)
+                    _cell(refs, table_id, N, L, J, None, "lamb_shift_dipole", "MHz", full, ok)
                 )
             _, without = dipole_lamb_full(QuantumState(N=N, L=L, J=L + 0.5), bethe.gamma, constants)
             cells.append(
-                _cell(refs, table_id, N, L, None, None, "lamb_shift_dipole_atomic", "MHz", without)
+                _cell(refs, table_id, N, L, None, None, "lamb_shift_dipole_atomic", "MHz", without, ok)
             )
             dipole = DipoleOptions(enabled=True)
             dipole_rates = dict(decay_rates(QuantumState(N=N, L=L), dipole, constants))

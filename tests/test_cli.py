@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -124,6 +125,23 @@ def test_nonconvergence_exit_3(capsys, monkeypatch):
     status, out, _ = run_cli(capsys, "shift", "--n", "1", "--l", "0")
     assert status == EXIT_NOT_CONVERGED
     assert out != ""  # report still printed
+
+
+def test_table_with_unconverged_bethe_log_exits_3(capsys, monkeypatch):
+    import lambshift.shifts as shifts_mod
+
+    def unconverged(N, L, *args, **kwargs):
+        return shifts_mod.BetheResult(
+            N=N, L=L, gamma=-0.03, mean_excitation_Ry=math.exp(-0.03), cutoffs_used=(),
+            estimates=(), extrapolation_residual=0.0, converged=False,
+        )
+
+    monkeypatch.setattr(shifts_mod, "bethe_log", unconverged)
+    status, out, _ = run_cli(capsys, "table", "--id", "3", "--format", "csv")
+    assert status == EXIT_NOT_CONVERGED
+    rows = list(csv.DictReader(io.StringIO(out)))  # the table is still printed
+    assert {r["quantity"] for r in rows} >= {"bethe_log", "lamb_shift_dipole", "partial_rate_dipole"}
+    assert "converged" not in rows[0]
 
 
 def test_verify_subcommand_hidden_but_functional(capsys):

@@ -2,11 +2,15 @@ import math
 
 import pytest
 
+from lambshift import kernel
 from lambshift.constants import PhysicalConstants, default_constants
 from lambshift.quadrature import QuadratureSpec
 from lambshift.shifts import (
+    DEFAULT_BETHE_CUTOFFS,
     DipoleOptions,
     QuantumState,
+    _shift_bracket,
+    bethe_amplitude,
     bethe_log,
     circular_rate_closed_form,
     decay_rates,
@@ -203,6 +207,66 @@ class TestBethe:
         g1 = bethe_log(2, 0, Z=1).gamma
         g2 = bethe_log(2, 0, Z=2).gamma
         assert g1 == pytest.approx(g2, abs=1e-4)
+
+    @pytest.mark.parametrize("N, L, Z", [(2, 0, 1), (3, 1, 1), (2, 0, 2)])
+    def test_estimates_bit_identical_to_per_cutoff_shifts(self, N, L, Z):
+        state = QuantumState(N=N, L=L, Z=Z)
+        amplitude = bethe_amplitude(state, C)
+        expected = []
+        for x in DEFAULT_BETHE_CUTOFFS:
+            shift = lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=x))
+            estimate = -C.MHz_to_eV(shift.lamb_shift_MHz) / amplitude
+            if L == 0:
+                estimate += math.log(4.0 * x) - 2.0 * math.log(Z * C.alpha0)
+            expected.append(estimate)
+        assert bethe_log(N, L, Z=Z).estimates == tuple(expected)
+
+    def test_cutoffs_share_each_inner_integral(self, monkeypatch):
+        seen = []
+        tau_integral = kernel.PhiKernel.tau_integral
+
+        def counting(ker):
+            seen.append(ker.phi)
+            return tau_integral(ker)
+
+        monkeypatch.setattr(kernel.PhiKernel, "tau_integral", counting)
+        bethe_log(2, 1)
+        monkeypatch.undo()
+        assert len(seen) == len(set(seen))
+        state = QuantumState(N=2, L=1)
+        per_cutoff = sum(
+            lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=x))
+            .diagnostics.parts["tau_phi_integral"].evaluations
+            for x in DEFAULT_BETHE_CUTOFFS
+        )
+        assert len(seen) < per_cutoff
+
+    def test_unconverged_inner_integral_flags_result(self, monkeypatch):
+        flagged = []
+        tau_integral = kernel.PhiKernel.tau_integral
+
+        def failing_once(ker):
+            value, err, evals, ok = tau_integral(ker)
+            if not flagged and ker.phi < 1.0:
+                flagged.append(ker.phi)
+                ok = False
+            return value, err, evals, ok
+
+        monkeypatch.setattr(kernel.PhiKernel, "tau_integral", failing_once)
+        result = bethe_log(2, 1)
+        assert flagged
+        assert not result.converged
+
+    def test_shared_memo_hit_keeps_inner_flag(self):
+        state = QuantumState(N=2, L=1)
+        memo = {}
+        _shift_bracket(state, DipoleOptions(enabled=True, cutoff_x=1e3), None, C, memo)
+        phi = min(memo)
+        memo[phi] = (memo[phi][0], False)
+        size = len(memo)
+        _, _, diag = _shift_bracket(state, DipoleOptions(enabled=True, cutoff_x=3e3), None, C, memo)
+        assert len(memo) > size  # the larger cutoff adds nodes beyond the shared panels
+        assert not diag.converged
 
     def test_cutoff_sequence_validation(self):
         with pytest.raises(ValueError):
