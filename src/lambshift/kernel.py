@@ -1,22 +1,17 @@
 """Effective-time kernel, residue coefficients, and the rotated-contour remainder.
 
-On the rotated contour T = -i tau the kernel is, in the variable u = e^{-tau},
-
-    Q(-i tau, phi) = pi(u) * (1 - u t^2)^{-2N},      t = tanh(phi/2),
-
-where pi is a polynomial of degree 2N - L with coefficients computable in
-closed form from the terminating Gauss series.  Expanding the geometric
-factor turns Q into its exponential series sum_j q_j u^j: the coefficients
-with j < N are the residue coefficients R_j, and the j >= N tail is the
-remainder Q~.  The R_j always come from SU(1,1) matrix elements
-(residue_coeffs): the expanded polynomial convolution loses digits to
-cancellation as N grows, so it supplies only the tail.  Summing the tail
-q_j directly removes the catastrophic cancellation that subtracting the
-finite series from the closed form would cause at small phi, where the
-integrand weight e^{nu tau} grows almost as fast as the kernel decays.  At
-large phi the series converges too slowly (ratio t^2 -> 1) and the closed
-u-form takes over; there the growth of e^{nu tau} is harmless because
-nu = N e^{-phi} is small.
+The kernel is Q(T, phi) = sin^2(T/2) sum_n |D_{N,n}(phi)|^2 e^{-i n T}, D
+the dilation matrix of the discrete series.  On the rotated contour T = -i
+tau it is the exponential series sum_j q_j u^j in u = e^{-tau}, with
+q_j = |D_{N,j}|^2/2 - |D_{N,j+1}|^2/4 - |D_{N,j-1}|^2/4 for every j, all
+from dilation_weights: the q_j with j < N are the residue coefficients R_j,
+and the j >= N tail is the remainder Q~.  Summing the tail directly removes the catastrophic
+cancellation that subtracting the finite series from the closed form would
+cause at small phi, where the integrand weight e^{nu tau} grows almost as
+fast as the kernel decays.  At large phi the series converges too slowly
+(ratio t^2 -> 1, t = tanh(phi/2)) and the closed u-form
+Q = pi(u) (1 - u t^2)^{-2N}, pi a polynomial of degree 2N - L, takes over;
+there the growth of e^{nu tau} is harmless because nu = N e^{-phi} is small.
 """
 
 from __future__ import annotations
@@ -28,6 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .quadrature import QuadratureSpec, integrate_semi_infinite
+from .specfun import _jacobi_recurrence
 from .su11 import RepLabel, rep_matrix_element, scaling_coords
 
 # Switch from the exponential series to the closed u-form once the series
@@ -71,24 +67,57 @@ class ResidueTable:
         return math.fsum(e.value for e in self.entries)
 
 
-def residue_coeffs(N: int, L: int, phi: float) -> ResidueTable:
-    """Residue coefficients from squared dilation matrix elements.
+def dilation_weights(N: int, L: int, phi: float, j0: int, j1: int, head=None):
+    """Squared dilation matrix elements |D_{N,j}(phi)|^2 for j0 <= j < j1.
 
-    R_n = |D_{N,n}|^2/2 - |D_{N,n+1}|^2/4 - |D_{N,n-1}|^2/4 with D the
-    discrete-series matrix of the dilation element; indices outside the
-    tower contribute zero.  Pole locations ln(N/n) exist only for n >= 1.
+    Returns (weights, gain), weights[i] for j = j0 + i (zero for j <= L).
+    Up to j = N they are rep_matrix_element.  Beyond, a Pfaff transform
+    turns the row-N series into a Jacobi polynomial of fixed degree N-L-1
+    at a point inside [-1, 1], with no alternating sum:
+
+        |D_{N,j}|^2 = G_j P_{N-L-1}^{(j-N, 2L+1)}(1 - 2t^2)^2,  t = tanh(phi/2),
+        G_j = C(j+L, 2L+1)/C(N+L, 2L+1) t^{2(j-N)} cosh^{-4(L+1)}(phi/2),
+
+    and gain is G at the last j.  Passing a result for the same N, L, phi
+    and j0 as head extends it with one cumulative product, so no value
+    depends on how the range was split.
+    """
+    if head is None:
+        label, u = RepLabel(L + 1), scaling_coords(phi)
+        low = [abs(rep_matrix_element(label, N, j, u)) ** 2 for j in range(max(j0, L + 1), N + 1)]
+        head = (np.array([0.0] * (L + 1 - j0) + low), None)
+    weights, gain = head
+    if j1 <= j0 + weights.size:
+        return head
+    j = np.arange(j0 + weights.size, j1, dtype=float)
+    t2 = math.tanh(phi / 2.0) ** 2
+    sech2 = math.cosh(phi / 2.0) ** -2
+    if gain is None:
+        gain = sech2 ** (2 * (L + 1))  # G_N
+    gains = np.cumprod(np.concatenate(([gain], t2 * (j + L) / (j - L - 1))))
+    tail = gains[1:]
+    if N - L - 1:
+        tail = tail * _jacobi_recurrence(N - L - 1, j - N, 2.0 * L + 1.0, 2.0 * sech2 - 1.0) ** 2
+    return np.concatenate((weights, tail)), float(gains[-1])
+
+
+def _series_coeffs(weights: np.ndarray) -> np.ndarray:
+    """q_j = |D_j|^2/2 - |D_{j+1}|^2/4 - |D_{j-1}|^2/4 at the interior of weights."""
+    return 0.5 * weights[1:-1] - 0.25 * weights[2:] - 0.25 * weights[:-2]
+
+
+def residue_coeffs(N: int, L: int, phi: float) -> ResidueTable:
+    """Residue coefficients R_n = q_n, L <= n <= N-1, from dilation_weights.
+
+    Pole locations ln(N/n) exist only for n >= 1.
     """
     validate_quantum_numbers(N, L)
-    label = RepLabel(L + 1)
-    u = scaling_coords(phi)
-    dsq = {n: abs(rep_matrix_element(label, N, n, u)) ** 2 for n in range(L + 1, N + 1)}
-
-    entries = []
-    for n in range(L, N):
-        value = 0.5 * dsq.get(n, 0.0) - 0.25 * dsq.get(n + 1, 0.0) - 0.25 * dsq.get(n - 1, 0.0)
-        pole = math.log(N / n) if n >= 1 else None
-        entries.append(ResidueEntry(n=n, value=value, pole_phi=pole))
-    return ResidueTable(N=N, L=L, phi=phi, entries=tuple(entries))
+    q = _series_coeffs(dilation_weights(N, L, phi, -1, N + 1)[0]).tolist()
+    entries = tuple(
+        ResidueEntry(n=n, value=q[n], pole_phi=math.log(N / n) if n >= 1 else None)
+        for n in range(L, N)
+    )
+    return ResidueTable(N=N, L=L, phi=phi, entries=entries)
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +131,7 @@ def _series_term_ratios(N: int, L: int) -> tuple[float, ...]:
 
 
 class PhiKernel:
-    """Kernel data at fixed (N, L, phi): polynomial, series tail, closed branch."""
+    """Kernel data at fixed (N, L, phi): series coefficients and closed branch."""
 
     def __init__(self, N: int, L: int, phi: float):
         validate_quantum_numbers(N, L)
@@ -121,8 +150,7 @@ class PhiKernel:
             else -math.inf
         )
         self._terms = self._build_terms()
-        self._poly = self._build_poly()
-        self._nb = np.ones(1)  # coefficients of the (1 - u t^2)^{-2N} expansion
+        self._weights = {}  # dilation_weights from j = -1 (every q_j), j = N - 1 (tail)
 
     def _build_terms(self) -> tuple[tuple[float, int, int], ...]:
         """The polynomial as factored terms A_k u^{N-1-k} (1-u)^{2k+2}.
@@ -141,13 +169,6 @@ class PhiKernel:
             terms.append((amp, N - 1 - k, 2 * k + 2))
         return tuple(terms)
 
-    def _build_poly(self) -> np.ndarray:
-        N, L = self.N, self.L
-        coeffs = np.zeros(2 * N - L + 1)
-        for amp, base, power in self._terms:
-            coeffs[base : base + power + 1] += amp * _signed_binomial(power)
-        return coeffs
-
     def _pi(self, u: float, omu: float) -> float:
         """pi(u) with omu = 1 - u supplied exactly."""
         return math.fsum(amp * u**p * omu**q for amp, p, q in self._terms)
@@ -161,34 +182,17 @@ class PhiKernel:
             total += amp * term
         return total
 
-    def _nb_upto(self, m: int) -> np.ndarray:
-        """Binomial-series coefficients C(2N-1+m, m) t^{2m}, cached."""
-        if m >= self._nb.size:
-            i = np.arange(self._nb.size, m + 1)
-            ratios = self.t2 * (2 * self.N - 1 + i) / i
-            self._nb = np.concatenate((self._nb, self._nb[-1] * np.cumprod(ratios)))
-        return self._nb
-
     def _coeff_range(self, j0: int, j1: int) -> np.ndarray:
         """Exponential-series coefficients q_j for j0 <= j < j1."""
-        poly = self._poly
-        nb = self._nb_upto(j1 - 1)
-        out = np.zeros(j1 - j0)
-        for i, c in enumerate(poly):
-            if c == 0.0:
-                continue
-            lo, hi = j0 - i, j1 - i
-            if hi <= 0:
-                continue
-            seg = nb[max(lo, 0) : hi]
-            out[j1 - j0 - seg.size :] += c * seg
-        return out
+        start = -1 if j0 < self.N else self.N - 1
+        head = dilation_weights(self.N, self.L, self.phi, start, j1 + 1, self._weights.get(start))
+        self._weights[start] = head
+        return _series_coeffs(head[0][j0 - 1 - start : j1 + 1 - start])
 
     @cached_property
     def residues(self) -> tuple[float, ...]:
         """R_0 .. R_{N-1} (zero below L), needed only by the closed branch."""
-        table = residue_coeffs(self.N, self.L, self.phi)
-        return (0.0,) * self.L + tuple(e.value for e in table.entries)
+        return tuple(self._coeff_range(0, self.N).tolist())
 
     def q_imag_time(self, tau: float) -> float:
         """Full kernel Q(-i tau, phi) via the closed u-form."""
@@ -278,16 +282,6 @@ class PhiKernel:
 
         result = integrate_semi_infinite(integrand, spec)
         return result.value, result.error_estimate, result.evaluations, result.converged
-
-
-def _signed_binomial(n: int) -> np.ndarray:
-    """Coefficients of (1 - u)^n in ascending powers of u."""
-    row = np.zeros(n + 1)
-    c = 1.0
-    for j in range(n + 1):
-        row[j] = c if j % 2 == 0 else -c
-        c = c * (n - j) / (j + 1)
-    return row
 
 
 def kernel_q(N: int, L: int, T: float, phi: float) -> complex:

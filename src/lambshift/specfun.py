@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 # Alternating terminating series lose roughly condition * n * eps relative
 # accuracy to per-term rounding, so anything noticeably cancellation-prone
 # is redone in exact rational arithmetic (cheap: <= |a|+1 small rationals).
@@ -41,15 +43,28 @@ class _NeumaierAcc:
         return self.total + self.comp
 
 
-def _hyp2f1_exact(a: int, b: int, c: int, z: float) -> float:
-    """Terminating 2F1 with exact rational arithmetic (z taken bit-exact)."""
+def _hyp2f1_exact(a: int, b: int, c: int, z: float):
+    """Terminating 2F1 with exact rational arithmetic (z taken bit-exact).
+
+    A sum beyond the float range stays an exact Fraction (see ln_abs).
+    """
     zq = Fraction(z)
     term = Fraction(1)
     total = Fraction(1)
     for k in range(-a):
         term *= Fraction((a + k) * (b + k), (c + k) * (k + 1)) * zq
         total += term
-    return float(total)
+    try:
+        return float(total)
+    except OverflowError:
+        return total
+
+
+def ln_abs(x) -> float:
+    """ln|x| of a float, or of an exact Fraction of any size."""
+    if isinstance(x, Fraction):
+        return math.log(abs(x.numerator)) - math.log(x.denominator)
+    return math.log(abs(x))
 
 
 def hyp2f1_terminating(a: int, b: int, c: int, z):
@@ -58,7 +73,8 @@ def hyp2f1_terminating(a: int, b: int, c: int, z):
     The sum terminates after |a|+1 terms and is accumulated lowest order
     first with compensated summation.  For real z, severe alternating-sign
     cancellation (term sum exceeding the result by more than
-    CONDITION_LIMIT) triggers an exact rational re-evaluation.
+    CONDITION_LIMIT) triggers an exact rational re-evaluation, which comes
+    back as a Fraction when the value does not fit a double.
     """
     if a != int(a) or a > 0:
         raise ValueError(f"series does not terminate: a={a!r} must be a nonpositive integer")
@@ -106,16 +122,18 @@ def _jacobi_recurrence(n: int, alpha: float, beta: float, w):
     """Standard three-term recurrence in the degree.
 
     Valid whenever none of the leading coefficients 2k(k+alpha+beta)
-    (2k+alpha+beta-2) for 2 <= k <= n vanish.
+    (2k+alpha+beta-2) for 2 <= k <= n vanish.  alpha and w may be numpy
+    arrays (broadcast together).
     """
     if n == 0:
         return _as_float_like(w, 1.0)
     p_prev = _as_float_like(w, 1.0)
-    p = (alpha - beta) / 2.0 + (alpha + beta + 2.0) * w / 2.0
+    ab = alpha + beta
+    p = (alpha - beta) / 2.0 + (ab + 2.0) * w / 2.0
     for k in range(2, n + 1):
-        s = 2.0 * k + alpha + beta
-        lead = 2.0 * k * (k + alpha + beta) * (s - 2.0)
-        if lead == 0.0:
+        s = 2.0 * k + ab
+        lead = 2.0 * k * (k + ab) * (s - 2.0)
+        if not np.all(lead):
             raise ValueError(
                 f"degenerate Jacobi recurrence at degree {k} for (alpha, beta)=({alpha}, {beta})"
             )

@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .specfun import hyp2f1_terminating, ln_gamma_ratio
+from .specfun import hyp2f1_terminating, ln_abs, ln_gamma_ratio
 
 DET_TOLERANCE = 1.0e-9
 
@@ -114,8 +114,9 @@ def _finite_transform(m0: int, m_row: int, m_col: int, alpha: complex, beta: com
     """Closed-form matrix element for m_row <= m_col, any integer m0 <= m_row.
 
     Phase convention: raising matrix elements positive.  The gamma-ratio
-    square root is assembled in log space so towers up to m ~ 10^2 do not
-    overflow.
+    square root and the series are assembled in log space so towers up to
+    m ~ 10^2 and large boosts, where the series alone exceeds the float
+    range, do not overflow.
     """
     mp_, m = m_row, m_col
     d = m - mp_
@@ -130,9 +131,10 @@ def _finite_transform(m0: int, m_row: int, m_col: int, alpha: complex, beta: com
     astar = alpha.conjugate()
     lnmag += d * math.log(abs(bstar)) if d else 0.0
     lnmag -= (m + mp_) * math.log(abs(astar))
-    lnmag += math.log(abs(series))
+    lnmag += ln_abs(series)
+    sign = -1.0 if series < 0 else 1.0
     phase = cmath.exp(1j * (d * cmath.phase(bstar) - (m + mp_) * cmath.phase(astar)))
-    return math.copysign(math.exp(lnmag), series) * phase
+    return sign * math.exp(lnmag) * phase
 
 
 def rep_matrix_element(label: RepLabel, m_row: int, m_col: int, u: GroupElement) -> complex:

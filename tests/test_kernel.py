@@ -16,8 +16,8 @@ from lambshift.kernel import (
 from lambshift.oracles import kernel_via_spectral_series
 
 
-def _mp_low_coeffs(N, L, phi):
-    """q_0 .. q_{N-1} of the exponential series, expanded at 60 digits."""
+def _mp_coeffs(N, L, phi, j0, j1):
+    """q_j0 .. q_{j1-1} of the exponential series, expanded at 60 digits."""
     with mp.workdps(60):
         half = mp.mpf(phi) / 2
         sh2, ch2 = mp.sinh(half) ** 2, mp.cosh(half) ** 2
@@ -33,8 +33,11 @@ def _mp_low_coeffs(N, L, phi):
             for j in range(2 * k + 3):
                 poly[N - 1 - k + j] += amp * mp.binomial(2 * k + 2, j) * (-1) ** j
         # times (1 - u t^2)^{-2N} = sum_m C(2N-1+m, m) t^{2m} u^m
-        geom = [mp.binomial(2 * N - 1 + m, m) * t2**m for m in range(N)]
-        return [float(mp.fsum(poly[i] * geom[n - i] for i in range(n + 1))) for n in range(N)]
+        geom = [mp.binomial(2 * N - 1 + m, m) * t2**m for m in range(j1)]
+        return [
+            float(mp.fsum(poly[i] * geom[n - i] for i in range(min(n + 1, len(poly)))))
+            for n in range(j0, j1)
+        ]
 
 
 class TestKernelQ:
@@ -108,22 +111,35 @@ class TestResidues:
         assert entry.value == pytest.approx(want, rel=1e-13)
 
     def test_matches_series_coefficients(self):
-        # independent route: low coefficients of the u-expansion convolution
+        # the u-expansion of the closed form, at 60 digits
         for (N, L, phi) in ((2, 0, 0.4), (4, 1, 1.7), (6, 3, 2.8), (5, 0, 3.6)):
             table = residue_coeffs(N, L, phi)
-            low = PhiKernel(N, L, phi)._coeff_range(0, N)
+            want = _mp_coeffs(N, L, phi, 0, N)
+            scale = max(abs(x) for x in want)
             for n in range(N):
-                assert table.value(n) == pytest.approx(float(low[n]), rel=5e-12, abs=1e-16)
+                assert abs(table.value(n) - want[n]) <= 1e-13 * scale
+
+    def test_large_boost_stays_finite(self):
+        # the Gauss series of the matrix elements exceeds the float range
+        # here and is carried in log space; the log magnitudes (~ -180)
+        # leave each |D|^2 good to ~1e-13 relative, hence 1e-11 of the scale
+        N, L, phi = 10, 0, 90.0
+        table = residue_coeffs(N, L, phi)
+        want = _mp_coeffs(N, L, phi, 0, N)
+        scale = max(abs(x) for x in want)
+        for n in range(N):
+            assert math.isfinite(table.value(n))
+            assert abs(table.value(n) - want[n]) <= 1e-11 * scale
 
     @pytest.mark.parametrize("N", (8, 10, 12))
     @pytest.mark.parametrize("phi", (3.5, 5.0))
     def test_closed_branch_residues_match_mpmath(self, N, phi):
-        # at these phi the closed branch subtracts the residues; the
-        # expanded convolution is off by 2e-10..9e-7 of the scale here
+        # at these phi the closed branch subtracts the residues; expanding
+        # the closed form in double precision loses 2e-10..9e-7 of the scale
         L = 0
         ker = PhiKernel(N, L, phi)
         assert not ker._use_series()
-        want = _mp_low_coeffs(N, L, phi)
+        want = _mp_coeffs(N, L, phi, 0, N)
         scale = max(abs(x) for x in want)
         for n in range(N):
             assert abs(ker.residues[n] - want[n]) <= 1e-12 * scale
@@ -136,8 +152,8 @@ class TestResidues:
 
     def test_completeness_with_spectral_tail(self):
         # sum of all exponential coefficients vanishes (kernel is 0 at T=0);
-        # tail coefficients from the matrix-element route, which stays
-        # accurate at large phi where the convolution coefficients cannot
+        # tail coefficients from one scalar matrix element per j, apart from
+        # the Jacobi form that dilation_weights uses beyond j = N
         from lambshift.su11 import RepLabel, rep_matrix_element, scaling_coords
 
         for (N, phi) in ((2, 0.5), (4, 1.5), (6, 3.0)):
@@ -186,20 +202,25 @@ class TestRemainder:
         )
         assert got == pytest.approx(full - sub, rel=1e-10)
 
-    @pytest.mark.parametrize(
-        "N, phi, m", [(1, 2.0, 300), (4, 2.9, 600), (1, 9.0, 80000), (3, 10.1, 80000)]
-    )
-    def test_binomial_series_matches_mpmath(self, N, phi, m):
-        # C(2N-1+i, i) t^{2i}, grown in two steps so the cached prefix is extended
-        ker = PhiKernel(N, 0, phi)
-        ker._nb_upto(m // 3)
-        nb = ker._nb_upto(m)
-        assert nb.size == m + 1
-        with mp.workdps(30):
-            t2 = mp.mpf(ker.t2)
-            for i in sorted({round(k * m / 59) for k in range(60)}):
-                want = mp.binomial(2 * N - 1 + i, i) * t2**i
-                assert abs(nb[i] - want) <= 5e-14 * want, i
+    @pytest.mark.parametrize("N, L, phi", [(5, 0, 2.8), (8, 3, 2.5), (12, 0, 2.0)])
+    def test_tail_coefficients_match_mpmath(self, N, L, phi):
+        # the series branch sums these q_j (j >= N); an expanded-polynomial
+        # convolution in double precision is off by 5e-8, 3e-7 and 0.1 here
+        got = PhiKernel(N, L, phi)._coeff_range(N, N + 40)
+        want = _mp_coeffs(N, L, phi, N, N + 40)
+        scale = max(abs(x) for x in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("N, L, phi", [(1, 0, 2.0), (4, 1, 2.9), (3, 0, 10.1)])
+    def test_chunked_coefficients_equal_single_call(self, N, L, phi):
+        # the cached matrix elements are extended, never rebuilt, and the
+        # result does not depend on how the range was split
+        whole = PhiKernel(N, L, phi)._coeff_range(0, 5000)
+        ker = PhiKernel(N, L, phi)
+        splits = ((0, N), (N, 96), (96, 97), (97, 2000), (2000, 5000))
+        pieces = [ker._coeff_range(a, b) for a, b in splits]
+        assert np.array_equal(np.concatenate(pieces), whole)
+        assert np.array_equal(ker._coeff_range(10, 300), whole[10:300])
 
     def test_reality_of_rotated_kernel(self):
         # the full rotated kernel is real; assert through the spectral sum

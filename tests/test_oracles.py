@@ -8,6 +8,7 @@ import pytest
 from lambshift.kernel import PhiKernel
 from lambshift.oracles import (
     _inner_t_integral_grid,
+    _inner_t_integral_spectral,
     kernel_via_spectral_series,
     shift_via_eps_real_axis,
 )
@@ -90,6 +91,16 @@ class TestEpsilonAxis:
         got = _inner_t_integral_grid(N, L, phi, nu, eps, np.asarray(nodes), np.asarray(weights))
         want = _mp_damped_inner(N, L, phi, nu, eps)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("N, L, phi, eps", [(3, 0, 3.4, 0.05), (3, 0, 3.5, 0.0125)])
+    def test_inner_spectral_matches_grid(self, N, L, phi, eps):
+        # the two inner routes meet at PHI_OSCILLATORY_MAX = 3.5; the series
+        # coefficients of the spectral sum come from squared matrix elements
+        nodes, weights, _ = kronrod_nodes_weights()
+        nu = N * math.exp(-phi)
+        grid = _inner_t_integral_grid(N, L, phi, nu, eps, np.asarray(nodes), np.asarray(weights))
+        spectral = _inner_t_integral_spectral(N, L, phi, nu, eps)
+        assert abs(spectral - grid) <= 1e-12 * abs(grid)
 
     def test_single_eps_near_primary(self):
         # one finite-damping point lands within O(eps) of the converged shift

@@ -163,6 +163,17 @@ class TestLambShift:
         with pytest.raises(ValueError):
             lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=1e-9))
 
+    def test_converges_beyond_the_tables(self):
+        # tail coefficients with ~1e-7 relative noise near the series/closed
+        # switch exhaust the outer subdivision budget for these states
+        results = {s: lamb_shift(QuantumState(N=s[0], L=s[1])) for s in ((5, 0), (6, 0), (8, 3))}
+        assert all(r.converged for r in results.values())
+        # s-state shifts scale roughly as 1/N^3
+        two_s = lamb_shift(QuantumState(N=2, L=0)).lamb_shift_MHz
+        for N in (5, 6):
+            scaled = N**3 * results[(N, 0)].lamb_shift_MHz
+            assert scaled == pytest.approx(8.0 * two_s, rel=0.05)
+
     def test_diagnostics_are_recorded(self):
         result = lamb_shift(QuantumState(N=2, L=1))
         parts = result.diagnostics.as_dict()

@@ -11,6 +11,7 @@ from lambshift.specfun import (
     hyp2f1_terminating_dz,
     jacobi_p,
     jacobi_p_dw,
+    ln_abs,
     ln_gamma_ratio,
     _NeumaierAcc,
 )
@@ -66,6 +67,16 @@ class TestHyp2f1Terminating:
             expected = mp.hyp2f1(a, b, 1, z)
             got = hyp2f1_terminating(a, b, 1, z)
             assert abs(got - float(expected)) <= 1e-13 * abs(float(expected))
+
+    def test_beyond_float_range_stays_exact(self):
+        # the value ~1e400 does not fit a double; its log magnitude does
+        mp.mp.dps = 40
+        a, b, c, z = -10, -12, 1, -1.0e40
+        got = hyp2f1_terminating(a, b, c, z)
+        expected = mp.hyp2f1(a, b, c, z)
+        assert isinstance(got, Fraction) and got > 0
+        assert ln_abs(got) == pytest.approx(float(mp.log(abs(expected))), rel=1e-15)
+        assert ln_abs(-2.5) == math.log(2.5)
 
     def test_complex_argument(self):
         mp.mp.dps = 30
