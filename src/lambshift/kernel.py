@@ -3,13 +3,14 @@
 The kernel is Q(T, phi) = sin^2(T/2) sum_n |D_{N,n}(phi)|^2 e^{-i n T}, D
 the dilation matrix of the discrete series.  On the rotated contour T = -i
 tau it is the exponential series sum_j q_j u^j in u = e^{-tau}, with
-q_j = |D_{N,j}|^2/2 - |D_{N,j+1}|^2/4 - |D_{N,j-1}|^2/4 for every j, all
-from dilation_weights: the q_j with j < N are the residue coefficients R_j,
-and the j >= N tail is the remainder Q~.  Summing the tail directly removes the catastrophic
-cancellation that subtracting the finite series from the closed form would
-cause at small phi, where the integrand weight e^{nu tau} grows almost as
-fast as the kernel decays.  At large phi the series converges too slowly
-(ratio t^2 -> 1, t = tanh(phi/2)) and the closed u-form
+q_j = |D_{N,j}|^2/2 - |D_{N,j+1}|^2/4 - |D_{N,j-1}|^2/4 for every j, every
+|D|^2 from one Jacobi closed form (dilation_weights; su11.rep_matrix_element
+is only an independent reference).  The q_j with j < N are the residues R_j
+and the j >= N tail is the remainder Q~.  Summing the tail directly removes
+the catastrophic cancellation that subtracting the finite series from the
+closed form would cause at small phi, where the integrand weight e^{nu tau}
+grows almost as fast as the kernel decays.  At large phi the series
+converges too slowly (ratio t^2 -> 1, t = tanh(phi/2)) and the closed u-form
 Q = pi(u) (1 - u t^2)^{-2N}, pi a polynomial of degree 2N - L, takes over;
 there the growth of e^{nu tau} is harmless because nu = N e^{-phi} is small.
 """
@@ -24,7 +25,8 @@ import numpy as np
 
 from .quadrature import QuadratureSpec, integrate_semi_infinite
 from .specfun import _jacobi_recurrence
-from .su11 import RepLabel, rep_matrix_element, scaling_coords
+# Unused here; kept bound because perfbench/tracing.py wraps kernel.rep_matrix_element.
+from .su11 import rep_matrix_element  # noqa: F401
 
 # Switch from the exponential series to the closed u-form once the series
 # ratio tanh^2(phi/2) exceeds this (phi ~ 2.94); the series is kept longer
@@ -67,37 +69,38 @@ class ResidueTable:
         return math.fsum(e.value for e in self.entries)
 
 
-def dilation_weights(N: int, L: int, phi: float, j0: int, j1: int, head=None):
-    """Squared dilation matrix elements |D_{N,j}(phi)|^2 for j0 <= j < j1.
+def dilation_weights(N: int, L: int, phi: float, j1: int, head=None):
+    """Squared dilation matrix elements |D_{N,j}(phi)|^2 for -1 <= j < j1.
 
-    Returns (weights, gain), weights[i] for j = j0 + i (zero for j <= L).
-    Up to j = N they are rep_matrix_element.  Beyond, a Pfaff transform
-    turns the row-N series into a Jacobi polynomial of fixed degree N-L-1
-    at a point inside [-1, 1], with no alternating sum:
+    Returns (weights, gain), weights[i] for j = i - 1 (zero for j <= L), at
+    least up to j = N.  Bargmann's closed form makes each a Jacobi polynomial
+    at a point in [-1, 1], symmetric in N and j, free of alternating sums;
+    with l = min(N, j), h = max(N, j) and t = tanh(phi/2),
 
-        |D_{N,j}|^2 = G_j P_{N-L-1}^{(j-N, 2L+1)}(1 - 2t^2)^2,  t = tanh(phi/2),
-        G_j = C(j+L, 2L+1)/C(N+L, 2L+1) t^{2(j-N)} cosh^{-4(L+1)}(phi/2),
+        |D_{N,j}|^2 = G_j P_{l-L-1}^{(h-l, 2L+1)}(1 - 2t^2)^2,
+        G_j = C(h+L, 2L+1)/C(l+L, 2L+1) t^{2(h-l)} cosh^{-4(L+1)}(phi/2),
 
-    and gain is G at the last j.  Passing a result for the same N, L, phi
-    and j0 as head extends it with one cumulative product, so no value
-    depends on how the range was split.
+    and gain is G at the last j.  Passing a result for the same N, L and
+    phi as head extends it beyond j = N with one cumulative product of
+    G_j/G_{j-1}, so no value depends on how the range was split.
     """
-    if head is None:
-        label, u = RepLabel(L + 1), scaling_coords(phi)
-        low = [abs(rep_matrix_element(label, N, j, u)) ** 2 for j in range(max(j0, L + 1), N + 1)]
-        head = (np.array([0.0] * (L + 1 - j0) + low), None)
-    weights, gain = head
-    if j1 <= j0 + weights.size:
-        return head
-    j = np.arange(j0 + weights.size, j1, dtype=float)
-    t2 = math.tanh(phi / 2.0) ** 2
     sech2 = math.cosh(phi / 2.0) ** -2
-    if gain is None:
+    w = 2.0 * sech2 - 1.0
+    t2 = math.tanh(phi / 2.0) ** 2
+    if head is None:
         gain = sech2 ** (2 * (L + 1))  # G_N
+        low = [
+            math.comb(N + L, 2 * L + 1) / math.comb(j + L, 2 * L + 1) * t2 ** (N - j) * gain
+            * _jacobi_recurrence(j - L - 1, N - j, 2.0 * L + 1.0, w) ** 2
+            for j in range(L + 1, N + 1)
+        ]
+        head = (np.array([0.0] * (L + 2) + low), gain)
+    weights, gain = head
+    if j1 <= weights.size - 1:
+        return head
+    j = np.arange(weights.size - 1, j1, dtype=float)
     gains = np.cumprod(np.concatenate(([gain], t2 * (j + L) / (j - L - 1))))
-    tail = gains[1:]
-    if N - L - 1:
-        tail = tail * _jacobi_recurrence(N - L - 1, j - N, 2.0 * L + 1.0, 2.0 * sech2 - 1.0) ** 2
+    tail = gains[1:] * _jacobi_recurrence(N - L - 1, j - N, 2.0 * L + 1.0, w) ** 2
     return np.concatenate((weights, tail)), float(gains[-1])
 
 
@@ -112,7 +115,7 @@ def residue_coeffs(N: int, L: int, phi: float) -> ResidueTable:
     Pole locations ln(N/n) exist only for n >= 1.
     """
     validate_quantum_numbers(N, L)
-    q = _series_coeffs(dilation_weights(N, L, phi, -1, N + 1)[0]).tolist()
+    q = _series_coeffs(dilation_weights(N, L, phi, N + 1)[0]).tolist()
     entries = tuple(
         ResidueEntry(n=n, value=q[n], pole_phi=math.log(N / n) if n >= 1 else None)
         for n in range(L, N)
@@ -150,7 +153,7 @@ class PhiKernel:
             else -math.inf
         )
         self._terms = self._build_terms()
-        self._weights = {}  # dilation_weights from j = -1 (every q_j), j = N - 1 (tail)
+        self._weights = None  # dilation_weights, extended on demand
 
     def _build_terms(self) -> tuple[tuple[float, int, int], ...]:
         """The polynomial as factored terms A_k u^{N-1-k} (1-u)^{2k+2}.
@@ -184,10 +187,8 @@ class PhiKernel:
 
     def _coeff_range(self, j0: int, j1: int) -> np.ndarray:
         """Exponential-series coefficients q_j for j0 <= j < j1."""
-        start = -1 if j0 < self.N else self.N - 1
-        head = dilation_weights(self.N, self.L, self.phi, start, j1 + 1, self._weights.get(start))
-        self._weights[start] = head
-        return _series_coeffs(head[0][j0 - 1 - start : j1 + 1 - start])
+        self._weights = dilation_weights(self.N, self.L, self.phi, j1 + 1, self._weights)
+        return _series_coeffs(self._weights[0][j0 : j1 + 2])
 
     @cached_property
     def residues(self) -> tuple[float, ...]:
@@ -287,15 +288,14 @@ class PhiKernel:
 def kernel_q(N: int, L: int, T: float, phi: float) -> complex:
     """Real-time kernel Q(T, phi) = sin^2(T/2) f^{-2N} 2F1(L+1-N, -L-N; 1; z).
 
-    Evaluated through the Jacobi-polynomial form with the phase split off:
-    the polynomial argument (1+z)/(1-z) stays in (-1, 1] on the real axis,
-    where the direct terminating series would alternate violently.
+    Evaluated through the Jacobi-polynomial form with the phase split off,
+    P_{N+L}^{(0, -1-2L)}(w) = ((w+1)/2)^{2L+1} P_{N-L-1}^{(0, 2L+1)}(w): the
+    argument w = (1+z)/(1-z) stays in (-1, 1] on the real axis, where the
+    direct terminating series would alternate violently.
     """
     validate_quantum_numbers(N, L)
     if phi < 0.0:
         raise ValueError(f"phi must be nonnegative, got {phi}")
-    from .specfun import jacobi_p
-
     half = T / 2.0
     s = math.sin(half)
     if s == 0.0 and T == 0.0:
@@ -305,7 +305,7 @@ def kernel_q(N: int, L: int, T: float, phi: float) -> complex:
     one_minus_z = 1.0 - z
     w = (1.0 + z) / one_minus_z
     chi = math.atan2(s * math.cosh(phi), math.cos(half))
-    poly = jacobi_p(N + L, 0, -1 - 2 * L, w)
+    poly = ((w + 1.0) / 2.0) ** (2 * L + 1) * _jacobi_recurrence(N - L - 1, 0.0, 2.0 * L + 1.0, w)
     magnitude = s * s * one_minus_z**L * poly
     phase = complex(math.cos(2 * N * chi), -math.sin(2 * N * chi))
     return magnitude * phase

@@ -1,9 +1,9 @@
 """Terminating hypergeometric sums, Jacobi polynomials and gamma ratios.
 
-These are the scalar building blocks of every kernel matrix element.  The
-parameter ranges are narrow (nonpositive integer series indices, integer
-Jacobi parameters) which allows exact finite summation instead of generic
-special-function machinery.
+The Jacobi recurrence builds every kernel weight (kernel.dilation_weights);
+the Gauss series and gamma ratios serve the reference route, su11 matrix
+elements.  Narrow parameter ranges (nonpositive integer series indices,
+integer Jacobi parameters) allow exact finite summation throughout.
 """
 
 from __future__ import annotations
@@ -154,9 +154,9 @@ def _as_float_like(w, value: float):
 def jacobi_p(n: int, alpha: int, beta: int, w):
     """Jacobi polynomial P_n^{(alpha, beta)}(w) by degree recurrence.
 
-    The kernel uses beta = -1-2L, a negative integer for which the plain
-    recurrence passes through a vanishing leading coefficient at degree
-    -beta.  For alpha = 0 and n >= -beta the polynomial factors as
+    The real-time kernel has beta = -1-2L, a negative integer for which
+    the plain recurrence passes through a vanishing leading coefficient at
+    degree -beta.  For alpha = 0 and n >= -beta the polynomial factors as
 
         P_n^{(0, -m)}(w) = ((w+1)/2)^m  P_{n-m}^{(0, m)}(w),   m = -beta,
 

@@ -8,12 +8,14 @@ import pytest
 
 from lambshift.kernel import (
     PhiKernel,
+    dilation_weights,
     kernel_q,
     kernel_remainder,
     kernel_remainder_dtau,
     residue_coeffs,
 )
 from lambshift.oracles import kernel_via_spectral_series
+from lambshift.su11 import RepLabel, rep_matrix_element, scaling_coords
 
 
 def _mp_coeffs(N, L, phi, j0, j1):
@@ -38,6 +40,85 @@ def _mp_coeffs(N, L, phi, j0, j1):
             float(mp.fsum(poly[i] * geom[n - i] for i in range(min(n + 1, len(poly)))))
             for n in range(j0, j1)
         ]
+
+
+def _mp_dilation_weight(N, L, j, phi):
+    """|D_{N,j}(phi)|^2 from the Gauss series of the matrix element, at 80 digits."""
+    m0 = L + 1
+    if j < m0:
+        return mp.mpf(0)
+    lo, hi = min(N, j), max(N, j)
+    d = hi - lo
+    with mp.workdps(80):
+        b2 = mp.sinh(mp.mpf(phi) / 2) ** 2
+        a, b, c = m0 - lo, 1 - m0 - lo, d + 1
+        term = series = mp.mpf(1)
+        for k in range(-a):
+            term *= mp.mpf((a + k) * (b + k)) / ((c + k) * (k + 1)) * -b2
+            series += term
+        gammas = mp.factorial(hi + L) * mp.factorial(hi - m0) / (
+            mp.factorial(lo + L) * mp.factorial(lo - m0)
+        )
+        return gammas / mp.factorial(d) ** 2 * b2**d * (1 + b2) ** -(hi + lo) * series**2
+
+
+# every L for N <= 4, the lowest, a middle and the highest L up to N = 20
+SAMPLED_STATES = [(N, L) for N in (1, 2, 3, 4) for L in range(N)] + [
+    (N, L) for N in (7, 12, 17, 20) for L in (0, N // 2, N - 1)
+]
+
+
+class TestDilationWeights:
+    @pytest.mark.parametrize("N, L", SAMPLED_STATES)
+    def test_weights_match_reference_route_and_mpmath(self, N, L):
+        # both sides of j = N, at a sample of the poles ln(N/n) and off them
+        poles = [math.log(N / n) for n in range(1, N)]
+        label = RepLabel(L + 1)
+        for phi in poles[:: max(1, len(poles) // 3)] + [0.3, 1.7, 4.0, 12.0]:
+            got = dilation_weights(N, L, phi, N + 4)[0][1:]  # j = 0 .. N+3
+            want = [_mp_dilation_weight(N, L, j, phi) for j in range(N + 4)]
+            u = scaling_coords(phi)
+            ref = [abs(rep_matrix_element(label, N, j, u)) ** 2 for j in range(N + 4)]
+            scale = float(max(want))
+            for j in range(N + 4):
+                assert abs(got[j] - want[j]) <= 1e-12 * scale, (j, phi)
+                assert abs(got[j] - ref[j]) <= 1e-12 * scale, (j, phi)
+
+    @pytest.mark.parametrize("N, L", SAMPLED_STATES)
+    def test_decay_channel_residues_match_mpmath(self, N, L):
+        # q_n at its pole ln(N/n) fixes the partial rate of channel n; the
+        # closed channels (n = 1 of s states) vanish up to the rounding of
+        # ln(N/n), below 3e-16 of the weights, the open ones exceed 3e-2
+        for n in range(max(1, L), N):
+            phi0 = math.log(N / n)
+            d = [_mp_dilation_weight(N, L, j, phi0) for j in (n - 1, n, n + 1)]
+            with mp.workdps(80):
+                want = d[1] / 2 - d[0] / 4 - d[2] / 4
+                if abs(want) <= 1e-12 * max(d):
+                    continue
+            got = residue_coeffs(N, L, phi0).value(n)
+            assert abs(got - want) <= 1e-12 * abs(want), n
+
+
+def test_hot_path_never_calls_reference_route(monkeypatch):
+    # the matrix-element route and its Gauss series are for cross-checks only
+    import lambshift.kernel as K
+    import lambshift.su11 as su11
+    from lambshift.shifts import DipoleOptions, QuantumState, decay_rates, lamb_shift
+
+    def reference_route(*args, **kwargs):
+        raise AssertionError("reference route called on the hot path")
+
+    monkeypatch.setattr(K, "rep_matrix_element", reference_route)
+    monkeypatch.setattr(su11, "rep_matrix_element", reference_route)
+    monkeypatch.setattr(su11, "hyp2f1_terminating", reference_route)
+    assert residue_coeffs(6, 2, 0.7).total() != 0.0
+    state = QuantumState(N=4, L=1)
+    assert decay_rates(state) and decay_rates(state, DipoleOptions(enabled=True))
+    series, closed = PhiKernel(3, 0, 1.0), PhiKernel(8, 0, 4.0)
+    assert series._use_series() and not closed._use_series()
+    assert series.tau_integral()[3] and closed.tau_integral()[3]
+    assert lamb_shift(QuantumState(N=2, L=1)).converged
 
 
 class TestKernelQ:
@@ -120,9 +201,9 @@ class TestResidues:
                 assert abs(table.value(n) - want[n]) <= 1e-13 * scale
 
     def test_large_boost_stays_finite(self):
-        # the Gauss series of the matrix elements exceeds the float range
-        # here and is carried in log space; the log magnitudes (~ -180)
-        # leave each |D|^2 good to ~1e-13 relative, hence 1e-11 of the scale
+        # every |D|^2 here is ~e^{-180}: the sech^4 prefactor of the Jacobi
+        # form carries that scale and the polynomial at w ~ -1 is moderate,
+        # so nothing overflows or cancels
         N, L, phi = 10, 0, 90.0
         table = residue_coeffs(N, L, phi)
         want = _mp_coeffs(N, L, phi, 0, N)
@@ -152,10 +233,8 @@ class TestResidues:
 
     def test_completeness_with_spectral_tail(self):
         # sum of all exponential coefficients vanishes (kernel is 0 at T=0);
-        # tail coefficients from one scalar matrix element per j, apart from
-        # the Jacobi form that dilation_weights uses beyond j = N
-        from lambshift.su11 import RepLabel, rep_matrix_element, scaling_coords
-
+        # the tail from the reference route, one scalar matrix element per
+        # j, independent of the Jacobi form that dilation_weights uses
         for (N, phi) in ((2, 0.5), (4, 1.5), (6, 3.0)):
             L = 0
             table = residue_coeffs(N, L, phi)
@@ -213,14 +292,19 @@ class TestRemainder:
 
     @pytest.mark.parametrize("N, L, phi", [(1, 0, 2.0), (4, 1, 2.9), (3, 0, 10.1)])
     def test_chunked_coefficients_equal_single_call(self, N, L, phi):
-        # the cached matrix elements are extended, never rebuilt, and the
-        # result does not depend on how the range was split
+        # the cached weights are extended, never rebuilt, and the result
+        # does not depend on how the range was split
         whole = PhiKernel(N, L, phi)._coeff_range(0, 5000)
         ker = PhiKernel(N, L, phi)
         splits = ((0, N), (N, 96), (96, 97), (97, 2000), (2000, 5000))
         pieces = [ker._coeff_range(a, b) for a, b in splits]
         assert np.array_equal(np.concatenate(pieces), whole)
         assert np.array_equal(ker._coeff_range(10, 300), whole[10:300])
+        head = None
+        for _, b in splits:
+            head = dilation_weights(N, L, phi, b + 1, head)
+        single = dilation_weights(N, L, phi, 5001)
+        assert np.array_equal(head[0], single[0]) and head[1] == single[1]
 
     def test_reality_of_rotated_kernel(self):
         # the full rotated kernel is real; assert through the spectral sum
