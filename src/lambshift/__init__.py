@@ -7,14 +7,7 @@ part), Bethe logarithms, and reproductions of the published tables.
 """
 
 from .constants import PhysicalConstants, default_constants, load_constants, rydberg_energy
-from .kernel import (
-    ResidueEntry,
-    ResidueTable,
-    kernel_q,
-    kernel_remainder,
-    kernel_remainder_dtau,
-    residue_coeffs,
-)
+from .kernel import residue_coeffs
 from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
@@ -35,39 +28,27 @@ from .shifts import (
     weight_dipole,
     weight_nondipole,
 )
-from .su11 import BchCoordinates, GroupElement, RepLabel, bch_decompose, compose, rep_matrix_element
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BchCoordinates",
     "BetheResult",
     "DipoleOptions",
-    "GroupElement",
     "PhysicalConstants",
     "QuadratureResult",
     "QuadratureSpec",
     "QuantumState",
-    "RepLabel",
-    "ResidueEntry",
-    "ResidueTable",
     "ShiftResult",
-    "bch_decompose",
     "bethe_log",
     "circular_rate_closed_form",
-    "compose",
     "decay_rates",
     "default_constants",
     "dipole_lamb_full",
     "generate_table",
     "integrate_principal_value",
     "integrate_semi_infinite",
-    "kernel_q",
-    "kernel_remainder",
-    "kernel_remainder_dtau",
     "lamb_shift",
     "load_constants",
-    "rep_matrix_element",
     "residue_coeffs",
     "rydberg_energy",
     "weight_dipole",

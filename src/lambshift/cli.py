@@ -231,8 +231,7 @@ def _run_table(args, constants, spec, stream) -> int:
 
 
 def _run_verify(args, constants, spec, stream) -> int:
-    from .oracles import kernel_via_spectral_series, shift_via_eps_extrapolated
-    from .kernel import kernel_q
+    from .oracles import kernel_q, kernel_via_spectral_series, shift_via_eps_extrapolated
 
     checks = []
     for (N, L, T, phi) in ((2, 0, 0.9, 1.1), (3, 1, 1.3, 0.7), (4, 2, 2.1, 1.8)):

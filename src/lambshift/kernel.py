@@ -1,4 +1,4 @@
-"""Effective-time kernel, residue coefficients, and the rotated-contour remainder.
+"""Residue coefficients and the rotated-contour remainder of the kernel.
 
 The kernel is Q(T, phi) = sin^2(T/2) sum_n |D_{N,n}(phi)|^2 e^{-i n T}, D
 the dilation matrix of the discrete series.  On the rotated contour T = -i
@@ -12,13 +12,13 @@ closed form would cause at small phi, where the integrand weight e^{nu tau}
 grows almost as fast as the kernel decays.  At large phi the series
 converges too slowly (ratio t^2 -> 1, t = tanh(phi/2)) and the closed u-form
 Q = pi(u) (1 - u t^2)^{-2N}, pi a polynomial of degree 2N - L, takes over;
-there the growth of e^{nu tau} is harmless because nu = N e^{-phi} is small.
+there e^{nu tau} is harmless because nu = N e^{-phi} is small.  The
+real-time kernel Q(T, phi) is a cross-check only (oracles.kernel_q).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -40,33 +40,21 @@ def validate_quantum_numbers(N: int, L: int) -> None:
         raise ValueError(f"invalid quantum numbers N={N!r}, L={L!r} (need 0 <= L <= N-1)")
 
 
-@dataclass(frozen=True)
-class ResidueEntry:
-    n: int
-    value: float
-    pole_phi: float | None  # ln(N/n); absent for the n = 0 edge
+def _jacobi_point(L: int, phi: float) -> tuple[float, float, float]:
+    """(w, t^2, G_N) of the Jacobi form: w = 1 - 2t^2, G_N = cosh^{-4(L+1)}(phi/2)."""
+    sech2 = math.cosh(phi / 2.0) ** -2
+    return 2.0 * sech2 - 1.0, math.tanh(phi / 2.0) ** 2, sech2 ** (2 * (L + 1))
 
 
-@dataclass(frozen=True)
-class ResidueTable:
-    """Coefficients R_n of e^{-n tau} in the kernel series, L <= n <= N-1."""
-
-    N: int
-    L: int
-    phi: float
-    entries: tuple[ResidueEntry, ...]
-
-    def value(self, n: int) -> float:
-        for e in self.entries:
-            if e.n == n:
-                return e.value
+def _weight_upto_row(N: int, L: int, j: int, point) -> float:
+    """|D_{N,j}|^2 for j <= N (zero for j <= L), point from _jacobi_point."""
+    if j <= L:
         return 0.0
-
-    def pole_entries(self) -> tuple[ResidueEntry, ...]:
-        return tuple(e for e in self.entries if e.pole_phi is not None)
-
-    def total(self) -> float:
-        return math.fsum(e.value for e in self.entries)
+    w, t2, gain = point
+    return (
+        math.comb(N + L, 2 * L + 1) / math.comb(j + L, 2 * L + 1) * t2 ** (N - j) * gain
+        * _jacobi_recurrence(j - L - 1, N - j, 2.0 * L + 1.0, w) ** 2
+    )
 
 
 def dilation_weights(N: int, L: int, phi: float, j1: int, head=None):
@@ -84,17 +72,10 @@ def dilation_weights(N: int, L: int, phi: float, j1: int, head=None):
     phi as head extends it beyond j = N with one cumulative product of
     G_j/G_{j-1}, so no value depends on how the range was split.
     """
-    sech2 = math.cosh(phi / 2.0) ** -2
-    w = 2.0 * sech2 - 1.0
-    t2 = math.tanh(phi / 2.0) ** 2
+    point = _jacobi_point(L, phi)
+    w, t2, gain_n = point
     if head is None:
-        gain = sech2 ** (2 * (L + 1))  # G_N
-        low = [
-            math.comb(N + L, 2 * L + 1) / math.comb(j + L, 2 * L + 1) * t2 ** (N - j) * gain
-            * _jacobi_recurrence(j - L - 1, N - j, 2.0 * L + 1.0, w) ** 2
-            for j in range(L + 1, N + 1)
-        ]
-        head = (np.array([0.0] * (L + 2) + low), gain)
+        head = (np.array([_weight_upto_row(N, L, j, point) for j in range(-1, N + 1)]), gain_n)
     weights, gain = head
     if j1 <= weights.size - 1:
         return head
@@ -109,18 +90,18 @@ def _series_coeffs(weights: np.ndarray) -> np.ndarray:
     return 0.5 * weights[1:-1] - 0.25 * weights[2:] - 0.25 * weights[:-2]
 
 
-def residue_coeffs(N: int, L: int, phi: float) -> ResidueTable:
-    """Residue coefficients R_n = q_n, L <= n <= N-1, from dilation_weights.
+def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
+    """Residue R_n = q_n of e^{-n tau} in the kernel series, L <= n <= N-1.
 
-    Pole locations ln(N/n) exist only for n >= 1.
+    Only the three weights j = n-1, n, n+1 are computed; the value equals
+    PhiKernel(N, L, phi).residues[n] bit for bit.
     """
     validate_quantum_numbers(N, L)
-    q = _series_coeffs(dilation_weights(N, L, phi, N + 1)[0]).tolist()
-    entries = tuple(
-        ResidueEntry(n=n, value=q[n], pole_phi=math.log(N / n) if n >= 1 else None)
-        for n in range(L, N)
-    )
-    return ResidueTable(N=N, L=L, phi=phi, entries=entries)
+    if n != int(n) or not L <= n < N:
+        raise ValueError(f"residue index n={n!r} outside [L, N-1] = [{L}, {N - 1}]")
+    point = _jacobi_point(L, phi)
+    weights = np.array([_weight_upto_row(N, L, j, point) for j in (n - 1, n, n + 1)])
+    return float(_series_coeffs(weights)[0])
 
 
 @lru_cache(maxsize=None)
@@ -283,39 +264,3 @@ class PhiKernel:
 
         result = integrate_semi_infinite(integrand, spec)
         return result.value, result.error_estimate, result.evaluations, result.converged
-
-
-def kernel_q(N: int, L: int, T: float, phi: float) -> complex:
-    """Real-time kernel Q(T, phi) = sin^2(T/2) f^{-2N} 2F1(L+1-N, -L-N; 1; z).
-
-    Evaluated through the Jacobi-polynomial form with the phase split off,
-    P_{N+L}^{(0, -1-2L)}(w) = ((w+1)/2)^{2L+1} P_{N-L-1}^{(0, 2L+1)}(w): the
-    argument w = (1+z)/(1-z) stays in (-1, 1] on the real axis, where the
-    direct terminating series would alternate violently.
-    """
-    validate_quantum_numbers(N, L)
-    if phi < 0.0:
-        raise ValueError(f"phi must be nonnegative, got {phi}")
-    half = T / 2.0
-    s = math.sin(half)
-    if s == 0.0 and T == 0.0:
-        return 0.0 + 0.0j
-    sinh_phi = math.sinh(phi)
-    z = -(s * sinh_phi) ** 2
-    one_minus_z = 1.0 - z
-    w = (1.0 + z) / one_minus_z
-    chi = math.atan2(s * math.cosh(phi), math.cos(half))
-    poly = ((w + 1.0) / 2.0) ** (2 * L + 1) * _jacobi_recurrence(N - L - 1, 0.0, 2.0 * L + 1.0, w)
-    magnitude = s * s * one_minus_z**L * poly
-    phase = complex(math.cos(2 * N * chi), -math.sin(2 * N * chi))
-    return magnitude * phase
-
-
-def kernel_remainder(N: int, L: int, tau: float, phi: float) -> float:
-    """Rotated-contour remainder Q~(-i tau, phi), purely real."""
-    return PhiKernel(N, L, phi).remainder(tau)
-
-
-def kernel_remainder_dtau(N: int, L: int, tau: float, phi: float) -> float:
-    """Analytic tau-derivative of the rotated-contour remainder."""
-    return PhiKernel(N, L, phi).remainder_dtau(tau)

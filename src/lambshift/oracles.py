@@ -3,10 +3,11 @@
 Three independent routes back the closed forms used elsewhere: the kernel
 as an explicit sum over the compact-generator eigenbasis, the disentangled
 2x2 product behind the polar decomposition, and the un-rotated real-axis
-double integral at finite damping epsilon.  Tolerances here are looser by
-construction; the oscillatory epsilon route in particular only makes sense
-after extrapolating the damping to zero.  Its inner time integral is exact
-at every finite epsilon: one period of the 2 pi-periodic dQ/dT divided by
+double integral at finite damping epsilon, whose real-time kernel Q(T, phi)
+is written once (kernel_q).  Tolerances here are looser by construction;
+the oscillatory epsilon route in particular only makes sense after
+extrapolating the damping to zero.  Its inner time integral is exact at
+every finite epsilon: one period of the 2 pi-periodic dQ/dT divided by
 1 - e^{2 pi (i nu - eps)}, or the kernel's exponential series at large phi.
 """
 
@@ -22,7 +23,7 @@ from .constants import PhysicalConstants, default_constants
 from .kernel import validate_quantum_numbers
 from .quadrature import kronrod_nodes_weights
 from .shifts import QuantumState, neville_extrapolate, shift_prefactor, weight_nondipole
-from .specfun import jacobi_p, jacobi_p_dw
+from .specfun import _jacobi_recurrence
 from .su11 import BchCoordinates, RepLabel, rep_matrix_element, scaling_coords
 
 # Defining-representation generators: j3 = sigma3/2, jpm = -sigma_pm/sqrt(2).
@@ -103,8 +104,11 @@ def _kernel_matrix_element_grid(N: int, L: int, T: np.ndarray, phi: float):
     w = (1.0 + z) / one_minus_z
 
     degree = N - L - 1
-    poly = jacobi_p(degree, 0, 2 * L + 1, w)
-    dpoly = jacobi_p_dw(degree, 0, 2 * L + 1, w)
+    poly = _jacobi_recurrence(degree, 0.0, 2.0 * L + 1.0, w)
+    # dP_n^{(0, 2L+1)}/dw = (n + 2L + 2)/2 P_{n-1}^{(1, 2L+2)}
+    dpoly = 0.0
+    if degree:
+        dpoly = (degree + 2 * L + 2) / 2.0 * _jacobi_recurrence(degree - 1, 1.0, 2.0 * L + 2.0, w)
     chi = np.angle(f)
     phase = np.exp(-2j * N * chi)
     radial = one_minus_z ** (-(L + 1))
@@ -117,6 +121,21 @@ def _kernel_matrix_element_grid(N: int, L: int, T: np.ndarray, phi: float):
                         + radial * dpoly * 2.0 / one_minus_z**2)
     )
     return m_elem, dm
+
+
+def kernel_q(N: int, L: int, T: float, phi: float) -> complex:
+    """Real-time kernel Q(T, phi) = sin^2(T/2) M(T) at one time T.
+
+    M(T) = e^{-2iN chi} (1-z)^{-(L+1)} P_{N-L-1}^{(0, 2L+1)}(w) is the Jacobi
+    form of f^{-2N} 2F1(L+1-N, -L-N; 1; z), whose argument w = (1+z)/(1-z)
+    stays in (-1, 1] on the real axis, where the direct terminating series
+    would alternate violently.
+    """
+    validate_quantum_numbers(N, L)
+    if phi < 0.0:
+        raise ValueError(f"phi must be nonnegative, got {phi}")
+    m_elem, _ = _kernel_matrix_element_grid(N, L, np.array([T]), phi)
+    return complex(math.sin(T / 2.0) ** 2 * m_elem[0])
 
 
 def _dq_dt_grid(N: int, L: int, T: np.ndarray, phi: float) -> np.ndarray:

@@ -127,7 +127,7 @@ def decay_rates(
     rates = []
     for n in range(max(1, L), N):
         phi0 = math.log(N / n)
-        r_n = residue_coeffs(N, L, phi0).value(n)
+        r_n = residue_coeffs(N, L, phi0, n)
         w = _weight(state, phi0, options, constants)
         gamma = -(8.0 * constants.alpha0 / (3.0 * N * N)) * r_n * w * base / 1.0e6
         rates.append((n, 0.0 if abs(gamma) < tiny else gamma))
@@ -225,7 +225,7 @@ def _shift_bracket(
 
         def pv_numerator(phi: float, n: int = n) -> float:
             w = _weight(state, phi, options, constants)
-            return w * n * residue_coeffs(N, L, phi).value(n)
+            return w * n * residue_coeffs(N, L, phi, n)
 
         def pv_denominator(phi: float, n: int = n) -> float:
             return N * math.exp(-phi) - n

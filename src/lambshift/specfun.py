@@ -1,9 +1,10 @@
 """Terminating hypergeometric sums, Jacobi polynomials and gamma ratios.
 
-The Jacobi recurrence builds every kernel weight (kernel.dilation_weights);
-the Gauss series and gamma ratios serve the reference route, su11 matrix
-elements.  Narrow parameter ranges (nonpositive integer series indices,
-integer Jacobi parameters) allow exact finite summation throughout.
+The Jacobi recurrence builds every kernel weight (kernel.dilation_weights)
+and the real-time kernel of the oracles; the Gauss series and gamma ratios
+serve the reference route, su11 matrix elements.  Narrow parameter ranges
+(nonpositive integer series indices, integer Jacobi parameters) allow exact
+finite summation throughout.
 """
 
 from __future__ import annotations
@@ -111,13 +112,6 @@ def hyp2f1_terminating(a: int, b: int, c: int, z):
     return result
 
 
-def hyp2f1_terminating_dz(a: int, b: int, c: int, z):
-    """d/dz of the terminating series, itself a terminating 2F1."""
-    if a == 0:
-        return 0.0
-    return a * b / c * hyp2f1_terminating(a + 1, b + 1, c + 1, z)
-
-
 def _jacobi_recurrence(n: int, alpha: float, beta: float, w):
     """Standard three-term recurrence in the degree.
 
@@ -133,7 +127,7 @@ def _jacobi_recurrence(n: int, alpha: float, beta: float, w):
     for k in range(2, n + 1):
         s = 2.0 * k + ab
         lead = 2.0 * k * (k + ab) * (s - 2.0)
-        if not np.all(lead):
+        if not (lead.all() if isinstance(lead, np.ndarray) else lead):
             raise ValueError(
                 f"degenerate Jacobi recurrence at degree {k} for (alpha, beta)=({alpha}, {beta})"
             )
@@ -149,37 +143,6 @@ def _as_float_like(w, value: float):
         return value + 0.0 * w
     except TypeError:
         return value
-
-
-def jacobi_p(n: int, alpha: int, beta: int, w):
-    """Jacobi polynomial P_n^{(alpha, beta)}(w) by degree recurrence.
-
-    The real-time kernel has beta = -1-2L, a negative integer for which
-    the plain recurrence passes through a vanishing leading coefficient at
-    degree -beta.  For alpha = 0 and n >= -beta the polynomial factors as
-
-        P_n^{(0, -m)}(w) = ((w+1)/2)^m  P_{n-m}^{(0, m)}(w),   m = -beta,
-
-    which reduces the evaluation to a nondegenerate recurrence.
-    """
-    if n < 0 or n != int(n):
-        raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    if beta == int(beta) and beta <= -1 and n >= -int(beta):
-        m = -int(beta)
-        if alpha != 0:
-            raise ValueError(
-                "negative integer beta with degree >= -beta is supported only for alpha = 0"
-            )
-        return ((w + 1.0) / 2.0) ** m * _jacobi_recurrence(n - m, 0.0, float(m), w)
-    return _jacobi_recurrence(n, float(alpha), float(beta), w)
-
-
-def jacobi_p_dw(n: int, alpha: int, beta: int, w):
-    """Derivative dP_n^{(alpha,beta)}/dw = (n+alpha+beta+1)/2 P_{n-1}^{(alpha+1,beta+1)}."""
-    if n == 0:
-        return _as_float_like(w, 0.0)
-    return (n + alpha + beta + 1) / 2.0 * jacobi_p(n - 1, alpha + 1, beta + 1, w)
 
 
 def ln_gamma_ratio(num: int, den: int) -> float:

@@ -6,15 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lambshift.kernel import (
-    PhiKernel,
-    dilation_weights,
-    kernel_q,
-    kernel_remainder,
-    kernel_remainder_dtau,
-    residue_coeffs,
-)
-from lambshift.oracles import kernel_via_spectral_series
+from lambshift.kernel import PhiKernel, dilation_weights, residue_coeffs
+from lambshift.oracles import kernel_q, kernel_via_spectral_series
 from lambshift.su11 import RepLabel, rep_matrix_element, scaling_coords
 
 
@@ -96,7 +89,7 @@ class TestDilationWeights:
                 want = d[1] / 2 - d[0] / 4 - d[2] / 4
                 if abs(want) <= 1e-12 * max(d):
                     continue
-            got = residue_coeffs(N, L, phi0).value(n)
+            got = residue_coeffs(N, L, phi0, n)
             assert abs(got - want) <= 1e-12 * abs(want), n
 
 
@@ -112,7 +105,7 @@ def test_hot_path_never_calls_reference_route(monkeypatch):
     monkeypatch.setattr(K, "rep_matrix_element", reference_route)
     monkeypatch.setattr(su11, "rep_matrix_element", reference_route)
     monkeypatch.setattr(su11, "hyp2f1_terminating", reference_route)
-    assert residue_coeffs(6, 2, 0.7).total() != 0.0
+    assert math.fsum(residue_coeffs(6, 2, 0.7, n) for n in range(2, 6)) != 0.0
     state = QuantumState(N=4, L=1)
     assert decay_rates(state) and decay_rates(state, DipoleOptions(enabled=True))
     series, closed = PhiKernel(3, 0, 1.0), PhiKernel(8, 0, 4.0)
@@ -160,57 +153,67 @@ class TestKernelQ:
             kernel_q(2, 2, 1.0, 1.0)
         with pytest.raises(ValueError):
             kernel_q(0, 0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            kernel_q(2, 1, 1.0, -0.1)
 
 
 class TestResidues:
     def test_circular_state_closed_form(self):
-        phi0 = math.log(2.0)
-        table = residue_coeffs(2, 1, phi0)
         # -1/(4 cosh^{4N}(phi/2)) at cosh(phi) = 5/4
-        assert table.value(1) == pytest.approx(-1024.0 / 6561.0, rel=1e-13)
-        assert table.entries[0].pole_phi == pytest.approx(phi0)
+        got = residue_coeffs(2, 1, math.log(2.0), 1)
+        assert got == pytest.approx(-1024.0 / 6561.0, rel=1e-13)
 
     def test_circular_family_any_phi(self):
         for N in (2, 3, 5):
             phi = 0.8
-            table = residue_coeffs(N, N - 1, phi)
             want = -1.0 / (4.0 * math.cosh(phi / 2.0) ** (4 * N))
-            assert table.value(N - 1) == pytest.approx(want, rel=1e-12)
+            assert residue_coeffs(N, N - 1, phi, N - 1) == pytest.approx(want, rel=1e-12)
 
     def test_identity_dilation_single_entry(self):
-        table = residue_coeffs(4, 1, 0.0)
-        assert table.value(3) == -0.25
-        assert table.value(1) == 0.0 and table.value(2) == 0.0
+        assert residue_coeffs(4, 1, 0.0, 3) == -0.25
+        assert residue_coeffs(4, 1, 0.0, 1) == 0.0 and residue_coeffs(4, 1, 0.0, 2) == 0.0
 
     def test_ground_tower_single_entry(self):
         phi = 1.3
-        table = residue_coeffs(1, 0, phi)
         want = -0.25 / math.cosh(phi / 2.0) ** 4
-        assert len(table.entries) == 1
-        entry = table.entries[0]
-        assert entry.n == 0 and entry.pole_phi is None
-        assert entry.value == pytest.approx(want, rel=1e-13)
+        assert residue_coeffs(1, 0, phi, 0) == pytest.approx(want, rel=1e-13)
+        with pytest.raises(ValueError):
+            residue_coeffs(1, 0, phi, 1)
+
+    @pytest.mark.parametrize("N, L", SAMPLED_STATES)
+    def test_equals_phi_kernel_residues(self, N, L):
+        # one formula behind both: the scalar residue and the closed branch's
+        # table, at the pole of channel max(1, (N+L)//2) (phi = 0 for N = 1)
+        for phi in (math.log(N / max(1, (N + L) // 2)), 0.3, 4.0):
+            table = PhiKernel(N, L, phi).residues
+            for n in range(L, N):
+                assert residue_coeffs(N, L, phi, n) == table[n], (phi, n)
+
+    @pytest.mark.parametrize("N, L", [(1, 0), (3, 1), (6, 5), (12, 6)])
+    def test_rejects_index_outside_channels(self, N, L):
+        for n in (L - 1, N):
+            with pytest.raises(ValueError):
+                residue_coeffs(N, L, 0.7, n)
 
     def test_matches_series_coefficients(self):
         # the u-expansion of the closed form, at 60 digits
         for (N, L, phi) in ((2, 0, 0.4), (4, 1, 1.7), (6, 3, 2.8), (5, 0, 3.6)):
-            table = residue_coeffs(N, L, phi)
             want = _mp_coeffs(N, L, phi, 0, N)
             scale = max(abs(x) for x in want)
-            for n in range(N):
-                assert abs(table.value(n) - want[n]) <= 1e-13 * scale
+            for n in range(L, N):
+                assert abs(residue_coeffs(N, L, phi, n) - want[n]) <= 1e-13 * scale
 
     def test_large_boost_stays_finite(self):
         # every |D|^2 here is ~e^{-180}: the sech^4 prefactor of the Jacobi
         # form carries that scale and the polynomial at w ~ -1 is moderate,
         # so nothing overflows or cancels
         N, L, phi = 10, 0, 90.0
-        table = residue_coeffs(N, L, phi)
         want = _mp_coeffs(N, L, phi, 0, N)
         scale = max(abs(x) for x in want)
         for n in range(N):
-            assert math.isfinite(table.value(n))
-            assert abs(table.value(n) - want[n]) <= 1e-11 * scale
+            got = residue_coeffs(N, L, phi, n)
+            assert math.isfinite(got)
+            assert abs(got - want[n]) <= 1e-11 * scale
 
     @pytest.mark.parametrize("N", (8, 10, 12))
     @pytest.mark.parametrize("phi", (3.5, 5.0))
@@ -225,19 +228,12 @@ class TestResidues:
         for n in range(N):
             assert abs(ker.residues[n] - want[n]) <= 1e-12 * scale
 
-    def test_pole_entries_skip_n_zero(self):
-        table = residue_coeffs(3, 0, 0.9)
-        poles = table.pole_entries()
-        assert [e.n for e in poles] == [1, 2]
-        assert [e.n for e in table.entries] == [0, 1, 2]
-
     def test_completeness_with_spectral_tail(self):
         # sum of all exponential coefficients vanishes (kernel is 0 at T=0);
         # the tail from the reference route, one scalar matrix element per
         # j, independent of the Jacobi form that dilation_weights uses
         for (N, phi) in ((2, 0.5), (4, 1.5), (6, 3.0)):
             L = 0
-            table = residue_coeffs(N, L, phi)
             label = RepLabel(L + 1)
             u = scaling_coords(phi)
             dsq = {}
@@ -249,7 +245,7 @@ class TestResidues:
                 c_n = 0.5 * dsq[n] - 0.25 * dsq[n + 1] - 0.25 * dsq[n - 1]
                 tail_sum += c_n
                 tail_bound = abs(c_n)
-            total = table.total() + tail_sum
+            total = math.fsum(residue_coeffs(N, L, phi, n) for n in range(L, N)) + tail_sum
             assert abs(total) <= max(1e-12, 400 * tail_bound)
 
 
@@ -257,28 +253,26 @@ class TestRemainder:
     def test_zero_phi_closed_form(self):
         for (N, L) in ((1, 0), (3, 1), (5, 2)):
             for tau in (0.2, 1.0, 4.0):
-                got = kernel_remainder(N, L, tau, 0.0)
+                got = PhiKernel(N, L, 0.0).remainder(tau)
                 want = 0.5 * math.exp(-N * tau) - 0.25 * math.exp(-(N + 1) * tau)
                 assert got == pytest.approx(want, rel=1e-13)
 
     def test_zero_tau_is_minus_residue_sum(self):
         for (N, L, phi) in ((2, 0, 0.8), (4, 1, 1.9), (3, 2, 3.4)):
-            got = kernel_remainder(N, L, 0.0, phi)
-            want = -residue_coeffs(N, L, phi).total()
+            got = PhiKernel(N, L, phi).remainder(0.0)
+            want = -math.fsum(residue_coeffs(N, L, phi, n) for n in range(L, N))
             assert got == pytest.approx(want, rel=1e-11, abs=1e-15)
 
     def test_matches_spectral_tail(self):
         N, L, tau, phi = 4, 0, 0.9, 1.1
-        got = kernel_remainder(N, L, tau, phi)
         ker = PhiKernel(N, L, phi)
+        got = ker.remainder(tau)
         tail = ker._coeff_range(N, 300)
         want = float(np.sum(tail * np.exp(-np.arange(N, 300) * tau)))
         assert got == pytest.approx(want, rel=1e-12)
         # and against the independent matrix-element series
         full = kernel_via_spectral_series(N, L, tau, phi, 300, imaginary_time=True).value.real
-        sub = sum(
-            residue_coeffs(N, L, phi).value(n) * math.exp(-n * tau) for n in range(L, N)
-        )
+        sub = sum(residue_coeffs(N, L, phi, n) * math.exp(-n * tau) for n in range(L, N))
         assert got == pytest.approx(full - sub, rel=1e-10)
 
     @pytest.mark.parametrize("N, L, phi", [(5, 0, 2.8), (8, 3, 2.5), (12, 0, 2.0)])
@@ -314,19 +308,19 @@ class TestRemainder:
 
     def test_decay_order(self):
         N, L, phi = 3, 1, 1.4
-        r1 = abs(kernel_remainder(N, L, 6.0, phi))
-        r2 = abs(kernel_remainder(N, L, 9.0, phi))
+        ker = PhiKernel(N, L, phi)
+        r1, r2 = abs(ker.remainder(6.0)), abs(ker.remainder(9.0))
         assert r2 < r1 * math.exp(-N * 2.9)  # at least e^{-N tau} decay
 
     def test_branches_agree_midrange(self):
         import lambshift.kernel as K
 
         for (N, L, phi, tau) in ((3, 0, 2.2, 0.6), (5, 2, 2.8, 1.1)):
-            series = kernel_remainder(N, L, tau, phi)
+            series = PhiKernel(N, L, phi).remainder(tau)
             old = K.SERIES_T2_MAX
             K.SERIES_T2_MAX = -1.0
             try:
-                closed = kernel_remainder(N, L, tau, phi)
+                closed = PhiKernel(N, L, phi).remainder(tau)
             finally:
                 K.SERIES_T2_MAX = old
             assert series == pytest.approx(closed, rel=1e-11)
@@ -336,7 +330,7 @@ class TestRemainderDerivative:
     def test_zero_phi_closed_form(self):
         for (N, L) in ((2, 0), (4, 3)):
             for tau in (0.1, 1.7):
-                got = kernel_remainder_dtau(N, L, tau, 0.0)
+                got = PhiKernel(N, L, 0.0).remainder_dtau(tau)
                 want = -N / 2.0 * math.exp(-N * tau) + (N + 1) / 4.0 * math.exp(-(N + 1) * tau)
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -348,26 +342,24 @@ class TestRemainderDerivative:
             L = rng.randint(0, N - 1)
             tau = rng.uniform(0.05, 3.0)
             phi = rng.uniform(0.02, 3.5)
-            fd = (
-                kernel_remainder(N, L, tau + step, phi)
-                - kernel_remainder(N, L, tau - step, phi)
-            ) / (2 * step)
-            an = kernel_remainder_dtau(N, L, tau, phi)
+            ker = PhiKernel(N, L, phi)
+            fd = (ker.remainder(tau + step) - ker.remainder(tau - step)) / (2 * step)
+            an = ker.remainder_dtau(tau)
             assert an == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
     def test_specific_spec_point(self):
         N, L, tau, phi = 2, 1, 0.5, 0.8
         step = 1e-5
-        fd = (
-            kernel_remainder(N, L, tau + step, phi) - kernel_remainder(N, L, tau - step, phi)
-        ) / (2 * step)
-        assert kernel_remainder_dtau(N, L, tau, phi) == pytest.approx(fd, rel=1e-6)
+        ker = PhiKernel(N, L, phi)
+        fd = (ker.remainder(tau + step) - ker.remainder(tau - step)) / (2 * step)
+        assert ker.remainder_dtau(tau) == pytest.approx(fd, rel=1e-6)
 
     def test_tail_decay_bound(self):
         N, L, phi = 3, 0, 1.1
-        scale = abs(kernel_remainder_dtau(N, L, 1.0, phi))
+        ker = PhiKernel(N, L, phi)
+        scale = abs(ker.remainder_dtau(1.0))
         for tau in (6.0, 10.0):
-            assert abs(kernel_remainder_dtau(N, L, tau, phi)) <= 40.0 * scale * math.exp(-N * tau)
+            assert abs(ker.remainder_dtau(tau)) <= 40.0 * scale * math.exp(-N * tau)
 
 
 class TestTauIntegral:
@@ -393,7 +385,7 @@ class TestTauIntegral:
         got = ker.tau_integral()[0]
         mp.mp.dps = 30
         nu = N * math.exp(-phi)
-        f = lambda tau: mp.e ** (nu * tau) * kernel_remainder_dtau(N, L, float(tau), phi)
+        f = lambda tau: mp.e ** (nu * tau) * ker.remainder_dtau(float(tau))
         want = float(mp.quad(f, [0, 1, 2, 4, 8, 16, 32, 64]))
         assert got == pytest.approx(want, rel=1e-9)
 

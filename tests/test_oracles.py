@@ -9,6 +9,7 @@ from lambshift.kernel import PhiKernel
 from lambshift.oracles import (
     _inner_t_integral_grid,
     _inner_t_integral_spectral,
+    _kernel_matrix_element_grid,
     kernel_via_spectral_series,
     shift_via_eps_real_axis,
 )
@@ -91,6 +92,19 @@ class TestEpsilonAxis:
         got = _inner_t_integral_grid(N, L, phi, nu, eps, np.asarray(nodes), np.asarray(weights))
         want = _mp_damped_inner(N, L, phi, nu, eps)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_dm_dt_matches_central_differences(self):
+        # the analytic dM/dT behind dQ/dT, including the Jacobi derivative
+        # (n+2L+2)/2 P_{n-1}^{(1,2L+2)}, against the grid's own M
+        T = np.linspace(0.05, 2.0 * math.pi - 0.05, 61)
+        step = 1e-6
+        for (N, L, phi) in ((1, 0, 0.8), (2, 0, 1.7), (4, 1, 0.3), (6, 2, 2.4)):
+            _, dm = _kernel_matrix_element_grid(N, L, T, phi)
+            fd = (
+                _kernel_matrix_element_grid(N, L, T + step, phi)[0]
+                - _kernel_matrix_element_grid(N, L, T - step, phi)[0]
+            ) / (2 * step)
+            assert np.max(np.abs(dm - fd)) <= 1e-8 * np.max(np.abs(dm)), (N, L, phi)
 
     @pytest.mark.parametrize("N, L, phi, eps", [(3, 0, 3.4, 0.05), (3, 0, 3.5, 0.0125)])
     def test_inner_spectral_matches_grid(self, N, L, phi, eps):
