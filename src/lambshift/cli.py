@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 internal error, 2 invalid quantum numbers or
 flags, 3 quadrature or extrapolation did not converge (the report is
-still printed, flagged converged=false).
+still printed, flagged converged=false) or the arithmetic overflowed,
+divided by zero or gave a non-finite integrand (only an error line on
+stderr).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import sys
 
 from .constants import CONSTANTS_ENV_VAR, resolve_constants
-from .quadrature import QuadratureSpec
+from .quadrature import IntegrandError, QuadratureSpec
 from .shifts import (
     DEFAULT_BETHE_CUTOFFS,
     DipoleOptions,
@@ -276,6 +278,9 @@ def main(argv=None) -> int:
         status = runner(args, constants, spec, buffer)
         sys.stdout.write(buffer.getvalue())
         return status
+    except (ArithmeticError, IntegrandError) as exc:  # overflow, zero division, inf or nan
+        print(f"error: {exc!r}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

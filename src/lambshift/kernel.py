@@ -133,38 +133,47 @@ class PhiKernel:
             if phi > 0.0
             else -math.inf
         )
-        self._terms = self._build_terms()
         self._weights = None  # dilation_weights, extended on demand
 
-    def _build_terms(self) -> tuple[tuple[float, int, int], ...]:
-        """The polynomial as factored terms A_k u^{N-1-k} (1-u)^{2k+2}.
+    @cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The polynomial as factored terms A_k u^{p_k} (1-u)^{q_k}: arrays (A, p, q).
 
-        Evaluating these products directly (never expanding in powers of u)
-        keeps pi(u) and pi'(u) relatively accurate near u = 1, where the
-        expanded coefficients would cancel to roundoff and the geometric
-        factor (1 - u t^2)^{-2N} amplifies the noise at large phi.
+        p_k = N-1-k and q_k = 2k+2 for k = 0 .. N-L-1, so p runs over the
+        residue indices N-1 .. L.  Evaluating these products directly (never
+        expanding in powers of u) keeps pi(u) and pi'(u) relatively accurate
+        near u = 1, where the expanded coefficients would cancel to roundoff
+        and the geometric factor (1 - u t^2)^{-2N} amplifies the noise at
+        large phi.
         """
         N, L = self.N, self.L
         ln_shch2 = self._ln_sh2 + self._ln_ch2
-        terms = []
+        amps = []
         for k, tk in enumerate(_series_term_ratios(N, L)):
             ln_amp = (k * ln_shch2 if k else 0.0) - 2 * N * self._ln_ch2
-            amp = 0.0 if ln_amp == -math.inf else -0.25 * tk * math.exp(ln_amp)
-            terms.append((amp, N - 1 - k, 2 * k + 2))
-        return tuple(terms)
+            amps.append(0.0 if ln_amp == -math.inf else -0.25 * tk * math.exp(ln_amp))
+        k = np.arange(N - L, dtype=float)
+        return np.array(amps), N - 1.0 - k, 2.0 * k + 2.0
 
-    def _pi(self, u: float, omu: float) -> float:
-        """pi(u) with omu = 1 - u supplied exactly."""
-        return math.fsum(amp * u**p * omu**q for amp, p, q in self._terms)
+    def _closed_terms(self, tau):
+        """(u, 1 - u, g, u^p, u^p (1-u)^{q-1}) at tau of any shape, g = 1 - u t^2.
 
-    def _pi_du(self, u: float, omu: float) -> float:
-        total = 0.0
-        for amp, p, q in self._terms:
-            term = -q * u**p * omu ** (q - 1)
-            if p:
-                term += p * u ** (p - 1) * omu**q
-            total += amp * term
-        return total
+        1 - u is exact (expm1).  Every array has a trailing axis, of length
+        one for u, 1 - u and g and running over the factored terms otherwise.
+        """
+        _, p, q = self._terms
+        mt = -np.asarray(tau, dtype=float)[..., None]
+        u = np.exp(mt)
+        omu = -np.expm1(mt)
+        up = u**p
+        return u, omu, 1.0 - u * self.t2, up, up * omu ** (q - 1.0)
+
+    @cached_property
+    def _term_residues(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R_p, p R_p) at the terms' exponents p, so residue sums reuse u^p."""
+        p = self._terms[1]
+        res = np.array(self.residues)[p.astype(int)]
+        return res, p * res
 
     def _coeff_range(self, j0: int, j1: int) -> np.ndarray:
         """Exponential-series coefficients q_j for j0 <= j < j1."""
@@ -176,31 +185,31 @@ class PhiKernel:
         """R_0 .. R_{N-1} (zero below L), needed only by the closed branch."""
         return tuple(self._coeff_range(0, self.N).tolist())
 
-    def q_imag_time(self, tau: float) -> float:
-        """Full kernel Q(-i tau, phi) via the closed u-form."""
-        u = math.exp(-tau)
-        omu = -math.expm1(-tau)
-        return self._pi(u, omu) * (1.0 - u * self.t2) ** (-2 * self.N)
+    def q_imag_time(self, tau):
+        """Full kernel Q(-i tau, phi) via the closed u-form, tau a float or an array."""
+        _, omu, g, _, base = self._closed_terms(tau)
+        return np.add.reduce(self._terms[0] * base * (omu * g ** (-2 * self.N)), axis=-1)
 
-    def _closed_remainder(self, tau: float) -> float:
-        u = math.exp(-tau)
-        value = self.q_imag_time(tau)
-        for n in range(self.L, self.N):
-            value -= self.residues[n] * u**n
-        return value
+    def _closed_remainder(self, tau):
+        up = self._closed_terms(tau)[3]
+        return self.q_imag_time(tau) - np.add.reduce(self._term_residues[0] * up, axis=-1)
 
-    def _closed_remainder_dtau(self, tau: float) -> float:
-        u = math.exp(-tau)
-        omu = -math.expm1(-tau)
-        geom = (1.0 - u * self.t2) ** (-2 * self.N)
-        dq_du = self._pi_du(u, omu) * geom + (
-            2 * self.N * self.t2 * self._pi(u, omu) * geom / (1.0 - u * self.t2)
-        )
-        value = -u * dq_du
-        res = self.residues
-        for n in range(self.L, self.N):
-            value += n * res[n] * u**n
-        return value
+    def _closed_remainder_dtau(self, tau):
+        """dQ~/dtau = sum_n n R_n u^n - u dQ/du on the closed branch, tau a float or an array.
+
+        With Q = pi(u) g^{-2N} and a_k = A_k u^p (1-u)^{q-1} per factored
+        term, pi = sum a_k (1-u) and u pi' = sum a_k (p (1-u) - q u), so
+
+            u dQ/du = g^{-2N} sum_k a_k [p (1-u) - q u + 2N t^2 u (1-u)/g],
+
+        no power of u is negative, and since p runs over the residue
+        indices the whole derivative is one sum over the terms.
+        """
+        amp, p, q = self._terms
+        u, omu, g, up, base = self._closed_terms(tau)
+        inner = p * omu - q * u + (2 * self.N * self.t2) * u * omu / g
+        terms = self._term_residues[1] * up - g ** (-2 * self.N) * amp * base * inner
+        return np.add.reduce(terms, axis=-1)
 
     def _use_series(self) -> bool:
         return self.t2 <= SERIES_T2_MAX or self.nu >= SERIES_NU_MIN
@@ -225,13 +234,16 @@ class PhiKernel:
             if j0 > 2_000_000:
                 raise RuntimeError(f"kernel series did not converge at phi={self.phi}")
 
+    # The closed branch is evaluated on a one-element array, not a numpy
+    # scalar (whose powers take another code path), so each value equals the
+    # one tau_integral computes in a batch of nodes bit for bit.
     def remainder(self, tau: float) -> float:
         if tau < 0.0:
             raise ValueError(f"tau must be nonnegative, got {tau}")
         if self._use_series():
             u = math.exp(-tau)
             return self._series_sum(lambda j: u**j.astype(float), abs_tol=1.0e-320)
-        return self._closed_remainder(tau)
+        return float(self._closed_remainder(np.array([tau]))[0])
 
     def remainder_dtau(self, tau: float) -> float:
         if tau < 0.0:
@@ -239,7 +251,7 @@ class PhiKernel:
         if self._use_series():
             u = math.exp(-tau)
             return -self._series_sum(lambda j: j * u**j.astype(float), abs_tol=1.0e-320)
-        return self._closed_remainder_dtau(tau)
+        return float(self._closed_remainder_dtau(np.array([tau]))[0])
 
     def tau_integral(self, spec: QuadratureSpec | None = None):
         """int_0^inf e^{nu tau} dQ~/dtau dtau, the inner integral of the shift.
@@ -247,7 +259,8 @@ class PhiKernel:
         Returns (value, error_bound, evaluations, converged).  In the
         series regime the integral is the exact sum -sum_j j q_j/(j - nu);
         otherwise e^{nu tau} times the closed-branch dQ~/dtau is integrated
-        adaptively.
+        adaptively, one array of nodes per call; an overflow there becomes a
+        non-finite node and raises IntegrandError.
         """
         spec = spec or QuadratureSpec(rel_tol=1.0e-10, abs_tol=1.0e-15, max_subdivisions=400)
         nu = self.nu
@@ -259,8 +272,9 @@ class PhiKernel:
             )
             return value, spec.rel_tol * abs(value) + spec.abs_tol, 0, True
 
-        def integrand(tau: float) -> float:
-            return math.exp(nu * tau) * self._closed_remainder_dtau(tau)
+        def integrand(tau: np.ndarray) -> np.ndarray:
+            return np.exp(nu * tau) * self._closed_remainder_dtau(tau)
 
-        result = integrate_semi_infinite(integrand, spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = integrate_semi_infinite(integrand, spec)
         return result.value, result.error_estimate, result.evaluations, result.converged

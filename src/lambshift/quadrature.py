@@ -6,6 +6,12 @@ domains grow dyadic tail panels until a whole panel contributes less than
 the absolute tolerance, and principal values fold the integrand about the
 pole so the singular parts cancel before any node is evaluated.
 
+Integrands are array functions: f receives a 1-D numpy array of nodes and
+returns an array of the values at all of them.  Each panel is
+one call of f with its 15 nodes, and each bisection one call with the 30
+nodes of both halves, as in QUADPACK; every returned value is checked and
+the first non-finite one raises IntegrandError.
+
 All nodes are interior, so integrands may be singular (integrably) at
 panel endpoints, in particular at the origin of a semi-infinite domain.
 """
@@ -16,6 +22,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1]
 # (nonnegative abscissae; the rule is symmetric).
@@ -107,21 +115,27 @@ def kronrod_nodes_weights():
 
 
 _NODES, _WTS_K, _WTS_G = kronrod_nodes_weights()
+_X = np.array(_NODES)
+_W = np.array((_WTS_K, _WTS_G)).T  # (15, 2): kronrod and gauss columns
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float):
-    """One Gauss-Kronrod panel; returns (kronrod value, |K-G| estimate)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    acc_k = 0.0
-    acc_g = 0.0
-    for x, wk, wg in zip(_NODES, _WTS_K, _WTS_G):
-        fx = f(c + h * x)
-        if not math.isfinite(fx):
-            raise IntegrandError(f"integrand returned {fx!r} at x={c + h * x!r}")
-        acc_k += wk * fx
-        acc_g += wg * fx
-    return h * acc_k, abs(h * (acc_k - acc_g))
+def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
+    """Gauss-Kronrod panels between consecutive edges, all nodes in one call of f.
+
+    Returns (kronrod values, |K-G| estimates), one entry per panel.
+    """
+    halves = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
+    x = np.concatenate([c + h * _X for c, h in halves])
+    fx = np.asarray(f(x), dtype=float)
+    finite = np.isfinite(fx)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise IntegrandError(f"integrand returned {float(fx[i])!r} at x={float(x[i])!r}")
+    # multiply and add, not a BLAS product, whose buffers add ~0.6 MB of peak RSS
+    sums = np.add.reduce(fx.reshape(-1, _X.size, 1) * _W, axis=1).tolist()
+    values = [h * k for (_, h), (k, _) in zip(halves, sums)]
+    errors = [abs(h * (k - g)) for (_, h), (k, g) in zip(halves, sums)]
+    return values, errors
 
 
 @dataclass
@@ -133,8 +147,7 @@ class _Panel:
 
     def split(self, f) -> tuple["_Panel", "_Panel"]:
         m = 0.5 * (self.a + self.b)
-        lv, le = _gk15(f, self.a, m)
-        rv, re = _gk15(f, m, self.b)
+        (lv, rv), (le, re) = _gk15(f, (self.a, m, self.b))
         return _Panel(self.a, m, lv, le), _Panel(m, self.b, rv, re)
 
 
@@ -178,7 +191,7 @@ def integrate_panels(f, edges: Sequence[float], spec: QuadratureSpec | None = No
     panels = []
     evals = 0
     for a, b in zip(edges, edges[1:]):
-        value, error = _gk15(f, a, b)
+        (value,), (error,) = _gk15(f, (a, b))
         evals += 15
         panels.append(_Panel(a, b, value, error))
     return _refine(f, panels, spec, evals)
@@ -221,7 +234,7 @@ def integrate_semi_infinite(
     lo = origin
     quiet = 0
     for hi in _dyadic_edges(origin):
-        value, error = _gk15(f, lo, hi)
+        (value,), (error,) = _gk15(f, (lo, hi))
         evals += 15
         panels.append(_Panel(lo, hi, value, error))
         if abs(value) < spec.abs_tol and error < spec.abs_tol:
@@ -240,7 +253,7 @@ def integrate_principal_value(
     g,
     pole: float,
     spec: QuadratureSpec | None = None,
-    denominator: Callable[[float], float] | None = None,
+    denominator: Callable[[np.ndarray], np.ndarray] | None = None,
     upper: float | None = None,
 ) -> QuadratureResult:
     """Cauchy principal value of g(x)/denominator(x) over (0, upper).
@@ -259,17 +272,17 @@ def integrate_principal_value(
         raise ValueError(f"pole {pole} not inside (0, {upper})")
 
     if denominator is None:
-        def h(x: float) -> float:
+        def h(x: np.ndarray) -> np.ndarray:
             return g(x) / (x - pole)
     else:
-        def h(x: float) -> float:
+        def h(x: np.ndarray) -> np.ndarray:
             return g(x) / denominator(x)
 
     delta = min(0.5, pole / 2.0)
     if upper is not None:
         delta = min(delta, (upper - pole) / 2.0)
 
-    def folded(s: float) -> float:
+    def folded(s: np.ndarray) -> np.ndarray:
         return h(pole + s) + h(pole - s)
 
     total = integrate_panels(folded, (0.0, delta), spec)

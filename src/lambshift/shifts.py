@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
+import numpy as np
+
 from .constants import PhysicalConstants, default_constants
 from .kernel import PhiKernel, residue_coeffs, validate_quantum_numbers
 from .quadrature import (
@@ -185,27 +187,33 @@ def _shift_bracket(
     spec: QuadratureSpec | None,
     constants: PhysicalConstants,
     memo: dict[float, tuple[float, bool]],
+    pv_memo: dict[tuple[float, int], float] | None = None,
 ):
     """The two bracket terms of the shift in MHz: (tau term, PV term, diagnostics).
 
-    memo maps phi to (w(phi) x inner tau integral, inner converged flag).
-    That value does not depend on the cutoff, so calls that differ only in
-    cutoff_x can share one memo.
+    memo maps phi to (w(phi) x inner tau integral, inner converged flag) and
+    pv_memo maps (phi, n) to the PV numerator w(phi) n R_n(phi).  Neither
+    depends on the cutoff, so calls that differ only in cutoff_x can share
+    them.  The integrands take arrays of phi nodes.
     """
     N, L = state.N, state.L
     spec = spec or QuadratureSpec()
+    pv_memo = {} if pv_memo is None else pv_memo
     phi_cut = options.phi_cut(state, constants) if options.enabled else None
     diag = Diagnostics()
     inner_ok = True
 
-    def outer_integrand(phi: float) -> float:
+    def outer_integrand(phis: np.ndarray) -> np.ndarray:
         nonlocal inner_ok
-        if phi not in memo:
-            value, _, _, ok = PhiKernel(N, L, phi).tau_integral()
-            memo[phi] = (_weight(state, phi, options, constants) * value, ok)
-        value, ok = memo[phi]
-        inner_ok &= ok
-        return value
+        values = []
+        for phi in phis.tolist():
+            if phi not in memo:
+                value, _, _, ok = PhiKernel(N, L, phi).tau_integral()
+                memo[phi] = (_weight(state, phi, options, constants) * value, ok)
+            value, ok = memo[phi]
+            inner_ok &= ok
+            values.append(value)
+        return np.array(values)
 
     if phi_cut is None:
         tau_term = integrate_semi_infinite(outer_integrand, spec)
@@ -223,12 +231,18 @@ def _shift_bracket(
                 f"dipole cutoff phi={phi_cut:.3f} does not clear the pole at {pole:.3f}"
             )
 
-        def pv_numerator(phi: float, n: int = n) -> float:
-            w = _weight(state, phi, options, constants)
-            return w * n * residue_coeffs(N, L, phi, n)
+        def pv_numerator(phis: np.ndarray, n: int = n) -> np.ndarray:
+            values = []
+            for phi in phis.tolist():
+                key = (phi, n)
+                if key not in pv_memo:
+                    w = _weight(state, phi, options, constants)
+                    pv_memo[key] = w * n * residue_coeffs(N, L, phi, n)
+                values.append(pv_memo[key])
+            return np.array(values)
 
-        def pv_denominator(phi: float, n: int = n) -> float:
-            return N * math.exp(-phi) - n
+        def pv_denominator(phis: np.ndarray, n: int = n) -> np.ndarray:
+            return N * np.exp(-phis) - n
 
         result = integrate_principal_value(
             pv_numerator, pole, spec, denominator=pv_denominator, upper=phi_cut
@@ -331,12 +345,13 @@ def bethe_log(
     state = QuantumState(N=N, L=L, Z=Z)
     amplitude = bethe_amplitude(state, constants)
     memo: dict[float, tuple[float, bool]] = {}
+    pv_memo: dict[tuple[float, int], float] = {}
     estimates = []
     nodes = []
     ok = True
     for x in cutoffs:
         options = DipoleOptions(enabled=True, cutoff_x=x)
-        tau_MHz, pv_MHz, diag = _shift_bracket(state, options, spec, constants, memo)
+        tau_MHz, pv_MHz, diag = _shift_bracket(state, options, spec, constants, memo, pv_memo)
         ok &= diag.converged
         shift_eV = constants.MHz_to_eV(tau_MHz + pv_MHz)
         estimate = -shift_eV / amplitude

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from lambshift.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
+from lambshift.quadrature import IntegrandError
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +126,24 @@ def test_nonconvergence_exit_3(capsys, monkeypatch):
     status, out, _ = run_cli(capsys, "shift", "--n", "1", "--l", "0")
     assert status == EXIT_NOT_CONVERGED
     assert out != ""  # report still printed
+
+
+@pytest.mark.parametrize("exc", [
+    OverflowError("math range error"),
+    ZeroDivisionError("float division"),
+    IntegrandError("integrand returned inf at x=700.0"),
+])
+def test_arithmetic_error_exits_3(capsys, monkeypatch, exc):
+    import lambshift.cli as cli_mod
+
+    def failing(*args):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "_run_shift", failing)
+    status, out, err = run_cli(capsys, "shift", "--n", "1", "--l", "0")
+    assert status == EXIT_NOT_CONVERGED
+    assert out == ""
+    assert err.startswith("error:") and str(exc) in err
 
 
 def test_table_with_unconverged_bethe_log_exits_3(capsys, monkeypatch):

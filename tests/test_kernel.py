@@ -362,6 +362,57 @@ class TestRemainderDerivative:
             assert abs(ker.remainder_dtau(tau)) <= 40.0 * scale * math.exp(-N * tau)
 
 
+def _mp_closed_dtau(N, L, phi, tau, residues):
+    """d/dtau of the closed u-form minus the residue sum at 30 digits, with its scale.
+
+    Q(u) = sum_k A_k u^{N-1-k} (1-u)^{2k+2} (1 - u t^2)^{-2N} is built from
+    the terminating-series coefficients C(N-L-1, k) C(N+L, k) and
+    differentiated numerically by mpmath; the residues are the kernel's own
+    floats, so only the closed branch's arithmetic is under test.  The scale
+    is |dQ/dtau| + sum_n |n R_n u^n|, the size of the parts that cancel.
+    """
+    with mp.workdps(30):
+        half = mp.mpf(phi) / 2
+        sh2, ch2 = mp.sinh(half) ** 2, mp.cosh(half) ** 2
+        t2 = sh2 / ch2
+
+        def q(u):
+            pi = mp.fsum(
+                -mp.binomial(N - L - 1, k) * mp.binomial(N + L, k) * (sh2 * ch2) ** k
+                / (4 * ch2 ** (2 * N)) * u ** (N - 1 - k) * (1 - u) ** (2 * k + 2)
+                for k in range(N - L)
+            )
+            return pi * (1 - u * t2) ** (-2 * N)
+
+        u = mp.exp(-mp.mpf(tau))
+        dq = -u * mp.diff(q, u)
+        res = [n * mp.mpf(residues[n]) * u**n for n in range(L, N)]
+        return dq + mp.fsum(res), abs(dq) + mp.fsum(abs(r) for r in res)
+
+
+class TestClosedBranchArrays:
+    """The numpy closed branch that tau_integral evaluates a panel at a time."""
+
+    TAUS = np.geomspace(1e-6, 30.0, 25)
+
+    @pytest.mark.parametrize("phi", [3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("N, L", [(2, 0), (4, 1)])
+    def test_against_mpmath(self, N, L, phi):
+        ker = PhiKernel(N, L, phi)
+        assert not ker._use_series()
+        got = ker._closed_remainder_dtau(self.TAUS)
+        for g, tau in zip(got.tolist(), self.TAUS):
+            want, scale = _mp_closed_dtau(N, L, phi, tau, ker.residues)
+            assert abs(g - want) <= 1e-12 * scale, tau
+
+    @pytest.mark.parametrize("phi", [3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("N, L", [(2, 0), (4, 1)])
+    def test_array_equals_scalar_bit_for_bit(self, N, L, phi):
+        ker = PhiKernel(N, L, phi)
+        got = ker._closed_remainder_dtau(self.TAUS).tolist()
+        assert got == [ker.remainder_dtau(float(tau)) for tau in self.TAUS]
+
+
 class TestTauIntegral:
     def test_series_vs_quadrature_branches(self):
         import lambshift.kernel as K

@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from lambshift.quadrature import (
@@ -40,16 +41,16 @@ class TestRuleConstants:
 
 class TestSemiInfinite:
     def test_exponential(self):
-        r = integrate_semi_infinite(lambda x: math.exp(-x))
+        r = integrate_semi_infinite(lambda x: np.exp(-x))
         assert r.converged
         assert r.value == pytest.approx(1.0, abs=1e-12)
 
     def test_x_exponential(self):
-        r = integrate_semi_infinite(lambda x: x * math.exp(-x))
+        r = integrate_semi_infinite(lambda x: x * np.exp(-x))
         assert r.value == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian(self):
-        r = integrate_semi_infinite(lambda x: math.exp(-x * x))
+        r = integrate_semi_infinite(lambda x: np.exp(-x * x))
         # reference: sqrt(pi)/2 at 50 digits
         mp.mp.dps = 50
         ref = float(mp.sqrt(mp.pi) / 2)
@@ -57,29 +58,29 @@ class TestSemiInfinite:
         assert r.error_estimate <= max(1e-9 * r.value, 1e-14) * 1.001
 
     def test_integrable_endpoint_singularity(self):
-        r = integrate_semi_infinite(lambda x: math.exp(-x) / math.sqrt(x))
+        r = integrate_semi_infinite(lambda x: np.exp(-x) / np.sqrt(x))
         mp.mp.dps = 30
         ref = float(mp.sqrt(mp.pi))
         assert r.value == pytest.approx(ref, rel=1e-8)
 
     def test_converged_flag_and_bound(self):
         spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-14)
-        r = integrate_semi_infinite(lambda x: math.exp(-x) * math.sin(3 * x), spec)
+        r = integrate_semi_infinite(lambda x: np.exp(-x) * np.sin(3 * x), spec)
         assert r.converged
         assert r.error_estimate <= max(spec.rel_tol * abs(r.value), spec.abs_tol)
         assert r.value == pytest.approx(0.3, abs=1e-11)
 
     def test_non_finite_integrand_is_hard_error(self):
         with pytest.raises(IntegrandError):
-            integrate_semi_infinite(lambda x: float("nan"))
+            integrate_semi_infinite(lambda x: np.full_like(x, np.nan))
 
     def test_budget_exhaustion_flags_not_converged(self):
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=8)
-        r = integrate_semi_infinite(lambda x: math.exp(-x) / (1e-4 + x), spec)
+        r = integrate_semi_infinite(lambda x: np.exp(-x) / (1e-4 + x), spec)
         assert not r.converged
 
     def test_doubling_budget_stays_within_error_estimate(self):
-        f = lambda x: math.exp(-x) * math.cos(7 * x) / (0.1 + x)
+        f = lambda x: np.exp(-x) * np.cos(7 * x) / (0.1 + x)
         base = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=500)
         double = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=1000)
         r1 = integrate_semi_infinite(f, base)
@@ -90,7 +91,7 @@ class TestSemiInfinite:
     def test_truncation_scales_with_decay_rate(self):
         # integrand with decay rate lambda is truncated near -ln(abs_tol)/lambda
         for lam in (0.5, 2.0, 8.0):
-            r = integrate_semi_infinite(lambda x, l=lam: math.exp(-l * x))
+            r = integrate_semi_infinite(lambda x, l=lam: np.exp(-l * x))
             assert r.value == pytest.approx(1.0 / lam, rel=1e-10)
 
 
@@ -100,7 +101,7 @@ class TestFinitePanels:
         assert r.value == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_panel_edges(self):
-        r = integrate_panels(lambda x: math.sin(x), (0.0, 1.0, 2.0, math.pi))
+        r = integrate_panels(lambda x: np.sin(x), (0.0, 1.0, 2.0, math.pi))
         assert r.value == pytest.approx(2.0, abs=1e-12)
 
     def test_rejects_bad_edges(self):
@@ -110,9 +111,104 @@ class TestFinitePanels:
             integrate_panels(lambda x: x, (2.0, 1.0))
 
 
+def _recording(f):
+    """f plus a list of copies of the node arrays it was called with."""
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x, copy=True))
+        return f(x)
+
+    return g, calls
+
+
+class TestArrayContract:
+    def test_one_call_of_fifteen_nodes_per_panel(self):
+        f, calls = _recording(lambda x: x * x)
+        r = integrate_panels(f, (0.0, 1.0, 2.0, 4.0))
+        assert r.subdivisions == 0
+        nodes = np.array(kronrod_nodes_weights()[0])
+        assert len(calls) == 3
+        for (a, b), x in zip(((0.0, 1.0), (1.0, 2.0), (2.0, 4.0)), calls):
+            assert np.array_equal(x, 0.5 * (a + b) + 0.5 * (b - a) * nodes)
+        assert r.evaluations == 45
+
+    def test_one_call_of_thirty_nodes_per_bisection(self):
+        f, calls = _recording(lambda x: np.exp(-x) / (1e-2 + x))
+        r = integrate_panels(f, (0.0, 1.0))
+        assert r.converged and r.subdivisions > 0
+        assert [x.size for x in calls] == [15] + [30] * r.subdivisions
+        assert r.evaluations == sum(x.size for x in calls)
+        # the first bisection covers both halves of (0, 1), left half first
+        nodes = np.array(kronrod_nodes_weights()[0])
+        halves = np.concatenate((0.25 + 0.25 * nodes, 0.75 + 0.25 * nodes))
+        assert np.array_equal(calls[1], halves)
+
+    def test_semi_infinite_counts_match_calls(self):
+        f, calls = _recording(lambda x: np.exp(-x) * np.cos(7 * x) / (0.1 + x))
+        r = integrate_semi_infinite(f)
+        assert r.subdivisions > 0
+        sizes = [x.size for x in calls]
+        assert set(sizes) == {15, 30} and sizes.count(30) == r.subdivisions
+        assert r.evaluations == sum(sizes)
+
+    @pytest.mark.parametrize("i", range(15))
+    def test_nan_at_any_node_of_a_panel_raises(self, i):
+        def f(x):
+            y = np.exp(-x)
+            y[i] = np.nan
+            return y
+
+        f, calls = _recording(f)
+        with pytest.raises(IntegrandError) as info:
+            integrate_panels(f, (0.0, 1.0))
+        assert f"x={float(calls[0][i])!r}" in str(info.value)
+
+    @pytest.mark.parametrize("i", range(30))
+    def test_nan_at_any_node_of_a_bisection_raises(self, i):
+        def f(x):
+            y = np.exp(-x) / (1e-2 + x)
+            if x.size == 30:
+                y[i] = np.nan
+            return y
+
+        f, calls = _recording(f)
+        with pytest.raises(IntegrandError) as info:
+            integrate_panels(f, (0.0, 1.0))
+        assert [x.size for x in calls] == [15, 30]
+        assert f"x={float(calls[1][i])!r}" in str(info.value)
+
+    def test_batched_panel_matches_node_loop(self):
+        # reference: the rule applied one node at a time with exact sums
+        from lambshift.quadrature import _gk15
+
+        nodes, wk, wg = kronrod_nodes_weights()
+        f = lambda x: np.exp(-x) * np.cos(7 * x) / (0.1 + x)
+        edges = (0.3, 0.8, 2.0)
+        values, errors = _gk15(f, edges)
+        for (a, b), value, error in zip(zip(edges, edges[1:]), values, errors):
+            c, h = 0.5 * (a + b), 0.5 * (b - a)
+            fx = [math.exp(-(c + h * x)) * math.cos(7 * (c + h * x)) / (0.1 + c + h * x) for x in nodes]
+            k = h * math.fsum(w * y for w, y in zip(wk, fx))
+            g = h * math.fsum(w * y for w, y in zip(wg, fx))
+            assert value == pytest.approx(k, rel=1e-14)
+            assert error == pytest.approx(abs(k - g), rel=1e-8, abs=1e-14 * abs(k))
+
+    def test_error_names_first_non_finite_node(self):
+        def f(x):
+            y = np.ones_like(x)
+            y[[4, 9]] = (np.inf, np.nan)
+            return y
+
+        f, calls = _recording(f)
+        with pytest.raises(IntegrandError, match="returned inf") as info:
+            integrate_panels(f, (0.0, 1.0))
+        assert f"x={float(calls[0][4])!r}" in str(info.value)
+
+
 class TestPrincipalValue:
     def test_antisymmetric_pole_is_zero(self):
-        r = integrate_principal_value(lambda x: 1.0, pole=1.0, upper=2.0)
+        r = integrate_principal_value(lambda x: np.ones_like(x), pole=1.0, upper=2.0)
         assert abs(r.value) < 1e-14
 
     def test_linear_numerator(self):
@@ -120,7 +216,7 @@ class TestPrincipalValue:
         assert r.value == pytest.approx(2.0, abs=1e-12)
 
     def test_exponential_semi_infinite(self):
-        r = integrate_principal_value(lambda x: math.exp(-x), pole=1.0)
+        r = integrate_principal_value(lambda x: np.exp(-x), pole=1.0)
         assert r.converged
         assert r.value == pytest.approx(PV_EXP_POLE_AT_ONE, abs=1e-12)
 
@@ -130,19 +226,19 @@ class TestPrincipalValue:
         pole = math.log(2.0)
 
         def denom(x):
-            return 2.0 * math.exp(-x) - 1.0
+            return 2.0 * np.exp(-x) - 1.0
 
-        r = integrate_principal_value(lambda x: math.exp(-2.0 * x), pole, denominator=denom)
+        r = integrate_principal_value(lambda x: np.exp(-2.0 * x), pole, denominator=denom)
         assert r.converged
         assert r.value == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_nonpositive_pole(self):
         with pytest.raises(ValueError):
-            integrate_principal_value(lambda x: 1.0, pole=0.0)
+            integrate_principal_value(lambda x: np.ones_like(x), pole=0.0)
 
     def test_rejects_pole_outside_domain(self):
         with pytest.raises(ValueError):
-            integrate_principal_value(lambda x: 1.0, pole=3.0, upper=2.0)
+            integrate_principal_value(lambda x: np.ones_like(x), pole=3.0, upper=2.0)
 
 
 def test_spec_validation():

@@ -279,6 +279,28 @@ class TestBethe:
         assert len(memo) > size  # the larger cutoff adds nodes beyond the shared panels
         assert not diag.converged
 
+    def test_shared_pv_memo_computes_each_numerator_once(self, monkeypatch):
+        import lambshift.shifts as shifts_mod
+
+        state, cutoffs = QuantumState(N=3, L=1), (1e3, 3e3, 1e4)
+        seen = []
+        residue = shifts_mod.residue_coeffs
+
+        def counting(N, L, phi, n):
+            seen.append((phi, n))
+            return residue(N, L, phi, n)
+
+        monkeypatch.setattr(shifts_mod, "residue_coeffs", counting)
+        shared = bethe_log(3, 1, cutoffs)
+        assert seen and len(seen) == len(set(seen))
+        # bit-identical to shifts with fresh memos for every cutoff
+        amplitude = bethe_amplitude(state, C)
+        for x, estimate in zip(cutoffs, shared.estimates):
+            options = DipoleOptions(enabled=True, cutoff_x=x)
+            tau, pv, _ = _shift_bracket(state, options, None, C, {}, {})
+            assert -C.MHz_to_eV(tau + pv) / amplitude == estimate
+        assert len(seen) > len(set(seen))  # the unshared runs repeat nodes
+
     def test_cutoff_sequence_validation(self):
         with pytest.raises(ValueError):
             bethe_log(1, 0, cutoffs=(1e3, 1e4))
