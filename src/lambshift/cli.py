@@ -1,10 +1,13 @@
 """Command-line interface: shifts, rates, Bethe logarithms, table reproduction.
 
+Each subcommand accepts only the flags it reads; any other flag is a
+usage error.
+
 Exit codes: 0 success, 1 internal error, 2 invalid quantum numbers or
-flags, 3 quadrature or extrapolation did not converge (the report is
-still printed, flagged converged=false) or the arithmetic overflowed,
-divided by zero or gave a non-finite integrand (only an error line on
-stderr).
+flags (an unknown flag included), 3 quadrature or extrapolation did not
+converge (the report is still printed, flagged converged=false) or the
+arithmetic overflowed, divided by zero or gave a non-finite integrand
+(only an error line on stderr).
 """
 
 from __future__ import annotations
@@ -32,6 +35,42 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
 
+_FLAGS = {
+    "--n": dict(type=int, required=True, help="principal quantum number"),
+    "--l": dict(type=int, required=True, help="angular momentum"),
+    "--z": dict(type=int, default=1, help="nuclear charge (default 1)"),
+    "--dipole": dict(action="store_true", help="use the dipole approximation"),
+    "--cutoff-x": dict(type=float, default=None,
+                       help="dipole photon-energy cutoff x = hw/(2 mec2)"),
+    "--cutoffs": dict(type=float, nargs="+", default=list(DEFAULT_BETHE_CUTOFFS),
+                      help="ascending dipole cutoffs used for the extrapolation"),
+    "--id": dict(type=int, required=True, choices=(1, 2, 3)),
+    "--rel-tol": dict(type=float, default=1.0e-9),
+    "--abs-tol": dict(type=float, default=1.0e-14),
+    "--format": dict(choices=("text", "csv", "json"), default="text"),
+    "--constants-file": dict(default=None,
+                             help=f"key=value constants file (or set ${CONSTANTS_ENV_VAR})"),
+}
+_STATE = ("--n", "--l", "--z")
+_TOLERANCES = ("--rel-tol", "--abs-tol")
+_OUTPUT = ("--format", "--constants-file")
+
+# subcommand: (help text, flags); verify has no help text, which keeps it
+# out of --help: it cross-checks the independent evaluators and is not
+# part of the supported surface.
+_COMMANDS = {
+    "shift": ("Lamb shift of one bound state",
+              (*_STATE, "--dipole", "--cutoff-x", *_TOLERANCES, *_OUTPUT)),
+    "rates": ("partial and total decay rates", (*_STATE, "--dipole", *_OUTPUT)),
+    "bethe": ("Bethe logarithm and mean excitation energy",
+              (*_STATE, "--cutoffs", *_TOLERANCES, *_OUTPUT)),
+    "table": ("reproduce a published table", ("--id", "--cutoffs", *_TOLERANCES, *_OUTPUT)),
+    "verify": (None, (*_TOLERANCES, *_OUTPUT)),
+}
+
+_TABLE_KEYS = ("table_id", "N", "L", "J", "n", "quantity", "unit", "computed",
+               "reference", "rel_dev")
+
 
 def _fmt(x) -> str:
     """12-significant-digit rendering shared by every output format."""
@@ -49,43 +88,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{shift,rates,bethe,table}")
-
-    def add_common(p, need_state=True):
-        if need_state:
-            p.add_argument("--n", type=int, required=True, help="principal quantum number")
-            p.add_argument("--l", type=int, required=True, help="angular momentum")
-            p.add_argument("--j", type=float, default=None, help="total angular momentum (L +/- 1/2)")
-        p.add_argument("--z", type=int, default=1, help="nuclear charge (default 1)")
-        p.add_argument("--dipole", action="store_true", help="use the dipole approximation")
-        p.add_argument("--cutoff-x", type=float, default=None,
-                       help="dipole photon-energy cutoff x = hw/(2 mec2)")
-        p.add_argument("--rel-tol", type=float, default=1.0e-9)
-        p.add_argument("--abs-tol", type=float, default=1.0e-14)
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        p.add_argument("--constants-file", default=None,
-                       help=f"key=value constants file (or set ${CONSTANTS_ENV_VAR})")
-
-    p_shift = sub.add_parser("shift", help="Lamb shift of one bound state")
-    add_common(p_shift)
-
-    p_rates = sub.add_parser("rates", help="partial and total decay rates")
-    add_common(p_rates)
-
-    p_bethe = sub.add_parser("bethe", help="Bethe logarithm and mean excitation energy")
-    add_common(p_bethe)
-    p_bethe.add_argument("--cutoffs", type=float, nargs="+", default=list(DEFAULT_BETHE_CUTOFFS),
-                         help="ascending dipole cutoffs used for the extrapolation")
-
-    p_table = sub.add_parser("table", help="reproduce a published table")
-    add_common(p_table, need_state=False)
-    p_table.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
-    p_table.add_argument("--cutoffs", type=float, nargs="+", default=list(DEFAULT_BETHE_CUTOFFS))
-
-    # Cross-check report of the independent evaluators; not part of the
-    # supported surface, so keep it out of the help text.
-    p_verify = sub.add_parser("verify")
-    add_common(p_verify, need_state=False)
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text) if help_text else sub.add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
+
+
+def _spec(args) -> QuadratureSpec:
+    return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
 
 
 def _dipole_options(args) -> DipoleOptions:
@@ -96,23 +107,9 @@ def _dipole_options(args) -> DipoleOptions:
     return DipoleOptions()
 
 
-def _emit_records(records, fmt: str, stream) -> None:
-    """records: list of dicts sharing the same keys."""
-    if fmt == "json":
-        json.dump(records, stream, indent=2)
-        stream.write("\n")
-        return
-    keys = list(records[0].keys())
-    if fmt == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(keys)
-        for rec in records:
-            writer.writerow([_fmt(rec[k]) for k in keys])
-        return
-    widths = [max(len(k), max(len(_fmt(r[k])) for r in records)) for k in keys]
-    stream.write("  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip() + "\n")
-    for rec in records:
-        stream.write("  ".join(_fmt(rec[k]).ljust(w) for k, w in zip(keys, widths)).rstrip() + "\n")
+def _rows(head: dict, quantities) -> list[dict]:
+    """One record per (quantity, unit, value), each led by the same head fields."""
+    return [{**head, "quantity": q, "unit": unit, "value": v} for q, unit, v in quantities]
 
 
 def _round_floats(obj):
@@ -129,110 +126,70 @@ def _round_floats(obj):
     return obj
 
 
-def _run_shift(args, constants, spec, stream) -> int:
-    state = QuantumState(N=args.n, L=args.l, J=args.j, Z=args.z)
-    result = lamb_shift(state, _dipole_options(args), spec, constants)
-    if args.format == "json":
-        payload = _round_floats(result.as_dict())
-        json.dump(payload, stream, indent=2)
+def _render(payload, records: list[dict], fmt: str) -> str:
+    """json renders the payload; csv and text the records, which share their keys."""
+    stream = io.StringIO()
+    if fmt == "json":
+        json.dump(_round_floats(payload), stream, indent=2)
         stream.write("\n")
-    else:
-        records = [
-            {
-                "N": state.N, "L": state.L, "Z": state.Z,
-                "quantity": "lamb_shift", "unit": "MHz",
-                "value": result.lamb_shift_MHz,
-            },
-            {
-                "N": state.N, "L": state.L, "Z": state.Z,
-                "quantity": "tau_phi_term", "unit": "MHz", "value": result.tau_phi_term_MHz,
-            },
-            {
-                "N": state.N, "L": state.L, "Z": state.Z,
-                "quantity": "pv_term", "unit": "MHz", "value": result.pv_term_MHz,
-            },
-        ] + [
-            {
-                "N": state.N, "L": state.L, "Z": state.Z,
-                "quantity": f"partial_rate_n{n}", "unit": "1e6/s", "value": g,
-            }
-            for n, g in result.partial_rates
-        ]
-        _emit_records(records, args.format, stream)
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+        return stream.getvalue()
+    keys = list(records[0].keys())
+    if fmt == "csv":
+        writer = csv.writer(stream)
+        writer.writerow(keys)
+        for rec in records:
+            writer.writerow([_fmt(rec[k]) for k in keys])
+        return stream.getvalue()
+    widths = [max(len(k), max(len(_fmt(r[k])) for r in records)) for k in keys]
+    stream.write("  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip() + "\n")
+    for rec in records:
+        stream.write("  ".join(_fmt(rec[k]).ljust(w) for k, w in zip(keys, widths)).rstrip() + "\n")
+    return stream.getvalue()
 
 
-def _run_rates(args, constants, spec, stream) -> int:
-    state = QuantumState(N=args.n, L=args.l, J=args.j, Z=args.z)
-    rates = decay_rates(state, _dipole_options(args), constants)
+def _run_shift(args, constants):
+    state = QuantumState(N=args.n, L=args.l, Z=args.z)
+    result = lamb_shift(state, _dipole_options(args), _spec(args), constants)
+    records = _rows({"N": state.N, "L": state.L, "Z": state.Z}, [
+        ("lamb_shift", "MHz", result.lamb_shift_MHz),
+        ("tau_phi_term", "MHz", result.tau_phi_term_MHz),
+        ("pv_term", "MHz", result.pv_term_MHz),
+        *((f"partial_rate_n{n}", "1e6/s", g) for n, g in result.partial_rates),
+    ])
+    return result.as_dict(), records, EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+
+
+def _run_rates(args, constants):
+    state = QuantumState(N=args.n, L=args.l, Z=args.z)
+    rates = decay_rates(state, DipoleOptions(enabled=args.dipole), constants)
     total = sum(g for _, g in rates)
-    if args.format == "json":
-        payload = _round_floats({
-            "N": state.N, "L": state.L, "Z": state.Z,
-            "partial_rates": [[n, g] for n, g in rates],
-            "total_rate": total,
-            "unit": "1e6/s",
-        })
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
-    else:
-        records = [
-            {"N": state.N, "L": state.L, "Z": state.Z, "quantity": f"partial_rate_n{n}",
-             "unit": "1e6/s", "value": g}
-            for n, g in rates
-        ]
-        records.append({"N": state.N, "L": state.L, "Z": state.Z, "quantity": "total_rate",
-                        "unit": "1e6/s", "value": total})
-        _emit_records(records, args.format, stream)
-    return EXIT_OK
+    head = {"N": state.N, "L": state.L, "Z": state.Z}
+    payload = {**head, "partial_rates": rates, "total_rate": total, "unit": "1e6/s"}
+    records = _rows(head, [
+        *((f"partial_rate_n{n}", "1e6/s", g) for n, g in rates),
+        ("total_rate", "1e6/s", total),
+    ])
+    return payload, records, EXIT_OK
 
 
-def _run_bethe(args, constants, spec, stream) -> int:
-    cutoffs = tuple(args.cutoffs)
-    result = bethe_log(args.n, args.l, cutoffs, constants, spec, Z=args.z)
-    if args.format == "json":
-        payload = _round_floats(result.as_dict())
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
-    else:
-        records = [
-            {"N": args.n, "L": args.l, "quantity": "bethe_log", "unit": "1",
-             "value": result.gamma},
-            {"N": args.n, "L": args.l, "quantity": "mean_excitation", "unit": "Ry",
-             "value": result.mean_excitation_Ry},
-            {"N": args.n, "L": args.l, "quantity": "extrapolation_residual", "unit": "1",
-             "value": result.extrapolation_residual},
-        ]
-        _emit_records(records, args.format, stream)
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+def _run_bethe(args, constants):
+    result = bethe_log(args.n, args.l, tuple(args.cutoffs), constants, _spec(args), Z=args.z)
+    records = _rows({"N": args.n, "L": args.l}, [
+        ("bethe_log", "1", result.gamma),
+        ("mean_excitation", "Ry", result.mean_excitation_Ry),
+        ("extrapolation_residual", "1", result.extrapolation_residual),
+    ])
+    return result.as_dict(), records, EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def _run_table(args, constants, spec, stream) -> int:
-    cells = generate_table(args.id, constants, spec, bethe_cutoffs=tuple(args.cutoffs))
-    records = [
-        {
-            "table_id": cell.table_id,
-            "N": cell.N,
-            "L": cell.L,
-            "J": cell.J,
-            "n": cell.n,
-            "quantity": cell.quantity,
-            "unit": cell.unit,
-            "computed": cell.computed,
-            "reference": cell.reference,
-            "rel_dev": cell.rel_dev,
-        }
-        for cell in cells
-    ]
-    if args.format == "json":
-        json.dump(_round_floats(records), stream, indent=2)
-        stream.write("\n")
-    else:
-        _emit_records(records, args.format, stream)
-    return EXIT_OK if all(cell.converged for cell in cells) else EXIT_NOT_CONVERGED
+def _run_table(args, constants):
+    cells = generate_table(args.id, constants, _spec(args), bethe_cutoffs=tuple(args.cutoffs))
+    records = [{k: getattr(cell, k) for k in _TABLE_KEYS} for cell in cells]
+    converged = all(cell.converged for cell in cells)
+    return records, records, EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
-def _run_verify(args, constants, spec, stream) -> int:
+def _run_verify(args, constants):
     from .oracles import kernel_q, kernel_via_spectral_series, shift_via_eps_extrapolated
 
     checks = []
@@ -244,7 +201,7 @@ def _run_verify(args, constants, spec, stream) -> int:
             "deviation": abs(closed - series),
             "tolerance": 1.0e-10,
         })
-    primary = lamb_shift(QuantumState(N=1, L=0), DipoleOptions(), spec, constants)
+    primary = lamb_shift(QuantumState(N=1, L=0), DipoleOptions(), _spec(args), constants)
     eps_route = shift_via_eps_extrapolated(QuantumState(N=1, L=0), constants=constants)
     checks.append({
         "check": "shift_rotated_vs_eps_axis_N1L0",
@@ -253,30 +210,21 @@ def _run_verify(args, constants, spec, stream) -> int:
     })
     for c in checks:
         c["pass"] = bool(c["deviation"] <= c["tolerance"])
-    if args.format == "json":
-        json.dump(_round_floats(checks), stream, indent=2)
-        stream.write("\n")
-    else:
-        _emit_records(checks, args.format, stream)
-    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_NOT_CONVERGED
+    return checks, checks, EXIT_OK if all(c["pass"] for c in checks) else EXIT_NOT_CONVERGED
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    runner = {
+        "shift": _run_shift,
+        "rates": _run_rates,
+        "bethe": _run_bethe,
+        "table": _run_table,
+        "verify": _run_verify,
+    }[args.command]
     try:
-        constants = resolve_constants(args.constants_file)
-        spec = QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-        runner = {
-            "shift": _run_shift,
-            "rates": _run_rates,
-            "bethe": _run_bethe,
-            "table": _run_table,
-            "verify": _run_verify,
-        }[args.command]
-        buffer = io.StringIO()
-        status = runner(args, constants, spec, buffer)
-        sys.stdout.write(buffer.getvalue())
+        payload, records, status = runner(args, resolve_constants(args.constants_file))
+        sys.stdout.write(_render(payload, records, args.format))
         return status
     except (ArithmeticError, IntegrandError) as exc:  # overflow, zero division, inf or nan
         print(f"error: {exc!r}", file=sys.stderr)

@@ -158,15 +158,17 @@ class PhiKernel:
     def _closed_terms(self, tau):
         """(u, 1 - u, g, u^p, u^p (1-u)^{q-1}) at tau of any shape, g = 1 - u t^2.
 
-        1 - u is exact (expm1).  Every array has a trailing axis, of length
-        one for u, 1 - u and g and running over the factored terms otherwise.
+        1 - u is exact (expm1), and g is summed as sech^2(phi/2) + t^2 (1 - u),
+        free of the cancellation near u = 1 at large phi that g^{-2N} would
+        amplify.  Every array has a trailing axis, of length one for u, 1 - u
+        and g and running over the factored terms otherwise.
         """
         _, p, q = self._terms
         mt = -np.asarray(tau, dtype=float)[..., None]
         u = np.exp(mt)
         omu = -np.expm1(mt)
         up = u**p
-        return u, omu, 1.0 - u * self.t2, up, up * omu ** (q - 1.0)
+        return u, omu, math.exp(-self._ln_ch2) + self.t2 * omu, up, up * omu ** (q - 1.0)
 
     @cached_property
     def _term_residues(self) -> tuple[np.ndarray, np.ndarray]:

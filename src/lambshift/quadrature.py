@@ -18,7 +18,6 @@ panel endpoints, in particular at the origin of a semi-infinite domain.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -152,35 +151,23 @@ class _Panel:
 
 
 def _refine(f, panels: list[_Panel], spec: QuadratureSpec, evals: int) -> QuadratureResult:
-    """Bisect worst panels until the summed error meets the tolerance."""
-    heap = [(-p.error, i, p) for i, p in enumerate(panels)]
-    heapq.heapify(heap)
-    counter = len(panels)
+    """Bisect the worst panel in place until the summed error meets the tolerance.
+
+    panels stay ordered by position; math.fsum is correctly rounded, so the
+    order of the sums does not matter.  The budget counts panels created.
+    """
     subdivisions = 0
     while True:
-        total = math.fsum(item[2].value for item in heap)
-        error = math.fsum(item[2].error for item in heap)
-        if error <= spec.target(total):
-            break
-        if counter >= spec.max_subdivisions:
-            return _finish(heap, evals, converged=False, subdivisions=subdivisions)
-        _, _, worst = heapq.heappop(heap)
-        left, right = worst.split(f)
+        errors = [p.error for p in panels]
+        total = math.fsum(p.value for p in panels)
+        error = math.fsum(errors)
+        converged = error <= spec.target(total)
+        if converged or len(panels) + subdivisions >= spec.max_subdivisions:
+            return QuadratureResult(total, error, evals, converged, subdivisions)
+        i = errors.index(max(errors))
+        panels[i:i + 1] = panels[i].split(f)
         evals += 30
         subdivisions += 1
-        heapq.heappush(heap, (-left.error, counter, left))
-        counter += 1
-        heapq.heappush(heap, (-right.error, counter, right))
-        counter += 1
-    return _finish(heap, evals, converged=True, subdivisions=subdivisions)
-
-
-def _finish(heap, evals: int, converged: bool, subdivisions: int) -> QuadratureResult:
-    # Deterministic reduction: panel contributions ordered by position.
-    ordered = sorted((item[2] for item in heap), key=lambda p: p.a)
-    value = math.fsum(p.value for p in ordered)
-    error = math.fsum(p.error for p in ordered)
-    return QuadratureResult(value, error, evals, converged, subdivisions)
 
 
 def integrate_panels(f, edges: Sequence[float], spec: QuadratureSpec | None = None) -> QuadratureResult:
@@ -198,7 +185,7 @@ def integrate_panels(f, edges: Sequence[float], spec: QuadratureSpec | None = No
 
 
 def dyadic_edges_upto(a: float, b: float) -> tuple[float, ...]:
-    """Panel edges a, a+1, a+2, a+4, ... clipped to end exactly at b."""
+    """Panel edges a, a+1, a+3, a+7, ... (widths 1, 2, 4, ...), clipped to end exactly at b."""
     edges = [a]
     width = 1.0
     while edges[-1] + width < b:
@@ -224,9 +211,9 @@ def integrate_semi_infinite(
 ) -> QuadratureResult:
     """Adaptive integral over (origin, infinity) for eventually decaying f.
 
-    Panels extend dyadically, (0,1], (1,2], (2,4], ..., until an entire
-    panel contributes below abs_tol twice in a row; the collected panels
-    are then refined like any finite-domain integral.
+    Panels of doubling width, (0,1], (1,3], (3,7], ... from the origin,
+    extend until an entire panel contributes below abs_tol twice in a row;
+    the collected panels are then refined like any finite-domain integral.
     """
     spec = spec or QuadratureSpec()
     panels: list[_Panel] = []

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -175,3 +176,46 @@ def test_verify_not_advertised_in_help(capsys):
         main(["--help"])
     help_text = capsys.readouterr().out
     assert "verify" not in help_text
+
+
+@pytest.mark.parametrize("argv", [
+    ("bethe", "--n", "2", "--l", "1", "--j", "1.5"),
+    ("bethe", "--n", "2", "--l", "1", "--dipole"),
+    ("table", "--id", "3", "--z", "5"),
+    ("table", "--id", "1", "--dipole"),
+    ("rates", "--n", "2", "--l", "1", "--rel-tol", "1e-3"),
+    ("rates", "--n", "2", "--l", "1", "--dipole", "--cutoff-x", "5"),
+    ("verify", "--z", "2"),
+    ("shift", "--n", "2", "--l", "1", "--j", "1.5"),
+])
+def test_flag_the_subcommand_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+# Every flag listed here is read by its subcommand's runner; a flag added
+# to the parser without a runner that reads it fails this test.
+SUBCOMMAND_FLAGS = {
+    "shift": {"--n", "--l", "--z", "--dipole", "--cutoff-x", "--rel-tol", "--abs-tol",
+              "--format", "--constants-file"},
+    "rates": {"--n", "--l", "--z", "--dipole", "--format", "--constants-file"},
+    "bethe": {"--n", "--l", "--z", "--cutoffs", "--rel-tol", "--abs-tol", "--format",
+              "--constants-file"},
+    "table": {"--id", "--cutoffs", "--rel-tol", "--abs-tol", "--format", "--constants-file"},
+    "verify": {"--rel-tol", "--abs-tol", "--format", "--constants-file"},
+}
+
+
+def test_each_subcommand_declares_exactly_the_flags_it_reads():
+    from lambshift.cli import _build_parser
+
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert declared == SUBCOMMAND_FLAGS
+    assert sum(map(len, declared.values())) == 33

@@ -395,7 +395,7 @@ class TestClosedBranchArrays:
 
     TAUS = np.geomspace(1e-6, 30.0, 25)
 
-    @pytest.mark.parametrize("phi", [3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("phi", [3.0, 5.0, 8.0, 10.0])
     @pytest.mark.parametrize("N, L", [(2, 0), (4, 1)])
     def test_against_mpmath(self, N, L, phi):
         ker = PhiKernel(N, L, phi)
@@ -405,7 +405,7 @@ class TestClosedBranchArrays:
             want, scale = _mp_closed_dtau(N, L, phi, tau, ker.residues)
             assert abs(g - want) <= 1e-12 * scale, tau
 
-    @pytest.mark.parametrize("phi", [3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("phi", [3.0, 5.0, 8.0, 10.0])
     @pytest.mark.parametrize("N, L", [(2, 0), (4, 1)])
     def test_array_equals_scalar_bit_for_bit(self, N, L, phi):
         ker = PhiKernel(N, L, phi)

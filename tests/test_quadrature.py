@@ -79,6 +79,14 @@ class TestSemiInfinite:
         r = integrate_semi_infinite(lambda x: np.exp(-x) / (1e-4 + x), spec)
         assert not r.converged
 
+    def test_budget_counts_panels_created(self):
+        # 1 initial panel + 2 per bisection: the fourth bisection reaches 8
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=8)
+        r = integrate_panels(lambda x: np.exp(-x) / (1e-4 + x), (0.0, 1.0), spec)
+        assert r.subdivisions == 4
+        assert r.evaluations == 135
+        assert not r.converged
+
     def test_doubling_budget_stays_within_error_estimate(self):
         f = lambda x: np.exp(-x) * np.cos(7 * x) / (0.1 + x)
         base = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=500)
