@@ -1,4 +1,4 @@
-"""Residue coefficients and the rotated-contour remainder of the kernel.
+"""Residue coefficients, the rotated-contour remainder and its inner tau integral.
 
 The kernel is Q(T, phi) = sin^2(T/2) sum_n |D_{N,n}(phi)|^2 e^{-i n T}, D
 the dilation matrix of the discrete series.  On the rotated contour T = -i
@@ -11,9 +11,13 @@ the catastrophic cancellation that subtracting the finite series from the
 closed form would cause at small phi, where the integrand weight e^{nu tau}
 grows almost as fast as the kernel decays.  At large phi the series
 converges too slowly (ratio t^2 -> 1, t = tanh(phi/2)) and the closed u-form
-Q = pi(u) (1 - u t^2)^{-2N}, pi a polynomial of degree 2N - L, takes over;
-there e^{nu tau} is harmless because nu = N e^{-phi} is small.  The
-real-time kernel Q(T, phi) is a cross-check only (oracles.kernel_q).
+Q = pi(u) (1 - u t^2)^{-2N}, pi a polynomial of degree 2N - L, takes over.
+There the inner integral int e^{nu tau} dQ~/dtau dtau is not integrated
+numerically: Euler's integral turns it into one Gauss function per
+factored term of pi, each summed in closed form around t^2 = 1
+(PhiKernel.tau_integral).  The real-time kernel Q(T, phi) is a cross-check
+only (oracles.kernel_q), and so is the adaptive quadrature of the inner
+integral (oracles.tau_integral_by_quadrature).
 """
 
 from __future__ import annotations
@@ -23,16 +27,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate_semi_infinite
-from .specfun import _jacobi_recurrence
-# Unused here; kept bound because perfbench/tracing.py wraps kernel.rep_matrix_element.
+from .quadrature import QuadratureSpec
+from .specfun import _jacobi_recurrence, digamma
+
+# Unused here; kept bound because perfbench/tracing.py wraps
+# kernel.integrate_semi_infinite and kernel.rep_matrix_element.
+from .quadrature import integrate_semi_infinite  # noqa: F401
 from .su11 import rep_matrix_element  # noqa: F401
 
 # Switch from the exponential series to the closed u-form once the series
-# ratio tanh^2(phi/2) exceeds this (phi ~ 2.94); the series is kept longer
-# when nu is large enough for the closed form's roundoff to be amplified.
+# ratio tanh^2(phi/2) exceeds this (phi ~ 2.89).
 SERIES_T2_MAX = 0.80
-SERIES_NU_MIN = 0.5
+EULER_GAMMA = 0.57721566490153286061
 
 
 def validate_quantum_numbers(N: int, L: int) -> None:
@@ -112,6 +118,33 @@ def _series_term_ratios(N: int, L: int) -> tuple[float, ...]:
     for k in range(N - L - 1):
         ratios.append(ratios[-1] * (a + k) * (b + k) / ((k + 1) * (k + 1)))
     return tuple(ratios)
+
+
+def _harmonic(n: int) -> float:
+    return math.fsum(1.0 / i for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _euler_rows(N: int, L: int) -> tuple:
+    """The phi-independent data of PhiKernel._euler_pieces, one row per factored term.
+
+    Row (k, t_k, s, h, finite, psi0): m = q_k + 1 - 2N, s = |m|,
+    h = max(m, 0), finite = q!/(2N-1)! (q+1)_j (s-j-1)!/j! for j < s (empty
+    when m = 1) and psi0 = -psi(1) - psi(s+1) + psi(2N+h) = gamma - H_s +
+    H_{2N+h-1}, the integer digammas of the log series at j = 0.
+    """
+    rows = []
+    for k, tk in enumerate(_series_term_ratios(N, L)):
+        q = 2 * k + 2
+        m = q + 1 - 2 * N
+        s, h = abs(m), max(m, 0)
+        finite = tuple(
+            math.factorial(q + j) * math.factorial(s - j - 1)
+            / (math.factorial(2 * N - 1) * math.factorial(j))
+            for j in range(s if m < 0 else 0)
+        )
+        rows.append((k, tk, s, h, finite, EULER_GAMMA - _harmonic(s) + _harmonic(2 * N + h - 1)))
+    return tuple(rows)
 
 
 class PhiKernel:
@@ -214,7 +247,7 @@ class PhiKernel:
         return np.add.reduce(terms, axis=-1)
 
     def _use_series(self) -> bool:
-        return self.t2 <= SERIES_T2_MAX or self.nu >= SERIES_NU_MIN
+        return self.t2 <= SERIES_T2_MAX
 
     def _series_sum(self, factor, rel_tol: float = 1.0e-13, abs_tol: float = 1.0e-300) -> float:
         """sum_{j >= N} q_j * factor(j) for positive decreasing-enough factors."""
@@ -255,16 +288,86 @@ class PhiKernel:
             return -self._series_sum(lambda j: j * u**j.astype(float), abs_tol=1.0e-320)
         return float(self._closed_remainder_dtau(np.array([tau]))[0])
 
+    def _euler_pieces(self) -> list[float]:
+        """The terms whose sum is the inner tau integral, by Euler's integral.
+
+        Integrating by parts (Q(u = 1) = 0 since every q_k >= 2) and
+        applying Euler's integral (DLMF 15.6.1), continued analytically in
+        nu so that the residue poles are subtracted, gives
+
+            I = sum_n n R_n/(n - nu)
+                - nu sum_k A_k B(b, q_k+1) 2F1(2N, b; b+q_k+1; t^2),  b = p_k - nu.
+
+        c - a - b = m = q_k + 1 - 2N is an odd integer <= 1, so each 2F1 is
+        expanded around z = 1 in w = 1 - t^2 = sech^2(phi/2) <= 0.2 by the
+        degenerate formula (DLMF 15.8.10, after Euler's transformation when
+        m < 0).  Gamma(b) of the beta function cancels there.  With
+        A_k = base_k w^-m, base_k = -t_k t^{2k} w^3/4, s = |m|,
+        h = max(m, 0), a = 2N + h and
+
+            S_k = sum_j (a)_j (b+h)_j/(j! (j+s)!) w^j
+                  [ln w - psi(j+1) - psi(j+s+1) + psi(a+j) + psi(b+h+j)],
+
+        the Gauss terms are
+
+            m < 0:  A_k B F = base_k [sum_{j<s} f_j (b-s)_j (-w)^j - (b-s)_s (-w)^s S_k],
+            m = 1:  A_k B F = A_k/b + 2N base_k S_k,  and -nu A_k/b = A_k,
+
+        f_j from _euler_rows.  What is left are Pochhammer polynomials in b,
+        one finite sum and one log series in w per term; every psi(b+h+j)
+        follows from one digamma by recurrence, and w = 4 e^-phi/(1+e^-phi)^2
+        is formed directly, never as 1 - t^2.
+        """
+        N, L, nu = self.N, self.L, self.nu
+        e = math.exp(-self.phi)
+        w = 4.0 * e / (1.0 + e) ** 2
+        ln_w = -self._ln_ch2
+        res = self.residues
+        pieces = [n * res[n] / (n - nu) for n in range(max(L, 1), N)]
+        # psi(1 - nu + i), i < N, by recurrence from the first positive argument
+        first = int(nu)
+        psi = [0.0] * N
+        psi[first] = digamma(1.0 - nu + first)
+        for i in range(first + 1, N):
+            psi[i] = psi[i - 1] + 1.0 / (i - nu)
+        for i in range(first - 1, -1, -1):
+            psi[i] = psi[i + 1] - 1.0 / (i + 1 - nu)
+        for k, tk, s, h, finite, psi0 in _euler_rows(N, L):
+            p = N - 1 - k
+            a, bh = 2 * N + h, p - nu + h
+            amp = -0.25 * tk * self.t2**k
+            # the log series S_k, its bracket g updated by the digamma recurrences
+            term, g, total, j = 1.0 / math.factorial(s), ln_w + psi0 + psi[p + h - 1], 0.0, 0
+            while True:
+                value = term * g
+                total += value
+                ratio = (a + j) * (bh + j) * w / ((j + 1) * (j + s + 1))
+                if abs(ratio) < 1.0 and abs(value * ratio) <= 1.0e-17 * (1.0 - abs(ratio)) * abs(total):
+                    break
+                g += 1.0 / (a + j) + 1.0 / (bh + j) - 1.0 / (j + 1) - 1.0 / (j + s + 1)
+                term *= ratio
+                j += 1
+            base = amp * w**3
+            if h:
+                pieces += (amp * w * w, -2 * N * nu * base * total)
+                continue
+            fin, poch = 0.0, 1.0  # poch ends as (b-s)_s (-w)^s
+            for j, f in enumerate(finite):
+                fin += f * poch
+                poch *= (p - nu - s + j) * -w
+            pieces += (-nu * base * fin, nu * base * poch * total)
+        return pieces
+
     def tau_integral(self, spec: QuadratureSpec | None = None):
         """int_0^inf e^{nu tau} dQ~/dtau dtau, the inner integral of the shift.
 
-        Returns (value, error_bound, evaluations, converged).  In the
-        series regime the integral is the exact sum -sum_j j q_j/(j - nu);
-        otherwise e^{nu tau} times the closed-branch dQ~/dtau is integrated
-        adaptively, one array of nodes per call; an overflow there becomes a
-        non-finite node and raises IntegrandError.
+        Returns (value, error_bound, evaluations, converged), with no
+        evaluations of an integrand on either branch.  In the series regime
+        the integral is the exact sum -sum_j j q_j/(j - nu) to spec's
+        tolerances; otherwise it is the closed form of _euler_pieces, whose
+        error bound is the roundoff 1e-15 sum |pieces|.
         """
-        spec = spec or QuadratureSpec(rel_tol=1.0e-10, abs_tol=1.0e-15, max_subdivisions=400)
+        spec = spec or QuadratureSpec(rel_tol=1.0e-10, abs_tol=1.0e-15)
         nu = self.nu
         if nu >= self.N:  # phi = 0: the j = N denominator vanishes
             raise ValueError("the weighted tau integral diverges at phi = 0")
@@ -273,10 +376,5 @@ class PhiKernel:
                 lambda j: j / (j - nu), rel_tol=min(1.0e-13, spec.rel_tol), abs_tol=spec.abs_tol
             )
             return value, spec.rel_tol * abs(value) + spec.abs_tol, 0, True
-
-        def integrand(tau: np.ndarray) -> np.ndarray:
-            return np.exp(nu * tau) * self._closed_remainder_dtau(tau)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = integrate_semi_infinite(integrand, spec)
-        return result.value, result.error_estimate, result.evaluations, result.converged
+        pieces = self._euler_pieces()
+        return math.fsum(pieces), 1.0e-15 * math.fsum(map(abs, pieces)), 0, True

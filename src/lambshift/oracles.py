@@ -1,8 +1,9 @@
 """Brute-force cross-check evaluators, kept off the primary result path.
 
-Three independent routes back the closed forms used elsewhere: the kernel
+Four independent routes back the closed forms used elsewhere: the kernel
 as an explicit sum over the compact-generator eigenbasis, the disentangled
-2x2 product behind the polar decomposition, and the un-rotated real-axis
+2x2 product behind the polar decomposition, the inner tau integral by
+adaptive quadrature of the closed u-form, and the un-rotated real-axis
 double integral at finite damping epsilon, whose real-time kernel Q(T, phi)
 is written once (kernel_q).  Tolerances here are looser by construction;
 the oscillatory epsilon route in particular only makes sense after
@@ -20,8 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, default_constants
-from .kernel import validate_quantum_numbers
-from .quadrature import kronrod_nodes_weights
+from .kernel import PhiKernel, validate_quantum_numbers
+from .quadrature import (
+    QuadratureResult,
+    QuadratureSpec,
+    integrate_semi_infinite,
+    kronrod_nodes_weights,
+)
 from .shifts import QuantumState, neville_extrapolate, shift_prefactor, weight_nondipole
 from .specfun import _jacobi_recurrence
 from .su11 import BchCoordinates, RepLabel, rep_matrix_element, scaling_coords
@@ -89,6 +95,28 @@ def kernel_via_spectral_series(
         total += term
         last = abs(term)
     return SpectralKernelValue(value=prefactor * total, last_term=abs(prefactor) * last, terms=n_max - L)
+
+
+def tau_integral_by_quadrature(
+    N: int, L: int, phi: float, spec: QuadratureSpec | None = None
+) -> QuadratureResult:
+    """int_0^inf e^{nu tau} dQ~/dtau dtau by adaptive Gauss-Kronrod quadrature.
+
+    The integrand is the closed u-form minus the residues
+    (PhiKernel.remainder_dtau's closed branch) at any phi, one array of
+    nodes per call; an overflow becomes a non-finite node and raises
+    IntegrandError.  Its absolute tolerance is multiplied by the dipole
+    weight e^{2 phi} wherever the result is used, so it is an independent
+    check of PhiKernel.tau_integral, not a replacement.
+    """
+    ker = PhiKernel(N, L, phi)
+    spec = spec or QuadratureSpec(rel_tol=1.0e-10, abs_tol=1.0e-15, max_subdivisions=400)
+
+    def integrand(tau: np.ndarray) -> np.ndarray:
+        return np.exp(ker.nu * tau) * ker._closed_remainder_dtau(tau)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return integrate_semi_infinite(integrand, spec)
 
 
 def _kernel_matrix_element_grid(N: int, L: int, T: np.ndarray, phi: float):
@@ -196,8 +224,6 @@ def _inner_t_integral_spectral(N, L, phi, nu, eps) -> complex:
 
     int_0^inf e^{(i nu - eps)T} dQ/dT = sum_m (-i m q_m)/(eps + i(m - nu)).
     """
-    from .kernel import PhiKernel
-
     ker = PhiKernel(N, L, phi)
     total = 0.0 + 0.0j
     j0, chunk = 0, 512

@@ -236,6 +236,15 @@ def integrate_semi_infinite(
     return _refine(f, panels, spec, evals)
 
 
+def pv_half_width(pole: float, upper: float | None = None) -> float:
+    """Half-width delta of the window [pole - delta, pole + delta] that
+    integrate_principal_value folds about the pole."""
+    delta = min(0.5, pole / 2.0)
+    if upper is not None:
+        delta = min(delta, (upper - pole) / 2.0)
+    return delta
+
+
 def integrate_principal_value(
     g,
     pole: float,
@@ -265,9 +274,7 @@ def integrate_principal_value(
         def h(x: np.ndarray) -> np.ndarray:
             return g(x) / denominator(x)
 
-    delta = min(0.5, pole / 2.0)
-    if upper is not None:
-        delta = min(delta, (upper - pole) / 2.0)
+    delta = pv_half_width(pole, upper)
 
     def folded(s: np.ndarray) -> np.ndarray:
         return h(pole + s) + h(pole - s)

@@ -28,6 +28,7 @@ from .quadrature import (
     integrate_panels,
     integrate_principal_value,
     integrate_semi_infinite,
+    pv_half_width,
 )
 
 DEFAULT_BETHE_CUTOFFS = (1.0e3, 3.0e3, 1.0e4, 3.0e4, 1.0e5)
@@ -194,7 +195,9 @@ def _shift_bracket(
     memo maps phi to (w(phi) x inner tau integral, inner converged flag) and
     pv_memo maps (phi, n) to the PV numerator w(phi) n R_n(phi).  Neither
     depends on the cutoff, so calls that differ only in cutoff_x can share
-    them.  The integrands take arrays of phi nodes.
+    them.  pv_memo keeps only the nodes below pole + delta, the folded
+    window and the panels before it, which every cutoff repeats; the nodes
+    beyond move with the cutoff.  The integrands take arrays of phi nodes.
     """
     N, L = state.N, state.L
     spec = spec or QuadratureSpec()
@@ -231,14 +234,17 @@ def _shift_bracket(
                 f"dipole cutoff phi={phi_cut:.3f} does not clear the pole at {pole:.3f}"
             )
 
-        def pv_numerator(phis: np.ndarray, n: int = n) -> np.ndarray:
+        shared_below = pole + pv_half_width(pole, phi_cut)
+
+        def pv_numerator(phis: np.ndarray, n: int = n, shared_below=shared_below) -> np.ndarray:
             values = []
             for phi in phis.tolist():
-                key = (phi, n)
-                if key not in pv_memo:
-                    w = _weight(state, phi, options, constants)
-                    pv_memo[key] = w * n * residue_coeffs(N, L, phi, n)
-                values.append(pv_memo[key])
+                value = pv_memo.get((phi, n))
+                if value is None:
+                    value = _weight(state, phi, options, constants) * n * residue_coeffs(N, L, phi, n)
+                    if phi < shared_below:
+                        pv_memo[(phi, n)] = value
+                values.append(value)
             return np.array(values)
 
         def pv_denominator(phis: np.ndarray, n: int = n) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Terminating hypergeometric sums, Jacobi polynomials and gamma ratios.
+"""Terminating hypergeometric sums, Jacobi polynomials, gamma ratios, digamma.
 
 The Jacobi recurrence builds every kernel weight (kernel.dilation_weights)
 and the real-time kernel of the oracles; the Gauss series and gamma ratios
-serve the reference route, su11 matrix elements.  Narrow parameter ranges
-(nonpositive integer series indices, integer Jacobi parameters) allow exact
-finite summation throughout.
+serve the reference route, su11 matrix elements; the digamma function
+enters the closed form of the inner tau integral (PhiKernel.tau_integral).
+Narrow parameter ranges (nonpositive integer series indices, integer
+Jacobi parameters) allow exact finite summation throughout.
 """
 
 from __future__ import annotations
@@ -155,3 +156,23 @@ def ln_gamma_ratio(num: int, den: int) -> float:
     lo, hi = min(num, den), max(num, den)
     total = math.fsum(math.log(k) for k in range(lo, hi))
     return total if num > den else -total
+
+
+def digamma(x: float) -> float:
+    """psi(x) for x > 0, within ~6e-16 of max(1, |psi(x)|).
+
+    Recurs up to x >= 14 with psi(x) = psi(x+1) - 1/x, then sums the
+    asymptotic series ln x - 1/(2x) - sum_k B_2k/(2k x^2k) through x^-14,
+    whose first omitted term is below 3e-19 there.
+    """
+    if not x > 0.0:
+        raise ValueError(f"digamma needs x > 0, got {x!r}")
+    terms = []
+    while x < 14.0:
+        terms.append(-1.0 / x)
+        x += 1.0
+    x2 = 1.0 / (x * x)
+    tail = x2 * (1 / 12 - x2 * (1 / 120 - x2 * (1 / 252 - x2 * (1 / 240 - x2 * (
+        1 / 132 - x2 * (691 / 32760 - x2 / 12))))))
+    terms += (math.log(x), -0.5 / x, -tail)
+    return math.fsum(terms)

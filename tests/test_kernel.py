@@ -1,13 +1,14 @@
 import cmath
 import math
 import random
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from lambshift.kernel import PhiKernel, dilation_weights, residue_coeffs
-from lambshift.oracles import kernel_q, kernel_via_spectral_series
+from lambshift.oracles import kernel_q, kernel_via_spectral_series, tau_integral_by_quadrature
 from lambshift.su11 import RepLabel, rep_matrix_element, scaling_coords
 
 
@@ -415,18 +416,15 @@ class TestClosedBranchArrays:
 
 class TestTauIntegral:
     def test_series_vs_quadrature_branches(self):
-        import lambshift.kernel as K
-
-        for (N, L, phi) in ((2, 0, 2.0), (4, 1, 2.5), (3, 0, 2.9), (6, 5, 1.5)):
-            series_val = K.PhiKernel(N, L, phi).tau_integral()[0]
-            old = K.SERIES_T2_MAX
-            K.SERIES_T2_MAX = -1.0
-            try:
-                quad_val, _, _, ok = K.PhiKernel(N, L, phi).tau_integral()
-            finally:
-                K.SERIES_T2_MAX = old
-            assert ok
-            assert series_val == pytest.approx(quad_val, rel=2e-10)
+        # the hot path (series at these phi, the Euler form beyond phi ~ 2.89)
+        # against the oracle's adaptive quadrature of the closed u-form
+        for (N, L, phi) in (
+            (2, 0, 2.0), (4, 1, 2.5), (3, 0, 2.9), (6, 5, 1.5), (2, 0, 4.0), (4, 1, 5.0), (3, 0, 3.5),
+        ):
+            value = PhiKernel(N, L, phi).tau_integral()[0]
+            quad = tau_integral_by_quadrature(N, L, phi)
+            assert quad.converged
+            assert value == pytest.approx(quad.value, rel=2e-10)
 
     def test_against_mpmath_quadrature(self):
         import mpmath as mp
@@ -439,6 +437,91 @@ class TestTauIntegral:
         f = lambda tau: mp.e ** (nu * tau) * ker.remainder_dtau(float(tau))
         want = float(mp.quad(f, [0, 1, 2, 4, 8, 16, 32, 64]))
         assert got == pytest.approx(want, rel=1e-9)
+
+    def test_closed_branch_evaluates_no_integrand(self, monkeypatch):
+        import lambshift.kernel as K
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the closed branch integrated numerically")
+
+        monkeypatch.setattr(K, "integrate_semi_infinite", no_quadrature)
+        for (N, L, phi) in ((1, 0, 3.0), (4, 1, 5.0), (8, 3, 12.0)):
+            ker = PhiKernel(N, L, phi)
+            assert not ker._use_series()
+            value, error, evaluations, converged = ker.tau_integral()
+            pieces = ker._euler_pieces()
+            assert (value, evaluations, converged) == (math.fsum(pieces), 0, True)
+            assert error == 1e-15 * math.fsum(abs(x) for x in pieces)
+
+    @pytest.mark.parametrize("N, L, phi", [(20, 0, 2.99), (30, 0, 3.1), (25, 5, 3.05)])
+    def test_closed_form_with_nu_above_one(self, N, L, phi):
+        # nu >= 1 on the closed branch (N >= 18): the digammas recur from
+        # the first positive argument 1 - nu + floor(nu) in both directions;
+        # the residue poles nu = n cancel between the pieces, so the value
+        # stays finite but loses digits close to them (here nu - 1 >= 0.006)
+        import lambshift.kernel as K
+
+        ker = PhiKernel(N, L, phi)
+        assert not ker._use_series() and ker.nu > 1.0
+        closed = ker.tau_integral()[0]
+        old = K.SERIES_T2_MAX
+        K.SERIES_T2_MAX = 1.0
+        try:
+            series = PhiKernel(N, L, phi).tau_integral()[0]
+        finally:
+            K.SERIES_T2_MAX = old
+        assert closed == pytest.approx(series, rel=1e-11)
+
+
+def _mp_digits(phi):
+    """30 digits plus one per two units of phi: 1 - t^2 ~ 4 e^{-phi} must survive in t^2."""
+    return 30 + int(phi / 2)
+
+
+@lru_cache(maxsize=None)
+def _mp_beta_gauss(N, k, phi):
+    """B(b, q+1) 2F1(2N, b; b+q+1; t^2), b = N-1-k - nu, q = 2k+2, by mpmath's own 2F1.
+
+    It does not depend on L, which only truncates the terms at k < N - L.
+    """
+    with mp.workdps(_mp_digits(phi)):
+        nu = N * mp.exp(-mp.mpf(phi))
+        b, q = N - 1 - k - nu, 2 * k + 2
+        return mp.beta(b, q + 1) * mp.hyp2f1(2 * N, b, b + q + 1, mp.tanh(mp.mpf(phi) / 2) ** 2)
+
+
+def _mp_euler_form(N, L, phi, residues):
+    """The closed-form tau integral in mpmath: (value, sum of the pieces' magnitudes).
+
+    I = sum_n n R_n/(n - nu) - nu sum_k A_k B(b, q+1) 2F1(2N, b; b+q+1; t^2)
+    with A_k = -C(N-L-1, k) C(N+L, k) t^{2k} sech^{4N-4k}(phi/2)/4.  The
+    residues are the kernel's own floats, so only the Euler form's
+    arithmetic is under test.
+    """
+    with mp.workdps(_mp_digits(phi)):
+        half = mp.mpf(phi) / 2
+        w, t2 = mp.sech(half) ** 2, mp.tanh(half) ** 2
+        nu = N * mp.exp(-mp.mpf(phi))
+        pieces = [n * mp.mpf(residues[n]) / (n - nu) for n in range(max(L, 1), N)]
+        for k in range(N - L):
+            amp = -mp.binomial(N - L - 1, k) * mp.binomial(N + L, k) * t2**k * w ** (2 * N - 2 * k) / 4
+            pieces.append(-nu * amp * _mp_beta_gauss(N, k, phi))
+        return mp.fsum(pieces), mp.fsum(abs(x) for x in pieces)
+
+
+class TestEulerForm:
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_against_mpmath(self, N):
+        # every L, phi from the switch to far beyond; the pieces cancel by up
+        # to ~2100x (at N = 11, L = 0, phi = 3.2), so the bound is on their
+        # sum of magnitudes
+        for L in range(N):
+            for phi in (2.95, 4.0, 6.0, 8.0, 10.0, 12.8, 20.0, 40.0):
+                ker = PhiKernel(N, L, phi)
+                assert not ker._use_series()
+                got = ker.tau_integral()[0]
+                want, pieces = _mp_euler_form(N, L, phi, ker.residues)
+                assert abs(got - want) <= 1e-13 * (abs(want) + pieces), (L, phi)
 
 
 def test_closed_vs_spectral_both_contours_64_points():

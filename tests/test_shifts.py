@@ -164,8 +164,8 @@ class TestLambShift:
             lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=1e-9))
 
     def test_converges_beyond_the_tables(self):
-        # tail coefficients with ~1e-7 relative noise near the series/closed
-        # switch exhaust the outer subdivision budget for these states
+        # beyond the tabulated N <= 4 the outer phi integral converges within
+        # its default budget on both sides of the series/closed switch
         results = {s: lamb_shift(QuantumState(N=s[0], L=s[1])) for s in ((5, 0), (6, 0), (8, 3))}
         assert all(r.converged for r in results.values())
         # s-state shifts scale roughly as 1/N^3
@@ -300,6 +300,40 @@ class TestBethe:
             tau, pv, _ = _shift_bracket(state, options, None, C, {}, {})
             assert -C.MHz_to_eV(tau + pv) / amplitude == estimate
         assert len(seen) > len(set(seen))  # the unshared runs repeat nodes
+
+    def test_shared_pv_memo_keeps_only_cutoff_independent_nodes(self, monkeypatch):
+        import lambshift.shifts as shifts_mod
+        from lambshift.quadrature import pv_half_width
+
+        state, memo, pv_memo = QuantumState(N=4, L=1), {}, {}
+        window = {n: math.log(4 / n) + pv_half_width(math.log(4 / n)) for n in (1, 2, 3)}
+        _shift_bracket(state, DipoleOptions(enabled=True, cutoff_x=1e3), None, C, memo, pv_memo)
+        assert pv_memo and all(phi < window[n] for phi, n in pv_memo)
+        seen = []
+        residue = shifts_mod.residue_coeffs
+
+        def counting(N, L, phi, n):
+            seen.append((phi, n))
+            return residue(N, L, phi, n)
+
+        monkeypatch.setattr(shifts_mod, "residue_coeffs", counting)
+        _shift_bracket(state, DipoleOptions(enabled=True, cutoff_x=3e3), None, C, memo, pv_memo)
+        # a larger cutoff recomputes only the nodes beyond pole + delta
+        assert seen and all(phi >= window[n] for phi, n in seen)
+
+    # From the same pipeline with a 30-digit mpmath inner integral; they
+    # agree with Drake & Swainson, PRA 41, 1243 (1990) to the digits recalled
+    # in ROADMAP.md (-0.005232148, -0.006740939, -0.001733661).
+    @pytest.mark.parametrize(
+        "N, L, gamma", [(3, 2, -0.005232148141), (4, 2, -0.006740938877), (4, 3, -0.001733661482)]
+    )
+    def test_high_l_states(self, N, L, gamma):
+        result = bethe_log(N, L)
+        assert result.converged
+        assert result.gamma == pytest.approx(gamma, rel=1e-8)
+        wider = bethe_log(N, L, tuple(10.0 * x for x in DEFAULT_BETHE_CUTOFFS))
+        assert wider.converged
+        assert wider.gamma == pytest.approx(result.gamma, rel=1e-8)
 
     def test_cutoff_sequence_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lambshift.specfun import (
     _jacobi_recurrence,
+    digamma,
     hyp2f1_terminating,
     ln_abs,
     ln_gamma_ratio,
@@ -190,6 +191,31 @@ class TestLnGammaRatio:
             expected = math.lgamma(num) - math.lgamma(den)
             got = ln_gamma_ratio(num, den)
             assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
+class TestDigamma:
+    # the closed-form tau integral calls digamma once, at 1 - nu + floor(nu)
+    # in (0, 1], and reaches psi(b + j) for j up to ~60 beyond 2N by
+    # recurrence; the shifted arguments check where that recurrence lands
+    STARTS = np.linspace(0.0, 1.0, 201)[1:]
+
+    def test_start_interval_against_mpmath(self):
+        with mp.workdps(30):
+            for x in self.STARTS.tolist():
+                want = mp.digamma(x)
+                assert abs(digamma(x) - want) <= 1e-15 * max(1.0, abs(want)), x
+
+    def test_shifted_arguments_against_mpmath(self):
+        with mp.workdps(30):
+            for x in self.STARTS[::10].tolist():
+                for i in range(1, 90):
+                    want = mp.digamma(x + i)
+                    assert abs(digamma(x + i) - want) <= 1e-15 * max(1.0, abs(want)), (x, i)
+
+    def test_rejects_nonpositive(self):
+        for x in (0.0, -0.5, -3.0):
+            with pytest.raises(ValueError):
+                digamma(x)
 
 
 def test_neumaier_handles_cancellation():
