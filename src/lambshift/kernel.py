@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureSpec
 from .specfun import _jacobi_recurrence, digamma
 
 # Unused here; kept bound because perfbench/tracing.py wraps
@@ -358,23 +357,22 @@ class PhiKernel:
             pieces += (-nu * base * fin, nu * base * poch * total)
         return pieces
 
-    def tau_integral(self, spec: QuadratureSpec | None = None):
+    def tau_integral(self):
         """int_0^inf e^{nu tau} dQ~/dtau dtau, the inner integral of the shift.
 
         Returns (value, error_bound, evaluations, converged), with no
         evaluations of an integrand on either branch.  In the series regime
-        the integral is the exact sum -sum_j j q_j/(j - nu) to spec's
-        tolerances; otherwise it is the closed form of _euler_pieces, whose
+        the integral is the exact sum -sum_j j q_j/(j - nu), summed until the
+        tail bound meets max(1e-13 |value|, 1e-15), which is the bound
+        returned; otherwise it is the closed form of _euler_pieces, whose
         error bound is the roundoff 1e-15 sum |pieces|.
         """
-        spec = spec or QuadratureSpec(rel_tol=1.0e-10, abs_tol=1.0e-15)
         nu = self.nu
         if nu >= self.N:  # phi = 0: the j = N denominator vanishes
             raise ValueError("the weighted tau integral diverges at phi = 0")
         if self._use_series():
-            value = -self._series_sum(
-                lambda j: j / (j - nu), rel_tol=min(1.0e-13, spec.rel_tol), abs_tol=spec.abs_tol
-            )
-            return value, spec.rel_tol * abs(value) + spec.abs_tol, 0, True
+            rel_tol, abs_tol = 1.0e-13, 1.0e-15
+            value = -self._series_sum(lambda j: j / (j - nu), rel_tol, abs_tol)
+            return value, max(rel_tol * abs(value), abs_tol), 0, True
         pieces = self._euler_pieces()
         return math.fsum(pieces), 1.0e-15 * math.fsum(map(abs, pieces)), 0, True

@@ -28,7 +28,6 @@ from .quadrature import (
     integrate_panels,
     integrate_principal_value,
     integrate_semi_infinite,
-    pv_half_width,
 )
 
 DEFAULT_BETHE_CUTOFFS = (1.0e3, 3.0e3, 1.0e4, 3.0e4, 1.0e5)
@@ -187,79 +186,82 @@ def _shift_bracket(
     options: DipoleOptions,
     spec: QuadratureSpec | None,
     constants: PhysicalConstants,
-    memo: dict[float, tuple[float, bool]],
-    pv_memo: dict[tuple[float, int], float] | None = None,
-):
-    """The two bracket terms of the shift in MHz: (tau term, PV term, diagnostics).
+    limits: tuple[float | None, ...],
+) -> list[tuple[float, float, Diagnostics]]:
+    """The two bracket terms of the shift in MHz, (tau term, PV term, diagnostics),
+    at each of the ascending upper limits of phi.
 
-    memo maps phi to (w(phi) x inner tau integral, inner converged flag) and
-    pv_memo maps (phi, n) to the PV numerator w(phi) n R_n(phi).  Neither
-    depends on the cutoff, so calls that differ only in cutoff_x can share
-    them.  pv_memo keeps only the nodes below pole + delta, the folded
-    window and the panels before it, which every cutoff repeats; the nodes
-    beyond move with the cutoff.  The integrands take arrays of phi nodes.
+    limits is (None,) for the semi-infinite non-dipole shift and the cutoff
+    phi values of dipole shifts otherwise.  The integrands do not depend on
+    the limit, so [0, Phi_1] is integrated as a shift with that one limit
+    (dyadic panels, one principal value per channel) and each increment
+    [Phi_i, Phi_{i+1}] once on a panel of its own, where no pole lies; the
+    limits' results are running sums, diagnostics included, and every phi
+    node is evaluated once.  The integrands take arrays of phi nodes.
     """
     N, L = state.N, state.L
     spec = spec or QuadratureSpec()
-    pv_memo = {} if pv_memo is None else pv_memo
-    phi_cut = options.phi_cut(state, constants) if options.enabled else None
-    diag = Diagnostics()
+    first = limits[0]
     inner_ok = True
 
     def outer_integrand(phis: np.ndarray) -> np.ndarray:
         nonlocal inner_ok
         values = []
         for phi in phis.tolist():
-            if phi not in memo:
-                value, _, _, ok = PhiKernel(N, L, phi).tau_integral()
-                memo[phi] = (_weight(state, phi, options, constants) * value, ok)
-            value, ok = memo[phi]
+            value, _, _, ok = PhiKernel(N, L, phi).tau_integral()
             inner_ok &= ok
-            values.append(value)
+            values.append(_weight(state, phi, options, constants) * value)
         return np.array(values)
 
-    if phi_cut is None:
-        tau_term = integrate_semi_infinite(outer_integrand, spec)
-    else:
-        edges = dyadic_edges_upto(0.0, phi_cut)
-        tau_term = integrate_panels(outer_integrand, edges, spec)
-    tau_term.converged &= inner_ok
-    diag.record("tau_phi_integral", tau_term)
+    def pv_numerator(phis: np.ndarray, n: int) -> np.ndarray:
+        return np.array([
+            _weight(state, phi, options, constants) * n * residue_coeffs(N, L, phi, n)
+            for phi in phis.tolist()
+        ])
 
-    pv_total = QuadratureResult(0.0, 0.0, 0, True)
+    def pv_denominator(phis: np.ndarray, n: int) -> np.ndarray:
+        return N * np.exp(-phis) - n
+
+    if first is None:
+        tau = integrate_semi_infinite(outer_integrand, spec)
+    else:
+        tau = integrate_panels(outer_integrand, dyadic_edges_upto(0.0, first), spec)
+    tau.converged &= inner_ok
+    pvs = {}
     for n in range(max(1, L), N):
         pole = math.log(N / n)
-        if phi_cut is not None and phi_cut <= pole + 1.0e-6:
+        if first is not None and first <= pole + 1.0e-6:
             raise ValueError(
-                f"dipole cutoff phi={phi_cut:.3f} does not clear the pole at {pole:.3f}"
+                f"dipole cutoff phi={first:.3f} does not clear the pole at {pole:.3f}"
             )
-
-        shared_below = pole + pv_half_width(pole, phi_cut)
-
-        def pv_numerator(phis: np.ndarray, n: int = n, shared_below=shared_below) -> np.ndarray:
-            values = []
-            for phi in phis.tolist():
-                value = pv_memo.get((phi, n))
-                if value is None:
-                    value = _weight(state, phi, options, constants) * n * residue_coeffs(N, L, phi, n)
-                    if phi < shared_below:
-                        pv_memo[(phi, n)] = value
-                values.append(value)
-            return np.array(values)
-
-        def pv_denominator(phis: np.ndarray, n: int = n) -> np.ndarray:
-            return N * np.exp(-phis) - n
-
-        result = integrate_principal_value(
-            pv_numerator, pole, spec, denominator=pv_denominator, upper=phi_cut
+        pvs[n] = integrate_principal_value(
+            lambda phis, n=n: pv_numerator(phis, n), pole, spec,
+            denominator=lambda phis, n=n: pv_denominator(phis, n), upper=first,
         )
-        diag.record(f"pv_pole_n{n}", result)
-        pv_total = pv_total + result
 
     prefactor = shift_prefactor(state, constants)
-    tau_MHz = constants.eV_to_MHz(prefactor * tau_term.value)
-    pv_MHz = constants.eV_to_MHz(prefactor * pv_total.value)
-    return tau_MHz, pv_MHz, diag
+
+    def bracket(tau: QuadratureResult, pvs: dict) -> tuple[float, float, Diagnostics]:
+        diag = Diagnostics()
+        diag.record("tau_phi_integral", tau)
+        pv_total = QuadratureResult(0.0, 0.0, 0, True)
+        for n, result in pvs.items():
+            pv_total = pv_total + diag.record(f"pv_pole_n{n}", result)
+        tau_MHz = constants.eV_to_MHz(prefactor * tau.value)
+        return tau_MHz, constants.eV_to_MHz(prefactor * pv_total.value), diag
+
+    brackets = [bracket(tau, pvs)]
+    for lo, hi in zip(limits, limits[1:]):
+        tau = tau + integrate_panels(outer_integrand, (lo, hi), spec)
+        tau.converged &= inner_ok
+        pvs = {
+            n: result + integrate_panels(
+                lambda phis, n=n: pv_numerator(phis, n) / pv_denominator(phis, n), (lo, hi), spec
+            )
+            for n, result in pvs.items()
+        }
+        brackets.append(bracket(tau, pvs))
+    return brackets
 
 
 def lamb_shift(
@@ -275,7 +277,8 @@ def lamb_shift(
     weighted inner tau integral plus one principal value per pole.
     """
     constants = constants or default_constants()
-    tau_MHz, pv_MHz, diag = _shift_bracket(state, options, spec, constants, {})
+    limit = options.phi_cut(state, constants) if options.enabled else None
+    ((tau_MHz, pv_MHz, diag),) = _shift_bracket(state, options, spec, constants, (limit,))
 
     rates = decay_rates(state, options, constants)
     return ShiftResult(
@@ -343,6 +346,8 @@ def bethe_log(
     Each cutoff x gives the estimate -DeltaE(x)/A + delta_{L,0}
     (ln 4x - 2 ln(Z a0)) with A = (8 a0^3 Z^4/(3 pi N^3)) mec2 a0^2/2;
     the sequence is extrapolated to infinite cutoff in e^{-phi_cut}.
+    All cutoffs come from one pass over phi (_shift_bracket): the first
+    cutoff's shift plus one increment per further cutoff.
     """
     constants = constants or default_constants()
     cutoffs = tuple(float(x) for x in cutoffs)
@@ -350,21 +355,16 @@ def bethe_log(
         raise ValueError("need at least three ascending cutoff values")
     state = QuantumState(N=N, L=L, Z=Z)
     amplitude = bethe_amplitude(state, constants)
-    memo: dict[float, tuple[float, bool]] = {}
-    pv_memo: dict[tuple[float, int], float] = {}
+    limits = tuple(DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, constants) for x in cutoffs)
+    brackets = _shift_bracket(state, DipoleOptions(enabled=True), spec, constants, limits)
     estimates = []
-    nodes = []
-    ok = True
-    for x in cutoffs:
-        options = DipoleOptions(enabled=True, cutoff_x=x)
-        tau_MHz, pv_MHz, diag = _shift_bracket(state, options, spec, constants, memo, pv_memo)
-        ok &= diag.converged
-        shift_eV = constants.MHz_to_eV(tau_MHz + pv_MHz)
-        estimate = -shift_eV / amplitude
+    for x, (tau_MHz, pv_MHz, _) in zip(cutoffs, brackets):
+        estimate = -constants.MHz_to_eV(tau_MHz + pv_MHz) / amplitude
         if L == 0:
             estimate += math.log(4.0 * x) - 2.0 * math.log(Z * constants.alpha0)
         estimates.append(estimate)
-        nodes.append(math.exp(-options.phi_cut(state, constants)))
+    nodes = [math.exp(-phi) for phi in limits]
+    ok = all(diag.converged for _, _, diag in brackets)
 
     gamma, residual = neville_extrapolate(nodes, estimates)
     diffs = [b - a for a, b in zip(estimates, estimates[1:])]

@@ -69,11 +69,11 @@ def ln_abs(x) -> float:
     return math.log(abs(x))
 
 
-def hyp2f1_terminating(a: int, b: int, c: int, z):
-    """Gauss series 2F1(a, b; c; z) for nonpositive integer a.
+def hyp2f1_terminating(a: int, b: int, c: int, z: float):
+    """Gauss series 2F1(a, b; c; z) for nonpositive integer a and real z.
 
     The sum terminates after |a|+1 terms and is accumulated lowest order
-    first with compensated summation.  For real z, severe alternating-sign
+    first with compensated summation.  Severe alternating-sign
     cancellation (term sum exceeding the result by more than
     CONDITION_LIMIT) triggers an exact rational re-evaluation, which comes
     back as a Fraction when the value does not fit a double.
@@ -86,18 +86,6 @@ def hyp2f1_terminating(a: int, b: int, c: int, z):
     c = int(c)
     if a == 0 or z == 0:
         return 1.0
-
-    if isinstance(z, complex):
-        term = complex(1.0)
-        re = _NeumaierAcc()
-        im = _NeumaierAcc()
-        re.add(1.0)
-        im.add(0.0)
-        for k in range(-a):
-            term *= (a + k) * (b + k) * z / ((c + k) * (k + 1))
-            re.add(term.real)
-            im.add(term.imag)
-        return complex(re.value, im.value)
 
     acc = _NeumaierAcc()
     term = 1.0

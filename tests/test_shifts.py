@@ -220,7 +220,9 @@ class TestBethe:
         assert g1 == pytest.approx(g2, abs=1e-4)
 
     @pytest.mark.parametrize("N, L, Z", [(2, 0, 1), (3, 1, 1), (2, 0, 2)])
-    def test_estimates_bit_identical_to_per_cutoff_shifts(self, N, L, Z):
+    def test_estimates_match_per_cutoff_shifts(self, N, L, Z):
+        # the first cutoff is integrated as a standalone shift; the others add
+        # their increments to it, so they agree to roundoff, not bit for bit
         state = QuantumState(N=N, L=L, Z=Z)
         amplitude = bethe_amplitude(state, C)
         expected = []
@@ -230,7 +232,23 @@ class TestBethe:
             if L == 0:
                 estimate += math.log(4.0 * x) - 2.0 * math.log(Z * C.alpha0)
             expected.append(estimate)
-        assert bethe_log(N, L, Z=Z).estimates == tuple(expected)
+        got = bethe_log(N, L, Z=Z).estimates
+        assert got[0] == expected[0]
+        assert all(abs(g - e) <= 1e-12 for g, e in zip(got, expected))
+
+    def test_limits_accumulate_diagnostics(self):
+        state = QuantumState(N=3, L=1)
+        limits = tuple(
+            DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, C) for x in (1e3, 3e3, 1e4)
+        )
+        brackets = _shift_bracket(state, DIPOLE, None, C, limits)
+        standalone = lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=1e3))
+        assert brackets[0][2].as_dict() == standalone.diagnostics.as_dict()
+        assert brackets[0][0] + brackets[0][1] == standalone.lamb_shift_MHz
+        # each limit adds one 15-node panel per integral, three at least here
+        evals = [diag.evaluations for _, _, diag in brackets]
+        assert all(b - a >= 15 * 3 for a, b in zip(evals, evals[1:]))
+        assert all(list(diag.parts) == list(brackets[0][2].parts) for _, _, diag in brackets)
 
     def test_cutoffs_share_each_inner_integral(self, monkeypatch):
         seen = []
@@ -268,21 +286,26 @@ class TestBethe:
         assert flagged
         assert not result.converged
 
-    def test_shared_memo_hit_keeps_inner_flag(self):
+    def test_unconverged_increment_flags_later_cutoffs_only(self, monkeypatch):
         state = QuantumState(N=2, L=1)
-        memo = {}
-        _shift_bracket(state, DipoleOptions(enabled=True, cutoff_x=1e3), None, C, memo)
-        phi = min(memo)
-        memo[phi] = (memo[phi][0], False)
-        size = len(memo)
-        _, _, diag = _shift_bracket(state, DipoleOptions(enabled=True, cutoff_x=3e3), None, C, memo)
-        assert len(memo) > size  # the larger cutoff adds nodes beyond the shared panels
-        assert not diag.converged
+        limits = tuple(
+            DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, C) for x in (1e3, 3e3, 1e4)
+        )
+        tau_integral = kernel.PhiKernel.tau_integral
+
+        def failing_beyond_first(ker):
+            value, err, evals, ok = tau_integral(ker)
+            return value, err, evals, ok and not limits[0] < ker.phi < limits[1]
+
+        monkeypatch.setattr(kernel.PhiKernel, "tau_integral", failing_beyond_first)
+        brackets = _shift_bracket(state, DIPOLE, None, C, limits)
+        assert [diag.converged for _, _, diag in brackets] == [True, False, False]
 
     def test_shared_pv_memo_computes_each_numerator_once(self, monkeypatch):
+        # no memo: the cutoffs integrate disjoint ranges of phi, so each
+        # (phi, n) numerator is computed once
         import lambshift.shifts as shifts_mod
 
-        state, cutoffs = QuantumState(N=3, L=1), (1e3, 3e3, 1e4)
         seen = []
         residue = shifts_mod.residue_coeffs
 
@@ -291,35 +314,8 @@ class TestBethe:
             return residue(N, L, phi, n)
 
         monkeypatch.setattr(shifts_mod, "residue_coeffs", counting)
-        shared = bethe_log(3, 1, cutoffs)
+        bethe_log(3, 1, (1e3, 3e3, 1e4))
         assert seen and len(seen) == len(set(seen))
-        # bit-identical to shifts with fresh memos for every cutoff
-        amplitude = bethe_amplitude(state, C)
-        for x, estimate in zip(cutoffs, shared.estimates):
-            options = DipoleOptions(enabled=True, cutoff_x=x)
-            tau, pv, _ = _shift_bracket(state, options, None, C, {}, {})
-            assert -C.MHz_to_eV(tau + pv) / amplitude == estimate
-        assert len(seen) > len(set(seen))  # the unshared runs repeat nodes
-
-    def test_shared_pv_memo_keeps_only_cutoff_independent_nodes(self, monkeypatch):
-        import lambshift.shifts as shifts_mod
-        from lambshift.quadrature import pv_half_width
-
-        state, memo, pv_memo = QuantumState(N=4, L=1), {}, {}
-        window = {n: math.log(4 / n) + pv_half_width(math.log(4 / n)) for n in (1, 2, 3)}
-        _shift_bracket(state, DipoleOptions(enabled=True, cutoff_x=1e3), None, C, memo, pv_memo)
-        assert pv_memo and all(phi < window[n] for phi, n in pv_memo)
-        seen = []
-        residue = shifts_mod.residue_coeffs
-
-        def counting(N, L, phi, n):
-            seen.append((phi, n))
-            return residue(N, L, phi, n)
-
-        monkeypatch.setattr(shifts_mod, "residue_coeffs", counting)
-        _shift_bracket(state, DipoleOptions(enabled=True, cutoff_x=3e3), None, C, memo, pv_memo)
-        # a larger cutoff recomputes only the nodes beyond pole + delta
-        assert seen and all(phi >= window[n] for phi, n in seen)
 
     # From the same pipeline with a 30-digit mpmath inner integral; they
     # agree with Drake & Swainson, PRA 41, 1243 (1990) to the digits recalled

@@ -78,12 +78,6 @@ class TestHyp2f1Terminating:
         assert ln_abs(got) == pytest.approx(float(mp.log(abs(expected))), rel=1e-15)
         assert ln_abs(-2.5) == math.log(2.5)
 
-    def test_complex_argument(self):
-        mp.mp.dps = 30
-        z = complex(0.3, -1.2)
-        expected = complex(mp.hyp2f1(-4, -6, 1, mp.mpc(z)))
-        assert hyp2f1_terminating(-4, -6, 1, z) == pytest.approx(expected, rel=1e-13)
-
     @given(
         a=st.integers(min_value=-20, max_value=0),
         b=st.integers(min_value=-20, max_value=20),
