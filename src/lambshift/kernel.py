@@ -98,15 +98,20 @@ def _series_coeffs(weights: np.ndarray) -> np.ndarray:
 def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
     """Residue R_n = q_n of e^{-n tau} in the kernel series, L <= n <= N-1.
 
-    Only the three weights j = n-1, n, n+1 are computed; the value equals
-    PhiKernel(N, L, phi).residues[n] bit for bit.
+    Only the three weights j = n-1, n, n+1 are computed, and they are
+    combined as plain floats: a scalar call (one per decay channel and per
+    principal-value node) would otherwise spend more on building and
+    unpacking a numpy array than on the arithmetic.  The expression applies
+    the same IEEE operations in the same order as _series_coeffs does
+    elementwise, so the value equals PhiKernel(N, L, phi).residues[n] bit
+    for bit.
     """
     validate_quantum_numbers(N, L)
     if n != int(n) or not L <= n < N:
         raise ValueError(f"residue index n={n!r} outside [L, N-1] = [{L}, {N - 1}]")
     point = _jacobi_point(L, phi)
-    weights = np.array([_weight_upto_row(N, L, j, point) for j in (n - 1, n, n + 1)])
-    return float(_series_coeffs(weights)[0])
+    below, at, above = (_weight_upto_row(N, L, j, point) for j in (n - 1, n, n + 1))
+    return 0.5 * at - 0.25 * above - 0.25 * below
 
 
 @lru_cache(maxsize=None)

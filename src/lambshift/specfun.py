@@ -112,11 +112,12 @@ def _jacobi_recurrence(n: int, alpha: float, beta: float, w):
         return _as_float_like(w, 1.0)
     p_prev = _as_float_like(w, 1.0)
     ab = alpha + beta
+    nonzero = np.ndarray.all if getattr(ab, "ndim", 0) else bool  # lead has the shape of ab
     p = (alpha - beta) / 2.0 + (ab + 2.0) * w / 2.0
     for k in range(2, n + 1):
         s = 2.0 * k + ab
         lead = 2.0 * k * (k + ab) * (s - 2.0)
-        if not (lead.all() if isinstance(lead, np.ndarray) else lead):
+        if not nonzero(lead):
             raise ValueError(
                 f"degenerate Jacobi recurrence at degree {k} for (alpha, beta)=({alpha}, {beta})"
             )

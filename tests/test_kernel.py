@@ -190,6 +190,20 @@ class TestResidues:
             for n in range(L, N):
                 assert residue_coeffs(N, L, phi, n) == table[n], (phi, n)
 
+    def test_decay_rate_domain_bit_for_bit(self):
+        # every decay channel (N, L) -> n with N <= 20 at its pole ln(N/n):
+        # the plain-float residue against the numpy _series_coeffs table
+        channels = 0
+        for N in range(2, 21):
+            for L in range(N):
+                for n in range(max(1, L), N):
+                    phi = math.log(N / n)
+                    got = residue_coeffs(N, L, phi, n)
+                    assert type(got) is float
+                    assert got == PhiKernel(N, L, phi).residues[n], (N, L, n)
+                    channels += 1
+        assert channels == 1520
+
     @pytest.mark.parametrize("N, L", [(1, 0), (3, 1), (6, 5), (12, 6)])
     def test_rejects_index_outside_channels(self, N, L):
         for n in (L - 1, N):
@@ -425,6 +439,16 @@ class TestTauIntegral:
             quad = tau_integral_by_quadrature(N, L, phi)
             assert quad.converged
             assert value == pytest.approx(quad.value, rel=2e-10)
+
+    def test_quadrature_oracle_domain(self):
+        # nu = 1.35 >= max(1, L): the e^{nu tau} weight would amplify the
+        # roundoff of the subtracted residues until a node overflows
+        with pytest.raises(ValueError, match=r"max\(1, L\) = 1"):
+            tau_integral_by_quadrature(30, 0, 3.1)
+        # nu = 1.18 exceeds 1 but stays below L = 5
+        quad = tau_integral_by_quadrature(25, 5, 3.05)
+        assert quad.converged
+        assert quad.value == pytest.approx(PhiKernel(25, 5, 3.05).tau_integral()[0], rel=1e-12)
 
     @pytest.mark.parametrize(
         "N, L, phi", [(2, 0, 1.0), (4, 1, 2.5), (3, 0, 2.85), (6, 5, 1.5), (1, 0, 0.05)]

@@ -144,6 +144,18 @@ class TestJacobi:
             expected = float(mp.jacobi(n, alpha, beta, x))
             assert _jacobi_recurrence(n, float(alpha), float(beta), x) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("L", [0, 3])
+    def test_array_alpha_equals_scalar_bit_for_bit(self, L):
+        # alpha = j - N over a 96-element series tail, as dilation_weights
+        # passes it beyond j = N
+        alpha = np.arange(1.0, 97.0)
+        beta = 2.0 * L + 1.0
+        for n in range(20):
+            for w in (-0.9, 0.2, 0.95):
+                got = np.broadcast_to(_jacobi_recurrence(n, alpha, beta, w), alpha.shape)
+                assert got.tolist() == [_jacobi_recurrence(n, a, beta, w) for a in alpha.tolist()]
+                assert _jacobi_recurrence(n, np.float64(7.0), beta, w) == _jacobi_recurrence(n, 7.0, beta, w)
+
     def test_degenerate_large_degree(self):
         # (0, -m) at degree >= m hits a vanishing leading coefficient, for
         # float and array arguments alike; kernel_q factors it out instead
