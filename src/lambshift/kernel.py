@@ -62,32 +62,38 @@ def _weight_upto_row(N: int, L: int, j: int, point) -> float:
     )
 
 
-def dilation_weights(N: int, L: int, phi: float, j1: int, head=None):
+def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain: float):
+    """|D_{N,j}|^2 for N < j0 <= j < j1 and the gain G at j1 - 1, given G at j0 - 1.
+
+    The one route for the j > N side of dilation_weights: one cumulative
+    product of G_j/G_{j-1} = t^2 (j+L)/(j-L-1), which is sequential, so
+    carrying the float G across a split changes no value.
+    """
+    w, t2, _ = point
+    j = np.arange(j0, j1, dtype=float)
+    gains = np.cumprod(np.concatenate(([gain], t2 * (j + L) / (j - L - 1))))
+    return gains[1:] * _jacobi_recurrence(N - L - 1, j - N, 2.0 * L + 1.0, w) ** 2, float(gains[-1])
+
+
+def dilation_weights(N: int, L: int, phi: float, j1: int) -> np.ndarray:
     """Squared dilation matrix elements |D_{N,j}(phi)|^2 for -1 <= j < j1.
 
-    Returns (weights, gain), weights[i] for j = i - 1 (zero for j <= L), at
-    least up to j = N.  Bargmann's closed form makes each a Jacobi polynomial
-    at a point in [-1, 1], symmetric in N and j, free of alternating sums;
-    with l = min(N, j), h = max(N, j) and t = tanh(phi/2),
+    weights[i] is for j = i - 1 (zero for j <= L), at least up to j = N.
+    Bargmann's closed form makes each a Jacobi polynomial at a point in
+    [-1, 1], symmetric in N and j, free of alternating sums; with
+    l = min(N, j), h = max(N, j) and t = tanh(phi/2),
 
         |D_{N,j}|^2 = G_j P_{l-L-1}^{(h-l, 2L+1)}(1 - 2t^2)^2,
-        G_j = C(h+L, 2L+1)/C(l+L, 2L+1) t^{2(h-l)} cosh^{-4(L+1)}(phi/2),
+        G_j = C(h+L, 2L+1)/C(l+L, 2L+1) t^{2(h-l)} cosh^{-4(L+1)}(phi/2).
 
-    and gain is G at the last j.  Passing a result for the same N, L and
-    phi as head extends it beyond j = N with one cumulative product of
-    G_j/G_{j-1}, so no value depends on how the range was split.
+    The rows j <= N come one by one (_weight_upto_row), the rest from
+    _tail_weights, which PhiKernel._coeff_chunks continues chunk by chunk.
     """
     point = _jacobi_point(L, phi)
-    w, t2, gain_n = point
-    if head is None:
-        head = (np.array([_weight_upto_row(N, L, j, point) for j in range(-1, N + 1)]), gain_n)
-    weights, gain = head
-    if j1 <= weights.size - 1:
+    head = np.array([_weight_upto_row(N, L, j, point) for j in range(-1, N + 1)])
+    if j1 <= N + 1:
         return head
-    j = np.arange(weights.size - 1, j1, dtype=float)
-    gains = np.cumprod(np.concatenate(([gain], t2 * (j + L) / (j - L - 1))))
-    tail = gains[1:] * _jacobi_recurrence(N - L - 1, j - N, 2.0 * L + 1.0, w) ** 2
-    return np.concatenate((weights, tail)), float(gains[-1])
+    return np.concatenate((head, _tail_weights(N, L, point, N + 1, j1, point[2])[0]))
 
 
 def _series_coeffs(weights: np.ndarray) -> np.ndarray:
@@ -170,7 +176,6 @@ class PhiKernel:
             if phi > 0.0
             else -math.inf
         )
-        self._weights = None  # dilation_weights, extended on demand
 
     @cached_property
     def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,15 +219,32 @@ class PhiKernel:
         res = np.array(self.residues)[p.astype(int)]
         return res, p * res
 
-    def _coeff_range(self, j0: int, j1: int) -> np.ndarray:
-        """Exponential-series coefficients q_j for j0 <= j < j1."""
-        self._weights = dilation_weights(self.N, self.L, self.phi, j1 + 1, self._weights)
-        return _series_coeffs(self._weights[0][j0 : j1 + 2])
-
     @cached_property
     def residues(self) -> tuple[float, ...]:
-        """R_0 .. R_{N-1} (zero below L), needed only by the closed branch."""
-        return tuple(self._coeff_range(0, self.N).tolist())
+        """R_0 .. R_{N-1} (zero below L): the closed branch and the eps oracle read them."""
+        return tuple(_series_coeffs(dilation_weights(self.N, self.L, self.phi, self.N + 1)).tolist())
+
+    def _coeff_chunks(self):
+        """The tail q_j, j >= N, as (j0, q_{j0 .. j0+len(q)-1}) in chunks of 96 doubling to 4096.
+
+        Each |D_{N,j}|^2 is formed once.  A chunk extends the weights by
+        _tail_weights from the gain of the last one and carries only its
+        last two weights into the next chunk, so a chunk costs the same
+        whatever came before it, and every q_j equals the one-shot
+        dilation_weights value bit for bit.  The consumer decides when to
+        stop.
+        """
+        N, L = self.N, self.L
+        point = _jacobi_point(L, self.phi)
+        edge = np.array([_weight_upto_row(N, L, j, point) for j in (N - 1, N)])
+        gain, j0, chunk = point[2], N, 96
+        while True:
+            tail, gain = _tail_weights(N, L, point, j0 + 1, j0 + chunk + 1, gain)
+            weights = np.concatenate((edge, tail))
+            yield j0, _series_coeffs(weights)
+            edge = weights[-2:]
+            j0 += chunk
+            chunk = min(2 * chunk, 4096)
 
     def q_imag_time(self, tau):
         """Full kernel Q(-i tau, phi) via the closed u-form, tau a float or an array."""
@@ -256,11 +278,8 @@ class PhiKernel:
     def _series_sum(self, factor, rel_tol: float = 1.0e-13, abs_tol: float = 1.0e-300) -> float:
         """sum_{j >= N} q_j * factor(j) for positive decreasing-enough factors."""
         total = 0.0
-        j0 = self.N
-        chunk = 96
-        while True:
-            j1 = j0 + chunk
-            q = self._coeff_range(j0, j1)
+        for j0, q in self._coeff_chunks():
+            j1 = j0 + q.size
             terms = q * factor(np.arange(j0, j1))
             total += float(terms.sum())
             tail = np.abs(terms[-8:]).max()
@@ -268,9 +287,7 @@ class PhiKernel:
             bound = tail * ratio / (1.0 - ratio)
             if bound <= max(rel_tol * abs(total), abs_tol):
                 return total
-            j0 = j1
-            chunk = min(2 * chunk, 4096)
-            if j0 > 2_000_000:
+            if j1 > 2_000_000:
                 raise RuntimeError(f"kernel series did not converge at phi={self.phi}")
 
     # The closed branch is evaluated on a one-element array, not a numpy

@@ -14,7 +14,6 @@ every finite epsilon: one period of the 2 pi-periodic dQ/dT divided by
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -130,11 +129,14 @@ def tau_integral_by_quadrature(
         return integrate_semi_infinite(integrand, spec)
 
 
-def _kernel_matrix_element_grid(N: int, L: int, T: np.ndarray, phi: float):
-    """Vectorized matrix element M(T) and derivative dM/dT on the real axis."""
+def _kernel_matrix_element_grid(N: int, L: int, T: np.ndarray, phi: float | np.ndarray):
+    """Vectorized matrix element M(T) and derivative dM/dT on the real axis.
+
+    phi is a float or an array of the shape of T (one boost per time).
+    """
     half = T / 2.0
     s, c = np.sin(half), np.cos(half)
-    cosh_phi, sinh_phi = math.cosh(phi), math.sinh(phi)
+    cosh_phi, sinh_phi = np.cosh(phi), np.sinh(phi)
     f = c + 1j * s * cosh_phi
     fp = 0.5 * (-s + 1j * c * cosh_phi)
     z = -((s * sinh_phi) ** 2)
@@ -177,8 +179,12 @@ def kernel_q(N: int, L: int, T: float, phi: float) -> complex:
     return complex(math.sin(T / 2.0) ** 2 * m_elem[0])
 
 
-def _dq_dt_grid(N: int, L: int, T: np.ndarray, phi: float) -> np.ndarray:
-    """dQ/dT on the real axis for an array of times."""
+def _dq_dt_grid(N: int, L: int, T: np.ndarray, phi: float | np.ndarray) -> np.ndarray:
+    """dQ/dT on the real axis for an array of times, phi a float or one per time.
+
+    Q(2 pi - T) = conj Q(T), since Q = sin^2(T/2) sum_n |D_{N,n}|^2 e^{-i n T}
+    with integer n, so dQ/dT(2 pi - T) = -conj dQ/dT(T).
+    """
     m_elem, dm = _kernel_matrix_element_grid(N, L, T, phi)
     s2 = np.sin(T / 2.0) ** 2
     return 0.5 * np.sin(T) * m_elem + s2 * dm
@@ -210,44 +216,64 @@ def _phi_breakpoints(N: int, L: int, eps: float, phi_max: float):
 PHI_OSCILLATORY_MAX = 3.5
 
 
-def _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights) -> complex:
-    """int_0^inf e^{(i nu - eps) T} dQ/dT dT, exactly, from one period.
+def _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights):
+    """int_0^inf e^{(i nu - eps) T} dQ/dT dT, exactly, from half a period.
 
-    dQ/dT is 2 pi-periodic, so the damped integral is the one over [0, 2 pi]
-    divided by 1 - e^{2 pi (i nu - eps)}.  Panels of width 2/(N cosh phi), a
-    third of the local oscillation period, hold ~1e-14 up to phi = 3.5.
+    dQ/dT is 2 pi-periodic, so with s = i nu - eps the damped integral is
+    the one over [0, 2 pi] divided by 1 - e^{2 pi s}, and the reflection
+    dQ/dT(2 pi - T) = -conj dQ/dT(T) folds that period onto [0, pi]:
+
+        int_0^pi [e^{sT} dQ/dT(T) - e^{s(2 pi - T)} conj dQ/dT(T)] dT.
+
+    Panels of width 2/(N cosh phi), a third of the local oscillation period,
+    hold ~1e-14 up to phi = 3.5.  phi and nu are floats (a complex is
+    returned) or equal-length arrays: then every phi's grid is concatenated
+    into one _dq_dt_grid call and summed per phi (one complex each).
     """
-    width = min(0.25, 2.0 / (N * math.cosh(phi)))
-    n_panels = int(math.ceil(2.0 * math.pi / width))
-    edges = np.linspace(0.0, 2.0 * math.pi, n_panels + 1)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    t_grid = (centers[:, None] + halves[:, None] * nodes[None, :]).ravel()
-    t_weights = (halves[:, None] * weights[None, :]).ravel()
-    dq = _dq_dt_grid(N, L, t_grid, phi)
-    damped = np.exp((1j * nu - eps) * t_grid)
-    period = complex(np.dot(t_weights, damped * dq))
-    return period / (1.0 - cmath.exp(2.0 * math.pi * (1j * nu - eps)))
+    phis, nus = np.atleast_1d(np.asarray(phi, dtype=float), np.asarray(nu, dtype=float))
+    panels = np.ceil(math.pi / np.minimum(0.25, 2.0 / (N * np.cosh(phis)))).astype(int)
+    per_phi = panels * nodes.size
+    half = np.repeat(0.5 * math.pi / panels, panels)
+    k = np.arange(half.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    t_grid = (((2 * k + 1) * half)[:, None] + half[:, None] * nodes).ravel()
+    t_weights = (half[:, None] * weights).ravel()
+    s = 1j * nus - eps
+    dq = _dq_dt_grid(N, L, t_grid, np.repeat(phis, per_phi))
+    damped = np.exp(np.repeat(s, per_phi) * t_grid)
+    wrap = np.exp(2.0 * math.pi * s)
+    terms = t_weights * (damped * dq - np.repeat(wrap, per_phi) * np.conj(dq) / damped)
+    inner = np.add.reduceat(terms, np.cumsum(per_phi) - per_phi) / (1.0 - wrap)
+    return complex(inner[0]) if np.ndim(phi) == 0 else inner
 
 
 def _inner_t_integral_spectral(N, L, phi, nu, eps) -> complex:
     """Exact damped integral from the exponential series of the kernel.
 
-    int_0^inf e^{(i nu - eps)T} dQ/dT = sum_m (-i m q_m)/(eps + i(m - nu)).
+    int_0^inf e^{(i nu - eps)T} dQ/dT = sum_m (-i m q_m)/(eps + i(m - nu)),
+    summed in real arithmetic with d = m - nu:
+
+        re = -sum m q d/(d^2 + eps^2),   im = -eps sum m q/(d^2 + eps^2),
+
+    over the residues (m < N) and then PhiKernel's coefficient stream until
+    the tail bound falls below 1e-16 of |re + i im|.
     """
     ker = PhiKernel(N, L, phi)
-    total = 0.0 + 0.0j
-    j0, chunk = 0, 512
-    while True:
-        q = ker._coeff_range(j0, j0 + chunk)
-        m = np.arange(j0, j0 + chunk)
-        total += complex(np.sum(-1j * m * q / (eps + 1j * (m - nu))))
-        j0 += chunk
+
+    def partial_sums(j0, q):
+        m = np.arange(j0, j0 + q.size, dtype=float)
+        d = m - nu
+        mq = m * q / (d * d + eps * eps)
+        return -float(np.dot(mq, d)), -eps * float(mq.sum())
+
+    re, im = partial_sums(0, np.array(ker.residues))
+    for j0, q in ker._coeff_chunks():
+        d_re, d_im = partial_sums(j0, q)
+        re, im = re + d_re, im + d_im
+        j0 += q.size
         tail = float(np.abs(q[-8:]).max())
         ratio = min(0.999, ker.t2 * (1.0 + 2.0 * N / j0))
-        if tail * ratio / (1.0 - ratio) < 1e-16 * abs(total) + 1e-300:
-            return total
-        chunk = min(2 * chunk, 65536)
+        if tail * ratio / (1.0 - ratio) < 1e-16 * math.hypot(re, im) + 1e-300:
+            return complex(re, im)
         if j0 > 4_000_000:
             raise RuntimeError(f"spectral inner integral did not converge at phi={phi}")
 
@@ -277,15 +303,14 @@ def shift_via_eps_real_axis(
     phi_edges = _phi_breakpoints(N, L, eps, phi_max)
 
     def phi_integrand(phi_nodes: np.ndarray) -> np.ndarray:
-        out = np.empty(phi_nodes.size, dtype=complex)
-        for i, phi in enumerate(phi_nodes):
-            nu = N * math.exp(-phi)
-            if phi <= PHI_OSCILLATORY_MAX:
-                inner = _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights)
-            else:
-                inner = _inner_t_integral_spectral(N, L, phi, nu, eps)
-            out[i] = weight_nondipole(state, phi, constants) * inner
-        return out
+        nus = N * np.exp(-phi_nodes)
+        inner = np.empty(phi_nodes.size, dtype=complex)
+        grid = phi_nodes <= PHI_OSCILLATORY_MAX
+        if grid.any():
+            inner[grid] = _inner_t_integral_grid(N, L, phi_nodes[grid], nus[grid], eps, nodes, weights)
+        for i in np.flatnonzero(~grid):
+            inner[i] = _inner_t_integral_spectral(N, L, phi_nodes[i], nus[i], eps)
+        return np.array([weight_nondipole(state, phi, constants) for phi in phi_nodes]) * inner
 
     total = 0.0 + 0.0j
     for a, b in zip(phi_edges[:-1], phi_edges[1:]):

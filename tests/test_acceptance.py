@@ -20,7 +20,6 @@ from lambshift.oracles import (
     bch_reconstruct_2x2,
     kernel_q,
     kernel_via_spectral_series,
-    shift_via_eps_real_axis,
 )
 from lambshift.quadrature import QuadratureSpec
 from lambshift.shifts import (
@@ -192,7 +191,7 @@ def test_criterion_06_kernel_oracle_equivalence():
     assert ok
 
 
-def test_criterion_07_representation_form_equivalence(table1_results):
+def test_criterion_07_representation_form_equivalence(table1_results, eps_shift):
     results, _ = table1_results
     failures = []
     details = []
@@ -205,9 +204,7 @@ def test_criterion_07_representation_form_equivalence(table1_results):
     )
     for (N, L), eps_values in cases:
         primary = results[(N, L)].lamb_shift_MHz
-        values = [
-            shift_via_eps_real_axis(QuantumState(N=N, L=L), eps).real for eps in eps_values
-        ]
+        values = [eps_shift(N, L, eps).real for eps in eps_values]
         extrapolated, _ = neville_extrapolate(list(eps_values), values)
         rel = abs(extrapolated - primary) / abs(primary)
         details.append(f"({N},{L}): {rel:.2e}")

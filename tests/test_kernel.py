@@ -7,7 +7,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lambshift.kernel import PhiKernel, dilation_weights, residue_coeffs
+from lambshift.kernel import (
+    PhiKernel,
+    _jacobi_point,
+    _series_coeffs,
+    _tail_weights,
+    dilation_weights,
+    residue_coeffs,
+)
 from lambshift.oracles import kernel_q, kernel_via_spectral_series, tau_integral_by_quadrature
 from lambshift.su11 import RepLabel, rep_matrix_element, scaling_coords
 
@@ -62,6 +69,15 @@ SAMPLED_STATES = [(N, L) for N in (1, 2, 3, 4) for L in range(N)] + [
 ]
 
 
+def _stream(ker, j1):
+    """q_N .. q_{j1-1} from the kernel's coefficient stream."""
+    chunks = []
+    for j0, q in ker._coeff_chunks():
+        chunks.append(q)
+        if j0 + q.size >= j1:
+            return np.concatenate(chunks)[: j1 - ker.N]
+
+
 class TestDilationWeights:
     @pytest.mark.parametrize("N, L", SAMPLED_STATES)
     def test_weights_match_reference_route_and_mpmath(self, N, L):
@@ -69,7 +85,7 @@ class TestDilationWeights:
         poles = [math.log(N / n) for n in range(1, N)]
         label = RepLabel(L + 1)
         for phi in poles[:: max(1, len(poles) // 3)] + [0.3, 1.7, 4.0, 12.0]:
-            got = dilation_weights(N, L, phi, N + 4)[0][1:]  # j = 0 .. N+3
+            got = dilation_weights(N, L, phi, N + 4)[1:]  # j = 0 .. N+3
             want = [_mp_dilation_weight(N, L, j, phi) for j in range(N + 4)]
             u = scaling_coords(phi)
             ref = [abs(rep_matrix_element(label, N, j, u)) ** 2 for j in range(N + 4)]
@@ -282,7 +298,7 @@ class TestRemainder:
         N, L, tau, phi = 4, 0, 0.9, 1.1
         ker = PhiKernel(N, L, phi)
         got = ker.remainder(tau)
-        tail = ker._coeff_range(N, 300)
+        tail = _stream(ker, 300)
         want = float(np.sum(tail * np.exp(-np.arange(N, 300) * tau)))
         assert got == pytest.approx(want, rel=1e-12)
         # and against the independent matrix-element series
@@ -294,26 +310,32 @@ class TestRemainder:
     def test_tail_coefficients_match_mpmath(self, N, L, phi):
         # the series branch sums these q_j (j >= N); an expanded-polynomial
         # convolution in double precision is off by 5e-8, 3e-7 and 0.1 here
-        got = PhiKernel(N, L, phi)._coeff_range(N, N + 40)
+        got = _stream(PhiKernel(N, L, phi), N + 40)
         want = _mp_coeffs(N, L, phi, N, N + 40)
         scale = max(abs(x) for x in want)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("N, L, phi", [(1, 0, 2.0), (4, 1, 2.9), (3, 0, 10.1)])
+    @pytest.mark.parametrize(
+        "N, L, phi",
+        [(1, 0, 2.0), (4, 1, 2.9), (3, 0, 10.1), (7, 3, 6.0), (12, 0, 6.0), (12, 5, 9.7), (9, 8, 9.7)],
+    )
     def test_chunked_coefficients_equal_single_call(self, N, L, phi):
-        # the cached weights are extended, never rebuilt, and the result
-        # does not depend on how the range was split
-        whole = PhiKernel(N, L, phi)._coeff_range(0, 5000)
-        ker = PhiKernel(N, L, phi)
-        splits = ((0, N), (N, 96), (96, 97), (97, 2000), (2000, 5000))
-        pieces = [ker._coeff_range(a, b) for a, b in splits]
+        # every q_j is the same float whichever way the weights were split:
+        # the stream's chunks (96, 192, ... from j = N), another split of
+        # _tail_weights carrying its gain, and the residues all equal one
+        # dilation_weights call
+        J = 5000
+        whole = dilation_weights(N, L, phi, J + 1)
+        coeffs = _series_coeffs(whole)  # q_0 .. q_{J-1}
+        assert np.array_equal(_stream(PhiKernel(N, L, phi), J), coeffs[N:])
+        assert np.array_equal(np.array(PhiKernel(N, L, phi).residues), coeffs[:N])
+        point = _jacobi_point(L, phi)
+        pieces, gain = [dilation_weights(N, L, phi, N + 1)], point[2]
+        for a, b in ((N + 1, 97), (97, 98), (98, 2000), (2000, J + 1)):
+            tail, gain = _tail_weights(N, L, point, a, b, gain)
+            pieces.append(tail)
         assert np.array_equal(np.concatenate(pieces), whole)
-        assert np.array_equal(ker._coeff_range(10, 300), whole[10:300])
-        head = None
-        for _, b in splits:
-            head = dilation_weights(N, L, phi, b + 1, head)
-        single = dilation_weights(N, L, phi, 5001)
-        assert np.array_equal(head[0], single[0]) and head[1] == single[1]
+        assert gain == _tail_weights(N, L, point, N + 1, J + 1, point[2])[1]
 
     def test_reality_of_rotated_kernel(self):
         # the full rotated kernel is real; assert through the spectral sum

@@ -7,6 +7,7 @@ import pytest
 
 from lambshift.kernel import PhiKernel
 from lambshift.oracles import (
+    _dq_dt_grid,
     _inner_t_integral_grid,
     _inner_t_integral_spectral,
     _kernel_matrix_element_grid,
@@ -106,6 +107,30 @@ class TestEpsilonAxis:
             ) / (2 * step)
             assert np.max(np.abs(dm - fd)) <= 1e-8 * np.max(np.abs(dm)), (N, L, phi)
 
+    @pytest.mark.parametrize(
+        "N, L, phi", [(1, 0, 0.3), (2, 1, 1.0), (3, 0, 2.2), (4, 2, 3.5), (6, 0, 2.9), (5, 4, 0.05)]
+    )
+    def test_dq_dt_reflection(self, N, L, phi):
+        # dQ/dT(2 pi - T) = -conj dQ/dT(T), which folds the period onto [0, pi]
+        T = np.linspace(0.0, math.pi, 257)
+        dq = _dq_dt_grid(N, L, T, phi)
+        mirror = _dq_dt_grid(N, L, 2.0 * math.pi - T, phi)
+        assert np.max(np.abs(mirror + np.conj(dq))) <= 1e-12 * np.max(np.abs(dq))
+
+    @pytest.mark.parametrize("N, L, eps", [(1, 0, 0.0125), (3, 1, 0.05)])
+    def test_batched_grid_equals_scalar_calls(self, N, L, eps):
+        # one call over a GK15 panel's 15 phi (different T-grid sizes) gives
+        # each phi's scalar value
+        nodes, weights, _ = (np.asarray(x) for x in kronrod_nodes_weights())
+        phis = 1.75 + 1.75 * nodes
+        nus = N * np.exp(-phis)
+        batch = _inner_t_integral_grid(N, L, phis, nus, eps, nodes, weights)
+        assert batch.shape == (15,)
+        for phi, nu, got in zip(phis, nus, batch):
+            one = _inner_t_integral_grid(N, L, float(phi), float(nu), eps, nodes, weights)
+            assert isinstance(one, complex)
+            assert abs(got - one) <= 1e-14 * abs(one)
+
     @pytest.mark.parametrize("N, L, phi, eps", [(3, 0, 3.4, 0.05), (3, 0, 3.5, 0.0125)])
     def test_inner_spectral_matches_grid(self, N, L, phi, eps):
         # the two inner routes meet at PHI_OSCILLATORY_MAX = 3.5; the series
@@ -116,19 +141,41 @@ class TestEpsilonAxis:
         spectral = _inner_t_integral_spectral(N, L, phi, nu, eps)
         assert abs(spectral - grid) <= 1e-12 * abs(grid)
 
-    def test_single_eps_near_primary(self):
+    def test_single_eps_near_primary(self, eps_shift):
         # one finite-damping point lands within O(eps) of the converged shift
-        state = QuantumState(N=1, L=0)
-        value = shift_via_eps_real_axis(state, 0.05)
-        primary = lamb_shift(state).lamb_shift_MHz
+        value = eps_shift(1, 0, 0.05)
+        primary = lamb_shift(QuantumState(N=1, L=0)).lamb_shift_MHz
         assert value.real == pytest.approx(primary, rel=0.02)
         # ground state: no decay channel, imaginary part is O(eps) only
         assert abs(value.imag) < 0.1 * abs(value.real)
 
-    def test_imag_part_tracks_decay_rate(self):
+    def test_imag_part_tracks_decay_rate(self, eps_shift):
         # at finite eps the imaginary part approximates -Gamma/(4 pi) in MHz
-        state = QuantumState(N=2, L=1)
-        value = shift_via_eps_real_axis(state, 0.05)
-        result = lamb_shift(state)
+        value = eps_shift(2, 1, 0.05)
+        result = lamb_shift(QuantumState(N=2, L=1))
         expected = -result.total_rate / (4.0 * math.pi)
         assert value.imag == pytest.approx(expected, rel=0.1)
+
+
+# shift_via_eps_real_axis (MHz, real and imaginary part) before the inner
+# integrals were folded onto half a period and summed in real arithmetic;
+# the route may move by roundoff only
+EPS_ROUTE_PINS = {
+    (1, 0, 0.05): (7870.4461761353614, 368.54505190704208),
+    (1, 0, 0.025): (7908.0684116642633, 195.43603138698774),
+    (1, 0, 0.0125): (7923.291297877633, 102.81406335924312),
+    (2, 0, 0.05): (1004.2797270932034, 45.606603954373533),
+    (2, 0, 0.025): (1010.3583712115854, 23.488416099309589),
+    (2, 0, 0.0125): (1013.0014374641721, 11.986233314829375),
+    (2, 1, 0.05): (8.2076055412215698, -45.822865736766587),
+    (2, 1, 0.025): (6.2292482881373932, -47.596524916846548),
+    (2, 1, 0.0125): (5.1815647680836028, -48.601346592099453),
+}
+
+
+@pytest.mark.parametrize("N, L, eps", sorted(EPS_ROUTE_PINS))
+def test_eps_route_pinned(N, L, eps, eps_shift):
+    got = eps_shift(N, L, eps)
+    want_re, want_im = EPS_ROUTE_PINS[(N, L, eps)]
+    assert abs(got.real - want_re) <= 1e-12 * abs(want_re)
+    assert abs(got.imag - want_im) <= 1e-12 * abs(want_im)

@@ -1,0 +1,54 @@
+"""The benchmark tracer must find every import site it patches.
+
+perfbench/tracing.py wraps oracle and kernel names by attribute (for
+example oracles._inner_t_integral_grid), so renaming one breaks the traced
+benchmark runs.  The check runs in a child interpreter, so the patches
+never reach the other tests.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lambshift
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+_CHILD = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import lambshift as ls
+from lambshift import oracles
+from lambshift.shifts import QuantumState
+from tracing import Tracer
+
+tracer = Tracer()
+tracer.install(ls)
+ls.lamb_shift(QuantumState(N=2, L=1))
+ls.bethe_log(2, 1)
+ls.decay_rates(QuantumState(N=3, L=1))
+oracles.shift_via_eps_real_axis(QuantumState(N=1, L=0), 0.05)
+print(json.dumps({"failures": tracer.crosscheck_failures, "metrics": tracer.layer_metrics()}))
+"""
+
+
+@pytest.mark.skipif(not (PERFBENCH / "tracing.py").exists(), reason="needs a source checkout")
+def test_tracer_patches_every_site():
+    src = str(Path(lambshift.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, src, str(PERFBENCH)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout.splitlines()[-1])
+    assert report["failures"] == []
+    metrics = report["metrics"]
+    for name in (
+        "shifts.lamb_shift", "shifts.bethe_log", "shifts.decay_rates", "kernel.residue_coeffs",
+        "kernel.phi_kernel", "kernel.tau_integral", "oracles.eps_real_axis",
+        "oracles.inner_grid", "oracles.inner_spectral",
+    ):
+        assert metrics[f"{name}.calls"] > 0, name
