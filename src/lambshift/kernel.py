@@ -6,10 +6,13 @@ tau it is the exponential series sum_j q_j u^j in u = e^{-tau}, with
 q_j = |D_{N,j}|^2/2 - |D_{N,j+1}|^2/4 - |D_{N,j-1}|^2/4 for every j, every
 |D|^2 from one Jacobi closed form (dilation_weights; su11.rep_matrix_element
 is only an independent reference).  The q_j with j < N are the residues R_j
-and the j >= N tail is the remainder Q~.  Summing the tail directly removes
-the catastrophic cancellation that subtracting the finite series from the
-closed form would cause at small phi, where the integrand weight e^{nu tau}
-grows almost as fast as the kernel decays.  At large phi the series
+and the j >= N tail is the remainder Q~, whose coefficients come as one
+forward stream of chunks (PhiKernel._coeff_chunks) that forms each weight
+once; the series branch here and the eps oracle's spectral sum both read
+it.  Summing the tail directly removes the catastrophic cancellation that
+subtracting the finite series from the closed form would cause at small
+phi, where the integrand weight e^{nu tau} grows almost as fast as the
+kernel decays.  At large phi the series
 converges too slowly (ratio t^2 -> 1, t = tanh(phi/2)) and the closed u-form
 Q = pi(u) (1 - u t^2)^{-2N}, pi a polynomial of degree 2N - L, takes over.
 There the inner integral int e^{nu tau} dQ~/dtau dtau is not integrated

@@ -9,7 +9,10 @@ is written once (kernel_q).  Tolerances here are looser by construction;
 the oscillatory epsilon route in particular only makes sense after
 extrapolating the damping to zero.  Its inner time integral is exact at
 every finite epsilon: one period of the 2 pi-periodic dQ/dT divided by
-1 - e^{2 pi (i nu - eps)}, or the kernel's exponential series at large phi.
+1 - e^{2 pi (i nu - eps)}, folded onto [0, pi] by dQ/dT(2 pi - T) =
+-conj dQ/dT(T) and evaluated for all phi nodes of a panel in one call, or,
+at large phi, the kernel's exponential series summed in real arithmetic
+from PhiKernel's coefficient stream.
 """
 
 from __future__ import annotations
@@ -289,6 +292,17 @@ def shift_via_eps_real_axis(
     with composite Gauss-Kronrod grids in both variables; the real part
     estimates the Lamb shift and the imaginary part -Gamma/2 (in the same
     frequency units).  Meant to be extrapolated in eps.
+
+    The phi domain is not [0, phi_max] with phi_max = 9 + ln N: the
+    integer edges of _phi_breakpoints run up to round(9 + ln N), so for
+    N = 2, 5, 6 and 7 it ends past phi_max (at 10, not 9.693, for 2s).
+    That extra panel moves each 2s value by 3.5e-5 relative and costs
+    about 40% of the 2s time.  Nor is the truncation negligible: moving
+    the 1s end from 9 to 10, 11 and 12 moves the extrapolated shift from
+    7936.122 to 7936.652, 7936.724 and 7936.734 MHz, against 7936.290 MHz
+    from the rotated contour, so the 2.1e-5 agreement at phi_max = 9
+    grows to 5.6e-5 with the domain: part of it is the phi truncation
+    cancelling the error of the eps extrapolation.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")

@@ -13,5 +13,9 @@ def _eps_point(N: int, L: int, eps: float) -> complex:
 
 @pytest.fixture(scope="session")
 def eps_shift():
-    """shift_via_eps_real_axis(QuantumState(N, L), eps) as eps_shift(N, L, eps), each point computed once per session."""
+    """eps_shift(N, L, eps) = shift_via_eps_real_axis(QuantumState(N, L), eps).
+
+    Each point is computed once per session: criterion 7 and the eps tests
+    of test_oracles read the same nine points.
+    """
     return _eps_point
