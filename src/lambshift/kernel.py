@@ -108,12 +108,12 @@ def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
     """Residue R_n = q_n of e^{-n tau} in the kernel series, L <= n <= N-1.
 
     Only the three weights j = n-1, n, n+1 are computed, and they are
-    combined as plain floats: a scalar call (one per decay channel and per
-    principal-value node) would otherwise spend more on building and
-    unpacking a numpy array than on the arithmetic.  The expression applies
-    the same IEEE operations in the same order as _series_coeffs does
-    elementwise, so the value equals PhiKernel(N, L, phi).residues[n] bit
-    for bit.
+    combined as plain floats: a scalar call (one per decay channel, for
+    its rate or its pole strength in a shift) would otherwise spend more
+    on building and unpacking a numpy array than on the arithmetic.  The
+    expression applies the same IEEE operations in the same order as
+    _series_coeffs does elementwise, so the value equals
+    PhiKernel(N, L, phi).residues[n] bit for bit.
     """
     validate_quantum_numbers(N, L)
     if n != int(n) or not L <= n < N:
@@ -223,9 +223,21 @@ class PhiKernel:
         return res, p * res
 
     @cached_property
+    def _head(self) -> tuple[tuple[float, float, float], list[float]]:
+        """(Jacobi point, |D_{N,j}|^2 for j = -1 .. N), shared by the residues and the tail stream."""
+        point = _jacobi_point(self.L, self.phi)
+        return point, [_weight_upto_row(self.N, self.L, j, point) for j in range(-1, self.N + 1)]
+
+    @cached_property
     def residues(self) -> tuple[float, ...]:
-        """R_0 .. R_{N-1} (zero below L): the closed branch and the eps oracle read them."""
-        return tuple(_series_coeffs(dilation_weights(self.N, self.L, self.phi, self.N + 1)).tolist())
+        """R_0 .. R_{N-1} (zero below L): the closed branch, each phi node of a shift, the eps oracle.
+
+        Plain floats, combined by the IEEE operations of _series_coeffs in
+        its order, so each equals the dilation_weights route bit for bit
+        without building small numpy arrays at every node.
+        """
+        w = self._head[1]
+        return tuple(0.5 * w[i] - 0.25 * w[i + 1] - 0.25 * w[i - 1] for i in range(1, self.N + 1))
 
     def _coeff_chunks(self):
         """The tail q_j, j >= N, as (j0, q_{j0 .. j0+len(q)-1}) in chunks of 96 doubling to 4096.
@@ -238,8 +250,8 @@ class PhiKernel:
         stop.
         """
         N, L = self.N, self.L
-        point = _jacobi_point(L, self.phi)
-        edge = np.array([_weight_upto_row(N, L, j, point) for j in (N - 1, N)])
+        point, head = self._head
+        edge = np.array(head[-2:])
         gain, j0, chunk = point[2], N, 96
         while True:
             tail, gain = _tail_weights(N, L, point, j0 + 1, j0 + chunk + 1, gain)

@@ -1,9 +1,11 @@
 """Brute-force cross-check evaluators, kept off the primary result path.
 
-Four independent routes back the closed forms used elsewhere: the kernel
+Five independent routes back the closed forms used elsewhere: the kernel
 as an explicit sum over the compact-generator eigenbasis, the disentangled
 2x2 product behind the polar decomposition, the inner tau integral by
-adaptive quadrature of the closed u-form, and the un-rotated real-axis
+adaptive quadrature of the closed u-form, the PV term of a shift as one
+folded principal value per decay channel (against the singularity
+subtraction of shifts._shift_bracket), and the un-rotated real-axis
 double integral at finite damping epsilon, whose real-time kernel Q(T, phi)
 is written once (kernel_q).  Tolerances here are looser by construction;
 the oscillatory epsilon route in particular only makes sense after
@@ -23,14 +25,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, default_constants
-from .kernel import PhiKernel, validate_quantum_numbers
+from .kernel import PhiKernel, residue_coeffs, validate_quantum_numbers
 from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
+    integrate_principal_value,
     integrate_semi_infinite,
     kronrod_nodes_weights,
 )
-from .shifts import QuantumState, neville_extrapolate, shift_prefactor, weight_nondipole
+from .shifts import (
+    DipoleOptions,
+    QuantumState,
+    _weight,
+    neville_extrapolate,
+    shift_prefactor,
+    weight_nondipole,
+)
 from .specfun import _jacobi_recurrence
 from .su11 import BchCoordinates, RepLabel, rep_matrix_element, scaling_coords
 
@@ -130,6 +140,40 @@ def tau_integral_by_quadrature(
 
     with np.errstate(over="ignore", invalid="ignore"):
         return integrate_semi_infinite(integrand, spec)
+
+
+def pv_term_by_principal_values(
+    state: QuantumState,
+    options: DipoleOptions,
+    spec: QuadratureSpec | None = None,
+    constants: PhysicalConstants | None = None,
+) -> float:
+    """The PV term of a shift in MHz, one adaptive principal value per decay channel.
+
+    Each PV int_0^Phi w n R_n(phi)/(N e^-phi - n) dphi, Phi the dipole
+    cutoff or infinity, is folded about its pole ln(N/n) by
+    integrate_principal_value, with residue_coeffs evaluated at every node.
+    It shares neither nodes nor the pole strength with the closed-form
+    subtraction of shifts._shift_bracket, whose pv_term_MHz it checks.
+    """
+    constants = constants or default_constants()
+    N, L = state.N, state.L
+    upper = options.phi_cut(state, constants) if options.enabled else None
+
+    def numerator(phis: np.ndarray, n: int) -> np.ndarray:
+        return np.array([
+            _weight(state, phi, options, constants) * n * residue_coeffs(N, L, phi, n)
+            for phi in phis.tolist()
+        ])
+
+    pvs = [
+        integrate_principal_value(
+            lambda phis, n=n: numerator(phis, n), math.log(N / n), spec,
+            denominator=lambda phis, n=n: N * np.exp(-phis) - n, upper=upper,
+        ).value
+        for n in range(max(1, L), N)
+    ]
+    return constants.eV_to_MHz(shift_prefactor(state, constants) * math.fsum(pvs))
 
 
 def _kernel_matrix_element_grid(N: int, L: int, T: np.ndarray, phi: float | np.ndarray):

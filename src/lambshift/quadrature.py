@@ -4,10 +4,16 @@ One 7-15 pair drives everything: finite panels are refined by bisecting
 whichever panel carries the largest |K15 - G7| estimate, semi-infinite
 domains grow dyadic tail panels until a whole panel contributes less than
 the absolute tolerance, and principal values fold the integrand about the
-pole so the singular parts cancel before any node is evaluated.
+pole so the singular parts cancel before any node is evaluated.  The
+shifts take their principal values by singularity subtraction instead
+(shifts._shift_bracket); integrate_principal_value is the independent
+check of that route (oracles.pv_term_by_principal_values).
 
 Integrands are array functions: f receives a 1-D numpy array of nodes and
-returns an array of the values at all of them.  Each panel is
+returns an array of the values at all of them, or a (nodes, C) array of C
+columns.  Columns share the nodes and the refinement, which follows the
+larger of each column's error estimate and their sum's, and the result
+carries each column's total besides their sum.  Each panel is
 one call of f with its 15 nodes, and each bisection one call with the 30
 nodes of both halves, as in QUADPACK; every returned value is checked and
 the first non-finite one raises IntegrandError.
@@ -86,6 +92,8 @@ class QuadratureResult:
     evaluations: int
     converged: bool
     subdivisions: int = 0
+    # each column's total for a multi-column integrand, whose value is their sum
+    columns: tuple[float, ...] = ()
 
     def __add__(self, other: "QuadratureResult") -> "QuadratureResult":
         return QuadratureResult(
@@ -94,6 +102,7 @@ class QuadratureResult:
             evaluations=self.evaluations + other.evaluations,
             converged=self.converged and other.converged,
             subdivisions=self.subdivisions + other.subdivisions,
+            columns=tuple(a + b for a, b in zip(self.columns, other.columns)),
         )
 
 
@@ -121,20 +130,36 @@ _W = np.array((_WTS_K, _WTS_G)).T  # (15, 2): kronrod and gauss columns
 def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
     """Gauss-Kronrod panels between consecutive edges, all nodes in one call of f.
 
-    Returns (kronrod values, |K-G| estimates), one entry per panel.
+    Returns (kronrod values, |K-G| estimates), one entry per panel.  A value
+    is a float, or for an f of C columns a tuple of the C column values, and
+    the estimate is the largest of the columns' and their sum's: columns
+    whose oscillations cancel make a smooth sum, whose estimate alone would
+    bound no column.
     """
     halves = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
     x = np.concatenate([c + h * _X for c, h in halves])
     fx = np.asarray(f(x), dtype=float)
-    finite = np.isfinite(fx)
+    rows = fx.reshape(x.size, -1)
+    finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise IntegrandError(f"integrand returned {float(fx[i])!r} at x={float(x[i])!r}")
-    # multiply and add, not a BLAS product, whose buffers add ~0.6 MB of peak RSS
-    sums = np.add.reduce(fx.reshape(-1, _X.size, 1) * _W, axis=1).tolist()
-    values = [h * k for (_, h), (k, _) in zip(halves, sums)]
-    errors = [abs(h * (k - g)) for (_, h), (k, g) in zip(halves, sums)]
+        bad = next(v for v in rows[i].tolist() if not math.isfinite(v))
+        raise IntegrandError(f"integrand returned {bad!r} at x={float(x[i])!r}")
+    # multiply and add, not a BLAS product, whose buffers add ~0.6 MB of peak
+    # RSS; sums[panel][column] is (kronrod, gauss)
+    sums = np.add.reduce(rows.reshape(len(halves), _X.size, -1, 1) * _W[:, None], axis=1).tolist()
+    values, errors = [], []
+    for (_, h), cols in zip(halves, sums):
+        k, g = zip(*cols)
+        values.append(h * k[0] if fx.ndim == 1 else tuple(h * kc for kc in k))
+        column_errors = (abs(h * (kc - gc)) for kc, gc in cols)
+        errors.append(max(abs(h * (math.fsum(k) - math.fsum(g))), *column_errors))
     return values, errors
+
+
+def _columns(value) -> tuple:
+    """A panel value as a tuple of columns, one for a scalar integrand."""
+    return value if isinstance(value, tuple) else (value,)
 
 
 @dataclass
@@ -159,11 +184,13 @@ def _refine(f, panels: list[_Panel], spec: QuadratureSpec, evals: int) -> Quadra
     subdivisions = 0
     while True:
         errors = [p.error for p in panels]
-        total = math.fsum(p.value for p in panels)
+        columns = tuple(map(math.fsum, zip(*(_columns(p.value) for p in panels))))
+        total = math.fsum(columns)
         error = math.fsum(errors)
         converged = error <= spec.target(total)
         if converged or len(panels) + subdivisions >= spec.max_subdivisions:
-            return QuadratureResult(total, error, evals, converged, subdivisions)
+            columns = columns if len(columns) > 1 else ()
+            return QuadratureResult(total, error, evals, converged, subdivisions, columns)
         i = errors.index(max(errors))
         panels[i:i + 1] = panels[i].split(f)
         evals += 30
@@ -208,23 +235,30 @@ def integrate_semi_infinite(
     f,
     spec: QuadratureSpec | None = None,
     origin: float = 0.0,
+    points: Sequence[float] = (),
 ) -> QuadratureResult:
     """Adaptive integral over (origin, infinity) for eventually decaying f.
 
     Panels of doubling width, (0,1], (1,3], (3,7], ... from the origin,
     extend until an entire panel contributes below abs_tol twice in a row;
     the collected panels are then refined like any finite-domain integral.
+    Ascending points beyond the origin are edges of the first panels, and
+    the doubling panels start from the last of them.
     """
     spec = spec or QuadratureSpec()
-    panels: list[_Panel] = []
-    evals = 0
-    lo = origin
+    lead = (origin, *points)
+    if any(b <= a for a, b in zip(lead, lead[1:])):
+        raise ValueError(f"points must ascend from the origin {origin!r}, got {points!r}")
+    values, errors = _gk15(f, lead) if points else ((), ())
+    panels = list(map(_Panel, lead, lead[1:], values, errors))
+    evals = 15 * len(panels)
+    lo = lead[-1]
     quiet = 0
-    for hi in _dyadic_edges(origin):
+    for hi in _dyadic_edges(lo):
         (value,), (error,) = _gk15(f, (lo, hi))
         evals += 15
         panels.append(_Panel(lo, hi, value, error))
-        if abs(value) < spec.abs_tol and error < spec.abs_tol:
+        if abs(math.fsum(_columns(value))) < spec.abs_tol and error < spec.abs_tol:
             quiet += 1
             if quiet >= 2:
                 break
@@ -308,6 +342,7 @@ class Diagnostics:
         return {
             name: {
                 "value": r.value,
+                **({"columns": list(r.columns)} if r.columns else {}),
                 "error_estimate": r.error_estimate,
                 "evaluations": r.evaluations,
                 "converged": r.converged,

@@ -1,12 +1,14 @@
 """Lamb shifts, radiative decay rates, Bethe logarithms, and table reports.
 
 The complex energy shift of a bound state splits into a real part (the
-Lamb shift) assembled from a rotated-contour double integral plus one
-principal-value integral per open decay channel, and an imaginary part
-whose pole residues give the partial decay rates in closed form.  The
-dipole approximation differs only in the photon-energy weight and in a
-finite cutoff on the frequency integration; pushing that cutoff to
-infinity and removing the known logarithm yields the Bethe logarithm.
+Lamb shift), a rotated-contour double integral plus one principal value
+per open decay channel, and an imaginary part whose pole residues give the
+partial decay rates in closed form.  The same residues subtract each pole
+from its principal value in closed form, so one outer quadrature over phi
+takes the whole real part.  The dipole approximation differs only in the
+photon-energy weight and in a finite cutoff on the frequency integration;
+pushing that cutoff to infinity and removing the known logarithm yields
+the Bethe logarithm.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .quadrature import (
     QuadratureSpec,
     dyadic_edges_upto,
     integrate_panels,
-    integrate_principal_value,
+    integrate_principal_value,  # noqa: F401  unused; perfbench/tracing.py wraps this name
     integrate_semi_infinite,
 )
 
@@ -181,6 +183,11 @@ class ShiftResult:
         }
 
 
+def _pole_pv(N: int, n: int, limit: float | None) -> float:
+    """PV int_0^Phi e^(phi_n - phi)/(N e^-phi - n) dphi, phi_n = ln(N/n), Phi = limit or infinity."""
+    return math.log((N - n) / (n - (0.0 if limit is None else N * math.exp(-limit)))) / n
+
+
 def _shift_bracket(
     state: QuantumState,
     options: DipoleOptions,
@@ -189,78 +196,70 @@ def _shift_bracket(
     limits: tuple[float | None, ...],
 ) -> list[tuple[float, float, Diagnostics]]:
     """The two bracket terms of the shift in MHz, (tau term, PV term, diagnostics),
-    at each of the ascending upper limits of phi.
+    at each of the ascending upper limits Phi of phi: (None,) for the
+    semi-infinite non-dipole shift, the cutoff phi values of dipole shifts.
 
-    limits is (None,) for the semi-infinite non-dipole shift and the cutoff
-    phi values of dipole shifts otherwise.  The integrands do not depend on
-    the limit, so [0, Phi_1] is integrated as a shift with that one limit
-    (dyadic panels, one principal value per channel) and each increment
-    [Phi_i, Phi_{i+1}] once on a panel of its own, where no pole lies; the
-    limits' results are running sums, diagnostics included, and every phi
-    node is evaluated once.  The integrands take arrays of phi nodes.
+    Each channel's principal value loses its pole phi_n = ln(N/n) by
+    singularity subtraction.  With the pole strength A_n = w(phi_n) n R_n(phi_n),
+    the residue behind Gamma_n, it is A_n _pole_pv(N, n, Phi) plus
+
+        int_0^Phi [w n R_n - A_n e^(phi_n - phi)]/(N e^-phi - n) dphi,
+
+    whose integrand is regular.  One two-column quadrature takes the tau
+    integrand and the sum of these at the same nodes.  The poles are the
+    first panel edges, so no node comes near the cancellation in the
+    subtracted numerator.  [0, Phi_1] is integrated as a shift with that
+    limit and each increment [Phi_i, Phi_{i+1}] once on a panel of its own;
+    results are running sums, diagnostics included.
     """
     N, L = state.N, state.L
     spec = spec or QuadratureSpec()
     first = limits[0]
     inner_ok = True
+    channels = range(max(1, L), N)
+    poles = [math.log(N / n) for n in channels]
+    if first is not None and poles and first <= poles[0] + 1.0e-6:
+        raise ValueError(f"dipole cutoff phi={first:.3f} does not clear the pole at {poles[0]:.3f}")
+    ns = np.array(channels, dtype=float)
+    strengths = [
+        _weight(state, pole, options, constants) * n * residue_coeffs(N, L, pole, n)
+        for n, pole in zip(channels, poles)
+    ]
 
-    def outer_integrand(phis: np.ndarray) -> np.ndarray:
+    def integrand(phis: np.ndarray) -> np.ndarray:
         nonlocal inner_ok
-        values = []
+        rows = []
         for phi in phis.tolist():
-            value, _, _, ok = PhiKernel(N, L, phi).tau_integral()
+            ker = PhiKernel(N, L, phi)
+            value, _, _, ok = ker.tau_integral()
             inner_ok &= ok
-            values.append(_weight(state, phi, options, constants) * value)
-        return np.array(values)
+            weight = _weight(state, phi, options, constants)
+            rows.append((weight * value, weight, *ker.residues[channels.start:]))
+        rows = np.array(rows).reshape(phis.size, -1)
+        nx = N * np.exp(-phis)[:, None]
+        regular = (rows[:, 1:2] * ns * rows[:, 2:] - strengths * (nx / ns)) / (nx - ns)
+        return np.column_stack((rows[:, 0], regular.sum(axis=1)))
 
-    def pv_numerator(phis: np.ndarray, n: int) -> np.ndarray:
-        return np.array([
-            _weight(state, phi, options, constants) * n * residue_coeffs(N, L, phi, n)
-            for phi in phis.tolist()
-        ])
-
-    def pv_denominator(phis: np.ndarray, n: int) -> np.ndarray:
-        return N * np.exp(-phis) - n
-
+    lead = (0.0, *poles[::-1])
     if first is None:
-        tau = integrate_semi_infinite(outer_integrand, spec)
+        outer = integrate_semi_infinite(integrand, spec, points=lead[1:])
     else:
-        tau = integrate_panels(outer_integrand, dyadic_edges_upto(0.0, first), spec)
-    tau.converged &= inner_ok
-    pvs = {}
-    for n in range(max(1, L), N):
-        pole = math.log(N / n)
-        if first is not None and first <= pole + 1.0e-6:
-            raise ValueError(
-                f"dipole cutoff phi={first:.3f} does not clear the pole at {pole:.3f}"
-            )
-        pvs[n] = integrate_principal_value(
-            lambda phis, n=n: pv_numerator(phis, n), pole, spec,
-            denominator=lambda phis, n=n: pv_denominator(phis, n), upper=first,
-        )
-
+        outer = integrate_panels(integrand, lead[:-1] + dyadic_edges_upto(lead[-1], first), spec)
+    outer.converged &= inner_ok
     prefactor = shift_prefactor(state, constants)
 
-    def bracket(tau: QuadratureResult, pvs: dict) -> tuple[float, float, Diagnostics]:
+    def bracket(outer: QuadratureResult, limit: float | None) -> tuple[float, float, Diagnostics]:
         diag = Diagnostics()
-        diag.record("tau_phi_integral", tau)
-        pv_total = QuadratureResult(0.0, 0.0, 0, True)
-        for n, result in pvs.items():
-            pv_total = pv_total + diag.record(f"pv_pole_n{n}", result)
-        tau_MHz = constants.eV_to_MHz(prefactor * tau.value)
-        return tau_MHz, constants.eV_to_MHz(prefactor * pv_total.value), diag
+        diag.record("tau_phi_integral", outer)
+        tau, regular = outer.columns
+        pv = math.fsum([regular, *(a * _pole_pv(N, n, limit) for n, a in zip(channels, strengths))])
+        return constants.eV_to_MHz(prefactor * tau), constants.eV_to_MHz(prefactor * pv), diag
 
-    brackets = [bracket(tau, pvs)]
+    brackets = [bracket(outer, first)]
     for lo, hi in zip(limits, limits[1:]):
-        tau = tau + integrate_panels(outer_integrand, (lo, hi), spec)
-        tau.converged &= inner_ok
-        pvs = {
-            n: result + integrate_panels(
-                lambda phis, n=n: pv_numerator(phis, n) / pv_denominator(phis, n), (lo, hi), spec
-            )
-            for n, result in pvs.items()
-        }
-        brackets.append(bracket(tau, pvs))
+        outer = outer + integrate_panels(integrand, (lo, hi), spec)
+        outer.converged &= inner_ok
+        brackets.append(bracket(outer, hi))
     return brackets
 
 
@@ -274,7 +273,7 @@ def lamb_shift(
 
     Real part of the rotated-contour representation: the prefactor
     -4 mec2 a0 (Z a0)^2/(3 pi N^2) multiplies the phi integral of the
-    weighted inner tau integral plus one principal value per pole.
+    weighted inner tau integral plus one principal value per decay channel.
     """
     constants = constants or default_constants()
     limit = options.phi_cut(state, constants) if options.enabled else None

@@ -12,10 +12,11 @@ from lambshift.oracles import (
     _inner_t_integral_spectral,
     _kernel_matrix_element_grid,
     kernel_via_spectral_series,
+    pv_term_by_principal_values,
     shift_via_eps_real_axis,
 )
 from lambshift.quadrature import kronrod_nodes_weights
-from lambshift.shifts import QuantumState, lamb_shift
+from lambshift.shifts import DipoleOptions, QuantumState, lamb_shift
 
 
 def _mp_damped_inner(N, L, phi, nu, eps):
@@ -179,3 +180,30 @@ def test_eps_route_pinned(N, L, eps, eps_shift):
     want_re, want_im = EPS_ROUTE_PINS[(N, L, eps)]
     assert abs(got.real - want_re) <= 1e-12 * abs(want_re)
     assert abs(got.imag - want_im) <= 1e-12 * abs(want_im)
+
+
+# A stratified sample for the pole subtraction of lamb_shift against one
+# folded principal value per channel (pv_term_by_principal_values): all
+# seven Table-1 states; beyond the tables one s state, a mid-L state, the
+# circular state of N = 10 and the mid-L state of N = 20 at Z = 1 (few and
+# many channels, both sides of the series/closed switch); two Z = 92
+# states, where the weight saturates; and two dipole cutoff shifts, the
+# finite-domain route of bethe_log.  The (20,10) entry is the loosest: with
+# the folded principal values the shift sits 5.5e-10 from a rel_tol 1e-12,
+# abs_tol 1e-17 run of the subtraction, which the default run meets to 7e-13.
+PV_ORACLE_SAMPLE = [
+    *((N, L, 1, None) for N, L in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1))),
+    (5, 0, 1, None), (8, 3, 1, None), (10, 9, 1, None), (20, 10, 1, None),
+    (7, 3, 92, None), (12, 5, 92, None),
+    (4, 1, 1, 1e3), (7, 2, 1, 1e3),
+]
+
+
+@pytest.mark.parametrize("N, L, Z, cutoff_x", PV_ORACLE_SAMPLE)
+def test_shift_matches_principal_value_oracle(N, L, Z, cutoff_x):
+    state = QuantumState(N=N, L=L, Z=Z)
+    options = DipoleOptions(enabled=cutoff_x is not None, cutoff_x=cutoff_x)
+    result = lamb_shift(state, options)
+    assert result.converged
+    pv = pv_term_by_principal_values(state, options)
+    assert abs(result.lamb_shift_MHz - (result.tau_phi_term_MHz + pv)) <= 1e-9 * abs(result.lamb_shift_MHz)

@@ -214,6 +214,107 @@ class TestArrayContract:
         assert f"x={float(calls[0][4])!r}" in str(info.value)
 
 
+class TestColumns:
+    """Integrands of several columns share nodes and refinement."""
+
+    @staticmethod
+    def _pair(x):
+        # two oscillating columns whose sum is smooth
+        wave = np.exp(-x) * np.cos(9 * x)
+        return np.column_stack((wave + np.exp(-2 * x), -wave + 1.0 / (1.0 + x * x)))
+
+    def test_column_totals_match_scalar_integrals(self):
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
+        both = integrate_semi_infinite(self._pair, spec)
+        assert both.converged and len(both.columns) == 2
+        for c, total in enumerate(both.columns):
+            alone = integrate_semi_infinite(lambda x, c=c: self._pair(x)[:, c], spec)
+            assert alone.converged
+            assert total == pytest.approx(alone.value, abs=both.error_estimate + alone.error_estimate)
+        assert both.value == pytest.approx(math.fsum(both.columns), abs=1e-15)
+        # exact: 1/2 + pi/2, the oscillations cancel in the sum
+        assert both.value == pytest.approx(0.5 + math.pi / 2.0, abs=1e-10)
+
+    def test_error_estimate_covers_each_column(self):
+        # refining on the smooth sum alone would stop at once; each column's
+        # oscillation must be resolved too
+        both = integrate_panels(self._pair, (0.0, 4.0))
+        summed = integrate_panels(lambda x: self._pair(x).sum(axis=1), (0.0, 4.0))
+        assert both.subdivisions > summed.subdivisions
+        exact = integrate_panels(lambda x: self._pair(x)[:, 0], (0.0, 4.0), QuadratureSpec(rel_tol=1e-14))
+        assert abs(both.columns[0] - exact.value) <= both.error_estimate
+
+    def test_columns_add_and_scalar_results_have_none(self):
+        a = integrate_panels(self._pair, (0.0, 1.0))
+        b = integrate_panels(self._pair, (1.0, 2.0))
+        assert (a + b).columns == (a.columns[0] + b.columns[0], a.columns[1] + b.columns[1])
+        assert integrate_panels(lambda x: x, (0.0, 1.0)).columns == ()
+
+    def test_non_finite_column_raises(self):
+        def f(x):
+            y = self._pair(x)
+            y[3, 1] = np.inf
+            return y
+
+        with pytest.raises(IntegrandError, match="returned inf"):
+            integrate_panels(f, (0.0, 1.0))
+
+    def test_scalar_results_are_pinned(self):
+        # the values of the scalar-only quadrature, bit for bit
+        pinned = (
+            (integrate_semi_infinite(lambda x: np.exp(-x) * np.cos(7 * x) / (0.1 + x)),
+             (0.5379393688604394, 4.916036893788966e-10, 645, True, 18)),
+            (integrate_panels(lambda x: np.exp(-x) / (1e-2 + x), (0.0, 1.0)),
+             (3.860601580295792, 1.7835974919222508e-09, 195, True, 6)),
+            (integrate_principal_value(lambda x: np.exp(-x), 1.0),
+             (-0.6971748832350663, 1.955740658955394e-10, 165, True, 1)),
+        )
+        for r, want in pinned:
+            assert (r.value, r.error_estimate, r.evaluations, r.converged, r.subdivisions) == want
+            assert r.columns == ()
+
+
+class TestPoints:
+    def test_points_are_panel_edges(self):
+        points = (0.2876820724517809, 0.6931471805599453, 1.3862943611198906, 5.5)
+        f, calls = _recording(lambda x: np.exp(-x) / (1.0 + x))
+        r = integrate_semi_infinite(f, points=points)
+        assert r.converged
+        assert r.value == pytest.approx(integrate_semi_infinite(lambda x: np.exp(-x) / (1.0 + x)).value,
+                                        rel=1e-12)
+        nodes = np.concatenate(calls)
+        half_widths = _panel_half_widths(calls)
+        for p in points:
+            assert not np.any(nodes == p)
+            gap = np.abs(nodes - p) / (2.0 * half_widths)
+            assert gap.min() >= 0.004
+
+    def test_points_lead_the_doubling_panels(self):
+        f, calls = _recording(lambda x: np.exp(-x))
+        r = integrate_semi_infinite(f, points=(0.5, 2.0))
+        assert r.value == pytest.approx(1.0, abs=1e-12)
+        # (0, 0.5] and (0.5, 2] in one call, then (2, 3], (3, 5], (5, 9], ...
+        assert [x.size for x in calls[:4]] == [30, 15, 15, 15]
+        assert [x[14] for x in calls[1:4]] == [2.5, 4.0, 7.0]  # the centre node is last
+
+    def test_points_must_ascend_from_the_origin(self):
+        with pytest.raises(ValueError):
+            integrate_semi_infinite(lambda x: np.exp(-x), points=(2.0, 0.5))
+        with pytest.raises(ValueError):
+            integrate_semi_infinite(lambda x: np.exp(-x), origin=1.0, points=(0.5,))
+
+
+def _panel_half_widths(calls) -> np.ndarray:
+    """The half width of the 15-node panel of every recorded node."""
+    outer = kronrod_nodes_weights()[0][1]  # the largest abscissa
+    widths = []
+    for x in calls:
+        for panel in x.reshape(-1, 15):
+            # nodes come as (-x_i, x_i) pairs around the centre, which is last
+            widths.append(np.full(15, (panel[1] - panel[14]) / outer))
+    return np.concatenate(widths)
+
+
 class TestPrincipalValue:
     def test_antisymmetric_pole_is_zero(self):
         r = integrate_principal_value(lambda x: np.ones_like(x), pole=1.0, upper=2.0)

@@ -1,14 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from lambshift import kernel
 from lambshift.constants import PhysicalConstants, default_constants
-from lambshift.quadrature import QuadratureSpec
+from lambshift.quadrature import QuadratureSpec, integrate_principal_value, kronrod_nodes_weights
 from lambshift.shifts import (
     DEFAULT_BETHE_CUTOFFS,
+    NON_DIPOLE,
     DipoleOptions,
     QuantumState,
+    _pole_pv,
     _shift_bracket,
     bethe_amplitude,
     bethe_log,
@@ -18,6 +21,7 @@ from lambshift.shifts import (
     generate_table,
     lamb_shift,
     neville_extrapolate,
+    shift_prefactor,
     weight_dipole,
     weight_nondipole,
 )
@@ -175,11 +179,69 @@ class TestLambShift:
             assert scaled == pytest.approx(8.0 * two_s, rel=0.05)
 
     def test_diagnostics_are_recorded(self):
+        # one outer quadrature whose two columns are the tau integrand and the
+        # pole-subtracted principal-value integrands; for 2p the closed log
+        # (A_1/1) ln((2-1)/1) vanishes, so the second column is the PV term
         result = lamb_shift(QuantumState(N=2, L=1))
         parts = result.diagnostics.as_dict()
-        assert "tau_phi_integral" in parts
-        assert "pv_pole_n1" in parts
-        assert all(v["error_estimate"] >= 0.0 for v in parts.values())
+        assert list(parts) == ["tau_phi_integral"]
+        part = parts["tau_phi_integral"]
+        assert part["error_estimate"] >= 0.0
+        assert part["evaluations"] == result.diagnostics.evaluations > 0
+        prefactor = shift_prefactor(result.state, C)
+        terms = [C.eV_to_MHz(prefactor * c) for c in part["columns"]]
+        assert terms == [result.tau_phi_term_MHz, result.pv_term_MHz]
+
+
+class TestPoleSubtraction:
+    """The closed-form pole term and the panel layout around the poles."""
+
+    @pytest.mark.parametrize("N, n", [(2, 1), (3, 1), (3, 2), (4, 3), (7, 2), (20, 19)])
+    @pytest.mark.parametrize("upper", [None, 3.5])
+    def test_closed_log_equals_principal_value(self, N, n, upper):
+        pole = math.log(N / n)
+        strength = 0.37
+        pv = integrate_principal_value(
+            lambda phi: strength * np.exp(pole - phi), pole,
+            denominator=lambda phi: N * np.exp(-phi) - n, upper=upper,
+        )
+        assert pv.converged
+        # within the folded principal value's own error estimate, which is
+        # 2e-12..4e-10 here, and 1e-12 at most
+        assert abs(strength * _pole_pv(N, n, upper) - pv.value) <= min(pv.error_estimate, 1e-12)
+
+    @pytest.mark.parametrize(
+        "N, L, options, limits",
+        [
+            (4, 1, NON_DIPOLE, (None,)),
+            (7, 2, NON_DIPOLE, (None,)),
+            (4, 1, DIPOLE, (7.0, 8.0)),
+            (7, 2, DIPOLE, (8.5, 9.0, 10.0)),
+        ],
+    )
+    def test_every_pole_is_a_panel_edge(self, monkeypatch, N, L, options, limits):
+        import lambshift.shifts as shifts_mod
+
+        calls = []
+        for name in ("integrate_panels", "integrate_semi_infinite"):
+            original = getattr(shifts_mod, name)
+
+            def recording(f, *args, original=original, **kwargs):
+                def g(x):
+                    calls.append(np.array(x, copy=True))
+                    return f(x)
+
+                return original(g, *args, **kwargs)
+
+            monkeypatch.setattr(shifts_mod, name, recording)
+        _shift_bracket(QuantumState(N=N, L=L), options, None, C, limits)
+        nodes = np.concatenate(calls)
+        outer = kronrod_nodes_weights()[0][1]
+        # nodes come in 15-node panels of (-x_i, x_i) pairs around the centre, which is last
+        widths = np.repeat([2.0 * (p[1] - p[14]) / outer for c in calls for p in c.reshape(-1, 15)], 15)
+        for n in range(max(1, L), N):
+            gap = np.abs(nodes - math.log(N / n)) / widths
+            assert gap.min() >= 0.004, n
 
 
 class TestNeville:
@@ -245,9 +307,9 @@ class TestBethe:
         standalone = lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=1e3))
         assert brackets[0][2].as_dict() == standalone.diagnostics.as_dict()
         assert brackets[0][0] + brackets[0][1] == standalone.lamb_shift_MHz
-        # each limit adds one 15-node panel per integral, three at least here
+        # each limit adds one two-column 15-node panel at least
         evals = [diag.evaluations for _, _, diag in brackets]
-        assert all(b - a >= 15 * 3 for a, b in zip(evals, evals[1:]))
+        assert all(b - a >= 15 for a, b in zip(evals, evals[1:]))
         assert all(list(diag.parts) == list(brackets[0][2].parts) for _, _, diag in brackets)
 
     def test_cutoffs_share_each_inner_integral(self, monkeypatch):
@@ -301,9 +363,9 @@ class TestBethe:
         brackets = _shift_bracket(state, DIPOLE, None, C, limits)
         assert [diag.converged for _, _, diag in brackets] == [True, False, False]
 
-    def test_shared_pv_memo_computes_each_numerator_once(self, monkeypatch):
-        # no memo: the cutoffs integrate disjoint ranges of phi, so each
-        # (phi, n) numerator is computed once
+    def test_one_residue_call_per_channel(self, monkeypatch):
+        # the phi nodes read every R_n from PhiKernel.residues; residue_coeffs
+        # gives only each channel's pole strength, once for all cutoffs
         import lambshift.shifts as shifts_mod
 
         seen = []
@@ -315,7 +377,7 @@ class TestBethe:
 
         monkeypatch.setattr(shifts_mod, "residue_coeffs", counting)
         bethe_log(3, 1, (1e3, 3e3, 1e4))
-        assert seen and len(seen) == len(set(seen))
+        assert seen == [(math.log(3 / n), n) for n in (1, 2)]
 
     # From the same pipeline with a 30-digit mpmath inner integral; they
     # agree with Drake & Swainson, PRA 41, 1243 (1990) to the digits recalled
