@@ -223,12 +223,6 @@ class PhiKernel:
         return res, p * res
 
     @cached_property
-    def _head(self) -> tuple[tuple[float, float, float], list[float]]:
-        """(Jacobi point, |D_{N,j}|^2 for j = -1 .. N), shared by the residues and the tail stream."""
-        point = _jacobi_point(self.L, self.phi)
-        return point, [_weight_upto_row(self.N, self.L, j, point) for j in range(-1, self.N + 1)]
-
-    @cached_property
     def residues(self) -> tuple[float, ...]:
         """R_0 .. R_{N-1} (zero below L): the closed branch, each phi node of a shift, the eps oracle.
 
@@ -236,8 +230,10 @@ class PhiKernel:
         its order, so each equals the dilation_weights route bit for bit
         without building small numpy arrays at every node.
         """
-        w = self._head[1]
-        return tuple(0.5 * w[i] - 0.25 * w[i + 1] - 0.25 * w[i - 1] for i in range(1, self.N + 1))
+        N, L = self.N, self.L
+        point = _jacobi_point(L, self.phi)
+        w = [_weight_upto_row(N, L, j, point) for j in range(-1, N + 1)]
+        return tuple(0.5 * w[i] - 0.25 * w[i + 1] - 0.25 * w[i - 1] for i in range(1, N + 1))
 
     def _coeff_chunks(self):
         """The tail q_j, j >= N, as (j0, q_{j0 .. j0+len(q)-1}) in chunks of 96 doubling to 4096.
@@ -250,8 +246,8 @@ class PhiKernel:
         stop.
         """
         N, L = self.N, self.L
-        point, head = self._head
-        edge = np.array(head[-2:])
+        point = _jacobi_point(L, self.phi)
+        edge = np.array([_weight_upto_row(N, L, j, point) for j in (N - 1, N)])
         gain, j0, chunk = point[2], N, 96
         while True:
             tail, gain = _tail_weights(N, L, point, j0 + 1, j0 + chunk + 1, gain)
