@@ -220,7 +220,6 @@ def _shift_bracket(
     poles = [math.log(N / n) for n in channels]
     if first is not None and poles and first <= poles[0] + 1.0e-6:
         raise ValueError(f"dipole cutoff phi={first:.3f} does not clear the pole at {poles[0]:.3f}")
-    ns = np.array(channels, dtype=float)
     strengths = [
         _weight(state, pole, options, constants) * n * residue_coeffs(N, L, pole, n)
         for n, pole in zip(channels, poles)
@@ -234,11 +233,13 @@ def _shift_bracket(
             value, _, _, ok = ker.tau_integral()
             inner_ok &= ok
             weight = _weight(state, phi, options, constants)
-            rows.append((weight * value, weight, *ker.residues[channels.start:]))
-        rows = np.array(rows).reshape(phis.size, -1)
-        nx = N * np.exp(-phis)[:, None]
-        regular = (rows[:, 1:2] * ns * rows[:, 2:] - strengths * (nx / ns)) / (nx - ns)
-        return np.column_stack((rows[:, 0], regular.sum(axis=1)))
+            nx = N * math.exp(-phi)
+            regular = math.fsum(
+                (weight * n * r - a * (nx / n)) / (nx - n)
+                for n, a, r in zip(channels, strengths, ker.residues[channels.start:])
+            )
+            rows.append((weight * value, regular))
+        return np.array(rows)
 
     lead = (0.0, *poles[::-1])
     if first is None:
