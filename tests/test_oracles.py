@@ -182,15 +182,6 @@ def test_eps_route_pinned(N, L, eps, eps_shift):
     assert abs(got.imag - want_im) <= 1e-12 * abs(want_im)
 
 
-# A stratified sample for the pole subtraction of lamb_shift against one
-# folded principal value per channel (pv_term_by_principal_values): all
-# seven Table-1 states; beyond the tables one s state, a mid-L state, the
-# circular state of N = 10 and the mid-L state of N = 20 at Z = 1 (few and
-# many channels, both sides of the series/closed switch); two Z = 92
-# states, where the weight saturates; and two dipole cutoff shifts, the
-# finite-domain route of bethe_log.  The (20,10) entry is the loosest: with
-# the folded principal values the shift sits 5.5e-10 from a rel_tol 1e-12,
-# abs_tol 1e-17 run of the subtraction, which the default run meets to 7e-13.
 PV_ORACLE_SAMPLE = [
     *((N, L, 1, None) for N, L in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1))),
     (5, 0, 1, None), (8, 3, 1, None), (10, 9, 1, None), (20, 10, 1, None),
@@ -201,6 +192,17 @@ PV_ORACLE_SAMPLE = [
 
 @pytest.mark.parametrize("N, L, Z, cutoff_x", PV_ORACLE_SAMPLE)
 def test_shift_matches_principal_value_oracle(N, L, Z, cutoff_x):
+    """The pole subtraction of lamb_shift against one folded principal value per channel.
+
+    The sample is stratified: all seven Table-1 states; beyond the tables
+    one s state, a mid-L state, the circular state of N = 10 and the mid-L
+    state of N = 20 at Z = 1 (few and many channels, both sides of the
+    series/closed switch); two Z = 92 states, where the weight saturates;
+    and two dipole cutoff shifts, the finite-domain route of bethe_log.
+    The (20,10) entry is the loosest: with the folded principal values the
+    shift sits 5.5e-10 from a rel_tol 1e-12, abs_tol 1e-17 run of the
+    subtraction, which the default run meets to 7e-13.
+    """
     state = QuantumState(N=N, L=L, Z=Z)
     options = DipoleOptions(enabled=cutoff_x is not None, cutoff_x=cutoff_x)
     result = lamb_shift(state, options)
