@@ -1,26 +1,28 @@
-"""Residue coefficients, the rotated-contour remainder and its inner tau integral.
+"""Residue coefficients and the inner tau integral of the rotated contour.
 
 The kernel is Q(T, phi) = sin^2(T/2) sum_n |D_{N,n}(phi)|^2 e^{-i n T}, D
 the dilation matrix of the discrete series.  On the rotated contour T = -i
 tau it is the exponential series sum_j q_j u^j in u = e^{-tau}, with
 q_j = |D_{N,j}|^2/2 - |D_{N,j+1}|^2/4 - |D_{N,j-1}|^2/4 for every j, every
-|D|^2 from one Jacobi closed form (dilation_weights; su11.rep_matrix_element
-is only an independent reference).  The q_j with j < N are the residues R_j
-and the j >= N tail is the remainder Q~, whose coefficients come as one
-forward stream of chunks (PhiKernel._coeff_chunks) that forms each weight
-once; the series branch here and the eps oracle's spectral sum both read
-it.  Summing the tail directly removes the catastrophic cancellation that
-subtracting the finite series from the closed form would cause at small
-phi, where the integrand weight e^{nu tau} grows almost as fast as the
-kernel decays.  At large phi the series
-converges too slowly (ratio t^2 -> 1, t = tanh(phi/2)) and the closed u-form
-Q = pi(u) (1 - u t^2)^{-2N}, pi a polynomial of degree 2N - L, takes over.
-There the inner integral int e^{nu tau} dQ~/dtau dtau is not integrated
-numerically: Euler's integral turns it into one Gauss function per
-factored term of pi, each summed in closed form around t^2 = 1
-(PhiKernel.tau_integral).  The real-time kernel Q(T, phi) is a cross-check
-only (oracles.kernel_q), and so is the adaptive quadrature of the inner
-integral (oracles.tau_integral_by_quadrature).
+|D|^2 from one Jacobi closed form (_weight_upto_row for j <= N,
+_tail_weights beyond; su11.rep_matrix_element is only an independent
+reference).  The q_j with j < N are the residues R_j and the j >= N tail
+is the remainder Q~, whose coefficients come as one forward stream of
+chunks (PhiKernel._coeff_chunks) that forms each weight once; the series
+branch here and the eps oracle's spectral sum both read it.  Summing the
+tail directly removes the catastrophic cancellation that subtracting the
+finite series from the closed form would cause at small phi, where the
+integrand weight e^{nu tau} grows almost as fast as the kernel decays.
+At large phi the series converges too slowly (ratio t^2 -> 1,
+t = tanh(phi/2)) and the closed u-form Q = pi(u) (1 - u t^2)^{-2N}, pi a
+polynomial of degree 2N - L, takes over without ever being evaluated in
+tau: Euler's integral turns the inner integral int e^{nu tau} dQ~/dtau
+dtau into one Gauss function per factored term of pi, each summed in
+closed form around t^2 = 1 (PhiKernel.tau_integral).  Only the checks
+evaluate kernels: the u-form and the remainder Q~ in tau
+(oracles.q_imag_time, oracles.remainder), the real-time kernel
+(oracles.kernel_q) and the adaptive quadrature of the inner integral
+(oracles.tau_integral_by_quadrature).
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .specfun import _jacobi_recurrence, digamma
 from .quadrature import integrate_semi_infinite  # noqa: F401
 from .su11 import rep_matrix_element  # noqa: F401
 
-# Switch from the exponential series to the closed u-form once the series
-# ratio tanh^2(phi/2) exceeds this (phi ~ 2.89).
+# Switch from the exponential series to the Euler closed form once the
+# series ratio tanh^2(phi/2) exceeds this (phi ~ 2.89).
 SERIES_T2_MAX = 0.80
 EULER_GAMMA = 0.57721566490153286061
 
@@ -55,7 +57,15 @@ def _jacobi_point(L: int, phi: float) -> tuple[float, float, float]:
 
 
 def _weight_upto_row(N: int, L: int, j: int, point) -> float:
-    """|D_{N,j}|^2 for j <= N (zero for j <= L), point from _jacobi_point."""
+    """|D_{N,j}|^2 for j <= N (zero for j <= L), point from _jacobi_point.
+
+    Bargmann's closed form makes each weight a Jacobi polynomial at a point
+    in [-1, 1], symmetric in N and j, free of alternating sums; with
+    l = min(N, j), h = max(N, j) and t = tanh(phi/2),
+
+        |D_{N,j}|^2 = G_j P_{l-L-1}^{(h-l, 2L+1)}(1 - 2t^2)^2,
+        G_j = C(h+L, 2L+1)/C(l+L, 2L+1) t^{2(h-l)} cosh^{-4(L+1)}(phi/2).
+    """
     if j <= L:
         return 0.0
     w, t2, gain = point
@@ -68,7 +78,7 @@ def _weight_upto_row(N: int, L: int, j: int, point) -> float:
 def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain: float):
     """|D_{N,j}|^2 for N < j0 <= j < j1 and the gain G at j1 - 1, given G at j0 - 1.
 
-    The one route for the j > N side of dilation_weights: one cumulative
+    The one route for the weights beyond _weight_upto_row: one cumulative
     product of G_j/G_{j-1} = t^2 (j+L)/(j-L-1), which is sequential, so
     carrying the float G across a split changes no value.
     """
@@ -76,27 +86,6 @@ def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain: float):
     j = np.arange(j0, j1, dtype=float)
     gains = np.cumprod(np.concatenate(([gain], t2 * (j + L) / (j - L - 1))))
     return gains[1:] * _jacobi_recurrence(N - L - 1, j - N, 2.0 * L + 1.0, w) ** 2, float(gains[-1])
-
-
-def dilation_weights(N: int, L: int, phi: float, j1: int) -> np.ndarray:
-    """Squared dilation matrix elements |D_{N,j}(phi)|^2 for -1 <= j < j1.
-
-    weights[i] is for j = i - 1 (zero for j <= L), at least up to j = N.
-    Bargmann's closed form makes each a Jacobi polynomial at a point in
-    [-1, 1], symmetric in N and j, free of alternating sums; with
-    l = min(N, j), h = max(N, j) and t = tanh(phi/2),
-
-        |D_{N,j}|^2 = G_j P_{l-L-1}^{(h-l, 2L+1)}(1 - 2t^2)^2,
-        G_j = C(h+L, 2L+1)/C(l+L, 2L+1) t^{2(h-l)} cosh^{-4(L+1)}(phi/2).
-
-    The rows j <= N come one by one (_weight_upto_row), the rest from
-    _tail_weights, which PhiKernel._coeff_chunks continues chunk by chunk.
-    """
-    point = _jacobi_point(L, phi)
-    head = np.array([_weight_upto_row(N, L, j, point) for j in range(-1, N + 1)])
-    if j1 <= N + 1:
-        return head
-    return np.concatenate((head, _tail_weights(N, L, point, N + 1, j1, point[2])[0]))
 
 
 def _series_coeffs(weights: np.ndarray) -> np.ndarray:
@@ -172,63 +161,16 @@ class PhiKernel:
         self.phi = phi
         self.nu = N * math.exp(-phi)
         self.t2 = math.tanh(phi / 2.0) ** 2
-        # log of cosh^2(phi/2) and sinh^2(phi/2), overflow-safe for any phi
+        # log of cosh^2(phi/2), overflow-safe for any phi
         self._ln_ch2 = phi - 2.0 * math.log(2.0) + 2.0 * math.log1p(math.exp(-phi))
-        self._ln_sh2 = (
-            phi - 2.0 * math.log(2.0) + 2.0 * math.log1p(-math.exp(-phi))
-            if phi > 0.0
-            else -math.inf
-        )
-
-    @cached_property
-    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The polynomial as factored terms A_k u^{p_k} (1-u)^{q_k}: arrays (A, p, q).
-
-        p_k = N-1-k and q_k = 2k+2 for k = 0 .. N-L-1, so p runs over the
-        residue indices N-1 .. L.  Evaluating these products directly (never
-        expanding in powers of u) keeps pi(u) and pi'(u) relatively accurate
-        near u = 1, where the expanded coefficients would cancel to roundoff
-        and the geometric factor (1 - u t^2)^{-2N} amplifies the noise at
-        large phi.
-        """
-        N, L = self.N, self.L
-        ln_shch2 = self._ln_sh2 + self._ln_ch2
-        amps = []
-        for k, tk in enumerate(_series_term_ratios(N, L)):
-            ln_amp = (k * ln_shch2 if k else 0.0) - 2 * N * self._ln_ch2
-            amps.append(0.0 if ln_amp == -math.inf else -0.25 * tk * math.exp(ln_amp))
-        k = np.arange(N - L, dtype=float)
-        return np.array(amps), N - 1.0 - k, 2.0 * k + 2.0
-
-    def _closed_terms(self, tau):
-        """(u, 1 - u, g, u^p, u^p (1-u)^{q-1}) at tau of any shape, g = 1 - u t^2.
-
-        1 - u is exact (expm1), and g is summed as sech^2(phi/2) + t^2 (1 - u),
-        free of the cancellation near u = 1 at large phi that g^{-2N} would
-        amplify.  Every array has a trailing axis, of length one for u, 1 - u
-        and g and running over the factored terms otherwise.
-        """
-        _, p, q = self._terms
-        mt = -np.asarray(tau, dtype=float)[..., None]
-        u = np.exp(mt)
-        omu = -np.expm1(mt)
-        up = u**p
-        return u, omu, math.exp(-self._ln_ch2) + self.t2 * omu, up, up * omu ** (q - 1.0)
-
-    @cached_property
-    def _term_residues(self) -> tuple[np.ndarray, np.ndarray]:
-        """(R_p, p R_p) at the terms' exponents p, so residue sums reuse u^p."""
-        p = self._terms[1]
-        res = np.array(self.residues)[p.astype(int)]
-        return res, p * res
 
     @cached_property
     def residues(self) -> tuple[float, ...]:
         """R_0 .. R_{N-1} (zero below L): the closed branch, each phi node of a shift, the eps oracle.
 
         Plain floats, combined by the IEEE operations of _series_coeffs in
-        its order, so each equals the dilation_weights route bit for bit
-        without building small numpy arrays at every node.
+        its order, so each equals _series_coeffs over the same weights bit
+        for bit without building small numpy arrays at every node.
         """
         N, L = self.N, self.L
         point = _jacobi_point(L, self.phi)
@@ -241,9 +183,9 @@ class PhiKernel:
         Each |D_{N,j}|^2 is formed once.  A chunk extends the weights by
         _tail_weights from the gain of the last one and carries only its
         last two weights into the next chunk, so a chunk costs the same
-        whatever came before it, and every q_j equals the one-shot
-        dilation_weights value bit for bit.  The consumer decides when to
-        stop.
+        whatever came before it, and every q_j equals its value from one
+        _tail_weights call over the whole range bit for bit.  The consumer
+        decides when to stop.
         """
         N, L = self.N, self.L
         point = _jacobi_point(L, self.phi)
@@ -256,32 +198,6 @@ class PhiKernel:
             edge = weights[-2:]
             j0 += chunk
             chunk = min(2 * chunk, 4096)
-
-    def q_imag_time(self, tau):
-        """Full kernel Q(-i tau, phi) via the closed u-form, tau a float or an array."""
-        _, omu, g, _, base = self._closed_terms(tau)
-        return np.add.reduce(self._terms[0] * base * (omu * g ** (-2 * self.N)), axis=-1)
-
-    def _closed_remainder(self, tau):
-        up = self._closed_terms(tau)[3]
-        return self.q_imag_time(tau) - np.add.reduce(self._term_residues[0] * up, axis=-1)
-
-    def _closed_remainder_dtau(self, tau):
-        """dQ~/dtau = sum_n n R_n u^n - u dQ/du on the closed branch, tau a float or an array.
-
-        With Q = pi(u) g^{-2N} and a_k = A_k u^p (1-u)^{q-1} per factored
-        term, pi = sum a_k (1-u) and u pi' = sum a_k (p (1-u) - q u), so
-
-            u dQ/du = g^{-2N} sum_k a_k [p (1-u) - q u + 2N t^2 u (1-u)/g],
-
-        no power of u is negative, and since p runs over the residue
-        indices the whole derivative is one sum over the terms.
-        """
-        amp, p, q = self._terms
-        u, omu, g, up, base = self._closed_terms(tau)
-        inner = p * omu - q * u + (2 * self.N * self.t2) * u * omu / g
-        terms = self._term_residues[1] * up - g ** (-2 * self.N) * amp * base * inner
-        return np.add.reduce(terms, axis=-1)
 
     def _use_series(self) -> bool:
         return self.t2 <= SERIES_T2_MAX
@@ -301,28 +217,11 @@ class PhiKernel:
             if j1 > 2_000_000:
                 raise RuntimeError(f"kernel series did not converge at phi={self.phi}")
 
-    # The closed branch is evaluated on a one-element array, not a numpy
-    # scalar (whose powers take another code path), so each value equals the
-    # one tau_integral computes in a batch of nodes bit for bit.
-    def remainder(self, tau: float) -> float:
-        if tau < 0.0:
-            raise ValueError(f"tau must be nonnegative, got {tau}")
-        if self._use_series():
-            u = math.exp(-tau)
-            return self._series_sum(lambda j: u**j.astype(float), abs_tol=1.0e-320)
-        return float(self._closed_remainder(np.array([tau]))[0])
-
-    def remainder_dtau(self, tau: float) -> float:
-        if tau < 0.0:
-            raise ValueError(f"tau must be nonnegative, got {tau}")
-        if self._use_series():
-            u = math.exp(-tau)
-            return -self._series_sum(lambda j: j * u**j.astype(float), abs_tol=1.0e-320)
-        return float(self._closed_remainder_dtau(np.array([tau]))[0])
-
     def _euler_pieces(self) -> list[float]:
         """The terms whose sum is the inner tau integral, by Euler's integral.
 
+        The u-form's polynomial is pi(u) = sum_k A_k u^{p_k} (1-u)^{q_k}
+        with p_k = N-1-k and q_k = 2k+2, k < N-L (oracles._closed_terms).
         Integrating by parts (Q(u = 1) = 0 since every q_k >= 2) and
         applying Euler's integral (DLMF 15.6.1), continued analytically in
         nu so that the residue poles are subtracted, gives

@@ -1,20 +1,22 @@
 """Brute-force cross-check evaluators, kept off the primary result path.
 
-Five independent routes back the closed forms used elsewhere: the kernel
+Six independent routes back the closed forms used elsewhere: the kernel
 as an explicit sum over the compact-generator eigenbasis, the disentangled
-2x2 product behind the polar decomposition, the inner tau integral by
-adaptive quadrature of the closed u-form, the PV term of a shift as one
-folded principal value per decay channel (against the singularity
-subtraction of shifts._shift_bracket), and the un-rotated real-axis
-double integral at finite damping epsilon, whose real-time kernel Q(T, phi)
-is written once (kernel_q).  Tolerances here are looser by construction;
-the oscillatory epsilon route in particular only makes sense after
-extrapolating the damping to zero.  Its inner time integral is exact at
-every finite epsilon: one period of the 2 pi-periodic dQ/dT divided by
-1 - e^{2 pi (i nu - eps)}, folded onto [0, pi] by dQ/dT(2 pi - T) =
--conj dQ/dT(T) and evaluated for all phi nodes of a panel in one call, or,
-at large phi, the kernel's exponential series summed in real arithmetic
-from PhiKernel's coefficient stream.
+2x2 product behind the polar decomposition, the rotated kernel and its
+remainder in tau from the closed u-form (q_imag_time, remainder,
+remainder_dtau; the hot path only integrates them in closed form), the
+inner tau integral by adaptive quadrature of that u-form, the PV term of
+a shift as one folded principal value per decay channel (against the
+singularity subtraction of shifts._shift_bracket), and the un-rotated
+real-axis double integral at finite damping epsilon, whose real-time
+kernel Q(T, phi) is written once (kernel_q).  Tolerances here are looser
+by construction; the oscillatory epsilon route in particular only makes
+sense after extrapolating the damping to zero.  Its inner time integral
+is exact at every finite epsilon: one period of the 2 pi-periodic dQ/dT
+divided by 1 - e^{2 pi (i nu - eps)}, folded onto [0, pi] by
+dQ/dT(2 pi - T) = -conj dQ/dT(T) and evaluated for all phi nodes of a
+panel in one call, or, at large phi, the kernel's exponential series
+summed in real arithmetic from PhiKernel's coefficient stream.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, default_constants
-from .kernel import PhiKernel, residue_coeffs, validate_quantum_numbers
+from .kernel import PhiKernel, _series_term_ratios, residue_coeffs, validate_quantum_numbers
 from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
@@ -44,8 +46,7 @@ from .shifts import (
 from .specfun import _jacobi_recurrence
 from .su11 import BchCoordinates, RepLabel, rep_matrix_element, scaling_coords
 
-# Defining-representation generators: j3 = sigma3/2, jpm = -sigma_pm/sqrt(2).
-_J3 = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+# Defining-representation ladder generators jpm = -sigma_pm/sqrt(2).
 _JP = np.array([[0.0, -1.0 / math.sqrt(2.0)], [0.0, 0.0]], dtype=complex)
 _JM = np.array([[0.0, 0.0], [-1.0 / math.sqrt(2.0), 0.0]], dtype=complex)
 
@@ -109,17 +110,94 @@ def kernel_via_spectral_series(
     return SpectralKernelValue(value=prefactor * total, last_term=abs(prefactor) * last, terms=n_max - L)
 
 
+def _closed_terms(ker: PhiKernel, tau):
+    """The closed u-form at tau of any shape: (A, p, q, u, 1 - u, g, u^p, u^p (1-u)^{q-1}, R_p).
+
+    Q(-i tau, phi) = pi(u) g^{-2N}, g = 1 - u t^2, with the polynomial as
+    factored terms pi = sum_k A_k u^{p_k} (1-u)^{q_k}, p_k = N-1-k and
+    q_k = 2k+2 for k = 0 .. N-L-1, so p runs over the residue indices
+    N-1 .. L.  Evaluating these products directly (never expanding in
+    powers of u) keeps pi(u) and pi'(u) relatively accurate near u = 1,
+    where the expanded coefficients would cancel to roundoff and g^{-2N}
+    amplifies the noise at large phi.  So does 1 - u from expm1, and g
+    summed as sech^2(phi/2) + t^2 (1 - u).  Every array has a trailing
+    axis, of length one for u, 1 - u and g and running over the terms
+    otherwise.
+    """
+    N, L, phi = ker.N, ker.L, ker.phi
+    # logs of sinh^2(phi/2) and of sinh^2 cosh^2, overflow-safe for any phi
+    ln_sh2 = phi - 2.0 * math.log(2.0) + 2.0 * math.log1p(-math.exp(-phi)) if phi > 0.0 else -math.inf
+    ln_shch2 = ln_sh2 + ker._ln_ch2
+    amps = []
+    for k, tk in enumerate(_series_term_ratios(N, L)):
+        ln_amp = (k * ln_shch2 if k else 0.0) - 2 * N * ker._ln_ch2
+        amps.append(0.0 if ln_amp == -math.inf else -0.25 * tk * math.exp(ln_amp))
+    k = np.arange(N - L, dtype=float)
+    p, q = N - 1.0 - k, 2.0 * k + 2.0
+    mt = -np.asarray(tau, dtype=float)[..., None]
+    u, omu = np.exp(mt), -np.expm1(mt)
+    up = u**p
+    g = math.exp(-ker._ln_ch2) + ker.t2 * omu
+    return np.array(amps), p, q, u, omu, g, up, up * omu ** (q - 1.0), np.array(ker.residues)[p.astype(int)]
+
+
+def q_imag_time(ker: PhiKernel, tau):
+    """Full kernel Q(-i tau, phi) via the closed u-form, tau a float or an array."""
+    amp, _, _, _, omu, g, _, base, _ = _closed_terms(ker, tau)
+    return np.add.reduce(amp * base * (omu * g ** (-2 * ker.N)), axis=-1)
+
+
+def _closed_remainder_dtau(ker: PhiKernel, tau):
+    """dQ~/dtau = sum_n n R_n u^n - u dQ/du by the closed u-form at any phi, tau a float or an array.
+
+    With a_k = A_k u^p (1-u)^{q-1} per factored term, pi = sum a_k (1-u)
+    and u pi' = sum a_k (p (1-u) - q u), so
+
+        u dQ/du = g^{-2N} sum_k a_k [p (1-u) - q u + 2N t^2 u (1-u)/g],
+
+    no power of u is negative, and since p runs over the residue
+    indices the whole derivative is one sum over the terms.
+    """
+    amp, p, q, u, omu, g, up, base, res = _closed_terms(ker, tau)
+    inner = p * omu - q * u + (2 * ker.N * ker.t2) * u * omu / g
+    return np.add.reduce(p * res * up - g ** (-2 * ker.N) * amp * base * inner, axis=-1)
+
+
+# The remainder Q~ (the kernel less its residue terms) and dQ~/dtau at one
+# tau: the series where PhiKernel.tau_integral sums it, else the u-form on a
+# one-element array, not a numpy scalar (whose powers take another code
+# path), so each value equals _closed_remainder_dtau's in a batch bit for bit.
+def remainder(ker: PhiKernel, tau: float) -> float:
+    if tau < 0.0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if ker._use_series():
+        u = math.exp(-tau)
+        return ker._series_sum(lambda j: u**j.astype(float), abs_tol=1.0e-320)
+    x = np.array([tau])
+    *_, up, _, res = _closed_terms(ker, x)
+    return float((q_imag_time(ker, x) - np.add.reduce(res * up, axis=-1))[0])
+
+
+def remainder_dtau(ker: PhiKernel, tau: float) -> float:
+    if tau < 0.0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if ker._use_series():
+        u = math.exp(-tau)
+        return -ker._series_sum(lambda j: j * u**j.astype(float), abs_tol=1.0e-320)
+    return float(_closed_remainder_dtau(ker, np.array([tau]))[0])
+
+
 def tau_integral_by_quadrature(
     N: int, L: int, phi: float, spec: QuadratureSpec | None = None
 ) -> QuadratureResult:
     """int_0^inf e^{nu tau} dQ~/dtau dtau by adaptive Gauss-Kronrod quadrature.
 
     The integrand is the closed u-form minus the residues
-    (PhiKernel.remainder_dtau's closed branch) at any phi, one array of
-    nodes per call; an overflow becomes a non-finite node and raises
-    IntegrandError.  Its absolute tolerance is multiplied by the dipole
-    weight e^{2 phi} wherever the result is used, so it is an independent
-    check of PhiKernel.tau_integral, not a replacement.
+    (_closed_remainder_dtau) at any phi, one array of nodes per call; an
+    overflow becomes a non-finite node and raises IntegrandError.  Its
+    absolute tolerance is multiplied by the dipole weight e^{2 phi}
+    wherever the result is used, so it is an independent check of
+    PhiKernel.tau_integral, not a replacement.
 
     Only nu = N e^{-phi} < max(1, L) is accepted, else ValueError: the
     residues subtracted from the u-form leave roundoff of order
@@ -136,7 +214,7 @@ def tau_integral_by_quadrature(
     spec = spec or QuadratureSpec(rel_tol=1.0e-10, abs_tol=1.0e-15, max_subdivisions=400)
 
     def integrand(tau: np.ndarray) -> np.ndarray:
-        return np.exp(ker.nu * tau) * ker._closed_remainder_dtau(tau)
+        return np.exp(ker.nu * tau) * _closed_remainder_dtau(ker, tau)
 
     with np.errstate(over="ignore", invalid="ignore"):
         return integrate_semi_infinite(integrand, spec)
@@ -151,10 +229,13 @@ def pv_term_by_principal_values(
     """The PV term of a shift in MHz, one adaptive principal value per decay channel.
 
     Each PV int_0^Phi w n R_n(phi)/(N e^-phi - n) dphi, Phi the dipole
-    cutoff or infinity, is folded about its pole ln(N/n) by
+    cutoff or infinity, is folded about its pole phi_n = ln(N/n) by
     integrate_principal_value, with residue_coeffs evaluated at every node.
     It shares neither nodes nor the pole strength with the closed-form
-    subtraction of shifts._shift_bracket, whose pv_term_MHz it checks.
+    subtraction of shifts._shift_bracket, whose pv_term_MHz it checks.  The
+    denominator is taken as n expm1(phi_n - phi): N e^-phi - n has an
+    absolute roundoff of ~eps n next to the pole, which the folded
+    integrand would amplify without bound as the fold closes.
     """
     constants = constants or default_constants()
     N, L = state.N, state.L
@@ -166,12 +247,13 @@ def pv_term_by_principal_values(
             for phi in phis.tolist()
         ])
 
+    poles = {n: math.log(N / n) for n in range(max(1, L), N)}
     pvs = [
         integrate_principal_value(
-            lambda phis, n=n: numerator(phis, n), math.log(N / n), spec,
-            denominator=lambda phis, n=n: N * np.exp(-phis) - n, upper=upper,
+            lambda phis, n=n: numerator(phis, n), pole, spec,
+            denominator=lambda phis, n=n, pole=pole: n * np.expm1(pole - phis), upper=upper,
         ).value
-        for n in range(max(1, L), N)
+        for n, pole in poles.items()
     ]
     return constants.eV_to_MHz(shift_prefactor(state, constants) * math.fsum(pvs))
 

@@ -25,6 +25,7 @@ panel endpoints, in particular at the origin of a semi-infinite domain.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -78,8 +79,10 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError(
+                f"tolerances must be positive and finite, got {self.rel_tol!r} and {self.abs_tol!r}"
+            )
 
     def target(self, value: float) -> float:
         return max(self.rel_tol * abs(value), self.abs_tol)
@@ -169,8 +172,13 @@ class _Panel:
     value: float
     error: float
 
-    def split(self, f) -> tuple["_Panel", "_Panel"]:
+    def split(self, f) -> tuple["_Panel", "_Panel"] | None:
+        """Both halves, or None where a half's outer nodes would round onto its edges."""
         m = 0.5 * (self.a + self.b)
+        for a, b in ((self.a, m), (m, self.b)):
+            c, h = 0.5 * (a + b), 0.5 * (b - a)
+            if not a < c - h * _XGK[0] or not c + h * _XGK[0] < b:
+                return None
         (lv, rv), (le, re) = _gk15(f, (self.a, m, self.b))
         return _Panel(self.a, m, lv, le), _Panel(m, self.b, rv, re)
 
@@ -180,6 +188,8 @@ def _refine(f, panels: list[_Panel], spec: QuadratureSpec, evals: int) -> Quadra
 
     panels stay ordered by position; math.fsum is correctly rounded, so the
     order of the sums does not matter.  The budget counts panels created.
+    A panel too narrow to split in floating point (its nodes would land on
+    its edges, a pole among them) ends the refinement unconverged.
     """
     subdivisions = 0
     while True:
@@ -188,11 +198,14 @@ def _refine(f, panels: list[_Panel], spec: QuadratureSpec, evals: int) -> Quadra
         total = math.fsum(columns)
         error = math.fsum(errors)
         converged = error <= spec.target(total)
-        if converged or len(panels) + subdivisions >= spec.max_subdivisions:
+        halves = None
+        if not converged and len(panels) + subdivisions < spec.max_subdivisions:
+            i = errors.index(max(errors))
+            halves = panels[i].split(f)
+        if halves is None:
             columns = columns if len(columns) > 1 else ()
             return QuadratureResult(total, error, evals, converged, subdivisions, columns)
-        i = errors.index(max(errors))
-        panels[i:i + 1] = panels[i].split(f)
+        panels[i:i + 1] = halves
         evals += 30
         subdivisions += 1
 
@@ -285,6 +298,12 @@ def integrate_principal_value(
     int_0^delta [h(pole+s) + h(pole-s)] ds with h the full integrand,
     which is regular at s = 0; outside the window ordinary adaptive
     quadrature applies.  upper = None means a semi-infinite domain.
+
+    Below s = sqrt(eps) pole, where pole +- s keeps less than half of the
+    digits of s and a denominator with roundoff may vanish off the pole,
+    the folded integrand, even in s and so flat there, is taken at that s.
+    The fold cancels only as far as the denominator is accurate near its
+    zero: N e^-x - n, unlike n expm1(pole - x), may miss a tight tolerance.
     """
     spec = spec or QuadratureSpec()
     if pole <= 0.0:
@@ -303,7 +322,10 @@ def integrate_principal_value(
     if upper is not None:
         delta = min(delta, (upper - pole) / 2.0)
 
+    floor = math.sqrt(sys.float_info.epsilon) * pole
+
     def folded(s: np.ndarray) -> np.ndarray:
+        s = np.maximum(s, floor)
         return h(pole + s) + h(pole - s)
 
     total = integrate_panels(folded, (0.0, delta), spec)

@@ -1,11 +1,12 @@
 """Terminating hypergeometric sums, Jacobi polynomials, gamma ratios, digamma.
 
-The Jacobi recurrence builds every kernel weight (kernel.dilation_weights)
-and the real-time kernel of the oracles; the Gauss series and gamma ratios
-serve the reference route, su11 matrix elements; the digamma function
-enters the closed form of the inner tau integral (PhiKernel.tau_integral).
-Narrow parameter ranges (nonpositive integer series indices, integer
-Jacobi parameters) allow exact finite summation throughout.
+The Jacobi recurrence builds every kernel weight (kernel._weight_upto_row
+and kernel._tail_weights) and the real-time kernel of the oracles; the
+Gauss series and gamma ratios serve the reference route, su11 matrix
+elements; the digamma function enters the closed form of the inner tau
+integral (PhiKernel.tau_integral).  Narrow parameter ranges (nonpositive
+integer series indices, integer Jacobi parameters) allow exact finite
+summation throughout.
 """
 
 from __future__ import annotations

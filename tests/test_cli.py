@@ -61,6 +61,13 @@ def test_invalid_quantum_numbers_exit_2(capsys):
     assert "L" in err or "quantum" in err
 
 
+def test_non_finite_tolerance_exit_2(capsys):
+    status, out, err = run_cli(capsys, "shift", "--n", "2", "--l", "1", "--rel-tol", "nan")
+    assert status == EXIT_USAGE
+    assert out == ""
+    assert "finite" in err
+
+
 def test_cutoff_without_dipole_rejected(capsys):
     status, _, err = run_cli(capsys, "shift", "--n", "1", "--l", "0", "--cutoff-x", "100")
     assert status == EXIT_USAGE

@@ -12,10 +12,17 @@ from lambshift.kernel import (
     _jacobi_point,
     _series_coeffs,
     _tail_weights,
-    dilation_weights,
+    _weight_upto_row,
     residue_coeffs,
 )
-from lambshift.oracles import kernel_q, kernel_via_spectral_series, tau_integral_by_quadrature
+from lambshift.oracles import (
+    _closed_remainder_dtau,
+    kernel_q,
+    kernel_via_spectral_series,
+    remainder,
+    remainder_dtau,
+    tau_integral_by_quadrature,
+)
 from lambshift.su11 import RepLabel, rep_matrix_element, scaling_coords
 
 
@@ -85,7 +92,9 @@ class TestDilationWeights:
         poles = [math.log(N / n) for n in range(1, N)]
         label = RepLabel(L + 1)
         for phi in poles[:: max(1, len(poles) // 3)] + [0.3, 1.7, 4.0, 12.0]:
-            got = dilation_weights(N, L, phi, N + 4)[1:]  # j = 0 .. N+3
+            point = _jacobi_point(L, phi)
+            tail = _tail_weights(N, L, point, N + 1, N + 4, point[2])[0].tolist()
+            got = [_weight_upto_row(N, L, j, point) for j in range(N + 1)] + tail  # j = 0 .. N+3
             want = [_mp_dilation_weight(N, L, j, phi) for j in range(N + 4)]
             u = scaling_coords(phi)
             ref = [abs(rep_matrix_element(label, N, j, u)) ** 2 for j in range(N + 4)]
@@ -111,8 +120,11 @@ class TestDilationWeights:
 
 
 def test_hot_path_never_calls_reference_route(monkeypatch):
-    # the matrix-element route and its Gauss series are for cross-checks only
+    # the matrix-element route, its Gauss series and the closed u-form in
+    # tau are for cross-checks only; the kernel does not even define the
+    # u-form's functions
     import lambshift.kernel as K
+    import lambshift.oracles as oracles
     import lambshift.su11 as su11
     from lambshift.shifts import DipoleOptions, QuantumState, decay_rates, lamb_shift
 
@@ -122,6 +134,12 @@ def test_hot_path_never_calls_reference_route(monkeypatch):
     monkeypatch.setattr(K, "rep_matrix_element", reference_route)
     monkeypatch.setattr(su11, "rep_matrix_element", reference_route)
     monkeypatch.setattr(su11, "hyp2f1_terminating", reference_route)
+    u_form = ("_closed_terms", "q_imag_time", "_closed_remainder_dtau", "remainder", "remainder_dtau")
+    for name in u_form:
+        monkeypatch.setattr(oracles, name, reference_route)
+    for name in (*u_form, "_terms", "_term_residues", "_closed_remainder", "dilation_weights"):
+        assert not hasattr(PhiKernel, name) and not hasattr(K, name), name
+    assert not hasattr(PhiKernel(3, 0, 1.0), "_ln_sh2")
     assert math.fsum(residue_coeffs(6, 2, 0.7, n) for n in range(2, 6)) != 0.0
     state = QuantumState(N=4, L=1)
     assert decay_rates(state) and decay_rates(state, DipoleOptions(enabled=True))
@@ -262,7 +280,7 @@ class TestResidues:
     def test_completeness_with_spectral_tail(self):
         # sum of all exponential coefficients vanishes (kernel is 0 at T=0);
         # the tail from the reference route, one scalar matrix element per
-        # j, independent of the Jacobi form that dilation_weights uses
+        # j, independent of the Jacobi form of _weight_upto_row and _tail_weights
         for (N, phi) in ((2, 0.5), (4, 1.5), (6, 3.0)):
             L = 0
             label = RepLabel(L + 1)
@@ -284,20 +302,20 @@ class TestRemainder:
     def test_zero_phi_closed_form(self):
         for (N, L) in ((1, 0), (3, 1), (5, 2)):
             for tau in (0.2, 1.0, 4.0):
-                got = PhiKernel(N, L, 0.0).remainder(tau)
+                got = remainder(PhiKernel(N, L, 0.0), tau)
                 want = 0.5 * math.exp(-N * tau) - 0.25 * math.exp(-(N + 1) * tau)
                 assert got == pytest.approx(want, rel=1e-13)
 
     def test_zero_tau_is_minus_residue_sum(self):
         for (N, L, phi) in ((2, 0, 0.8), (4, 1, 1.9), (3, 2, 3.4)):
-            got = PhiKernel(N, L, phi).remainder(0.0)
+            got = remainder(PhiKernel(N, L, phi), 0.0)
             want = -math.fsum(residue_coeffs(N, L, phi, n) for n in range(L, N))
             assert got == pytest.approx(want, rel=1e-11, abs=1e-15)
 
     def test_matches_spectral_tail(self):
         N, L, tau, phi = 4, 0, 0.9, 1.1
         ker = PhiKernel(N, L, phi)
-        got = ker.remainder(tau)
+        got = remainder(ker, tau)
         tail = _stream(ker, 300)
         want = float(np.sum(tail * np.exp(-np.arange(N, 300) * tau)))
         assert got == pytest.approx(want, rel=1e-12)
@@ -322,15 +340,16 @@ class TestRemainder:
     def test_chunked_coefficients_equal_single_call(self, N, L, phi):
         # every q_j is the same float whichever way the weights were split:
         # the stream's chunks (96, 192, ... from j = N), another split of
-        # _tail_weights carrying its gain, and the residues all equal one
-        # dilation_weights call
+        # _tail_weights carrying its gain, and the residues all equal the
+        # weights j <= N row by row and one _tail_weights call beyond
         J = 5000
-        whole = dilation_weights(N, L, phi, J + 1)
+        point = _jacobi_point(L, phi)
+        head = np.array([_weight_upto_row(N, L, j, point) for j in range(-1, N + 1)])
+        whole = np.concatenate((head, _tail_weights(N, L, point, N + 1, J + 1, point[2])[0]))
         coeffs = _series_coeffs(whole)  # q_0 .. q_{J-1}
         assert np.array_equal(_stream(PhiKernel(N, L, phi), J), coeffs[N:])
         assert np.array_equal(np.array(PhiKernel(N, L, phi).residues), coeffs[:N])
-        point = _jacobi_point(L, phi)
-        pieces, gain = [dilation_weights(N, L, phi, N + 1)], point[2]
+        pieces, gain = [head], point[2]
         for a, b in ((N + 1, 97), (97, 98), (98, 2000), (2000, J + 1)):
             tail, gain = _tail_weights(N, L, point, a, b, gain)
             pieces.append(tail)
@@ -346,18 +365,18 @@ class TestRemainder:
     def test_decay_order(self):
         N, L, phi = 3, 1, 1.4
         ker = PhiKernel(N, L, phi)
-        r1, r2 = abs(ker.remainder(6.0)), abs(ker.remainder(9.0))
+        r1, r2 = abs(remainder(ker, 6.0)), abs(remainder(ker, 9.0))
         assert r2 < r1 * math.exp(-N * 2.9)  # at least e^{-N tau} decay
 
     def test_branches_agree_midrange(self):
         import lambshift.kernel as K
 
         for (N, L, phi, tau) in ((3, 0, 2.2, 0.6), (5, 2, 2.8, 1.1)):
-            series = PhiKernel(N, L, phi).remainder(tau)
+            series = remainder(PhiKernel(N, L, phi), tau)
             old = K.SERIES_T2_MAX
             K.SERIES_T2_MAX = -1.0
             try:
-                closed = PhiKernel(N, L, phi).remainder(tau)
+                closed = remainder(PhiKernel(N, L, phi), tau)
             finally:
                 K.SERIES_T2_MAX = old
             assert series == pytest.approx(closed, rel=1e-11)
@@ -367,7 +386,7 @@ class TestRemainderDerivative:
     def test_zero_phi_closed_form(self):
         for (N, L) in ((2, 0), (4, 3)):
             for tau in (0.1, 1.7):
-                got = PhiKernel(N, L, 0.0).remainder_dtau(tau)
+                got = remainder_dtau(PhiKernel(N, L, 0.0), tau)
                 want = -N / 2.0 * math.exp(-N * tau) + (N + 1) / 4.0 * math.exp(-(N + 1) * tau)
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -380,23 +399,23 @@ class TestRemainderDerivative:
             tau = rng.uniform(0.05, 3.0)
             phi = rng.uniform(0.02, 3.5)
             ker = PhiKernel(N, L, phi)
-            fd = (ker.remainder(tau + step) - ker.remainder(tau - step)) / (2 * step)
-            an = ker.remainder_dtau(tau)
+            fd = (remainder(ker, tau + step) - remainder(ker, tau - step)) / (2 * step)
+            an = remainder_dtau(ker, tau)
             assert an == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
     def test_specific_spec_point(self):
         N, L, tau, phi = 2, 1, 0.5, 0.8
         step = 1e-5
         ker = PhiKernel(N, L, phi)
-        fd = (ker.remainder(tau + step) - ker.remainder(tau - step)) / (2 * step)
-        assert ker.remainder_dtau(tau) == pytest.approx(fd, rel=1e-6)
+        fd = (remainder(ker, tau + step) - remainder(ker, tau - step)) / (2 * step)
+        assert remainder_dtau(ker, tau) == pytest.approx(fd, rel=1e-6)
 
     def test_tail_decay_bound(self):
         N, L, phi = 3, 0, 1.1
         ker = PhiKernel(N, L, phi)
-        scale = abs(ker.remainder_dtau(1.0))
+        scale = abs(remainder_dtau(ker, 1.0))
         for tau in (6.0, 10.0):
-            assert abs(ker.remainder_dtau(tau)) <= 40.0 * scale * math.exp(-N * tau)
+            assert abs(remainder_dtau(ker, tau)) <= 40.0 * scale * math.exp(-N * tau)
 
 
 def _mp_closed_dtau(N, L, phi, tau, residues):
@@ -428,7 +447,7 @@ def _mp_closed_dtau(N, L, phi, tau, residues):
 
 
 class TestClosedBranchArrays:
-    """The numpy closed branch that tau_integral evaluates a panel at a time."""
+    """The numpy closed branch that the tau quadrature oracle evaluates a panel at a time."""
 
     TAUS = np.geomspace(1e-6, 30.0, 25)
 
@@ -437,7 +456,7 @@ class TestClosedBranchArrays:
     def test_against_mpmath(self, N, L, phi):
         ker = PhiKernel(N, L, phi)
         assert not ker._use_series()
-        got = ker._closed_remainder_dtau(self.TAUS)
+        got = _closed_remainder_dtau(ker, self.TAUS)
         for g, tau in zip(got.tolist(), self.TAUS):
             want, scale = _mp_closed_dtau(N, L, phi, tau, ker.residues)
             assert abs(g - want) <= 1e-12 * scale, tau
@@ -446,8 +465,8 @@ class TestClosedBranchArrays:
     @pytest.mark.parametrize("N, L", [(2, 0), (4, 1)])
     def test_array_equals_scalar_bit_for_bit(self, N, L, phi):
         ker = PhiKernel(N, L, phi)
-        got = ker._closed_remainder_dtau(self.TAUS).tolist()
-        assert got == [ker.remainder_dtau(float(tau)) for tau in self.TAUS]
+        got = _closed_remainder_dtau(ker, self.TAUS).tolist()
+        assert got == [remainder_dtau(ker, float(tau)) for tau in self.TAUS]
 
 
 class TestTauIntegral:
@@ -495,7 +514,7 @@ class TestTauIntegral:
         got = ker.tau_integral()[0]
         mp.mp.dps = 30
         nu = N * math.exp(-phi)
-        f = lambda tau: mp.e ** (nu * tau) * ker.remainder_dtau(float(tau))
+        f = lambda tau: mp.e ** (nu * tau) * remainder_dtau(ker, float(tau))
         want = float(mp.quad(f, [0, 1, 2, 4, 8, 16, 32, 64]))
         assert got == pytest.approx(want, rel=1e-9)
 

@@ -13,6 +13,7 @@ from lambshift.oracles import (
     _kernel_matrix_element_grid,
     kernel_via_spectral_series,
     pv_term_by_principal_values,
+    q_imag_time,
     shift_via_eps_real_axis,
 )
 from lambshift.quadrature import kronrod_nodes_weights
@@ -74,7 +75,7 @@ class TestSpectralSeries:
 
     def test_imaginary_time_matches_closed_form(self):
         got = kernel_via_spectral_series(2, 0, 1.0, 0.5, 200, imaginary_time=True).value
-        want = PhiKernel(2, 0, 0.5).q_imag_time(1.0)
+        want = q_imag_time(PhiKernel(2, 0, 0.5), 1.0)
         assert got.real == pytest.approx(want, rel=1e-10)
         assert abs(got.imag) < 1e-15
 

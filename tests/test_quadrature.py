@@ -118,6 +118,15 @@ class TestFinitePanels:
         with pytest.raises(ValueError):
             integrate_panels(lambda x: x, (2.0, 1.0))
 
+    def test_pole_at_an_edge_ends_unconverged(self):
+        # 1/(x - 1) diverges at the edge x = 1: bisection closes in on it
+        # until a node would round onto it, and stops there unconverged
+        # instead of dividing by zero
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
+        r = integrate_panels(lambda x: 1.0 / (x - 1.0), (0.0, 1.0, 2.0), spec)
+        assert not r.converged and math.isfinite(r.value)
+        assert r.subdivisions < spec.max_subdivisions
+
 
 def _recording(f):
     """f plus a list of copies of the node arrays it was called with."""
@@ -355,3 +364,8 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(rel_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(abs_tol=bad)

@@ -178,6 +178,13 @@ class TestLambShift:
             scaled = N**3 * results[(N, 0)].lamb_shift_MHz
             assert scaled == pytest.approx(8.0 * two_s, rel=0.05)
 
+    def test_tolerance_beyond_reach_ends_unconverged(self):
+        # refinement next to the 2p pole at ln 2 would put a node on it,
+        # where N e^-phi - n is exactly 0: the shift reports converged=False
+        result = lamb_shift(QuantumState(N=2, L=1), spec=QuadratureSpec(rel_tol=1e-16, abs_tol=1e-30))
+        assert not result.converged
+        assert result.lamb_shift_MHz == pytest.approx(lamb_shift(QuantumState(N=2, L=1)).lamb_shift_MHz)
+
     def test_diagnostics_are_recorded(self):
         # one outer quadrature whose two columns are the tau integrand and the
         # pole-subtracted principal-value integrands; for 2p the closed log
@@ -209,6 +216,28 @@ class TestPoleSubtraction:
         # within the folded principal value's own error estimate, which is
         # 2e-12..4e-10 here, and 1e-12 at most
         assert abs(strength * _pole_pv(N, n, upper) - pv.value) <= min(pv.error_estimate, 1e-12)
+
+    @pytest.mark.parametrize("upper", [1.0, None])
+    def test_closed_log_at_tight_tolerance(self, upper):
+        # the folded principal value at rel_tol 1e-12 against the hot path's
+        # closed-form pole term: with the oracle's denominator 2 expm1(pole -
+        # phi) it converges to it; with 3 e^-phi - 2, whose roundoff next to
+        # the pole the fold amplifies, it stays finite and says whether it
+        # met the tolerance
+        pole, spec = math.log(3 / 2), QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
+        want = _pole_pv(3, 2, upper)
+
+        def pv(denominator):
+            return integrate_principal_value(
+                lambda phi: np.exp(pole - phi), pole, spec, denominator=denominator, upper=upper
+            )
+
+        accurate = pv(lambda phi: 2 * np.expm1(pole - phi))
+        assert accurate.converged
+        assert accurate.value == pytest.approx(want, rel=1e-12)
+        rounded = pv(lambda phi: 3 * np.exp(-phi) - 2)
+        assert math.isfinite(rounded.value)
+        assert not rounded.converged or rounded.value == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize(
         "N, L, options, limits",

@@ -146,7 +146,7 @@ class TestJacobi:
 
     @pytest.mark.parametrize("L", [0, 3])
     def test_array_alpha_equals_scalar_bit_for_bit(self, L):
-        # alpha = j - N over a 96-element series tail, as dilation_weights
+        # alpha = j - N over a 96-element series tail, as kernel._tail_weights
         # passes it beyond j = N
         alpha = np.arange(1.0, 97.0)
         beta = 2.0 * L + 1.0
