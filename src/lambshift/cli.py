@@ -28,6 +28,7 @@ from .shifts import (
     decay_rates,
     generate_table,
     lamb_shift,
+    sum_rates,
 )
 
 EXIT_OK = 0
@@ -162,7 +163,7 @@ def _run_shift(args, constants):
 def _run_rates(args, constants):
     state = QuantumState(N=args.n, L=args.l, Z=args.z)
     rates = decay_rates(state, DipoleOptions(enabled=args.dipole), constants)
-    total = sum(g for _, g in rates)
+    total = sum_rates(rates)
     head = {"N": state.N, "L": state.L, "Z": state.Z}
     payload = {**head, "partial_rates": rates, "total_rate": total, "unit": "1e6/s"}
     records = _rows(head, [

@@ -13,6 +13,11 @@ branch here and the eps oracle's spectral sum both read it.  Summing the
 tail directly removes the catastrophic cancellation that subtracting the
 finite series from the closed form would cause at small phi, where the
 integrand weight e^{nu tau} grows almost as fast as the kernel decays.
+Every phi-independent coefficient of the per-node loops is computed once,
+lazily, and then read: the Jacobi steps of the weights j <= N
+(specfun._jacobi_steps, keyed by (N - j, 2L + 1) and so shared by every
+N), the gain ratios and steps of the first tail chunks (_tail_table) and
+the factors of each Euler log series (the rows of _euler_rows).
 At large phi the series converges too slowly (ratio t^2 -> 1,
 t = tanh(phi/2)) and the closed u-form Q = pi(u) (1 - u t^2)^{-2N}, pi a
 polynomial of degree 2N - L, takes over without ever being evaluated in
@@ -32,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .specfun import _jacobi_recurrence, digamma
+from .specfun import _jacobi_from_steps, _jacobi_steps, digamma
 
 # Unused here; kept bound because perfbench/tracing.py wraps
 # kernel.integrate_semi_infinite and kernel.rep_matrix_element.
@@ -43,6 +48,9 @@ from .su11 import rep_matrix_element  # noqa: F401
 # series ratio tanh^2(phi/2) exceeds this (phi ~ 2.89).
 SERIES_T2_MAX = 0.80
 EULER_GAMMA = 0.57721566490153286061
+# Tail-coefficient ranges that end within this many j of N (the first two
+# chunks of PhiKernel._coeff_chunks) are tabulated; deeper ones are not.
+TAIL_TABLE_SPAN = 288
 
 
 def validate_quantum_numbers(N: int, L: int) -> None:
@@ -65,14 +73,31 @@ def _weight_upto_row(N: int, L: int, j: int, point) -> float:
 
         |D_{N,j}|^2 = G_j P_{l-L-1}^{(h-l, 2L+1)}(1 - 2t^2)^2,
         G_j = C(h+L, 2L+1)/C(l+L, 2L+1) t^{2(h-l)} cosh^{-4(L+1)}(phi/2).
+
+    The Jacobi steps come from specfun's table, keyed by (N - j, 2L + 1).
     """
     if j <= L:
         return 0.0
     w, t2, gain = point
+    degree = j - L - 1
     return (
         math.comb(N + L, 2 * L + 1) / math.comb(j + L, 2 * L + 1) * t2 ** (N - j) * gain
-        * _jacobi_recurrence(j - L - 1, N - j, 2.0 * L + 1.0, w) ** 2
+        * _jacobi_from_steps(_jacobi_steps(degree, N - j, 2 * L + 1)[:degree], w) ** 2
     )
+
+
+def _tail_coeffs(N: int, L: int, j0: int, j1: int):
+    """The phi-independent part of _tail_weights over j0 <= j < j1: the gain
+    ratios (j+L)/(j-L-1) and the Jacobi steps at alpha = j - N (an array)."""
+    j = np.arange(j0, j1, dtype=float)
+    degree = N - L - 1
+    return (j + L) / (j - L - 1), _jacobi_steps(degree, j - N, 2.0 * L + 1.0) if degree else ()
+
+
+@lru_cache(maxsize=None)
+def _tail_table(N: int, L: int, j0: int, j1: int):
+    """_tail_coeffs, kept per (N, L, j0, j1) for the ranges _tail_weights tabulates."""
+    return _tail_coeffs(N, L, j0, j1)
 
 
 def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain: float):
@@ -80,12 +105,18 @@ def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain: float):
 
     The one route for the weights beyond _weight_upto_row: one cumulative
     product of G_j/G_{j-1} = t^2 (j+L)/(j-L-1), which is sequential, so
-    carrying the float G across a split changes no value.
+    carrying the float G across a split changes no value.  Ranges within
+    TAIL_TABLE_SPAN of N read their coefficients from _tail_table, built
+    once per (N, L, j0, j1); deeper ones compute the same floats on the fly
+    and keep nothing.
     """
     w, t2, _ = point
-    j = np.arange(j0, j1, dtype=float)
-    gains = np.cumprod(np.concatenate(([gain], t2 * (j + L) / (j - L - 1))))
-    return gains[1:] * _jacobi_recurrence(N - L - 1, j - N, 2.0 * L + 1.0, w) ** 2, float(gains[-1])
+    table = _tail_table if j1 - N <= TAIL_TABLE_SPAN else _tail_coeffs
+    ratios, steps = table(N, L, j0, j1)
+    gains = t2 * ratios
+    gains[0] *= gain
+    np.cumprod(gains, out=gains)
+    return gains * _jacobi_from_steps(steps, w) ** 2, float(gains[-1])
 
 
 def _series_coeffs(weights: np.ndarray) -> np.ndarray:
@@ -130,10 +161,12 @@ def _harmonic(n: int) -> float:
 def _euler_rows(N: int, L: int) -> tuple:
     """The phi-independent data of PhiKernel._euler_pieces, one row per factored term.
 
-    Row (k, t_k, s, h, finite, psi0): m = q_k + 1 - 2N, s = |m|,
+    Row (k, t_k, s, h, finite, psi0, series): m = q_k + 1 - 2N, s = |m|,
     h = max(m, 0), finite = q!/(2N-1)! (q+1)_j (s-j-1)!/j! for j < s (empty
     when m = 1) and psi0 = -psi(1) - psi(s+1) + psi(2N+h) = gamma - H_s +
-    H_{2N+h-1}, the integer digammas of the log series at j = 0.
+    H_{2N+h-1}, the integer digammas of the log series at j = 0.  series
+    holds the log series' phi-independent factors from _log_series_step,
+    grown by _euler_pieces to the longest series summed so far.
     """
     rows = []
     for k, tk in enumerate(_series_term_ratios(N, L)):
@@ -145,8 +178,14 @@ def _euler_rows(N: int, L: int) -> tuple:
             / (math.factorial(2 * N - 1) * math.factorial(j))
             for j in range(s if m < 0 else 0)
         )
-        rows.append((k, tk, s, h, finite, EULER_GAMMA - _harmonic(s) + _harmonic(2 * N + h - 1)))
+        rows.append((k, tk, s, h, finite, EULER_GAMMA - _harmonic(s) + _harmonic(2 * N + h - 1), []))
     return tuple(rows)
+
+
+def _log_series_step(a: int, s: int, j: int) -> tuple[float, float]:
+    """(a+j)/((j+1)(j+s+1)) and 1/(a+j) - 1/(j+1) - 1/(j+s+1): the parts of step j
+    of a log series S_k (PhiKernel._euler_pieces) that do not depend on phi."""
+    return (a + j) / ((j + 1) * (j + s + 1)), 1.0 / (a + j) - 1.0 / (j + 1) - 1.0 / (j + s + 1)
 
 
 class PhiKernel:
@@ -263,19 +302,26 @@ class PhiKernel:
             psi[i] = psi[i - 1] + 1.0 / (i - nu)
         for i in range(first - 1, -1, -1):
             psi[i] = psi[i + 1] - 1.0 / (i + 1 - nu)
-        for k, tk, s, h, finite, psi0 in _euler_rows(N, L):
+        for k, tk, s, h, finite, psi0, series in _euler_rows(N, L):
             p = N - 1 - k
-            a, bh = 2 * N + h, p - nu + h
+            bh = p - nu + h
             amp = -0.25 * tk * self.t2**k
             # the log series S_k, its bracket g updated by the digamma recurrences
             term, g, total, j = 1.0 / math.factorial(s), ln_w + psi0 + psi[p + h - 1], 0.0, 0
             while True:
                 value = term * g
                 total += value
-                ratio = (a + j) * (bh + j) * w / ((j + 1) * (j + s + 1))
-                if abs(ratio) < 1.0 and abs(value * ratio) <= 1.0e-17 * (1.0 - abs(ratio)) * abs(total):
+                try:
+                    head, step = series[j]
+                except IndexError:
+                    series.append(_log_series_step(2 * N + h, s, j))
+                    head, step = series[j]
+                x = bh + j
+                ratio = head * x * w
+                r = abs(ratio)
+                if r < 1.0 and abs(value * ratio) <= 1.0e-17 * (1.0 - r) * abs(total):
                     break
-                g += 1.0 / (a + j) + 1.0 / (bh + j) - 1.0 / (j + 1) - 1.0 / (j + s + 1)
+                g += step + 1.0 / x
                 term *= ratio
                 j += 1
             base = amp * w**3

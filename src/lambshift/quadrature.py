@@ -299,11 +299,17 @@ def integrate_principal_value(
     which is regular at s = 0; outside the window ordinary adaptive
     quadrature applies.  upper = None means a semi-infinite domain.
 
-    Below s = sqrt(eps) pole, where pole +- s keeps less than half of the
-    digits of s and a denominator with roundoff may vanish off the pole,
-    the folded integrand, even in s and so flat there, is taken at that s.
-    The fold cancels only as far as the denominator is accurate near its
-    zero: N e^-x - n, unlike n expm1(pole - x), may miss a tight tolerance.
+    Below the floor s = sqrt(eps) pole, where pole +- s keeps less than
+    half of the digits of s and a denominator with roundoff may vanish off
+    the pole, the folded integrand F, even in s and so flat there, is taken
+    at the floor.  F(floor) carries the roundoff of the fold, O(|F|) there,
+    and a constant panel gets no Gauss-Kronrod error estimate, so once the
+    refinement reaches below the floor, [0, floor], integrated as
+    floor F(floor), adds floor |F(floor) - F(eps^(1/4) pole)| to the error
+    (F is flat, and its roundoff small, at the second point) and the window
+    counts as converged only if it still meets the tolerance.  The fold
+    cancels only as far as the denominator is accurate near its zero:
+    N e^-x - n, unlike n expm1(pole - x), may miss a tight tolerance.
     """
     spec = spec or QuadratureSpec()
     if pole <= 0.0:
@@ -324,11 +330,24 @@ def integrate_principal_value(
 
     floor = math.sqrt(sys.float_info.epsilon) * pole
 
+    at_floor = []  # F(floor), once a node falls below the floor
+
     def folded(s: np.ndarray) -> np.ndarray:
+        below = s < floor
         s = np.maximum(s, floor)
-        return h(pole + s) + h(pole - s)
+        values = h(pole + s) + h(pole - s)
+        if not at_floor and below.any():
+            at_floor.append(float(values[below.argmax()]))
+        return values
 
     total = integrate_panels(folded, (0.0, delta), spec)
+    if at_floor:
+        # F(0) from F at eps^(1/4) pole, where its roundoff is ~sqrt(eps) F
+        # and its curvature moves it as little
+        reference = float(folded(np.array([sys.float_info.epsilon ** 0.25 * pole]))[0])
+        total.error_estimate += floor * abs(at_floor[0] - reference)
+        total.evaluations += 1
+        total.converged &= total.error_estimate <= spec.target(total.value)
     if pole - delta > 0.0:
         total = total + integrate_panels(h, (0.0, pole - delta), spec)
     if upper is None:

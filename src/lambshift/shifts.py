@@ -114,6 +114,32 @@ def _weight(state, phi, options: DipoleOptions, constants) -> float:
     return weight_nondipole(state, phi, constants)
 
 
+def _pole_channels(state: QuantumState, options: DipoleOptions, constants: PhysicalConstants) -> list:
+    """(n, w(phi_n), R_n(phi_n)) for every open channel n at its pole phi_n = ln(N/n).
+
+    The one place a channel's residue is computed: lamb_shift passes these
+    to both the pole strengths of its shift and its rates.
+    """
+    N, L = state.N, state.L
+    channels = []
+    for n in range(max(1, L), N):
+        pole = math.log(N / n)
+        channels.append((n, _weight(state, pole, options, constants), residue_coeffs(N, L, pole, n)))
+    return channels
+
+
+def _partial_rates(state: QuantumState, constants: PhysicalConstants, channels) -> tuple:
+    """(n, Gamma_n) in 10^6/s from the channels of _pole_channels."""
+    N, Z = state.N, state.Z
+    base = constants.mec2_eV * (Z * constants.alpha0) ** 2 / constants.hbar_eVs
+    tiny = 1.0e-12 * constants.rate_unit_per_s(Z) / 1.0e6  # roundoff of a forbidden channel
+    rates = []
+    for n, w, r_n in channels:
+        gamma = -(8.0 * constants.alpha0 / (3.0 * N * N)) * r_n * w * base / 1.0e6
+        rates.append((n, 0.0 if abs(gamma) < tiny else gamma))
+    return tuple(rates)
+
+
 def decay_rates(
     state: QuantumState,
     options: DipoleOptions = NON_DIPOLE,
@@ -125,17 +151,12 @@ def decay_rates(
     at the pole phi_0 = ln(N/n); the ground state has no channels.
     """
     constants = constants or default_constants()
-    N, L, Z = state.N, state.L, state.Z
-    base = constants.mec2_eV * (Z * constants.alpha0) ** 2 / constants.hbar_eVs
-    tiny = 1.0e-12 * constants.rate_unit_per_s(Z) / 1.0e6  # roundoff of a forbidden channel
-    rates = []
-    for n in range(max(1, L), N):
-        phi0 = math.log(N / n)
-        r_n = residue_coeffs(N, L, phi0, n)
-        w = _weight(state, phi0, options, constants)
-        gamma = -(8.0 * constants.alpha0 / (3.0 * N * N)) * r_n * w * base / 1.0e6
-        rates.append((n, 0.0 if abs(gamma) < tiny else gamma))
-    return tuple(rates)
+    return _partial_rates(state, constants, _pole_channels(state, options, constants))
+
+
+def sum_rates(rates) -> float:
+    """Correctly rounded total of partial rates (n, Gamma_n), for lamb_shift and the rates command."""
+    return math.fsum(g for _, g in rates)
 
 
 def circular_rate_closed_form(
@@ -194,6 +215,7 @@ def _shift_bracket(
     spec: QuadratureSpec | None,
     constants: PhysicalConstants,
     limits: tuple[float | None, ...],
+    pole_channels: list | None = None,
 ) -> list[tuple[float, float, Diagnostics]]:
     """The two bracket terms of the shift in MHz, (tau term, PV term, diagnostics),
     at each of the ascending upper limits Phi of phi: (None,) for the
@@ -210,7 +232,8 @@ def _shift_bracket(
     first panel edges, so no node comes near the cancellation in the
     subtracted numerator.  [0, Phi_1] is integrated as a shift with that
     limit and each increment [Phi_i, Phi_{i+1}] once on a panel of its own;
-    results are running sums, diagnostics included.
+    results are running sums, diagnostics included.  pole_channels, from
+    _pole_channels, saves a caller that has them computing the residues again.
     """
     N, L = state.N, state.L
     spec = spec or QuadratureSpec()
@@ -220,10 +243,9 @@ def _shift_bracket(
     poles = [math.log(N / n) for n in channels]
     if first is not None and poles and first <= poles[0] + 1.0e-6:
         raise ValueError(f"dipole cutoff phi={first:.3f} does not clear the pole at {poles[0]:.3f}")
-    strengths = [
-        _weight(state, pole, options, constants) * n * residue_coeffs(N, L, pole, n)
-        for n, pole in zip(channels, poles)
-    ]
+    if pole_channels is None:
+        pole_channels = _pole_channels(state, options, constants)
+    strengths = [w * n * r for n, w, r in pole_channels]
 
     def integrand(phis: np.ndarray) -> np.ndarray:
         nonlocal inner_ok
@@ -278,14 +300,15 @@ def lamb_shift(
     """
     constants = constants or default_constants()
     limit = options.phi_cut(state, constants) if options.enabled else None
-    ((tau_MHz, pv_MHz, diag),) = _shift_bracket(state, options, spec, constants, (limit,))
+    channels = _pole_channels(state, options, constants)
+    ((tau_MHz, pv_MHz, diag),) = _shift_bracket(state, options, spec, constants, (limit,), channels)
 
-    rates = decay_rates(state, options, constants)
+    rates = _partial_rates(state, constants, channels)
     return ShiftResult(
         state=state,
         lamb_shift_MHz=tau_MHz + pv_MHz,
         partial_rates=rates,
-        total_rate=math.fsum(g for _, g in rates),
+        total_rate=sum_rates(rates),
         tau_phi_term_MHz=tau_MHz,
         pv_term_MHz=pv_MHz,
         diagnostics=diag,

@@ -6,7 +6,9 @@ Gauss series and gamma ratios serve the reference route, su11 matrix
 elements; the digamma function enters the closed form of the inner tau
 integral (PhiKernel.tau_integral).  Narrow parameter ranges (nonpositive
 integer series indices, integer Jacobi parameters) allow exact finite
-summation throughout.
+summation throughout.  The divided coefficients of each Jacobi recurrence
+step depend only on (degree, alpha, beta); for scalar parameters they are
+tabulated once, lazily, in _JACOBI_STEPS (see _jacobi_steps).
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import numpy as np
 # accuracy to per-term rounding, so anything noticeably cancellation-prone
 # is redone in exact rational arithmetic (cheap: <= |a|+1 small rationals).
 CONDITION_LIMIT = 4.0
+
+# (alpha, beta) -> [(c1, c0, c2) of degree 1, 2, ...], see _jacobi_steps
+_JACOBI_STEPS: dict = {}
 
 
 class _NeumaierAcc:
@@ -102,8 +107,60 @@ def hyp2f1_terminating(a: int, b: int, c: int, z: float):
     return result
 
 
+def _jacobi_step(k: int, alpha, beta):
+    """Divided coefficients (c1, c0, c2) of degree k of the three-term recurrence,
+
+        P_k(w) = (c1 w + c0) P_{k-1}(w) - c2 P_{k-2}(w),   P_0 = 1, P_{-1} = 0,
+
+    the standard recurrence with its leading coefficient 2k(k+alpha+beta)
+    (2k+alpha+beta-2) divided out.  alpha may be a numpy array (the
+    coefficients then are arrays, element by element the same floats as for
+    each scalar alpha).  Raises ValueError where the leading coefficient
+    vanishes.
+    """
+    ab = alpha + beta
+    if k == 1:
+        return (ab + 2.0) / 2.0, (alpha - beta) / 2.0, 0.0
+    s = 2.0 * k + ab
+    lead = 2.0 * k * (k + ab) * (s - 2.0)
+    if not (lead.all() if isinstance(lead, np.ndarray) else lead):
+        raise ValueError(f"degenerate Jacobi recurrence at degree {k} for (alpha, beta)=({alpha}, {beta})")
+    return (
+        (s - 1.0) * (s * (s - 2.0)) / lead,
+        (s - 1.0) * (alpha * alpha - beta * beta) / lead,
+        2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s / lead,
+    )
+
+
+def _jacobi_steps(n: int, alpha, beta) -> list:
+    """The steps 1..n of P^{(alpha, beta)}, from the shared table for a scalar alpha.
+
+    The steps depend on (k, alpha, beta) alone, so for scalar parameters
+    they are computed once, lazily, and kept in _JACOBI_STEPS keyed by
+    (alpha, beta), each list grown to the highest degree asked for (the
+    kernel weights key it by (N - j, 2L + 1), which every N shares).  An
+    array alpha gets fresh steps; kernel._tail_table keeps its own.
+    """
+    if isinstance(alpha, np.ndarray):
+        return [_jacobi_step(k, alpha, beta) for k in range(1, n + 1)]
+    steps = _JACOBI_STEPS.get((alpha, beta))
+    if steps is None:
+        steps = _JACOBI_STEPS[alpha, beta] = []
+    if len(steps) < n:
+        steps.extend([_jacobi_step(k, alpha, beta) for k in range(len(steps) + 1, n + 1)])
+    return steps
+
+
+def _jacobi_from_steps(steps, w):
+    """P_n(w) from its n divided steps (see _jacobi_step), n >= 1 or w a scalar."""
+    p, p_prev = 1.0, 0.0
+    for c1, c0, c2 in steps:
+        p, p_prev = (c1 * w + c0) * p - c2 * p_prev, p
+    return p
+
+
 def _jacobi_recurrence(n: int, alpha: float, beta: float, w):
-    """Standard three-term recurrence in the degree.
+    """P_n^{(alpha, beta)}(w) by the three-term recurrence in the degree.
 
     Valid whenever none of the leading coefficients 2k(k+alpha+beta)
     (2k+alpha+beta-2) for 2 <= k <= n vanish.  alpha and w may be numpy
@@ -111,21 +168,7 @@ def _jacobi_recurrence(n: int, alpha: float, beta: float, w):
     """
     if n == 0:
         return _as_float_like(w, 1.0)
-    p_prev = _as_float_like(w, 1.0)
-    ab = alpha + beta
-    nonzero = np.ndarray.all if getattr(ab, "ndim", 0) else bool  # lead has the shape of ab
-    p = (alpha - beta) / 2.0 + (ab + 2.0) * w / 2.0
-    for k in range(2, n + 1):
-        s = 2.0 * k + ab
-        lead = 2.0 * k * (k + ab) * (s - 2.0)
-        if not nonzero(lead):
-            raise ValueError(
-                f"degenerate Jacobi recurrence at degree {k} for (alpha, beta)=({alpha}, {beta})"
-            )
-        mid = (s - 1.0) * ((s * (s - 2.0)) * w + alpha * alpha - beta * beta)
-        last = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s
-        p, p_prev = (mid * p - last * p_prev) / lead, p
-    return p
+    return _jacobi_from_steps(_jacobi_steps(n, alpha, beta)[:n], w)
 
 
 def _as_float_like(w, value: float):

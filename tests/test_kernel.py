@@ -1,20 +1,29 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from lambshift import kernel as K
 from lambshift.kernel import (
     PhiKernel,
+    _euler_rows,
     _jacobi_point,
+    _log_series_step,
     _series_coeffs,
+    _tail_coeffs,
+    _tail_table,
     _tail_weights,
     _weight_upto_row,
     residue_coeffs,
 )
+from lambshift.specfun import _JACOBI_STEPS, _jacobi_from_steps, _jacobi_step
 from lambshift.oracles import (
     _closed_remainder_dtau,
     kernel_q,
@@ -602,3 +611,81 @@ class TestEulerForm:
                 got = ker.tau_integral()[0]
                 want, pieces = _mp_euler_form(N, L, phi, ker.residues)
                 assert abs(got - want) <= 1e-13 * (abs(want) + pieces), (L, phi)
+
+
+def _table_sizes():
+    return (
+        _tail_table.cache_info().currsize,
+        _euler_rows.cache_info().currsize,
+        {key: len(steps) for key, steps in _JACOBI_STEPS.items()},
+    )
+
+
+class TestKernelTables:
+    """The phi-independent coefficients are tabulated once; the values are those computed on the fly."""
+
+    @pytest.mark.parametrize("N, L", [(4, 1), (12, 0), (20, 7)])
+    def test_weights_from_the_table_equal_on_the_fly_bit_for_bit(self, N, L):
+        # the shared (alpha, beta) table holds each fresh step, and a weight
+        # read from it equals the one from steps computed on the spot
+        for phi in (0.4, 2.0, 7.5):
+            point = _jacobi_point(L, phi)
+            w, t2, gain = point
+            for j in range(L + 1, N + 1):
+                got = _weight_upto_row(N, L, j, point)
+                degree, beta = j - L - 1, 2.0 * L + 1.0
+                fresh = [_jacobi_step(k, float(N - j), beta) for k in range(1, degree + 1)]
+                assert _JACOBI_STEPS[N - j, beta][:degree] == fresh
+                p = _jacobi_from_steps(fresh, w)
+                binom = math.comb(N + L, 2 * L + 1) / math.comb(j + L, 2 * L + 1)
+                assert got == binom * t2 ** (N - j) * gain * p ** 2
+
+    @pytest.mark.parametrize("N, L, phi", [(1, 0, 2.0), (4, 1, 2.9), (12, 5, 1.1), (20, 0, 2.5)])
+    def test_tail_table_equals_on_the_fly_bit_for_bit(self, N, L, phi, monkeypatch):
+        # the stream with its first chunks from _tail_table, and with every
+        # chunk computed on the fly (a span of 0 tabulates nothing)
+        ratios, steps = _tail_table(N, L, N + 1, N + 97)
+        fresh_ratios, fresh_steps = _tail_coeffs(N, L, N + 1, N + 97)
+        assert np.array_equal(ratios, fresh_ratios) and len(steps) == len(fresh_steps) == N - L - 1
+        for a, b in zip(steps, fresh_steps):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        tabulated = _stream(PhiKernel(N, L, phi), N + 600)
+        monkeypatch.setattr(K, "TAIL_TABLE_SPAN", 0)
+        assert np.array_equal(_stream(PhiKernel(N, L, phi), N + 600), tabulated)
+
+    @pytest.mark.parametrize("N, L", [(1, 0), (4, 1), (9, 2), (20, 0)])
+    def test_euler_series_table_equals_on_the_fly_bit_for_bit(self, N, L):
+        for phi in (3.0, 9.0, 2.9):
+            PhiKernel(N, L, phi)._euler_pieces()
+        for k, tk, s, h, finite, psi0, series in _euler_rows(N, L):
+            assert series == [_log_series_step(2 * N + h, s, j) for j in range(len(series))]
+        # a kernel reading a table grown by others gives the value it gave growing it
+        _euler_rows.cache_clear()
+        first = PhiKernel(N, L, 2.9)._euler_pieces()
+        PhiKernel(N, L, 3.0)._euler_pieces()
+        assert PhiKernel(N, L, 2.9)._euler_pieces() == first
+
+    def test_tables_empty_after_import(self):
+        # every table is built lazily, so importing the package builds none
+        src = str(Path(K.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import lambshift, lambshift.oracles; "
+            "from lambshift import kernel as K, specfun as S; "
+            "print([f.cache_info().currsize for f in (K._tail_table, K._euler_rows)], "
+            "len(S._JACOBI_STEPS))"
+        )
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["[0,", "0]", "0"]
+
+    def test_deep_stream_grows_no_table(self):
+        # t^2 = 0.9987 at phi = 8: the series runs ~96k terms, far past the
+        # tabulated chunks, which a shallow stream at phi = 1 has built
+        N, L = 20, 0
+        assert K.TAIL_TABLE_SPAN < 5000  # a table for a few chunks, not a stream
+        _stream(PhiKernel(N, L, 1.0), N + K.TAIL_TABLE_SPAN)
+        before = _table_sizes()
+        deep = PhiKernel(N, L, 8.0)
+        value = deep._series_sum(lambda j: j / (j - deep.nu))
+        assert math.isfinite(value)
+        assert _table_sizes() == before

@@ -338,6 +338,28 @@ class TestPrincipalValue:
         assert r.converged
         assert r.value == pytest.approx(PV_EXP_POLE_AT_ONE, abs=1e-12)
 
+    @pytest.mark.parametrize("upper", [1.0, None])
+    def test_error_covers_roundoff_below_the_fold_floor(self, upper):
+        # PV int_0^U dx/(3 e^-x - 2): the denominator's roundoff next to the
+        # pole ln 1.5 makes the folded integrand O(1)-noisy at the floor, so
+        # refinement that reaches below it must not report a tighter error
+        # than the gap to the exact -ln|3 - 2 e^U|/2 (for U = 1 the value was
+        # 5.2e-9 off with error_estimate 8.1e-10)
+        mp.mp.dps = 30
+        pole = math.log(1.5)
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
+        denominator = lambda x: 3 * np.exp(-x) - 2  # noqa: E731
+        if upper is None:
+            numerator = lambda x: np.exp(-x)  # noqa: E731
+            exact = -mp.log(2) / 3  # substituting u = e^-x: PV int_0^1 du/(3u - 2)
+        else:
+            numerator = np.ones_like
+            exact = -mp.log(abs(3 - 2 * mp.e ** upper)) / 2
+        r = integrate_principal_value(numerator, pole, spec, denominator=denominator, upper=upper)
+        gap = abs(r.value - float(exact))
+        assert gap <= r.error_estimate
+        assert r.converged == (r.error_estimate <= spec.target(r.value))
+
     def test_custom_denominator(self):
         # PV int_0^inf e^{-2x}/(2e^{-x} - 1) dx with the pole at ln 2:
         # substituting u = e^{-x} gives PV int_0^1 u/(2u-1) du = 1/2 exactly

@@ -162,6 +162,46 @@ class TestLambShift:
             math.fsum(g for _, g in result.partial_rates), abs=1e-12
         )
 
+    @pytest.mark.parametrize("options", [NON_DIPOLE, DipoleOptions(enabled=True, cutoff_x=1e3)])
+    def test_one_residue_call_per_channel(self, monkeypatch, options):
+        # the pole strengths of the shift and the rates share each channel's residue
+        import lambshift.shifts as shifts_mod
+
+        seen = []
+        residue = shifts_mod.residue_coeffs
+
+        def counting(N, L, phi, n):
+            seen.append((phi, n))
+            return residue(N, L, phi, n)
+
+        state = QuantumState(N=4, L=1)
+        expected = lamb_shift(state, options)
+        monkeypatch.setattr(shifts_mod, "residue_coeffs", counting)
+        result = lamb_shift(state, options)
+        assert seen == [(math.log(4 / n), n) for n in (1, 2, 3)]
+        assert result.partial_rates == decay_rates(state, options) == expected.partial_rates
+        assert result.lamb_shift_MHz == expected.lamb_shift_MHz
+
+    def test_total_rate_equals_rates_command_total(self, monkeypatch):
+        # ShiftResult.total_rate and the `rates` command's total (before its
+        # 12-digit rendering) sum the same rates the same way; the shift
+        # itself is stubbed out, only the rates matter
+        import argparse
+
+        import lambshift.shifts as shifts_mod
+        from lambshift.cli import _run_rates
+        from lambshift.quadrature import Diagnostics
+
+        monkeypatch.setattr(shifts_mod, "_shift_bracket", lambda *args: [(0.0, 0.0, Diagnostics())])
+        for N in range(1, 21):
+            for L in range(N):
+                for dipole in (False, True):
+                    options = DipoleOptions(enabled=dipole, cutoff_x=1e3)
+                    total = lamb_shift(QuantumState(N=N, L=L), options, constants=C).total_rate
+                    args = argparse.Namespace(n=N, l=L, z=1, dipole=dipole)
+                    payload = _run_rates(args, C)[0]
+                    assert payload["total_rate"] == total, (N, L, dipole)
+
     def test_dipole_cutoff_below_pole_rejected(self):
         state = QuantumState(N=2, L=1)
         with pytest.raises(ValueError):

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambshift.specfun import (
+    _JACOBI_STEPS,
     _jacobi_recurrence,
+    _jacobi_step,
+    _jacobi_steps,
     digamma,
     hyp2f1_terminating,
     ln_abs,
@@ -168,6 +171,40 @@ class TestJacobi:
             _jacobi_recurrence(5, 1.0, -3.0, 0.3)
         with pytest.raises(ValueError):
             _jacobi_recurrence(5, np.array([0.0, 1.0]), -3.0, 0.3)
+
+
+class TestJacobiTable:
+    @pytest.mark.parametrize("beta", [1.0, 7.0])
+    def test_table_equals_on_the_fly_steps_bit_for_bit(self, beta):
+        # the shared scalar table, each fresh step, and an array alpha (as
+        # kernel tail chunks pass it) hold the same floats element by element
+        alphas = np.arange(0.0, 40.0)
+        table = {a: _jacobi_steps(15, a, beta)[:15] for a in alphas.tolist()}
+        for k, arrays in enumerate(_jacobi_steps(15, alphas, beta), 1):
+            arrays = [np.broadcast_to(c, alphas.shape).tolist() for c in arrays]
+            for i, a in enumerate(alphas.tolist()):
+                fresh = _jacobi_step(k, a, beta)
+                assert table[a][k - 1] == fresh
+                assert tuple(c[i] for c in arrays) == fresh
+
+    def test_table_grows_on_demand_and_only_for_scalars(self):
+        key = (123.0, 5.0)
+        _JACOBI_STEPS.pop(key, None)
+        low = _jacobi_steps(3, *key)
+        assert len(_JACOBI_STEPS[key]) == 3
+        high = _jacobi_steps(9, *key)
+        assert high is low and len(high) == 9
+        assert _jacobi_steps(4, *key) is high  # never shrinks, never recomputes
+        size = len(_JACOBI_STEPS)
+        _jacobi_steps(6, np.array([123.0, 124.0]), 5.0)
+        assert len(_JACOBI_STEPS) == size
+        _JACOBI_STEPS.pop(key)
+
+    def test_recurrence_reads_the_table(self):
+        # the degree-n value uses the first n steps of a longer table
+        _jacobi_steps(30, 2.0, 3.0)
+        expected = float(mp.jacobi(11, 2, 3, 0.37))
+        assert _jacobi_recurrence(11, 2.0, 3.0, 0.37) == pytest.approx(expected, rel=1e-13)
 
 
 class TestLnGammaRatio:
