@@ -8,11 +8,11 @@ q_j = |D_{N,j}|^2/2 - |D_{N,j+1}|^2/4 - |D_{N,j-1}|^2/4 for every j, every
 _tail_weights beyond; su11.rep_matrix_element is only an independent
 reference).  The q_j with j < N are the residues R_j and the j >= N tail
 is the remainder Q~, whose coefficients come as one forward stream of
-chunks (PhiKernel._coeff_chunks) that forms each weight once; the series
-branch here and the eps oracle's spectral sum both read it.  Summing the
-tail directly removes the catastrophic cancellation that subtracting the
-finite series from the closed form would cause at small phi, where the
-integrand weight e^{nu tau} grows almost as fast as the kernel decays.
+chunks (PhiKernel._coeff_chunks) that forms each weight once, read by the
+series branch.  Summing the tail directly removes the catastrophic
+cancellation that subtracting the finite series from the closed form
+would cause at small phi, where the integrand weight e^{nu tau} grows
+almost as fast as the kernel decays.
 Every phi-independent coefficient of the per-node loops is computed once,
 lazily, and then read: the Jacobi steps of the weights j <= N
 (specfun._jacobi_steps, keyed by (N - j, 2L + 1) and so shared by every
@@ -23,8 +23,9 @@ t = tanh(phi/2)) and the closed u-form Q = pi(u) (1 - u t^2)^{-2N}, pi a
 polynomial of degree 2N - L, takes over without ever being evaluated in
 tau: Euler's integral turns the inner integral int e^{nu tau} dQ~/dtau
 dtau into one Gauss function per factored term of pi, each summed in
-closed form around t^2 = 1 (PhiKernel.tau_integral).  Only the checks
-evaluate kernels: the u-form and the remainder Q~ in tau
+closed form around t^2 = 1 (PhiKernel.tau_integral); the same form at
+the complex nu + i eps is the eps oracle's inner integral at large phi.
+Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 (oracles.q_imag_time, oracles.remainder), the real-time kernel
 (oracles.kernel_q) and the adaptive quadrature of the inner integral
 (oracles.tau_integral_by_quadrature).
@@ -256,8 +257,8 @@ class PhiKernel:
             if j1 > 2_000_000:
                 raise RuntimeError(f"kernel series did not converge at phi={self.phi}")
 
-    def _euler_pieces(self) -> list[float]:
-        """The terms whose sum is the inner tau integral, by Euler's integral.
+    def _euler_pieces(self, nu) -> list:
+        """The terms whose sum is the inner tau integral at nu, by Euler's integral.
 
         The u-form's polynomial is pi(u) = sum_k A_k u^{p_k} (1-u)^{q_k}
         with p_k = N-1-k and q_k = 2k+2, k < N-L (oracles._closed_terms).
@@ -286,16 +287,17 @@ class PhiKernel:
         f_j from _euler_rows.  What is left are Pochhammer polynomials in b,
         one finite sum and one log series in w per term; every psi(b+h+j)
         follows from one digamma by recurrence, and w = 4 e^-phi/(1+e^-phi)^2
-        is formed directly, never as 1 - t^2.
+        is formed directly, never as 1 - t^2.  All of it is analytic in nu,
+        which may be complex: the eps oracle passes nu + i eps.
         """
-        N, L, nu = self.N, self.L, self.nu
+        N, L = self.N, self.L
         e = math.exp(-self.phi)
         w = 4.0 * e / (1.0 + e) ** 2
         ln_w = -self._ln_ch2
         res = self.residues
         pieces = [n * res[n] / (n - nu) for n in range(max(L, 1), N)]
         # psi(1 - nu + i), i < N, by recurrence from the first positive argument
-        first = int(nu)
+        first = int(nu.real)
         psi = [0.0] * N
         psi[first] = digamma(1.0 - nu + first)
         for i in range(first + 1, N):
@@ -352,5 +354,5 @@ class PhiKernel:
             rel_tol, abs_tol = 1.0e-13, 1.0e-15
             value = -self._series_sum(lambda j: j / (j - nu), rel_tol, abs_tol)
             return value, max(rel_tol * abs(value), abs_tol), 0, True
-        pieces = self._euler_pieces()
+        pieces = self._euler_pieces(nu)
         return math.fsum(pieces), 1.0e-15 * math.fsum(map(abs, pieces)), 0, True

@@ -16,7 +16,8 @@ is exact at every finite epsilon: one period of the 2 pi-periodic dQ/dT
 divided by 1 - e^{2 pi (i nu - eps)}, folded onto [0, pi] by
 dQ/dT(2 pi - T) = -conj dQ/dT(T) and evaluated for all phi nodes of a
 panel in one call, or, at large phi, the kernel's exponential series
-summed in real arithmetic from PhiKernel's coefficient stream.
+summed in closed form: its residue terms plus the Euler form of the
+rotated inner integral at the complex nu + i eps (PhiKernel._euler_pieces).
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ def _phi_breakpoints(N: int, L: int, eps: float, phi_max: float):
 
 # The real-axis integrand bursts with instantaneous frequency ~ N cosh(phi)
 # around T = 2 pi k; beyond this phi the oscillations are handed to the
-# absolutely convergent eigenbasis sum instead (every pole nu = n sits at
+# eigenbasis sum in closed form instead (every pole nu = n sits at
 # phi <= ln N, far below the switch, so the pole treatment under test is
 # still probed entirely by direct T integration).
 PHI_OSCILLATORY_MAX = 3.5
@@ -376,35 +377,22 @@ def _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights):
 
 
 def _inner_t_integral_spectral(N, L, phi, nu, eps) -> complex:
-    """Exact damped integral from the exponential series of the kernel.
+    """Exact damped integral from the exponential series of the kernel, in closed form.
 
-    int_0^inf e^{(i nu - eps)T} dQ/dT = sum_m (-i m q_m)/(eps + i(m - nu)),
-    summed in real arithmetic with d = m - nu:
+    With nu' = nu + i eps,
 
-        re = -sum m q d/(d^2 + eps^2),   im = -eps sum m q/(d^2 + eps^2),
+        int_0^inf e^{(i nu - eps)T} dQ/dT dT = -sum_m m q_m/(m - nu'),
 
-    over the residues (m < N) and then PhiKernel's coefficient stream until
-    the tail bound falls below 1e-16 of |re + i im|.
+    the residue terms m < N plus the tail m >= N, which is the rotated
+    inner integral continued analytically to nu': PhiKernel._euler_pieces
+    at nu'.  Those pieces hold +m R_m/(m - nu'), which the residue terms
+    cancel exactly; the real and imaginary parts are each one math.fsum.
     """
     ker = PhiKernel(N, L, phi)
-
-    def partial_sums(j0, q):
-        m = np.arange(j0, j0 + q.size, dtype=float)
-        d = m - nu
-        mq = m * q / (d * d + eps * eps)
-        return -float(np.dot(mq, d)), -eps * float(mq.sum())
-
-    re, im = partial_sums(0, np.array(ker.residues))
-    for j0, q in ker._coeff_chunks():
-        d_re, d_im = partial_sums(j0, q)
-        re, im = re + d_re, im + d_im
-        j0 += q.size
-        tail = float(np.abs(q[-8:]).max())
-        ratio = min(0.999, ker.t2 * (1.0 + 2.0 * N / j0))
-        if tail * ratio / (1.0 - ratio) < 1e-16 * math.hypot(re, im) + 1e-300:
-            return complex(re, im)
-        if j0 > 4_000_000:
-            raise RuntimeError(f"spectral inner integral did not converge at phi={phi}")
+    nu = complex(nu, eps)
+    res = ker.residues
+    pieces = ker._euler_pieces(nu) + [-(m * res[m] / (m - nu)) for m in range(max(L, 1), N)]
+    return complex(math.fsum(p.real for p in pieces), math.fsum(p.imag for p in pieces))
 
 
 def shift_via_eps_real_axis(
@@ -423,7 +411,7 @@ def shift_via_eps_real_axis(
     integer edges of _phi_breakpoints run up to round(9 + ln N), so for
     N = 2, 5, 6 and 7 it ends past phi_max (at 10, not 9.693, for 2s).
     That extra panel moves each 2s value by 3.5e-5 relative and costs
-    about 40% of the 2s time.  Nor is the truncation negligible: moving
+    about 2% of the 2s time.  Nor is the truncation negligible: moving
     the 1s end from 9 to 10, 11 and 12 moves the extrapolated shift from
     7936.122 to 7936.652, 7936.724 and 7936.734 MHz, against 7936.290 MHz
     from the rotated contour, so the 2.1e-5 agreement at phi_max = 9

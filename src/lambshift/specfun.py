@@ -4,15 +4,17 @@ The Jacobi recurrence builds every kernel weight (kernel._weight_upto_row
 and kernel._tail_weights) and the real-time kernel of the oracles; the
 Gauss series and gamma ratios serve the reference route, su11 matrix
 elements; the digamma function enters the closed form of the inner tau
-integral (PhiKernel.tau_integral).  Narrow parameter ranges (nonpositive
-integer series indices, integer Jacobi parameters) allow exact finite
-summation throughout.  The divided coefficients of each Jacobi recurrence
-step depend only on (degree, alpha, beta); for scalar parameters they are
-tabulated once, lazily, in _JACOBI_STEPS (see _jacobi_steps).
+integral (PhiKernel.tau_integral), complex for the eps oracle.  Narrow
+parameter ranges (nonpositive integer series indices, integer Jacobi
+parameters) allow exact finite summation throughout.  The divided
+coefficients of each Jacobi recurrence step depend only on (degree,
+alpha, beta); for scalar parameters they are tabulated once, lazily, in
+_JACOBI_STEPS (see _jacobi_steps).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -191,21 +193,25 @@ def ln_gamma_ratio(num: int, den: int) -> float:
     return total if num > den else -total
 
 
-def digamma(x: float) -> float:
-    """psi(x) for x > 0, within ~6e-16 of max(1, |psi(x)|).
+def digamma(x):
+    """psi(x) for a float or complex x, Re x > 0, within ~6e-16 of max(1, |psi(x)|).
 
-    Recurs up to x >= 14 with psi(x) = psi(x+1) - 1/x, then sums the
+    Recurs up to Re x >= 14 with psi(x) = psi(x+1) - 1/x, then sums the
     asymptotic series ln x - 1/(2x) - sum_k B_2k/(2k x^2k) through x^-14,
-    whose first omitted term is below 3e-19 there.
+    whose first omitted term is below 3e-19 there (|x| >= Re x).  A complex
+    x gives a complex, its real and imaginary parts each one math.fsum.
     """
-    if not x > 0.0:
-        raise ValueError(f"digamma needs x > 0, got {x!r}")
+    if not x.real > 0.0:
+        raise ValueError(f"digamma needs Re x > 0, got {x!r}")
     terms = []
-    while x < 14.0:
+    while x.real < 14.0:
         terms.append(-1.0 / x)
         x += 1.0
     x2 = 1.0 / (x * x)
     tail = x2 * (1 / 12 - x2 * (1 / 120 - x2 * (1 / 252 - x2 * (1 / 240 - x2 * (
         1 / 132 - x2 * (691 / 32760 - x2 / 12))))))
+    if isinstance(x, complex):
+        terms += (cmath.log(x), -0.5 / x, -tail)
+        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     terms += (math.log(x), -0.5 / x, -tail)
     return math.fsum(terms)

@@ -80,6 +80,25 @@ class TestSpectralSeries:
         assert abs(got.imag) < 1e-15
 
 
+def _mp_spectral_tail(N, L, phi, nu, eps):
+    """-sum_m m q_m/(m - nu') at 50 digits, nu' = nu + i eps, from mpmath's own Beta and 2F1.
+
+    The residue terms cancel those of the Euler form, which leaves
+    -nu' sum_k A_k B(p_k - nu', 2k+3) 2F1(2N, p_k - nu'; p_k - nu' + 2k+3; t^2),
+    A_k = -C(N-L-1, k) C(N+L, k) t^{2k} w^{2N-2k}/4, p_k = N-1-k, w = sech^2(phi/2).
+    """
+    with mp.workdps(50):
+        half = mp.mpf(phi) / 2
+        w, t2 = mp.sech(half) ** 2, mp.tanh(half) ** 2
+        nu = mp.mpc(nu, eps)
+        total = 0
+        for k in range(N - L):
+            amp = -mp.binomial(N - L - 1, k) * mp.binomial(N + L, k) * t2**k * w ** (2 * N - 2 * k) / 4
+            b = N - 1 - k - nu
+            total += amp * mp.beta(b, 2 * k + 3) * mp.hyp2f1(2 * N, b, b + 2 * k + 3, t2)
+        return complex(-nu * total)
+
+
 class TestEpsilonAxis:
     def test_rejects_bad_inputs(self):
         state = QuantumState(N=1, L=0)
@@ -133,15 +152,29 @@ class TestEpsilonAxis:
             assert isinstance(one, complex)
             assert abs(got - one) <= 1e-14 * abs(one)
 
-    @pytest.mark.parametrize("N, L, phi, eps", [(3, 0, 3.4, 0.05), (3, 0, 3.5, 0.0125)])
+    @pytest.mark.parametrize(
+        "N, L, phi, eps",
+        [(3, 0, 3.4, 0.05), (3, 0, 3.5, 0.0125), (2, 1, 3.5, 0.05), (4, 1, 3.5, 0.0125)],
+    )
     def test_inner_spectral_matches_grid(self, N, L, phi, eps):
-        # the two inner routes meet at PHI_OSCILLATORY_MAX = 3.5; the series
-        # coefficients of the spectral sum come from squared matrix elements
+        # the two inner routes meet at PHI_OSCILLATORY_MAX = 3.5: the T grid
+        # over one folded period against the kernel's exponential series in
+        # closed form (residue terms plus the Euler form at nu + i eps)
         nodes, weights, _ = kronrod_nodes_weights()
         nu = N * math.exp(-phi)
         grid = _inner_t_integral_grid(N, L, phi, nu, eps, np.asarray(nodes), np.asarray(weights))
         spectral = _inner_t_integral_spectral(N, L, phi, nu, eps)
         assert abs(spectral - grid) <= 1e-12 * abs(grid)
+
+    @pytest.mark.parametrize("N, L", [(1, 0), (2, 1), (3, 2), (4, 1), (6, 2), (20, 10)])
+    def test_inner_spectral_against_mpmath_euler_form(self, N, L):
+        # up to phi = 12.69, 2p's phi_max + 3, where t^2 = 1 - 1.2e-5
+        for phi in (3.5, 6.0, 9.0, 12.69):
+            for eps in (0.05, 0.0125, 0.003):
+                nu = N * math.exp(-phi)
+                got = _inner_t_integral_spectral(N, L, phi, nu, eps)
+                want = _mp_spectral_tail(N, L, phi, nu, eps)
+                assert abs(got - want) <= 1e-13 * abs(want), (phi, eps)
 
     def test_single_eps_near_primary(self, eps_shift):
         # one finite-damping point lands within O(eps) of the converged shift

@@ -261,6 +261,30 @@ class TestDigamma:
                 digamma(x)
 
 
+class TestComplexDigamma:
+    # the eps oracle evaluates the Euler form at nu + i eps: one digamma at
+    # 1 - nu' + floor(Re nu') and its recurrences, Im = -eps
+    def test_random_points_against_mpmath(self):
+        rng = np.random.default_rng(20261018)
+        # Re in (0, 20], |Im| <= 1
+        points = (20.0 - rng.uniform(0.0, 20.0, 2000) + 1j * rng.uniform(-1.0, 1.0, 2000)).tolist()
+        with mp.workdps(20):
+            for x in points:
+                want = mp.digamma(x)
+                got = digamma(x)
+                assert isinstance(got, complex)
+                assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), x
+
+    def test_float_argument_gives_float(self):
+        assert type(digamma(0.37)) is float
+        assert type(digamma(23.5)) is float
+
+    def test_rejects_nonpositive_real_part(self):
+        for x in (0j, -0.5 + 0.1j, complex(-3.0, -1.0), 0.0 + 2.0j):
+            with pytest.raises(ValueError):
+                digamma(x)
+
+
 def test_neumaier_handles_cancellation():
     values = [1.0e16, 1.0, -1.0e16]
     acc = _NeumaierAcc()
