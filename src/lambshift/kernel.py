@@ -3,28 +3,33 @@
 The kernel is Q(T, phi) = sin^2(T/2) sum_n |D_{N,n}(phi)|^2 e^{-i n T}, D
 the dilation matrix of the discrete series.  On the rotated contour T = -i
 tau it is the exponential series sum_j q_j u^j in u = e^{-tau}, with
-q_j = |D_{N,j}|^2/2 - |D_{N,j+1}|^2/4 - |D_{N,j-1}|^2/4 for every j, every
-|D|^2 from one Jacobi closed form (_weight_upto_row for j <= N,
-_tail_weights beyond; su11.rep_matrix_element is only an independent
-reference).  The q_j with j < N are the residues R_j and the j >= N tail
-is the remainder Q~, whose coefficients come as one forward stream of
-chunks (PhiKernel._coeff_chunks) that forms each weight once, read by the
-series branch.  Summing the tail directly removes the catastrophic
-cancellation that subtracting the finite series from the closed form
-would cause at small phi, where the integrand weight e^{nu tau} grows
-almost as fast as the kernel decays.
+q_j = |D_{N,j}|^2/2 - |D_{N,j+1}|^2/4 - |D_{N,j-1}|^2/4 for every j (_q, the
+one place the formula is written), every |D|^2 from one Jacobi closed form
+(_weight_upto_row for j <= N, _tail_weights beyond;
+su11.rep_matrix_element is only an independent reference).  The q_j with
+j < N are the residues R_j and the j >= N tail is the remainder Q~, whose
+coefficients come as one forward stream of chunks (PhiKernel._coeff_chunks)
+that forms each weight once, read by the series branch.  A phi node forms
+its weights j = -1 .. N once (PhiKernel._row), for its residues and the
+first tail coefficients alike.  Summing the tail directly removes the
+catastrophic cancellation that subtracting the finite series from the
+closed form would cause at small phi, where the integrand weight
+e^{nu tau} grows almost as fast as the kernel decays.
 Every phi-independent coefficient of the per-node loops is computed once,
 lazily, and then read: the Jacobi steps of the weights j <= N
 (specfun._jacobi_steps, keyed by (N - j, 2L + 1) and so shared by every
-N), the gain ratios and steps of the first tail chunks (_tail_table) and
-the factors of each Euler log series (the rows of _euler_rows).
+N), the indices, gain ratios and steps of every tail chunk (_tail_table,
+the only source of them; the series branch stops within a bounded depth
+for each (N, L), so the table stays bounded) and the factors of each
+Euler log series (the rows of _euler_rows).
 At large phi the series converges too slowly (ratio t^2 -> 1,
 t = tanh(phi/2)) and the closed u-form Q = pi(u) (1 - u t^2)^{-2N}, pi a
 polynomial of degree 2N - L, takes over without ever being evaluated in
 tau: Euler's integral turns the inner integral int e^{nu tau} dQ~/dtau
 dtau into one Gauss function per factored term of pi, each summed in
-closed form around t^2 = 1 (PhiKernel.tau_integral); the same form at
-the complex nu + i eps is the eps oracle's inner integral at large phi.
+closed form around t^2 = 1 (PhiKernel._euler_pieces, to which
+PhiKernel.tau_integral adds the residue terms); the same Gauss pieces at
+the complex nu + i eps are the eps oracle's inner integral at large phi.
 Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 (oracles.q_imag_time, oracles.remainder), the real-time kernel
 (oracles.kernel_q) and the adaptive quadrature of the inner integral
@@ -49,9 +54,6 @@ from .su11 import rep_matrix_element  # noqa: F401
 # series ratio tanh^2(phi/2) exceeds this (phi ~ 2.89).
 SERIES_T2_MAX = 0.80
 EULER_GAMMA = 0.57721566490153286061
-# Tail-coefficient ranges that end within this many j of N (the first two
-# chunks of PhiKernel._coeff_chunks) are tabulated; deeper ones are not.
-TAIL_TABLE_SPAN = 288
 
 
 def validate_quantum_numbers(N: int, L: int) -> None:
@@ -87,18 +89,22 @@ def _weight_upto_row(N: int, L: int, j: int, point) -> float:
     )
 
 
-def _tail_coeffs(N: int, L: int, j0: int, j1: int):
-    """The phi-independent part of _tail_weights over j0 <= j < j1: the gain
-    ratios (j+L)/(j-L-1) and the Jacobi steps at alpha = j - N (an array)."""
-    j = np.arange(j0, j1, dtype=float)
-    degree = N - L - 1
-    return (j + L) / (j - L - 1), _jacobi_steps(degree, j - N, 2.0 * L + 1.0) if degree else ()
+def _q(below, at, above):
+    """q_j from |D_{j-1}|^2, |D_j|^2 and |D_{j+1}|^2: floats or arrays, the same IEEE operations."""
+    return 0.5 * at - 0.25 * above - 0.25 * below
 
 
 @lru_cache(maxsize=None)
 def _tail_table(N: int, L: int, j0: int, j1: int):
-    """_tail_coeffs, kept per (N, L, j0, j1) for the ranges _tail_weights tabulates."""
-    return _tail_coeffs(N, L, j0, j1)
+    """The phi-independent part of _tail_weights over j0 <= j < j1, kept per (N, L, j0, j1).
+
+    (j - 1, ratios, steps) over the array j as floats: j - 1 indexes the
+    q_{j-1} that weight j completes (its last neighbour), the gain ratios
+    are (j+L)/(j-L-1) and the Jacobi steps are at alpha = j - N.
+    """
+    j = np.arange(j0, j1, dtype=float)
+    degree = N - L - 1
+    return j - 1.0, (j + L) / (j - L - 1), _jacobi_steps(degree, j - N, 2.0 * L + 1.0) if degree else ()
 
 
 def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain: float):
@@ -106,42 +112,30 @@ def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain: float):
 
     The one route for the weights beyond _weight_upto_row: one cumulative
     product of G_j/G_{j-1} = t^2 (j+L)/(j-L-1), which is sequential, so
-    carrying the float G across a split changes no value.  Ranges within
-    TAIL_TABLE_SPAN of N read their coefficients from _tail_table, built
-    once per (N, L, j0, j1); deeper ones compute the same floats on the fly
-    and keep nothing.
+    carrying the float G across a split changes no value.  Its
+    coefficients come from _tail_table, built once per (N, L, j0, j1).
     """
     w, t2, _ = point
-    table = _tail_table if j1 - N <= TAIL_TABLE_SPAN else _tail_coeffs
-    ratios, steps = table(N, L, j0, j1)
+    _, ratios, steps = _tail_table(N, L, j0, j1)
     gains = t2 * ratios
     gains[0] *= gain
     np.cumprod(gains, out=gains)
     return gains * _jacobi_from_steps(steps, w) ** 2, float(gains[-1])
 
 
-def _series_coeffs(weights: np.ndarray) -> np.ndarray:
-    """q_j = |D_j|^2/2 - |D_{j+1}|^2/4 - |D_{j-1}|^2/4 at the interior of weights."""
-    return 0.5 * weights[1:-1] - 0.25 * weights[2:] - 0.25 * weights[:-2]
-
-
 def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
     """Residue R_n = q_n of e^{-n tau} in the kernel series, L <= n <= N-1.
 
-    Only the three weights j = n-1, n, n+1 are computed, and they are
-    combined as plain floats: a scalar call (one per decay channel, for
-    its rate or its pole strength in a shift) would otherwise spend more
-    on building and unpacking a numpy array than on the arithmetic.  The
-    expression applies the same IEEE operations in the same order as
-    _series_coeffs does elementwise, so the value equals
-    PhiKernel(N, L, phi).residues[n] bit for bit.
+    Only the three weights j = n-1, n, n+1 are computed, as plain
+    floats, and _q combines them: a scalar call (one per decay channel,
+    for its rate or its pole strength in a shift) would spend more on a
+    whole row of weights or on a numpy array than on the arithmetic.
     """
     validate_quantum_numbers(N, L)
     if n != int(n) or not L <= n < N:
         raise ValueError(f"residue index n={n!r} outside [L, N-1] = [{L}, {N - 1}]")
     point = _jacobi_point(L, phi)
-    below, at, above = (_weight_upto_row(N, L, j, point) for j in (n - 1, n, n + 1))
-    return 0.5 * at - 0.25 * above - 0.25 * below
+    return _q(*(_weight_upto_row(N, L, j, point) for j in (n - 1, n, n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -200,25 +194,24 @@ class PhiKernel:
         self.L = L
         self.phi = phi
         self.nu = N * math.exp(-phi)
-        self.t2 = math.tanh(phi / 2.0) ** 2
+        self._point = _jacobi_point(L, phi)
+        self.t2 = self._point[1]
         # log of cosh^2(phi/2), overflow-safe for any phi
         self._ln_ch2 = phi - 2.0 * math.log(2.0) + 2.0 * math.log1p(math.exp(-phi))
 
     @cached_property
-    def residues(self) -> tuple[float, ...]:
-        """R_0 .. R_{N-1} (zero below L): the closed branch, each phi node of a shift, the eps oracle.
+    def _row(self) -> list[float]:
+        """|D_{N,j}|^2 for j = -1 .. N, plain floats: the residues and the stream's first edge."""
+        return [_weight_upto_row(self.N, self.L, j, self._point) for j in range(-1, self.N + 1)]
 
-        Plain floats, combined by the IEEE operations of _series_coeffs in
-        its order, so each equals _series_coeffs over the same weights bit
-        for bit without building small numpy arrays at every node.
-        """
-        N, L = self.N, self.L
-        point = _jacobi_point(L, self.phi)
-        w = [_weight_upto_row(N, L, j, point) for j in range(-1, N + 1)]
-        return tuple(0.5 * w[i] - 0.25 * w[i + 1] - 0.25 * w[i - 1] for i in range(1, N + 1))
+    @cached_property
+    def residues(self) -> tuple[float, ...]:
+        """R_0 .. R_{N-1} (zero below L): the closed branch, each phi node of a shift, the eps oracle."""
+        w = self._row
+        return tuple(_q(w[i - 1], w[i], w[i + 1]) for i in range(1, self.N + 1))
 
     def _coeff_chunks(self):
-        """The tail q_j, j >= N, as (j0, q_{j0 .. j0+len(q)-1}) in chunks of 96 doubling to 4096.
+        """The tail q_j, j >= N, as (j, q_j) in chunks of 96 doubling to 4096, j the indices as floats.
 
         Each |D_{N,j}|^2 is formed once.  A chunk extends the weights by
         _tail_weights from the gain of the last one and carries only its
@@ -227,16 +220,16 @@ class PhiKernel:
         _tail_weights call over the whole range bit for bit.  The consumer
         decides when to stop.
         """
-        N, L = self.N, self.L
-        point = _jacobi_point(L, self.phi)
-        edge = np.array([_weight_upto_row(N, L, j, point) for j in (N - 1, N)])
+        N, L, point = self.N, self.L, self._point
+        edge = np.array(self._row[-2:])
         gain, j0, chunk = point[2], N, 96
         while True:
-            tail, gain = _tail_weights(N, L, point, j0 + 1, j0 + chunk + 1, gain)
+            j1 = j0 + chunk
+            tail, gain = _tail_weights(N, L, point, j0 + 1, j1 + 1, gain)
             weights = np.concatenate((edge, tail))
-            yield j0, _series_coeffs(weights)
+            yield _tail_table(N, L, j0 + 1, j1 + 1)[0], _q(weights[:-2], weights[1:-1], weights[2:])
             edge = weights[-2:]
-            j0 += chunk
+            j0 = j1
             chunk = min(2 * chunk, 4096)
 
     def _use_series(self) -> bool:
@@ -245,11 +238,11 @@ class PhiKernel:
     def _series_sum(self, factor, rel_tol: float = 1.0e-13, abs_tol: float = 1.0e-300) -> float:
         """sum_{j >= N} q_j * factor(j) for positive decreasing-enough factors."""
         total = 0.0
-        for j0, q in self._coeff_chunks():
-            j1 = j0 + q.size
-            terms = q * factor(np.arange(j0, j1))
+        for j, q in self._coeff_chunks():
+            terms = q * factor(j)
             total += float(terms.sum())
             tail = np.abs(terms[-8:]).max()
+            j1 = int(j[-1]) + 1
             ratio = min(0.999, self.t2 * (1.0 + 2.0 * self.N / j1))
             bound = tail * ratio / (1.0 - ratio)
             if bound <= max(rel_tol * abs(total), abs_tol):
@@ -258,7 +251,7 @@ class PhiKernel:
                 raise RuntimeError(f"kernel series did not converge at phi={self.phi}")
 
     def _euler_pieces(self, nu) -> list:
-        """The terms whose sum is the inner tau integral at nu, by Euler's integral.
+        """The Gauss pieces of the inner tau integral at nu, by Euler's integral.
 
         The u-form's polynomial is pi(u) = sum_k A_k u^{p_k} (1-u)^{q_k}
         with p_k = N-1-k and q_k = 2k+2, k < N-L (oracles._closed_terms).
@@ -287,15 +280,17 @@ class PhiKernel:
         f_j from _euler_rows.  What is left are Pochhammer polynomials in b,
         one finite sum and one log series in w per term; every psi(b+h+j)
         follows from one digamma by recurrence, and w = 4 e^-phi/(1+e^-phi)^2
-        is formed directly, never as 1 - t^2.  All of it is analytic in nu,
-        which may be complex: the eps oracle passes nu + i eps.
+        is formed directly, never as 1 - t^2.  The pieces returned are
+        these Gauss terms only, two per k; tau_integral adds the residue
+        terms n R_n/(n - nu).  All of it is analytic in nu, which may be
+        complex: the eps oracle passes nu + i eps, where the Gauss terms
+        alone are its damped integral (oracles._inner_t_integral_spectral).
         """
         N, L = self.N, self.L
         e = math.exp(-self.phi)
         w = 4.0 * e / (1.0 + e) ** 2
         ln_w = -self._ln_ch2
-        res = self.residues
-        pieces = [n * res[n] / (n - nu) for n in range(max(L, 1), N)]
+        pieces = []
         # psi(1 - nu + i), i < N, by recurrence from the first positive argument
         first = int(nu.real)
         psi = [0.0] * N
@@ -344,8 +339,9 @@ class PhiKernel:
         evaluations of an integrand on either branch.  In the series regime
         the integral is the exact sum -sum_j j q_j/(j - nu), summed until the
         tail bound meets max(1e-13 |value|, 1e-15), which is the bound
-        returned; otherwise it is the closed form of _euler_pieces, whose
-        error bound is the roundoff 1e-15 sum |pieces|.
+        returned; otherwise it is the closed form, the residue terms
+        n R_n/(n - nu) plus the Gauss pieces of _euler_pieces, whose error
+        bound is the roundoff 1e-15 sum |pieces|.
         """
         nu = self.nu
         if nu >= self.N:  # phi = 0: the j = N denominator vanishes
@@ -354,5 +350,6 @@ class PhiKernel:
             rel_tol, abs_tol = 1.0e-13, 1.0e-15
             value = -self._series_sum(lambda j: j / (j - nu), rel_tol, abs_tol)
             return value, max(rel_tol * abs(value), abs_tol), 0, True
-        pieces = self._euler_pieces(nu)
+        res = self.residues
+        pieces = [n * res[n] / (n - nu) for n in range(max(self.L, 1), self.N)] + self._euler_pieces(nu)
         return math.fsum(pieces), 1.0e-15 * math.fsum(map(abs, pieces)), 0, True

@@ -16,8 +16,9 @@ is exact at every finite epsilon: one period of the 2 pi-periodic dQ/dT
 divided by 1 - e^{2 pi (i nu - eps)}, folded onto [0, pi] by
 dQ/dT(2 pi - T) = -conj dQ/dT(T) and evaluated for all phi nodes of a
 panel in one call, or, at large phi, the kernel's exponential series
-summed in closed form: its residue terms plus the Euler form of the
-rotated inner integral at the complex nu + i eps (PhiKernel._euler_pieces).
+summed in closed form: the Gauss pieces of the rotated inner integral's
+Euler form at the complex nu + i eps (PhiKernel._euler_pieces), which
+hold the whole damped integral, residue terms and tail alike.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def remainder(ker: PhiKernel, tau: float) -> float:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if ker._use_series():
         u = math.exp(-tau)
-        return ker._series_sum(lambda j: u**j.astype(float), abs_tol=1.0e-320)
+        return ker._series_sum(lambda j: u**j, abs_tol=1.0e-320)
     x = np.array([tau])
     *_, up, _, res = _closed_terms(ker, x)
     return float((q_imag_time(ker, x) - np.add.reduce(res * up, axis=-1))[0])
@@ -184,7 +185,7 @@ def remainder_dtau(ker: PhiKernel, tau: float) -> float:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if ker._use_series():
         u = math.exp(-tau)
-        return -ker._series_sum(lambda j: j * u**j.astype(float), abs_tol=1.0e-320)
+        return -ker._series_sum(lambda j: j * u**j, abs_tol=1.0e-320)
     return float(_closed_remainder_dtau(ker, np.array([tau]))[0])
 
 
@@ -383,15 +384,13 @@ def _inner_t_integral_spectral(N, L, phi, nu, eps) -> complex:
 
         int_0^inf e^{(i nu - eps)T} dQ/dT dT = -sum_m m q_m/(m - nu'),
 
-    the residue terms m < N plus the tail m >= N, which is the rotated
-    inner integral continued analytically to nu': PhiKernel._euler_pieces
-    at nu'.  Those pieces hold +m R_m/(m - nu'), which the residue terms
-    cancel exactly; the real and imaginary parts are each one math.fsum.
+    the residue terms m < N plus the tail m >= N.  The tail is the rotated
+    inner integral continued analytically to nu', whose residue terms
+    +m R_m/(m - nu') cancel those, so the sum is the Gauss pieces of
+    PhiKernel._euler_pieces at nu' alone; the real and imaginary parts
+    are each one math.fsum.
     """
-    ker = PhiKernel(N, L, phi)
-    nu = complex(nu, eps)
-    res = ker.residues
-    pieces = ker._euler_pieces(nu) + [-(m * res[m] / (m - nu)) for m in range(max(L, 1), N)]
+    pieces = PhiKernel(N, L, phi)._euler_pieces(complex(nu, eps))
     return complex(math.fsum(p.real for p in pieces), math.fsum(p.imag for p in pieces))
 
 

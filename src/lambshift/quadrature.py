@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Callable, Sequence
 
 import numpy as np
@@ -134,15 +135,14 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
     """Gauss-Kronrod panels between consecutive edges, all nodes in one call of f.
 
     Returns (kronrod values, |K-G| estimates), one entry per panel.  A value
-    is a float, or for an f of C columns a tuple of the C column values, and
-    the estimate is the largest of the columns' and their sum's: columns
+    is the tuple of the C column values of f (C = 1 for an f of one array),
+    and the estimate is the largest of the columns' and their sum's: columns
     whose oscillations cancel make a smooth sum, whose estimate alone would
     bound no column.
     """
     halves = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
     x = np.concatenate([c + h * _X for c, h in halves])
-    fx = np.asarray(f(x), dtype=float)
-    rows = fx.reshape(x.size, -1)
+    rows = np.asarray(f(x), dtype=float).reshape(x.size, -1)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -154,22 +154,17 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
     values, errors = [], []
     for (_, h), cols in zip(halves, sums):
         k, g = zip(*cols)
-        values.append(h * k[0] if fx.ndim == 1 else tuple(h * kc for kc in k))
+        values.append(tuple(h * kc for kc in k))
         column_errors = (abs(h * (kc - gc)) for kc, gc in cols)
         errors.append(max(abs(h * (math.fsum(k) - math.fsum(g))), *column_errors))
     return values, errors
-
-
-def _columns(value) -> tuple:
-    """A panel value as a tuple of columns, one for a scalar integrand."""
-    return value if isinstance(value, tuple) else (value,)
 
 
 @dataclass
 class _Panel:
     a: float
     b: float
-    value: float
+    value: tuple[float, ...]  # one entry per column
     error: float
 
     def split(self, f) -> tuple["_Panel", "_Panel"] | None:
@@ -194,7 +189,7 @@ def _refine(f, panels: list[_Panel], spec: QuadratureSpec, evals: int) -> Quadra
     subdivisions = 0
     while True:
         errors = [p.error for p in panels]
-        columns = tuple(map(math.fsum, zip(*(_columns(p.value) for p in panels))))
+        columns = tuple(map(math.fsum, zip(*(p.value for p in panels))))
         total = math.fsum(columns)
         error = math.fsum(errors)
         converged = error <= spec.target(total)
@@ -224,17 +219,6 @@ def integrate_panels(f, edges: Sequence[float], spec: QuadratureSpec | None = No
     return _refine(f, panels, spec, evals)
 
 
-def dyadic_edges_upto(a: float, b: float) -> tuple[float, ...]:
-    """Panel edges a, a+1, a+3, a+7, ... (widths 1, 2, 4, ...), clipped to end exactly at b."""
-    edges = [a]
-    width = 1.0
-    while edges[-1] + width < b:
-        edges.append(edges[-1] + width)
-        width *= 2.0
-    edges.append(b)
-    return tuple(edges)
-
-
 def _dyadic_edges(origin: float):
     edge = origin + 1.0
     width = 1.0
@@ -242,6 +226,11 @@ def _dyadic_edges(origin: float):
         yield edge
         width *= 2.0
         edge += width
+
+
+def dyadic_edges_upto(a: float, b: float) -> tuple[float, ...]:
+    """Panel edges a, a+1, a+3, a+7, ... (widths 1, 2, 4, ...), clipped to end exactly at b."""
+    return (a, *takewhile(lambda edge: edge < b, _dyadic_edges(a)), b)
 
 
 def integrate_semi_infinite(
@@ -271,7 +260,7 @@ def integrate_semi_infinite(
         (value,), (error,) = _gk15(f, (lo, hi))
         evals += 15
         panels.append(_Panel(lo, hi, value, error))
-        if abs(math.fsum(_columns(value))) < spec.abs_tol and error < spec.abs_tol:
+        if abs(math.fsum(value)) < spec.abs_tol and error < spec.abs_tol:
             quiet += 1
             if quiet >= 2:
                 break

@@ -215,7 +215,7 @@ def _shift_bracket(
     spec: QuadratureSpec | None,
     constants: PhysicalConstants,
     limits: tuple[float | None, ...],
-    pole_channels: list | None = None,
+    pole_channels: list,
 ) -> list[tuple[float, float, Diagnostics]]:
     """The two bracket terms of the shift in MHz, (tau term, PV term, diagnostics),
     at each of the ascending upper limits Phi of phi: (None,) for the
@@ -232,8 +232,9 @@ def _shift_bracket(
     first panel edges, so no node comes near the cancellation in the
     subtracted numerator.  [0, Phi_1] is integrated as a shift with that
     limit and each increment [Phi_i, Phi_{i+1}] once on a panel of its own;
-    results are running sums, diagnostics included.  pole_channels, from
-    _pole_channels, saves a caller that has them computing the residues again.
+    results are running sums, diagnostics included.  pole_channels come
+    from _pole_channels, so a caller that also reports rates computes each
+    channel's residue once.
     """
     N, L = state.N, state.L
     spec = spec or QuadratureSpec()
@@ -243,8 +244,6 @@ def _shift_bracket(
     poles = [math.log(N / n) for n in channels]
     if first is not None and poles and first <= poles[0] + 1.0e-6:
         raise ValueError(f"dipole cutoff phi={first:.3f} does not clear the pole at {poles[0]:.3f}")
-    if pole_channels is None:
-        pole_channels = _pole_channels(state, options, constants)
     strengths = [w * n * r for n, w, r in pole_channels]
 
     def integrand(phis: np.ndarray) -> np.ndarray:
@@ -255,7 +254,7 @@ def _shift_bracket(
             value, _, _, ok = ker.tau_integral()
             inner_ok &= ok
             weight = _weight(state, phi, options, constants)
-            nx = N * math.exp(-phi)
+            nx = ker.nu
             regular = math.fsum(
                 (weight * n * r - a * (nx / n)) / (nx - n)
                 for n, a, r in zip(channels, strengths, ker.residues[channels.start:])
@@ -379,7 +378,9 @@ def bethe_log(
     state = QuantumState(N=N, L=L, Z=Z)
     amplitude = bethe_amplitude(state, constants)
     limits = tuple(DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, constants) for x in cutoffs)
-    brackets = _shift_bracket(state, DipoleOptions(enabled=True), spec, constants, limits)
+    options = DipoleOptions(enabled=True)
+    channels = _pole_channels(state, options, constants)
+    brackets = _shift_bracket(state, options, spec, constants, limits, channels)
     estimates = []
     for x, (tau_MHz, pv_MHz, _) in zip(cutoffs, brackets):
         estimate = -constants.MHz_to_eV(tau_MHz + pv_MHz) / amplitude

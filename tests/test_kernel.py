@@ -16,13 +16,13 @@ from lambshift.kernel import (
     _euler_rows,
     _jacobi_point,
     _log_series_step,
-    _series_coeffs,
-    _tail_coeffs,
+    _q,
     _tail_table,
     _tail_weights,
     _weight_upto_row,
     residue_coeffs,
 )
+from lambshift import specfun
 from lambshift.specfun import _JACOBI_STEPS, _jacobi_from_steps, _jacobi_step
 from lambshift.oracles import (
     _closed_remainder_dtau,
@@ -88,9 +88,9 @@ SAMPLED_STATES = [(N, L) for N in (1, 2, 3, 4) for L in range(N)] + [
 def _stream(ker, j1):
     """q_N .. q_{j1-1} from the kernel's coefficient stream."""
     chunks = []
-    for j0, q in ker._coeff_chunks():
+    for j, q in ker._coeff_chunks():
         chunks.append(q)
-        if j0 + q.size >= j1:
+        if j[-1] + 1 >= j1:
             return np.concatenate(chunks)[: j1 - ker.N]
 
 
@@ -235,7 +235,7 @@ class TestResidues:
 
     def test_decay_rate_domain_bit_for_bit(self):
         # every decay channel (N, L) -> n with N <= 20 at its pole ln(N/n):
-        # the plain-float residue against the numpy _series_coeffs table
+        # the scalar residue against the residues of the phi node's weight row
         channels = 0
         for N in range(2, 21):
             for L in range(N):
@@ -355,8 +355,15 @@ class TestRemainder:
         point = _jacobi_point(L, phi)
         head = np.array([_weight_upto_row(N, L, j, point) for j in range(-1, N + 1)])
         whole = np.concatenate((head, _tail_weights(N, L, point, N + 1, J + 1, point[2])[0]))
-        coeffs = _series_coeffs(whole)  # q_0 .. q_{J-1}
+        coeffs = _q(whole[:-2], whole[1:-1], whole[2:])  # q_0 .. q_{J-1}
         assert np.array_equal(_stream(PhiKernel(N, L, phi), J), coeffs[N:])
+        # each chunk's indices, from the tail table, are those of its q_j
+        starts = [N]
+        for j, q in PhiKernel(N, L, phi)._coeff_chunks():
+            assert j.dtype == float and np.array_equal(j, np.arange(starts[-1], starts[-1] + q.size))
+            starts.append(starts[-1] + q.size)
+            if starts[-1] >= J:
+                break
         assert np.array_equal(np.array(PhiKernel(N, L, phi).residues), coeffs[:N])
         pieces, gain = [head], point[2]
         for a, b in ((N + 1, 97), (97, 98), (98, 2000), (2000, J + 1)):
@@ -538,7 +545,8 @@ class TestTauIntegral:
             ker = PhiKernel(N, L, phi)
             assert not ker._use_series()
             value, error, evaluations, converged = ker.tau_integral()
-            pieces = ker._euler_pieces(ker.nu)
+            residue_terms = [n * ker.residues[n] / (n - ker.nu) for n in range(max(L, 1), N)]
+            pieces = residue_terms + ker._euler_pieces(ker.nu)
             assert (value, evaluations, converged) == (math.fsum(pieces), 0, True)
             assert error == 1e-15 * math.fsum(abs(x) for x in pieces)
 
@@ -613,14 +621,6 @@ class TestEulerForm:
                 assert abs(got - want) <= 1e-13 * (abs(want) + pieces), (L, phi)
 
 
-def _table_sizes():
-    return (
-        _tail_table.cache_info().currsize,
-        _euler_rows.cache_info().currsize,
-        {key: len(steps) for key, steps in _JACOBI_STEPS.items()},
-    )
-
-
 class TestKernelTables:
     """The phi-independent coefficients are tabulated once; the values are those computed on the fly."""
 
@@ -640,18 +640,41 @@ class TestKernelTables:
                 binom = math.comb(N + L, 2 * L + 1) / math.comb(j + L, 2 * L + 1)
                 assert got == binom * t2 ** (N - j) * gain * p ** 2
 
-    @pytest.mark.parametrize("N, L, phi", [(1, 0, 2.0), (4, 1, 2.9), (12, 5, 1.1), (20, 0, 2.5)])
-    def test_tail_table_equals_on_the_fly_bit_for_bit(self, N, L, phi, monkeypatch):
-        # the stream with its first chunks from _tail_table, and with every
-        # chunk computed on the fly (a span of 0 tabulates nothing)
-        ratios, steps = _tail_table(N, L, N + 1, N + 97)
-        fresh_ratios, fresh_steps = _tail_coeffs(N, L, N + 1, N + 97)
-        assert np.array_equal(ratios, fresh_ratios) and len(steps) == len(fresh_steps) == N - L - 1
-        for a, b in zip(steps, fresh_steps):
-            assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        tabulated = _stream(PhiKernel(N, L, phi), N + 600)
-        monkeypatch.setattr(K, "TAIL_TABLE_SPAN", 0)
-        assert np.array_equal(_stream(PhiKernel(N, L, phi), N + 600), tabulated)
+    def test_repeated_series_node_computes_no_jacobi_step(self, monkeypatch):
+        # every chunk of the stream, the second (j - N up to 288) included,
+        # is tabulated once: the same node again steps no recurrence
+        PhiKernel(4, 1, 2.5).tau_integral()
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _jacobi_step(*args)
+
+        monkeypatch.setattr(specfun, "_jacobi_step", counting)
+        PhiKernel(4, 1, 2.5).tau_integral()
+        assert calls == []
+
+    def test_series_branch_tabulates_a_bounded_depth(self, monkeypatch):
+        # the series branch stops within the first four chunks (j - N < 1441)
+        # for every node up to the switch t^2 = 0.8, so the tail table has
+        # a bounded number of entries per (N, L)
+        depths = []
+
+        def recording(N, L, point, j0, j1, gain):
+            depths.append(j1 - N)
+            return _tail_weights(N, L, point, j0, j1, gain)
+
+        monkeypatch.setattr(K, "_tail_weights", recording)
+        switch = 2.0 * math.atanh(math.sqrt(K.SERIES_T2_MAX))
+        for N in (1, 4, 10, 20, 30):
+            for L in sorted({0, N // 2, N - 1}):
+                for phi in (0.3, 1.5, switch):
+                    ker = PhiKernel(N, L, phi)
+                    assert ker._use_series()
+                    assert math.isfinite(ker.tau_integral()[0])
+                    for tau in (0.0, 0.01, 1.0, 10.0):
+                        assert math.isfinite(remainder(ker, tau) + remainder_dtau(ker, tau))
+        assert depths and max(depths) <= 1441
 
     @pytest.mark.parametrize("N, L", [(1, 0), (4, 1), (9, 2), (20, 0)])
     def test_euler_series_table_equals_on_the_fly_bit_for_bit(self, N, L):
@@ -681,15 +704,3 @@ class TestKernelTables:
         out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["[0,", "0]", "0"]
-
-    def test_deep_stream_grows_no_table(self):
-        # t^2 = 0.9987 at phi = 8: the series runs ~96k terms, far past the
-        # tabulated chunks, which a shallow stream at phi = 1 has built
-        N, L = 20, 0
-        assert K.TAIL_TABLE_SPAN < 5000  # a table for a few chunks, not a stream
-        _stream(PhiKernel(N, L, 1.0), N + K.TAIL_TABLE_SPAN)
-        before = _table_sizes()
-        deep = PhiKernel(N, L, 8.0)
-        value = deep._series_sum(lambda j: j / (j - deep.nu))
-        assert math.isfinite(value)
-        assert _table_sizes() == before

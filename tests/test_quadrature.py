@@ -203,7 +203,7 @@ class TestArrayContract:
         f = lambda x: np.exp(-x) * np.cos(7 * x) / (0.1 + x)
         edges = (0.3, 0.8, 2.0)
         values, errors = _gk15(f, edges)
-        for (a, b), value, error in zip(zip(edges, edges[1:]), values, errors):
+        for (a, b), (value,), error in zip(zip(edges, edges[1:]), values, errors):
             c, h = 0.5 * (a + b), 0.5 * (b - a)
             fx = [math.exp(-(c + h * x)) * math.cos(7 * (c + h * x)) / (0.1 + c + h * x) for x in nodes]
             k = h * math.fsum(w * y for w, y in zip(wk, fx))

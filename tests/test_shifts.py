@@ -11,6 +11,7 @@ from lambshift.shifts import (
     NON_DIPOLE,
     DipoleOptions,
     QuantumState,
+    _pole_channels,
     _pole_pv,
     _shift_bracket,
     bethe_amplitude,
@@ -303,7 +304,8 @@ class TestPoleSubtraction:
                 return original(g, *args, **kwargs)
 
             monkeypatch.setattr(shifts_mod, name, recording)
-        _shift_bracket(QuantumState(N=N, L=L), options, None, C, limits)
+        state = QuantumState(N=N, L=L)
+        _shift_bracket(state, options, None, C, limits, _pole_channels(state, options, C))
         nodes = np.concatenate(calls)
         outer = kronrod_nodes_weights()[0][1]
         # nodes come in 15-node panels of (-x_i, x_i) pairs around the centre, which is last
@@ -372,7 +374,7 @@ class TestBethe:
         limits = tuple(
             DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, C) for x in (1e3, 3e3, 1e4)
         )
-        brackets = _shift_bracket(state, DIPOLE, None, C, limits)
+        brackets = _shift_bracket(state, DIPOLE, None, C, limits, _pole_channels(state, DIPOLE, C))
         standalone = lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=1e3))
         assert brackets[0][2].as_dict() == standalone.diagnostics.as_dict()
         assert brackets[0][0] + brackets[0][1] == standalone.lamb_shift_MHz
@@ -429,7 +431,7 @@ class TestBethe:
             return value, err, evals, ok and not limits[0] < ker.phi < limits[1]
 
         monkeypatch.setattr(kernel.PhiKernel, "tau_integral", failing_beyond_first)
-        brackets = _shift_bracket(state, DIPOLE, None, C, limits)
+        brackets = _shift_bracket(state, DIPOLE, None, C, limits, _pole_channels(state, DIPOLE, C))
         assert [diag.converged for _, _, diag in brackets] == [True, False, False]
 
     def test_one_residue_call_per_channel(self, monkeypatch):
