@@ -5,31 +5,34 @@ the dilation matrix of the discrete series.  On the rotated contour T = -i
 tau it is the exponential series sum_j q_j u^j in u = e^{-tau}, with
 q_j = |D_{N,j}|^2/2 - |D_{N,j+1}|^2/4 - |D_{N,j-1}|^2/4 for every j (_q, the
 one place the formula is written), every |D|^2 from one Jacobi closed form
-(_weight_upto_row for j <= N, _tail_weights beyond;
+(_row_weights for j <= N, _tail_weights beyond;
 su11.rep_matrix_element is only an independent reference).  The q_j with
 j < N are the residues R_j and the j >= N tail is the remainder Q~, whose
 coefficients come as one forward stream of chunks (PhiKernel._coeff_chunks)
 that forms each weight once, read by the series branch.  A phi node forms
-its weights j = -1 .. N once (PhiKernel._row), for its residues and the
-first tail coefficients alike.  Summing the tail directly removes the
+its weights j = -1 .. N once, eagerly, in one pass over _row_table when
+PhiKernel is constructed, for its residues and the first tail coefficients
+alike.  Summing the tail directly removes the
 catastrophic cancellation that subtracting the finite series from the
 closed form would cause at small phi, where the integrand weight
 e^{nu tau} grows almost as fast as the kernel decays.
 Every phi-independent coefficient of the per-node loops is computed once,
-lazily, and then read: the Jacobi steps of the weights j <= N
-(specfun._jacobi_steps, keyed by (N - j, 2L + 1) and so shared by every
-N), the indices, gain ratios and steps of every tail chunk (_tail_table,
+lazily, and then read: the binomial ratios, powers and Jacobi steps of
+the weights j <= N (_row_table, its steps from specfun._jacobi_steps,
+keyed by (N - j, 2L + 1) and so shared by every N), the indices, gain
+ratios and steps of every tail chunk (_tail_table,
 the only source of them; the series branch stops within a bounded depth
 for each (N, L), so the table stays bounded) and the factors of each
-Euler log series (the rows of _euler_rows).
+Euler log series with its first term 1/s! (the rows of _euler_rows).
 At large phi the series converges too slowly (ratio t^2 -> 1,
 t = tanh(phi/2)) and the closed u-form Q = pi(u) (1 - u t^2)^{-2N}, pi a
 polynomial of degree 2N - L, takes over without ever being evaluated in
 tau: Euler's integral turns the inner integral int e^{nu tau} dQ~/dtau
 dtau into one Gauss function per factored term of pi, each summed in
-closed form around t^2 = 1 (PhiKernel._euler_pieces, to which
+closed form around t^2 = 1 (_euler_pieces, to which
 PhiKernel.tau_integral adds the residue terms); the same Gauss pieces at
-the complex nu + i eps are the eps oracle's inner integral at large phi.
+the complex nu + i eps are the eps oracle's inner integral at large phi,
+reached without a PhiKernel and so without a weight row.
 Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 (oracles.q_imag_time, oracles.remainder), the real-time kernel
 (oracles.kernel_q) and the adaptive quadrature of the inner integral
@@ -39,7 +42,7 @@ Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,8 +70,25 @@ def _jacobi_point(L: int, phi: float) -> tuple[float, float, float]:
     return 2.0 * sech2 - 1.0, math.tanh(phi / 2.0) ** 2, sech2 ** (2 * (L + 1))
 
 
-def _weight_upto_row(N: int, L: int, j: int, point) -> float:
-    """|D_{N,j}|^2 for j <= N (zero for j <= L), point from _jacobi_point.
+@lru_cache(maxsize=None)
+def _row_table(N: int, L: int) -> tuple:
+    """The phi-independent factors of the weights L < j <= N, kept per (N, L).
+
+    Entry j - L - 1 is (C(N+L, 2L+1)/C(j+L, 2L+1), N - j, the Jacobi
+    steps of degree 1 .. j - L - 1 at (N - j, 2L + 1) from specfun's table):
+    the binomial ratio of G_j, the power of t^2 in it and the recurrence of
+    its Jacobi polynomial (see _row_weights).
+    """
+    top, rows = math.comb(N + L, 2 * L + 1), []
+    for j in range(L + 1, N + 1):
+        degree = j - L - 1
+        steps = tuple(_jacobi_steps(degree, N - j, 2 * L + 1)[:degree])
+        rows.append((top / math.comb(j + L, 2 * L + 1), N - j, steps))
+    return tuple(rows)
+
+
+def _row_weights(N: int, L: int, point, j0: int, j1: int) -> list[float]:
+    """|D_{N,j}|^2 for j0 <= j < j1, L < j1 <= N + 1 (zero for j <= L), point from _jacobi_point.
 
     Bargmann's closed form makes each weight a Jacobi polynomial at a point
     in [-1, 1], symmetric in N and j, free of alternating sums; with
@@ -77,16 +97,15 @@ def _weight_upto_row(N: int, L: int, j: int, point) -> float:
         |D_{N,j}|^2 = G_j P_{l-L-1}^{(h-l, 2L+1)}(1 - 2t^2)^2,
         G_j = C(h+L, 2L+1)/C(l+L, 2L+1) t^{2(h-l)} cosh^{-4(L+1)}(phi/2).
 
-    The Jacobi steps come from specfun's table, keyed by (N - j, 2L + 1).
+    Here j <= N, and every phi-independent factor comes from _row_table;
+    the zeros j <= L never index it.
     """
-    if j <= L:
-        return 0.0
     w, t2, gain = point
-    degree = j - L - 1
-    return (
-        math.comb(N + L, 2 * L + 1) / math.comb(j + L, 2 * L + 1) * t2 ** (N - j) * gain
-        * _jacobi_from_steps(_jacobi_steps(degree, N - j, 2 * L + 1)[:degree], w) ** 2
-    )
+    lo = max(j0, L + 1)
+    return [0.0] * (lo - j0) + [
+        ratio * t2**power * gain * _jacobi_from_steps(steps, w) ** 2
+        for ratio, power, steps in _row_table(N, L)[lo - L - 1 : j1 - L - 1]
+    ]
 
 
 def _q(below, at, above):
@@ -110,7 +129,7 @@ def _tail_table(N: int, L: int, j0: int, j1: int):
 def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain: float):
     """|D_{N,j}|^2 for N < j0 <= j < j1 and the gain G at j1 - 1, given G at j0 - 1.
 
-    The one route for the weights beyond _weight_upto_row: one cumulative
+    The one route for the weights beyond _row_weights: one cumulative
     product of G_j/G_{j-1} = t^2 (j+L)/(j-L-1), which is sequential, so
     carrying the float G across a split changes no value.  Its
     coefficients come from _tail_table, built once per (N, L, j0, j1).
@@ -126,16 +145,17 @@ def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain: float):
 def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
     """Residue R_n = q_n of e^{-n tau} in the kernel series, L <= n <= N-1.
 
-    Only the three weights j = n-1, n, n+1 are computed, as plain
-    floats, and _q combines them: a scalar call (one per decay channel,
-    for its rate or its pole strength in a shift) would spend more on a
-    whole row of weights or on a numpy array than on the arithmetic.
+    Only the three weights j = n-1, n, n+1 are computed, as plain floats
+    from the entries of _row_table that PhiKernel's rows read, and _q
+    combines them: a scalar call (one per decay channel, for its rate or
+    its pole strength in a shift) would spend more on a whole row of
+    weights or on a numpy array than on the arithmetic.  It equals
+    PhiKernel(N, L, phi).residues[n] bit for bit.
     """
     validate_quantum_numbers(N, L)
     if n != int(n) or not L <= n < N:
         raise ValueError(f"residue index n={n!r} outside [L, N-1] = [{L}, {N - 1}]")
-    point = _jacobi_point(L, phi)
-    return _q(*(_weight_upto_row(N, L, j, point) for j in (n - 1, n, n + 1)))
+    return _q(*_row_weights(N, L, _jacobi_point(L, phi), n - 1, n + 2))
 
 
 @lru_cache(maxsize=None)
@@ -154,14 +174,15 @@ def _harmonic(n: int) -> float:
 
 @lru_cache(maxsize=None)
 def _euler_rows(N: int, L: int) -> tuple:
-    """The phi-independent data of PhiKernel._euler_pieces, one row per factored term.
+    """The phi-independent data of _euler_pieces, one row per factored term.
 
-    Row (k, t_k, s, h, finite, psi0, series): m = q_k + 1 - 2N, s = |m|,
-    h = max(m, 0), finite = q!/(2N-1)! (q+1)_j (s-j-1)!/j! for j < s (empty
-    when m = 1) and psi0 = -psi(1) - psi(s+1) + psi(2N+h) = gamma - H_s +
-    H_{2N+h-1}, the integer digammas of the log series at j = 0.  series
-    holds the log series' phi-independent factors from _log_series_step,
-    grown by _euler_pieces to the longest series summed so far.
+    Row (k, -t_k/4, s, h, finite, psi0, 1/s!, series): m = q_k + 1 - 2N,
+    s = |m|, h = max(m, 0), finite = q!/(2N-1)! (q+1)_j (s-j-1)!/j! for
+    j < s (empty when m = 1), psi0 = -psi(1) - psi(s+1) + psi(2N+h) =
+    gamma - H_s + H_{2N+h-1}, the integer digammas of the log series at
+    j = 0, and 1/s! its first term.  series holds the log series'
+    phi-independent factors from _log_series_step, grown by _euler_pieces
+    to the longest series summed so far.
     """
     rows = []
     for k, tk in enumerate(_series_term_ratios(N, L)):
@@ -173,14 +194,103 @@ def _euler_rows(N: int, L: int) -> tuple:
             / (math.factorial(2 * N - 1) * math.factorial(j))
             for j in range(s if m < 0 else 0)
         )
-        rows.append((k, tk, s, h, finite, EULER_GAMMA - _harmonic(s) + _harmonic(2 * N + h - 1), []))
+        psi0 = EULER_GAMMA - _harmonic(s) + _harmonic(2 * N + h - 1)
+        rows.append((k, -0.25 * tk, s, h, finite, psi0, 1.0 / math.factorial(s), []))
     return tuple(rows)
 
 
 def _log_series_step(a: int, s: int, j: int) -> tuple[float, float]:
     """(a+j)/((j+1)(j+s+1)) and 1/(a+j) - 1/(j+1) - 1/(j+s+1): the parts of step j
-    of a log series S_k (PhiKernel._euler_pieces) that do not depend on phi."""
+    of a log series S_k (_euler_pieces) that do not depend on phi."""
     return (a + j) / ((j + 1) * (j + s + 1)), 1.0 / (a + j) - 1.0 / (j + 1) - 1.0 / (j + s + 1)
+
+
+def _ln_cosh2(phi: float) -> float:
+    """ln cosh^2(phi/2), overflow-safe for any phi."""
+    return phi - 2.0 * math.log(2.0) + 2.0 * math.log1p(math.exp(-phi))
+
+
+def _euler_pieces(N: int, L: int, phi: float, nu) -> list:
+    """The Gauss pieces of the inner tau integral at nu, by Euler's integral.
+
+    The u-form's polynomial is pi(u) = sum_k A_k u^{p_k} (1-u)^{q_k}
+    with p_k = N-1-k and q_k = 2k+2, k < N-L (oracles._closed_terms).
+    Integrating by parts (Q(u = 1) = 0 since every q_k >= 2) and
+    applying Euler's integral (DLMF 15.6.1), continued analytically in
+    nu so that the residue poles are subtracted, gives
+
+        I = sum_n n R_n/(n - nu)
+            - nu sum_k A_k B(b, q_k+1) 2F1(2N, b; b+q_k+1; t^2),  b = p_k - nu.
+
+    c - a - b = m = q_k + 1 - 2N is an odd integer <= 1, so each 2F1 is
+    expanded around z = 1 in w = 1 - t^2 = sech^2(phi/2) <= 0.2 by the
+    degenerate formula (DLMF 15.8.10, after Euler's transformation when
+    m < 0).  Gamma(b) of the beta function cancels there.  With
+    A_k = base_k w^-m, base_k = -t_k t^{2k} w^3/4, s = |m|,
+    h = max(m, 0), a = 2N + h and
+
+        S_k = sum_j (a)_j (b+h)_j/(j! (j+s)!) w^j
+              [ln w - psi(j+1) - psi(j+s+1) + psi(a+j) + psi(b+h+j)],
+
+    the Gauss terms are
+
+        m < 0:  A_k B F = base_k [sum_{j<s} f_j (b-s)_j (-w)^j - (b-s)_s (-w)^s S_k],
+        m = 1:  A_k B F = A_k/b + 2N base_k S_k,  and -nu A_k/b = A_k,
+
+    f_j from _euler_rows.  What is left are Pochhammer polynomials in b,
+    one finite sum and one log series in w per term; every psi(b+h+j)
+    follows from one digamma by recurrence, and w = 4 e^-phi/(1+e^-phi)^2
+    is formed directly, never as 1 - t^2.  The pieces returned are
+    these Gauss terms only, two per k; PhiKernel.tau_integral adds the
+    residue terms n R_n/(n - nu).  All of it is analytic in nu, which may be
+    complex: the eps oracle passes nu + i eps, where the Gauss terms
+    alone are its damped integral (oracles._inner_t_integral_spectral).
+    """
+    e = math.exp(-phi)
+    w = 4.0 * e / (1.0 + e) ** 2
+    ln_w = -_ln_cosh2(phi)
+    t2 = math.tanh(phi / 2.0) ** 2
+    pieces = []
+    # psi(1 - nu + i), i < N, by recurrence from the first positive argument
+    first = int(nu.real)
+    psi = [0.0] * N
+    psi[first] = digamma(1.0 - nu + first)
+    for i in range(first + 1, N):
+        psi[i] = psi[i - 1] + 1.0 / (i - nu)
+    for i in range(first - 1, -1, -1):
+        psi[i] = psi[i + 1] - 1.0 / (i + 1 - nu)
+    for k, amp, s, h, finite, psi0, term, series in _euler_rows(N, L):
+        p = N - 1 - k
+        bh = p - nu + h
+        amp *= t2**k
+        # the log series S_k, its bracket g updated by the digamma recurrences
+        g, total, j = ln_w + psi0 + psi[p + h - 1], 0.0, 0
+        while True:
+            value = term * g
+            total += value
+            try:
+                head, step = series[j]
+            except IndexError:
+                series.append(_log_series_step(2 * N + h, s, j))
+                head, step = series[j]
+            x = bh + j
+            ratio = head * x * w
+            r = abs(ratio)
+            if r < 1.0 and abs(value * ratio) <= 1.0e-17 * (1.0 - r) * abs(total):
+                break
+            g += step + 1.0 / x
+            term *= ratio
+            j += 1
+        base = amp * w**3
+        if h:
+            pieces += (amp * w * w, -2 * N * nu * base * total)
+            continue
+        fin, poch = 0.0, 1.0  # poch ends as (b-s)_s (-w)^s
+        for j, f in enumerate(finite):
+            fin += f * poch
+            poch *= (p - nu - s + j) * -w
+        pieces += (-nu * base * fin, nu * base * poch * total)
+    return pieces
 
 
 class PhiKernel:
@@ -194,21 +304,13 @@ class PhiKernel:
         self.L = L
         self.phi = phi
         self.nu = N * math.exp(-phi)
-        self._point = _jacobi_point(L, phi)
-        self.t2 = self._point[1]
-        # log of cosh^2(phi/2), overflow-safe for any phi
-        self._ln_ch2 = phi - 2.0 * math.log(2.0) + 2.0 * math.log1p(math.exp(-phi))
-
-    @cached_property
-    def _row(self) -> list[float]:
-        """|D_{N,j}|^2 for j = -1 .. N, plain floats: the residues and the stream's first edge."""
-        return [_weight_upto_row(self.N, self.L, j, self._point) for j in range(-1, self.N + 1)]
-
-    @cached_property
-    def residues(self) -> tuple[float, ...]:
-        """R_0 .. R_{N-1} (zero below L): the closed branch, each phi node of a shift, the eps oracle."""
-        w = self._row
-        return tuple(_q(w[i - 1], w[i], w[i + 1]) for i in range(1, self.N + 1))
+        self._point = point = _jacobi_point(L, phi)
+        self.t2 = point[1]
+        # |D_{N,j}|^2 for j = -1 .. N, formed once: the residues
+        # R_0 .. R_{N-1} (zero below L) and the stream's first edge
+        row = _row_weights(N, L, point, -1, N + 1)
+        self.residues = tuple(map(_q, row, row[1:], row[2:]))
+        self._edge = row[-2:]
 
     def _coeff_chunks(self):
         """The tail q_j, j >= N, as (j, q_j) in chunks of 96 doubling to 4096, j the indices as floats.
@@ -221,7 +323,7 @@ class PhiKernel:
         decides when to stop.
         """
         N, L, point = self.N, self.L, self._point
-        edge = np.array(self._row[-2:])
+        edge = np.array(self._edge)
         gain, j0, chunk = point[2], N, 96
         while True:
             j1 = j0 + chunk
@@ -250,88 +352,6 @@ class PhiKernel:
             if j1 > 2_000_000:
                 raise RuntimeError(f"kernel series did not converge at phi={self.phi}")
 
-    def _euler_pieces(self, nu) -> list:
-        """The Gauss pieces of the inner tau integral at nu, by Euler's integral.
-
-        The u-form's polynomial is pi(u) = sum_k A_k u^{p_k} (1-u)^{q_k}
-        with p_k = N-1-k and q_k = 2k+2, k < N-L (oracles._closed_terms).
-        Integrating by parts (Q(u = 1) = 0 since every q_k >= 2) and
-        applying Euler's integral (DLMF 15.6.1), continued analytically in
-        nu so that the residue poles are subtracted, gives
-
-            I = sum_n n R_n/(n - nu)
-                - nu sum_k A_k B(b, q_k+1) 2F1(2N, b; b+q_k+1; t^2),  b = p_k - nu.
-
-        c - a - b = m = q_k + 1 - 2N is an odd integer <= 1, so each 2F1 is
-        expanded around z = 1 in w = 1 - t^2 = sech^2(phi/2) <= 0.2 by the
-        degenerate formula (DLMF 15.8.10, after Euler's transformation when
-        m < 0).  Gamma(b) of the beta function cancels there.  With
-        A_k = base_k w^-m, base_k = -t_k t^{2k} w^3/4, s = |m|,
-        h = max(m, 0), a = 2N + h and
-
-            S_k = sum_j (a)_j (b+h)_j/(j! (j+s)!) w^j
-                  [ln w - psi(j+1) - psi(j+s+1) + psi(a+j) + psi(b+h+j)],
-
-        the Gauss terms are
-
-            m < 0:  A_k B F = base_k [sum_{j<s} f_j (b-s)_j (-w)^j - (b-s)_s (-w)^s S_k],
-            m = 1:  A_k B F = A_k/b + 2N base_k S_k,  and -nu A_k/b = A_k,
-
-        f_j from _euler_rows.  What is left are Pochhammer polynomials in b,
-        one finite sum and one log series in w per term; every psi(b+h+j)
-        follows from one digamma by recurrence, and w = 4 e^-phi/(1+e^-phi)^2
-        is formed directly, never as 1 - t^2.  The pieces returned are
-        these Gauss terms only, two per k; tau_integral adds the residue
-        terms n R_n/(n - nu).  All of it is analytic in nu, which may be
-        complex: the eps oracle passes nu + i eps, where the Gauss terms
-        alone are its damped integral (oracles._inner_t_integral_spectral).
-        """
-        N, L = self.N, self.L
-        e = math.exp(-self.phi)
-        w = 4.0 * e / (1.0 + e) ** 2
-        ln_w = -self._ln_ch2
-        pieces = []
-        # psi(1 - nu + i), i < N, by recurrence from the first positive argument
-        first = int(nu.real)
-        psi = [0.0] * N
-        psi[first] = digamma(1.0 - nu + first)
-        for i in range(first + 1, N):
-            psi[i] = psi[i - 1] + 1.0 / (i - nu)
-        for i in range(first - 1, -1, -1):
-            psi[i] = psi[i + 1] - 1.0 / (i + 1 - nu)
-        for k, tk, s, h, finite, psi0, series in _euler_rows(N, L):
-            p = N - 1 - k
-            bh = p - nu + h
-            amp = -0.25 * tk * self.t2**k
-            # the log series S_k, its bracket g updated by the digamma recurrences
-            term, g, total, j = 1.0 / math.factorial(s), ln_w + psi0 + psi[p + h - 1], 0.0, 0
-            while True:
-                value = term * g
-                total += value
-                try:
-                    head, step = series[j]
-                except IndexError:
-                    series.append(_log_series_step(2 * N + h, s, j))
-                    head, step = series[j]
-                x = bh + j
-                ratio = head * x * w
-                r = abs(ratio)
-                if r < 1.0 and abs(value * ratio) <= 1.0e-17 * (1.0 - r) * abs(total):
-                    break
-                g += step + 1.0 / x
-                term *= ratio
-                j += 1
-            base = amp * w**3
-            if h:
-                pieces += (amp * w * w, -2 * N * nu * base * total)
-                continue
-            fin, poch = 0.0, 1.0  # poch ends as (b-s)_s (-w)^s
-            for j, f in enumerate(finite):
-                fin += f * poch
-                poch *= (p - nu - s + j) * -w
-            pieces += (-nu * base * fin, nu * base * poch * total)
-        return pieces
-
     def tau_integral(self):
         """int_0^inf e^{nu tau} dQ~/dtau dtau, the inner integral of the shift.
 
@@ -351,5 +371,6 @@ class PhiKernel:
             value = -self._series_sum(lambda j: j / (j - nu), rel_tol, abs_tol)
             return value, max(rel_tol * abs(value), abs_tol), 0, True
         res = self.residues
-        pieces = [n * res[n] / (n - nu) for n in range(max(self.L, 1), self.N)] + self._euler_pieces(nu)
+        pieces = [n * res[n] / (n - nu) for n in range(max(self.L, 1), self.N)]
+        pieces += _euler_pieces(self.N, self.L, self.phi, nu)
         return math.fsum(pieces), 1.0e-15 * math.fsum(map(abs, pieces)), 0, True

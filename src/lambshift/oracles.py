@@ -17,7 +17,7 @@ divided by 1 - e^{2 pi (i nu - eps)}, folded onto [0, pi] by
 dQ/dT(2 pi - T) = -conj dQ/dT(T) and evaluated for all phi nodes of a
 panel in one call, or, at large phi, the kernel's exponential series
 summed in closed form: the Gauss pieces of the rotated inner integral's
-Euler form at the complex nu + i eps (PhiKernel._euler_pieces), which
+Euler form at the complex nu + i eps (kernel._euler_pieces), which
 hold the whole damped integral, residue terms and tail alike.
 """
 
@@ -29,7 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, default_constants
-from .kernel import PhiKernel, _series_term_ratios, residue_coeffs, validate_quantum_numbers
+from .kernel import (
+    PhiKernel,
+    _euler_pieces,
+    _ln_cosh2,
+    _series_term_ratios,
+    residue_coeffs,
+    validate_quantum_numbers,
+)
 from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
@@ -129,17 +136,18 @@ def _closed_terms(ker: PhiKernel, tau):
     N, L, phi = ker.N, ker.L, ker.phi
     # logs of sinh^2(phi/2) and of sinh^2 cosh^2, overflow-safe for any phi
     ln_sh2 = phi - 2.0 * math.log(2.0) + 2.0 * math.log1p(-math.exp(-phi)) if phi > 0.0 else -math.inf
-    ln_shch2 = ln_sh2 + ker._ln_ch2
+    ln_ch2 = _ln_cosh2(phi)
+    ln_shch2 = ln_sh2 + ln_ch2
     amps = []
     for k, tk in enumerate(_series_term_ratios(N, L)):
-        ln_amp = (k * ln_shch2 if k else 0.0) - 2 * N * ker._ln_ch2
+        ln_amp = (k * ln_shch2 if k else 0.0) - 2 * N * ln_ch2
         amps.append(0.0 if ln_amp == -math.inf else -0.25 * tk * math.exp(ln_amp))
     k = np.arange(N - L, dtype=float)
     p, q = N - 1.0 - k, 2.0 * k + 2.0
     mt = -np.asarray(tau, dtype=float)[..., None]
     u, omu = np.exp(mt), -np.expm1(mt)
     up = u**p
-    g = math.exp(-ker._ln_ch2) + ker.t2 * omu
+    g = math.exp(-ln_ch2) + ker.t2 * omu
     return np.array(amps), p, q, u, omu, g, up, up * omu ** (q - 1.0), np.array(ker.residues)[p.astype(int)]
 
 
@@ -387,10 +395,10 @@ def _inner_t_integral_spectral(N, L, phi, nu, eps) -> complex:
     the residue terms m < N plus the tail m >= N.  The tail is the rotated
     inner integral continued analytically to nu', whose residue terms
     +m R_m/(m - nu') cancel those, so the sum is the Gauss pieces of
-    PhiKernel._euler_pieces at nu' alone; the real and imaginary parts
-    are each one math.fsum.
+    kernel._euler_pieces at nu' alone, with no weight row formed; the real
+    and imaginary parts are each one math.fsum.
     """
-    pieces = PhiKernel(N, L, phi)._euler_pieces(complex(nu, eps))
+    pieces = _euler_pieces(N, L, phi, complex(nu, eps))
     return complex(math.fsum(p.real for p in pieces), math.fsum(p.imag for p in pieces))
 
 

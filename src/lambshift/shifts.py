@@ -227,7 +227,10 @@ def _shift_bracket(
 
         int_0^Phi [w n R_n - A_n e^(phi_n - phi)]/(N e^-phi - n) dphi,
 
-    whose integrand is regular.  One two-column quadrature takes the tau
+    whose integrand is regular.  Its denominator is taken as
+    n expm1(phi_n - phi), zero only at the pole itself: at tight
+    tolerances the refinement reaches nodes within an ulp of the pole,
+    where N e^-phi rounds to exactly n.  One two-column quadrature takes the tau
     integrand and the sum of these at the same nodes.  The poles are the
     first panel edges, so no node comes near the cancellation in the
     subtracted numerator.  [0, Phi_1] is integrated as a shift with that
@@ -256,8 +259,8 @@ def _shift_bracket(
             weight = _weight(state, phi, options, constants)
             nx = ker.nu
             regular = math.fsum(
-                (weight * n * r - a * (nx / n)) / (nx - n)
-                for n, a, r in zip(channels, strengths, ker.residues[channels.start:])
+                (weight * n * r - a * (nx / n)) / (n * math.expm1(pole - phi))
+                for n, pole, a, r in zip(channels, poles, strengths, ker.residues[channels.start:])
             )
             rows.append((weight * value, regular))
         return np.array(rows)

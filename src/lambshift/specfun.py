@@ -1,6 +1,6 @@
 """Terminating hypergeometric sums, Jacobi polynomials, gamma ratios, digamma.
 
-The Jacobi recurrence builds every kernel weight (kernel._weight_upto_row
+The Jacobi recurrence builds every kernel weight (kernel._row_weights
 and kernel._tail_weights) and the real-time kernel of the oracles; the
 Gauss series and gamma ratios serve the reference route, su11 matrix
 elements; the digamma function enters the closed form of the inner tau

@@ -17,9 +17,11 @@ from lambshift.kernel import (
     _jacobi_point,
     _log_series_step,
     _q,
+    _row_table,
+    _row_weights,
+    _series_term_ratios,
     _tail_table,
     _tail_weights,
-    _weight_upto_row,
     residue_coeffs,
 )
 from lambshift import specfun
@@ -103,7 +105,7 @@ class TestDilationWeights:
         for phi in poles[:: max(1, len(poles) // 3)] + [0.3, 1.7, 4.0, 12.0]:
             point = _jacobi_point(L, phi)
             tail = _tail_weights(N, L, point, N + 1, N + 4, point[2])[0].tolist()
-            got = [_weight_upto_row(N, L, j, point) for j in range(N + 1)] + tail  # j = 0 .. N+3
+            got = _row_weights(N, L, point, 0, N + 1) + tail  # j = 0 .. N+3
             want = [_mp_dilation_weight(N, L, j, phi) for j in range(N + 4)]
             u = scaling_coords(phi)
             ref = [abs(rep_matrix_element(label, N, j, u)) ** 2 for j in range(N + 4)]
@@ -226,9 +228,10 @@ class TestResidues:
 
     @pytest.mark.parametrize("N, L", SAMPLED_STATES)
     def test_equals_phi_kernel_residues(self, N, L):
-        # one formula behind both: the scalar residue and the closed branch's
-        # table, at the pole of channel max(1, (N+L)//2) (phi = 0 for N = 1)
-        for phi in (math.log(N / max(1, (N + L) // 2)), 0.3, 4.0):
+        # one table behind both: the scalar residue and the node's row, at
+        # the pole of channel max(1, (N+L)//2) (phi = 0 for N = 1) and on
+        # both sides of the series/closed switch
+        for phi in (math.log(N / max(1, (N + L) // 2)), 0.3, 2.85, 2.95, 4.0):
             table = PhiKernel(N, L, phi).residues
             for n in range(L, N):
                 assert residue_coeffs(N, L, phi, n) == table[n], (phi, n)
@@ -289,7 +292,7 @@ class TestResidues:
     def test_completeness_with_spectral_tail(self):
         # sum of all exponential coefficients vanishes (kernel is 0 at T=0);
         # the tail from the reference route, one scalar matrix element per
-        # j, independent of the Jacobi form of _weight_upto_row and _tail_weights
+        # j, independent of the Jacobi form of _row_weights and _tail_weights
         for (N, phi) in ((2, 0.5), (4, 1.5), (6, 3.0)):
             L = 0
             label = RepLabel(L + 1)
@@ -353,7 +356,7 @@ class TestRemainder:
         # weights j <= N row by row and one _tail_weights call beyond
         J = 5000
         point = _jacobi_point(L, phi)
-        head = np.array([_weight_upto_row(N, L, j, point) for j in range(-1, N + 1)])
+        head = np.array(_row_weights(N, L, point, -1, N + 1))
         whole = np.concatenate((head, _tail_weights(N, L, point, N + 1, J + 1, point[2])[0]))
         coeffs = _q(whole[:-2], whole[1:-1], whole[2:])  # q_0 .. q_{J-1}
         assert np.array_equal(_stream(PhiKernel(N, L, phi), J), coeffs[N:])
@@ -546,7 +549,7 @@ class TestTauIntegral:
             assert not ker._use_series()
             value, error, evaluations, converged = ker.tau_integral()
             residue_terms = [n * ker.residues[n] / (n - ker.nu) for n in range(max(L, 1), N)]
-            pieces = residue_terms + ker._euler_pieces(ker.nu)
+            pieces = residue_terms + K._euler_pieces(N, L, phi, ker.nu)
             assert (value, evaluations, converged) == (math.fsum(pieces), 0, True)
             assert error == 1e-15 * math.fsum(abs(x) for x in pieces)
 
@@ -624,21 +627,30 @@ class TestEulerForm:
 class TestKernelTables:
     """The phi-independent coefficients are tabulated once; the values are those computed on the fly."""
 
-    @pytest.mark.parametrize("N, L", [(4, 1), (12, 0), (20, 7)])
+    @pytest.mark.parametrize("N, L", [(4, 1), (12, 0), (20, 7), (6, 5)])
     def test_weights_from_the_table_equal_on_the_fly_bit_for_bit(self, N, L):
-        # the shared (alpha, beta) table holds each fresh step, and a weight
-        # read from it equals the one from steps computed on the spot
+        # the row table and the shared (alpha, beta) table hold each fresh
+        # factor, and a weight read from them equals the one from factors
+        # computed on the spot, in a whole row and in any window of it
         for phi in (0.4, 2.0, 7.5):
             point = _jacobi_point(L, phi)
             w, t2, gain = point
+            row = _row_weights(N, L, point, -1, N + 1)  # j = -1 .. N
+            assert len(row) == N + 2 and row[: L + 2] == [0.0] * (L + 2)
+            assert PhiKernel(N, L, phi)._edge == row[-2:]
+            # windows inside j <= L are zeros: no (negative) index reads the table
+            for j0 in range(-1, L + 1):
+                assert _row_weights(N, L, point, j0, L + 1) == [0.0] * (L + 1 - j0)
             for j in range(L + 1, N + 1):
-                got = _weight_upto_row(N, L, j, point)
                 degree, beta = j - L - 1, 2.0 * L + 1.0
                 fresh = [_jacobi_step(k, float(N - j), beta) for k in range(1, degree + 1)]
                 assert _JACOBI_STEPS[N - j, beta][:degree] == fresh
-                p = _jacobi_from_steps(fresh, w)
                 binom = math.comb(N + L, 2 * L + 1) / math.comb(j + L, 2 * L + 1)
-                assert got == binom * t2 ** (N - j) * gain * p ** 2
+                assert _row_table(N, L)[j - L - 1] == (binom, N - j, tuple(fresh))
+                want = binom * t2 ** (N - j) * gain * _jacobi_from_steps(fresh, w) ** 2
+                assert row[j + 1] == want
+                for j0 in range(-1, j + 1):
+                    assert _row_weights(N, L, point, j0, j + 1) == row[j0 + 1 : j + 2]
 
     def test_repeated_series_node_computes_no_jacobi_step(self, monkeypatch):
         # every chunk of the stream, the second (j - N up to 288) included,
@@ -679,12 +691,12 @@ class TestKernelTables:
     @pytest.mark.parametrize("N, L", [(1, 0), (4, 1), (9, 2), (20, 0)])
     def test_euler_series_table_equals_on_the_fly_bit_for_bit(self, N, L):
         def pieces(phi):
-            ker = PhiKernel(N, L, phi)
-            return ker._euler_pieces(ker.nu)
+            return K._euler_pieces(N, L, phi, PhiKernel(N, L, phi).nu)
 
         for phi in (3.0, 9.0, 2.9):
             pieces(phi)
-        for k, tk, s, h, finite, psi0, series in _euler_rows(N, L):
+        for k, amp, s, h, finite, psi0, first, series in _euler_rows(N, L):
+            assert amp == -0.25 * _series_term_ratios(N, L)[k] and first == 1.0 / math.factorial(s)
             assert series == [_log_series_step(2 * N + h, s, j) for j in range(len(series))]
         # a kernel reading a table grown by others gives the value it gave growing it
         _euler_rows.cache_clear()
@@ -698,9 +710,9 @@ class TestKernelTables:
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); import lambshift, lambshift.oracles; "
             "from lambshift import kernel as K, specfun as S; "
-            "print([f.cache_info().currsize for f in (K._tail_table, K._euler_rows)], "
+            "print([f.cache_info().currsize for f in (K._tail_table, K._euler_rows, K._row_table)], "
             "len(S._JACOBI_STEPS))"
         )
         out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["[0,", "0]", "0"]
+        assert out.stdout.split() == ["[0,", "0,", "0]", "0"]

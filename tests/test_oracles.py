@@ -176,6 +176,20 @@ class TestEpsilonAxis:
                 want = _mp_spectral_tail(N, L, phi, nu, eps)
                 assert abs(got - want) <= 1e-13 * abs(want), (phi, eps)
 
+    def test_inner_spectral_forms_no_weight_row(self, monkeypatch):
+        # the spectral route reads only the Euler pieces: a phi node of the
+        # eps route pays for no |D_{N,j}|^2 row and no residues
+        from lambshift import kernel
+
+        def no_row(*args):
+            raise AssertionError("the spectral route formed a weight row")
+
+        monkeypatch.setattr(kernel, "_row_weights", no_row)
+        monkeypatch.setattr(kernel, "_row_table", no_row)
+        for N, L, phi in ((1, 0, 3.5), (4, 1, 6.0), (20, 10, 9.0)):
+            value = _inner_t_integral_spectral(N, L, phi, N * math.exp(-phi), 0.0125)
+            assert cmath.isfinite(value)
+
     def test_single_eps_near_primary(self, eps_shift):
         # one finite-damping point lands within O(eps) of the converged shift
         value = eps_shift(1, 0, 0.05)

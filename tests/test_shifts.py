@@ -280,6 +280,33 @@ class TestPoleSubtraction:
         assert math.isfinite(rounded.value)
         assert not rounded.converged or rounded.value == pytest.approx(want, rel=1e-12)
 
+    def test_node_an_ulp_from_a_pole(self, monkeypatch):
+        # at (50, 40) with rel_tol 1e-13 the refinement puts nodes within an
+        # ulp of the pole ln(50/49), where N e^-phi rounds to exactly n; the
+        # subtracted integrand takes N e^-phi - n as n expm1(phi_n - phi),
+        # which vanishes only at the pole itself, never a node
+        import lambshift.shifts as shifts_mod
+
+        pole, nodes = math.log(50 / 49), []
+        for direction in (math.inf, -math.inf):
+            phi = pole
+            for _ in range(4):
+                phi = math.nextafter(phi, direction)
+                nodes.append(phi)
+        assert all(50 * math.exp(-phi) == 49 for phi in nodes)
+
+        class Probed(Exception):
+            pass
+
+        def probing(f, *args, **kwargs):
+            rows = f(np.array(nodes))
+            assert np.isfinite(rows).all()
+            raise Probed
+
+        monkeypatch.setattr(shifts_mod, "integrate_semi_infinite", probing)
+        with pytest.raises(Probed):
+            lamb_shift(QuantumState(50, 40), spec=QuadratureSpec(rel_tol=1e-13, abs_tol=1e-25))
+
     @pytest.mark.parametrize(
         "N, L, options, limits",
         [
