@@ -8,7 +8,10 @@ from its principal value in closed form, so one outer quadrature over phi
 takes the whole real part.  The dipole approximation differs only in the
 photon-energy weight and in a finite cutoff on the frequency integration;
 pushing that cutoff to infinity and removing the known logarithm yields
-the Bethe logarithm.
+the Bethe logarithm.  A channel's residue at its pole depends on (N, L, n)
+alone, not on Z, the constants or the dipole switch, so each state's are
+computed once per process (_pole_residues) and read by its rates in both
+approximations, its shifts and its Bethe logarithm.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -114,29 +118,45 @@ def _weight(state, phi, options: DipoleOptions, constants) -> float:
     return weight_nondipole(state, phi, constants)
 
 
+@lru_cache(maxsize=None)
+def _pole_residues(N: int, L: int) -> tuple[float, ...]:
+    """R_n(phi_n) at the pole phi_n = ln(N/n) of every open channel n = max(1, L) .. N-1.
+
+    The one place a channel's residue is computed, once per (N, L) per
+    process: it does not depend on Z, the constants or the dipole switch.
+    """
+    return tuple(residue_coeffs(N, L, math.log(N / n), n) for n in range(max(1, L), N))
+
+
 def _pole_channels(state: QuantumState, options: DipoleOptions, constants: PhysicalConstants) -> list:
     """(n, w(phi_n), R_n(phi_n)) for every open channel n at its pole phi_n = ln(N/n).
 
-    The one place a channel's residue is computed: lamb_shift passes these
-    to both the pole strengths of its shift and its rates.
+    The residues come from _pole_residues and only the weights are formed
+    per call, so every rate, pole strength and Bethe logarithm of a state
+    reads the same residues: lamb_shift passes these to both the pole
+    strengths of its shift and its rates.
     """
     N, L = state.N, state.L
-    channels = []
-    for n in range(max(1, L), N):
-        pole = math.log(N / n)
-        channels.append((n, _weight(state, pole, options, constants), residue_coeffs(N, L, pole, n)))
-    return channels
+    return [
+        (n, _weight(state, math.log(N / n), options, constants), r)
+        for n, r in zip(range(max(1, L), N), _pole_residues(N, L))
+    ]
 
 
 def _partial_rates(state: QuantumState, constants: PhysicalConstants, channels) -> tuple:
-    """(n, Gamma_n) in 10^6/s from the channels of _pole_channels."""
+    """(n, Gamma_n) in 10^6/s from the channels of _pole_channels.
+
+    The one closed channel, an s state decaying to 1s by one transverse
+    photon (L = 0, n = 1), is reported as exactly 0.0: its residue vanishes
+    analytically and is left with the roundoff of ln(N/n) alone.  Every
+    other residue is kept, however small its rate.
+    """
     N, Z = state.N, state.Z
     base = constants.mec2_eV * (Z * constants.alpha0) ** 2 / constants.hbar_eVs
-    tiny = 1.0e-12 * constants.rate_unit_per_s(Z) / 1.0e6  # roundoff of a forbidden channel
     rates = []
     for n, w, r_n in channels:
         gamma = -(8.0 * constants.alpha0 / (3.0 * N * N)) * r_n * w * base / 1.0e6
-        rates.append((n, 0.0 if abs(gamma) < tiny else gamma))
+        rates.append((n, 0.0 if state.L == 0 and n == 1 else gamma))
     return tuple(rates)
 
 
@@ -236,8 +256,8 @@ def _shift_bracket(
     subtracted numerator.  [0, Phi_1] is integrated as a shift with that
     limit and each increment [Phi_i, Phi_{i+1}] once on a panel of its own;
     results are running sums, diagnostics included.  pole_channels come
-    from _pole_channels, so a caller that also reports rates computes each
-    channel's residue once.
+    from _pole_channels, so the pole strengths read the same residues as
+    the rates.
     """
     N, L = state.N, state.L
     spec = spec or QuadratureSpec()

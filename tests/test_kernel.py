@@ -137,7 +137,7 @@ def test_hot_path_never_calls_reference_route(monkeypatch):
     import lambshift.kernel as K
     import lambshift.oracles as oracles
     import lambshift.su11 as su11
-    from lambshift.shifts import DipoleOptions, QuantumState, decay_rates, lamb_shift
+    from lambshift.shifts import DipoleOptions, QuantumState, _pole_residues, decay_rates, lamb_shift
 
     def reference_route(*args, **kwargs):
         raise AssertionError("reference route called on the hot path")
@@ -153,6 +153,7 @@ def test_hot_path_never_calls_reference_route(monkeypatch):
     assert not hasattr(PhiKernel(3, 0, 1.0), "_ln_sh2")
     assert math.fsum(residue_coeffs(6, 2, 0.7, n) for n in range(2, 6)) != 0.0
     state = QuantumState(N=4, L=1)
+    _pole_residues.cache_clear()  # so that the rates compute their residues here
     assert decay_rates(state) and decay_rates(state, DipoleOptions(enabled=True))
     series, closed = PhiKernel(3, 0, 1.0), PhiKernel(8, 0, 4.0)
     assert series._use_series() and not closed._use_series()
@@ -709,10 +710,11 @@ class TestKernelTables:
         src = str(Path(K.__file__).resolve().parents[1])
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); import lambshift, lambshift.oracles; "
-            "from lambshift import kernel as K, specfun as S; "
-            "print([f.cache_info().currsize for f in (K._tail_table, K._euler_rows, K._row_table)], "
+            "from lambshift import kernel as K, shifts, specfun as S; "
+            "print([f.cache_info().currsize for f in "
+            "(K._tail_table, K._euler_rows, K._row_table, shifts._pole_residues)], "
             "len(S._JACOBI_STEPS))"
         )
         out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["[0,", "0,", "0]", "0"]
+        assert out.stdout.split() == ["[0,", "0,", "0,", "0]", "0"]

@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from lambshift import kernel
-from lambshift.constants import PhysicalConstants, default_constants
+from lambshift.constants import PhysicalConstants, default_constants, load_constants
+from lambshift.kernel import residue_coeffs
 from lambshift.quadrature import QuadratureSpec, integrate_principal_value, kronrod_nodes_weights
 from lambshift.shifts import (
     DEFAULT_BETHE_CUTOFFS,
@@ -13,6 +15,7 @@ from lambshift.shifts import (
     QuantumState,
     _pole_channels,
     _pole_pv,
+    _pole_residues,
     _shift_bracket,
     bethe_amplitude,
     bethe_log,
@@ -99,10 +102,33 @@ class TestDecayRates:
         assert rates[0][1] == pytest.approx(exact, rel=1e-12)
 
     def test_s_channels_to_s_shells_closed(self):
-        # one-photon s -> s transitions carry no rate
-        for N in (2, 3, 4):
-            rates = dict(decay_rates(QuantumState(N=N, L=0)))
-            assert rates[1] == 0.0
+        # one-photon s -> 1s transitions carry no rate: the residue vanishes
+        # analytically, and its float value is roundoff, never reported
+        for N in range(2, 51):
+            for options in (NON_DIPOLE, DIPOLE):
+                assert dict(decay_rates(QuantumState(N=N, L=0), options))[1] == 0.0
+
+    @pytest.mark.parametrize(
+        "N, L, channels", [(40, 26, (26,)), (50, 25, (25,)), (200, 100, (100, 150, 199))]
+    )
+    def test_small_high_n_rates_kept(self, N, L, channels):
+        # rates far below 1e-12 of the rate unit are real: each equals the
+        # closed form with an 80-digit residue q_n = |D_n|^2/2 - |D_{n-1}|^2/4 - |D_{n+1}|^2/4
+        from test_kernel import _mp_dilation_weight
+
+        state = QuantumState(N=N, L=L)
+        base = C.mec2_eV * C.alpha0**2 / C.hbar_eVs
+        for options in (NON_DIPOLE, DIPOLE):
+            rates = dict(decay_rates(state, options))
+            for n in channels:
+                pole = math.log(N / n)
+                d = [_mp_dilation_weight(N, L, j, pole) for j in (n - 1, n, n + 1)]
+                with mp.workdps(80):
+                    r_n = float(d[1] / 2 - d[0] / 4 - d[2] / 4)
+                w = weight_dipole(state, pole, C) if options.enabled else weight_nondipole(state, pole, C)
+                want = -(8.0 * C.alpha0 / (3.0 * N * N)) * r_n * w * base / 1.0e6
+                assert rates[n] != 0.0
+                assert abs(rates[n] - want) <= 1e-10 * abs(want), (n, options)
 
     def test_rates_positive_free_of_sign_noise(self):
         for (N, L) in ((3, 1), (4, 0), (5, 2)):
@@ -122,6 +148,31 @@ class TestDecayRates:
         z1 = dict(decay_rates(QuantumState(N=2, L=1, Z=1), DIPOLE))
         z2 = dict(decay_rates(QuantumState(N=2, L=1, Z=2), DIPOLE))
         assert z2[1] / z1[1] == pytest.approx(16.0, rel=1e-6)  # ~ Z^4 up to weight shape
+
+
+class TestPoleResidues:
+    def test_table_equals_residue_coeffs_bit_for_bit(self):
+        for N in range(1, 21):
+            for L in range(N):
+                want = tuple(residue_coeffs(N, L, math.log(N / n), n) for n in range(max(1, L), N))
+                assert _pole_residues(N, L) == want, (N, L)
+
+    def test_keyed_by_state_alone(self, tmp_path):
+        # the residues depend on (N, L) only: rates read from a table filled
+        # under other charges, constants and options equal freshly computed ones
+        path = tmp_path / "constants.txt"
+        path.write_text("alpha0 = 7.2e-3\nmec2_eV = 511000.0\nhbar_eVs = 6.58e-16\n")
+        cases = [
+            (QuantumState(N=N, L=L, Z=Z), options, constants)
+            for N, L in ((2, 1), (3, 0), (4, 1), (7, 3), (12, 11))
+            for Z in (1, 92)
+            for options in (NON_DIPOLE, DIPOLE)
+            for constants in (C, load_constants(str(path)))
+        ]
+        warm = [decay_rates(*case) for case in cases]
+        for case, rates in zip(cases, warm):
+            _pole_residues.cache_clear()
+            assert decay_rates(*case) == rates, case
 
 
 class TestCircularRates:
@@ -165,7 +216,8 @@ class TestLambShift:
 
     @pytest.mark.parametrize("options", [NON_DIPOLE, DipoleOptions(enabled=True, cutoff_x=1e3)])
     def test_one_residue_call_per_channel(self, monkeypatch, options):
-        # the pole strengths of the shift and the rates share each channel's residue
+        # the pole strengths of the shift and the rates share each channel's
+        # residue, computed once per process for both approximations
         import lambshift.shifts as shifts_mod
 
         seen = []
@@ -178,10 +230,15 @@ class TestLambShift:
         state = QuantumState(N=4, L=1)
         expected = lamb_shift(state, options)
         monkeypatch.setattr(shifts_mod, "residue_coeffs", counting)
+        shifts_mod._pole_residues.cache_clear()
         result = lamb_shift(state, options)
         assert seen == [(math.log(4 / n), n) for n in (1, 2, 3)]
         assert result.partial_rates == decay_rates(state, options) == expected.partial_rates
         assert result.lamb_shift_MHz == expected.lamb_shift_MHz
+        other = DipoleOptions() if options.enabled else DipoleOptions(enabled=True)
+        assert lamb_shift(state, options).lamb_shift_MHz == expected.lamb_shift_MHz
+        assert decay_rates(state, other)
+        assert len(seen) == 3
 
     def test_total_rate_equals_rates_command_total(self, monkeypatch):
         # ShiftResult.total_rate and the `rates` command's total (before its
@@ -474,8 +531,12 @@ class TestBethe:
             return residue(N, L, phi, n)
 
         monkeypatch.setattr(shifts_mod, "residue_coeffs", counting)
-        bethe_log(3, 1, (1e3, 3e3, 1e4))
+        shifts_mod._pole_residues.cache_clear()
+        first = bethe_log(3, 1, (1e3, 3e3, 1e4))
         assert seen == [(math.log(3 / n), n) for n in (1, 2)]
+        assert bethe_log(3, 1, (1e3, 3e3, 1e4)) == first
+        assert decay_rates(QuantumState(N=3, L=1)) and decay_rates(QuantumState(N=3, L=1), DIPOLE)
+        assert len(seen) == 2
 
     # From the same pipeline with a 30-digit mpmath inner integral; they
     # agree with Drake & Swainson, PRA 41, 1243 (1990) to the digits recalled

@@ -52,3 +52,7 @@ def test_tracer_patches_every_site():
         "oracles.inner_grid", "oracles.inner_spectral",
     ):
         assert metrics[f"{name}.calls"] > 0, name
+    # one residue per decay channel per process: bethe_log(2, 1) reads the
+    # channel that lamb_shift(2, 1) computed, decay_rates(3, 1) adds two
+    assert metrics["kernel.residue_coeffs.calls"] == 3
+    assert metrics["kernel.residue_coeffs.unique_ratio"] == 1.0
