@@ -4,10 +4,10 @@ Each subcommand accepts only the flags it reads; any other flag is a
 usage error.
 
 Exit codes: 0 success, 1 internal error, 2 invalid quantum numbers or
-flags (an unknown flag included), 3 quadrature or extrapolation did not
-converge (the report is still printed, flagged converged=false) or the
-arithmetic overflowed, divided by zero or gave a non-finite integrand
-(only an error line on stderr).
+flags (an unknown flag included), 3 a quadrature did not converge (the
+report is still printed, flagged converged=false) or the arithmetic
+overflowed, divided by zero or gave a non-finite integrand (only an
+error line on stderr).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 from .constants import CONSTANTS_ENV_VAR, resolve_constants
 from .quadrature import IntegrandError, QuadratureSpec
 from .shifts import (
-    DEFAULT_BETHE_CUTOFFS,
     DipoleOptions,
     QuantumState,
     bethe_log,
@@ -43,8 +42,6 @@ _FLAGS = {
     "--dipole": dict(action="store_true", help="use the dipole approximation"),
     "--cutoff-x": dict(type=float, default=None,
                        help="dipole photon-energy cutoff x = hw/(2 mec2)"),
-    "--cutoffs": dict(type=float, nargs="+", default=list(DEFAULT_BETHE_CUTOFFS),
-                      help="ascending dipole cutoffs used for the extrapolation"),
     "--id": dict(type=int, required=True, choices=(1, 2, 3)),
     "--rel-tol": dict(type=float, default=1.0e-9),
     "--abs-tol": dict(type=float, default=1.0e-14),
@@ -64,8 +61,8 @@ _COMMANDS = {
               (*_STATE, "--dipole", "--cutoff-x", *_TOLERANCES, *_OUTPUT)),
     "rates": ("partial and total decay rates", (*_STATE, "--dipole", *_OUTPUT)),
     "bethe": ("Bethe logarithm and mean excitation energy",
-              (*_STATE, "--cutoffs", *_TOLERANCES, *_OUTPUT)),
-    "table": ("reproduce a published table", ("--id", "--cutoffs", *_TOLERANCES, *_OUTPUT)),
+              (*_STATE, *_TOLERANCES, *_OUTPUT)),
+    "table": ("reproduce a published table", ("--id", *_TOLERANCES, *_OUTPUT)),
     "verify": (None, (*_TOLERANCES, *_OUTPUT)),
 }
 
@@ -174,17 +171,18 @@ def _run_rates(args, constants):
 
 
 def _run_bethe(args, constants):
-    result = bethe_log(args.n, args.l, tuple(args.cutoffs), constants, _spec(args), Z=args.z)
+    result = bethe_log(args.n, args.l, constants, _spec(args), Z=args.z)
     records = _rows({"N": args.n, "L": args.l}, [
         ("bethe_log", "1", result.gamma),
         ("mean_excitation", "Ry", result.mean_excitation_Ry),
-        ("extrapolation_residual", "1", result.extrapolation_residual),
+        ("error_estimate", "1", result.error_estimate),
+        ("evaluations", "count", result.diagnostics.evaluations),
     ])
     return result.as_dict(), records, EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
 def _run_table(args, constants):
-    cells = generate_table(args.id, constants, _spec(args), bethe_cutoffs=tuple(args.cutoffs))
+    cells = generate_table(args.id, constants, _spec(args))
     records = [{k: getattr(cell, k) for k in _TABLE_KEYS} for cell in cells]
     converged = all(cell.converged for cell in cells)
     return records, records, EXIT_OK if converged else EXIT_NOT_CONVERGED

@@ -1,13 +1,15 @@
 """Brute-force cross-check evaluators, kept off the primary result path.
 
-Six independent routes back the closed forms used elsewhere: the kernel
+Seven independent routes back the closed forms used elsewhere: the kernel
 as an explicit sum over the compact-generator eigenbasis, the disentangled
 2x2 product behind the polar decomposition, the rotated kernel and its
 remainder in tau from the closed u-form (q_imag_time, remainder,
 remainder_dtau; the hot path only integrates them in closed form), the
 inner tau integral by adaptive quadrature of that u-form, the PV term of
 a shift as one folded principal value per decay channel (against the
-singularity subtraction of shifts._shift_bracket), and the un-rotated
+singularity subtraction of shifts._shift_bracket), the Bethe logarithm by
+Neville extrapolation of dipole shifts at finite cutoffs (against the one
+convergent integral of shifts.bethe_log), and the un-rotated
 real-axis double integral at finite damping epsilon, whose real-time
 kernel Q(T, phi) is written once (kernel_q).  Tolerances here are looser
 by construction; the oscillatory epsilon route in particular only makes
@@ -48,7 +50,8 @@ from .shifts import (
     DipoleOptions,
     QuantumState,
     _weight,
-    neville_extrapolate,
+    bethe_amplitude,
+    lamb_shift,
     shift_prefactor,
     weight_nondipole,
 )
@@ -453,6 +456,52 @@ def shift_via_eps_real_axis(
         total += h * np.dot(weights, phi_integrand(c + h * nodes))
 
     return constants.eV_to_MHz(shift_prefactor(state, constants)) * total
+
+
+def neville_extrapolate(xs, ys) -> tuple[float, float]:
+    """Polynomial extrapolation to x = 0; returns (value, last correction)."""
+    n = len(xs)
+    if n != len(ys) or n < 2:
+        raise ValueError("need matching xs/ys with at least two points")
+    tab = list(ys)
+    prev_last = tab[-1]
+    for k in range(1, n):
+        prev_last = tab[-1]
+        for i in range(n - 1, k - 1, -1):
+            tab[i] = (xs[i] * tab[i - 1] - xs[i - k] * tab[i]) / (xs[i] - xs[i - k])
+    return tab[-1], abs(tab[-1] - prev_last)
+
+
+def bethe_log_by_cutoffs(
+    N: int,
+    L: int,
+    cutoffs,
+    constants: PhysicalConstants | None = None,
+    spec: QuadratureSpec | None = None,
+    Z: int = 1,
+) -> tuple[float, float]:
+    """Bethe logarithm from dipole shifts at finite cutoffs: (gamma, last Neville correction).
+
+    Each cutoff x gives the estimate -DeltaE(x)/A + delta_{L0} (ln 4x - 2 ln(Z a0)),
+    with A = bethe_amplitude, from one lamb_shift call; the estimates are
+    extrapolated to infinite cutoff in e^{-phi_cut}.  It shares no link and
+    no tail with shifts.bethe_log, whose one convergent integral it checks.
+    For s states the extrapolation is biased by about (Z a0)^2/x (6.6e-10
+    at x = 1e3 .. 1e5 and Z = 1), so it is a check at large cutoffs only.
+    """
+    constants = constants or default_constants()
+    state = QuantumState(N=N, L=L, Z=Z)
+    amplitude = bethe_amplitude(state, constants)
+    nodes, estimates = [], []
+    for x in cutoffs:
+        options = DipoleOptions(enabled=True, cutoff_x=x)
+        shift_MHz = lamb_shift(state, options, spec, constants).lamb_shift_MHz
+        estimate = -constants.MHz_to_eV(shift_MHz) / amplitude
+        if L == 0:
+            estimate += math.log(4.0 * x) - 2.0 * math.log(Z * constants.alpha0)
+        nodes.append(math.exp(-options.phi_cut(state, constants)))
+        estimates.append(estimate)
+    return neville_extrapolate(nodes, estimates)
 
 
 def shift_via_eps_extrapolated(

@@ -6,19 +6,20 @@ per open decay channel, and an imaginary part whose pole residues give the
 partial decay rates in closed form.  The same residues subtract each pole
 from its principal value in closed form, so one outer quadrature over phi
 takes the whole real part.  The dipole approximation differs only in the
-photon-energy weight and in a finite cutoff on the frequency integration;
-pushing that cutoff to infinity and removing the known logarithm yields
-the Bethe logarithm.  A channel's residue at its pole depends on (N, L, n)
-alone, not on Z, the constants or the dipole switch, so each state's are
-computed once per process (_pole_residues) and read by its rates in both
-approximations, its shifts and its Bethe logarithm.
+photon-energy weight and in a finite cutoff on the frequency integration.
+The Bethe logarithm is that cutoff pushed to infinity: adding Bethe's sum
+rule to the dipole integrand makes it one convergent phi integral, so no
+cutoff extrapolation is needed.  A channel's residue at its pole depends
+on (N, L, n) alone, not on Z, the constants or the dipole switch, so each
+state's are computed once per process (_pole_residues) and read by its
+rates in both approximations, its shifts and its Bethe logarithm.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -28,7 +29,6 @@ from .constants import PhysicalConstants, default_constants
 from .kernel import PhiKernel, residue_coeffs, validate_quantum_numbers
 from .quadrature import (
     Diagnostics,
-    QuadratureResult,
     QuadratureSpec,
     dyadic_edges_upto,
     integrate_panels,
@@ -36,7 +36,9 @@ from .quadrature import (
     integrate_semi_infinite,
 )
 
-DEFAULT_BETHE_CUTOFFS = (1.0e3, 3.0e3, 1.0e4, 3.0e4, 1.0e5)
+# Cutoffs x = hw/(2 mec2) at which bethe_log reports its running estimates;
+# gamma itself does not depend on them.
+BETHE_CUTOFFS = (1.0e3, 3.0e3, 1.0e4, 3.0e4, 1.0e5)
 
 
 @dataclass(frozen=True)
@@ -229,17 +231,60 @@ def _pole_pv(N: int, n: int, limit: float | None) -> float:
     return math.log((N - n) / (n - (0.0 if limit is None else N * math.exp(-limit)))) / n
 
 
+def _pole_terms(N: int, pole_channels) -> list[tuple[int, float, float]]:
+    """(n, phi_n, A_n) per open channel: pole phi_n = ln(N/n), strength A_n = w(phi_n) n R_n(phi_n)."""
+    return [(n, math.log(N / n), w * n * r) for n, w, r in pole_channels]
+
+
+def _phi_edges(terms, limit: float) -> tuple[float, ...]:
+    """Panel edges of [0, limit]: 0, every pole, then dyadic panels from the last pole."""
+    lead = (0.0, *(pole for _, pole, _ in reversed(terms)))
+    return lead[:-1] + dyadic_edges_upto(lead[-1], limit)
+
+
+def _bracket_integrand(state, options, constants, terms) -> tuple:
+    """The phi integrand of a shift's bracket, and the nodes whose inner integral failed.
+
+    The integrand maps an array of phi nodes to rows (w tau integral,
+    subtracted PV integrand), the second summed over the channels of terms
+    (from _pole_terms) as [w n R_n - A_n e^(phi_n - phi)]/(N e^-phi - n),
+    see _shift_bracket.  The list gains every phi whose inner tau integral
+    did not converge.
+    """
+    N, L = state.N, state.L
+    start = max(1, L)
+    failed = []
+
+    def integrand(phis: np.ndarray) -> np.ndarray:
+        rows = []
+        for phi in phis.tolist():
+            ker = PhiKernel(N, L, phi)
+            value, _, _, ok = ker.tau_integral()
+            if not ok:
+                failed.append(phi)
+            weight = _weight(state, phi, options, constants)
+            nx = ker.nu
+            regular = math.fsum(
+                (weight * n * r - a * (nx / n)) / (n * math.expm1(pole - phi))
+                for (n, pole, a), r in zip(terms, ker.residues[start:])
+            )
+            rows.append((weight * value, regular))
+        return np.array(rows)
+
+    return integrand, failed
+
+
 def _shift_bracket(
     state: QuantumState,
     options: DipoleOptions,
     spec: QuadratureSpec | None,
     constants: PhysicalConstants,
-    limits: tuple[float | None, ...],
+    limit: float | None,
     pole_channels: list,
-) -> list[tuple[float, float, Diagnostics]]:
+) -> tuple[float, float, Diagnostics]:
     """The two bracket terms of the shift in MHz, (tau term, PV term, diagnostics),
-    at each of the ascending upper limits Phi of phi: (None,) for the
-    semi-infinite non-dipole shift, the cutoff phi values of dipole shifts.
+    with phi integrated up to limit: None for the semi-infinite non-dipole
+    shift, the cutoff phi of a dipole shift.
 
     Each channel's principal value loses its pole phi_n = ln(N/n) by
     singularity subtraction.  With the pole strength A_n = w(phi_n) n R_n(phi_n),
@@ -251,61 +296,28 @@ def _shift_bracket(
     n expm1(phi_n - phi), zero only at the pole itself: at tight
     tolerances the refinement reaches nodes within an ulp of the pole,
     where N e^-phi rounds to exactly n.  One two-column quadrature takes the tau
-    integrand and the sum of these at the same nodes.  The poles are the
-    first panel edges, so no node comes near the cancellation in the
-    subtracted numerator.  [0, Phi_1] is integrated as a shift with that
-    limit and each increment [Phi_i, Phi_{i+1}] once on a panel of its own;
-    results are running sums, diagnostics included.  pole_channels come
-    from _pole_channels, so the pole strengths read the same residues as
-    the rates.
+    integrand and the sum of these at the same nodes (_bracket_integrand).  The
+    poles are the first panel edges, so no node comes near the cancellation
+    in the subtracted numerator.  pole_channels come from _pole_channels, so
+    the pole strengths read the same residues as the rates.
     """
-    N, L = state.N, state.L
+    N = state.N
     spec = spec or QuadratureSpec()
-    first = limits[0]
-    inner_ok = True
-    channels = range(max(1, L), N)
-    poles = [math.log(N / n) for n in channels]
-    if first is not None and poles and first <= poles[0] + 1.0e-6:
-        raise ValueError(f"dipole cutoff phi={first:.3f} does not clear the pole at {poles[0]:.3f}")
-    strengths = [w * n * r for n, w, r in pole_channels]
-
-    def integrand(phis: np.ndarray) -> np.ndarray:
-        nonlocal inner_ok
-        rows = []
-        for phi in phis.tolist():
-            ker = PhiKernel(N, L, phi)
-            value, _, _, ok = ker.tau_integral()
-            inner_ok &= ok
-            weight = _weight(state, phi, options, constants)
-            nx = ker.nu
-            regular = math.fsum(
-                (weight * n * r - a * (nx / n)) / (n * math.expm1(pole - phi))
-                for n, pole, a, r in zip(channels, poles, strengths, ker.residues[channels.start:])
-            )
-            rows.append((weight * value, regular))
-        return np.array(rows)
-
-    lead = (0.0, *poles[::-1])
-    if first is None:
-        outer = integrate_semi_infinite(integrand, spec, points=lead[1:])
+    terms = _pole_terms(N, pole_channels)
+    if limit is not None and terms and limit <= terms[0][1] + 1.0e-6:
+        raise ValueError(f"dipole cutoff phi={limit:.3f} does not clear the pole at {terms[0][1]:.3f}")
+    integrand, failed = _bracket_integrand(state, options, constants, terms)
+    if limit is None:
+        outer = integrate_semi_infinite(integrand, spec, points=[pole for _, pole, _ in reversed(terms)])
     else:
-        outer = integrate_panels(integrand, lead[:-1] + dyadic_edges_upto(lead[-1], first), spec)
-    outer.converged &= inner_ok
+        outer = integrate_panels(integrand, _phi_edges(terms, limit), spec)
+    outer.converged &= not failed
+    diag = Diagnostics()
+    diag.record("tau_phi_integral", outer)
+    tau, regular = outer.columns
+    pv = math.fsum([regular, *(a * _pole_pv(N, n, limit) for n, _, a in terms)])
     prefactor = shift_prefactor(state, constants)
-
-    def bracket(outer: QuadratureResult, limit: float | None) -> tuple[float, float, Diagnostics]:
-        diag = Diagnostics()
-        diag.record("tau_phi_integral", outer)
-        tau, regular = outer.columns
-        pv = math.fsum([regular, *(a * _pole_pv(N, n, limit) for n, a in zip(channels, strengths))])
-        return constants.eV_to_MHz(prefactor * tau), constants.eV_to_MHz(prefactor * pv), diag
-
-    brackets = [bracket(outer, first)]
-    for lo, hi in zip(limits, limits[1:]):
-        outer = outer + integrate_panels(integrand, (lo, hi), spec)
-        outer.converged &= inner_ok
-        brackets.append(bracket(outer, hi))
-    return brackets
+    return constants.eV_to_MHz(prefactor * tau), constants.eV_to_MHz(prefactor * pv), diag
 
 
 def lamb_shift(
@@ -323,7 +335,7 @@ def lamb_shift(
     constants = constants or default_constants()
     limit = options.phi_cut(state, constants) if options.enabled else None
     channels = _pole_channels(state, options, constants)
-    ((tau_MHz, pv_MHz, diag),) = _shift_bracket(state, options, spec, constants, (limit,), channels)
+    tau_MHz, pv_MHz, diag = _shift_bracket(state, options, spec, constants, limit, channels)
 
     rates = _partial_rates(state, constants, channels)
     return ShiftResult(
@@ -338,23 +350,14 @@ def lamb_shift(
     )
 
 
-def neville_extrapolate(xs, ys) -> tuple[float, float]:
-    """Polynomial extrapolation to x = 0; returns (value, last correction)."""
-    n = len(xs)
-    if n != len(ys) or n < 2:
-        raise ValueError("need matching xs/ys with at least two points")
-    tab = list(ys)
-    prev_last = tab[-1]
-    for k in range(1, n):
-        prev_last = tab[-1]
-        for i in range(n - 1, k - 1, -1):
-            tab[i] = (xs[i] * tab[i - 1] - xs[i - k] * tab[i]) / (xs[i] - xs[i - k])
-    return tab[-1], abs(tab[-1] - prev_last)
-
-
 @dataclass
 class BetheResult:
-    """Cutoff-extrapolated Bethe logarithm and its mean excitation energy."""
+    """Bethe logarithm, its mean excitation energy and the links of its phi integral.
+
+    estimates are the dipole-shift estimates of gamma at the cutoffs_used,
+    error_estimate the sum of the links' Gauss-Kronrod errors, both in
+    units of gamma; diagnostics holds one part per link.
+    """
 
     N: int
     L: int
@@ -362,8 +365,9 @@ class BetheResult:
     mean_excitation_Ry: float
     cutoffs_used: tuple[float, ...]
     estimates: tuple[float, ...]
-    extrapolation_residual: float
+    error_estimate: float
     converged: bool
+    diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
     def as_dict(self) -> dict:
         return {
@@ -373,59 +377,96 @@ class BetheResult:
             "mean_excitation_Ry": self.mean_excitation_Ry,
             "cutoffs_used": list(self.cutoffs_used),
             "estimates": list(self.estimates),
-            "extrapolation_residual": self.extrapolation_residual,
+            "error_estimate": self.error_estimate,
             "converged": self.converged,
+            "diagnostics": self.diagnostics.as_dict(),
         }
 
 
 def bethe_log(
     N: int,
     L: int,
-    cutoffs=DEFAULT_BETHE_CUTOFFS,
     constants: PhysicalConstants | None = None,
     spec: QuadratureSpec | None = None,
     Z: int = 1,
 ) -> BetheResult:
-    """Bethe logarithm gamma(N, L) from cutoff dipole shifts.
+    """Bethe logarithm gamma(N, L) as one convergent integral over phi.
 
-    Each cutoff x gives the estimate -DeltaE(x)/A + delta_{L,0}
-    (ln 4x - 2 ln(Z a0)) with A = (8 a0^3 Z^4/(3 pi N^3)) mec2 a0^2/2;
-    the sequence is extrapolated to infinite cutoff in e^{-phi_cut}.
-    All cutoffs come from one pass over phi (_shift_bracket): the first
-    cutoff's shift plus one increment per further cutoff.
+    In units of gamma the dipole bracket integrand of _shift_bracket is
+
+        h(phi) = (N/(Z a0)^2) [tau column + subtracted PV column] + 2 delta_{L0},
+
+    which does not depend on Z and decays like e^-phi.  The constant 2 is
+    Bethe's sum rule (H. A. Bethe, Phys. Rev. 72, 339 (1947)): it is the
+    limit of minus the bracket of an s state as the cutoff goes to
+    infinity, where it cancels the ln 4x of the cutoff shift.  Then
+
+        gamma = int_0^inf h dphi + sum_n A_n _pole_pv(N, n, inf) - 2 delta_{L0} ln N
+
+    with A_n the pole strengths in the same units.  One pass over phi takes
+    the integral in links: [0, Phi_1] with the poles as panel edges, each
+    increment [Phi_i, Phi_{i+1}] between the phi of the BETHE_CUTOFFS, and
+    the tail int_0^{e^-Phi_5} h(-ln x) dx/x, whose integrand tends to a
+    constant: one panel takes it at the default tolerances, and no node
+    comes near phi = 355, where the dipole weight overflows, as the
+    doubling panels of a semi-infinite domain would at tight tolerances.
+    Every link after the first is judged against rel_tol |first link|, the
+    scale of gamma: on its own tiny total it would never converge.  spec's
+    tolerances are in units of gamma.
+
+    The running sums at the cutoffs are the estimates
+    -DeltaE(x)/A + delta_{L0} (ln 4x - 2 ln(Z a0)) of the dipole shift at
+    each cutoff x, with A = bethe_amplitude, in the form
+    int_0^Phi h + sum_n A_n _pole_pv(N, n, Phi) + delta_{L0} (ln(1 - e^{-2 Phi}) - 2 ln N).
     """
     constants = constants or default_constants()
-    cutoffs = tuple(float(x) for x in cutoffs)
-    if len(cutoffs) < 3 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError("need at least three ascending cutoff values")
+    spec = spec or QuadratureSpec()
     state = QuantumState(N=N, L=L, Z=Z)
-    amplitude = bethe_amplitude(state, constants)
-    limits = tuple(DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, constants) for x in cutoffs)
     options = DipoleOptions(enabled=True)
-    channels = _pole_channels(state, options, constants)
-    brackets = _shift_bracket(state, options, spec, constants, limits, channels)
-    estimates = []
-    for x, (tau_MHz, pv_MHz, _) in zip(cutoffs, brackets):
-        estimate = -constants.MHz_to_eV(tau_MHz + pv_MHz) / amplitude
-        if L == 0:
-            estimate += math.log(4.0 * x) - 2.0 * math.log(Z * constants.alpha0)
-        estimates.append(estimate)
-    nodes = [math.exp(-phi) for phi in limits]
-    ok = all(diag.converged for _, _, diag in brackets)
+    limits = [DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, constants) for x in BETHE_CUTOFFS]
+    scale = N / (Z * constants.alpha0) ** 2
+    terms = _pole_terms(N, _pole_channels(state, options, constants))
+    sum_rule = 2.0 if L == 0 else 0.0
+    bracket, failed = _bracket_integrand(state, options, constants, terms)
 
-    gamma, residual = neville_extrapolate(nodes, estimates)
-    diffs = [b - a for a, b in zip(estimates, estimates[1:])]
-    monotone = all(d >= 0 for d in diffs) or all(d <= 0 for d in diffs)
-    converged = ok and monotone and residual < 1.0e-4 * abs(gamma) + 0.01
+    def h(phis: np.ndarray) -> np.ndarray:
+        return scale * bracket(phis).sum(axis=1) + sum_rule
+
+    diag = Diagnostics()
+
+    def link(name: str, f, edges, link_spec: QuadratureSpec) -> float:
+        before = len(failed)
+        result = integrate_panels(f, edges, link_spec)
+        result.converged &= len(failed) == before
+        return diag.record(name, result).value
+
+    links = [link("phi_to_cutoff_1", h, _phi_edges(terms, limits[0]), spec)]
+    later = replace(spec, abs_tol=max(spec.abs_tol, spec.rel_tol * abs(links[0])))
+    for i, (lo, hi) in enumerate(zip(limits, limits[1:]), start=2):
+        links.append(link(f"phi_to_cutoff_{i}", h, (lo, hi), later))
+    links.append(link("phi_tail", lambda xs: h(-np.log(xs)) / xs, (0.0, math.exp(-limits[-1])), later))
+
+    def closed(limit: float) -> list[float]:
+        """The pole terms and delta_{L0} (ln(1 - e^{-2 Phi}) - 2 ln N) at the upper limit Phi."""
+        return [
+            *(scale * a * _pole_pv(N, n, limit) for n, _, a in terms),
+            sum_rule * (0.5 * math.log(-math.expm1(-2.0 * limit)) - math.log(N)),
+        ]
+
+    # the running sums at each cutoff, and gamma at Phi = infinity
+    *estimates, gamma = (
+        math.fsum([*links[:i], *closed(phi)]) for i, phi in enumerate([*limits, math.inf], start=1)
+    )
     return BetheResult(
         N=N,
         L=L,
         gamma=gamma,
         mean_excitation_Ry=math.exp(gamma),
-        cutoffs_used=cutoffs,
+        cutoffs_used=BETHE_CUTOFFS,
         estimates=tuple(estimates),
-        extrapolation_residual=residual,
-        converged=converged,
+        error_estimate=diag.error_estimate,
+        converged=diag.converged,
+        diagnostics=diag,
     )
 
 
@@ -508,7 +549,6 @@ def generate_table(
     table_id: int,
     constants: PhysicalConstants | None = None,
     spec: QuadratureSpec | None = None,
-    bethe_cutoffs=DEFAULT_BETHE_CUTOFFS,
 ) -> list[TableCell]:
     """Recompute every numeric cell of one published table with deviations."""
     constants = constants or default_constants()
@@ -532,7 +572,7 @@ def generate_table(
         states = TABLE2_STATES if table_id == 2 else TABLE3_STATES
         j_values = (0.5,) if table_id == 2 else (0.5, 1.5)
         for N, L in states:
-            bethe = bethe_log(N, L, bethe_cutoffs, constants, spec)
+            bethe = bethe_log(N, L, constants, spec)
             # every cell derived from gamma inherits its convergence flag
             ok = bethe.converged
             cells.append(_cell(refs, table_id, N, L, None, None, "bethe_log", "1", bethe.gamma, ok))

@@ -20,6 +20,7 @@ from lambshift.oracles import (
     bch_reconstruct_2x2,
     kernel_q,
     kernel_via_spectral_series,
+    neville_extrapolate,
     q_imag_time,
     remainder,
     remainder_dtau,
@@ -33,7 +34,6 @@ from lambshift.shifts import (
     decay_rates,
     dipole_lamb_full,
     lamb_shift,
-    neville_extrapolate,
     shift_prefactor,
 )
 from lambshift.su11 import GroupElement, RepLabel, bch_decompose, compose, rep_matrix_element

@@ -81,13 +81,15 @@ def test_dipole_needs_cutoff_for_shift(capsys):
 
 def test_bethe_command(capsys):
     status, out, _ = run_cli(
-        capsys, "bethe", "--n", "1", "--l", "0",
-        "--cutoffs", "1e3", "3e3", "1e4", "--format", "json",
+        capsys, "bethe", "--n", "1", "--l", "0", "--format", "json",
     )
     assert status == EXIT_OK
     payload = json.loads(out)
     assert payload["bethe_log"] == pytest.approx(2.98413, abs=2e-3)
     assert payload["converged"] is True
+    assert len(payload["estimates"]) == len(payload["cutoffs_used"]) == 5
+    assert 0.0 < payload["error_estimate"] < 1e-8
+    assert list(payload["diagnostics"]) == [*(f"phi_to_cutoff_{i}" for i in range(1, 6)), "phi_tail"]
 
 
 def test_table_csv_covers_every_published_cell(capsys):
@@ -160,7 +162,7 @@ def test_table_with_unconverged_bethe_log_exits_3(capsys, monkeypatch):
     def unconverged(N, L, *args, **kwargs):
         return shifts_mod.BetheResult(
             N=N, L=L, gamma=-0.03, mean_excitation_Ry=math.exp(-0.03), cutoffs_used=(),
-            estimates=(), extrapolation_residual=0.0, converged=False,
+            estimates=(), error_estimate=0.0, converged=False,
         )
 
     monkeypatch.setattr(shifts_mod, "bethe_log", unconverged)
@@ -194,6 +196,9 @@ def test_verify_not_advertised_in_help(capsys):
     ("rates", "--n", "2", "--l", "1", "--dipole", "--cutoff-x", "5"),
     ("verify", "--z", "2"),
     ("shift", "--n", "2", "--l", "1", "--j", "1.5"),
+    # the Bethe logarithm is one convergent integral; it takes no cutoffs
+    ("bethe", "--n", "2", "--l", "1", "--cutoffs", "1e3", "3e3", "1e4"),
+    ("table", "--id", "3", "--cutoffs", "1e3", "3e3", "1e4"),
 ])
 def test_flag_the_subcommand_does_not_read_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -208,9 +213,8 @@ SUBCOMMAND_FLAGS = {
     "shift": {"--n", "--l", "--z", "--dipole", "--cutoff-x", "--rel-tol", "--abs-tol",
               "--format", "--constants-file"},
     "rates": {"--n", "--l", "--z", "--dipole", "--format", "--constants-file"},
-    "bethe": {"--n", "--l", "--z", "--cutoffs", "--rel-tol", "--abs-tol", "--format",
-              "--constants-file"},
-    "table": {"--id", "--cutoffs", "--rel-tol", "--abs-tol", "--format", "--constants-file"},
+    "bethe": {"--n", "--l", "--z", "--rel-tol", "--abs-tol", "--format", "--constants-file"},
+    "table": {"--id", "--rel-tol", "--abs-tol", "--format", "--constants-file"},
     "verify": {"--rel-tol", "--abs-tol", "--format", "--constants-file"},
 }
 
@@ -225,4 +229,4 @@ def test_each_subcommand_declares_exactly_the_flags_it_reads():
         for name, p in subparsers.choices.items()
     }
     assert declared == SUBCOMMAND_FLAGS
-    assert sum(map(len, declared.values())) == 33
+    assert sum(map(len, declared.values())) == 31

@@ -11,13 +11,15 @@ from lambshift.oracles import (
     _inner_t_integral_grid,
     _inner_t_integral_spectral,
     _kernel_matrix_element_grid,
+    bethe_log_by_cutoffs,
     kernel_via_spectral_series,
+    neville_extrapolate,
     pv_term_by_principal_values,
     q_imag_time,
     shift_via_eps_real_axis,
 )
 from lambshift.quadrature import kronrod_nodes_weights
-from lambshift.shifts import DipoleOptions, QuantumState, lamb_shift
+from lambshift.shifts import DipoleOptions, QuantumState, bethe_log, lamb_shift
 
 
 def _mp_damped_inner(N, L, phi, nu, eps):
@@ -257,3 +259,37 @@ def test_shift_matches_principal_value_oracle(N, L, Z, cutoff_x):
     assert result.converged
     pv = pv_term_by_principal_values(state, options)
     assert abs(result.lamb_shift_MHz - (result.tau_phi_term_MHz + pv)) <= 1e-9 * abs(result.lamb_shift_MHz)
+
+
+class TestNeville:
+    def test_exact_for_polynomial(self):
+        xs = [0.05, 0.025, 0.0125, 0.00625]
+        ys = [3.0 + 2.0 * x - 7.0 * x**2 + x**3 for x in xs]
+        value, _ = neville_extrapolate(xs, ys)
+        assert value == pytest.approx(3.0, abs=1e-12)
+
+    def test_residual_vanishes_when_degree_is_low(self):
+        # a quadratic fitted by a cubic: the last elimination adds nothing
+        xs = [0.05, 0.025, 0.0125, 0.00625]
+        ys = [3.0 + 2.0 * x - 7.0 * x**2 for x in xs]
+        value, residual = neville_extrapolate(xs, ys)
+        assert value == pytest.approx(3.0, abs=1e-12)
+        assert residual < 1e-11
+
+    def test_rejects_mismatched_input(self):
+        with pytest.raises(ValueError):
+            neville_extrapolate([1.0], [2.0])
+
+
+@pytest.mark.parametrize(
+    "N, L", [(1, 0), (2, 0), (3, 0), (4, 0), (2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (4, 3)]
+)
+def test_bethe_log_matches_cutoff_route(N, L):
+    """The one convergent integral of bethe_log against Neville extrapolation
+    of standalone dipole shifts at cutoffs 1e7 .. 1e9, where the cutoff
+    route's s-state bias, about (Z a0)^2/x, is below 1e-13.
+    """
+    result = bethe_log(N, L)
+    assert result.converged
+    gamma, _ = bethe_log_by_cutoffs(N, L, (1e7, 3e7, 1e8, 3e8, 1e9))
+    assert abs(result.gamma - gamma) <= 1e-12

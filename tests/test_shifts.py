@@ -9,7 +9,7 @@ from lambshift.constants import PhysicalConstants, default_constants, load_const
 from lambshift.kernel import residue_coeffs
 from lambshift.quadrature import QuadratureSpec, integrate_principal_value, kronrod_nodes_weights
 from lambshift.shifts import (
-    DEFAULT_BETHE_CUTOFFS,
+    BETHE_CUTOFFS,
     NON_DIPOLE,
     DipoleOptions,
     QuantumState,
@@ -24,7 +24,6 @@ from lambshift.shifts import (
     dipole_lamb_full,
     generate_table,
     lamb_shift,
-    neville_extrapolate,
     shift_prefactor,
     weight_dipole,
     weight_nondipole,
@@ -32,6 +31,11 @@ from lambshift.shifts import (
 
 C = default_constants()
 DIPOLE = DipoleOptions(enabled=True)
+# the Bethe-logarithm table states, the other high-L states of N <= 4 and four beyond the tables
+BETHE_SAMPLE = (
+    (1, 0), (2, 0), (3, 0), (4, 0), (2, 1), (3, 1), (4, 1),
+    (3, 2), (4, 2), (4, 3), (7, 2), (10, 0), (20, 0), (20, 10),
+)
 
 
 class TestQuantumState:
@@ -250,7 +254,7 @@ class TestLambShift:
         from lambshift.cli import _run_rates
         from lambshift.quadrature import Diagnostics
 
-        monkeypatch.setattr(shifts_mod, "_shift_bracket", lambda *args: [(0.0, 0.0, Diagnostics())])
+        monkeypatch.setattr(shifts_mod, "_shift_bracket", lambda *args: (0.0, 0.0, Diagnostics()))
         for N in range(1, 21):
             for L in range(N):
                 for dipole in (False, True):
@@ -389,7 +393,8 @@ class TestPoleSubtraction:
 
             monkeypatch.setattr(shifts_mod, name, recording)
         state = QuantumState(N=N, L=L)
-        _shift_bracket(state, options, None, C, limits, _pole_channels(state, options, C))
+        for limit in limits:
+            _shift_bracket(state, options, None, C, limit, _pole_channels(state, options, C))
         nodes = np.concatenate(calls)
         outer = kronrod_nodes_weights()[0][1]
         # nodes come in 15-node panels of (-x_i, x_i) pairs around the centre, which is last
@@ -397,26 +402,6 @@ class TestPoleSubtraction:
         for n in range(max(1, L), N):
             gap = np.abs(nodes - math.log(N / n)) / widths
             assert gap.min() >= 0.004, n
-
-
-class TestNeville:
-    def test_exact_for_polynomial(self):
-        xs = [0.05, 0.025, 0.0125, 0.00625]
-        ys = [3.0 + 2.0 * x - 7.0 * x**2 + x**3 for x in xs]
-        value, _ = neville_extrapolate(xs, ys)
-        assert value == pytest.approx(3.0, abs=1e-12)
-
-    def test_residual_vanishes_when_degree_is_low(self):
-        # a quadratic fitted by a cubic: the last elimination adds nothing
-        xs = [0.05, 0.025, 0.0125, 0.00625]
-        ys = [3.0 + 2.0 * x - 7.0 * x**2 for x in xs]
-        value, residual = neville_extrapolate(xs, ys)
-        assert value == pytest.approx(3.0, abs=1e-12)
-        assert residual < 1e-11
-
-    def test_rejects_mismatched_input(self):
-        with pytest.raises(ValueError):
-            neville_extrapolate([1.0], [2.0])
 
 
 class TestBethe:
@@ -432,40 +417,44 @@ class TestBethe:
         assert result.gamma == pytest.approx(-0.0300156, abs=2e-4)
 
     def test_z_independence(self):
-        g1 = bethe_log(2, 0, Z=1).gamma
-        g2 = bethe_log(2, 0, Z=2).gamma
-        assert g1 == pytest.approx(g2, abs=1e-4)
+        # the integrand in units of gamma does not depend on Z; only the
+        # cutoffs between the links do
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-24)
+        for N, L in ((1, 0), (2, 0), (2, 1)):
+            gammas = [bethe_log(N, L, spec=spec, Z=Z).gamma for Z in (1, 2, 92)]
+            assert max(gammas) - min(gammas) <= 1e-12, (N, L, gammas)
 
     @pytest.mark.parametrize("N, L, Z", [(2, 0, 1), (3, 1, 1), (2, 0, 2)])
     def test_estimates_match_per_cutoff_shifts(self, N, L, Z):
-        # the first cutoff is integrated as a standalone shift; the others add
-        # their increments to it, so they agree to roundoff, not bit for bit
+        # the estimates are running sums of the links, in units of gamma;
+        # each standalone shift integrates its own [0, Phi], so they agree to
+        # roundoff, not bit for bit
         state = QuantumState(N=N, L=L, Z=Z)
         amplitude = bethe_amplitude(state, C)
         expected = []
-        for x in DEFAULT_BETHE_CUTOFFS:
+        for x in BETHE_CUTOFFS:
             shift = lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=x))
             estimate = -C.MHz_to_eV(shift.lamb_shift_MHz) / amplitude
             if L == 0:
                 estimate += math.log(4.0 * x) - 2.0 * math.log(Z * C.alpha0)
             expected.append(estimate)
         got = bethe_log(N, L, Z=Z).estimates
-        assert got[0] == expected[0]
+        assert len(got) == len(expected)
         assert all(abs(g - e) <= 1e-12 for g, e in zip(got, expected))
 
     def test_limits_accumulate_diagnostics(self):
-        state = QuantumState(N=3, L=1)
-        limits = tuple(
-            DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, C) for x in (1e3, 3e3, 1e4)
-        )
-        brackets = _shift_bracket(state, DIPOLE, None, C, limits, _pole_channels(state, DIPOLE, C))
-        standalone = lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=1e3))
-        assert brackets[0][2].as_dict() == standalone.diagnostics.as_dict()
-        assert brackets[0][0] + brackets[0][1] == standalone.lamb_shift_MHz
-        # each limit adds one two-column 15-node panel at least
-        evals = [diag.evaluations for _, _, diag in brackets]
-        assert all(b - a >= 15 for a, b in zip(evals, evals[1:]))
-        assert all(list(diag.parts) == list(brackets[0][2].parts) for _, _, diag in brackets)
+        # one part per link of the phi integral: [0, Phi_1], each increment
+        # between cutoffs and the tail, whose integrand tends to a constant,
+        # on one panel; the error bar is theirs summed
+        result = bethe_log(3, 1)
+        parts = result.diagnostics.parts
+        assert list(parts) == [*(f"phi_to_cutoff_{i}" for i in range(1, 6)), "phi_tail"]
+        assert all(p.converged for p in parts.values())
+        assert parts["phi_to_cutoff_1"].evaluations > 15
+        assert [p.evaluations for p in list(parts.values())[1:]] == [15] * 5
+        assert result.error_estimate == math.fsum(p.error_estimate for p in parts.values())
+        assert result.as_dict()["error_estimate"] == result.error_estimate
+        assert result.as_dict()["diagnostics"] == result.diagnostics.as_dict()
 
     def test_cutoffs_share_each_inner_integral(self, monkeypatch):
         seen = []
@@ -483,7 +472,7 @@ class TestBethe:
         per_cutoff = sum(
             lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=x))
             .diagnostics.parts["tau_phi_integral"].evaluations
-            for x in DEFAULT_BETHE_CUTOFFS
+            for x in BETHE_CUTOFFS
         )
         assert len(seen) < per_cutoff
 
@@ -503,24 +492,27 @@ class TestBethe:
         assert flagged
         assert not result.converged
 
-    def test_unconverged_increment_flags_later_cutoffs_only(self, monkeypatch):
+    @pytest.mark.parametrize("link", [1, 5])
+    def test_unconverged_link_flags_result(self, monkeypatch, link):
+        # inner integrals that fail only inside one link, an increment or
+        # the tail, flag that link and the result
         state = QuantumState(N=2, L=1)
-        limits = tuple(
-            DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, C) for x in (1e3, 3e3, 1e4)
-        )
+        limits = [DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, C) for x in BETHE_CUTOFFS]
+        lo, hi = (limits + [math.inf])[link - 1:link + 1]
         tau_integral = kernel.PhiKernel.tau_integral
 
-        def failing_beyond_first(ker):
+        def failing_inside(ker):
             value, err, evals, ok = tau_integral(ker)
-            return value, err, evals, ok and not limits[0] < ker.phi < limits[1]
+            return value, err, evals, ok and not lo < ker.phi < hi
 
-        monkeypatch.setattr(kernel.PhiKernel, "tau_integral", failing_beyond_first)
-        brackets = _shift_bracket(state, DIPOLE, None, C, limits, _pole_channels(state, DIPOLE, C))
-        assert [diag.converged for _, _, diag in brackets] == [True, False, False]
+        monkeypatch.setattr(kernel.PhiKernel, "tau_integral", failing_inside)
+        result = bethe_log(2, 1)
+        assert not result.converged
+        assert [p.converged for p in result.diagnostics.parts.values()] == [i != link for i in range(6)]
 
     def test_one_residue_call_per_channel(self, monkeypatch):
         # the phi nodes read every R_n from PhiKernel.residues; residue_coeffs
-        # gives only each channel's pole strength, once for all cutoffs
+        # gives only each channel's pole strength, once for all links
         import lambshift.shifts as shifts_mod
 
         seen = []
@@ -532,15 +524,16 @@ class TestBethe:
 
         monkeypatch.setattr(shifts_mod, "residue_coeffs", counting)
         shifts_mod._pole_residues.cache_clear()
-        first = bethe_log(3, 1, (1e3, 3e3, 1e4))
+        first = bethe_log(3, 1)
         assert seen == [(math.log(3 / n), n) for n in (1, 2)]
-        assert bethe_log(3, 1, (1e3, 3e3, 1e4)) == first
+        assert bethe_log(3, 1) == first
         assert decay_rates(QuantumState(N=3, L=1)) and decay_rates(QuantumState(N=3, L=1), DIPOLE)
         assert len(seen) == 2
 
     # From the same pipeline with a 30-digit mpmath inner integral; they
     # agree with Drake & Swainson, PRA 41, 1243 (1990) to the digits recalled
-    # in ROADMAP.md (-0.005232148, -0.006740939, -0.001733661).
+    # in ROADMAP.md (-0.005232148, -0.006740939, -0.001733661).  The cutoff
+    # route checks them too (test_oracles.py, test_bethe_log_matches_cutoff_route).
     @pytest.mark.parametrize(
         "N, L, gamma", [(3, 2, -0.005232148141), (4, 2, -0.006740938877), (4, 3, -0.001733661482)]
     )
@@ -548,15 +541,24 @@ class TestBethe:
         result = bethe_log(N, L)
         assert result.converged
         assert result.gamma == pytest.approx(gamma, rel=1e-8)
-        wider = bethe_log(N, L, tuple(10.0 * x for x in DEFAULT_BETHE_CUTOFFS))
-        assert wider.converged
-        assert wider.gamma == pytest.approx(result.gamma, rel=1e-8)
 
-    def test_cutoff_sequence_validation(self):
-        with pytest.raises(ValueError):
-            bethe_log(1, 0, cutoffs=(1e3, 1e4))
-        with pytest.raises(ValueError):
-            bethe_log(1, 0, cutoffs=(1e4, 1e3, 1e5))
+    def test_tight_tolerances_converge_at_any_z(self):
+        # at either tight spec each state converges at Z = 1 and 92, all four
+        # gammas agree to 1e-12, and the default spec is within 1e-10 of them
+        tight_specs = (
+            QuadratureSpec(rel_tol=1e-12, abs_tol=1e-24),
+            QuadratureSpec(rel_tol=1e-13, abs_tol=1e-25),
+        )
+        for N, L in BETHE_SAMPLE:
+            tight = []
+            for spec in tight_specs:
+                for Z in (1, 92):
+                    result = bethe_log(N, L, spec=spec, Z=Z)
+                    assert result.converged, (N, L, spec, Z)
+                    tight.append(result.gamma)
+            assert max(tight) - min(tight) <= 1e-12, (N, L, tight)
+            for Z in (1, 92):
+                assert abs(bethe_log(N, L, Z=Z).gamma - tight[-1]) <= 1e-10, (N, L, Z)
 
 
 class TestDipoleLambFull:
@@ -599,8 +601,8 @@ class TestTables:
         assert abs(keyed[(2, 1, 1)].rel_dev) < 1e-4
         assert keyed[(3, 0, 1)].computed == 0.0
 
-    def test_table_3_with_cheap_cutoffs(self):
-        cells = generate_table(3, bethe_cutoffs=(300.0, 1000.0, 3000.0))
+    def test_table_3_layout(self):
+        cells = generate_table(3)
         by_quantity = {}
         for c in cells:
             by_quantity.setdefault(c.quantity, []).append(c)

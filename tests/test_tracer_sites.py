@@ -28,10 +28,13 @@ from tracing import Tracer
 tracer = Tracer()
 tracer.install(ls)
 ls.lamb_shift(QuantumState(N=2, L=1))
-ls.bethe_log(2, 1)
+before = tracer.counts["quadrature.outer.evals"]
+bethe = ls.bethe_log(2, 1)
+bethe_evals = [tracer.counts["quadrature.outer.evals"] - before, bethe.diagnostics.evaluations]
 ls.decay_rates(QuantumState(N=3, L=1))
 oracles.shift_via_eps_real_axis(QuantumState(N=1, L=0), 0.05)
-print(json.dumps({"failures": tracer.crosscheck_failures, "metrics": tracer.layer_metrics()}))
+print(json.dumps({"failures": tracer.crosscheck_failures, "metrics": tracer.layer_metrics(),
+                  "bethe_evals": bethe_evals}))
 """
 
 
@@ -56,3 +59,7 @@ def test_tracer_patches_every_site():
     # channel that lamb_shift(2, 1) computed, decay_rates(3, 1) adds two
     assert metrics["kernel.residue_coeffs.calls"] == 3
     assert metrics["kernel.residue_coeffs.unique_ratio"] == 1.0
+    # every link of the Bethe integral goes through the traced integrate_panels
+    # site: the tracer counts exactly the evaluations the result reports
+    traced, reported = report["bethe_evals"]
+    assert traced == reported > 0
