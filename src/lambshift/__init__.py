@@ -15,7 +15,6 @@ from .shifts import (
     QuantumState,
     ShiftResult,
     bethe_log,
-    circular_rate_closed_form,
     decay_rates,
     dipole_lamb_full,
     generate_table,
@@ -35,7 +34,6 @@ __all__ = [
     "QuantumState",
     "ShiftResult",
     "bethe_log",
-    "circular_rate_closed_form",
     "decay_rates",
     "default_constants",
     "dipole_lamb_full",

@@ -97,14 +97,6 @@ def _spec(args) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
 
 
-def _dipole_options(args) -> DipoleOptions:
-    if args.dipole:
-        return DipoleOptions(enabled=True, cutoff_x=args.cutoff_x)
-    if args.cutoff_x is not None:
-        raise ValueError("--cutoff-x only applies together with --dipole")
-    return DipoleOptions()
-
-
 def _rows(head: dict, quantities) -> list[dict]:
     """One record per (quantity, unit, value), each led by the same head fields."""
     return [{**head, "quantity": q, "unit": unit, "value": v} for q, unit, v in quantities]
@@ -147,7 +139,8 @@ def _render(payload, records: list[dict], fmt: str) -> str:
 
 def _run_shift(args, constants):
     state = QuantumState(N=args.n, L=args.l, Z=args.z)
-    result = lamb_shift(state, _dipole_options(args), _spec(args), constants)
+    options = DipoleOptions(enabled=args.dipole, cutoff_x=args.cutoff_x)
+    result = lamb_shift(state, options, _spec(args), constants)
     records = _rows({"N": state.N, "L": state.L, "Z": state.Z}, [
         ("lamb_shift", "MHz", result.lamb_shift_MHz),
         ("tau_phi_term", "MHz", result.tau_phi_term_MHz),

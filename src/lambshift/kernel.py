@@ -148,8 +148,8 @@ def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
     Only the three weights j = n-1, n, n+1 are computed, as plain floats
     from the entries of _row_table that PhiKernel's rows read, and _q
     combines them: a scalar call (one per decay channel per process, at
-    its pole, through shifts._pole_residues, which every rate, pole
-    strength and Bethe logarithm reads) would spend more on a whole row of
+    its pole, through shifts._channels, which every rate, pole strength
+    and Bethe logarithm reads) would spend more on a whole row of
     weights or on a numpy array than on the arithmetic.  It equals
     PhiKernel(N, L, phi).residues[n] bit for bit.
     """

@@ -1,13 +1,14 @@
 """Brute-force cross-check evaluators, kept off the primary result path.
 
-Seven independent routes back the closed forms used elsewhere: the kernel
+Eight independent routes back the closed forms used elsewhere: the kernel
 as an explicit sum over the compact-generator eigenbasis, the disentangled
 2x2 product behind the polar decomposition, the rotated kernel and its
 remainder in tau from the closed u-form (q_imag_time, remainder,
 remainder_dtau; the hot path only integrates them in closed form), the
 inner tau integral by adaptive quadrature of that u-form, the PV term of
 a shift as one folded principal value per decay channel (against the
-singularity subtraction of shifts._shift_bracket), the Bethe logarithm by
+singularity subtraction of shifts._shift_bracket), the dipole rate of
+the circular states (N, N-1) in closed form, the Bethe logarithm by
 Neville extrapolation of dipole shifts at finite cutoffs (against the one
 convergent integral of shifts.bethe_log), and the un-rotated
 real-axis double integral at finite damping epsilon, whose real-time
@@ -49,7 +50,7 @@ from .quadrature import (
 from .shifts import (
     DipoleOptions,
     QuantumState,
-    _weight,
+    _photon_weight,
     bethe_amplitude,
     lamb_shift,
     shift_prefactor,
@@ -253,12 +254,10 @@ def pv_term_by_principal_values(
     constants = constants or default_constants()
     N, L = state.N, state.L
     upper = options.phi_cut(state, constants) if options.enabled else None
+    weight = _photon_weight(state, options, constants)
 
     def numerator(phis: np.ndarray, n: int) -> np.ndarray:
-        return np.array([
-            _weight(state, phi, options, constants) * n * residue_coeffs(N, L, phi, n)
-            for phi in phis.tolist()
-        ])
+        return np.array([weight(phi) * n * residue_coeffs(N, L, phi, n) for phi in phis.tolist()])
 
     poles = {n: math.log(N / n) for n in range(max(1, L), N)}
     pvs = [
@@ -269,6 +268,24 @@ def pv_term_by_principal_values(
         for n, pole in poles.items()
     ]
     return constants.eV_to_MHz(shift_prefactor(state, constants) * math.fsum(pvs))
+
+
+def circular_rate_closed_form(
+    N: int, Z: int = 1, constants: PhysicalConstants | None = None
+) -> float:
+    """Dipole decay rate of the maximal-angular-momentum state (N, L=N-1), 10^6/s.
+
+    Gamma = (2/3) (N-1/2) / (N^4 (N-1)^2) (1 + 1/(4N(N-1)))^{-2N} in units
+    of mec2 a0 (Z a0)^4 / hbar, independent of the residues behind
+    shifts.decay_rates, whose one channel of these states it checks.
+    """
+    if N < 2:
+        raise ValueError(f"need N >= 2, got {N}")
+    constants = constants or default_constants()
+    unit = constants.rate_unit_per_s(Z)
+    shape = (2.0 / 3.0) * (N - 0.5) / (N**4 * (N - 1) ** 2)
+    shape *= (1.0 + 1.0 / (4.0 * N * (N - 1))) ** (-2 * N)
+    return shape * unit / 1.0e6
 
 
 def _kernel_matrix_element_grid(N: int, L: int, T: np.ndarray, phi: float | np.ndarray):

@@ -13,10 +13,11 @@ Integrands are array functions: f receives a 1-D numpy array of nodes and
 returns an array of the values at all of them, or a (nodes, C) array of C
 columns.  Columns share the nodes and the refinement, which follows the
 larger of each column's error estimate and their sum's, and the result
-carries each column's total besides their sum.  Each panel is
-one call of f with its 15 nodes, and each bisection one call with the 30
-nodes of both halves, as in QUADPACK; every returned value is checked and
-the first non-finite one raises IntegrandError.
+carries each column's total besides their sum.  The starting panels of an
+edge list are one call of f with all their nodes, 15 per panel (_panels),
+and each bisection one call with the 30 nodes of both halves; every
+returned value is checked and the first non-finite one raises
+IntegrandError.
 
 All nodes are interior, so integrands may be singular (integrably) at
 panel endpoints, in particular at the origin of a semi-infinite domain.
@@ -167,25 +168,32 @@ class _Panel:
     value: tuple[float, ...]  # one entry per column
     error: float
 
-    def split(self, f) -> tuple["_Panel", "_Panel"] | None:
+    def split(self, f) -> list["_Panel"] | None:
         """Both halves, or None where a half's outer nodes would round onto its edges."""
         m = 0.5 * (self.a + self.b)
         for a, b in ((self.a, m), (m, self.b)):
             c, h = 0.5 * (a + b), 0.5 * (b - a)
             if not a < c - h * _XGK[0] or not c + h * _XGK[0] < b:
                 return None
-        (lv, rv), (le, re) = _gk15(f, (self.a, m, self.b))
-        return _Panel(self.a, m, lv, le), _Panel(m, self.b, rv, re)
+        return _panels(f, (self.a, m, self.b))
 
 
-def _refine(f, panels: list[_Panel], spec: QuadratureSpec, evals: int) -> QuadratureResult:
+def _panels(f, edges: Sequence[float]) -> list[_Panel]:
+    """One Gauss-Kronrod panel between each pair of consecutive edges, all in one call of f."""
+    values, errors = _gk15(f, edges)
+    return list(map(_Panel, edges, edges[1:], values, errors))
+
+
+def _refine(f, panels: list[_Panel], spec: QuadratureSpec) -> QuadratureResult:
     """Bisect the worst panel in place until the summed error meets the tolerance.
 
     panels stay ordered by position; math.fsum is correctly rounded, so the
     order of the sums does not matter.  The budget counts panels created.
     A panel too narrow to split in floating point (its nodes would land on
-    its edges, a pole among them) ends the refinement unconverged.
+    its edges, a pole among them) ends the refinement unconverged.  Each
+    panel given took 15 evaluations, and each bisection takes 30.
     """
+    evals = 15 * len(panels)
     subdivisions = 0
     while True:
         errors = [p.error for p in panels]
@@ -210,13 +218,7 @@ def integrate_panels(f, edges: Sequence[float], spec: QuadratureSpec | None = No
     spec = spec or QuadratureSpec()
     if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError(f"edges must be strictly ascending, got {edges!r}")
-    panels = []
-    evals = 0
-    for a, b in zip(edges, edges[1:]):
-        (value,), (error,) = _gk15(f, (a, b))
-        evals += 15
-        panels.append(_Panel(a, b, value, error))
-    return _refine(f, panels, spec, evals)
+    return _refine(f, _panels(f, edges), spec)
 
 
 def _dyadic_edges(origin: float):
@@ -251,16 +253,12 @@ def integrate_semi_infinite(
     lead = (origin, *points)
     if any(b <= a for a, b in zip(lead, lead[1:])):
         raise ValueError(f"points must ascend from the origin {origin!r}, got {points!r}")
-    values, errors = _gk15(f, lead) if points else ((), ())
-    panels = list(map(_Panel, lead, lead[1:], values, errors))
-    evals = 15 * len(panels)
+    panels = _panels(f, lead) if points else []
     lo = lead[-1]
     quiet = 0
     for hi in _dyadic_edges(lo):
-        (value,), (error,) = _gk15(f, (lo, hi))
-        evals += 15
-        panels.append(_Panel(lo, hi, value, error))
-        if abs(math.fsum(value)) < spec.abs_tol and error < spec.abs_tol:
+        panels += _panels(f, (lo, hi))
+        if abs(math.fsum(panels[-1].value)) < spec.abs_tol and panels[-1].error < spec.abs_tol:
             quiet += 1
             if quiet >= 2:
                 break
@@ -269,7 +267,7 @@ def integrate_semi_infinite(
         if len(panels) >= spec.max_subdivisions:
             break
         lo = hi
-    return _refine(f, panels, spec, evals)
+    return _refine(f, panels, spec)
 
 
 def integrate_principal_value(

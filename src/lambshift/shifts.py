@@ -5,14 +5,16 @@ Lamb shift), a rotated-contour double integral plus one principal value
 per open decay channel, and an imaginary part whose pole residues give the
 partial decay rates in closed form.  The same residues subtract each pole
 from its principal value in closed form, so one outer quadrature over phi
-takes the whole real part.  The dipole approximation differs only in the
-photon-energy weight and in a finite cutoff on the frequency integration.
-The Bethe logarithm is that cutoff pushed to infinity: adding Bethe's sum
-rule to the dipole integrand makes it one convergent phi integral, so no
-cutoff extrapolation is needed.  A channel's residue at its pole depends
-on (N, L, n) alone, not on Z, the constants or the dipole switch, so each
-state's are computed once per process (_pole_residues) and read by its
-rates in both approximations, its shifts and its Bethe logarithm.
+takes the whole real part.  A channel's pole phi_n = ln(N/n) and residue
+depend on (N, L, n) alone, not on Z, the constants or the dipole switch,
+so one table per state (_channels) holds them, computed once per process,
+for its rates in both approximations, its shifts and its Bethe logarithm.
+Every phi integral of the shift bracket is then set by (N, L), a photon
+weight w(phi) and its domain: the dipole approximation differs only in
+the weight and in a finite cutoff on phi.  The Bethe logarithm is that
+cutoff pushed to infinity, with the weight in units of gamma,
+w = (e^{2 phi} - 1)/(2N): adding Bethe's sum rule makes it one convergent
+phi integral, so no cutoff extrapolation is needed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
 import numpy as np
@@ -68,6 +70,8 @@ class DipoleOptions:
 
     def __post_init__(self) -> None:
         if self.cutoff_x is not None:
+            if not self.enabled:
+                raise ValueError("cutoff_x needs the dipole approximation: enabled=True, or --dipole")
             if not math.isfinite(self.cutoff_x) or self.cutoff_x <= 0:
                 raise ValueError(f"cutoff_x must be positive and finite, got {self.cutoff_x!r}")
 
@@ -114,39 +118,26 @@ def weight_dipole(state: QuantumState, phi: float, constants: PhysicalConstants)
     return 0.5 * (state.Z * constants.alpha0 / state.N) ** 2 * math.expm1(2.0 * phi)
 
 
-def _weight(state, phi, options: DipoleOptions, constants) -> float:
-    if options.enabled:
-        return weight_dipole(state, phi, constants)
-    return weight_nondipole(state, phi, constants)
+def _photon_weight(state: QuantumState, options: DipoleOptions, constants: PhysicalConstants):
+    """The photon-energy weight w(phi) of state's shift bracket and rates under options."""
+    return partial(weight_dipole if options.enabled else weight_nondipole, state, constants=constants)
 
 
 @lru_cache(maxsize=None)
-def _pole_residues(N: int, L: int) -> tuple[float, ...]:
-    """R_n(phi_n) at the pole phi_n = ln(N/n) of every open channel n = max(1, L) .. N-1.
+def _channels(N: int, L: int) -> tuple[tuple[int, float, float], ...]:
+    """(n, phi_n, R_n(phi_n)) for every open channel n = max(1, L) .. N-1 at its pole phi_n = ln(N/n).
 
-    The one place a channel's residue is computed, once per (N, L) per
-    process: it does not depend on Z, the constants or the dipole switch.
+    The one place a channel's pole and residue are computed, once per
+    (N, L) per process: they do not depend on Z, the constants or the
+    dipole switch, so the rates in both approximations, the pole strengths
+    of every shift and the Bethe logarithm of a state all read them here.
     """
-    return tuple(residue_coeffs(N, L, math.log(N / n), n) for n in range(max(1, L), N))
+    poles = [(n, math.log(N / n)) for n in range(max(1, L), N)]
+    return tuple((n, pole, residue_coeffs(N, L, pole, n)) for n, pole in poles)
 
 
-def _pole_channels(state: QuantumState, options: DipoleOptions, constants: PhysicalConstants) -> list:
-    """(n, w(phi_n), R_n(phi_n)) for every open channel n at its pole phi_n = ln(N/n).
-
-    The residues come from _pole_residues and only the weights are formed
-    per call, so every rate, pole strength and Bethe logarithm of a state
-    reads the same residues: lamb_shift passes these to both the pole
-    strengths of its shift and its rates.
-    """
-    N, L = state.N, state.L
-    return [
-        (n, _weight(state, math.log(N / n), options, constants), r)
-        for n, r in zip(range(max(1, L), N), _pole_residues(N, L))
-    ]
-
-
-def _partial_rates(state: QuantumState, constants: PhysicalConstants, channels) -> tuple:
-    """(n, Gamma_n) in 10^6/s from the channels of _pole_channels.
+def _partial_rates(state: QuantumState, weight, constants: PhysicalConstants) -> tuple:
+    """(n, Gamma_n) in 10^6/s from the channels of _channels under the photon weight w(phi).
 
     The one closed channel, an s state decaying to 1s by one transverse
     photon (L = 0, n = 1), is reported as exactly 0.0: its residue vanishes
@@ -156,8 +147,8 @@ def _partial_rates(state: QuantumState, constants: PhysicalConstants, channels) 
     N, Z = state.N, state.Z
     base = constants.mec2_eV * (Z * constants.alpha0) ** 2 / constants.hbar_eVs
     rates = []
-    for n, w, r_n in channels:
-        gamma = -(8.0 * constants.alpha0 / (3.0 * N * N)) * r_n * w * base / 1.0e6
+    for n, pole, r_n in _channels(N, state.L):
+        gamma = -(8.0 * constants.alpha0 / (3.0 * N * N)) * r_n * weight(pole) * base / 1.0e6
         rates.append((n, 0.0 if state.L == 0 and n == 1 else gamma))
     return tuple(rates)
 
@@ -173,29 +164,12 @@ def decay_rates(
     at the pole phi_0 = ln(N/n); the ground state has no channels.
     """
     constants = constants or default_constants()
-    return _partial_rates(state, constants, _pole_channels(state, options, constants))
+    return _partial_rates(state, _photon_weight(state, options, constants), constants)
 
 
 def sum_rates(rates) -> float:
     """Correctly rounded total of partial rates (n, Gamma_n), for lamb_shift and the rates command."""
     return math.fsum(g for _, g in rates)
-
-
-def circular_rate_closed_form(
-    N: int, Z: int = 1, constants: PhysicalConstants | None = None
-) -> float:
-    """Dipole decay rate of the maximal-angular-momentum state (N, L=N-1), 10^6/s.
-
-    Gamma = (2/3) (N-1/2) / (N^4 (N-1)^2) (1 + 1/(4N(N-1)))^{-2N} in units
-    of mec2 a0 (Z a0)^4 / hbar.
-    """
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
-    constants = constants or default_constants()
-    unit = constants.rate_unit_per_s(Z)
-    shape = (2.0 / 3.0) * (N - 0.5) / (N**4 * (N - 1) ** 2)
-    shape *= (1.0 + 1.0 / (4.0 * N * (N - 1))) ** (-2 * N)
-    return shape * unit / 1.0e6
 
 
 @dataclass
@@ -226,14 +200,14 @@ class ShiftResult:
         }
 
 
-def _pole_pv(N: int, n: int, limit: float | None) -> float:
-    """PV int_0^Phi e^(phi_n - phi)/(N e^-phi - n) dphi, phi_n = ln(N/n), Phi = limit or infinity."""
-    return math.log((N - n) / (n - (0.0 if limit is None else N * math.exp(-limit)))) / n
+def _pole_pv(N: int, n: int, limit: float) -> float:
+    """PV int_0^Phi e^(phi_n - phi)/(N e^-phi - n) dphi, phi_n = ln(N/n), Phi = limit (may be inf)."""
+    return math.log((N - n) / (n - N * math.exp(-limit))) / n
 
 
-def _pole_terms(N: int, pole_channels) -> list[tuple[int, float, float]]:
-    """(n, phi_n, A_n) per open channel: pole phi_n = ln(N/n), strength A_n = w(phi_n) n R_n(phi_n)."""
-    return [(n, math.log(N / n), w * n * r) for n, w, r in pole_channels]
+def _pole_terms(N: int, L: int, weight) -> list[tuple[int, float, float]]:
+    """(n, phi_n, A_n) per open channel of _channels: pole strength A_n = w(phi_n) n R_n(phi_n)."""
+    return [(n, pole, weight(pole) * n * r) for n, pole, r in _channels(N, L)]
 
 
 def _phi_edges(terms, limit: float) -> tuple[float, ...]:
@@ -242,16 +216,16 @@ def _phi_edges(terms, limit: float) -> tuple[float, ...]:
     return lead[:-1] + dyadic_edges_upto(lead[-1], limit)
 
 
-def _bracket_integrand(state, options, constants, terms) -> tuple:
-    """The phi integrand of a shift's bracket, and the nodes whose inner integral failed.
+def _bracket_integrand(N: int, L: int, weight, terms) -> tuple:
+    """The phi integrand of a bracket under the photon weight w(phi), and its failed nodes.
 
     The integrand maps an array of phi nodes to rows (w tau integral,
     subtracted PV integrand), the second summed over the channels of terms
-    (from _pole_terms) as [w n R_n - A_n e^(phi_n - phi)]/(N e^-phi - n),
-    see _shift_bracket.  The list gains every phi whose inner tau integral
-    did not converge.
+    (from _pole_terms under the same weight) as
+    [w n R_n - A_n e^(phi_n - phi)]/(N e^-phi - n), see _shift_bracket.
+    The list of failed nodes gains every phi whose inner tau integral did
+    not converge.
     """
-    N, L = state.N, state.L
     start = max(1, L)
     failed = []
 
@@ -262,13 +236,13 @@ def _bracket_integrand(state, options, constants, terms) -> tuple:
             value, _, _, ok = ker.tau_integral()
             if not ok:
                 failed.append(phi)
-            weight = _weight(state, phi, options, constants)
+            w = weight(phi)
             nx = ker.nu
             regular = math.fsum(
-                (weight * n * r - a * (nx / n)) / (n * math.expm1(pole - phi))
+                (w * n * r - a * (nx / n)) / (n * math.expm1(pole - phi))
                 for (n, pole, a), r in zip(terms, ker.residues[start:])
             )
-            rows.append((weight * value, regular))
+            rows.append((w * value, regular))
         return np.array(rows)
 
     return integrand, failed
@@ -279,12 +253,11 @@ def _shift_bracket(
     options: DipoleOptions,
     spec: QuadratureSpec | None,
     constants: PhysicalConstants,
-    limit: float | None,
-    pole_channels: list,
+    limit: float,
 ) -> tuple[float, float, Diagnostics]:
     """The two bracket terms of the shift in MHz, (tau term, PV term, diagnostics),
-    with phi integrated up to limit: None for the semi-infinite non-dipole
-    shift, the cutoff phi of a dipole shift.
+    with phi integrated up to limit: math.inf for the semi-infinite
+    non-dipole shift, the cutoff phi of a dipole shift.
 
     Each channel's principal value loses its pole phi_n = ln(N/n) by
     singularity subtraction.  With the pole strength A_n = w(phi_n) n R_n(phi_n),
@@ -298,16 +271,17 @@ def _shift_bracket(
     where N e^-phi rounds to exactly n.  One two-column quadrature takes the tau
     integrand and the sum of these at the same nodes (_bracket_integrand).  The
     poles are the first panel edges, so no node comes near the cancellation
-    in the subtracted numerator.  pole_channels come from _pole_channels, so
-    the pole strengths read the same residues as the rates.
+    in the subtracted numerator.  The pole strengths read the residues of
+    _channels, as the rates do.
     """
-    N = state.N
+    N, L = state.N, state.L
     spec = spec or QuadratureSpec()
-    terms = _pole_terms(N, pole_channels)
-    if limit is not None and terms and limit <= terms[0][1] + 1.0e-6:
+    weight = _photon_weight(state, options, constants)
+    terms = _pole_terms(N, L, weight)
+    if terms and limit <= terms[0][1] + 1.0e-6:
         raise ValueError(f"dipole cutoff phi={limit:.3f} does not clear the pole at {terms[0][1]:.3f}")
-    integrand, failed = _bracket_integrand(state, options, constants, terms)
-    if limit is None:
+    integrand, failed = _bracket_integrand(N, L, weight, terms)
+    if limit == math.inf:
         outer = integrate_semi_infinite(integrand, spec, points=[pole for _, pole, _ in reversed(terms)])
     else:
         outer = integrate_panels(integrand, _phi_edges(terms, limit), spec)
@@ -333,11 +307,9 @@ def lamb_shift(
     weighted inner tau integral plus one principal value per decay channel.
     """
     constants = constants or default_constants()
-    limit = options.phi_cut(state, constants) if options.enabled else None
-    channels = _pole_channels(state, options, constants)
-    tau_MHz, pv_MHz, diag = _shift_bracket(state, options, spec, constants, limit, channels)
-
-    rates = _partial_rates(state, constants, channels)
+    limit = options.phi_cut(state, constants) if options.enabled else math.inf
+    tau_MHz, pv_MHz, diag = _shift_bracket(state, options, spec, constants, limit)
+    rates = _partial_rates(state, _photon_weight(state, options, constants), constants)
     return ShiftResult(
         state=state,
         lamb_shift_MHz=tau_MHz + pv_MHz,
@@ -392,24 +364,29 @@ def bethe_log(
 ) -> BetheResult:
     """Bethe logarithm gamma(N, L) as one convergent integral over phi.
 
-    In units of gamma the dipole bracket integrand of _shift_bracket is
+    In units of gamma the dipole weight is w(phi) = (e^{2 phi} - 1)/(2N),
+    the dipole weight of _shift_bracket times N/(Z a0)^2, and its bracket
+    integrand (_bracket_integrand) plus the sum rule is
 
-        h(phi) = (N/(Z a0)^2) [tau column + subtracted PV column] + 2 delta_{L0},
+        h(phi) = tau column + subtracted PV column + 2 delta_{L0},
 
-    which does not depend on Z and decays like e^-phi.  The constant 2 is
-    Bethe's sum rule (H. A. Bethe, Phys. Rev. 72, 339 (1947)): it is the
-    limit of minus the bracket of an s state as the cutoff goes to
-    infinity, where it cancels the ln 4x of the cutoff shift.  Then
+    which does not depend on Z or the constants and decays like e^-phi;
+    they enter only through the phi of the reported cutoffs.  The
+    constant 2 is Bethe's sum rule (H. A. Bethe, Phys. Rev. 72, 339
+    (1947)): it is the limit of minus the bracket of an s state as the
+    cutoff goes to infinity, where it cancels the ln 4x of the cutoff
+    shift.  Then
 
         gamma = int_0^inf h dphi + sum_n A_n _pole_pv(N, n, inf) - 2 delta_{L0} ln N
 
-    with A_n the pole strengths in the same units.  One pass over phi takes
-    the integral in links: [0, Phi_1] with the poles as panel edges, each
-    increment [Phi_i, Phi_{i+1}] between the phi of the BETHE_CUTOFFS, and
-    the tail int_0^{e^-Phi_5} h(-ln x) dx/x, whose integrand tends to a
-    constant: one panel takes it at the default tolerances, and no node
-    comes near phi = 355, where the dipole weight overflows, as the
-    doubling panels of a semi-infinite domain would at tight tolerances.
+    with A_n = w(phi_n) n R_n(phi_n) the pole strengths under that weight.
+    One pass over phi takes the integral in links: [0, Phi_1] with the
+    poles as panel edges, each increment [Phi_i, Phi_{i+1}] between the
+    phi of the BETHE_CUTOFFS, and the tail int_0^{e^-Phi_5} h(-ln x) dx/x,
+    whose integrand tends to a constant: one panel takes it at the default
+    tolerances, and no node comes near phi = 355, where the dipole weight
+    overflows, as the doubling panels of a semi-infinite domain would at
+    tight tolerances.
     Every link after the first is judged against rel_tol |first link|, the
     scale of gamma: on its own tiny total it would never converge.  spec's
     tolerances are in units of gamma.
@@ -422,15 +399,17 @@ def bethe_log(
     constants = constants or default_constants()
     spec = spec or QuadratureSpec()
     state = QuantumState(N=N, L=L, Z=Z)
-    options = DipoleOptions(enabled=True)
     limits = [DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, constants) for x in BETHE_CUTOFFS]
-    scale = N / (Z * constants.alpha0) ** 2
-    terms = _pole_terms(N, _pole_channels(state, options, constants))
+
+    def weight(phi: float) -> float:
+        return math.expm1(2.0 * phi) / (2 * N)
+
+    terms = _pole_terms(N, L, weight)
     sum_rule = 2.0 if L == 0 else 0.0
-    bracket, failed = _bracket_integrand(state, options, constants, terms)
+    bracket, failed = _bracket_integrand(N, L, weight, terms)
 
     def h(phis: np.ndarray) -> np.ndarray:
-        return scale * bracket(phis).sum(axis=1) + sum_rule
+        return bracket(phis).sum(axis=1) + sum_rule
 
     diag = Diagnostics()
 
@@ -449,7 +428,7 @@ def bethe_log(
     def closed(limit: float) -> list[float]:
         """The pole terms and delta_{L0} (ln(1 - e^{-2 Phi}) - 2 ln N) at the upper limit Phi."""
         return [
-            *(scale * a * _pole_pv(N, n, limit) for n, _, a in terms),
+            *(a * _pole_pv(N, n, limit) for n, _, a in terms),
             sum_rule * (0.5 * math.log(-math.expm1(-2.0 * limit)) - math.log(N)),
         ]
 

@@ -20,6 +20,7 @@ from lambshift.oracles import (
     bch_reconstruct_2x2,
     kernel_q,
     kernel_via_spectral_series,
+    circular_rate_closed_form,
     neville_extrapolate,
     q_imag_time,
     remainder,
@@ -30,7 +31,6 @@ from lambshift.shifts import (
     DipoleOptions,
     QuantumState,
     bethe_log,
-    circular_rate_closed_form,
     decay_rates,
     dipole_lamb_full,
     lamb_shift,

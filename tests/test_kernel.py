@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import subprocess
@@ -137,7 +138,7 @@ def test_hot_path_never_calls_reference_route(monkeypatch):
     import lambshift.kernel as K
     import lambshift.oracles as oracles
     import lambshift.su11 as su11
-    from lambshift.shifts import DipoleOptions, QuantumState, _pole_residues, decay_rates, lamb_shift
+    from lambshift.shifts import DipoleOptions, QuantumState, _channels, decay_rates, lamb_shift
 
     def reference_route(*args, **kwargs):
         raise AssertionError("reference route called on the hot path")
@@ -153,7 +154,7 @@ def test_hot_path_never_calls_reference_route(monkeypatch):
     assert not hasattr(PhiKernel(3, 0, 1.0), "_ln_sh2")
     assert math.fsum(residue_coeffs(6, 2, 0.7, n) for n in range(2, 6)) != 0.0
     state = QuantumState(N=4, L=1)
-    _pole_residues.cache_clear()  # so that the rates compute their residues here
+    _channels.cache_clear()  # so that the rates compute their residues here
     assert decay_rates(state) and decay_rates(state, DipoleOptions(enabled=True))
     series, closed = PhiKernel(3, 0, 1.0), PhiKernel(8, 0, 4.0)
     assert series._use_series() and not closed._use_series()
@@ -706,15 +707,22 @@ class TestKernelTables:
         assert pieces(2.9) == first
 
     def test_tables_empty_after_import(self):
-        # every table is built lazily, so importing the package builds none
+        # every table is built lazily, so importing the package builds none:
+        # every cached function of kernel, shifts and specfun, found by its
+        # cache_info, and the Jacobi steps
         src = str(Path(K.__file__).resolve().parents[1])
         code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import lambshift, lambshift.oracles; "
-            "from lambshift import kernel as K, shifts, specfun as S; "
-            "print([f.cache_info().currsize for f in "
-            "(K._tail_table, K._euler_rows, K._row_table, shifts._pole_residues)], "
-            "len(S._JACOBI_STEPS))"
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import lambshift, lambshift.oracles; "
+            "from lambshift import kernel, shifts, specfun; "
+            "sizes = {f'{f.__module__}.{f.__name__}': f.cache_info().currsize "
+            "for m in (kernel, shifts, specfun) for f in vars(m).values() "
+            "if callable(getattr(f, 'cache_info', None))}; "
+            "sizes['lambshift.specfun._JACOBI_STEPS'] = len(specfun._JACOBI_STEPS); "
+            "print(json.dumps(sizes))"
         )
         out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["[0,", "0,", "0,", "0]", "0"]
+        sizes = json.loads(out.stdout)
+        tables = ("_tail_table", "_euler_rows", "_row_table", "_series_term_ratios")
+        assert {*(f"lambshift.kernel.{name}" for name in tables), "lambshift.shifts._channels"} <= set(sizes)
+        assert all(size == 0 for size in sizes.values()), sizes

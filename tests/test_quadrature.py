@@ -140,15 +140,35 @@ def _recording(f):
 
 
 class TestArrayContract:
-    def test_one_call_of_fifteen_nodes_per_panel(self):
-        f, calls = _recording(lambda x: x * x)
-        r = integrate_panels(f, (0.0, 1.0, 2.0, 4.0))
+    def test_one_call_for_all_starting_panels(self, monkeypatch):
+        # k edges: one call of 15 (k - 1) nodes starts all k - 1 panels, and
+        # each panel equals a one-panel _gk15 call bit for bit
+        from lambshift import quadrature as Q
+
+        def pair(x):
+            return np.column_stack((np.sin(3.0 * x), np.exp(-x) / (0.5 + x)))
+
+        started = []
+        refine = Q._refine
+
+        def recording(f, panels, *args):
+            started.extend(panels)
+            return refine(f, panels, *args)
+
+        monkeypatch.setattr(Q, "_refine", recording)
+        f, calls = _recording(pair)
+        edges = (0.0, 1.0, 2.0, 4.0)
+        r = integrate_panels(f, edges, QuadratureSpec(rel_tol=1e-6))
         assert r.subdivisions == 0
         nodes = np.array(kronrod_nodes_weights()[0])
-        assert len(calls) == 3
-        for (a, b), x in zip(((0.0, 1.0), (1.0, 2.0), (2.0, 4.0)), calls):
-            assert np.array_equal(x, 0.5 * (a + b) + 0.5 * (b - a) * nodes)
+        assert len(calls) == 1
+        lead = [0.5 * (a + b) + 0.5 * (b - a) * nodes for a, b in zip(edges, edges[1:])]
+        assert np.array_equal(calls[0], np.concatenate(lead))
         assert r.evaluations == 45
+        assert len(started) == 3
+        for panel, a, b in zip(started, edges, edges[1:]):
+            (value,), (error,) = Q._gk15(pair, (a, b))
+            assert (panel.a, panel.b, panel.value, panel.error) == (a, b, value, error)
 
     def test_one_call_of_thirty_nodes_per_bisection(self):
         f, calls = _recording(lambda x: np.exp(-x) / (1e-2 + x))

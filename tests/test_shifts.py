@@ -7,19 +7,18 @@ import pytest
 from lambshift import kernel
 from lambshift.constants import PhysicalConstants, default_constants, load_constants
 from lambshift.kernel import residue_coeffs
+from lambshift.oracles import circular_rate_closed_form
 from lambshift.quadrature import QuadratureSpec, integrate_principal_value, kronrod_nodes_weights
 from lambshift.shifts import (
     BETHE_CUTOFFS,
     NON_DIPOLE,
     DipoleOptions,
     QuantumState,
-    _pole_channels,
+    _channels,
     _pole_pv,
-    _pole_residues,
     _shift_bracket,
     bethe_amplitude,
     bethe_log,
-    circular_rate_closed_form,
     decay_rates,
     dipole_lamb_full,
     generate_table,
@@ -55,6 +54,9 @@ class TestQuantumState:
             DipoleOptions(enabled=True, cutoff_x=-1.0)
         with pytest.raises(ValueError):
             DipoleOptions(enabled=True).phi_cut(QuantumState(N=1, L=0), C)
+        # a cutoff without the dipole approximation would be silently ignored
+        with pytest.raises(ValueError, match="enabled=True.*--dipole"):
+            DipoleOptions(cutoff_x=1.0e3)
         opts = DipoleOptions(enabled=True, cutoff_x=1.0e4)
         phi = opts.phi_cut(QuantumState(N=2, L=0), C)
         ratio = 2.0 / C.alpha0
@@ -158,8 +160,10 @@ class TestPoleResidues:
     def test_table_equals_residue_coeffs_bit_for_bit(self):
         for N in range(1, 21):
             for L in range(N):
-                want = tuple(residue_coeffs(N, L, math.log(N / n), n) for n in range(max(1, L), N))
-                assert _pole_residues(N, L) == want, (N, L)
+                want = tuple(
+                    (n, math.log(N / n), residue_coeffs(N, L, math.log(N / n), n)) for n in range(max(1, L), N)
+                )
+                assert _channels(N, L) == want, (N, L)
 
     def test_keyed_by_state_alone(self, tmp_path):
         # the residues depend on (N, L) only: rates read from a table filled
@@ -175,7 +179,7 @@ class TestPoleResidues:
         ]
         warm = [decay_rates(*case) for case in cases]
         for case, rates in zip(cases, warm):
-            _pole_residues.cache_clear()
+            _channels.cache_clear()
             assert decay_rates(*case) == rates, case
 
 
@@ -234,7 +238,7 @@ class TestLambShift:
         state = QuantumState(N=4, L=1)
         expected = lamb_shift(state, options)
         monkeypatch.setattr(shifts_mod, "residue_coeffs", counting)
-        shifts_mod._pole_residues.cache_clear()
+        shifts_mod._channels.cache_clear()
         result = lamb_shift(state, options)
         assert seen == [(math.log(4 / n), n) for n in (1, 2, 3)]
         assert result.partial_rates == decay_rates(state, options) == expected.partial_rates
@@ -258,7 +262,7 @@ class TestLambShift:
         for N in range(1, 21):
             for L in range(N):
                 for dipole in (False, True):
-                    options = DipoleOptions(enabled=dipole, cutoff_x=1e3)
+                    options = DipoleOptions(enabled=dipole, cutoff_x=1e3 if dipole else None)
                     total = lamb_shift(QuantumState(N=N, L=L), options, constants=C).total_rate
                     args = argparse.Namespace(n=N, l=L, z=1, dipole=dipole)
                     payload = _run_rates(args, C)[0]
@@ -317,7 +321,8 @@ class TestPoleSubtraction:
         assert pv.converged
         # within the folded principal value's own error estimate, which is
         # 2e-12..4e-10 here, and 1e-12 at most
-        assert abs(strength * _pole_pv(N, n, upper) - pv.value) <= min(pv.error_estimate, 1e-12)
+        limit = math.inf if upper is None else upper
+        assert abs(strength * _pole_pv(N, n, limit) - pv.value) <= min(pv.error_estimate, 1e-12)
 
     @pytest.mark.parametrize("upper", [1.0, None])
     def test_closed_log_at_tight_tolerance(self, upper):
@@ -327,7 +332,7 @@ class TestPoleSubtraction:
         # the pole the fold amplifies, it stays finite and says whether it
         # met the tolerance
         pole, spec = math.log(3 / 2), QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
-        want = _pole_pv(3, 2, upper)
+        want = _pole_pv(3, 2, math.inf if upper is None else upper)
 
         def pv(denominator):
             return integrate_principal_value(
@@ -371,8 +376,8 @@ class TestPoleSubtraction:
     @pytest.mark.parametrize(
         "N, L, options, limits",
         [
-            (4, 1, NON_DIPOLE, (None,)),
-            (7, 2, NON_DIPOLE, (None,)),
+            (4, 1, NON_DIPOLE, (math.inf,)),
+            (7, 2, NON_DIPOLE, (math.inf,)),
             (4, 1, DIPOLE, (7.0, 8.0)),
             (7, 2, DIPOLE, (8.5, 9.0, 10.0)),
         ],
@@ -394,7 +399,7 @@ class TestPoleSubtraction:
             monkeypatch.setattr(shifts_mod, name, recording)
         state = QuantumState(N=N, L=L)
         for limit in limits:
-            _shift_bracket(state, options, None, C, limit, _pole_channels(state, options, C))
+            _shift_bracket(state, options, None, C, limit)
         nodes = np.concatenate(calls)
         outer = kronrod_nodes_weights()[0][1]
         # nodes come in 15-node panels of (-x_i, x_i) pairs around the centre, which is last
@@ -523,7 +528,7 @@ class TestBethe:
             return residue(N, L, phi, n)
 
         monkeypatch.setattr(shifts_mod, "residue_coeffs", counting)
-        shifts_mod._pole_residues.cache_clear()
+        shifts_mod._channels.cache_clear()
         first = bethe_log(3, 1)
         assert seen == [(math.log(3 / n), n) for n in (1, 2)]
         assert bethe_log(3, 1) == first
