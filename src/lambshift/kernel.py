@@ -8,8 +8,12 @@ one place the formula is written), every |D|^2 from one Jacobi closed form
 (_row_weights for j <= N, _tail_weights beyond;
 su11.rep_matrix_element is only an independent reference).  The q_j with
 j < N are the residues R_j and the j >= N tail is the remainder Q~, whose
-coefficients come as one forward stream of chunks (PhiKernel._coeff_chunks)
-that forms each weight once, read by the series branch.  A phi node forms
+coefficients come as one forward stream of (kernels x j) chunks for a
+block of kernels of one (N, L) (_coeff_chunks), forming each weight once.
+The series branch sums it for a whole block (_series_sums): the shift
+integrand fills the tau integrals of the series-branch kernels of one
+quadrature panel in one stream (fill_tau_sums) before it calls each
+tau_integral, and a lone kernel is a block of one.  A phi node forms
 its weights j = -1 .. N once, eagerly, in one pass over _row_table when
 PhiKernel is constructed, for its residues and the first tail coefficients
 alike.  Summing the tail directly removes the
@@ -56,6 +60,9 @@ from .su11 import rep_matrix_element  # noqa: F401
 # Switch from the exponential series to the Euler closed form once the
 # series ratio tanh^2(phi/2) exceeds this (phi ~ 2.89).
 SERIES_T2_MAX = 0.80
+# The series branch's tau integral stops once its tail bound meets
+# max(TAU_REL_TOL |value|, TAU_ABS_TOL).
+TAU_REL_TOL, TAU_ABS_TOL = 1.0e-13, 1.0e-15
 EULER_GAMMA = 0.57721566490153286061
 
 
@@ -126,20 +133,23 @@ def _tail_table(N: int, L: int, j0: int, j1: int):
     return j - 1.0, (j + L) / (j - L - 1), _jacobi_steps(degree, j - N, 2.0 * L + 1.0) if degree else ()
 
 
-def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain: float):
+def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain):
     """|D_{N,j}|^2 for N < j0 <= j < j1 and the gain G at j1 - 1, given G at j0 - 1.
 
     The one route for the weights beyond _row_weights: one cumulative
     product of G_j/G_{j-1} = t^2 (j+L)/(j-L-1), which is sequential, so
-    carrying the float G across a split changes no value.  Its
-    coefficients come from _tail_table, built once per (N, L, j0, j1).
+    carrying G across a split changes no value.  Its coefficients come
+    from _tail_table, built once per (N, L, j0, j1).  point is that of one
+    node (floats) or of a block of nodes (w and t^2 as columns, gain a row
+    of their gains): a block is one row per node, each row the same floats
+    as the node alone.
     """
     w, t2, _ = point
     _, ratios, steps = _tail_table(N, L, j0, j1)
     gains = t2 * ratios
-    gains[0] *= gain
-    np.cumprod(gains, out=gains)
-    return gains * _jacobi_from_steps(steps, w) ** 2, float(gains[-1])
+    gains[..., 0] *= gain
+    np.cumprod(gains, axis=-1, out=gains)
+    return gains * _jacobi_from_steps(steps, w) ** 2, gains[..., -1]
 
 
 def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
@@ -312,46 +322,10 @@ class PhiKernel:
         row = _row_weights(N, L, point, -1, N + 1)
         self.residues = tuple(map(_q, row, row[1:], row[2:]))
         self._edge = row[-2:]
-
-    def _coeff_chunks(self):
-        """The tail q_j, j >= N, as (j, q_j) in chunks of 96 doubling to 4096, j the indices as floats.
-
-        Each |D_{N,j}|^2 is formed once.  A chunk extends the weights by
-        _tail_weights from the gain of the last one and carries only its
-        last two weights into the next chunk, so a chunk costs the same
-        whatever came before it, and every q_j equals its value from one
-        _tail_weights call over the whole range bit for bit.  The consumer
-        decides when to stop.
-        """
-        N, L, point = self.N, self.L, self._point
-        edge = np.array(self._edge)
-        gain, j0, chunk = point[2], N, 96
-        while True:
-            j1 = j0 + chunk
-            tail, gain = _tail_weights(N, L, point, j0 + 1, j1 + 1, gain)
-            weights = np.concatenate((edge, tail))
-            yield _tail_table(N, L, j0 + 1, j1 + 1)[0], _q(weights[:-2], weights[1:-1], weights[2:])
-            edge = weights[-2:]
-            j0 = j1
-            chunk = min(2 * chunk, 4096)
+        self._tau_sum = None  # sum_j j q_j/(j - nu) of the series branch, see fill_tau_sums
 
     def _use_series(self) -> bool:
         return self.t2 <= SERIES_T2_MAX
-
-    def _series_sum(self, factor, rel_tol: float = 1.0e-13, abs_tol: float = 1.0e-300) -> float:
-        """sum_{j >= N} q_j * factor(j) for positive decreasing-enough factors."""
-        total = 0.0
-        for j, q in self._coeff_chunks():
-            terms = q * factor(j)
-            total += float(terms.sum())
-            tail = np.abs(terms[-8:]).max()
-            j1 = int(j[-1]) + 1
-            ratio = min(0.999, self.t2 * (1.0 + 2.0 * self.N / j1))
-            bound = tail * ratio / (1.0 - ratio)
-            if bound <= max(rel_tol * abs(total), abs_tol):
-                return total
-            if j1 > 2_000_000:
-                raise RuntimeError(f"kernel series did not converge at phi={self.phi}")
 
     def tau_integral(self):
         """int_0^inf e^{nu tau} dQ~/dtau dtau, the inner integral of the shift.
@@ -360,18 +334,106 @@ class PhiKernel:
         evaluations of an integrand on either branch.  In the series regime
         the integral is the exact sum -sum_j j q_j/(j - nu), summed until the
         tail bound meets max(1e-13 |value|, 1e-15), which is the bound
-        returned; otherwise it is the closed form, the residue terms
-        n R_n/(n - nu) plus the Gauss pieces of _euler_pieces, whose error
-        bound is the roundoff 1e-15 sum |pieces|.
+        returned; the sum is the one fill_tau_sums left, or that of a block
+        of this kernel alone.  Otherwise it is the closed form, the residue
+        terms n R_n/(n - nu) plus the Gauss pieces of _euler_pieces, whose
+        error bound is the roundoff 1e-15 sum |pieces|.
         """
         nu = self.nu
         if nu >= self.N:  # phi = 0: the j = N denominator vanishes
             raise ValueError("the weighted tau integral diverges at phi = 0")
         if self._use_series():
-            rel_tol, abs_tol = 1.0e-13, 1.0e-15
-            value = -self._series_sum(lambda j: j / (j - nu), rel_tol, abs_tol)
-            return value, max(rel_tol * abs(value), abs_tol), 0, True
+            if self._tau_sum is None:
+                fill_tau_sums([self])
+            value = -self._tau_sum
+            return value, max(TAU_REL_TOL * abs(value), TAU_ABS_TOL), 0, True
         res = self.residues
         pieces = [n * res[n] / (n - nu) for n in range(max(self.L, 1), self.N)]
         pieces += _euler_pieces(self.N, self.L, self.phi, nu)
         return math.fsum(pieces), 1.0e-15 * math.fsum(map(abs, pieces)), 0, True
+
+
+def _coeff_chunks(kernels):
+    """The tail q_j, j >= N, of a block of kernels of one (N, L), as chunks (j, q).
+
+    j holds the chunk's indices as floats, 96 doubling to 4096 of them,
+    and q one row per open kernel.  Each |D_{N,j}|^2 is formed once.  A
+    chunk extends the weights by _tail_weights from the gains of the last
+    one and carries only each row's last two weights into the next, so a
+    chunk costs the same whatever came before it, every q_j equals its
+    value from one _tail_weights call over the whole range, and each row
+    equals that of its kernel in a block of one, bit for bit.  The consumer
+    decides when each row stops: it sends a boolean mask of the rows to
+    keep (None, as iteration sends, keeps them all), and the next chunk
+    holds those rows only.
+    """
+    N, L = kernels[0].N, kernels[0].L
+    # one row per kernel: w, t^2, the gain G_N and the weights j = N - 1, N
+    block = np.array([(*ker._point, *ker._edge) for ker in kernels])
+    w, t2, gain, edge = block[:, :1], block[:, 1:2], block[:, 2], block[:, 3:]
+    j0, chunk = N, 96
+    while True:
+        j1 = j0 + chunk
+        tail, gain = _tail_weights(N, L, (w, t2, None), j0 + 1, j1 + 1, gain)
+        weights = np.concatenate((edge, tail), axis=1)
+        q = _q(weights[:, :-2], weights[:, 1:-1], weights[:, 2:])
+        keep = yield _tail_table(N, L, j0 + 1, j1 + 1)[0], q
+        edge = weights[:, -2:]
+        if keep is not None:
+            w, t2, gain, edge = w[keep], t2[keep], gain[keep], edge[keep]
+        j0 = j1
+        chunk = min(2 * chunk, 4096)
+
+
+def _series_sums(kernels, factor, rel_tol: float = 1.0e-13, abs_tol: float = 1.0e-300) -> list[float]:
+    """sum_{j >= N} q_j factor(j, nu) for each kernel of a block, for positive decreasing-enough factors.
+
+    One stream of _coeff_chunks serves the whole block; factor gets a
+    chunk's j and the column of its open rows' nu.  Each row stops on its
+    own tail bound, taken in Python floats, after as many chunks as its
+    kernel would take alone, so every sum equals that of a block of one
+    bit for bit.  A row still open past j = 2e6 raises ArithmeticError
+    naming (N, L, phi) of every open kernel.
+    """
+    N = kernels[0].N
+    nu = np.array([[ker.nu] for ker in kernels])
+    totals = np.zeros(len(kernels))
+    sums, rows = [0.0] * len(kernels), range(len(kernels))  # rows: the kernel of each open row
+    chunks = _coeff_chunks(kernels)
+    j, q = next(chunks)
+    while True:
+        terms = q * factor(j, nu)
+        totals += terms.sum(axis=1)
+        j1 = int(j[-1]) + 1
+        tails = np.abs(terms[:, -8:]).max(axis=1).tolist()
+        keep = []
+        for i, total, tail in zip(rows, totals.tolist(), tails):
+            ratio = min(0.999, kernels[i].t2 * (1.0 + 2.0 * N / j1))
+            sums[i] = total
+            keep.append(not tail * ratio / (1.0 - ratio) <= max(rel_tol * abs(total), abs_tol))
+        if not any(keep):
+            return sums
+        if all(keep):
+            keep = None
+        else:
+            rows = [i for i, going in zip(rows, keep) if going]
+            keep = np.array(keep)
+            nu, totals = nu[keep], totals[keep]
+        if j1 > 2_000_000:
+            open_ = ", ".join(f"({kernels[i].N}, {kernels[i].L}, {kernels[i].phi!r})" for i in rows)
+            raise ArithmeticError(f"kernel series did not converge by j = {j1} at (N, L, phi) = {open_}")
+        j, q = chunks.send(keep)
+
+
+def fill_tau_sums(kernels) -> None:
+    """Sum the series-branch tau integrals of kernels of one (N, L) in one block stream.
+
+    Every kernel on the series branch with nu < N (phi > 0) gets the sum
+    sum_{j >= N} j q_j/(j - nu) that its tau_integral reads, from one
+    _series_sums over them all; the rest are left as they are.
+    """
+    block = [ker for ker in kernels if ker._use_series() and ker.nu < ker.N]
+    if block:
+        sums = _series_sums(block, lambda j, nu: j / (j - nu), TAU_REL_TOL, TAU_ABS_TOL)
+        for ker, total in zip(block, sums):
+            ker._tau_sum = total

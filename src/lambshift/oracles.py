@@ -36,6 +36,7 @@ from .kernel import (
     PhiKernel,
     _euler_pieces,
     _ln_cosh2,
+    _series_sums,
     _series_term_ratios,
     residue_coeffs,
     validate_quantum_numbers,
@@ -186,7 +187,7 @@ def remainder(ker: PhiKernel, tau: float) -> float:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if ker._use_series():
         u = math.exp(-tau)
-        return ker._series_sum(lambda j: u**j, abs_tol=1.0e-320)
+        return _series_sums([ker], lambda j, nu: u**j, abs_tol=1.0e-320)[0]
     x = np.array([tau])
     *_, up, _, res = _closed_terms(ker, x)
     return float((q_imag_time(ker, x) - np.add.reduce(res * up, axis=-1))[0])
@@ -197,7 +198,7 @@ def remainder_dtau(ker: PhiKernel, tau: float) -> float:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if ker._use_series():
         u = math.exp(-tau)
-        return -ker._series_sum(lambda j: j * u**j, abs_tol=1.0e-320)
+        return -_series_sums([ker], lambda j, nu: j * u**j, abs_tol=1.0e-320)[0]
     return float(_closed_remainder_dtau(ker, np.array([tau]))[0])
 
 

@@ -128,6 +128,7 @@ def kronrod_nodes_weights():
 
 
 _NODES, _WTS_K, _WTS_G = kronrod_nodes_weights()
+PANEL_NODES = len(_NODES)  # an integrand call holds whole panels of this many nodes
 _X = np.array(_NODES)
 _W = np.array((_WTS_K, _WTS_G)).T  # (15, 2): kronrod and gauss columns
 

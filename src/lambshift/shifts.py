@@ -28,8 +28,9 @@ from importlib import resources
 import numpy as np
 
 from .constants import PhysicalConstants, default_constants
-from .kernel import PhiKernel, residue_coeffs, validate_quantum_numbers
+from .kernel import PhiKernel, fill_tau_sums, residue_coeffs, validate_quantum_numbers
 from .quadrature import (
+    PANEL_NODES,
     Diagnostics,
     QuadratureSpec,
     dyadic_edges_upto,
@@ -223,26 +224,33 @@ def _bracket_integrand(N: int, L: int, weight, terms) -> tuple:
     subtracted PV integrand), the second summed over the channels of terms
     (from _pole_terms under the same weight) as
     [w n R_n - A_n e^(phi_n - phi)]/(N e^-phi - n), see _shift_bracket.
-    The list of failed nodes gains every phi whose inner tau integral did
-    not converge.
+    It takes the nodes a Gauss-Kronrod panel (PANEL_NODES) at a time: it
+    builds their kernels, sums the series-branch tau integrals of the
+    panel in one block stream (kernel.fill_tau_sums), then calls each
+    kernel's tau_integral once.  The list of failed nodes gains every phi
+    whose inner tau integral did not converge.
     """
     start = max(1, L)
     failed = []
 
     def integrand(phis: np.ndarray) -> np.ndarray:
         rows = []
-        for phi in phis.tolist():
-            ker = PhiKernel(N, L, phi)
-            value, _, _, ok = ker.tau_integral()
-            if not ok:
-                failed.append(phi)
-            w = weight(phi)
-            nx = ker.nu
-            regular = math.fsum(
-                (w * n * r - a * (nx / n)) / (n * math.expm1(pole - phi))
-                for (n, pole, a), r in zip(terms, ker.residues[start:])
-            )
-            rows.append((w * value, regular))
+        phis = phis.tolist()
+        for panel in range(0, len(phis), PANEL_NODES):
+            nodes = phis[panel : panel + PANEL_NODES]
+            kernels = [PhiKernel(N, L, phi) for phi in nodes]
+            fill_tau_sums(kernels)
+            for phi, ker in zip(nodes, kernels):
+                value, _, _, ok = ker.tau_integral()
+                if not ok:
+                    failed.append(phi)
+                w = weight(phi)
+                nx = ker.nu
+                regular = math.fsum(
+                    (w * n * r - a * (nx / n)) / (n * math.expm1(pole - phi))
+                    for (n, pole, a), r in zip(terms, ker.residues[start:])
+                )
+                rows.append((w * value, regular))
         return np.array(rows)
 
     return integrand, failed

@@ -142,6 +142,7 @@ def test_nonconvergence_exit_3(capsys, monkeypatch):
     OverflowError("math range error"),
     ZeroDivisionError("float division"),
     IntegrandError("integrand returned inf at x=700.0"),
+    ArithmeticError("kernel series did not converge by j = 2000801 at (N, L, phi) = (1, 0, 20.0)"),
 ])
 def test_arithmetic_error_exits_3(capsys, monkeypatch, exc):
     import lambshift.cli as cli_mod

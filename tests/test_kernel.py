@@ -89,10 +89,10 @@ SAMPLED_STATES = [(N, L) for N in (1, 2, 3, 4) for L in range(N)] + [
 
 
 def _stream(ker, j1):
-    """q_N .. q_{j1-1} from the kernel's coefficient stream."""
+    """q_N .. q_{j1-1} from the coefficient stream of the kernel's block of one."""
     chunks = []
-    for j, q in ker._coeff_chunks():
-        chunks.append(q)
+    for j, q in K._coeff_chunks([ker]):
+        chunks.append(q[0])
         if j[-1] + 1 >= j1:
             return np.concatenate(chunks)[: j1 - ker.N]
 
@@ -364,7 +364,7 @@ class TestRemainder:
         assert np.array_equal(_stream(PhiKernel(N, L, phi), J), coeffs[N:])
         # each chunk's indices, from the tail table, are those of its q_j
         starts = [N]
-        for j, q in PhiKernel(N, L, phi)._coeff_chunks():
+        for j, q in K._coeff_chunks([PhiKernel(N, L, phi)]):
             assert j.dtype == float and np.array_equal(j, np.arange(starts[-1], starts[-1] + q.size))
             starts.append(starts[-1] + q.size)
             if starts[-1] >= J:
@@ -522,9 +522,9 @@ class TestTauIntegral:
         assert (evaluations, converged) == (0, True)
         assert error == max(1e-13 * abs(value), 1e-15)
         nu = ker.nu
-        tighter = -PhiKernel(N, L, phi)._series_sum(
-            lambda j: j / (j - nu), rel_tol=1e-16, abs_tol=1e-300
-        )
+        tighter = -K._series_sums(
+            [PhiKernel(N, L, phi)], lambda j, nu: j / (j - nu), rel_tol=1e-16, abs_tol=1e-300
+        )[0]
         assert abs(value - tighter) <= error
 
     def test_against_mpmath_quadrature(self):
@@ -682,8 +682,9 @@ class TestKernelTables:
         switch = 2.0 * math.atanh(math.sqrt(K.SERIES_T2_MAX))
         for N in (1, 4, 10, 20, 30):
             for L in sorted({0, N // 2, N - 1}):
-                for phi in (0.3, 1.5, switch):
-                    ker = PhiKernel(N, L, phi)
+                block = [PhiKernel(N, L, phi) for phi in (0.3, 1.5, switch)]
+                K.fill_tau_sums(block)
+                for ker in block:
                     assert ker._use_series()
                     assert math.isfinite(ker.tau_integral()[0])
                     for tau in (0.0, 0.01, 1.0, 10.0):
@@ -726,3 +727,113 @@ class TestKernelTables:
         tables = ("_tail_table", "_euler_rows", "_row_table", "_series_term_ratios")
         assert {*(f"lambshift.kernel.{name}" for name in tables), "lambshift.shifts._channels"} <= set(sizes)
         assert all(size == 0 for size in sizes.values()), sizes
+
+
+class TestBlockStream:
+    """The series sums of a block of kernels come from one (kernels x j) stream, each row as alone."""
+
+    # (20, 10): the pole ln(20/19) and the floats either side of it, nodes
+    # that stop after 1, 2 and 3 chunks, closed-branch nodes and phi = 0
+    POLE = math.log(20 / 19)
+    PHIS = (0.5, math.nextafter(POLE, 0.0), 2.5, 3.0, POLE, 1.5, 0.0, math.nextafter(POLE, 1.0), 6.0, 2.7)
+
+    @staticmethod
+    def _chunks_taken(monkeypatch, run):
+        """The open rows of each chunk of the streams that run starts."""
+        rows = []
+
+        def recording(N, L, point, j0, j1, gain):
+            rows.append(np.size(gain))
+            return _tail_weights(N, L, point, j0, j1, gain)
+
+        with monkeypatch.context() as m:
+            m.setattr(K, "_tail_weights", recording)
+            run()
+        return rows
+
+    @pytest.mark.parametrize(
+        "N, L, phis", [(20, 10, PHIS), (4, 1, (2.5, 0.2, 3.5, 2.0, 1.0, 2.8)), (1, 0, (0.05, 2.88))]
+    )
+    def test_block_equals_blocks_of_one_bit_for_bit(self, monkeypatch, N, L, phis):
+        alone, chunks = {}, {}
+        for phi in phis:
+            ker = PhiKernel(N, L, phi)
+            if phi == 0.0:
+                continue
+            chunks[phi] = len(self._chunks_taken(monkeypatch, ker.tau_integral)) if ker._use_series() else 0
+            alone[phi] = repr(ker.tau_integral())
+        block = [PhiKernel(N, L, phi) for phi in phis]
+        open_rows = self._chunks_taken(monkeypatch, lambda: K.fill_tau_sums(block))
+        # one stream for the block: chunk c holds the rows that take c chunks or more alone
+        depth = max(chunks.values())
+        assert open_rows == [sum(n > c for n in chunks.values()) for c in range(depth)]
+        if N == 20:
+            assert {1, 2, 3} <= set(chunks.values()) and 0 in chunks.values()
+        # the closed and phi = 0 kernels are left to tau_integral
+        assert [ker._tau_sum is None for ker in block] == [chunks.get(phi, 0) == 0 for phi in phis]
+        for ker in block:
+            if ker.phi == 0.0:
+                with pytest.raises(ValueError, match="diverges at phi = 0"):
+                    ker.tau_integral()
+            else:
+                assert repr(ker.tau_integral()) == alone[ker.phi], ker.phi
+
+    def test_any_factor_sums_as_in_a_block_of_one(self):
+        # the oracles' remainder factors u^j and j u^j, their tolerances and a
+        # factor that reads each row's nu
+        block = [PhiKernel(4, 1, phi) for phi in (2.5, 0.2, 2.0, 1.0, 2.8)]
+        factors = [
+            (lambda j, nu: 0.4**j, {"abs_tol": 1e-320}),
+            (lambda j, nu: j * 0.99**j, {"abs_tol": 1e-320}),
+            (lambda j, nu: j / (j - nu), {"rel_tol": 1e-16}),
+        ]
+        for factor, tols in factors:
+            sums = K._series_sums(block, factor, **tols)
+            assert repr(sums) == repr([K._series_sums([ker], factor, **tols)[0] for ker in block])
+        u = math.exp(-0.9)
+        assert remainder(block[0], 0.9) == K._series_sums(block, lambda j, nu: u**j, abs_tol=1e-320)[0]
+
+    def test_rows_of_a_chunk_equal_the_streams_of_one(self):
+        # every q_j of a row equals its kernel's own stream, and a mask
+        # sent to the stream drops exactly the rows it clears
+        block = [PhiKernel(7, 3, phi) for phi in (0.3, 2.2, 1.1)]
+        alone = [_stream(ker, 7 + 96 + 192 + 384) for ker in block]
+        chunks = K._coeff_chunks(block)
+        j, q = next(chunks)
+        got = [q]
+        j, q = chunks.send(np.array([True, False, True]))
+        got.append(q)
+        j, q = chunks.send(None)
+        got.append(q)
+        assert q.shape == (2, 384) and j[-1] == 7 + 96 + 192 + 384 - 1
+        assert np.array_equal(got[0], np.array([a[:96] for a in alone]))
+        for row, ker in ((0, 0), (1, 2)):
+            assert np.array_equal(np.concatenate([got[1][row], got[2][row]]), alone[ker][96:])
+
+    def test_zero_phi_raises_without_a_numpy_warning(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for N, L in ((1, 0), (3, 1), (20, 10)):
+                block = [PhiKernel(N, L, 0.0), PhiKernel(N, L, 0.4)]
+                K.fill_tau_sums(block)
+                assert block[0]._tau_sum is None and block[1]._tau_sum is not None
+                for ker in (block[0], PhiKernel(N, L, 0.0)):
+                    with pytest.raises(ValueError, match="diverges at phi = 0"):
+                        ker.tau_integral()
+
+    def test_nonconvergence_is_an_arithmetic_error_naming_the_open_kernels(self, monkeypatch):
+        # at phi = 20 and 25 t^2 rounds to within 1e-8 of 1, so with the
+        # series forced there, a factor that does not decay leaves the tail
+        # bound open until j = 2e6; phi = 0.5 converges and is not named
+        monkeypatch.setattr(K, "SERIES_T2_MAX", 1.0)
+        block = [PhiKernel(1, 0, phi) for phi in (20.0, 0.5, 25.0)]
+        try:
+            with pytest.raises(ArithmeticError) as info:
+                K._series_sums(block, lambda j, nu: 1.0 + 0.0 * j)
+        finally:
+            K._tail_table.cache_clear()  # 2e6 indices of (1, 0) tabulated
+        message = str(info.value)
+        assert "did not converge" in message
+        assert "(1, 0, 20.0)" in message and "(1, 0, 25.0)" in message and "0.5" not in message

@@ -566,6 +566,47 @@ class TestBethe:
                 assert abs(bethe_log(N, L, Z=Z).gamma - tight[-1]) <= 1e-10, (N, L, Z)
 
 
+class TestOneInnerIntegralPerNode:
+    """One PhiKernel.tau_integral call per evaluation of the outer phi integrals.
+
+    perfbench's tracer relies on it where it counts; pinned here in-process.
+    Each series-branch node arrives with its sum already taken in its
+    panel's block stream (kernel.fill_tau_sums).
+    """
+
+    @staticmethod
+    def _recording(monkeypatch):
+        calls = []
+        tau_integral = kernel.PhiKernel.tau_integral
+
+        def recording(ker):
+            calls.append((ker._use_series(), ker._tau_sum is not None))
+            return tau_integral(ker)
+
+        monkeypatch.setattr(kernel.PhiKernel, "tau_integral", recording)
+        return calls
+
+    @pytest.mark.parametrize(
+        "N, L, options",
+        [(1, 0, NON_DIPOLE), (2, 1, NON_DIPOLE), (4, 1, NON_DIPOLE), (20, 10, NON_DIPOLE),
+         (3, 0, DipoleOptions(enabled=True, cutoff_x=1e3))],
+    )
+    def test_lamb_shift(self, monkeypatch, N, L, options):
+        calls = self._recording(monkeypatch)
+        result = lamb_shift(QuantumState(N=N, L=L), options)
+        assert len(calls) == result.diagnostics.parts["tau_phi_integral"].evaluations
+        assert {series for series, _ in calls} == {True, False}
+        assert all(filled == series for series, filled in calls)
+
+    @pytest.mark.parametrize("N, L", [(1, 0), (2, 1), (4, 3), (10, 0)])
+    def test_bethe_log(self, monkeypatch, N, L):
+        calls = self._recording(monkeypatch)
+        result = bethe_log(N, L)
+        assert len(calls) == sum(part.evaluations for part in result.diagnostics.parts.values())
+        assert {series for series, _ in calls} == {True, False}
+        assert all(filled == series for series, filled in calls)
+
+
 class TestDipoleLambFull:
     def test_requires_j(self):
         with pytest.raises(ValueError):
