@@ -194,6 +194,9 @@ def _euler_rows(N: int, L: int) -> tuple:
     j = 0, and 1/s! its first term.  series holds the log series'
     phi-independent factors from _log_series_step, grown by _euler_pieces
     to the longest series summed so far.
+
+    1/s! is a double only for s <= 170, and s = 2N - 3 at k = 0, so the
+    rows exist for N <= 86: beyond, an OverflowError names the state.
     """
     rows = []
     for k, tk in enumerate(_series_term_ratios(N, L)):
@@ -206,7 +209,14 @@ def _euler_rows(N: int, L: int) -> tuple:
             for j in range(s if m < 0 else 0)
         )
         psi0 = EULER_GAMMA - _harmonic(s) + _harmonic(2 * N + h - 1)
-        rows.append((k, -0.25 * tk, s, h, finite, psi0, 1.0 / math.factorial(s), []))
+        try:
+            first = 1.0 / math.factorial(s)
+        except OverflowError:
+            raise OverflowError(
+                f"the Euler closed form at (N, L) = ({N}, {L}) needs 1/{s}!, but s! is a double "
+                f"only for s <= 170, which limits shifts and Bethe logarithms to N <= 86"
+            ) from None
+        rows.append((k, -0.25 * tk, s, h, finite, psi0, first, []))
     return tuple(rows)
 
 

@@ -14,7 +14,11 @@ weight w(phi) and its domain: the dipole approximation differs only in
 the weight and in a finite cutoff on phi.  The Bethe logarithm is that
 cutoff pushed to infinity, with the weight in units of gamma,
 w = (e^{2 phi} - 1)/(2N): adding Bethe's sum rule makes it one convergent
-phi integral, so no cutoff extrapolation is needed.
+phi integral, so no cutoff extrapolation is needed.  The non-dipole
+weight is the smooth form of Bethe's mc^2 cutoff and turns over near
+phi_w = ln(N/(Z a0)); the doubling panels of its semi-infinite domain
+restart there while the weighted integrand still matters at phi_w
+(_nondipole_edges).
 """
 
 from __future__ import annotations
@@ -212,9 +216,40 @@ def _pole_terms(N: int, L: int, weight) -> list[tuple[int, float, float]]:
 
 
 def _phi_edges(terms, limit: float) -> tuple[float, ...]:
-    """Panel edges of [0, limit]: 0, every pole, then dyadic panels from the last pole."""
+    """Panel edges of [0, limit]: 0, every pole, then dyadic panels from the last pole.
+
+    The dipole shifts and the first Bethe link end these panels at their
+    cutoff; the non-dipole shift ends them at the weight's transition
+    (_nondipole_edges), where its semi-infinite doubling panels restart.
+    """
     lead = (0.0, *(pole for _, pole, _ in reversed(terms)))
     return lead[:-1] + dyadic_edges_upto(lead[-1], limit)
+
+
+def _nondipole_edges(
+    state: QuantumState, terms, spec: QuadratureSpec, constants: PhysicalConstants
+) -> tuple[float, ...]:
+    """The first panel edges of the non-dipole shift's semi-infinite phi domain.
+
+    The weight w = 1 - (1+s)^{-1/2}, s = (Z a0/N)^2 (e^{2 phi} - 1), turns
+    from its dipole limit s/2 towards 1 around s = 1, about 1 wide in phi
+    at phi_w = ln(N/(Z a0)): the smooth form of Bethe's mc^2 cutoff.  The
+    doubling panels that start at the last pole phi_L = ln(N/max(1, L))
+    would hold it inside a panel 4 or 8 wide, to be bisected there, so they
+    end at phi_w (_phi_edges(terms, phi_w)) and integrate_semi_infinite
+    restarts them from it.  That pays only where the part of the integrand
+    that the weight multiplies still matters at phi_w: phi_w is at least one
+    first-panel width above phi_L, and e^{-2(L+1)(phi_w - phi_L)}, the decay
+    of the weight rows' cosh^{-4(L+1)}(phi/2) from phi_L, is still above
+    rel_tol.  Otherwise, for near-circular states or large Z, the edges are
+    0 and the poles, and the doubling panels start at phi_L.
+    """
+    N, L = state.N, state.L
+    last, transition = math.log(N / max(1, L)), math.log(N / (state.Z * constants.alpha0))
+    rise = transition - last
+    if rise >= 1.0 and math.exp(-2 * (L + 1) * rise) > spec.rel_tol:
+        return _phi_edges(terms, transition)
+    return (0.0, *(pole for _, pole, _ in reversed(terms)))
 
 
 def _bracket_integrand(N: int, L: int, weight, terms) -> tuple:
@@ -280,7 +315,10 @@ def _shift_bracket(
     integrand and the sum of these at the same nodes (_bracket_integrand).  The
     poles are the first panel edges, so no node comes near the cancellation
     in the subtracted numerator.  The pole strengths read the residues of
-    _channels, as the rates do.
+    _channels, as the rates do.  A dipole shift's doubling panels run from
+    the last pole to the cutoff; the non-dipole shift's also end at the
+    weight's transition phi_w and restart there, unless the integrand has
+    decayed below rel_tol by then (_nondipole_edges).
     """
     N, L = state.N, state.L
     spec = spec or QuadratureSpec()
@@ -290,7 +328,8 @@ def _shift_bracket(
         raise ValueError(f"dipole cutoff phi={limit:.3f} does not clear the pole at {terms[0][1]:.3f}")
     integrand, failed = _bracket_integrand(N, L, weight, terms)
     if limit == math.inf:
-        outer = integrate_semi_infinite(integrand, spec, points=[pole for _, pole, _ in reversed(terms)])
+        edges = _nondipole_edges(state, terms, spec, constants)
+        outer = integrate_semi_infinite(integrand, spec, points=edges[1:])
     else:
         outer = integrate_panels(integrand, _phi_edges(terms, limit), spec)
     outer.converged &= not failed

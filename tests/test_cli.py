@@ -157,6 +157,16 @@ def test_arithmetic_error_exits_3(capsys, monkeypatch, exc):
     assert err.startswith("error:") and str(exc) in err
 
 
+@pytest.mark.parametrize("command", ["shift", "bethe"])
+def test_beyond_the_closed_branch_range_exits_3(capsys, command):
+    # the closed branch's 1/(2N-3)! leaves the double range at N = 87; the
+    # error names the state and the limit
+    status, out, err = run_cli(capsys, command, "--n", "87", "--l", "86")
+    assert status == EXIT_NOT_CONVERGED
+    assert out == ""
+    assert err.startswith("error: OverflowError(") and "(N, L) = (87, 86)" in err and "N <= 86" in err
+
+
 def test_table_with_unconverged_bethe_log_exits_3(capsys, monkeypatch):
     import lambshift.shifts as shifts_mod
 

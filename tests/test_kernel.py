@@ -625,6 +625,13 @@ class TestEulerForm:
                 want, pieces = _mp_euler_form(N, L, phi, ker.residues)
                 assert abs(got - want) <= 1e-13 * (abs(want) + pieces), (L, phi)
 
+    def test_rows_beyond_the_double_range_name_the_state(self):
+        # 1/(2N-3)! leaves the double range from N = 87 on, for every L
+        assert _euler_rows(86, 0)[0][6] > 0.0
+        for L in (0, 43, 86):
+            with pytest.raises(OverflowError, match=rf"\(N, L\) = \(87, {L}\) needs 1/171!.*N <= 86"):
+                _euler_rows(87, L)
+
 
 class TestKernelTables:
     """The phi-independent coefficients are tabulated once; the values are those computed on the fly."""

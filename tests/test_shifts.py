@@ -15,6 +15,7 @@ from lambshift.shifts import (
     DipoleOptions,
     QuantumState,
     _channels,
+    _nondipole_edges,
     _pole_pv,
     _shift_bracket,
     bethe_amplitude,
@@ -407,6 +408,57 @@ class TestPoleSubtraction:
         for n in range(max(1, L), N):
             gap = np.abs(nodes - math.log(N / n)) / widths
             assert gap.min() >= 0.004, n
+
+
+class TestTransitionRestart:
+    """The non-dipole doubling phi panels restart at the weight's transition phi_w = ln(N/(Z a0))."""
+
+    # (evaluations, lamb_shift_MHz, tau_phi_term_MHz, pv_term_MHz) of each
+    # Table-1 state at the default spec; the shifts are those of the layout
+    # whose doubling panels ran from the last pole alone, in 1,665
+    # evaluations and 25 bisections
+    TABLE1 = {
+        (1, 0): (165, 7936.290038546572, 7936.290038546572, 0.0),
+        (2, 0): (180, 1015.3974447520557, 492.46309571361905, 522.9343490384366),
+        (2, 1): (150, 4.086179389745254, 71.02259348797212, -66.93641409822686),
+        (3, 0): (195, 302.63023668271546, 108.60094977309282, 194.02928690962267),
+        (3, 1): (195, 1.5396016995756456, 8.129751035542347, -6.590149335966701),
+        (4, 0): (240, 127.9746820529746, 36.29722072522628, 91.67746132774832),
+        (4, 1): (210, 0.7134081090003961, 3.11986245038057, -2.406454341380174),
+    }
+
+    @pytest.mark.parametrize("N, L", list(TABLE1))
+    def test_table_1_counts_and_shifts(self, N, L):
+        evaluations, *shifts = self.TABLE1[(N, L)]
+        result = lamb_shift(QuantumState(N=N, L=L))
+        assert result.converged
+        assert result.diagnostics.parts["tau_phi_integral"].evaluations == evaluations
+        got = (result.lamb_shift_MHz, result.tau_phi_term_MHz, result.pv_term_MHz)
+        assert got == pytest.approx(tuple(shifts), rel=1e-12)
+
+    @pytest.mark.parametrize("N, L", list(TABLE1))
+    def test_table_1_edges_end_at_the_transition(self, N, L):
+        poles = tuple(sorted(pole for _, pole, _ in _channels(N, L)))
+        last = math.log(N / max(1, L))
+        edges = _nondipole_edges(QuantumState(N=N, L=L), _channels(N, L), QuadratureSpec(), C)
+        want = (0.0, *poles, last + 1.0, last + 3.0, math.log(N / C.alpha0))
+        assert edges == pytest.approx(want, rel=0, abs=1e-14) and edges[-1] == want[-1]
+
+    @pytest.mark.parametrize("N, L, evaluations", [(10, 9, 165), (8, 7, 135)])
+    def test_near_circular_states_keep_the_pole_edges(self, N, L, evaluations):
+        # the weight rows' cosh^{-4(L+1)}(phi/2) has decayed below rel_tol by
+        # phi_w, so a restart there would only add panels
+        poles = tuple(sorted(pole for _, pole, _ in _channels(N, L)))
+        state = QuantumState(N=N, L=L)
+        assert _nondipole_edges(state, _channels(N, L), QuadratureSpec(), C) == (0.0, *poles)
+        assert lamb_shift(state).diagnostics.parts["tau_phi_integral"].evaluations == evaluations
+
+    def test_transition_too_close_to_the_last_pole(self):
+        # at Z = 92 phi_w = ln(1/(92 a0)) = 0.40 lies within one first-panel width of 0
+        assert _nondipole_edges(QuantumState(N=1, L=0, Z=92), (), QuadratureSpec(), C) == (0.0,)
+        assert _nondipole_edges(QuantumState(N=1, L=0, Z=10), (), QuadratureSpec(), C)[-1] == (
+            math.log(1 / (10 * C.alpha0))
+        )
 
 
 class TestBethe:
