@@ -72,8 +72,9 @@ class IntegrandError(ValueError):
 class QuadratureSpec:
     """Tolerances and budget for one integral.
 
-    abs_tol is also the truncation threshold of semi-infinite domains:
-    panel extension stops once a whole panel contributes less than it.
+    abs_tol is also integrate_semi_infinite's truncation threshold: panel
+    extension stops once a whole panel contributes less than it.  In the
+    package only the reference routes of oracles call that function.
     """
 
     rel_tol: float = 1.0e-9

@@ -15,10 +15,10 @@ the weight and in a finite cutoff on phi.  The Bethe logarithm is that
 cutoff pushed to infinity, with the weight in units of gamma,
 w = (e^{2 phi} - 1)/(2N): adding Bethe's sum rule makes it one convergent
 phi integral, so no cutoff extrapolation is needed.  The non-dipole
-weight is the smooth form of Bethe's mc^2 cutoff and turns over near
-phi_w = ln(N/(Z a0)); the doubling panels of its semi-infinite domain
-restart there while the weighted integrand still matters at phi_w
-(_nondipole_edges).
+weight is the smooth form of Bethe's mc^2 cutoff and saturates past
+phi_w = ln(N/(Z a0)); the shift's semi-infinite domain ends there on one
+panel in x = e^-phi (_x_tail), as the Bethe logarithm's does past its
+last cutoff.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .quadrature import (
     QuadratureSpec,
     dyadic_edges_upto,
     integrate_panels,
-    integrate_principal_value,  # noqa: F401  unused; perfbench/tracing.py wraps this name
-    integrate_semi_infinite,
+    integrate_principal_value,  # noqa: F401  unused; perfbench/tracing.py wraps these names
+    integrate_semi_infinite,  # noqa: F401
 )
 
 # Cutoffs x = hw/(2 mec2) at which bethe_log reports its running estimates;
@@ -113,7 +113,10 @@ def bethe_amplitude(state: QuantumState, constants: PhysicalConstants) -> float:
 
 def weight_nondipole(state: QuantumState, phi: float, constants: PhysicalConstants) -> float:
     """Photon-energy weight 2x/(1+2x) with x(1+x) = (Z a0/N)^2 e^phi sinh(phi)/2."""
-    s = (state.Z * constants.alpha0 / state.N) ** 2 * math.expm1(2.0 * phi)
+    try:
+        s = (state.Z * constants.alpha0 / state.N) ** 2 * math.expm1(2.0 * phi)
+    except OverflowError:  # phi > 354.9, where s > 1e291 for N <= 10^6 and w rounds to 1
+        return 1.0
     # w = 1 - (1+s)^{-1/2}, kept accurate for small s
     return -math.expm1(-0.5 * math.log1p(s))
 
@@ -219,37 +222,20 @@ def _phi_edges(terms, limit: float) -> tuple[float, ...]:
     """Panel edges of [0, limit]: 0, every pole, then dyadic panels from the last pole.
 
     The dipole shifts and the first Bethe link end these panels at their
-    cutoff; the non-dipole shift ends them at the weight's transition
-    (_nondipole_edges), where its semi-infinite doubling panels restart.
+    cutoff, the non-dipole shift at max(phi_w, phi_L + 1) past the weight's
+    transition, where its x-tail (_x_tail) takes over.
     """
     lead = (0.0, *(pole for _, pole, _ in reversed(terms)))
     return lead[:-1] + dyadic_edges_upto(lead[-1], limit)
 
 
-def _nondipole_edges(
-    state: QuantumState, terms, spec: QuadratureSpec, constants: PhysicalConstants
-) -> tuple[float, ...]:
-    """The first panel edges of the non-dipole shift's semi-infinite phi domain.
+def _x_tail(f, phi: float):
+    """int_phi^inf f dphi as one panel in x = e^-phi: (f(-ln x)/x, its edges (0, e^-phi)).
 
-    The weight w = 1 - (1+s)^{-1/2}, s = (Z a0/N)^2 (e^{2 phi} - 1), turns
-    from its dipole limit s/2 towards 1 around s = 1, about 1 wide in phi
-    at phi_w = ln(N/(Z a0)): the smooth form of Bethe's mc^2 cutoff.  The
-    doubling panels that start at the last pole phi_L = ln(N/max(1, L))
-    would hold it inside a panel 4 or 8 wide, to be bisected there, so they
-    end at phi_w (_phi_edges(terms, phi_w)) and integrate_semi_infinite
-    restarts them from it.  That pays only where the part of the integrand
-    that the weight multiplies still matters at phi_w: phi_w is at least one
-    first-panel width above phi_L, and e^{-2(L+1)(phi_w - phi_L)}, the decay
-    of the weight rows' cosh^{-4(L+1)}(phi/2) from phi_L, is still above
-    rel_tol.  Otherwise, for near-circular states or large Z, the edges are
-    0 and the poles, and the doubling panels start at phi_L.
+    f maps phi nodes to values or to rows of columns; past where f only
+    decays, its x form is smooth up to x = 0.
     """
-    N, L = state.N, state.L
-    last, transition = math.log(N / max(1, L)), math.log(N / (state.Z * constants.alpha0))
-    rise = transition - last
-    if rise >= 1.0 and math.exp(-2 * (L + 1) * rise) > spec.rel_tol:
-        return _phi_edges(terms, transition)
-    return (0.0, *(pole for _, pole, _ in reversed(terms)))
+    return (lambda xs: (f(-np.log(xs)).T / xs).T), (0.0, math.exp(-phi))
 
 
 def _bracket_integrand(N: int, L: int, weight, terms) -> tuple:
@@ -316,9 +302,12 @@ def _shift_bracket(
     poles are the first panel edges, so no node comes near the cancellation
     in the subtracted numerator.  The pole strengths read the residues of
     _channels, as the rates do.  A dipole shift's doubling panels run from
-    the last pole to the cutoff; the non-dipole shift's also end at the
-    weight's transition phi_w and restart there, unless the integrand has
-    decayed below rel_tol by then (_nondipole_edges).
+    the last pole phi_L = ln(N/max(1, L)) to the cutoff.  The non-dipole
+    weight w = 1 - (1+s)^{-1/2}, s = (Z a0/N)^2 (e^{2 phi} - 1), saturates
+    past phi_w = ln(N/(Z a0)), where the integrand only decays: its panels
+    end at phi_T = max(phi_w, phi_L + 1), and one refinable panel in
+    x = e^-phi takes the rest (_x_tail), so no absolute threshold truncates
+    the domain.  Both count as the one tau_phi_integral part.
     """
     N, L = state.N, state.L
     spec = spec or QuadratureSpec()
@@ -327,11 +316,12 @@ def _shift_bracket(
     if terms and limit <= terms[0][1] + 1.0e-6:
         raise ValueError(f"dipole cutoff phi={limit:.3f} does not clear the pole at {terms[0][1]:.3f}")
     integrand, failed = _bracket_integrand(N, L, weight, terms)
+    end = limit
     if limit == math.inf:
-        edges = _nondipole_edges(state, terms, spec, constants)
-        outer = integrate_semi_infinite(integrand, spec, points=edges[1:])
-    else:
-        outer = integrate_panels(integrand, _phi_edges(terms, limit), spec)
+        end = max(math.log(N / (state.Z * constants.alpha0)), math.log(N / max(1, L)) + 1.0)
+    outer = integrate_panels(integrand, _phi_edges(terms, end), spec)
+    if end < limit:
+        outer += integrate_panels(*_x_tail(integrand, end), spec)
     outer.converged &= not failed
     diag = Diagnostics()
     diag.record("tau_phi_integral", outer)
@@ -470,7 +460,7 @@ def bethe_log(
     later = replace(spec, abs_tol=max(spec.abs_tol, spec.rel_tol * abs(links[0])))
     for i, (lo, hi) in enumerate(zip(limits, limits[1:]), start=2):
         links.append(link(f"phi_to_cutoff_{i}", h, (lo, hi), later))
-    links.append(link("phi_tail", lambda xs: h(-np.log(xs)) / xs, (0.0, math.exp(-limits[-1])), later))
+    links.append(link("phi_tail", *_x_tail(h, limits[-1]), later))
 
     def closed(limit: float) -> list[float]:
         """The pole terms and delta_{L0} (ln(1 - e^{-2 Phi}) - 2 ln N) at the upper limit Phi."""
