@@ -502,8 +502,8 @@ def bethe_log_by_cutoffs(
 
     Each cutoff x gives the estimate -DeltaE(x)/A + delta_{L0} (ln 4x - 2 ln(Z a0)),
     with A = bethe_amplitude, from one lamb_shift call; the estimates are
-    extrapolated to infinite cutoff in e^{-phi_cut}.  It shares no link and
-    no tail with shifts.bethe_log, whose one convergent integral it checks.
+    extrapolated to infinite cutoff in e^{-phi_cut}.  It shares neither the body nor
+    the tail of shifts.bethe_log, whose one convergent integral it checks.
     For s states the extrapolation is biased by about (Z a0)^2/x (6.6e-10
     at x = 1e3 .. 1e5 and Z = 1), so it is a check at large cutoffs only.
     """

@@ -19,6 +19,12 @@ and each bisection one call with the 30 nodes of both halves; every
 returned value is checked and the first non-finite one raises
 IntegrandError.
 
+Each panel keeps its 15 rows of node values, so integrate_panels can also
+report running integrals up to marks inside its domain at no further
+evaluation: the final panels below a mark, plus the integral up to the
+mark of the degree-14 interpolant of the panel that holds it.  Its
+weights come from the Legendre form of that interpolant (_interpolant_weights).
+
 All nodes are interior, so integrands may be singular (integrably) at
 panel endpoints, in particular at the origin of a semi-infinite domain.
 """
@@ -28,6 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import takewhile
 from typing import Callable, Sequence
 
@@ -100,6 +107,9 @@ class QuadratureResult:
     subdivisions: int = 0
     # each column's total for a multi-column integrand, whose value is their sum
     columns: tuple[float, ...] = ()
+    # the integral (all columns summed) from the first edge up to each of
+    # integrate_panels' marks; a sum of results has none
+    running: tuple[float, ...] = ()
 
     def __add__(self, other: "QuadratureResult") -> "QuadratureResult":
         return QuadratureResult(
@@ -134,14 +144,57 @@ _X = np.array(_NODES)
 _W = np.array((_WTS_K, _WTS_G)).T  # (15, 2): kronrod and gauss columns
 
 
+def _legendre(y: float, count: int) -> list[float]:
+    """P_0(y) .. P_{count-1}(y) by the three-term recurrence."""
+    p = [1.0, y]
+    for j in range(1, count - 1):
+        p.append(((2 * j + 1) * y * p[j] - j * p[j - 1]) / (j + 1))
+    return p[:count]
+
+
+@lru_cache(maxsize=None)
+def _legendre_inverse() -> np.ndarray:
+    """Inverse of the table P_j(x_k), k nodes by j = 0..14 degrees, of the Kronrod nodes x_k.
+
+    It maps a panel's 15 node values to the Legendre coefficients of their
+    degree-14 interpolant.  Gauss-Jordan elimination with partial pivoting
+    in the array operations the quadrature already uses: a first LAPACK
+    call adds ~0.5 MB of peak RSS, and other numpy routines 0.1-0.3 MB, in
+    the pages of numpy's code they touch.
+    """
+    n = PANEL_NODES
+    a = np.array([[*_legendre(x, n), *(float(i == k) for i in range(n))] for k, x in enumerate(_NODES)])
+    for i in range(n):
+        pivot = max(range(i, n), key=lambda r: abs(a[r, i]))
+        a[i], a[pivot] = a[pivot].copy(), a[i].copy()
+        a[i] /= a[i, i]
+        column = a[:, i].copy()
+        column[i] = 0.0
+        a -= column[:, None] * a[i]
+    return a[:, n:]
+
+
+def _interpolant_weights(y: float) -> np.ndarray:
+    """int_{-1}^{y} l_k for each Lagrange basis polynomial l_k of the Kronrod nodes, y in [-1, 1].
+
+    The integral of the interpolant is sum_j c_j int_{-1}^{y} P_j, with
+    int_{-1}^{y} P_j = (P_{j+1}(y) - P_{j-1}(y))/(2j + 1) for j >= 1 and
+    y + 1 for j = 0.
+    """
+    p = _legendre(y, PANEL_NODES + 1)
+    integrals = [y + 1.0, *((p[j + 1] - p[j - 1]) / (2 * j + 1) for j in range(1, PANEL_NODES))]
+    return np.add.reduce(np.array(integrals)[:, None] * _legendre_inverse(), axis=0)
+
+
 def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
     """Gauss-Kronrod panels between consecutive edges, all nodes in one call of f.
 
-    Returns (kronrod values, |K-G| estimates), one entry per panel.  A value
-    is the tuple of the C column values of f (C = 1 for an f of one array),
-    and the estimate is the largest of the columns' and their sum's: columns
-    whose oscillations cancel make a smooth sum, whose estimate alone would
-    bound no column.
+    Returns (kronrod values, |K-G| estimates, node rows), one entry per
+    panel.  A value is the tuple of the C column values of f (C = 1 for an
+    f of one array), and the estimate is the largest of the columns' and
+    their sum's: columns whose oscillations cancel make a smooth sum, whose
+    estimate alone would bound no column.  The rows are the (15, C) values
+    of f at the panel's nodes.
     """
     halves = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
     x = np.concatenate([c + h * _X for c, h in halves])
@@ -153,14 +206,15 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
         raise IntegrandError(f"integrand returned {bad!r} at x={float(x[i])!r}")
     # multiply and add, not a BLAS product, whose buffers add ~0.6 MB of peak
     # RSS; sums[panel][column] is (kronrod, gauss)
-    sums = np.add.reduce(rows.reshape(len(halves), _X.size, -1, 1) * _W[:, None], axis=1).tolist()
+    panel_rows = rows.reshape(len(halves), _X.size, -1)
+    sums = np.add.reduce(panel_rows[..., None] * _W[:, None], axis=1).tolist()
     values, errors = [], []
     for (_, h), cols in zip(halves, sums):
         k, g = zip(*cols)
         values.append(tuple(h * kc for kc in k))
         column_errors = (abs(h * (kc - gc)) for kc, gc in cols)
         errors.append(max(abs(h * (math.fsum(k) - math.fsum(g))), *column_errors))
-    return values, errors
+    return values, errors, panel_rows
 
 
 @dataclass
@@ -169,6 +223,13 @@ class _Panel:
     b: float
     value: tuple[float, ...]  # one entry per column
     error: float
+    rows: np.ndarray  # (15, C) values of f at the nodes
+
+    def integral_upto(self, x: float) -> list[float]:
+        """Each column's integral from a to x in [a, b] of the degree-14 interpolant of the rows."""
+        c, h = 0.5 * (self.a + self.b), 0.5 * (self.b - self.a)
+        weights = _interpolant_weights((x - c) / h)
+        return (h * np.add.reduce(weights[:, None] * self.rows, axis=0)).tolist()
 
     def split(self, f) -> list["_Panel"] | None:
         """Both halves, or None where a half's outer nodes would round onto its edges."""
@@ -182,8 +243,7 @@ class _Panel:
 
 def _panels(f, edges: Sequence[float]) -> list[_Panel]:
     """One Gauss-Kronrod panel between each pair of consecutive edges, all in one call of f."""
-    values, errors = _gk15(f, edges)
-    return list(map(_Panel, edges, edges[1:], values, errors))
+    return list(map(_Panel, edges, edges[1:], *_gk15(f, edges)))
 
 
 def _refine(f, panels: list[_Panel], spec: QuadratureSpec) -> QuadratureResult:
@@ -215,12 +275,34 @@ def _refine(f, panels: list[_Panel], spec: QuadratureSpec) -> QuadratureResult:
         subdivisions += 1
 
 
-def integrate_panels(f, edges: Sequence[float], spec: QuadratureSpec | None = None) -> QuadratureResult:
-    """Adaptive integral over panels bounded by the given ascending edges."""
+def _running_sum(panels: list[_Panel], mark: float) -> float:
+    """The integral up to mark: every panel below it, and the interpolant of the panel holding it."""
+    parts = []
+    for p in takewhile(lambda p: p.a < mark, panels):
+        parts.extend(p.value if p.b <= mark else p.integral_upto(mark))
+    return math.fsum(parts)
+
+
+def integrate_panels(
+    f, edges: Sequence[float], spec: QuadratureSpec | None = None, marks: Sequence[float] = ()
+) -> QuadratureResult:
+    """Adaptive integral over panels bounded by the given ascending edges.
+
+    For each of the ascending marks in (edges[0], edges[-1]] the result's
+    running holds the integral from edges[0] up to it, read off the final
+    panels: those below the mark, plus the integral up to the mark of the
+    degree-14 interpolant of the 15 node values of the panel that holds it.
+    Marks cost no evaluation and do not steer the refinement.
+    """
     spec = spec or QuadratureSpec()
     if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError(f"edges must be strictly ascending, got {edges!r}")
-    return _refine(f, _panels(f, edges), spec)
+    if any(not edges[0] < m <= edges[-1] for m in marks) or any(b <= a for a, b in zip(marks, marks[1:])):
+        raise ValueError(f"marks must ascend within ({edges[0]!r}, {edges[-1]!r}], got {marks!r}")
+    panels = _panels(f, edges)
+    result = _refine(f, panels, spec)
+    result.running = tuple(_running_sum(panels, m) for m in marks)
+    return result
 
 
 def _dyadic_edges(origin: float):
@@ -233,8 +315,12 @@ def _dyadic_edges(origin: float):
 
 
 def dyadic_edges_upto(a: float, b: float) -> tuple[float, ...]:
-    """Panel edges a, a+1, a+3, a+7, ... (widths 1, 2, 4, ...), clipped to end exactly at b."""
-    return (a, *takewhile(lambda edge: edge < b, _dyadic_edges(a)), b)
+    """Panel edges a, a+1, a+3, a+7, ... (widths 1, 2, 4, ...), clipped to end exactly at b.
+
+    The doubling run stops before a clipped last panel would be narrower
+    than the first width, 1, so no sliver of a panel costs its 15 nodes.
+    """
+    return (a, *takewhile(lambda edge: edge < b - 1.0, _dyadic_edges(a)), b)
 
 
 def integrate_semi_infinite(

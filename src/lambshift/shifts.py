@@ -36,6 +36,7 @@ from .kernel import PhiKernel, fill_tau_sums, residue_coeffs, validate_quantum_n
 from .quadrature import (
     PANEL_NODES,
     Diagnostics,
+    QuadratureResult,
     QuadratureSpec,
     dyadic_edges_upto,
     integrate_panels,
@@ -221,9 +222,9 @@ def _pole_terms(N: int, L: int, weight) -> list[tuple[int, float, float]]:
 def _phi_edges(terms, limit: float) -> tuple[float, ...]:
     """Panel edges of [0, limit]: 0, every pole, then dyadic panels from the last pole.
 
-    The dipole shifts and the first Bethe link end these panels at their
-    cutoff, the non-dipole shift at max(phi_w, phi_L + 1) past the weight's
-    transition, where its x-tail (_x_tail) takes over.
+    The dipole shifts end these panels at their cutoff, the Bethe logarithm
+    at its last cutoff and the non-dipole shift at max(phi_w, phi_L + 1)
+    past the weight's transition, where their x-tails (_x_tail) take over.
     """
     lead = (0.0, *(pole for _, pole, _ in reversed(terms)))
     return lead[:-1] + dyadic_edges_upto(lead[-1], limit)
@@ -361,11 +362,12 @@ def lamb_shift(
 
 @dataclass
 class BetheResult:
-    """Bethe logarithm, its mean excitation energy and the links of its phi integral.
+    """Bethe logarithm, its mean excitation energy and the parts of its phi integral.
 
     estimates are the dipole-shift estimates of gamma at the cutoffs_used,
-    error_estimate the sum of the links' Gauss-Kronrod errors, both in
-    units of gamma; diagnostics holds one part per link.
+    error_estimate the sum of the Gauss-Kronrod errors of the body and the
+    tail of the phi integral, both in units of gamma; diagnostics holds
+    those two parts, phi_to_last_cutoff and phi_tail.
     """
 
     N: int
@@ -417,21 +419,23 @@ def bethe_log(
         gamma = int_0^inf h dphi + sum_n A_n _pole_pv(N, n, inf) - 2 delta_{L0} ln N
 
     with A_n = w(phi_n) n R_n(phi_n) the pole strengths under that weight.
-    One pass over phi takes the integral in links: [0, Phi_1] with the
-    poles as panel edges, each increment [Phi_i, Phi_{i+1}] between the
-    phi of the BETHE_CUTOFFS, and the tail int_0^{e^-Phi_5} h(-ln x) dx/x,
-    whose integrand tends to a constant: one panel takes it at the default
-    tolerances, and no node comes near phi = 355, where the dipole weight
-    overflows, as the doubling panels of a semi-infinite domain would at
-    tight tolerances.
-    Every link after the first is judged against rel_tol |first link|, the
-    scale of gamma: on its own tiny total it would never converge.  spec's
-    tolerances are in units of gamma.
+    The integral has two parts: the body [0, Phi_5] up to the phi of the
+    last of the BETHE_CUTOFFS, with the poles as panel edges, and the tail
+    int_0^{e^-Phi_5} h(-ln x) dx/x, whose integrand tends to a constant:
+    one panel takes it at the default tolerances, and no node comes near
+    phi = 355, where the dipole weight overflows, as the doubling panels of
+    a semi-infinite domain would at tight tolerances.  The tail is judged
+    against rel_tol |int_0^Phi_1 h|, the scale of gamma: on its own tiny
+    total it would never converge.  spec's tolerances are in units of gamma.
 
-    The running sums at the cutoffs are the estimates
+    The phi of the cutoffs are marks of the body (integrate_panels), whose
+    running sums are the estimates
     -DeltaE(x)/A + delta_{L0} (ln 4x - 2 ln(Z a0)) of the dipole shift at
     each cutoff x, with A = bethe_amplitude, in the form
     int_0^Phi h + sum_n A_n _pole_pv(N, n, Phi) + delta_{L0} (ln(1 - e^{-2 Phi}) - 2 ln N).
+    A cutoff inside a panel reads the integral up to it off the degree-14
+    interpolant of that panel's nodes, so the estimates take no nodes of
+    their own.
     """
     constants = constants or default_constants()
     spec = spec or QuadratureSpec()
@@ -450,17 +454,15 @@ def bethe_log(
 
     diag = Diagnostics()
 
-    def link(name: str, f, edges, link_spec: QuadratureSpec) -> float:
+    def part(name: str, f, edges, part_spec: QuadratureSpec, marks=()) -> QuadratureResult:
         before = len(failed)
-        result = integrate_panels(f, edges, link_spec)
+        result = integrate_panels(f, edges, part_spec, marks=marks)
         result.converged &= len(failed) == before
-        return diag.record(name, result).value
+        return diag.record(name, result)
 
-    links = [link("phi_to_cutoff_1", h, _phi_edges(terms, limits[0]), spec)]
-    later = replace(spec, abs_tol=max(spec.abs_tol, spec.rel_tol * abs(links[0])))
-    for i, (lo, hi) in enumerate(zip(limits, limits[1:]), start=2):
-        links.append(link(f"phi_to_cutoff_{i}", h, (lo, hi), later))
-    links.append(link("phi_tail", *_x_tail(h, limits[-1]), later))
+    body = part("phi_to_last_cutoff", h, _phi_edges(terms, limits[-1]), spec, marks=limits)
+    tail_spec = replace(spec, abs_tol=max(spec.abs_tol, spec.rel_tol * abs(body.running[0])))
+    tail = part("phi_tail", *_x_tail(h, limits[-1]), tail_spec)
 
     def closed(limit: float) -> list[float]:
         """The pole terms and delta_{L0} (ln(1 - e^{-2 Phi}) - 2 ln N) at the upper limit Phi."""
@@ -469,10 +471,8 @@ def bethe_log(
             sum_rule * (0.5 * math.log(-math.expm1(-2.0 * limit)) - math.log(N)),
         ]
 
-    # the running sums at each cutoff, and gamma at Phi = infinity
-    *estimates, gamma = (
-        math.fsum([*links[:i], *closed(phi)]) for i, phi in enumerate([*limits, math.inf], start=1)
-    )
+    estimates = [math.fsum([running, *closed(phi)]) for running, phi in zip(body.running, limits)]
+    gamma = math.fsum([body.value, tail.value, *closed(math.inf)])
     return BetheResult(
         N=N,
         L=L,

@@ -209,13 +209,13 @@ class TestResidues:
     def test_circular_state_closed_form(self):
         # -1/(4 cosh^{4N}(phi/2)) at cosh(phi) = 5/4
         got = residue_coeffs(2, 1, math.log(2.0), 1)
-        assert got == pytest.approx(-1024.0 / 6561.0, rel=1e-13)
+        assert got == pytest.approx(-1024.0 / 6561.0, rel=1e-13, abs=0)
 
     def test_circular_family_any_phi(self):
         for N in (2, 3, 5):
             phi = 0.8
             want = -1.0 / (4.0 * math.cosh(phi / 2.0) ** (4 * N))
-            assert residue_coeffs(N, N - 1, phi, N - 1) == pytest.approx(want, rel=1e-12)
+            assert residue_coeffs(N, N - 1, phi, N - 1) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_identity_dilation_single_entry(self):
         assert residue_coeffs(4, 1, 0.0, 3) == -0.25
@@ -224,7 +224,7 @@ class TestResidues:
     def test_ground_tower_single_entry(self):
         phi = 1.3
         want = -0.25 / math.cosh(phi / 2.0) ** 4
-        assert residue_coeffs(1, 0, phi, 0) == pytest.approx(want, rel=1e-13)
+        assert residue_coeffs(1, 0, phi, 0) == pytest.approx(want, rel=1e-13, abs=0)
         with pytest.raises(ValueError):
             residue_coeffs(1, 0, phi, 1)
 
@@ -318,7 +318,7 @@ class TestRemainder:
             for tau in (0.2, 1.0, 4.0):
                 got = remainder(PhiKernel(N, L, 0.0), tau)
                 want = 0.5 * math.exp(-N * tau) - 0.25 * math.exp(-(N + 1) * tau)
-                assert got == pytest.approx(want, rel=1e-13)
+                assert got == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_zero_tau_is_minus_residue_sum(self):
         for (N, L, phi) in ((2, 0, 0.8), (4, 1, 1.9), (3, 2, 3.4)):
@@ -332,11 +332,11 @@ class TestRemainder:
         got = remainder(ker, tau)
         tail = _stream(ker, 300)
         want = float(np.sum(tail * np.exp(-np.arange(N, 300) * tau)))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
         # and against the independent matrix-element series
         full = kernel_via_spectral_series(N, L, tau, phi, 300, imaginary_time=True).value.real
         sub = sum(residue_coeffs(N, L, phi, n) * math.exp(-n * tau) for n in range(L, N))
-        assert got == pytest.approx(full - sub, rel=1e-10)
+        assert got == pytest.approx(full - sub, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("N, L, phi", [(5, 0, 2.8), (8, 3, 2.5), (12, 0, 2.0)])
     def test_tail_coefficients_match_mpmath(self, N, L, phi):
@@ -400,7 +400,7 @@ class TestRemainder:
                 closed = remainder(PhiKernel(N, L, phi), tau)
             finally:
                 K.SERIES_T2_MAX = old
-            assert series == pytest.approx(closed, rel=1e-11)
+            assert series == pytest.approx(closed, rel=1e-11, abs=0)
 
 
 class TestRemainderDerivative:
@@ -409,7 +409,7 @@ class TestRemainderDerivative:
             for tau in (0.1, 1.7):
                 got = remainder_dtau(PhiKernel(N, L, 0.0), tau)
                 want = -N / 2.0 * math.exp(-N * tau) + (N + 1) / 4.0 * math.exp(-(N + 1) * tau)
-                assert got == pytest.approx(want, rel=1e-12)
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_against_central_differences(self):
         rng = random.Random(4)
@@ -500,7 +500,7 @@ class TestTauIntegral:
             value = PhiKernel(N, L, phi).tau_integral()[0]
             quad = tau_integral_by_quadrature(N, L, phi)
             assert quad.converged
-            assert value == pytest.approx(quad.value, rel=2e-10)
+            assert value == pytest.approx(quad.value, rel=2e-10, abs=0)
 
     def test_quadrature_oracle_domain(self):
         # nu = 1.35 >= max(1, L): the e^{nu tau} weight would amplify the
@@ -510,7 +510,7 @@ class TestTauIntegral:
         # nu = 1.18 exceeds 1 but stays below L = 5
         quad = tau_integral_by_quadrature(25, 5, 3.05)
         assert quad.converged
-        assert quad.value == pytest.approx(PhiKernel(25, 5, 3.05).tau_integral()[0], rel=1e-12)
+        assert quad.value == pytest.approx(PhiKernel(25, 5, 3.05).tau_integral()[0], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "N, L, phi", [(2, 0, 1.0), (4, 1, 2.5), (3, 0, 2.85), (6, 5, 1.5), (1, 0, 0.05)]
@@ -572,7 +572,7 @@ class TestTauIntegral:
             series = PhiKernel(N, L, phi).tau_integral()[0]
         finally:
             K.SERIES_T2_MAX = old
-        assert closed == pytest.approx(series, rel=1e-11)
+        assert closed == pytest.approx(series, rel=1e-11, abs=0)
 
 
 def _mp_digits(phi):

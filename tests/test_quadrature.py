@@ -128,6 +128,64 @@ class TestFinitePanels:
         assert r.subdivisions < spec.max_subdivisions
 
 
+class TestMarks:
+    """Running integrals up to marks, read off the final panels and their interpolants."""
+
+    @staticmethod
+    def _poly(x):
+        # degree 14: every panel's interpolant is the polynomial itself
+        return 1.0 + x**14 - 3.0 * x**7
+
+    @staticmethod
+    def _poly_integral(x):
+        return x + x**15 / 15.0 - 3.0 * x**8 / 8.0
+
+    # a mark inside a panel that gets bisected (0.3 is no dyadic edge of
+    # (0, 1)), one on the interior edge 1 and one at the end
+    MARKS = (0.3, 1.0, 2.5)
+
+    def test_exponential(self):
+        # 0.3 lies in the unsplit panel (0, 1), 5.5 in a piece of the bisected (1, 20)
+        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16)
+        marks = (0.3, 1.0, 5.5, 20.0)
+        r = integrate_panels(lambda x: np.exp(-x), (0.0, 1.0, 20.0), spec, marks=marks)
+        assert r.converged and r.subdivisions > 0
+        assert r.running[-1] == r.value
+        for got, m in zip(r.running, marks):
+            assert got == pytest.approx(-math.expm1(-m), rel=0, abs=4e-16)
+
+    def test_polynomial_of_degree_14(self):
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-15)
+        r = integrate_panels(self._poly, (0.0, 1.0, 2.5), spec, marks=self.MARKS)
+        assert r.subdivisions > 0
+        exact = [self._poly_integral(m) for m in self.MARKS]
+        assert r.running == pytest.approx(exact, rel=1e-14, abs=0)
+
+    def test_marks_cost_nothing_and_do_not_steer(self):
+        f = lambda x: np.exp(-x) / (1e-2 + x)
+        plain = integrate_panels(f, (0.0, 1.0, 3.0))
+        marked = integrate_panels(f, (0.0, 1.0, 3.0), marks=(0.05, 2.0, 3.0))
+        fields = lambda r: (r.value, r.error_estimate, r.evaluations, r.subdivisions, r.converged)
+        assert fields(marked) == fields(plain) and plain.running == ()
+        assert len(marked.running) == 3 and marked.running[-1] == marked.value
+
+    def test_two_columns(self):
+        # the running integral of a multi-column f sums its columns
+        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16)
+        pair = lambda x: np.column_stack((np.exp(-x), self._poly(x)))
+        r = integrate_panels(pair, (0.0, 1.0, 2.5), spec, marks=self.MARKS)
+        assert len(r.columns) == 2 and r.subdivisions > 0
+        exact = [-math.expm1(-m) + self._poly_integral(m) for m in self.MARKS]
+        assert r.running == pytest.approx(exact, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize(
+        "marks", [(0.0,), (-0.5,), (2.0 + 1e-15,), (1.5, 0.5), (0.5, 0.5), (0.5, 3.0)]
+    )
+    def test_rejects_marks_outside_or_out_of_order(self, marks):
+        with pytest.raises(ValueError, match="marks"):
+            integrate_panels(lambda x: x, (0.0, 1.0, 2.0), marks=marks)
+
+
 def _recording(f):
     """f plus a list of copies of the node arrays it was called with."""
     calls = []
@@ -167,8 +225,9 @@ class TestArrayContract:
         assert r.evaluations == 45
         assert len(started) == 3
         for panel, a, b in zip(started, edges, edges[1:]):
-            (value,), (error,) = Q._gk15(pair, (a, b))
+            (value,), (error,), (rows,) = Q._gk15(pair, (a, b))
             assert (panel.a, panel.b, panel.value, panel.error) == (a, b, value, error)
+            assert np.array_equal(panel.rows, rows)
 
     def test_one_call_of_thirty_nodes_per_bisection(self):
         f, calls = _recording(lambda x: np.exp(-x) / (1e-2 + x))
@@ -222,13 +281,14 @@ class TestArrayContract:
         nodes, wk, wg = kronrod_nodes_weights()
         f = lambda x: np.exp(-x) * np.cos(7 * x) / (0.1 + x)
         edges = (0.3, 0.8, 2.0)
-        values, errors = _gk15(f, edges)
-        for (a, b), (value,), error in zip(zip(edges, edges[1:]), values, errors):
+        values, errors, rows = _gk15(f, edges)
+        for (a, b), (value,), error, row in zip(zip(edges, edges[1:]), values, errors, rows):
             c, h = 0.5 * (a + b), 0.5 * (b - a)
             fx = [math.exp(-(c + h * x)) * math.cos(7 * (c + h * x)) / (0.1 + c + h * x) for x in nodes]
+            assert row.shape == (15, 1) and row[:, 0] == pytest.approx(fx, rel=1e-14, abs=0)
             k = h * math.fsum(w * y for w, y in zip(wk, fx))
             g = h * math.fsum(w * y for w, y in zip(wg, fx))
-            assert value == pytest.approx(k, rel=1e-14)
+            assert value == pytest.approx(k, rel=1e-14, abs=0)
             assert error == pytest.approx(abs(k - g), rel=1e-8, abs=1e-14 * abs(k))
 
     def test_error_names_first_non_finite_node(self):
@@ -310,7 +370,7 @@ class TestPoints:
         r = integrate_semi_infinite(f, points=points)
         assert r.converged
         assert r.value == pytest.approx(integrate_semi_infinite(lambda x: np.exp(-x) / (1.0 + x)).value,
-                                        rel=1e-12)
+                                        rel=1e-12, abs=0)
         nodes = np.concatenate(calls)
         half_widths = _panel_half_widths(calls)
         for p in points:

@@ -97,7 +97,7 @@ class TestWeights:
         state = QuantumState(N=2, L=0)
         phi = math.log(2.0)
         want = 0.5 * (C.alpha0 / 2.0) ** 2 * (math.exp(2.0 * phi) - 1.0)
-        assert weight_dipole(state, phi, C) == pytest.approx(want, rel=1e-14)
+        assert weight_dipole(state, phi, C) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_small_phi_ratio_tends_to_one(self):
         state = QuantumState(N=3, L=1)
@@ -205,7 +205,7 @@ class TestCircularRates:
     def test_matches_general_pipeline(self):
         for N in (2, 5, 10):
             pipeline = dict(decay_rates(QuantumState(N=N, L=N - 1), DIPOLE))[N - 1]
-            assert circular_rate_closed_form(N) == pytest.approx(pipeline, rel=1e-12)
+            assert circular_rate_closed_form(N) == pytest.approx(pipeline, rel=1e-12, abs=0)
 
     def test_semiclassical_limit(self):
         N = 50
@@ -354,7 +354,7 @@ class TestPoleSubtraction:
 
         accurate = pv(lambda phi: 2 * np.expm1(pole - phi))
         assert accurate.converged
-        assert accurate.value == pytest.approx(want, rel=1e-12)
+        assert accurate.value == pytest.approx(want, rel=1e-12, abs=0)
         rounded = pv(lambda phi: 3 * np.exp(-phi) - 2)
         assert math.isfinite(rounded.value)
         assert not rounded.converged or rounded.value == pytest.approx(want, rel=1e-12)
@@ -466,7 +466,7 @@ class TestTransitionRestart:
         assert result.converged
         assert result.diagnostics.parts["tau_phi_integral"].evaluations == evaluations
         got = (result.lamb_shift_MHz, result.tau_phi_term_MHz, result.pv_term_MHz)
-        assert got == pytest.approx(tuple(shifts), rel=1e-12)
+        assert got == pytest.approx(tuple(shifts), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("N, L", list(TABLE1))
     def test_table_1_edges_end_at_the_transition(self, monkeypatch, N, L):
@@ -477,12 +477,14 @@ class TestTransitionRestart:
         assert body == pytest.approx(want, rel=0, abs=1e-14) and body[-1] == end
         assert tail == (0.0, math.exp(-end))
 
-    @pytest.mark.parametrize("N, L, evaluations", [(10, 9, 150), (8, 7, 105)])
+    @pytest.mark.parametrize("N, L, evaluations", [(10, 9, 135), (8, 7, 105)])
     def test_near_circular_states_end_at_the_transition(self, monkeypatch, N, L, evaluations):
         end = math.log(N / C.alpha0)
         (body, tail), result = self._edges(monkeypatch, QuantumState(N=N, L=L))
-        # phi_w - phi_L is 7.12 for (10,9) and 6.87 for (8,7)
-        want = self._layout(N, L, (1.0, 3.0, 7.0) if N == 10 else (1.0, 3.0), end)
+        # phi_w - phi_L is 7.12 for (10,9) and 6.87 for (8,7); the doubling
+        # run stops before a last panel narrower than 1, which would have
+        # been [phi_L + 7, phi_w] for (10,9)
+        want = self._layout(N, L, (1.0, 3.0), end)
         assert body == pytest.approx(want, rel=0, abs=1e-14) and body[-1] == end
         assert tail == (0.0, math.exp(-end))
         assert result.converged
@@ -535,40 +537,66 @@ class TestBethe:
 
     def test_z_independence(self):
         # the integrand in units of gamma does not depend on Z; only the
-        # cutoffs between the links do
+        # phi of the reported cutoffs do
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-24)
         for N, L in ((1, 0), (2, 0), (2, 1)):
             gammas = [bethe_log(N, L, spec=spec, Z=Z).gamma for Z in (1, 2, 92)]
             assert max(gammas) - min(gammas) <= 1e-12, (N, L, gammas)
 
-    @pytest.mark.parametrize("N, L, Z", [(2, 0, 1), (3, 1, 1), (2, 0, 2)])
-    def test_estimates_match_per_cutoff_shifts(self, N, L, Z):
-        # the estimates are running sums of the links, in units of gamma;
-        # each standalone shift integrates its own [0, Phi], so they agree to
-        # roundoff, not bit for bit
-        state = QuantumState(N=N, L=L, Z=Z)
+    @staticmethod
+    def _cutoff_estimates(state, spec=None):
+        """gamma's estimates from standalone dipole shifts at each of the BETHE_CUTOFFS."""
         amplitude = bethe_amplitude(state, C)
         expected = []
         for x in BETHE_CUTOFFS:
-            shift = lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=x))
+            shift = lamb_shift(state, DipoleOptions(enabled=True, cutoff_x=x), spec)
             estimate = -C.MHz_to_eV(shift.lamb_shift_MHz) / amplitude
-            if L == 0:
-                estimate += math.log(4.0 * x) - 2.0 * math.log(Z * C.alpha0)
+            if state.L == 0:
+                estimate += math.log(4.0 * x) - 2.0 * math.log(state.Z * C.alpha0)
             expected.append(estimate)
+        return expected
+
+    @pytest.mark.parametrize("N, L, Z", [(2, 0, 1), (3, 1, 1), (2, 0, 2)])
+    def test_estimates_match_per_cutoff_shifts(self, N, L, Z):
+        # the estimates are running sums of the phi integral, in units of
+        # gamma; each standalone shift integrates its own [0, Phi], so they
+        # agree to roundoff, not bit for bit
+        expected = self._cutoff_estimates(QuantumState(N=N, L=L, Z=Z))
         got = bethe_log(N, L, Z=Z).estimates
         assert len(got) == len(expected)
         assert all(abs(g - e) <= 1e-12 for g, e in zip(got, expected))
 
+    @pytest.mark.parametrize("Z", [1, 2, 92])
+    def test_estimates_match_tight_per_cutoff_shifts(self, Z):
+        # at a tight spec the interpolant of the panel holding each cutoff
+        # is as accurate as the standalone shift's own panels ending there
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-24)
+        for N, L in ((2, 0), (3, 1)):
+            expected = self._cutoff_estimates(QuantumState(N=N, L=L, Z=Z), spec)
+            result = bethe_log(N, L, spec=spec, Z=Z)
+            assert result.converged
+            assert all(abs(g - e) <= 1e-13 for g, e in zip(result.estimates, expected)), (N, L)
+
+    # outer evaluations of each Table-2/3 state at the default spec, 735 in
+    # all: one body to the last cutoff plus the one-panel tail (1,155 when
+    # every increment between cutoffs had its own panel)
+    TABLE_EVALUATIONS = {(1, 0): 75, (2, 0): 90, (3, 0): 105, (4, 0): 120, (2, 1): 120, (3, 1): 105, (4, 1): 120}
+
+    def test_table_2_3_evaluations(self):
+        counts = {(N, L): bethe_log(N, L).diagnostics.evaluations for N, L in self.TABLE_EVALUATIONS}
+        assert counts == self.TABLE_EVALUATIONS
+        assert sum(counts.values()) == 735
+
     def test_limits_accumulate_diagnostics(self):
-        # one part per link of the phi integral: [0, Phi_1], each increment
-        # between cutoffs and the tail, whose integrand tends to a constant,
-        # on one panel; the error bar is theirs summed
+        # two parts: the body [0, Phi_5], with the cutoffs as marks and the
+        # poles as panel edges, and the tail, whose integrand tends to a
+        # constant, on one panel; the error bar is theirs summed
         result = bethe_log(3, 1)
         parts = result.diagnostics.parts
-        assert list(parts) == [*(f"phi_to_cutoff_{i}" for i in range(1, 6)), "phi_tail"]
+        assert list(parts) == ["phi_to_last_cutoff", "phi_tail"]
         assert all(p.converged for p in parts.values())
-        assert parts["phi_to_cutoff_1"].evaluations > 15
-        assert [p.evaluations for p in list(parts.values())[1:]] == [15] * 5
+        assert parts["phi_to_last_cutoff"].evaluations > 15
+        assert parts["phi_tail"].evaluations == 15
         assert result.error_estimate == math.fsum(p.error_estimate for p in parts.values())
         assert result.as_dict()["error_estimate"] == result.error_estimate
         assert result.as_dict()["diagnostics"] == result.diagnostics.as_dict()
@@ -609,13 +637,13 @@ class TestBethe:
         assert flagged
         assert not result.converged
 
-    @pytest.mark.parametrize("link", [1, 5])
-    def test_unconverged_link_flags_result(self, monkeypatch, link):
-        # inner integrals that fail only inside one link, an increment or
-        # the tail, flag that link and the result
+    @pytest.mark.parametrize("part", ["phi_to_last_cutoff", "phi_tail"])
+    def test_unconverged_link_flags_result(self, monkeypatch, part):
+        # inner integrals that fail only between the first two cutoffs, or
+        # only past the last, flag the body or the tail and the result
         state = QuantumState(N=2, L=1)
         limits = [DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, C) for x in BETHE_CUTOFFS]
-        lo, hi = (limits + [math.inf])[link - 1:link + 1]
+        lo, hi = (limits[0], limits[1]) if part == "phi_to_last_cutoff" else (limits[-1], math.inf)
         tau_integral = kernel.PhiKernel.tau_integral
 
         def failing_inside(ker):
@@ -625,11 +653,13 @@ class TestBethe:
         monkeypatch.setattr(kernel.PhiKernel, "tau_integral", failing_inside)
         result = bethe_log(2, 1)
         assert not result.converged
-        assert [p.converged for p in result.diagnostics.parts.values()] == [i != link for i in range(6)]
+        assert {name: p.converged for name, p in result.diagnostics.parts.items()} == {
+            name: name != part for name in ("phi_to_last_cutoff", "phi_tail")
+        }
 
     def test_one_residue_call_per_channel(self, monkeypatch):
         # the phi nodes read every R_n from PhiKernel.residues; residue_coeffs
-        # gives only each channel's pole strength, once for all links
+        # gives only each channel's pole strength, once for both parts
         import lambshift.shifts as shifts_mod
 
         seen = []

@@ -26,10 +26,10 @@ class TestHyp2f1Terminating:
 
     def test_single_linear_term(self):
         for z in (0.3, -4.0, 17.5):
-            assert hyp2f1_terminating(-1, -3, 1, z) == pytest.approx(1.0 + 3.0 * z, rel=1e-15)
+            assert hyp2f1_terminating(-1, -3, 1, z) == pytest.approx(1.0 + 3.0 * z, rel=1e-15, abs=0)
 
     def test_two_term_value(self):
-        assert hyp2f1_terminating(-1, -2, 1, 1.0) == pytest.approx(3.0, rel=1e-15)
+        assert hyp2f1_terminating(-1, -2, 1, 1.0) == pytest.approx(3.0, rel=1e-15, abs=0)
 
     def test_rejects_non_terminating(self):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestHyp2f1Terminating:
         got = hyp2f1_terminating(a, b, c, z)
         expected = mp.hyp2f1(a, b, c, z)
         assert isinstance(got, Fraction) and got > 0
-        assert ln_abs(got) == pytest.approx(float(mp.log(abs(expected))), rel=1e-15)
+        assert ln_abs(got) == pytest.approx(float(mp.log(abs(expected))), rel=1e-15, abs=0)
         assert ln_abs(-2.5) == math.log(2.5)
 
     @given(
@@ -121,7 +121,7 @@ class TestJacobi:
 
     def test_degree_one_matches_formula(self):
         for w in (-1.5, 0.0, 2.0):
-            assert _jacobi_recurrence(1, 0.0, 3.0, w) == pytest.approx(2.5 * w - 1.5, rel=1e-15)
+            assert _jacobi_recurrence(1, 0.0, 3.0, w) == pytest.approx(2.5 * w - 1.5, rel=1e-15, abs=0)
 
     def test_kernel_identity_small_case(self):
         # degree N+L with (0, -1-2L) matches the terminating Gauss series
@@ -129,7 +129,7 @@ class TestJacobi:
         z = (w - 1.0) / (w + 1.0)
         lhs = hyp2f1_terminating(L + 1 - N, -L - N, 1, z)
         rhs = (1.0 - z) ** (L + N) * _jacobi_negative_beta(N + L, 2 * L + 1, w)
-        assert lhs == pytest.approx(rhs, rel=1e-14)
+        assert lhs == pytest.approx(rhs, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("n,alpha,beta", [(3, 0, -3), (5, 0, -3), (4, 0, -1), (8, 0, -5), (6, 0, 3), (7, 2, 1)])
     def test_against_bruteforce_expansion(self, n, alpha, beta):
@@ -145,7 +145,7 @@ class TestJacobi:
         mp.mp.dps = 40
         for (n, alpha, beta, x) in ((60, 0, 3, 0.42), (40, 0, 9, -0.8)):
             expected = float(mp.jacobi(n, alpha, beta, x))
-            assert _jacobi_recurrence(n, float(alpha), float(beta), x) == pytest.approx(expected, rel=1e-12)
+            assert _jacobi_recurrence(n, float(alpha), float(beta), x) == pytest.approx(expected, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("L", [0, 3])
     def test_array_alpha_equals_scalar_bit_for_bit(self, L):
@@ -204,12 +204,12 @@ class TestJacobiTable:
         # the degree-n value uses the first n steps of a longer table
         _jacobi_steps(30, 2.0, 3.0)
         expected = float(mp.jacobi(11, 2, 3, 0.37))
-        assert _jacobi_recurrence(11, 2.0, 3.0, 0.37) == pytest.approx(expected, rel=1e-13)
+        assert _jacobi_recurrence(11, 2.0, 3.0, 0.37) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 class TestLnGammaRatio:
     def test_simple_ratio(self):
-        assert ln_gamma_ratio(5, 3) == pytest.approx(math.log(12.0), rel=1e-15)
+        assert ln_gamma_ratio(5, 3) == pytest.approx(math.log(12.0), rel=1e-15, abs=0)
 
     @given(st.integers(min_value=1, max_value=80))
     @settings(max_examples=30)
@@ -221,7 +221,7 @@ class TestLnGammaRatio:
         assert ln_gamma_ratio(40, 1) == pytest.approx(expected, rel=1e-14)
 
     def test_inverse_antisymmetry(self):
-        assert ln_gamma_ratio(17, 60) == pytest.approx(-ln_gamma_ratio(60, 17), rel=1e-15)
+        assert ln_gamma_ratio(17, 60) == pytest.approx(-ln_gamma_ratio(60, 17), rel=1e-15, abs=0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

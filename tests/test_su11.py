@@ -68,11 +68,11 @@ class TestGroupChart:
         assert u.beta == 0.0
         u = time_evolution_coords(math.pi, 0.9)
         assert u.alpha == pytest.approx(-1j * math.cosh(0.9), rel=1e-14)
-        assert u.beta == pytest.approx(-math.sinh(0.9), rel=1e-14)
+        assert u.beta == pytest.approx(-math.sinh(0.9), rel=1e-14, abs=0)
 
     def test_scaling_half_angle(self):
         phi = math.acosh(1.25)
-        assert scaling_coords(phi).alpha.real == pytest.approx(3.0 / (2.0 * math.sqrt(2.0)), rel=1e-15)
+        assert scaling_coords(phi).alpha.real == pytest.approx(3.0 / (2.0 * math.sqrt(2.0)), rel=1e-15, abs=0)
         round_trip = compose(scaling_coords(phi), scaling_coords(-phi))
         assert abs(round_trip.alpha - 1.0) < 1e-15 and abs(round_trip.beta) < 1e-16
 
@@ -86,7 +86,7 @@ class TestBch:
         r = 0.85
         u = GroupElement(math.cosh(r), math.sinh(r))
         b = bch_decompose(u)
-        assert b.rho == pytest.approx(r, rel=1e-14)
+        assert b.rho == pytest.approx(r, rel=1e-14, abs=0)
         assert b.chi == 0.0 and b.psi == 0.0
 
     def test_reconstruct_round_trip_on_coordinates(self):
@@ -154,7 +154,7 @@ class TestRepresentation:
         label = RepLabel(2)
         phi = math.acosh(1.25)
         got = rep_matrix_element(label, 2, 2, scaling_coords(phi))
-        assert abs(got) ** 2 == pytest.approx((8.0 / 9.0) ** 4, rel=1e-13)
+        assert abs(got) ** 2 == pytest.approx((8.0 / 9.0) ** 4, rel=1e-13, abs=0)
         u = time_evolution_coords(0.7, 1.2)
         expect = u.alpha.conjugate() ** -4
         assert rep_matrix_element(label, 2, 2, u) == pytest.approx(expect, rel=1e-12)
@@ -217,7 +217,7 @@ class TestRepresentation:
                 mc = rng.randint(mr, mr + 4)
                 a = _finite_transform(m0, mr, mc, u.alpha, u.beta)
                 b = _finite_transform(1 - m0, mr, mc, u.alpha, u.beta)
-                assert abs(a) == pytest.approx(abs(b), rel=1e-12)
+                assert abs(a) == pytest.approx(abs(b), rel=1e-12, abs=0)
 
     def test_hermiticity_relation(self):
         rng = random.Random(17)

@@ -59,7 +59,7 @@ def test_tracer_patches_every_site():
     # channel that lamb_shift(2, 1) computed, decay_rates(3, 1) adds two
     assert metrics["kernel.residue_coeffs.calls"] == 3
     assert metrics["kernel.residue_coeffs.unique_ratio"] == 1.0
-    # every link of the Bethe integral goes through the traced integrate_panels
+    # both parts of the Bethe integral go through the traced integrate_panels
     # site: the tracer counts exactly the evaluations the result reports
     traced, reported = report["bethe_evals"]
     assert traced == reported > 0
