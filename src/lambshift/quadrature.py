@@ -1,9 +1,11 @@
 """Adaptive Gauss-Kronrod quadrature and Cauchy principal values.
 
-One 7-15 pair drives everything: finite panels are refined by bisecting
-whichever panel carries the largest |K15 - G7| estimate, semi-infinite
-domains grow dyadic tail panels until a whole panel contributes less than
-the absolute tolerance, and principal values fold the integrand about the
+One 7-15 pair drives everything: panels are refined by bisecting
+whichever panel carries the largest |K15 - G7| estimate, a last edge of
+math.inf makes the rest of a semi-infinite domain one such panel in
+t = e^-x (integrate_panels), the oracles' integrate_semi_infinite grows
+dyadic tail panels until a whole panel contributes less than the absolute
+tolerance, and principal values fold the integrand about the
 pole so the singular parts cancel before any node is evaluated.  The
 shifts take their principal values by singularity subtraction instead
 (shifts._shift_bracket); integrate_principal_value is the independent
@@ -81,7 +83,9 @@ class QuadratureSpec:
 
     abs_tol is also integrate_semi_infinite's truncation threshold: panel
     extension stops once a whole panel contributes less than it.  In the
-    package only the reference routes of oracles call that function.
+    package only the reference routes of oracles call that function;
+    integrate_panels ends a semi-infinite domain on a last edge math.inf
+    and truncates nothing.
     """
 
     rel_tol: float = 1.0e-9
@@ -186,6 +190,19 @@ def _interpolant_weights(y: float) -> np.ndarray:
     return np.add.reduce(np.array(integrals)[:, None] * _legendre_inverse(), axis=0)
 
 
+def _frame(a: float, b: float) -> tuple[float, float]:
+    """Centre and half-width of the panel (a, b) in its own variable.
+
+    That is x itself for finite b.  A last panel (a, inf) is taken in
+    t = e^-x on (0, e^-a), where its integrand is f(-ln t)/t: smooth up to
+    t = 0 for an f that decays like e^-x or faster.
+    """
+    if b == math.inf:
+        h = 0.5 * math.exp(-a)
+        return h, h
+    return 0.5 * (a + b), 0.5 * (b - a)
+
+
 def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
     """Gauss-Kronrod panels between consecutive edges, all nodes in one call of f.
 
@@ -194,11 +211,15 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
     f of one array), and the estimate is the largest of the columns' and
     their sum's: columns whose oscillations cancel make a smooth sum, whose
     estimate alone would bound no column.  The rows are the (15, C) values
-    of f at the panel's nodes.
+    of the panel's integrand at its nodes, f/t on a panel (a, inf) (_frame).
     """
-    halves = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(edges, edges[1:])]
-    x = np.concatenate([c + h * _X for c, h in halves])
-    rows = np.asarray(f(x), dtype=float).reshape(x.size, -1)
+    halves = [_frame(a, b) for a, b in zip(edges, edges[1:])]
+    t = np.concatenate([c + h * _X for c, h in halves])
+    tail = slice(-_X.size if edges[-1] == math.inf else t.size, None)  # the nodes in t = e^-x
+    x = t.copy()
+    x[tail] = -np.log(t[tail])
+    rows = np.array(f(x), dtype=float).reshape(x.size, -1)
+    rows[tail] /= t[tail, None]
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -223,20 +244,24 @@ class _Panel:
     b: float
     value: tuple[float, ...]  # one entry per column
     error: float
-    rows: np.ndarray  # (15, C) values of f at the nodes
+    rows: np.ndarray  # (15, C) values of the panel's integrand at its nodes (_gk15)
 
     def integral_upto(self, x: float) -> list[float]:
         """Each column's integral from a to x in [a, b] of the degree-14 interpolant of the rows."""
-        c, h = 0.5 * (self.a + self.b), 0.5 * (self.b - self.a)
+        c, h = _frame(self.a, self.b)
         weights = _interpolant_weights((x - c) / h)
         return (h * np.add.reduce(weights[:, None] * self.rows, axis=0)).tolist()
 
     def split(self, f) -> list["_Panel"] | None:
-        """Both halves, or None where a half's outer nodes would round onto its edges."""
-        m = 0.5 * (self.a + self.b)
+        """Both halves, or None where a half's outer nodes would round onto its edges.
+
+        (a, inf) halves at t = e^-a/2, into (a, a + ln 2) and (a + ln 2, inf).
+        """
+        m = self.a + math.log(2.0) if self.b == math.inf else 0.5 * (self.a + self.b)
         for a, b in ((self.a, m), (m, self.b)):
-            c, h = 0.5 * (a + b), 0.5 * (b - a)
-            if not a < c - h * _XGK[0] or not c + h * _XGK[0] < b:
+            c, h = _frame(a, b)
+            lo, hi = (a, b) if b < math.inf else (0.0, 2.0 * h)
+            if not lo < c - h * _XGK[0] or not c + h * _XGK[0] < hi:
                 return None
         return _panels(f, (self.a, m, self.b))
 
@@ -288,17 +313,20 @@ def integrate_panels(
 ) -> QuadratureResult:
     """Adaptive integral over panels bounded by the given ascending edges.
 
-    For each of the ascending marks in (edges[0], edges[-1]] the result's
-    running holds the integral from edges[0] up to it, read off the final
-    panels: those below the mark, plus the integral up to the mark of the
-    degree-14 interpolant of the 15 node values of the panel that holds it.
-    Marks cost no evaluation and do not steer the refinement.
+    The last edge may be math.inf, whose panel is taken in t = e^-x (_frame).
+
+    For each of the ascending marks in (edges[0], last finite edge] the
+    result's running holds the integral from edges[0] up to it, read off
+    the final panels: those below the mark, plus the integral up to the
+    mark of the degree-14 interpolant of the 15 node values of the panel
+    that holds it.  Marks cost no evaluation and do not steer the refinement.
     """
     spec = spec or QuadratureSpec()
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError(f"edges must be strictly ascending, got {edges!r}")
-    if any(not edges[0] < m <= edges[-1] for m in marks) or any(b <= a for a, b in zip(marks, marks[1:])):
-        raise ValueError(f"marks must ascend within ({edges[0]!r}, {edges[-1]!r}], got {marks!r}")
+    if len(edges) < 2 or not -math.inf < edges[0] or not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"edges must be strictly ascending from a finite first edge, got {edges!r}")
+    last = edges[-2] if edges[-1] == math.inf else edges[-1]
+    if any(not edges[0] < m <= last for m in marks) or any(b <= a for a, b in zip(marks, marks[1:])):
+        raise ValueError(f"marks must ascend within ({edges[0]!r}, {last!r}], got {marks!r}")
     panels = _panels(f, edges)
     result = _refine(f, panels, spec)
     result.running = tuple(_running_sum(panels, m) for m in marks)
@@ -327,23 +355,15 @@ def integrate_semi_infinite(
     f,
     spec: QuadratureSpec | None = None,
     origin: float = 0.0,
-    points: Sequence[float] = (),
 ) -> QuadratureResult:
     """Adaptive integral over (origin, infinity) for eventually decaying f.
 
     Panels of doubling width, (0,1], (1,3], (3,7], ... from the origin,
     extend until an entire panel contributes below abs_tol twice in a row;
     the collected panels are then refined like any finite-domain integral.
-    Ascending points beyond the origin are edges of the first panels, and
-    the doubling panels start from the last of them.
     """
     spec = spec or QuadratureSpec()
-    lead = (origin, *points)
-    if any(b <= a for a, b in zip(lead, lead[1:])):
-        raise ValueError(f"points must ascend from the origin {origin!r}, got {points!r}")
-    panels = _panels(f, lead) if points else []
-    lo = lead[-1]
-    quiet = 0
+    panels, lo, quiet = [], origin, 0
     for hi in _dyadic_edges(lo):
         panels += _panels(f, (lo, hi))
         if abs(math.fsum(panels[-1].value)) < spec.abs_tol and panels[-1].error < spec.abs_tol:
@@ -437,10 +457,6 @@ class Diagnostics:
     """Named quadrature results gathered while assembling a shift."""
 
     parts: dict = field(default_factory=dict)
-
-    def record(self, name: str, result: QuadratureResult) -> QuadratureResult:
-        self.parts[name] = result
-        return result
 
     @property
     def converged(self) -> bool:

@@ -16,16 +16,18 @@ cutoff pushed to infinity, with the weight in units of gamma,
 w = (e^{2 phi} - 1)/(2N): adding Bethe's sum rule makes it one convergent
 phi integral, so no cutoff extrapolation is needed.  The non-dipole
 weight is the smooth form of Bethe's mc^2 cutoff and saturates past
-phi_w = ln(N/(Z a0)); the shift's semi-infinite domain ends there on one
-panel in x = e^-phi (_x_tail), as the Bethe logarithm's does past its
-last cutoff.
+phi_w = ln(N/(Z a0)).  Each shift and each Bethe logarithm is one
+quadrature over phi, refined against the integral it reports: a
+semi-infinite domain ends on the last edge math.inf, which makes the rest
+past the weight's transition, or past the last Bethe cutoff, one panel in
+x = e^-phi (quadrature.integrate_panels).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from importlib import resources
 
@@ -36,7 +38,6 @@ from .kernel import PhiKernel, fill_tau_sums, residue_coeffs, validate_quantum_n
 from .quadrature import (
     PANEL_NODES,
     Diagnostics,
-    QuadratureResult,
     QuadratureSpec,
     dyadic_edges_upto,
     integrate_panels,
@@ -222,21 +223,13 @@ def _pole_terms(N: int, L: int, weight) -> list[tuple[int, float, float]]:
 def _phi_edges(terms, limit: float) -> tuple[float, ...]:
     """Panel edges of [0, limit]: 0, every pole, then dyadic panels from the last pole.
 
-    The dipole shifts end these panels at their cutoff, the Bethe logarithm
-    at its last cutoff and the non-dipole shift at max(phi_w, phi_L + 1)
-    past the weight's transition, where their x-tails (_x_tail) take over.
+    The dipole shifts end these panels at their cutoff.  The Bethe
+    logarithm ends them at its last cutoff and the non-dipole shift at
+    max(phi_w, phi_L + 1), past the weight's transition; both then add the
+    last edge math.inf, whose panel integrate_panels takes in x = e^-phi.
     """
     lead = (0.0, *(pole for _, pole, _ in reversed(terms)))
     return lead[:-1] + dyadic_edges_upto(lead[-1], limit)
-
-
-def _x_tail(f, phi: float):
-    """int_phi^inf f dphi as one panel in x = e^-phi: (f(-ln x)/x, its edges (0, e^-phi)).
-
-    f maps phi nodes to values or to rows of columns; past where f only
-    decays, its x form is smooth up to x = 0.
-    """
-    return (lambda xs: (f(-np.log(xs)).T / xs).T), (0.0, math.exp(-phi))
 
 
 def _bracket_integrand(N: int, L: int, weight, terms) -> tuple:
@@ -305,27 +298,26 @@ def _shift_bracket(
     _channels, as the rates do.  A dipole shift's doubling panels run from
     the last pole phi_L = ln(N/max(1, L)) to the cutoff.  The non-dipole
     weight w = 1 - (1+s)^{-1/2}, s = (Z a0/N)^2 (e^{2 phi} - 1), saturates
-    past phi_w = ln(N/(Z a0)), where the integrand only decays: its panels
-    end at phi_T = max(phi_w, phi_L + 1), and one refinable panel in
-    x = e^-phi takes the rest (_x_tail), so no absolute threshold truncates
-    the domain.  Both count as the one tau_phi_integral part.
+    past phi_w = ln(N/(Z a0)), where the integrand only decays: its phi
+    panels end at phi_T = max(phi_w, phi_L + 1), and the last edge math.inf
+    makes the rest one refinable panel in x = e^-phi, so no absolute
+    threshold truncates the domain.  The one quadrature is the
+    tau_phi_integral part, refined against the integral it reports.
     """
     N, L = state.N, state.L
-    spec = spec or QuadratureSpec()
     weight = _photon_weight(state, options, constants)
     terms = _pole_terms(N, L, weight)
     if terms and limit <= terms[0][1] + 1.0e-6:
         raise ValueError(f"dipole cutoff phi={limit:.3f} does not clear the pole at {terms[0][1]:.3f}")
     integrand, failed = _bracket_integrand(N, L, weight, terms)
-    end = limit
     if limit == math.inf:
-        end = max(math.log(N / (state.Z * constants.alpha0)), math.log(N / max(1, L)) + 1.0)
-    outer = integrate_panels(integrand, _phi_edges(terms, end), spec)
-    if end < limit:
-        outer += integrate_panels(*_x_tail(integrand, end), spec)
+        transition = max(math.log(N / (state.Z * constants.alpha0)), math.log(N / max(1, L)) + 1.0)
+        edges = (*_phi_edges(terms, transition), math.inf)
+    else:
+        edges = _phi_edges(terms, limit)
+    outer = integrate_panels(integrand, edges, spec)
     outer.converged &= not failed
-    diag = Diagnostics()
-    diag.record("tau_phi_integral", outer)
+    diag = Diagnostics({"tau_phi_integral": outer})
     tau, regular = outer.columns
     pv = math.fsum([regular, *(a * _pole_pv(N, n, limit) for n, _, a in terms)])
     prefactor = shift_prefactor(state, constants)
@@ -362,12 +354,12 @@ def lamb_shift(
 
 @dataclass
 class BetheResult:
-    """Bethe logarithm, its mean excitation energy and the parts of its phi integral.
+    """Bethe logarithm, its mean excitation energy and its phi integral.
 
     estimates are the dipole-shift estimates of gamma at the cutoffs_used,
-    error_estimate the sum of the Gauss-Kronrod errors of the body and the
-    tail of the phi integral, both in units of gamma; diagnostics holds
-    those two parts, phi_to_last_cutoff and phi_tail.
+    error_estimate the Gauss-Kronrod error of the phi integral, both in
+    units of gamma; diagnostics holds that integral as its one part,
+    tau_phi_integral, as for a shift.
     """
 
     N: int
@@ -419,17 +411,17 @@ def bethe_log(
         gamma = int_0^inf h dphi + sum_n A_n _pole_pv(N, n, inf) - 2 delta_{L0} ln N
 
     with A_n = w(phi_n) n R_n(phi_n) the pole strengths under that weight.
-    The integral has two parts: the body [0, Phi_5] up to the phi of the
-    last of the BETHE_CUTOFFS, with the poles as panel edges, and the tail
-    int_0^{e^-Phi_5} h(-ln x) dx/x, whose integrand tends to a constant:
-    one panel takes it at the default tolerances, and no node comes near
-    phi = 355, where the dipole weight overflows, as the doubling panels of
-    a semi-infinite domain would at tight tolerances.  The tail is judged
-    against rel_tol |int_0^Phi_1 h|, the scale of gamma: on its own tiny
-    total it would never converge.  spec's tolerances are in units of gamma.
+    The integral is one quadrature, refined against its own value, the
+    scale of gamma.  Its phi panels, with the poles as edges, end at the
+    phi Phi_5 of the last of the BETHE_CUTOFFS, and the last edge math.inf
+    makes the rest one panel in x = e^-phi, int_0^{e^-Phi_5} h(-ln x) dx/x,
+    whose integrand tends to a constant: one panel takes it at the default
+    tolerances, and no node comes near phi = 355, where the dipole weight
+    overflows, as the doubling panels of a semi-infinite domain would at
+    tight tolerances.  spec's tolerances are in units of gamma.
 
-    The phi of the cutoffs are marks of the body (integrate_panels), whose
-    running sums are the estimates
+    The phi of the cutoffs are marks of the integral (integrate_panels),
+    whose running sums are the estimates
     -DeltaE(x)/A + delta_{L0} (ln 4x - 2 ln(Z a0)) of the dipole shift at
     each cutoff x, with A = bethe_amplitude, in the form
     int_0^Phi h + sum_n A_n _pole_pv(N, n, Phi) + delta_{L0} (ln(1 - e^{-2 Phi}) - 2 ln N).
@@ -438,7 +430,6 @@ def bethe_log(
     their own.
     """
     constants = constants or default_constants()
-    spec = spec or QuadratureSpec()
     state = QuantumState(N=N, L=L, Z=Z)
     limits = [DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, constants) for x in BETHE_CUTOFFS]
 
@@ -452,17 +443,9 @@ def bethe_log(
     def h(phis: np.ndarray) -> np.ndarray:
         return bracket(phis).sum(axis=1) + sum_rule
 
-    diag = Diagnostics()
-
-    def part(name: str, f, edges, part_spec: QuadratureSpec, marks=()) -> QuadratureResult:
-        before = len(failed)
-        result = integrate_panels(f, edges, part_spec, marks=marks)
-        result.converged &= len(failed) == before
-        return diag.record(name, result)
-
-    body = part("phi_to_last_cutoff", h, _phi_edges(terms, limits[-1]), spec, marks=limits)
-    tail_spec = replace(spec, abs_tol=max(spec.abs_tol, spec.rel_tol * abs(body.running[0])))
-    tail = part("phi_tail", *_x_tail(h, limits[-1]), tail_spec)
+    outer = integrate_panels(h, (*_phi_edges(terms, limits[-1]), math.inf), spec, marks=limits)
+    outer.converged &= not failed
+    diag = Diagnostics({"tau_phi_integral": outer})
 
     def closed(limit: float) -> list[float]:
         """The pole terms and delta_{L0} (ln(1 - e^{-2 Phi}) - 2 ln N) at the upper limit Phi."""
@@ -471,8 +454,8 @@ def bethe_log(
             sum_rule * (0.5 * math.log(-math.expm1(-2.0 * limit)) - math.log(N)),
         ]
 
-    estimates = [math.fsum([running, *closed(phi)]) for running, phi in zip(body.running, limits)]
-    gamma = math.fsum([body.value, tail.value, *closed(math.inf)])
+    estimates = [math.fsum([running, *closed(phi)]) for running, phi in zip(outer.running, limits)]
+    gamma = math.fsum([outer.value, *closed(math.inf)])
     return BetheResult(
         N=N,
         L=L,
@@ -480,8 +463,8 @@ def bethe_log(
         mean_excitation_Ry=math.exp(gamma),
         cutoffs_used=BETHE_CUTOFFS,
         estimates=tuple(estimates),
-        error_estimate=diag.error_estimate,
-        converged=diag.converged,
+        error_estimate=outer.error_estimate,
+        converged=outer.converged,
         diagnostics=diag,
     )
 

@@ -89,7 +89,7 @@ def test_bethe_command(capsys):
     assert payload["converged"] is True
     assert len(payload["estimates"]) == len(payload["cutoffs_used"]) == 5
     assert 0.0 < payload["error_estimate"] < 1e-8
-    assert list(payload["diagnostics"]) == ["phi_to_last_cutoff", "phi_tail"]
+    assert list(payload["diagnostics"]) == ["tau_phi_integral"]
 
 
 def test_table_csv_covers_every_published_cell(capsys):

@@ -117,6 +117,10 @@ class TestFinitePanels:
             integrate_panels(lambda x: x, (0.0, 0.0, 1.0))
         with pytest.raises(ValueError):
             integrate_panels(lambda x: x, (2.0, 1.0))
+        # only the last edge may be infinite
+        for edges in ((-math.inf, 0.0), (0.0, math.nan), (0.0, math.inf, math.inf)):
+            with pytest.raises(ValueError, match="edges"):
+                integrate_panels(lambda x: x, edges)
 
     def test_pole_at_an_edge_ends_unconverged(self):
         # 1/(x - 1) diverges at the edge x = 1: bisection closes in on it
@@ -184,6 +188,51 @@ class TestMarks:
     def test_rejects_marks_outside_or_out_of_order(self, marks):
         with pytest.raises(ValueError, match="marks"):
             integrate_panels(lambda x: x, (0.0, 1.0, 2.0), marks=marks)
+
+
+class TestInfiniteLastEdge:
+    """A last edge of math.inf: the panel (a, inf) is taken in t = e^-x on (0, e^-a)."""
+
+    SPEC = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16)
+    E1_AT_1 = 0.21938393439552027  # E_1(1) = int_1^inf e^-x/x dx
+
+    @pytest.mark.parametrize(
+        "f, edges, exact",
+        [
+            (lambda x: np.exp(-x), (0.0, 1.0, math.inf), 1.0),
+            (lambda x: np.exp(-x), (1.0, math.inf), math.exp(-1.0)),
+            (lambda x: np.exp(-x) / x, (1.0, math.inf), E1_AT_1),
+            (lambda x: np.exp(-x) / x, (1.0, 2.0, math.inf), E1_AT_1),
+        ],
+    )
+    def test_closed_forms(self, f, edges, exact):
+        r = integrate_panels(f, edges, self.SPEC)
+        assert r.converged
+        assert r.value == pytest.approx(exact, rel=0, abs=1e-13)
+
+    def test_bisection_gives_a_phi_panel_and_a_new_tail(self):
+        # (1, inf) halves at t = e^-1/2: its first bisection evaluates the
+        # finite (1, 1 + ln 2) and then the new (1 + ln 2, inf)
+        f, calls = _recording(lambda x: np.exp(-x) / x)
+        r = integrate_panels(f, (1.0, math.inf), self.SPEC)
+        assert r.subdivisions > 0 and [x.size for x in calls[:2]] == [15, 30]
+        assert np.all(calls[0] > 1.0)
+        mid = 1.0 + math.log(2.0)
+        assert np.all((1.0 < calls[1][:15]) & (calls[1][:15] < mid))
+        assert np.all(calls[1][15:] > mid)
+
+    def test_constant_in_t_takes_one_panel(self):
+        # e^-x is the constant 1 in t, so (1, inf) costs its 15 nodes
+        r = integrate_panels(lambda x: np.exp(-x), (0.0, 1.0, math.inf))
+        assert (r.evaluations, r.subdivisions, r.converged) == (30, 0, True)
+
+    def test_marks_stay_at_or_below_the_last_finite_edge(self):
+        f = lambda x: np.exp(-x)
+        r = integrate_panels(f, (0.0, 1.0, math.inf), self.SPEC, marks=(0.5, 1.0))
+        assert r.running == pytest.approx((-math.expm1(-0.5), -math.expm1(-1.0)), rel=0, abs=4e-16)
+        for marks in ((2.0,), (math.inf,), (0.5, 1.0 + 1e-15)):
+            with pytest.raises(ValueError, match="marks"):
+                integrate_panels(f, (0.0, 1.0, math.inf), marks=marks)
 
 
 def _recording(f):
@@ -361,47 +410,6 @@ class TestColumns:
         for r, want in pinned:
             assert (r.value, r.error_estimate, r.evaluations, r.converged, r.subdivisions) == want
             assert r.columns == ()
-
-
-class TestPoints:
-    def test_points_are_panel_edges(self):
-        points = (0.2876820724517809, 0.6931471805599453, 1.3862943611198906, 5.5)
-        f, calls = _recording(lambda x: np.exp(-x) / (1.0 + x))
-        r = integrate_semi_infinite(f, points=points)
-        assert r.converged
-        assert r.value == pytest.approx(integrate_semi_infinite(lambda x: np.exp(-x) / (1.0 + x)).value,
-                                        rel=1e-12, abs=0)
-        nodes = np.concatenate(calls)
-        half_widths = _panel_half_widths(calls)
-        for p in points:
-            assert not np.any(nodes == p)
-            gap = np.abs(nodes - p) / (2.0 * half_widths)
-            assert gap.min() >= 0.004
-
-    def test_points_lead_the_doubling_panels(self):
-        f, calls = _recording(lambda x: np.exp(-x))
-        r = integrate_semi_infinite(f, points=(0.5, 2.0))
-        assert r.value == pytest.approx(1.0, abs=1e-12)
-        # (0, 0.5] and (0.5, 2] in one call, then (2, 3], (3, 5], (5, 9], ...
-        assert [x.size for x in calls[:4]] == [30, 15, 15, 15]
-        assert [x[14] for x in calls[1:4]] == [2.5, 4.0, 7.0]  # the centre node is last
-
-    def test_points_must_ascend_from_the_origin(self):
-        with pytest.raises(ValueError):
-            integrate_semi_infinite(lambda x: np.exp(-x), points=(2.0, 0.5))
-        with pytest.raises(ValueError):
-            integrate_semi_infinite(lambda x: np.exp(-x), origin=1.0, points=(0.5,))
-
-
-def _panel_half_widths(calls) -> np.ndarray:
-    """The half width of the 15-node panel of every recorded node."""
-    outer = kronrod_nodes_weights()[0][1]  # the largest abscissa
-    widths = []
-    for x in calls:
-        for panel in x.reshape(-1, 15):
-            # nodes come as (-x_i, x_i) pairs around the centre, which is last
-            widths.append(np.full(15, (panel[1] - panel[14]) / outer))
-    return np.concatenate(widths)
 
 
 class TestPrincipalValue:

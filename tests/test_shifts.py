@@ -90,8 +90,9 @@ class TestWeights:
         state = QuantumState(N=2, L=0)
         phi = math.log(2.0)
         s = 2.0 * (C.alpha0 / 2.0) ** 2 * math.exp(phi) * math.sinh(phi)
-        want = (-1.0 + math.sqrt(1.0 + s)) / math.sqrt(1.0 + s)
-        assert weight_nondipole(state, phi, C) == pytest.approx(want, rel=1e-13)
+        # (-1 + sqrt(1+s))/sqrt(1+s) without its cancellation at s ~ 4e-5
+        want = s / (math.sqrt(1.0 + s) * (1.0 + math.sqrt(1.0 + s)))
+        assert weight_nondipole(state, phi, C) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_dipole_matches_replacement_rule(self):
         state = QuantumState(N=2, L=0)
@@ -412,10 +413,15 @@ class TestPoleSubtraction:
         state = QuantumState(N=N, L=L)
         for limit in limits:
             _shift_bracket(state, options, None, C, limit)
-        nodes = np.concatenate(calls)
         outer = kronrod_nodes_weights()[0][1]
-        # nodes come in 15-node panels of (-x_i, x_i) pairs around the centre, which is last
-        widths = np.repeat([2.0 * (p[1] - p[14]) / outer for c in calls for p in c.reshape(-1, 15)], 15)
+        # nodes come in 15-node panels of (-x_i, x_i) pairs around the centre,
+        # which is last; the non-dipole x = e^-phi panels, past every pole,
+        # are not symmetric in phi and are left out
+        panels = [p for c in calls for p in c.reshape(-1, 15)]
+        linear = [p for p in panels if math.isclose(p[0] + p[1], 2.0 * p[14], rel_tol=1e-12)]
+        assert (len(linear) == len(panels)) == options.enabled
+        nodes = np.concatenate(linear)
+        widths = np.repeat([2.0 * (p[1] - p[14]) / outer for p in linear], 15)
         for n in range(max(1, L), N):
             gap = np.abs(nodes - math.log(N / n)) / widths
             assert gap.min() >= 0.004, n
@@ -470,34 +476,33 @@ class TestTransitionRestart:
 
     @pytest.mark.parametrize("N, L", list(TABLE1))
     def test_table_1_edges_end_at_the_transition(self, monkeypatch, N, L):
-        # the body's panels end at phi_w, then one x-panel (0, e^-phi_w)
+        # one call: the phi panels end at phi_w, then the last edge inf
+        # makes (phi_w, inf) one panel in x = e^-phi
         end = math.log(N / C.alpha0)
-        (body, tail), _ = self._edges(monkeypatch, QuantumState(N=N, L=L))
+        (edges,), _ = self._edges(monkeypatch, QuantumState(N=N, L=L))
         want = self._layout(N, L, (1.0, 3.0), end)
-        assert body == pytest.approx(want, rel=0, abs=1e-14) and body[-1] == end
-        assert tail == (0.0, math.exp(-end))
+        assert edges[:-1] == pytest.approx(want, rel=0, abs=1e-14) and edges[-2:] == (end, math.inf)
 
     @pytest.mark.parametrize("N, L, evaluations", [(10, 9, 135), (8, 7, 105)])
     def test_near_circular_states_end_at_the_transition(self, monkeypatch, N, L, evaluations):
         end = math.log(N / C.alpha0)
-        (body, tail), result = self._edges(monkeypatch, QuantumState(N=N, L=L))
+        (edges,), result = self._edges(monkeypatch, QuantumState(N=N, L=L))
         # phi_w - phi_L is 7.12 for (10,9) and 6.87 for (8,7); the doubling
         # run stops before a last panel narrower than 1, which would have
         # been [phi_L + 7, phi_w] for (10,9)
         want = self._layout(N, L, (1.0, 3.0), end)
-        assert body == pytest.approx(want, rel=0, abs=1e-14) and body[-1] == end
-        assert tail == (0.0, math.exp(-end))
+        assert edges[:-1] == pytest.approx(want, rel=0, abs=1e-14) and edges[-2:] == (end, math.inf)
         assert result.converged
         assert result.diagnostics.parts["tau_phi_integral"].evaluations == evaluations
 
     def test_transition_too_close_to_the_last_pole(self, monkeypatch):
         # at Z = 92 phi_w = ln(1/(92 a0)) = 0.40 lies within one first-panel
-        # width of phi_L = 0, so the body is that panel, [0, 1]
-        (body, tail), result = self._edges(monkeypatch, QuantumState(N=1, L=0, Z=92))
-        assert body == (0.0, 1.0) and tail == (0.0, math.exp(-1.0))
+        # width of phi_L = 0, so the phi panels are that panel, [0, 1]
+        (edges,), result = self._edges(monkeypatch, QuantumState(N=1, L=0, Z=92))
+        assert edges == (0.0, 1.0, math.inf)
         assert result.converged
-        (body, _), _ = self._edges(monkeypatch, QuantumState(N=1, L=0, Z=10))
-        assert body[-1] == math.log(1 / (10 * C.alpha0))
+        (edges,), _ = self._edges(monkeypatch, QuantumState(N=1, L=0, Z=10))
+        assert edges[-2:] == (math.log(1 / (10 * C.alpha0)), math.inf)
 
 
 class TestDefaultSpecAccuracy:
@@ -511,7 +516,7 @@ class TestDefaultSpecAccuracy:
     @pytest.mark.parametrize(
         "N, L",
         [
-            *TABLE1_STATES, (5, 4), (8, 7), (10, 9), (20, 10),
+            *TABLE1_STATES, (5, 4), (7, 2), (8, 3), (8, 7), (10, 9), (20, 10),
             pytest.param(30, 28, marks=HIGH_L), pytest.param(50, 49, marks=HIGH_L),
         ],
     )
@@ -578,8 +583,8 @@ class TestBethe:
             assert all(abs(g - e) <= 1e-13 for g, e in zip(result.estimates, expected)), (N, L)
 
     # outer evaluations of each Table-2/3 state at the default spec, 735 in
-    # all: one body to the last cutoff plus the one-panel tail (1,155 when
-    # every increment between cutoffs had its own panel)
+    # all: one integral over [0, inf) whose phi panels end at the last cutoff
+    # (1,155 when every increment between cutoffs had its own panel)
     TABLE_EVALUATIONS = {(1, 0): 75, (2, 0): 90, (3, 0): 105, (4, 0): 120, (2, 1): 120, (3, 1): 105, (4, 1): 120}
 
     def test_table_2_3_evaluations(self):
@@ -588,16 +593,16 @@ class TestBethe:
         assert sum(counts.values()) == 735
 
     def test_limits_accumulate_diagnostics(self):
-        # two parts: the body [0, Phi_5], with the cutoffs as marks and the
-        # poles as panel edges, and the tail, whose integrand tends to a
-        # constant, on one panel; the error bar is theirs summed
+        # one part: the integral over [0, inf), with the poles as panel
+        # edges, the cutoffs as marks and (Phi_5, inf) as one x = e^-phi
+        # panel; the error bar is its own
         result = bethe_log(3, 1)
         parts = result.diagnostics.parts
-        assert list(parts) == ["phi_to_last_cutoff", "phi_tail"]
-        assert all(p.converged for p in parts.values())
-        assert parts["phi_to_last_cutoff"].evaluations > 15
-        assert parts["phi_tail"].evaluations == 15
-        assert result.error_estimate == math.fsum(p.error_estimate for p in parts.values())
+        assert list(parts) == ["tau_phi_integral"]
+        (part,) = parts.values()
+        assert part.converged and result.converged
+        assert part.evaluations == 105 and len(part.running) == len(BETHE_CUTOFFS)
+        assert result.error_estimate == part.error_estimate
         assert result.as_dict()["error_estimate"] == result.error_estimate
         assert result.as_dict()["diagnostics"] == result.diagnostics.as_dict()
 
@@ -637,13 +642,14 @@ class TestBethe:
         assert flagged
         assert not result.converged
 
-    @pytest.mark.parametrize("part", ["phi_to_last_cutoff", "phi_tail"])
-    def test_unconverged_link_flags_result(self, monkeypatch, part):
+    @pytest.mark.parametrize("where", ["phi_to_last_cutoff", "phi_tail"])
+    def test_unconverged_link_flags_result(self, monkeypatch, where):
         # inner integrals that fail only between the first two cutoffs, or
-        # only past the last, flag the body or the tail and the result
+        # only past the last (on the x = e^-phi panel), flag the one part
+        # and the result
         state = QuantumState(N=2, L=1)
         limits = [DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, C) for x in BETHE_CUTOFFS]
-        lo, hi = (limits[0], limits[1]) if part == "phi_to_last_cutoff" else (limits[-1], math.inf)
+        lo, hi = (limits[0], limits[1]) if where == "phi_to_last_cutoff" else (limits[-1], math.inf)
         tau_integral = kernel.PhiKernel.tau_integral
 
         def failing_inside(ker):
@@ -654,12 +660,12 @@ class TestBethe:
         result = bethe_log(2, 1)
         assert not result.converged
         assert {name: p.converged for name, p in result.diagnostics.parts.items()} == {
-            name: name != part for name in ("phi_to_last_cutoff", "phi_tail")
+            "tau_phi_integral": False
         }
 
     def test_one_residue_call_per_channel(self, monkeypatch):
         # the phi nodes read every R_n from PhiKernel.residues; residue_coeffs
-        # gives only each channel's pole strength, once for both parts
+        # gives only each channel's pole strength, once per process
         import lambshift.shifts as shifts_mod
 
         seen = []
