@@ -7,36 +7,37 @@ q_j = |D_{N,j}|^2/2 - |D_{N,j+1}|^2/4 - |D_{N,j-1}|^2/4 for every j (_q, the
 one place the formula is written), every |D|^2 from one Jacobi closed form
 (_row_weights for j <= N, _tail_weights beyond;
 su11.rep_matrix_element is only an independent reference).  The q_j with
-j < N are the residues R_j and the j >= N tail is the remainder Q~, whose
-coefficients come as one forward stream of (kernels x j) chunks for a
-block of kernels of one (N, L) (_coeff_chunks), forming each weight once.
-The series branch sums it for a whole block (_series_sums): the shift
-integrand fills the tau integrals of the series-branch kernels of one
-quadrature panel in one stream (fill_tau_sums) before it calls each
-tau_integral, and a lone kernel is a block of one.  A phi node forms
-its weights j = -1 .. N once, eagerly, in one pass over _row_table when
-PhiKernel is constructed, for its residues and the first tail coefficients
-alike.  Summing the tail directly removes the
-catastrophic cancellation that subtracting the finite series from the
-closed form would cause at small phi, where the integrand weight
+j < N are the residues R_j and the j >= N tail is the remainder Q~.
+The kernels of one (N, L) are evaluated as blocks (fill_tau_integrals):
+the shift integrand passes all phi nodes of a quadrature call as one
+block, and a lone kernel is a block of one.  A block forms the weights
+j = -1 .. N of all its nodes at once (_block_rows, one Jacobi recurrence
+over the whole row, the same floats as _row_weights node by node), hence
+their residues; the tail coefficients of its series-branch kernels come as
+a forward stream of (kernels x j) chunks (_coeff_chunks), forming each
+weight once, which _series_sums sums row by row.  PhiKernel itself holds
+only (N, L, phi, nu, t^2) and the filled value.  Summing the tail directly
+removes the catastrophic cancellation that subtracting the finite series
+from the closed form would cause at small phi, where the integrand weight
 e^{nu tau} grows almost as fast as the kernel decays.
-Every phi-independent coefficient of the per-node loops is computed once,
+Every phi-independent coefficient of these loops is computed once,
 lazily, and then read: the binomial ratios, powers and Jacobi steps of
 the weights j <= N (_row_table, its steps from specfun._jacobi_steps,
-keyed by (N - j, 2L + 1) and so shared by every N), the indices, gain
-ratios and steps of every tail chunk (_tail_table,
-the only source of them; the series branch stops within a bounded depth
-for each (N, L), so the table stays bounded) and the factors of each
-Euler log series with its first term 1/s! (the rows of _euler_rows).
+keyed by (N - j, 2L + 1) and so shared by every N, laid out as rows over
+j by _row_steps), the indices, gain ratios and steps of every tail chunk
+(_tail_table, the only source of them; the series branch stops within a
+bounded depth for each (N, L), so the table stays bounded) and the factors
+of each Euler log series with its first term 1/s! (_euler_rows).
 At large phi the series converges too slowly (ratio t^2 -> 1,
 t = tanh(phi/2)) and the closed u-form Q = pi(u) (1 - u t^2)^{-2N}, pi a
 polynomial of degree 2N - L, takes over without ever being evaluated in
 tau: Euler's integral turns the inner integral int e^{nu tau} dQ~/dtau
 dtau into one Gauss function per factored term of pi, each summed in
-closed form around t^2 = 1 (_euler_pieces, to which
-PhiKernel.tau_integral adds the residue terms); the same Gauss pieces at
-the complex nu + i eps are the eps oracle's inner integral at large phi,
-reached without a PhiKernel and so without a weight row.
+closed form around t^2 = 1, for all closed-branch nodes of a block and
+all terms at once (_euler_block, to whose pieces fill_tau_integrals adds
+the residue terms); the same Gauss pieces at the complex nu + i eps are
+the eps oracle's inner integral at large phi, reached without a PhiKernel
+and so without a weight row.
 Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 (oracles.q_imag_time, oracles.remainder), the real-time kernel
 (oracles.kernel_q) and the adaptive quadrature of the inner integral
@@ -46,7 +47,8 @@ Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,14 +107,56 @@ def _row_weights(N: int, L: int, point, j0: int, j1: int) -> list[float]:
         G_j = C(h+L, 2L+1)/C(l+L, 2L+1) t^{2(h-l)} cosh^{-4(L+1)}(phi/2).
 
     Here j <= N, and every phi-independent factor comes from _row_table;
-    the zeros j <= L never index it.
+    the zeros j <= L never index it.  The square is a product, as in
+    _block_rows, whose rows equal these floats bit for bit.
     """
     w, t2, gain = point
     lo = max(j0, L + 1)
-    return [0.0] * (lo - j0) + [
-        ratio * t2**power * gain * _jacobi_from_steps(steps, w) ** 2
-        for ratio, power, steps in _row_table(N, L)[lo - L - 1 : j1 - L - 1]
-    ]
+    weights = [0.0] * (lo - j0)
+    for ratio, power, steps in _row_table(N, L)[lo - L - 1 : j1 - L - 1]:
+        p = _jacobi_from_steps(steps, w)
+        weights.append(ratio * t2**power * gain * p * p)
+    return weights
+
+
+@lru_cache(maxsize=None)
+def _row_steps(N: int, L: int) -> tuple:
+    """The Jacobi steps of the weights L < j <= N as rows over j, kept per (N, L).
+
+    Step k is (c1, c0, c2), three arrays whose entry j - L - 1 is step k of
+    weight j's polynomial (_row_table) up to its degree j - L - 1 and
+    (0, 1, 0) past it, which leaves a value exactly as it is: one
+    recurrence over the arrays gives every weight's own polynomial.
+    """
+    table = _row_table(N, L)
+    keep = (0.0, 1.0, 0.0)
+    return tuple(
+        tuple(map(np.array, zip(*(steps[k] if k < len(steps) else keep for _, _, steps in table))))
+        for k in range(N - L - 1)
+    )
+
+
+def _block_rows(kernels) -> tuple[np.ndarray, np.ndarray]:
+    """(points, rows) of a block of kernels of one (N, L): the Jacobi points
+    (w, t^2, G_N) as an (M x 3) array and the weights |D_{N,j}|^2, j = -1 .. N,
+    one row per kernel.
+
+    The batched _row_weights: each row equals _row_weights(N, L, point, -1,
+    N + 1) bit for bit.  The factors G_j are formed per kernel in Python
+    floats (t^{2(N-j)} by pow, as there) and the polynomials of all
+    weights j <= N of all kernels in one recurrence (_row_steps), so a
+    block costs N - L - 1 array steps where its nodes alone would cost
+    (N - L)^2/2 scalar steps each.
+    """
+    N, L = kernels[0].N, kernels[0].L
+    points = [_jacobi_point(L, ker.phi) for ker in kernels]
+    table = _row_table(N, L)
+    gains = np.array([[ratio * t2**power * gain for ratio, power, _ in table] for _, t2, gain in points])
+    points = np.array(points)
+    p = _jacobi_from_steps(_row_steps(N, L), points[:, :1])
+    rows = np.zeros((len(kernels), N + 2))
+    rows[:, L + 2 :] = gains * p * p
+    return points, rows
 
 
 def _q(below, at, above):
@@ -183,31 +227,52 @@ def _harmonic(n: int) -> float:
     return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def _euler_rows(N: int, L: int) -> tuple:
-    """The phi-independent data of _euler_pieces, one row per factored term.
+class _EulerRows(NamedTuple):
+    """The phi-independent data of _euler_block, as arrays over the factored terms k < N - L.
 
-    Row (k, -t_k/4, s, h, finite, psi0, 1/s!, series): m = q_k + 1 - 2N,
-    s = |m|, h = max(m, 0), finite = q!/(2N-1)! (q+1)_j (s-j-1)!/j! for
-    j < s (empty when m = 1), psi0 = -psi(1) - psi(s+1) + psi(2N+h) =
-    gamma - H_s + H_{2N+h-1}, the integer digammas of the log series at
-    j = 0, and 1/s! its first term.  series holds the log series'
-    phi-independent factors from _log_series_step, grown by _euler_pieces
-    to the longest series summed so far.
+    With m = q_k + 1 - 2N, s = |m| and h = max(m, 0): amp = -t_k/4, p =
+    N - 1 - k and h as floats, psi the index p + h - 1 of psi(b+h) in a
+    node's digamma row, psi0 = -psi(1) - psi(s+1) + psi(2N+h) =
+    gamma - H_s + H_{2N+h-1} (the integer digammas of the log series at
+    j = 0), first = 1/s! its first term, a = 2N + h and s, and for the
+    terms with m < 0 (all but the last when L = 0, where m = 1)
+    finite = q!/(2N-1)! (q+1)_j (s-j-1)!/j! for j < s, zero beyond, and
+    past = 1.0 where j >= s, else 0.0, both over the longest s.  series is
+    the list [heads, steps] of the log series' factors from
+    _log_series_step as (terms x j) arrays, grown by _log_series to the
+    longest series summed so far.
+    """
+
+    amp: np.ndarray
+    p: np.ndarray
+    h: np.ndarray
+    psi: list
+    psi0: np.ndarray
+    first: np.ndarray
+    a: list
+    s: np.ndarray
+    finite: np.ndarray
+    past: np.ndarray
+    series: list
+
+
+@lru_cache(maxsize=None)
+def _euler_rows(N: int, L: int) -> _EulerRows:
+    """The _EulerRows of (N, L), built once.
 
     1/s! is a double only for s <= 170, and s = 2N - 3 at k = 0, so the
     rows exist for N <= 86: beyond, an OverflowError names the state.
     """
-    rows = []
+    terms = []
     for k, tk in enumerate(_series_term_ratios(N, L)):
         q = 2 * k + 2
         m = q + 1 - 2 * N
         s, h = abs(m), max(m, 0)
-        finite = tuple(
+        finite = [
             math.factorial(q + j) * math.factorial(s - j - 1)
             / (math.factorial(2 * N - 1) * math.factorial(j))
             for j in range(s if m < 0 else 0)
-        )
+        ]
         psi0 = EULER_GAMMA - _harmonic(s) + _harmonic(2 * N + h - 1)
         try:
             first = 1.0 / math.factorial(s)
@@ -216,13 +281,22 @@ def _euler_rows(N: int, L: int) -> tuple:
                 f"the Euler closed form at (N, L) = ({N}, {L}) needs 1/{s}!, but s! is a double "
                 f"only for s <= 170, which limits shifts and Bethe logarithms to N <= 86"
             ) from None
-        rows.append((k, -0.25 * tk, s, h, finite, psi0, first, []))
-    return tuple(rows)
+        terms.append((-0.25 * tk, N - 1 - k, h, N - 2 - k + h, psi0, first, 2 * N + h, s, finite))
+    amp, p, h, psi, psi0, first, a, s, finite = zip(*terms)
+    finite = [row for row in finite if row]
+    width = len(finite[0]) if finite else 0  # the longest s, at k = 0
+    return _EulerRows(
+        np.array(amp), np.array(p, dtype=float), np.array(h, dtype=float), list(psi), np.array(psi0),
+        np.array(first), list(a), np.array(s, dtype=float),
+        np.array([row + [0.0] * (width - len(row)) for row in finite]).reshape(len(finite), width),
+        np.array([[float(j >= si) for j in range(width)] for si in s[: len(finite)]]).reshape(len(finite), width),
+        [np.empty((len(a), 0))] * 2,
+    )
 
 
 def _log_series_step(a: int, s: int, j: int) -> tuple[float, float]:
     """(a+j)/((j+1)(j+s+1)) and 1/(a+j) - 1/(j+1) - 1/(j+s+1): the parts of step j
-    of a log series S_k (_euler_pieces) that do not depend on phi."""
+    of a log series S_k (_euler_block) that do not depend on phi."""
     return (a + j) / ((j + 1) * (j + s + 1)), 1.0 / (a + j) - 1.0 / (j + 1) - 1.0 / (j + s + 1)
 
 
@@ -231,8 +305,91 @@ def _ln_cosh2(phi: float) -> float:
     return phi - 2.0 * math.log(2.0) + 2.0 * math.log1p(math.exp(-phi))
 
 
-def _euler_pieces(N: int, L: int, phi: float, nu) -> list:
-    """The Gauss pieces of the inner tau integral at nu, by Euler's integral.
+# Nodes x terms x steps of one _log_series slice: 16 kB per array, so
+# that a block's sums add little to the peak memory of a pass.
+_SERIES_ELEMENTS = 1 << 11
+
+
+def _series_length(N: int, w: float) -> int:
+    """Steps that the log series of (N, any L) take at w, a little more than measured.
+
+    The terms peak by j ~ N sqrt(w) and then fall about like w^j: the
+    longest series of every (N, L) with L in {0, N//2, N-1}, N <= 12 and
+    N in {16, 18, 20, 25, 30, 40, 50, 60}, at w = 1.3e-3 .. 0.2, stop
+    within this, rounded up to a multiple of 8 (1.35 times their length in
+    the median).
+    """
+    steps = 2.5 * N**0.85 * math.sqrt(w / 0.2) + 2.0 + 40.0 / -math.log(min(max(w, 1.0e-300), 0.5))
+    return 8 * math.ceil(steps / 8)
+
+
+def _log_series(rows: _EulerRows, N: int, bh, g, w):
+    """S_k of _euler_block for each node and term, every one stopped by the test of a term-by-term loop.
+
+    Entry (i, k) sums term_j g_j, term_0 = 1/s! and term_{j+1} = term_j
+    ratio_j with ratio_j = (a+j)(bh+j) w/((j+1)(j+s+1)), and g_{j+1} = g_j
+    + 1/(a+j) - 1/(j+1) - 1/(j+s+1) + 1/(bh+j), the digamma recurrences of
+    its bracket, from g_0 = g; bh and g are (nodes x terms), w a column.
+    The terms, brackets and running sums of the first few steps are
+    cumulative products and sums over j, which add in the loop's order, so
+    each running sum is the loop's float; an entry ends at the first j
+    with |ratio_j| < 1 and |term_j g_j ratio_j| <= 1e-17 (1 - |ratio_j|)
+    |sum through j|.  The nodes go in slices of falling w, each summed to
+    _series_length at its largest w, and that length doubles while an
+    entry of the slice has not ended.
+    """
+    nodes, terms = bh.shape
+    order = sorted(range(nodes), key=w[:, 0].tolist().__getitem__, reverse=True)
+    bh, g, w = bh[order], g[order], w[order]
+    out = np.empty_like(bh)
+    lo = 0
+    while lo < nodes:
+        length = _series_length(N, float(w[lo, 0]))
+        count = max(1, _SERIES_ELEMENTS // (terms * length))
+        while True:
+            series = rows.series
+            if series[0].shape[1] < length:
+                size = max(length, 2 * series[0].shape[1])
+                table = [[_log_series_step(a, s, j) for j in range(size)] for a, s in zip(rows.a, rows.s.tolist())]
+                series[:] = np.ascontiguousarray(np.array(table).transpose(2, 0, 1))
+            # three arrays of (slice x terms x length): x, then the terms, their products
+            # and |product ratio|; the ratios, then the bound; the brackets, then the sums
+            x = bh[lo : lo + count, :, None] + np.arange(length, dtype=float)
+            ratio = series[0][:, :length] * x
+            ratio *= w[lo : lo + count, :, None]
+            sums = np.empty_like(x)
+            sums[..., 0] = g[lo : lo + count]
+            np.divide(1.0, x[..., :-1], out=sums[..., 1:])
+            sums[..., 1:] += series[1][:, : length - 1]
+            x[..., 0] = rows.first
+            x[..., 1:] = ratio[..., :-1]
+            np.cumprod(x, axis=2, out=x)
+            np.cumsum(sums, axis=2, out=sums)
+            x *= sums
+            np.cumsum(x, axis=2, out=sums)
+            x *= ratio
+            np.abs(x, out=x)
+            np.abs(ratio, out=ratio)
+            ends = ratio < 1.0
+            np.subtract(1.0, ratio, out=ratio)
+            ratio *= 1.0e-17
+            ratio *= sums  # |1e-17 (1 - r) sum| wherever r < 1, the only entries that can end
+            ends &= x <= np.abs(ratio, out=ratio)
+            del x, ratio
+            try:  # the first end of each entry
+                at = [flags.index(True) for flags in ends.reshape(-1, length).tolist()]
+                break
+            except ValueError:
+                length *= 2
+        out[lo : lo + count] = sums.reshape(-1, length)[range(len(at)), at].reshape(-1, terms)
+        lo += count
+    result = np.empty_like(out)
+    result[order] = out
+    return result
+
+
+def _euler_block(N: int, L: int, phis, nus) -> np.ndarray:
+    """The Gauss pieces of the inner tau integral at each (phi, nu) of a block, by Euler's integral.
 
     The u-form's polynomial is pi(u) = sum_k A_k u^{p_k} (1-u)^{q_k}
     with p_k = N-1-k and q_k = 2k+2, k < N-L (oracles._closed_terms).
@@ -259,63 +416,71 @@ def _euler_pieces(N: int, L: int, phi: float, nu) -> list:
         m = 1:  A_k B F = A_k/b + 2N base_k S_k,  and -nu A_k/b = A_k,
 
     f_j from _euler_rows.  What is left are Pochhammer polynomials in b,
-    one finite sum and one log series in w per term; every psi(b+h+j)
-    follows from one digamma by recurrence, and w = 4 e^-phi/(1+e^-phi)^2
-    is formed directly, never as 1 - t^2.  The pieces returned are
-    these Gauss terms only, two per k; PhiKernel.tau_integral adds the
-    residue terms n R_n/(n - nu).  All of it is analytic in nu, which may be
-    complex: the eps oracle passes nu + i eps, where the Gauss terms
-    alone are its damped integral (oracles._inner_t_integral_spectral).
+    one finite sum and one log series in w per term (_log_series); every
+    psi(b+h+j) follows from one digamma by recurrence, and
+    w = 4 e^-phi/(1+e^-phi)^2 is formed directly, never as 1 - t^2.
+
+    The nodes are one block: each node's transcendental functions are
+    taken in Python floats, and the rest is array operations over
+    (nodes x terms), and over j for the sums, each in the order of a
+    term-by-term loop, so a node's pieces do not depend on the rest of the
+    block.  Returns a (nodes x 2(N-L)) array of the Gauss terms only, two
+    per k; fill_tau_integrals adds the residue terms n R_n/(n - nu).
+    All of it is analytic in nu, which may be complex: the eps oracle
+    passes nu + i eps, where the Gauss terms alone are its damped integral
+    (oracles._inner_t_integral_spectral).  A real nu equal to an integer
+    n < N, where N e^-phi rounds onto a residue pole, raises
+    ArithmeticError naming (N, L, phi) of every such node.
     """
-    e = math.exp(-phi)
-    w = 4.0 * e / (1.0 + e) ** 2
-    ln_w = -_ln_cosh2(phi)
-    t2 = math.tanh(phi / 2.0) ** 2
+    poles = [phi for phi, nu in zip(phis, nus) if nu == int(nu.real) and 1 <= nu.real < N]
+    if poles:
+        at = ", ".join(f"({N}, {L}, {phi!r})" for phi in poles)
+        raise ArithmeticError(f"nu = N e^-phi is a residue pole of the closed-form tau integral at (N, L, phi) = {at}")
+    rows = _euler_rows(N, L)
+    nodes, psis = [], []
+    for phi, nu in zip(phis, nus):
+        e = math.exp(-phi)
+        w = 4.0 * e / (1.0 + e) ** 2
+        t2 = math.tanh(phi / 2.0) ** 2
+        nodes.append((w, w**3, -_ln_cosh2(phi), *(t2**k for k in range(N - L))))
+        # psi(1 - nu + i), i < N, by recurrence from the first positive argument
+        first = int(nu.real)
+        psi = [0.0] * N
+        psi[first] = digamma(1.0 - nu + first)
+        for i in range(first + 1, N):
+            psi[i] = psi[i - 1] + 1.0 / (i - nu)
+        for i in range(first - 1, -1, -1):
+            psi[i] = psi[i + 1] - 1.0 / (i + 1 - nu)
+        psis.append([psi[i] for i in rows.psi])
+    nu = np.array(nus)[:, None]
+    columns = np.array(nodes)
+    w, w3, ln_w = columns[:, :3].T[:, :, None]
+    amp = rows.amp * columns[:, 3:]
+    base = amp * w3
+    total = _log_series(rows, N, rows.p - nu + rows.h, ln_w + rows.psi0 + np.array(psis), w)
     pieces = []
-    # psi(1 - nu + i), i < N, by recurrence from the first positive argument
-    first = int(nu.real)
-    psi = [0.0] * N
-    psi[first] = digamma(1.0 - nu + first)
-    for i in range(first + 1, N):
-        psi[i] = psi[i - 1] + 1.0 / (i - nu)
-    for i in range(first - 1, -1, -1):
-        psi[i] = psi[i + 1] - 1.0 / (i + 1 - nu)
-    for k, amp, s, h, finite, psi0, term, series in _euler_rows(N, L):
-        p = N - 1 - k
-        bh = p - nu + h
-        amp *= t2**k
-        # the log series S_k, its bracket g updated by the digamma recurrences
-        g, total, j = ln_w + psi0 + psi[p + h - 1], 0.0, 0
-        while True:
-            value = term * g
-            total += value
-            try:
-                head, step = series[j]
-            except IndexError:
-                series.append(_log_series_step(2 * N + h, s, j))
-                head, step = series[j]
-            x = bh + j
-            ratio = head * x * w
-            r = abs(ratio)
-            if r < 1.0 and abs(value * ratio) <= 1.0e-17 * (1.0 - r) * abs(total):
-                break
-            g += step + 1.0 / x
-            term *= ratio
-            j += 1
-        base = amp * w**3
-        if h:
-            pieces += (amp * w * w, -2 * N * nu * base * total)
-            continue
-        fin, poch = 0.0, 1.0  # poch ends as (b-s)_s (-w)^s
-        for j, f in enumerate(finite):
-            fin += f * poch
-            poch *= (p - nu - s + j) * -w
-        pieces += (-nu * base * fin, nu * base * poch * total)
-    return pieces
+    f, width = rows.finite.shape
+    if f:
+        # (b-s)_j (-w)^j for j <= s, held at (b-s)_s past each term's s (x 0 + 1 there)
+        steps = ((rows.p[:f] - nu - rows.s[:f])[:, :, None] + np.arange(width, dtype=float)) * -w[:, :, None]
+        steps *= 1.0 - rows.past
+        steps += rows.past
+        poch = np.concatenate((np.ones((len(nus), f, 1)), steps), axis=2)
+        np.cumprod(poch, axis=2, out=poch)
+        fin = np.cumsum(rows.finite * poch[:, :, :-1], axis=2)[:, :, -1]
+        pieces += (-nu * base[:, :f] * fin, nu * base[:, :f] * poch[:, :, -1] * total[:, :f])
+    if f < N - L:  # the m = 1 term, k = N - 1 at L = 0
+        pieces += (amp[:, f:] * w * w, -2 * N * nu * base[:, f:] * total[:, f:])
+    return np.concatenate(pieces, axis=1)
 
 
 class PhiKernel:
-    """Kernel data at fixed (N, L, phi): series coefficients and closed branch."""
+    """Kernel data at fixed (N, L, phi): the residues and the inner tau integral.
+
+    Construction keeps N, L, phi, nu = N e^-phi and t^2 = tanh^2(phi/2)
+    only; the weights are formed for whole blocks of nodes
+    (fill_tau_integrals), and a lone kernel is a block of one.
+    """
 
     def __init__(self, N: int, L: int, phi: float):
         validate_quantum_numbers(N, L)
@@ -325,14 +490,14 @@ class PhiKernel:
         self.L = L
         self.phi = phi
         self.nu = N * math.exp(-phi)
-        self._point = point = _jacobi_point(L, phi)
-        self.t2 = point[1]
-        # |D_{N,j}|^2 for j = -1 .. N, formed once: the residues
-        # R_0 .. R_{N-1} (zero below L) and the stream's first edge
-        row = _row_weights(N, L, point, -1, N + 1)
-        self.residues = tuple(map(_q, row, row[1:], row[2:]))
-        self._edge = row[-2:]
-        self._tau_sum = None  # sum_j j q_j/(j - nu) of the series branch, see fill_tau_sums
+        self.t2 = math.tanh(phi / 2.0) ** 2
+        self._tau = None  # (value, error bound) of tau_integral, see fill_tau_integrals
+
+    @cached_property
+    def residues(self) -> tuple[float, ...]:
+        """R_0 .. R_{N-1} (zero below L), from the node's weights j = -1 .. N as a block of one."""
+        row = _block_rows([self])[1][0]
+        return tuple(_q(row[:-2], row[1:-1], row[2:]).tolist())
 
     def _use_series(self) -> bool:
         return self.t2 <= SERIES_T2_MAX
@@ -341,29 +506,24 @@ class PhiKernel:
         """int_0^inf e^{nu tau} dQ~/dtau dtau, the inner integral of the shift.
 
         Returns (value, error_bound, evaluations, converged), with no
-        evaluations of an integrand on either branch.  In the series regime
-        the integral is the exact sum -sum_j j q_j/(j - nu), summed until the
-        tail bound meets max(1e-13 |value|, 1e-15), which is the bound
-        returned; the sum is the one fill_tau_sums left, or that of a block
-        of this kernel alone.  Otherwise it is the closed form, the residue
-        terms n R_n/(n - nu) plus the Gauss pieces of _euler_pieces, whose
-        error bound is the roundoff 1e-15 sum |pieces|.
+        evaluations of an integrand on either branch: the value and bound
+        that fill_tau_integrals left, or those of a block of this kernel
+        alone.  In the series regime the integral is the exact sum
+        -sum_j j q_j/(j - nu), summed until the tail bound meets
+        max(1e-13 |value|, 1e-15), which is the bound returned.  Otherwise
+        it is the closed form, the residue terms n R_n/(n - nu) plus the
+        Gauss pieces of _euler_block, whose error bound is the roundoff
+        1e-15 sum |pieces|.
         """
-        nu = self.nu
-        if nu >= self.N:  # phi = 0: the j = N denominator vanishes
+        if self.nu >= self.N:  # phi = 0: the j = N denominator vanishes
             raise ValueError("the weighted tau integral diverges at phi = 0")
-        if self._use_series():
-            if self._tau_sum is None:
-                fill_tau_sums([self])
-            value = -self._tau_sum
-            return value, max(TAU_REL_TOL * abs(value), TAU_ABS_TOL), 0, True
-        res = self.residues
-        pieces = [n * res[n] / (n - nu) for n in range(max(self.L, 1), self.N)]
-        pieces += _euler_pieces(self.N, self.L, self.phi, nu)
-        return math.fsum(pieces), 1.0e-15 * math.fsum(map(abs, pieces)), 0, True
+        if self._tau is None:
+            fill_tau_integrals([self])
+        value, bound = self._tau
+        return value, bound, 0, True
 
 
-def _coeff_chunks(kernels):
+def _coeff_chunks(kernels, block=None):
     """The tail q_j, j >= N, of a block of kernels of one (N, L), as chunks (j, q).
 
     j holds the chunk's indices as floats, 96 doubling to 4096 of them,
@@ -372,47 +532,51 @@ def _coeff_chunks(kernels):
     one and carries only each row's last two weights into the next, so a
     chunk costs the same whatever came before it, every q_j equals its
     value from one _tail_weights call over the whole range, and each row
-    equals that of its kernel in a block of one, bit for bit.  The consumer
-    decides when each row stops: it sends a boolean mask of the rows to
-    keep (None, as iteration sends, keeps them all), and the next chunk
-    holds those rows only.
+    equals that of its kernel in a block of one, bit for bit.  block is
+    the kernels' (points, rows) of _block_rows, formed here when not
+    given.  The consumer decides when each row stops: it sends a boolean
+    mask of the rows to keep (None, as iteration sends, keeps them all),
+    and the next chunk holds those rows only.
     """
     N, L = kernels[0].N, kernels[0].L
+    points, rows = block or _block_rows(kernels)
     # one row per kernel: w, t^2, the gain G_N and the weights j = N - 1, N
-    block = np.array([(*ker._point, *ker._edge) for ker in kernels])
-    w, t2, gain, edge = block[:, :1], block[:, 1:2], block[:, 2], block[:, 3:]
+    w, t2, gain, edge = points[:, :1], points[:, 1:2], points[:, 2], rows[:, -2:]
     j0, chunk = N, 96
     while True:
         j1 = j0 + chunk
         tail, gain = _tail_weights(N, L, (w, t2, None), j0 + 1, j1 + 1, gain)
         weights = np.concatenate((edge, tail), axis=1)
+        del tail  # only q and the last two weights outlive the chunk
         q = _q(weights[:, :-2], weights[:, 1:-1], weights[:, 2:])
+        edge = weights[:, -2:].copy()
+        del weights
         keep = yield _tail_table(N, L, j0 + 1, j1 + 1)[0], q
-        edge = weights[:, -2:]
         if keep is not None:
             w, t2, gain, edge = w[keep], t2[keep], gain[keep], edge[keep]
         j0 = j1
         chunk = min(2 * chunk, 4096)
 
 
-def _series_sums(kernels, factor, rel_tol: float = 1.0e-13, abs_tol: float = 1.0e-300) -> list[float]:
+def _series_sums(kernels, factor, rel_tol: float = 1.0e-13, abs_tol: float = 1.0e-300, block=None) -> list[float]:
     """sum_{j >= N} q_j factor(j, nu) for each kernel of a block, for positive decreasing-enough factors.
 
-    One stream of _coeff_chunks serves the whole block; factor gets a
-    chunk's j and the column of its open rows' nu.  Each row stops on its
-    own tail bound, taken in Python floats, after as many chunks as its
-    kernel would take alone, so every sum equals that of a block of one
-    bit for bit.  A row still open past j = 2e6 raises ArithmeticError
-    naming (N, L, phi) of every open kernel.
+    One stream of _coeff_chunks serves the whole block (block as there);
+    factor gets a chunk's j and the column of its open rows' nu.  Each row
+    stops on its own tail bound, taken in Python floats, after as many
+    chunks as its kernel would take alone, so every sum equals that of a
+    block of one bit for bit.  A row still open past j = 2e6 raises
+    ArithmeticError naming (N, L, phi) of every open kernel.
     """
     N = kernels[0].N
     nu = np.array([[ker.nu] for ker in kernels])
     totals = np.zeros(len(kernels))
     sums, rows = [0.0] * len(kernels), range(len(kernels))  # rows: the kernel of each open row
-    chunks = _coeff_chunks(kernels)
+    chunks = _coeff_chunks(kernels, block)
     j, q = next(chunks)
     while True:
-        terms = q * factor(j, nu)
+        terms = q
+        terms *= factor(j, nu)  # in place: the stream keeps no chunk
         totals += terms.sum(axis=1)
         j1 = int(j[-1]) + 1
         tails = np.abs(terms[:, -8:]).max(axis=1).tolist()
@@ -435,15 +599,48 @@ def _series_sums(kernels, factor, rel_tol: float = 1.0e-13, abs_tol: float = 1.0
         j, q = chunks.send(keep)
 
 
-def fill_tau_sums(kernels) -> None:
-    """Sum the series-branch tau integrals of kernels of one (N, L) in one block stream.
+# Kernels per series stream: a chunk of 96 coefficients then holds at most
+# this many rows (24 kB per array), so that a call of 55 nodes adds little
+# to the peak memory of a pass.
+_STREAM_ROWS = 32
 
-    Every kernel on the series branch with nu < N (phi > 0) gets the sum
-    sum_{j >= N} j q_j/(j - nu) that its tau_integral reads, from one
-    _series_sums over them all; the rest are left as they are.
+
+def fill_tau_integrals(kernels) -> np.ndarray:
+    """Fill the tau integrals of kernels of one (N, L) as one block; return their residues.
+
+    The block forms the weight rows j = -1 .. N of every kernel at once
+    (_block_rows) and from them the residues R_0 .. R_{N-1}, one row per
+    kernel, which it returns.  The series-branch kernels with nu < N
+    (phi > 0) get their sums from _series_sums streams of up to
+    _STREAM_ROWS kernels; the closed-branch kernels get their residue
+    terms and the Gauss pieces of one _euler_block, each node's pieces
+    summed by math.fsum.  Every value equals that of the kernel in a block
+    of one bit for bit.  The kernels at phi = 0 are left as they are:
+    tau_integral raises there.
     """
-    block = [ker for ker in kernels if ker._use_series() and ker.nu < ker.N]
-    if block:
-        sums = _series_sums(block, lambda j, nu: j / (j - nu), TAU_REL_TOL, TAU_ABS_TOL)
-        for ker, total in zip(block, sums):
-            ker._tau_sum = total
+    N, L = kernels[0].N, kernels[0].L
+    points, rows = _block_rows(kernels)
+    residues = _q(rows[:, :-2], rows[:, 1:-1], rows[:, 2:])
+    series = [ker._use_series() for ker in kernels]
+    summed = [on and ker.nu < N for on, ker in zip(series, kernels)]
+    if any(summed):
+        block = [ker for ker, on in zip(kernels, summed) if on]
+        mask = np.array(summed)
+        data = points[mask], rows[mask]
+        for lo in range(0, len(block), _STREAM_ROWS):
+            group = slice(lo, lo + _STREAM_ROWS)
+            sums = _series_sums(
+                block[group], lambda j, nu: j / (j - nu), TAU_REL_TOL, TAU_ABS_TOL, tuple(a[group] for a in data)
+            )
+            for ker, total in zip(block[group], sums):
+                ker._tau = -total, max(TAU_REL_TOL * abs(total), TAU_ABS_TOL)
+    if not all(series):
+        block = [ker for ker, on in zip(kernels, series) if not on]
+        nus = [ker.nu for ker in block]
+        gauss = _euler_block(N, L, [ker.phi for ker in block], nus)
+        n = np.arange(max(L, 1), N, dtype=float)
+        terms = n * residues[np.logical_not(series)][:, max(L, 1) :] / (n - np.array(nus)[:, None])
+        pieces = np.concatenate((terms, gauss), axis=1)
+        for ker, row, sizes in zip(block, pieces.tolist(), np.abs(pieces).tolist()):
+            ker._tau = math.fsum(row), 1.0e-15 * math.fsum(sizes)
+    return residues

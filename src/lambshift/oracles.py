@@ -20,8 +20,9 @@ divided by 1 - e^{2 pi (i nu - eps)}, folded onto [0, pi] by
 dQ/dT(2 pi - T) = -conj dQ/dT(T) and evaluated for all phi nodes of a
 panel in one call, or, at large phi, the kernel's exponential series
 summed in closed form: the Gauss pieces of the rotated inner integral's
-Euler form at the complex nu + i eps (kernel._euler_pieces), which
-hold the whole damped integral, residue terms and tail alike.
+Euler form at the complex nu + i eps (kernel._euler_block, all such
+nodes of a panel in one block), which hold the whole damped integral,
+residue terms and tail alike.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .constants import PhysicalConstants, default_constants
 from .kernel import (
     PhiKernel,
-    _euler_pieces,
+    _euler_block,
     _ln_cosh2,
     _series_sums,
     _series_term_ratios,
@@ -406,7 +407,7 @@ def _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights):
     return complex(inner[0]) if np.ndim(phi) == 0 else inner
 
 
-def _inner_t_integral_spectral(N, L, phi, nu, eps) -> complex:
+def _inner_t_integral_spectral(N, L, phi, nu, eps):
     """Exact damped integral from the exponential series of the kernel, in closed form.
 
     With nu' = nu + i eps,
@@ -416,11 +417,17 @@ def _inner_t_integral_spectral(N, L, phi, nu, eps) -> complex:
     the residue terms m < N plus the tail m >= N.  The tail is the rotated
     inner integral continued analytically to nu', whose residue terms
     +m R_m/(m - nu') cancel those, so the sum is the Gauss pieces of
-    kernel._euler_pieces at nu' alone, with no weight row formed; the real
-    and imaginary parts are each one math.fsum.
+    kernel._euler_block at nu' alone, with no weight row formed; the real
+    and imaginary parts of each node are each one math.fsum.  phi and nu
+    are floats (a complex is returned) or equal-length arrays: then all
+    nodes are one block and one complex is returned per node.
     """
-    pieces = _euler_pieces(N, L, phi, complex(nu, eps))
-    return complex(math.fsum(p.real for p in pieces), math.fsum(p.imag for p in pieces))
+    phis, nus = np.atleast_1d(np.asarray(phi, dtype=float)).tolist(), np.atleast_1d(nu).tolist()
+    pieces = _euler_block(N, L, phis, [complex(x, eps) for x in nus])
+    inner = np.array([
+        complex(math.fsum(re), math.fsum(im)) for re, im in zip(pieces.real.tolist(), pieces.imag.tolist())
+    ])
+    return complex(inner[0]) if np.ndim(phi) == 0 else inner
 
 
 def shift_via_eps_real_axis(
@@ -464,8 +471,8 @@ def shift_via_eps_real_axis(
         grid = phi_nodes <= PHI_OSCILLATORY_MAX
         if grid.any():
             inner[grid] = _inner_t_integral_grid(N, L, phi_nodes[grid], nus[grid], eps, nodes, weights)
-        for i in np.flatnonzero(~grid):
-            inner[i] = _inner_t_integral_spectral(N, L, phi_nodes[i], nus[i], eps)
+        if not grid.all():
+            inner[~grid] = _inner_t_integral_spectral(N, L, phi_nodes[~grid], nus[~grid], eps)
         return np.array([weight_nondipole(state, phi, constants) for phi in phi_nodes]) * inner
 
     total = 0.0 + 0.0j

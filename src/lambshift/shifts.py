@@ -34,9 +34,8 @@ from importlib import resources
 import numpy as np
 
 from .constants import PhysicalConstants, default_constants
-from .kernel import PhiKernel, fill_tau_sums, residue_coeffs, validate_quantum_numbers
+from .kernel import PhiKernel, fill_tau_integrals, residue_coeffs, validate_quantum_numbers
 from .quadrature import (
-    PANEL_NODES,
     Diagnostics,
     QuadratureSpec,
     dyadic_edges_upto,
@@ -239,34 +238,35 @@ def _bracket_integrand(N: int, L: int, weight, terms) -> tuple:
     subtracted PV integrand), the second summed over the channels of terms
     (from _pole_terms under the same weight) as
     [w n R_n - A_n e^(phi_n - phi)]/(N e^-phi - n), see _shift_bracket.
-    It takes the nodes a Gauss-Kronrod panel (PANEL_NODES) at a time: it
-    builds their kernels, sums the series-branch tau integrals of the
-    panel in one block stream (kernel.fill_tau_sums), then calls each
-    kernel's tau_integral once.  The list of failed nodes gains every phi
-    whose inner tau integral did not converge.
+    Every call is one block, whatever its nodes: it builds their kernels,
+    fills all their tau integrals at once (kernel.fill_tau_integrals,
+    which returns their residues), calls each kernel's tau_integral once
+    to read its value, and forms the weights and the PV column as arrays
+    over the nodes, each node's w and expm1(phi_n - phi) in Python floats.
+    The list of failed nodes gains every phi whose inner tau integral did
+    not converge.
     """
     start = max(1, L)
+    poles = [pole for _, pole, _ in terms]
+    n = np.array([[n for n, _, _ in terms]], dtype=float)
+    strengths = np.array([[a for _, _, a in terms]], dtype=float)
     failed = []
 
     def integrand(phis: np.ndarray) -> np.ndarray:
-        rows = []
         phis = phis.tolist()
-        for panel in range(0, len(phis), PANEL_NODES):
-            nodes = phis[panel : panel + PANEL_NODES]
-            kernels = [PhiKernel(N, L, phi) for phi in nodes]
-            fill_tau_sums(kernels)
-            for phi, ker in zip(nodes, kernels):
-                value, _, _, ok = ker.tau_integral()
-                if not ok:
-                    failed.append(phi)
-                w = weight(phi)
-                nx = ker.nu
-                regular = math.fsum(
-                    (w * n * r - a * (nx / n)) / (n * math.expm1(pole - phi))
-                    for (n, pole, a), r in zip(terms, ker.residues[start:])
-                )
-                rows.append((w * value, regular))
-        return np.array(rows)
+        kernels = [PhiKernel(N, L, phi) for phi in phis]
+        residues = fill_tau_integrals(kernels)[:, start:]
+        tau = []
+        for phi, ker in zip(phis, kernels):
+            value, _, _, ok = ker.tau_integral()
+            if not ok:
+                failed.append(phi)
+            tau.append(value)
+        w = np.array([weight(phi) for phi in phis])
+        nu = np.array([[ker.nu] for ker in kernels])
+        gaps = np.array([[math.expm1(pole - phi) for pole in poles] for phi in phis])
+        regular = (w[:, None] * n * residues - strengths * (nu / n)) / (n * gaps)
+        return np.stack((w * np.array(tau), regular.sum(axis=1)), axis=1)
 
     return integrand, failed
 

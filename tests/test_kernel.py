@@ -551,7 +551,7 @@ class TestTauIntegral:
             assert not ker._use_series()
             value, error, evaluations, converged = ker.tau_integral()
             residue_terms = [n * ker.residues[n] / (n - ker.nu) for n in range(max(L, 1), N)]
-            pieces = residue_terms + K._euler_pieces(N, L, phi, ker.nu)
+            pieces = residue_terms + K._euler_block(N, L, [phi], [ker.nu])[0].tolist()
             assert (value, evaluations, converged) == (math.fsum(pieces), 0, True)
             assert error == 1e-15 * math.fsum(abs(x) for x in pieces)
 
@@ -627,7 +627,7 @@ class TestEulerForm:
 
     def test_rows_beyond_the_double_range_name_the_state(self):
         # 1/(2N-3)! leaves the double range from N = 87 on, for every L
-        assert _euler_rows(86, 0)[0][6] > 0.0
+        assert _euler_rows(86, 0).first[0] > 0.0
         for L in (0, 43, 86):
             with pytest.raises(OverflowError, match=rf"\(N, L\) = \(87, {L}\) needs 1/171!.*N <= 86"):
                 _euler_rows(87, L)
@@ -646,7 +646,7 @@ class TestKernelTables:
             w, t2, gain = point
             row = _row_weights(N, L, point, -1, N + 1)  # j = -1 .. N
             assert len(row) == N + 2 and row[: L + 2] == [0.0] * (L + 2)
-            assert PhiKernel(N, L, phi)._edge == row[-2:]
+            assert K._block_rows([PhiKernel(N, L, phi)])[1][0].tolist() == row
             # windows inside j <= L are zeros: no (negative) index reads the table
             for j0 in range(-1, L + 1):
                 assert _row_weights(N, L, point, j0, L + 1) == [0.0] * (L + 1 - j0)
@@ -656,7 +656,8 @@ class TestKernelTables:
                 assert _JACOBI_STEPS[N - j, beta][:degree] == fresh
                 binom = math.comb(N + L, 2 * L + 1) / math.comb(j + L, 2 * L + 1)
                 assert _row_table(N, L)[j - L - 1] == (binom, N - j, tuple(fresh))
-                want = binom * t2 ** (N - j) * gain * _jacobi_from_steps(fresh, w) ** 2
+                p = _jacobi_from_steps(fresh, w)
+                want = binom * t2 ** (N - j) * gain * p * p
                 assert row[j + 1] == want
                 for j0 in range(-1, j + 1):
                     assert _row_weights(N, L, point, j0, j + 1) == row[j0 + 1 : j + 2]
@@ -690,7 +691,7 @@ class TestKernelTables:
         for N in (1, 4, 10, 20, 30):
             for L in sorted({0, N // 2, N - 1}):
                 block = [PhiKernel(N, L, phi) for phi in (0.3, 1.5, switch)]
-                K.fill_tau_sums(block)
+                K.fill_tau_integrals(block)
                 for ker in block:
                     assert ker._use_series()
                     assert math.isfinite(ker.tau_integral()[0])
@@ -701,13 +702,19 @@ class TestKernelTables:
     @pytest.mark.parametrize("N, L", [(1, 0), (4, 1), (9, 2), (20, 0)])
     def test_euler_series_table_equals_on_the_fly_bit_for_bit(self, N, L):
         def pieces(phi):
-            return K._euler_pieces(N, L, phi, PhiKernel(N, L, phi).nu)
+            return K._euler_block(N, L, [phi], [PhiKernel(N, L, phi).nu]).tolist()
 
         for phi in (3.0, 9.0, 2.9):
             pieces(phi)
-        for k, amp, s, h, finite, psi0, first, series in _euler_rows(N, L):
-            assert amp == -0.25 * _series_term_ratios(N, L)[k] and first == 1.0 / math.factorial(s)
-            assert series == [_log_series_step(2 * N + h, s, j) for j in range(len(series))]
+        rows = _euler_rows(N, L)
+        heads, steps = rows.series
+        assert heads.shape == steps.shape == (N - L, heads.shape[1]) and heads.shape[1] > 0
+        for k in range(N - L):
+            s, h = int(rows.s[k]), int(rows.h[k])
+            assert rows.amp[k] == -0.25 * _series_term_ratios(N, L)[k] and rows.first[k] == 1.0 / math.factorial(s)
+            assert list(zip(heads[k].tolist(), steps[k].tolist())) == [
+                _log_series_step(2 * N + h, s, j) for j in range(heads.shape[1])
+            ]
         # a kernel reading a table grown by others gives the value it gave growing it
         _euler_rows.cache_clear()
         first = pieces(2.9)
@@ -734,6 +741,50 @@ class TestKernelTables:
         tables = ("_tail_table", "_euler_rows", "_row_table", "_series_term_ratios")
         assert {*(f"lambshift.kernel.{name}" for name in tables), "lambshift.shifts._channels"} <= set(sizes)
         assert all(size == 0 for size in sizes.values()), sizes
+
+
+class TestEulerBlock:
+    """The closed branch of a block of kernels: each kernel's tau integral as in its block of one."""
+
+    # w = sech^2(phi/2) from 0.2 at the switch (2.887) down to 1e-5 at the last node
+    PHIS = (0.4, 1.7, 2.8, 2.889, 2.92, 2.97, 3.1, 3.6, 4.5, 6.0, 9.0, 2.0 * math.acosh(1e-5**-0.5))
+
+    @pytest.mark.parametrize("N, L", [(1, 0), (4, 1), (18, 0), (20, 10), (30, 0), (50, 25)])
+    def test_mixed_block_equals_blocks_of_one(self, N, L):
+        # series and closed nodes in one block; from N = 18 on some closed
+        # nodes have nu >= 1 (at N = 50 up to nu = 2.78, whose digammas also
+        # recur downwards); every value and bound is that of the kernel alone
+        alone = {phi: PhiKernel(N, L, phi).tau_integral() for phi in self.PHIS}
+        block = [PhiKernel(N, L, phi) for phi in self.PHIS]
+        assert {ker._use_series() for ker in block} == {True, False}
+        if N >= 18:
+            assert max(ker.nu for ker in block if not ker._use_series()) >= 1.0
+        K.fill_tau_integrals(block)
+        for ker in block:
+            value, bound, _, _ = ker.tau_integral()
+            assert (value, bound) == alone[ker.phi][:2], ker.phi
+        w = [4.0 * math.exp(-phi) / (1.0 + math.exp(-phi)) ** 2 for phi in (self.PHIS[3], self.PHIS[-1])]
+        assert w[0] > 0.19 and w[1] == pytest.approx(1e-5, rel=1e-9)
+
+    def test_exact_pole_node_names_the_state(self):
+        # N e^-phi rounds to exactly 1.0 at phi = ln 50: a residue pole of the
+        # closed branch, where the value would divide by zero
+        phi = math.log(50)
+        with pytest.raises(ArithmeticError, match=rf"\(N, L, phi\) = \(50, 0, {phi!r}\)$"):
+            PhiKernel(50, 0, phi).tau_integral()
+        block = [PhiKernel(50, 0, x) for x in (3.0, phi, 4.0)]
+        with pytest.raises(ArithmeticError, match=rf"residue pole .* \(50, 0, {phi!r}\)$"):
+            K.fill_tau_integrals(block)
+
+    def test_log_series_lengths_double_until_every_entry_ends(self, monkeypatch):
+        # a length too short for every entry doubles until each meets its own
+        # stopping test: the same values as from the estimated length
+        N, L = 4, 0
+        phis = [2.9, 3.3, 5.0]
+        want = K._euler_block(N, L, phis, [N * math.exp(-phi) for phi in phis])
+        monkeypatch.setattr(K, "_series_length", lambda N, w: 2)
+        got = K._euler_block(N, L, phis, [N * math.exp(-phi) for phi in phis])
+        assert np.array_equal(got, want)
 
 
 class TestBlockStream:
@@ -770,14 +821,17 @@ class TestBlockStream:
             chunks[phi] = len(self._chunks_taken(monkeypatch, ker.tau_integral)) if ker._use_series() else 0
             alone[phi] = repr(ker.tau_integral())
         block = [PhiKernel(N, L, phi) for phi in phis]
-        open_rows = self._chunks_taken(monkeypatch, lambda: K.fill_tau_sums(block))
+        filled = []
+        open_rows = self._chunks_taken(monkeypatch, lambda: filled.append(K.fill_tau_integrals(block)))
         # one stream for the block: chunk c holds the rows that take c chunks or more alone
         depth = max(chunks.values())
         assert open_rows == [sum(n > c for n in chunks.values()) for c in range(depth)]
         if N == 20:
             assert {1, 2, 3} <= set(chunks.values()) and 0 in chunks.values()
-        # the closed and phi = 0 kernels are left to tau_integral
-        assert [ker._tau_sum is None for ker in block] == [chunks.get(phi, 0) == 0 for phi in phis]
+        # every kernel is filled but the phi = 0 one, left to tau_integral to
+        # raise, and the returned residues are each kernel's own
+        assert [ker._tau is None for ker in block] == [phi == 0.0 for phi in phis]
+        assert filled[0].tolist() == [list(PhiKernel(N, L, phi).residues) for phi in phis]
         for ker in block:
             if ker.phi == 0.0:
                 with pytest.raises(ValueError, match="diverges at phi = 0"):
@@ -824,8 +878,8 @@ class TestBlockStream:
             warnings.simplefilter("error")
             for N, L in ((1, 0), (3, 1), (20, 10)):
                 block = [PhiKernel(N, L, 0.0), PhiKernel(N, L, 0.4)]
-                K.fill_tau_sums(block)
-                assert block[0]._tau_sum is None and block[1]._tau_sum is not None
+                K.fill_tau_integrals(block)
+                assert block[0]._tau is None and block[1]._tau is not None
                 for ker in (block[0], PhiKernel(N, L, 0.0)):
                     with pytest.raises(ValueError, match="diverges at phi = 0"):
                         ker.tau_integral()

@@ -15,8 +15,11 @@ from lambshift.shifts import (
     TABLE1_STATES,
     DipoleOptions,
     QuantumState,
+    _bracket_integrand,
     _channels,
+    _photon_weight,
     _pole_pv,
+    _pole_terms,
     _shift_bracket,
     bethe_amplitude,
     bethe_log,
@@ -528,6 +531,42 @@ class TestDefaultSpecAccuracy:
             assert default.lamb_shift_MHz == pytest.approx(tight.lamb_shift_MHz, rel=1e-11, abs=0), Z
 
 
+# Shifts and Bethe logarithms beyond the tables, with their outer evaluation
+# counts, from the route before each integrand call became one array block:
+# (N, L, Z): (shift MHz, evaluations, gamma, evaluations).
+HIGH_N_BEFORE_BLOCKS = {
+    (20, 0, 1): (1.0273018310731508, 495, 2.723967084293013, 360),
+    (20, 10, 1): (1.3027704527679911e-05, 360, -9.603671400947368e-05, 225),
+    (30, 28, 1): (1.0920844667673029e-07, 135, -2.717210126435994e-06, 225),
+    (8, 3, 92): (929720.9167496533, 255, -0.00285911455929516, 165),
+}
+
+
+class TestHighNRegression:
+    """The array-block integrand keeps the shifts, the Bethe logarithms and their node counts beyond the tables."""
+
+    @pytest.mark.parametrize("N, L, Z", list(HIGH_N_BEFORE_BLOCKS))
+    def test_within_1e_10_with_the_same_evaluations(self, N, L, Z):
+        shift, shift_evals, gamma, gamma_evals = HIGH_N_BEFORE_BLOCKS[N, L, Z]
+        result = lamb_shift(QuantumState(N=N, L=L, Z=Z))
+        assert result.converged and result.diagnostics.evaluations == shift_evals
+        assert result.lamb_shift_MHz == pytest.approx(shift, rel=1e-10, abs=0)
+        bethe = bethe_log(N, L, Z=Z)
+        assert bethe.converged and bethe.diagnostics.evaluations == gamma_evals
+        assert bethe.gamma == pytest.approx(gamma, rel=1e-10, abs=0)
+
+    def test_exact_pole_node_names_the_state(self):
+        # at phi = ln 50, N e^-phi is exactly 1.0, a residue pole of the closed
+        # branch: the shift's integrand raises ArithmeticError naming the node
+        # among nodes that are fine, instead of dividing by zero
+        phi = math.log(50)
+        assert 50 * math.exp(-phi) == 1.0
+        weight = _photon_weight(QuantumState(N=50, L=0), NON_DIPOLE, C)
+        integrand, _ = _bracket_integrand(50, 0, weight, _pole_terms(50, 0, weight))
+        with pytest.raises(ArithmeticError, match=rf"\(N, L, phi\) = \(50, 0, {phi!r}\)$"):
+            integrand(np.array([2.0, 3.5, phi, 5.0]))
+
+
 class TestBethe:
     def test_ground_state(self):
         result = bethe_log(1, 0)
@@ -718,8 +757,8 @@ class TestOneInnerIntegralPerNode:
     """One PhiKernel.tau_integral call per evaluation of the outer phi integrals.
 
     perfbench's tracer relies on it where it counts; pinned here in-process.
-    Each series-branch node arrives with its sum already taken in its
-    panel's block stream (kernel.fill_tau_sums).
+    Every node, series or closed branch, arrives with its value already
+    filled by its call's block (kernel.fill_tau_integrals).
     """
 
     @staticmethod
@@ -728,7 +767,7 @@ class TestOneInnerIntegralPerNode:
         tau_integral = kernel.PhiKernel.tau_integral
 
         def recording(ker):
-            calls.append((ker._use_series(), ker._tau_sum is not None))
+            calls.append((ker._use_series(), ker._tau is not None))
             return tau_integral(ker)
 
         monkeypatch.setattr(kernel.PhiKernel, "tau_integral", recording)
@@ -744,7 +783,7 @@ class TestOneInnerIntegralPerNode:
         result = lamb_shift(QuantumState(N=N, L=L), options)
         assert len(calls) == result.diagnostics.parts["tau_phi_integral"].evaluations
         assert {series for series, _ in calls} == {True, False}
-        assert all(filled == series for series, filled in calls)
+        assert all(filled for _, filled in calls)
 
     @pytest.mark.parametrize("N, L", [(1, 0), (2, 1), (4, 3), (10, 0)])
     def test_bethe_log(self, monkeypatch, N, L):
@@ -752,7 +791,7 @@ class TestOneInnerIntegralPerNode:
         result = bethe_log(N, L)
         assert len(calls) == sum(part.evaluations for part in result.diagnostics.parts.values())
         assert {series for series, _ in calls} == {True, False}
-        assert all(filled == series for series, filled in calls)
+        assert all(filled for _, filled in calls)
 
 
 class TestDipoleLambFull:
