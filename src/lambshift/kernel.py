@@ -309,6 +309,12 @@ def _ln_cosh2(phi: float) -> float:
 # that a block's sums add little to the peak memory of a pass.
 _SERIES_ELEMENTS = 1 << 11
 
+# Steps past which a log series that has not ended is an error, not a
+# longer retry.  The longest that ends, over N <= 86 with L in
+# {0, N//2, N-1}, phi = 2.89 .. 30 and nu real or nu + i eps, takes 129
+# steps (at (86, 0)); an entry that is NaN never meets the stopping test.
+_SERIES_MAX_STEPS = 1 << 12
+
 
 def _series_length(N: int, w: float) -> int:
     """Steps that the log series of (N, any L) take at w, a little more than measured.
@@ -336,7 +342,9 @@ def _log_series(rows: _EulerRows, N: int, bh, g, w):
     with |ratio_j| < 1 and |term_j g_j ratio_j| <= 1e-17 (1 - |ratio_j|)
     |sum through j|.  The nodes go in slices of falling w, each summed to
     _series_length at its largest w, and that length doubles while an
-    entry of the slice has not ended.
+    entry of the slice has not ended, up to _SERIES_MAX_STEPS; a series
+    still open there (a NaN entry never ends) raises ArithmeticError
+    naming (N, L).
     """
     nodes, terms = bh.shape
     order = sorted(range(nodes), key=w[:, 0].tolist().__getitem__, reverse=True)
@@ -381,6 +389,11 @@ def _log_series(rows: _EulerRows, N: int, bh, g, w):
                 break
             except ValueError:
                 length *= 2
+                if length > _SERIES_MAX_STEPS:
+                    raise ArithmeticError(
+                        f"a log series of the Euler closed form at (N, L) = ({N}, {N - terms}) has not "
+                        f"ended within {length // 2} steps"
+                    ) from None
         out[lo : lo + count] = sums.reshape(-1, length)[range(len(at)), at].reshape(-1, terms)
         lo += count
     result = np.empty_like(out)

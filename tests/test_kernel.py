@@ -786,6 +786,22 @@ class TestEulerBlock:
         got = K._euler_block(N, L, phis, [N * math.exp(-phi) for phi in phis])
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("N, L", [(1, 0), (3, 1)])
+    def test_log_series_that_never_ends_raises(self, monkeypatch, N, L):
+        # a NaN entry never meets the stopping test: the doubling stops at
+        # _SERIES_MAX_STEPS and names the state.  The guard on the step table
+        # ends the test instead if the bound is ever lost.
+        step = K._log_series_step
+
+        def guarded(a, s, j):
+            assert j < 4 * K._SERIES_MAX_STEPS, "the log series doubled past its bound"
+            return step(a, s, j)
+
+        monkeypatch.setattr(K, "_log_series_step", guarded)
+        nu = complex(N * math.exp(-5.0), math.nan)
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match=rf"\(N, L\) = \({N}, {L}\) has not ended"):
+            K._euler_block(N, L, [4.0, 5.0], [complex(N * math.exp(-4.0)), nu])
+
 
 class TestBlockStream:
     """The series sums of a block of kernels come from one (kernels x j) stream, each row as alone."""
