@@ -37,7 +37,10 @@ closed form around t^2 = 1, for all closed-branch nodes of a block and
 all terms at once (_euler_block, to whose pieces fill_tau_integrals adds
 the residue terms); the same Gauss pieces at the complex nu + i eps are
 the eps oracle's inner integral at large phi, reached without a PhiKernel
-and so without a weight row.
+and so without a weight row.  Within a block, only a node's Jacobi point
+and gains (_block_rows, which must equal residue_coeffs' floats), its
+e^-phi and its one digamma (_euler_block) are scalar calls; every other
+per-node quantity is an array operation over the block's nodes.
 Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 (oracles.q_imag_time, oracles.remainder), the real-time kernel
 (oracles.kernel_q) and the adaptive quadrature of the inner integral
@@ -384,21 +387,47 @@ def _log_series(rows: _EulerRows, N: int, bh, g, w):
             ratio *= sums  # |1e-17 (1 - r) sum| wherever r < 1, the only entries that can end
             ends &= x <= np.abs(ratio, out=ratio)
             del x, ratio
-            try:  # the first end of each entry
-                at = [flags.index(True) for flags in ends.reshape(-1, length).tolist()]
+            ends = np.logical_or.accumulate(ends.reshape(-1, length), axis=1)  # True from the first end on
+            if ends[:, -1].all():
                 break
-            except ValueError:
-                length *= 2
-                if length > _SERIES_MAX_STEPS:
-                    raise ArithmeticError(
-                        f"a log series of the Euler closed form at (N, L) = ({N}, {N - terms}) has not "
-                        f"ended within {length // 2} steps"
-                    ) from None
-        out[lo : lo + count] = sums.reshape(-1, length)[range(len(at)), at].reshape(-1, terms)
+            length *= 2
+            if length > _SERIES_MAX_STEPS:
+                raise ArithmeticError(
+                    f"a log series of the Euler closed form at (N, L) = ({N}, {N - terms}) has not "
+                    f"ended within {length // 2} steps"
+                )
+        ends[:, 1:] &= ~ends[:, :-1]  # the first end of each entry alone
+        out[lo : lo + count] = sums.reshape(-1, length)[ends].reshape(-1, terms)
         lo += count
     result = np.empty_like(out)
     result[order] = out
     return result
+
+
+def _psi_rows(N: int, nus) -> np.ndarray:
+    """psi(1 - nu + i), i < N, one row per nu (real or complex, with 1 - nu + i never 0 or a negative integer).
+
+    The rows of the scalar recurrence (float for float at real nu): one
+    digamma at the first positive argument, i = int(nu), then running sums
+    (cumsum adds in the loop's order) of 1/(i - nu) upward and of
+    -1/(i + 1 - nu) downward.
+    """
+    first = [int(x.real) for x in nus]
+    nu, i = np.array(nus)[:, None], np.arange(N, dtype=float)
+    below, at = i < np.array(first, dtype=float)[:, None], [k * N + f for k, f in enumerate(first)]
+    heads = [digamma(1.0 - x + f) for x, f in zip(nus, first)]
+    inv = np.zeros((len(nus), N + 1), dtype=nu.dtype)
+    inv[:, 1:] = 1.0 / (i + 1.0 - nu)
+    psi = inv[:, :-1].copy()
+    psi[below] = 0.0
+    psi.flat[at] = heads
+    np.cumsum(psi, axis=1, out=psi)
+    if any(first):
+        down = -inv[:, 1:]
+        down[~below] = 0.0
+        down.flat[at] = heads
+        psi[below] = np.cumsum(down[:, ::-1], axis=1)[:, ::-1][below]
+    return psi
 
 
 def _euler_block(N: int, L: int, phis, nus) -> np.ndarray:
@@ -431,10 +460,15 @@ def _euler_block(N: int, L: int, phis, nus) -> np.ndarray:
     f_j from _euler_rows.  What is left are Pochhammer polynomials in b,
     one finite sum and one log series in w per term (_log_series); every
     psi(b+h+j) follows from one digamma by recurrence, and
-    w = 4 e^-phi/(1+e^-phi)^2 is formed directly, never as 1 - t^2.
+    w = 4 e^-phi/(1+e^-phi)^2 is formed directly, t^2 as 1 - w.
 
-    The nodes are one block: each node's transcendental functions are
-    taken in Python floats, and the rest is array operations over
+    The nodes are one block.  w, w^3, ln w and t^{2k} are columns over the
+    nodes, and the digamma rows psi(1 - nu + i), i < N, cumulative sums
+    from each node's one digamma at i = int(nu), upward and, where
+    int(nu) >= 1, downward, in the recurrence's order.  Only e^-phi
+    (math.exp: numpy's first exp pages in its code, ~0.1 MB of a pass's
+    peak memory) and that digamma (a numpy psi was no faster for blocks of
+    15-32) are scalar calls per node.  The rest is array operations over
     (nodes x terms), and over j for the sums, each in the order of a
     term-by-term loop, so a node's pieces do not depend on the rest of the
     block.  Returns a (nodes x 2(N-L)) array of the Gauss terms only, two
@@ -450,27 +484,16 @@ def _euler_block(N: int, L: int, phis, nus) -> np.ndarray:
         at = ", ".join(f"({N}, {L}, {phi!r})" for phi in poles)
         raise ArithmeticError(f"nu = N e^-phi is a residue pole of the closed-form tau integral at (N, L, phi) = {at}")
     rows = _euler_rows(N, L)
-    nodes, psis = [], []
-    for phi, nu in zip(phis, nus):
-        e = math.exp(-phi)
-        w = 4.0 * e / (1.0 + e) ** 2
-        t2 = math.tanh(phi / 2.0) ** 2
-        nodes.append((w, w**3, -_ln_cosh2(phi), *(t2**k for k in range(N - L))))
-        # psi(1 - nu + i), i < N, by recurrence from the first positive argument
-        first = int(nu.real)
-        psi = [0.0] * N
-        psi[first] = digamma(1.0 - nu + first)
-        for i in range(first + 1, N):
-            psi[i] = psi[i - 1] + 1.0 / (i - nu)
-        for i in range(first - 1, -1, -1):
-            psi[i] = psi[i + 1] - 1.0 / (i + 1 - nu)
-        psis.append([psi[i] for i in rows.psi])
-    nu = np.array(nus)[:, None]
-    columns = np.array(nodes)
-    w, w3, ln_w = columns[:, :3].T[:, :, None]
-    amp = rows.amp * columns[:, 3:]
+    phi, nu = np.array(phis, dtype=float)[:, None], np.array(nus)[:, None]
+    e = np.array([math.exp(-x) for x in phis])[:, None]  # by math.exp, see above
+    u = 1.0 + e
+    w = 4.0 * e / u**2
+    # ln w = -ln cosh^2(phi/2) as in _ln_cosh2, log1p(e) as log(u) corrected for the rounding of u
+    # (numpy's first log1p, like its first exp, would page in its code)
+    w3, ln_w = w**3, -(phi - 2.0 * math.log(2.0) + 2.0 * (np.log(u) - (u - 1.0 - e) / u))
+    amp = rows.amp * (1.0 - w) ** np.arange(N - L, dtype=float)  # -t_k t^{2k}/4, t^2 = 1 - w
     base = amp * w3
-    total = _log_series(rows, N, rows.p - nu + rows.h, ln_w + rows.psi0 + np.array(psis), w)
+    total = _log_series(rows, N, rows.p - nu + rows.h, ln_w + rows.psi0 + _psi_rows(N, nus)[:, rows.psi], w)
     pieces = []
     f, width = rows.finite.shape
     if f:
@@ -576,38 +599,35 @@ def _series_sums(kernels, factor, rel_tol: float = 1.0e-13, abs_tol: float = 1.0
 
     One stream of _coeff_chunks serves the whole block (block as there);
     factor gets a chunk's j and the column of its open rows' nu.  Each row
-    stops on its own tail bound, taken in Python floats, after as many
-    chunks as its kernel would take alone, so every sum equals that of a
-    block of one bit for bit.  A row still open past j = 2e6 raises
-    ArithmeticError naming (N, L, phi) of every open kernel.
+    stops on its own tail bound, one array comparison over the open rows
+    per chunk, after as many chunks as its kernel would take alone, so
+    every sum equals that of a block of one bit for bit.  A row still open
+    past j = 2e6 raises ArithmeticError naming (N, L, phi) of every open
+    kernel.
     """
     N = kernels[0].N
-    nu = np.array([[ker.nu] for ker in kernels])
-    totals = np.zeros(len(kernels))
-    sums, rows = [0.0] * len(kernels), range(len(kernels))  # rows: the kernel of each open row
+    nu, t2 = np.array([ker.nu for ker in kernels]), np.array([ker.t2 for ker in kernels])
+    totals, sums = np.zeros(len(kernels)), np.zeros(len(kernels))
+    rows = np.arange(len(kernels))  # the kernel of each open row
     chunks = _coeff_chunks(kernels, block)
     j, q = next(chunks)
     while True:
         terms = q
-        terms *= factor(j, nu)  # in place: the stream keeps no chunk
+        terms *= factor(j, nu[:, None])  # in place: the stream keeps no chunk
         totals += terms.sum(axis=1)
+        sums[rows] = totals
         j1 = int(j[-1]) + 1
-        tails = np.abs(terms[:, -8:]).max(axis=1).tolist()
-        keep = []
-        for i, total, tail in zip(rows, totals.tolist(), tails):
-            ratio = min(0.999, kernels[i].t2 * (1.0 + 2.0 * N / j1))
-            sums[i] = total
-            keep.append(not tail * ratio / (1.0 - ratio) <= max(rel_tol * abs(total), abs_tol))
-        if not any(keep):
-            return sums
-        if all(keep):
+        ratio = np.minimum(0.999, t2 * (1.0 + 2.0 * N / j1))
+        bound = np.maximum(rel_tol * np.abs(totals), abs_tol)
+        keep = ~(np.abs(terms[:, -8:]).max(axis=1) * ratio / (1.0 - ratio) <= bound)
+        if not keep.any():
+            return sums.tolist()
+        if keep.all():
             keep = None
         else:
-            rows = [i for i, going in zip(rows, keep) if going]
-            keep = np.array(keep)
-            nu, totals = nu[keep], totals[keep]
+            rows, nu, t2, totals = rows[keep], nu[keep], t2[keep], totals[keep]
         if j1 > 2_000_000:
-            open_ = ", ".join(f"({kernels[i].N}, {kernels[i].L}, {kernels[i].phi!r})" for i in rows)
+            open_ = ", ".join(f"({kernels[i].N}, {kernels[i].L}, {kernels[i].phi!r})" for i in rows.tolist())
             raise ArithmeticError(f"kernel series did not converge by j = {j1} at (N, L, phi) = {open_}")
         j, q = chunks.send(keep)
 
@@ -627,19 +647,20 @@ def fill_tau_integrals(kernels) -> np.ndarray:
     (phi > 0) get their sums from _series_sums streams of up to
     _STREAM_ROWS kernels; the closed-branch kernels get their residue
     terms and the Gauss pieces of one _euler_block, each node's pieces
-    summed by math.fsum.  Every value equals that of the kernel in a block
+    summed by math.fsum and their magnitudes, for the bound, by one array
+    sum over the block.  Every value equals that of the kernel in a block
     of one bit for bit.  The kernels at phi = 0 are left as they are:
     tau_integral raises there.
     """
     N, L = kernels[0].N, kernels[0].L
     points, rows = _block_rows(kernels)
     residues = _q(rows[:, :-2], rows[:, 1:-1], rows[:, 2:])
-    series = [ker._use_series() for ker in kernels]
-    summed = [on and ker.nu < N for on, ker in zip(series, kernels)]
-    if any(summed):
-        block = [ker for ker, on in zip(kernels, summed) if on]
-        mask = np.array(summed)
-        data = points[mask], rows[mask]
+    nu = np.array([ker.nu for ker in kernels])
+    series = points[:, 1] <= SERIES_T2_MAX  # t^2 of each kernel, as _use_series reads it
+    summed = series & (nu < N)
+    if summed.any():
+        block = [ker for ker, on in zip(kernels, summed.tolist()) if on]
+        data = points[summed], rows[summed]
         for lo in range(0, len(block), _STREAM_ROWS):
             group = slice(lo, lo + _STREAM_ROWS)
             sums = _series_sums(
@@ -647,13 +668,14 @@ def fill_tau_integrals(kernels) -> np.ndarray:
             )
             for ker, total in zip(block[group], sums):
                 ker._tau = -total, max(TAU_REL_TOL * abs(total), TAU_ABS_TOL)
-    if not all(series):
-        block = [ker for ker, on in zip(kernels, series) if not on]
-        nus = [ker.nu for ker in block]
-        gauss = _euler_block(N, L, [ker.phi for ker in block], nus)
+    closed = ~series
+    if closed.any():
+        block = [ker for ker, on in zip(kernels, closed.tolist()) if on]
+        gauss = _euler_block(N, L, [ker.phi for ker in block], nu[closed].tolist())
         n = np.arange(max(L, 1), N, dtype=float)
-        terms = n * residues[np.logical_not(series)][:, max(L, 1) :] / (n - np.array(nus)[:, None])
+        terms = n * residues[closed][:, max(L, 1) :] / (n - nu[closed][:, None])
         pieces = np.concatenate((terms, gauss), axis=1)
-        for ker, row, sizes in zip(block, pieces.tolist(), np.abs(pieces).tolist()):
-            ker._tau = math.fsum(row), 1.0e-15 * math.fsum(sizes)
+        bounds = 1.0e-15 * np.abs(pieces).sum(axis=1)
+        for ker, row, bound in zip(block, pieces.tolist(), bounds.tolist()):
+            ker._tau = math.fsum(row), bound
     return residues

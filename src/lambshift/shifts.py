@@ -231,8 +231,8 @@ def _phi_edges(terms, limit: float) -> tuple[float, ...]:
     return lead[:-1] + dyadic_edges_upto(lead[-1], limit)
 
 
-def _bracket_integrand(N: int, L: int, weight, terms) -> tuple:
-    """The phi integrand of a bracket under the photon weight w(phi), and its failed nodes.
+def _bracket_integrand(N: int, L: int, weight, terms):
+    """The phi integrand of a bracket under the photon weight w(phi).
 
     The integrand maps an array of phi nodes to rows (w tau integral,
     subtracted PV integrand), the second summed over the channels of terms
@@ -241,34 +241,30 @@ def _bracket_integrand(N: int, L: int, weight, terms) -> tuple:
     Every call is one block, whatever its nodes: it builds their kernels,
     fills all their tau integrals at once (kernel.fill_tau_integrals,
     which returns their residues), calls each kernel's tau_integral once
-    to read its value, and forms the weights and the PV column as arrays
-    over the nodes, each node's w and expm1(phi_n - phi) in Python floats.
-    The list of failed nodes gains every phi whose inner tau integral did
-    not converge.
+    to read its value, and forms the PV column as arrays over the nodes.
+    Each node's w comes from the scalar weight function of the rates and
+    pole strengths, and each gap expm1(phi_n - phi) from math.expm1:
+    numpy's first expm1 pages in its code, ~0.1 MB of a pass's peak
+    memory.  An inner integral that fails raises, so every value read has
+    converged.
     """
     start = max(1, L)
     poles = [pole for _, pole, _ in terms]
     n = np.array([[n for n, _, _ in terms]], dtype=float)
     strengths = np.array([[a for _, _, a in terms]], dtype=float)
-    failed = []
 
     def integrand(phis: np.ndarray) -> np.ndarray:
-        phis = phis.tolist()
-        kernels = [PhiKernel(N, L, phi) for phi in phis]
+        nodes = phis.tolist()
+        kernels = [PhiKernel(N, L, phi) for phi in nodes]
         residues = fill_tau_integrals(kernels)[:, start:]
-        tau = []
-        for phi, ker in zip(phis, kernels):
-            value, _, _, ok = ker.tau_integral()
-            if not ok:
-                failed.append(phi)
-            tau.append(value)
-        w = np.array([weight(phi) for phi in phis])
-        nu = np.array([[ker.nu] for ker in kernels])
-        gaps = np.array([[math.expm1(pole - phi) for pole in poles] for phi in phis])
+        tau = np.array([ker.tau_integral()[0] for ker in kernels])
+        w = np.array([weight(phi) for phi in nodes])
+        nu = np.array([ker.nu for ker in kernels])[:, None]
+        gaps = np.array([math.expm1(pole - phi) for phi in nodes for pole in poles]).reshape(len(nodes), len(poles))
         regular = (w[:, None] * n * residues - strengths * (nu / n)) / (n * gaps)
-        return np.stack((w * np.array(tau), regular.sum(axis=1)), axis=1)
+        return np.stack((w * tau, regular.sum(axis=1)), axis=1)
 
-    return integrand, failed
+    return integrand
 
 
 def _shift_bracket(
@@ -309,14 +305,13 @@ def _shift_bracket(
     terms = _pole_terms(N, L, weight)
     if terms and limit <= terms[0][1] + 1.0e-6:
         raise ValueError(f"dipole cutoff phi={limit:.3f} does not clear the pole at {terms[0][1]:.3f}")
-    integrand, failed = _bracket_integrand(N, L, weight, terms)
+    integrand = _bracket_integrand(N, L, weight, terms)
     if limit == math.inf:
         transition = max(math.log(N / (state.Z * constants.alpha0)), math.log(N / max(1, L)) + 1.0)
         edges = (*_phi_edges(terms, transition), math.inf)
     else:
         edges = _phi_edges(terms, limit)
     outer = integrate_panels(integrand, edges, spec)
-    outer.converged &= not failed
     diag = Diagnostics({"tau_phi_integral": outer})
     tau, regular = outer.columns
     pv = math.fsum([regular, *(a * _pole_pv(N, n, limit) for n, _, a in terms)])
@@ -438,13 +433,12 @@ def bethe_log(
 
     terms = _pole_terms(N, L, weight)
     sum_rule = 2.0 if L == 0 else 0.0
-    bracket, failed = _bracket_integrand(N, L, weight, terms)
+    bracket = _bracket_integrand(N, L, weight, terms)
 
     def h(phis: np.ndarray) -> np.ndarray:
         return bracket(phis).sum(axis=1) + sum_rule
 
     outer = integrate_panels(h, (*_phi_edges(terms, limits[-1]), math.inf), spec, marks=limits)
-    outer.converged &= not failed
     diag = Diagnostics({"tau_phi_integral": outer})
 
     def closed(limit: float) -> list[float]:

@@ -553,12 +553,13 @@ class TestTauIntegral:
             residue_terms = [n * ker.residues[n] / (n - ker.nu) for n in range(max(L, 1), N)]
             pieces = residue_terms + K._euler_block(N, L, [phi], [ker.nu])[0].tolist()
             assert (value, evaluations, converged) == (math.fsum(pieces), 0, True)
-            assert error == 1e-15 * math.fsum(abs(x) for x in pieces)
+            assert error == 1e-15 * np.abs(np.array(pieces)).sum()
 
-    @pytest.mark.parametrize("N, L, phi", [(20, 0, 2.99), (30, 0, 3.1), (25, 5, 3.05)])
+    @pytest.mark.parametrize("N, L, phi", [(20, 0, 2.99), (30, 0, 3.1), (25, 5, 3.05), (40, 10, 2.92)])
     def test_closed_form_with_nu_above_one(self, N, L, phi):
         # nu >= 1 on the closed branch (N >= 18): the digammas recur from
-        # the first positive argument 1 - nu + floor(nu) in both directions;
+        # the first positive argument 1 - nu + floor(nu) in both directions
+        # (twice downwards at (40, 10), where nu = 2.16);
         # the residue poles nu = n cancel between the pieces, so the value
         # stays finite but loses digits close to them (here nu - 1 >= 0.006)
         import lambshift.kernel as K
@@ -624,6 +625,31 @@ class TestEulerForm:
                 got = ker.tau_integral()[0]
                 want, pieces = _mp_euler_form(N, L, phi, ker.residues)
                 assert abs(got - want) <= 1e-13 * (abs(want) + pieces), (L, phi)
+
+    @pytest.mark.parametrize("N", [1, 4, 20, 50, 86])
+    def test_digamma_rows_equal_the_scalar_recurrence(self, N):
+        # int(nu) runs from 0 to 4 over these nodes (N = 86 at phi = 2.9),
+        # so the rows recur upward and downward; real nu gives the loop's
+        # floats, complex nu + i eps differs only in the rounding of
+        # numpy's complex division, amplified where the running sum cancels
+        def recurrence(nu):
+            first = int(nu.real)
+            psi = [0.0] * N
+            psi[first] = specfun.digamma(1.0 - nu + first)
+            for i in range(first + 1, N):
+                psi[i] = psi[i - 1] + 1.0 / (i - nu)
+            for i in range(first - 1, -1, -1):
+                psi[i] = psi[i + 1] - 1.0 / (i + 1 - nu)
+            return psi
+
+        nus = [N * math.exp(-phi) for phi in (2.9, 3.0, 3.6, 4.5, 8.0, 12.69)]
+        assert K._psi_rows(N, nus).tolist() == [recurrence(nu) for nu in nus]
+        for eps in (0.05, 0.0125):
+            rows = K._psi_rows(N, [complex(nu, eps) for nu in nus]).tolist()
+            for got, nu in zip(rows, nus):
+                want = recurrence(complex(nu, eps))
+                scale = max(abs(b) for b in want)
+                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15 * scale, (nu, eps)
 
     def test_rows_beyond_the_double_range_name_the_state(self):
         # 1/(2N-3)! leaves the double range from N = 87 on, for every L

@@ -242,6 +242,21 @@ class TestEpsilonAxis:
             value = _inner_t_integral_spectral(N, L, phi, N * math.exp(-phi), 0.0125)
             assert cmath.isfinite(value)
 
+    @pytest.mark.parametrize("N", [1, 4, 20, 50])
+    @pytest.mark.parametrize("eps", [0.05, 0.0125])
+    def test_complex_nu_block_equals_its_nodes_one_by_one(self, N, eps):
+        # one block of nodes at nu + i eps gives each node's value bit for
+        # bit; at N = 50 and phi = 3.6, int(nu) = 1, so that node's digammas
+        # recur downwards as well as upwards
+        phis = np.array([3.6, 4.1, 5.0, 6.5, 8.0, 10.0, 12.69])
+        nus = N * np.exp(-phis)
+        if N == 50:
+            assert int(nus[0]) == 1 and int(nus[1]) == 0
+        for L in sorted({0, N // 2, N - 1}):
+            block = _inner_t_integral_spectral(N, L, phis, nus, eps)
+            alone = [_inner_t_integral_spectral(N, L, phi, nu, eps) for phi, nu in zip(phis.tolist(), nus.tolist())]
+            assert block.tolist() == alone, L
+
     def test_single_eps_near_primary(self, eps_shift):
         # one finite-damping point lands within O(eps) of the converged shift
         value = eps_shift(1, 0, 0.05)

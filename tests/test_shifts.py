@@ -614,7 +614,7 @@ class TestHighNRegression:
         phi = math.log(50)
         assert 50 * math.exp(-phi) == 1.0
         weight = _photon_weight(QuantumState(N=50, L=0), NON_DIPOLE, C)
-        integrand, _ = _bracket_integrand(50, 0, weight, _pole_terms(50, 0, weight))
+        integrand = _bracket_integrand(50, 0, weight, _pole_terms(50, 0, weight))
         with pytest.raises(ArithmeticError, match=rf"\(N, L, phi\) = \(50, 0, {phi!r}\)$"):
             integrand(np.array([2.0, 3.5, phi, 5.0]))
 
@@ -717,42 +717,28 @@ class TestBethe:
         )
         assert len(seen) < per_cutoff
 
-    def test_unconverged_inner_integral_flags_result(self, monkeypatch):
-        flagged = []
+    def test_inner_integral_converges_or_raises(self, monkeypatch):
+        # every tau integral that a node reads reports (0 evaluations,
+        # converged); a series that does not end raises out of bethe_log
+        # instead of flagging the result
+        seen = []
         tau_integral = kernel.PhiKernel.tau_integral
 
-        def failing_once(ker):
-            value, err, evals, ok = tau_integral(ker)
-            if not flagged and ker.phi < 1.0:
-                flagged.append(ker.phi)
-                ok = False
-            return value, err, evals, ok
+        def recording(ker):
+            result = tau_integral(ker)
+            seen.append(result[2:])
+            return result
 
-        monkeypatch.setattr(kernel.PhiKernel, "tau_integral", failing_once)
-        result = bethe_log(2, 1)
-        assert flagged
-        assert not result.converged
+        monkeypatch.setattr(kernel.PhiKernel, "tau_integral", recording)
+        assert bethe_log(2, 1).converged
+        assert seen and set(seen) == {(0, True)}
 
-    @pytest.mark.parametrize("where", ["phi_to_last_cutoff", "phi_tail"])
-    def test_unconverged_link_flags_result(self, monkeypatch, where):
-        # inner integrals that fail only between the first two cutoffs, or
-        # only past the last (on the x = e^-phi panel), flag the one part
-        # and the result
-        state = QuantumState(N=2, L=1)
-        limits = [DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, C) for x in BETHE_CUTOFFS]
-        lo, hi = (limits[0], limits[1]) if where == "phi_to_last_cutoff" else (limits[-1], math.inf)
-        tau_integral = kernel.PhiKernel.tau_integral
+        def never_ends(kernels, *args, **kwargs):
+            raise ArithmeticError("kernel series did not converge")
 
-        def failing_inside(ker):
-            value, err, evals, ok = tau_integral(ker)
-            return value, err, evals, ok and not lo < ker.phi < hi
-
-        monkeypatch.setattr(kernel.PhiKernel, "tau_integral", failing_inside)
-        result = bethe_log(2, 1)
-        assert not result.converged
-        assert {name: p.converged for name, p in result.diagnostics.parts.items()} == {
-            "tau_phi_integral": False
-        }
+        monkeypatch.setattr(kernel, "_series_sums", never_ends)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            bethe_log(2, 1)
 
     def test_one_residue_call_per_channel(self, monkeypatch):
         # the phi nodes read every R_n from PhiKernel.residues; residue_coeffs
