@@ -717,10 +717,10 @@ class TestBethe:
         )
         assert len(seen) < per_cutoff
 
-    def test_inner_integral_converges_or_raises(self, monkeypatch):
+    def test_unconverged_inner_integral_flags_result(self, monkeypatch):
         # every tau integral that a node reads reports (0 evaluations,
-        # converged); a series that does not end raises out of bethe_log
-        # instead of flagging the result
+        # converged); an inner series that does not end flags the result by
+        # raising out of bethe_log, not through the converged flag
         seen = []
         tau_integral = kernel.PhiKernel.tau_integral
 
@@ -739,6 +739,35 @@ class TestBethe:
         monkeypatch.setattr(kernel, "_series_sums", never_ends)
         with pytest.raises(ArithmeticError, match="did not converge"):
             bethe_log(2, 1)
+
+    @pytest.mark.parametrize("where", ["phi_to_last_cutoff", "phi_tail"])
+    def test_unconverged_link_flags_result(self, monkeypatch, where):
+        # inner integrals that add 1e-3/|phi - pole| to the integrand, a
+        # non-integrable spike, only between the first two cutoffs, or only
+        # past the last (on the x = e^-phi panel), leave the phi integral
+        # unconverged, which flags its one part and the result
+        state = QuantumState(N=2, L=1)
+        limits = [DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, C) for x in BETHE_CUTOFFS]
+        lo, hi = (limits[0], limits[1]) if where == "phi_to_last_cutoff" else (limits[-1], math.inf)
+        pole = lo + (min(hi, lo + 1.0) - lo) / math.pi
+        tau_integral = kernel.PhiKernel.tau_integral
+
+        def spiked_inside(ker):
+            value, err, evals, ok = tau_integral(ker)
+            if lo < ker.phi < hi and abs(ker.phi - pole) < 0.25:
+                weight = math.expm1(2.0 * ker.phi) / 4  # bethe_log's w at N = 2
+                value += 1e-3 / (weight * abs(ker.phi - pole))
+            return value, err, evals, ok
+
+        monkeypatch.setattr(kernel.PhiKernel, "tau_integral", spiked_inside)
+        result = bethe_log(2, 1)
+        assert not result.converged
+        assert {name: p.converged for name, p in result.diagnostics.parts.items()} == {
+            "tau_phi_integral": False
+        }
+        outer = result.diagnostics.parts["tau_phi_integral"]
+        # the refinement ends on a panel too narrow to split, not on the budget
+        assert outer.subdivisions < QuadratureSpec().max_subdivisions // 10
 
     def test_one_residue_call_per_channel(self, monkeypatch):
         # the phi nodes read every R_n from PhiKernel.residues; residue_coeffs
