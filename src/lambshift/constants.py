@@ -28,8 +28,11 @@ class PhysicalConstants:
     hbar_eVs: float = HBAR_EVS_CODATA2018
 
     def __post_init__(self) -> None:
-        if not (self.alpha0 > 0 and self.mec2_eV > 0 and self.hbar_eVs > 0):
-            raise ValueError("physical constants must be positive")
+        if not (0 < self.alpha0 < math.inf and 0 < self.mec2_eV < math.inf and 0 < self.hbar_eVs < math.inf):
+            raise ValueError(
+                "physical constants must be finite and positive, got "
+                f"alpha0={self.alpha0!r}, mec2_eV={self.mec2_eV!r}, hbar_eVs={self.hbar_eVs!r}"
+            )
 
     def energy_unit_eV(self, Z: int) -> float:
         """Atomic energy unit E0 = mec2 (Z alpha0)^2 in eV."""

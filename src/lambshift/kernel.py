@@ -8,15 +8,17 @@ one place the formula is written), every |D|^2 from one Jacobi closed form
 (_row_weights for j <= N, _tail_weights beyond;
 su11.rep_matrix_element is only an independent reference).  The q_j with
 j < N are the residues R_j and the j >= N tail is the remainder Q~.
-The kernels of one (N, L) are evaluated as blocks (fill_tau_integrals):
-the shift integrand passes all phi nodes of a quadrature call as one
-block, and a lone kernel is a block of one.  A block forms the weights
-j = -1 .. N of all its nodes at once (_block_rows, one Jacobi recurrence
-over the whole row, the same floats as _row_weights node by node), hence
-their residues; the tail coefficients of its series-branch kernels come as
-a forward stream of (kernels x j) chunks (_coeff_chunks), forming each
-weight once, which _series_sums sums row by row.  PhiKernel itself holds
-only (N, L, phi, nu, t^2) and the filled value.  Summing the tail directly
+The kernels of one (N, L) are evaluated as blocks (fill_tau_integrals,
+the only function that reads or writes PhiKernel objects; every function
+below it takes (N, L) and arrays of phi and nu): the shift integrand
+passes all phi nodes of a quadrature call as one block, and a lone kernel
+is a block of one.  A block forms the weights j = -1 .. N of all its nodes
+at once (_block_rows, one Jacobi recurrence over the whole row, the same
+floats as _row_weights node by node), hence their residues; the tail
+coefficients of its series-branch nodes come in forward (nodes x j) chunks
+that _series_sums sums row by row, forming each weight once and dropping
+each row once it has stopped.  PhiKernel itself holds only (N, L, phi, nu),
+its residues and the filled value.  Summing the tail directly
 removes the catastrophic cancellation that subtracting the finite series
 from the closed form would cause at small phi, where the integrand weight
 e^{nu tau} grows almost as fast as the kernel decays.
@@ -27,7 +29,8 @@ keyed by (N - j, 2L + 1) and so shared by every N, laid out as rows over
 j by _row_steps), the indices, gain ratios and steps of every tail chunk
 (_tail_table, the only source of them; the series branch stops within a
 bounded depth for each (N, L), so the table stays bounded) and the factors
-of each Euler log series with its first term 1/s! (_euler_rows).
+of each Euler log series with its first term 1/s! (_euler_rows) and the
+steps of the log series themselves (_log_table, one table per length).
 At large phi the series converges too slowly (ratio t^2 -> 1,
 t = tanh(phi/2)) and the closed u-form Q = pi(u) (1 - u t^2)^{-2N}, pi a
 polynomial of degree 2N - L, takes over without ever being evaluated in
@@ -139,25 +142,24 @@ def _row_steps(N: int, L: int) -> tuple:
     )
 
 
-def _block_rows(kernels) -> tuple[np.ndarray, np.ndarray]:
-    """(points, rows) of a block of kernels of one (N, L): the Jacobi points
+def _block_rows(N: int, L: int, phis) -> tuple[np.ndarray, np.ndarray]:
+    """(points, rows) of a block of nodes phis of one (N, L): the Jacobi points
     (w, t^2, G_N) as an (M x 3) array and the weights |D_{N,j}|^2, j = -1 .. N,
-    one row per kernel.
+    one row per node.
 
     The batched _row_weights: each row equals _row_weights(N, L, point, -1,
-    N + 1) bit for bit.  The factors G_j are formed per kernel in Python
+    N + 1) bit for bit.  The factors G_j are formed per node in Python
     floats (t^{2(N-j)} by pow, as there) and the polynomials of all
-    weights j <= N of all kernels in one recurrence (_row_steps), so a
+    weights j <= N of all nodes in one recurrence (_row_steps), so a
     block costs N - L - 1 array steps where its nodes alone would cost
     (N - L)^2/2 scalar steps each.
     """
-    N, L = kernels[0].N, kernels[0].L
-    points = [_jacobi_point(L, ker.phi) for ker in kernels]
+    points = [_jacobi_point(L, phi) for phi in phis]
     table = _row_table(N, L)
     gains = np.array([[ratio * t2**power * gain for ratio, power, _ in table] for _, t2, gain in points])
     points = np.array(points)
     p = _jacobi_from_steps(_row_steps(N, L), points[:, :1])
-    rows = np.zeros((len(kernels), N + 2))
+    rows = np.zeros((len(points), N + 2))
     rows[:, L + 2 :] = gains * p * p
     return points, rows
 
@@ -240,10 +242,7 @@ class _EulerRows(NamedTuple):
     j = 0), first = 1/s! its first term, a = 2N + h and s, and for the
     terms with m < 0 (all but the last when L = 0, where m = 1)
     finite = q!/(2N-1)! (q+1)_j (s-j-1)!/j! for j < s, zero beyond, and
-    past = 1.0 where j >= s, else 0.0, both over the longest s.  series is
-    the list [heads, steps] of the log series' factors from
-    _log_series_step as (terms x j) arrays, grown by _log_series to the
-    longest series summed so far.
+    past = 1.0 where j >= s, else 0.0, both over the longest s.
     """
 
     amp: np.ndarray
@@ -252,11 +251,10 @@ class _EulerRows(NamedTuple):
     psi: list
     psi0: np.ndarray
     first: np.ndarray
-    a: list
+    a: np.ndarray
     s: np.ndarray
     finite: np.ndarray
     past: np.ndarray
-    series: list
 
 
 @lru_cache(maxsize=None)
@@ -290,22 +288,24 @@ def _euler_rows(N: int, L: int) -> _EulerRows:
     width = len(finite[0]) if finite else 0  # the longest s, at k = 0
     return _EulerRows(
         np.array(amp), np.array(p, dtype=float), np.array(h, dtype=float), list(psi), np.array(psi0),
-        np.array(first), list(a), np.array(s, dtype=float),
+        np.array(first), np.array(a, dtype=float), np.array(s, dtype=float),
         np.array([row + [0.0] * (width - len(row)) for row in finite]).reshape(len(finite), width),
         np.array([[float(j >= si) for j in range(width)] for si in s[: len(finite)]]).reshape(len(finite), width),
-        [np.empty((len(a), 0))] * 2,
     )
 
 
-def _log_series_step(a: int, s: int, j: int) -> tuple[float, float]:
-    """(a+j)/((j+1)(j+s+1)) and 1/(a+j) - 1/(j+1) - 1/(j+s+1): the parts of step j
-    of a log series S_k (_euler_block) that do not depend on phi."""
-    return (a + j) / ((j + 1) * (j + s + 1)), 1.0 / (a + j) - 1.0 / (j + 1) - 1.0 / (j + s + 1)
+@lru_cache(maxsize=None)
+def _log_table(N: int, L: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of steps j < length of the log series S_k (_euler_block) that do not depend on phi.
 
-
-def _ln_cosh2(phi: float) -> float:
-    """ln cosh^2(phi/2), overflow-safe for any phi."""
-    return phi - 2.0 * math.log(2.0) + 2.0 * math.log1p(math.exp(-phi))
+    Two (terms x length) arrays, (a+j)/((j+1)(j+s+1)) and 1/(a+j) - 1/(j+1)
+    - 1/(j+s+1) with a and s from _euler_rows.  Every operand is an
+    integer-valued float far below 2^53, so each entry is the float of the
+    same expression in Python integers.
+    """
+    rows = _euler_rows(N, L)
+    a, s, j = rows.a[:, None], rows.s[:, None], np.arange(length, dtype=float)
+    return (a + j) / ((j + 1.0) * (j + s + 1.0)), 1.0 / (a + j) - 1.0 / (j + 1.0) - 1.0 / (j + s + 1.0)
 
 
 # Nodes x terms x steps of one _log_series slice: 16 kB per array, so
@@ -332,7 +332,7 @@ def _series_length(N: int, w: float) -> int:
     return 8 * math.ceil(steps / 8)
 
 
-def _log_series(rows: _EulerRows, N: int, bh, g, w):
+def _log_series(N: int, L: int, bh, g, w):
     """S_k of _euler_block for each node and term, every one stopped by the test of a term-by-term loop.
 
     Entry (i, k) sums term_j g_j, term_0 = 1/s! and term_{j+1} = term_j
@@ -349,6 +349,7 @@ def _log_series(rows: _EulerRows, N: int, bh, g, w):
     still open there (a NaN entry never ends) raises ArithmeticError
     naming (N, L).
     """
+    first = _euler_rows(N, L).first
     nodes, terms = bh.shape
     order = sorted(range(nodes), key=w[:, 0].tolist().__getitem__, reverse=True)
     bh, g, w = bh[order], g[order], w[order]
@@ -358,21 +359,17 @@ def _log_series(rows: _EulerRows, N: int, bh, g, w):
         length = _series_length(N, float(w[lo, 0]))
         count = max(1, _SERIES_ELEMENTS // (terms * length))
         while True:
-            series = rows.series
-            if series[0].shape[1] < length:
-                size = max(length, 2 * series[0].shape[1])
-                table = [[_log_series_step(a, s, j) for j in range(size)] for a, s in zip(rows.a, rows.s.tolist())]
-                series[:] = np.ascontiguousarray(np.array(table).transpose(2, 0, 1))
+            heads, steps = _log_table(N, L, length)
             # three arrays of (slice x terms x length): x, then the terms, their products
             # and |product ratio|; the ratios, then the bound; the brackets, then the sums
             x = bh[lo : lo + count, :, None] + np.arange(length, dtype=float)
-            ratio = series[0][:, :length] * x
+            ratio = heads * x
             ratio *= w[lo : lo + count, :, None]
             sums = np.empty_like(x)
             sums[..., 0] = g[lo : lo + count]
             np.divide(1.0, x[..., :-1], out=sums[..., 1:])
-            sums[..., 1:] += series[1][:, : length - 1]
-            x[..., 0] = rows.first
+            sums[..., 1:] += steps[:, :-1]
+            x[..., 0] = first
             x[..., 1:] = ratio[..., :-1]
             np.cumprod(x, axis=2, out=x)
             np.cumsum(sums, axis=2, out=sums)
@@ -393,7 +390,7 @@ def _log_series(rows: _EulerRows, N: int, bh, g, w):
             length *= 2
             if length > _SERIES_MAX_STEPS:
                 raise ArithmeticError(
-                    f"a log series of the Euler closed form at (N, L) = ({N}, {N - terms}) has not "
+                    f"a log series of the Euler closed form at (N, L) = ({N}, {L}) has not "
                     f"ended within {length // 2} steps"
                 )
         ends[:, 1:] &= ~ends[:, :-1]  # the first end of each entry alone
@@ -488,12 +485,12 @@ def _euler_block(N: int, L: int, phis, nus) -> np.ndarray:
     e = np.array([math.exp(-x) for x in phis])[:, None]  # by math.exp, see above
     u = 1.0 + e
     w = 4.0 * e / u**2
-    # ln w = -ln cosh^2(phi/2) as in _ln_cosh2, log1p(e) as log(u) corrected for the rounding of u
-    # (numpy's first log1p, like its first exp, would page in its code)
+    # ln w = -ln cosh^2(phi/2) = -(phi - 2 ln 2 + 2 log1p(e)), log1p(e) as log(u) corrected for the
+    # rounding of u (numpy's first log1p, like its first exp, would page in its code)
     w3, ln_w = w**3, -(phi - 2.0 * math.log(2.0) + 2.0 * (np.log(u) - (u - 1.0 - e) / u))
     amp = rows.amp * (1.0 - w) ** np.arange(N - L, dtype=float)  # -t_k t^{2k}/4, t^2 = 1 - w
     base = amp * w3
-    total = _log_series(rows, N, rows.p - nu + rows.h, ln_w + rows.psi0 + _psi_rows(N, nus)[:, rows.psi], w)
+    total = _log_series(N, L, rows.p - nu + rows.h, ln_w + rows.psi0 + _psi_rows(N, nus)[:, rows.psi], w)
     pieces = []
     f, width = rows.finite.shape
     if f:
@@ -513,9 +510,9 @@ def _euler_block(N: int, L: int, phis, nus) -> np.ndarray:
 class PhiKernel:
     """Kernel data at fixed (N, L, phi): the residues and the inner tau integral.
 
-    Construction keeps N, L, phi, nu = N e^-phi and t^2 = tanh^2(phi/2)
-    only; the weights are formed for whole blocks of nodes
-    (fill_tau_integrals), and a lone kernel is a block of one.
+    Construction keeps N, L, phi and nu = N e^-phi only; the weights are
+    formed for whole blocks of nodes (fill_tau_integrals), and a lone
+    kernel is a block of one.
     """
 
     def __init__(self, N: int, L: int, phi: float):
@@ -526,17 +523,13 @@ class PhiKernel:
         self.L = L
         self.phi = phi
         self.nu = N * math.exp(-phi)
-        self.t2 = math.tanh(phi / 2.0) ** 2
         self._tau = None  # (value, error bound) of tau_integral, see fill_tau_integrals
 
     @cached_property
     def residues(self) -> tuple[float, ...]:
         """R_0 .. R_{N-1} (zero below L), from the node's weights j = -1 .. N as a block of one."""
-        row = _block_rows([self])[1][0]
+        row = _block_rows(self.N, self.L, [self.phi])[1][0]
         return tuple(_q(row[:-2], row[1:-1], row[2:]).tolist())
-
-    def _use_series(self) -> bool:
-        return self.t2 <= SERIES_T2_MAX
 
     def tau_integral(self):
         """int_0^inf e^{nu tau} dQ~/dtau dtau, the inner integral of the shift.
@@ -559,80 +552,55 @@ class PhiKernel:
         return value, bound, 0, True
 
 
-def _coeff_chunks(kernels, block=None):
-    """The tail q_j, j >= N, of a block of kernels of one (N, L), as chunks (j, q).
+def _series_sums(N: int, L: int, phis, nu, factor, rel_tol=1.0e-13, abs_tol=1.0e-300, block=None) -> list[float]:
+    """sum_{j >= N} q_j factor(j, nu) at each node of a block of one (N, L), for positive decreasing-enough factors.
 
-    j holds the chunk's indices as floats, 96 doubling to 4096 of them,
-    and q one row per open kernel.  Each |D_{N,j}|^2 is formed once.  A
-    chunk extends the weights by _tail_weights from the gains of the last
-    one and carries only each row's last two weights into the next, so a
-    chunk costs the same whatever came before it, every q_j equals its
-    value from one _tail_weights call over the whole range, and each row
-    equals that of its kernel in a block of one, bit for bit.  block is
-    the kernels' (points, rows) of _block_rows, formed here when not
-    given.  The consumer decides when each row stops: it sends a boolean
-    mask of the rows to keep (None, as iteration sends, keeps them all),
-    and the next chunk holds those rows only.
+    phis is a list of the nodes and nu an array of their nu; block is their
+    (points, rows) of _block_rows, formed here when not given.  The tail
+    q_j come in chunks of 96 doubling to 4096 columns, one row per open
+    node, each extending the weights by _tail_weights from the gains of the
+    last chunk and carrying only each row's last two weights into the next:
+    each |D_{N,j}|^2 is formed once, a chunk costs the same whatever came
+    before it, and every q_j equals its value from one _tail_weights call
+    over the whole range.  factor gets a chunk's j (floats, from
+    _tail_table) and the column of its open rows' nu.  Each row stops on its
+    own tail bound, one array comparison over the open rows per chunk, and
+    leaves the chunks that follow, after as many chunks as its node would
+    take alone, so every sum equals that of a block of one bit for bit.  A
+    row still open past j = 2e6 raises ArithmeticError naming (N, L, phi)
+    of every open node.
     """
-    N, L = kernels[0].N, kernels[0].L
-    points, rows = block or _block_rows(kernels)
-    # one row per kernel: w, t^2, the gain G_N and the weights j = N - 1, N
-    w, t2, gain, edge = points[:, :1], points[:, 1:2], points[:, 2], rows[:, -2:]
+    points, rows = block or _block_rows(N, L, phis)
+    # one row per open node: w, t^2, nu, the gain G at the chunk's start and the weights j0 - 1, j0
+    w, t2, nu, gain, edge = points[:, :1], points[:, 1:2], np.asarray(nu)[:, None], points[:, 2], rows[:, -2:]
+    totals, sums = np.zeros(len(points)), np.zeros(len(points))
+    open_ = np.arange(len(points))  # the node of each open row
     j0, chunk = N, 96
     while True:
         j1 = j0 + chunk
         tail, gain = _tail_weights(N, L, (w, t2, None), j0 + 1, j1 + 1, gain)
         weights = np.concatenate((edge, tail), axis=1)
-        del tail  # only q and the last two weights outlive the chunk
-        q = _q(weights[:, :-2], weights[:, 1:-1], weights[:, 2:])
+        del tail  # only the terms and the last two weights outlive the chunk
+        terms = _q(weights[:, :-2], weights[:, 1:-1], weights[:, 2:])
         edge = weights[:, -2:].copy()
         del weights
-        keep = yield _tail_table(N, L, j0 + 1, j1 + 1)[0], q
-        if keep is not None:
-            w, t2, gain, edge = w[keep], t2[keep], gain[keep], edge[keep]
-        j0 = j1
-        chunk = min(2 * chunk, 4096)
-
-
-def _series_sums(kernels, factor, rel_tol: float = 1.0e-13, abs_tol: float = 1.0e-300, block=None) -> list[float]:
-    """sum_{j >= N} q_j factor(j, nu) for each kernel of a block, for positive decreasing-enough factors.
-
-    One stream of _coeff_chunks serves the whole block (block as there);
-    factor gets a chunk's j and the column of its open rows' nu.  Each row
-    stops on its own tail bound, one array comparison over the open rows
-    per chunk, after as many chunks as its kernel would take alone, so
-    every sum equals that of a block of one bit for bit.  A row still open
-    past j = 2e6 raises ArithmeticError naming (N, L, phi) of every open
-    kernel.
-    """
-    N = kernels[0].N
-    nu, t2 = np.array([ker.nu for ker in kernels]), np.array([ker.t2 for ker in kernels])
-    totals, sums = np.zeros(len(kernels)), np.zeros(len(kernels))
-    rows = np.arange(len(kernels))  # the kernel of each open row
-    chunks = _coeff_chunks(kernels, block)
-    j, q = next(chunks)
-    while True:
-        terms = q
-        terms *= factor(j, nu[:, None])  # in place: the stream keeps no chunk
+        terms *= factor(_tail_table(N, L, j0 + 1, j1 + 1)[0], nu)
         totals += terms.sum(axis=1)
-        sums[rows] = totals
-        j1 = int(j[-1]) + 1
-        ratio = np.minimum(0.999, t2 * (1.0 + 2.0 * N / j1))
+        sums[open_] = totals
+        ratio = np.minimum(0.999, t2[:, 0] * (1.0 + 2.0 * N / j1))
         bound = np.maximum(rel_tol * np.abs(totals), abs_tol)
         keep = ~(np.abs(terms[:, -8:]).max(axis=1) * ratio / (1.0 - ratio) <= bound)
         if not keep.any():
             return sums.tolist()
-        if keep.all():
-            keep = None
-        else:
-            rows, nu, t2, totals = rows[keep], nu[keep], t2[keep], totals[keep]
+        if not keep.all():
+            open_, w, t2, nu, gain, edge, totals = (a[keep] for a in (open_, w, t2, nu, gain, edge, totals))
         if j1 > 2_000_000:
-            open_ = ", ".join(f"({kernels[i].N}, {kernels[i].L}, {kernels[i].phi!r})" for i in rows.tolist())
-            raise ArithmeticError(f"kernel series did not converge by j = {j1} at (N, L, phi) = {open_}")
-        j, q = chunks.send(keep)
+            at = ", ".join(f"({N}, {L}, {phis[i]!r})" for i in open_.tolist())
+            raise ArithmeticError(f"kernel series did not converge by j = {j1} at (N, L, phi) = {at}")
+        j0, chunk = j1, min(2 * chunk, 4096)
 
 
-# Kernels per series stream: a chunk of 96 coefficients then holds at most
+# Nodes per series stream: a chunk of 96 coefficients then holds at most
 # this many rows (24 kB per array), so that a call of 55 nodes adds little
 # to the peak memory of a pass.
 _STREAM_ROWS = 32
@@ -641,41 +609,44 @@ _STREAM_ROWS = 32
 def fill_tau_integrals(kernels) -> np.ndarray:
     """Fill the tau integrals of kernels of one (N, L) as one block; return their residues.
 
-    The block forms the weight rows j = -1 .. N of every kernel at once
+    The one function that touches kernel objects: it reads their phi and
+    nu once, works on arrays of them and writes each kernel's value once.
+    The block forms the weight rows j = -1 .. N of every node at once
     (_block_rows) and from them the residues R_0 .. R_{N-1}, one row per
-    kernel, which it returns.  The series-branch kernels with nu < N
+    kernel, which it returns.  The series-branch nodes with nu < N
     (phi > 0) get their sums from _series_sums streams of up to
-    _STREAM_ROWS kernels; the closed-branch kernels get their residue
-    terms and the Gauss pieces of one _euler_block, each node's pieces
-    summed by math.fsum and their magnitudes, for the bound, by one array
-    sum over the block.  Every value equals that of the kernel in a block
-    of one bit for bit.  The kernels at phi = 0 are left as they are:
-    tau_integral raises there.
+    _STREAM_ROWS nodes; the closed-branch nodes get their residue terms
+    and the Gauss pieces of one _euler_block, each node's pieces summed by
+    math.fsum and their magnitudes, for the bound, by one array sum over
+    the block.  Every value equals that of the kernel in a block of one
+    bit for bit.  The kernels at phi = 0 are left unfilled: tau_integral
+    raises there.
     """
     N, L = kernels[0].N, kernels[0].L
-    points, rows = _block_rows(kernels)
+    phis = np.array([ker.phi for ker in kernels], dtype=float)
+    nus = np.array([ker.nu for ker in kernels])
+    points, rows = _block_rows(N, L, phis.tolist())
     residues = _q(rows[:, :-2], rows[:, 1:-1], rows[:, 2:])
-    nu = np.array([ker.nu for ker in kernels])
-    series = points[:, 1] <= SERIES_T2_MAX  # t^2 of each kernel, as _use_series reads it
-    summed = series & (nu < N)
-    if summed.any():
-        block = [ker for ker, on in zip(kernels, summed.tolist()) if on]
-        data = points[summed], rows[summed]
-        for lo in range(0, len(block), _STREAM_ROWS):
-            group = slice(lo, lo + _STREAM_ROWS)
-            sums = _series_sums(
-                block[group], lambda j, nu: j / (j - nu), TAU_REL_TOL, TAU_ABS_TOL, tuple(a[group] for a in data)
-            )
-            for ker, total in zip(block[group], sums):
-                ker._tau = -total, max(TAU_REL_TOL * abs(total), TAU_ABS_TOL)
-    closed = ~series
-    if closed.any():
-        block = [ker for ker, on in zip(kernels, closed.tolist()) if on]
-        gauss = _euler_block(N, L, [ker.phi for ker in block], nu[closed].tolist())
+    taus = [None] * len(kernels)  # None at phi = 0, where tau_integral raises
+    series = points[:, 1] <= SERIES_T2_MAX  # t^2 of each node
+    summed = np.flatnonzero(series & (nus < N))
+    for lo in range(0, summed.size, _STREAM_ROWS):
+        group = summed[lo : lo + _STREAM_ROWS]
+        sums = _series_sums(
+            N, L, phis[group].tolist(), nus[group], lambda j, nu: j / (j - nu), TAU_REL_TOL, TAU_ABS_TOL,
+            (points[group], rows[group]),
+        )
+        for i, total in zip(group.tolist(), sums):
+            taus[i] = -total, max(TAU_REL_TOL * abs(total), TAU_ABS_TOL)
+    closed = np.flatnonzero(~series)
+    if closed.size:
+        gauss = _euler_block(N, L, phis[closed].tolist(), nus[closed].tolist())
         n = np.arange(max(L, 1), N, dtype=float)
-        terms = n * residues[closed][:, max(L, 1) :] / (n - nu[closed][:, None])
+        terms = n * residues[closed, max(L, 1) :] / (n - nus[closed, None])
         pieces = np.concatenate((terms, gauss), axis=1)
         bounds = 1.0e-15 * np.abs(pieces).sum(axis=1)
-        for ker, row, bound in zip(block, pieces.tolist(), bounds.tolist()):
-            ker._tau = math.fsum(row), bound
+        for i, row, bound in zip(closed.tolist(), pieces.tolist(), bounds.tolist()):
+            taus[i] = math.fsum(row), bound
+    for ker, tau in zip(kernels, taus):
+        ker._tau = tau
     return residues

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .constants import PhysicalConstants, default_constants
 from .kernel import (
     PhiKernel,
     _euler_block,
-    _ln_cosh2,
     _series_sums,
     _series_term_ratios,
     residue_coeffs,
@@ -130,6 +130,16 @@ def kernel_via_spectral_series(
     return SpectralKernelValue(value=prefactor * total, last_term=abs(prefactor) * last, terms=n_max - L)
 
 
+def _tanh2(phi: float) -> float:
+    """t^2 = tanh^2(phi/2), the series ratio of the kernel at phi."""
+    return math.tanh(phi / 2.0) ** 2
+
+
+def _ln_cosh2(phi: float) -> float:
+    """ln cosh^2(phi/2), overflow-safe for any phi."""
+    return phi - 2.0 * math.log(2.0) + 2.0 * math.log1p(math.exp(-phi))
+
+
 def _closed_terms(ker: PhiKernel, tau):
     """The closed u-form at tau of any shape: (A, p, q, u, 1 - u, g, u^p, u^p (1-u)^{q-1}, R_p).
 
@@ -158,7 +168,7 @@ def _closed_terms(ker: PhiKernel, tau):
     mt = -np.asarray(tau, dtype=float)[..., None]
     u, omu = np.exp(mt), -np.expm1(mt)
     up = u**p
-    g = math.exp(-ln_ch2) + ker.t2 * omu
+    g = math.exp(-ln_ch2) + _tanh2(phi) * omu
     return np.array(amps), p, q, u, omu, g, up, up * omu ** (q - 1.0), np.array(ker.residues)[p.astype(int)]
 
 
@@ -180,7 +190,7 @@ def _closed_remainder_dtau(ker: PhiKernel, tau):
     indices the whole derivative is one sum over the terms.
     """
     amp, p, q, u, omu, g, up, base, res = _closed_terms(ker, tau)
-    inner = p * omu - q * u + (2 * ker.N * ker.t2) * u * omu / g
+    inner = p * omu - q * u + (2 * ker.N * _tanh2(ker.phi)) * u * omu / g
     return np.add.reduce(p * res * up - g ** (-2 * ker.N) * amp * base * inner, axis=-1)
 
 
@@ -191,9 +201,9 @@ def _closed_remainder_dtau(ker: PhiKernel, tau):
 def remainder(ker: PhiKernel, tau: float) -> float:
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    if ker._use_series():
+    if _tanh2(ker.phi) <= kernel.SERIES_T2_MAX:
         u = math.exp(-tau)
-        return _series_sums([ker], lambda j, nu: u**j, abs_tol=1.0e-320)[0]
+        return _series_sums(ker.N, ker.L, [ker.phi], [ker.nu], lambda j, nu: u**j, abs_tol=1.0e-320)[0]
     x = np.array([tau])
     *_, up, _, res = _closed_terms(ker, x)
     return float((q_imag_time(ker, x) - np.add.reduce(res * up, axis=-1))[0])
@@ -202,9 +212,9 @@ def remainder(ker: PhiKernel, tau: float) -> float:
 def remainder_dtau(ker: PhiKernel, tau: float) -> float:
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    if ker._use_series():
+    if _tanh2(ker.phi) <= kernel.SERIES_T2_MAX:
         u = math.exp(-tau)
-        return -_series_sums([ker], lambda j, nu: j * u**j, abs_tol=1.0e-320)[0]
+        return -_series_sums(ker.N, ker.L, [ker.phi], [ker.nu], lambda j, nu: j * u**j, abs_tol=1.0e-320)[0]
     return float(_closed_remainder_dtau(ker, np.array([tau]))[0])
 
 

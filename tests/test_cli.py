@@ -118,6 +118,24 @@ def test_constants_file_flag(tmp_path, capsys):
     assert "626.81" in out
 
 
+@pytest.mark.parametrize(
+    "argv, key", [(("shift", "--n", "2", "--l", "1"), "mec2_eV"), (("rates", "--n", "2", "--l", "1"), "alpha0")]
+)
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_non_finite_constants_exit_2(tmp_path, capsys, monkeypatch, argv, key, source):
+    # an infinite constant would print nan MHz or inf rates with exit 0
+    values = {"alpha0": "7.2973525693e-3", "mec2_eV": "510998.95", "hbar_eVs": "6.582119569e-16", key: "inf"}
+    path = tmp_path / "c.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    if source == "flag":
+        argv = (*argv, "--constants-file", str(path))
+    else:
+        monkeypatch.setenv("LAMBSHIFT_CONSTANTS", str(path))
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EXIT_USAGE
+    assert out == "" and "finite and positive" in err
+
+
 def test_nonconvergence_exit_3(capsys, monkeypatch):
     import lambshift.cli as cli_mod
 

@@ -86,6 +86,16 @@ def test_load_constants_rejects_missing_key(tmp_path):
         load_constants(str(path))
 
 
+@pytest.mark.parametrize("key", ["alpha0", "mec2_eV", "hbar_eVs"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1e-3"])
+def test_load_constants_rejects_non_finite_or_non_positive(tmp_path, key, value):
+    values = {"alpha0": "7.2e-3", "mec2_eV": "511000.0", "hbar_eVs": "6.58e-16", key: value}
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    with pytest.raises(ValueError, match="finite and positive"):
+        load_constants(str(path))
+
+
 def test_resolve_constants_env_var(tmp_path, monkeypatch):
     path = tmp_path / "env.txt"
     path.write_text("alpha0 = 7.25e-3\nmec2_eV = 510000.0\nhbar_eVs = 6.58e-16\n")

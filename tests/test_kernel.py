@@ -16,7 +16,6 @@ from lambshift.kernel import (
     PhiKernel,
     _euler_rows,
     _jacobi_point,
-    _log_series_step,
     _q,
     _row_table,
     _row_weights,
@@ -88,13 +87,21 @@ SAMPLED_STATES = [(N, L) for N in (1, 2, 3, 4) for L in range(N)] + [
 ]
 
 
-def _stream(ker, j1):
-    """q_N .. q_{j1-1} from the coefficient stream of the kernel's block of one."""
-    chunks = []
-    for j, q in K._coeff_chunks([ker]):
-        chunks.append(q[0])
-        if j[-1] + 1 >= j1:
-            return np.concatenate(chunks)[: j1 - ker.N]
+def _on_series(phi):
+    return math.tanh(phi / 2.0) ** 2 <= K.SERIES_T2_MAX
+
+
+def _stream(N, L, phi, j1):
+    """q_N .. q_{j1-1} of one node: its _block_rows weights, then _tail_weights in the series' chunks."""
+    points, rows = K._block_rows(N, L, [phi])
+    w, t2, gain = points[0]
+    weights, j0, chunk = [rows[0]], N, 96  # rows[0] holds j = -1 .. N
+    while j0 < j1:
+        tail, gain = _tail_weights(N, L, (w, t2, None), j0 + 1, j0 + chunk + 1, gain)
+        weights.append(tail)
+        j0, chunk = j0 + chunk, min(2 * chunk, 4096)
+    weights = np.concatenate(weights)
+    return _q(weights[:-2], weights[1:-1], weights[2:])[N:j1]
 
 
 class TestDilationWeights:
@@ -157,7 +164,7 @@ def test_hot_path_never_calls_reference_route(monkeypatch):
     _channels.cache_clear()  # so that the rates compute their residues here
     assert decay_rates(state) and decay_rates(state, DipoleOptions(enabled=True))
     series, closed = PhiKernel(3, 0, 1.0), PhiKernel(8, 0, 4.0)
-    assert series._use_series() and not closed._use_series()
+    assert _on_series(series.phi) and not _on_series(closed.phi)
     assert series.tau_integral()[3] and closed.tau_integral()[3]
     assert lamb_shift(QuantumState(N=2, L=1)).converged
 
@@ -285,7 +292,7 @@ class TestResidues:
         # the closed form in double precision loses 2e-10..9e-7 of the scale
         L = 0
         ker = PhiKernel(N, L, phi)
-        assert not ker._use_series()
+        assert not _on_series(ker.phi)
         want = _mp_coeffs(N, L, phi, 0, N)
         scale = max(abs(x) for x in want)
         for n in range(N):
@@ -330,7 +337,7 @@ class TestRemainder:
         N, L, tau, phi = 4, 0, 0.9, 1.1
         ker = PhiKernel(N, L, phi)
         got = remainder(ker, tau)
-        tail = _stream(ker, 300)
+        tail = _stream(N, L, phi, 300)
         want = float(np.sum(tail * np.exp(-np.arange(N, 300) * tau)))
         assert got == pytest.approx(want, rel=1e-12, abs=0)
         # and against the independent matrix-element series
@@ -342,7 +349,7 @@ class TestRemainder:
     def test_tail_coefficients_match_mpmath(self, N, L, phi):
         # the series branch sums these q_j (j >= N); an expanded-polynomial
         # convolution in double precision is off by 5e-8, 3e-7 and 0.1 here
-        got = _stream(PhiKernel(N, L, phi), N + 40)
+        got = _stream(N, L, phi, N + 40)
         want = _mp_coeffs(N, L, phi, N, N + 40)
         scale = max(abs(x) for x in want)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
@@ -361,14 +368,13 @@ class TestRemainder:
         head = np.array(_row_weights(N, L, point, -1, N + 1))
         whole = np.concatenate((head, _tail_weights(N, L, point, N + 1, J + 1, point[2])[0]))
         coeffs = _q(whole[:-2], whole[1:-1], whole[2:])  # q_0 .. q_{J-1}
-        assert np.array_equal(_stream(PhiKernel(N, L, phi), J), coeffs[N:])
+        assert np.array_equal(_stream(N, L, phi, J), coeffs[N:])
         # each chunk's indices, from the tail table, are those of its q_j
-        starts = [N]
-        for j, q in K._coeff_chunks([PhiKernel(N, L, phi)]):
-            assert j.dtype == float and np.array_equal(j, np.arange(starts[-1], starts[-1] + q.size))
-            starts.append(starts[-1] + q.size)
-            if starts[-1] >= J:
-                break
+        j0, chunk = N, 96
+        while j0 < J:
+            j = _tail_table(N, L, j0 + 1, j0 + chunk + 1)[0]
+            assert j.dtype == float and np.array_equal(j, np.arange(j0, j0 + chunk))
+            j0, chunk = j0 + chunk, min(2 * chunk, 4096)
         assert np.array_equal(np.array(PhiKernel(N, L, phi).residues), coeffs[:N])
         pieces, gain = [head], point[2]
         for a, b in ((N + 1, 97), (97, 98), (98, 2000), (2000, J + 1)):
@@ -476,7 +482,7 @@ class TestClosedBranchArrays:
     @pytest.mark.parametrize("N, L", [(2, 0), (4, 1)])
     def test_against_mpmath(self, N, L, phi):
         ker = PhiKernel(N, L, phi)
-        assert not ker._use_series()
+        assert not _on_series(ker.phi)
         got = _closed_remainder_dtau(ker, self.TAUS)
         for g, tau in zip(got.tolist(), self.TAUS):
             want, scale = _mp_closed_dtau(N, L, phi, tau, ker.residues)
@@ -517,14 +523,12 @@ class TestTauIntegral:
     )
     def test_series_branch_returns_the_bound_it_met(self, N, L, phi):
         ker = PhiKernel(N, L, phi)
-        assert ker._use_series()
+        assert _on_series(ker.phi)
         value, error, evaluations, converged = ker.tau_integral()
         assert (evaluations, converged) == (0, True)
         assert error == max(1e-13 * abs(value), 1e-15)
         nu = ker.nu
-        tighter = -K._series_sums(
-            [PhiKernel(N, L, phi)], lambda j, nu: j / (j - nu), rel_tol=1e-16, abs_tol=1e-300
-        )[0]
+        tighter = -K._series_sums(N, L, [phi], [nu], lambda j, nu: j / (j - nu), rel_tol=1e-16, abs_tol=1e-300)[0]
         assert abs(value - tighter) <= error
 
     def test_against_mpmath_quadrature(self):
@@ -548,7 +552,7 @@ class TestTauIntegral:
         monkeypatch.setattr(K, "integrate_semi_infinite", no_quadrature)
         for (N, L, phi) in ((1, 0, 3.0), (4, 1, 5.0), (8, 3, 12.0)):
             ker = PhiKernel(N, L, phi)
-            assert not ker._use_series()
+            assert not _on_series(ker.phi)
             value, error, evaluations, converged = ker.tau_integral()
             residue_terms = [n * ker.residues[n] / (n - ker.nu) for n in range(max(L, 1), N)]
             pieces = residue_terms + K._euler_block(N, L, [phi], [ker.nu])[0].tolist()
@@ -565,7 +569,7 @@ class TestTauIntegral:
         import lambshift.kernel as K
 
         ker = PhiKernel(N, L, phi)
-        assert not ker._use_series() and ker.nu > 1.0
+        assert not _on_series(ker.phi) and ker.nu > 1.0
         closed = ker.tau_integral()[0]
         old = K.SERIES_T2_MAX
         K.SERIES_T2_MAX = 1.0
@@ -621,7 +625,7 @@ class TestEulerForm:
         for L in range(N):
             for phi in (2.95, 4.0, 6.0, 8.0, 10.0, 12.8, 20.0, 40.0):
                 ker = PhiKernel(N, L, phi)
-                assert not ker._use_series()
+                assert not _on_series(ker.phi)
                 got = ker.tau_integral()[0]
                 want, pieces = _mp_euler_form(N, L, phi, ker.residues)
                 assert abs(got - want) <= 1e-13 * (abs(want) + pieces), (L, phi)
@@ -672,7 +676,7 @@ class TestKernelTables:
             w, t2, gain = point
             row = _row_weights(N, L, point, -1, N + 1)  # j = -1 .. N
             assert len(row) == N + 2 and row[: L + 2] == [0.0] * (L + 2)
-            assert K._block_rows([PhiKernel(N, L, phi)])[1][0].tolist() == row
+            assert K._block_rows(N, L, [phi])[1][0].tolist() == row
             # windows inside j <= L are zeros: no (negative) index reads the table
             for j0 in range(-1, L + 1):
                 assert _row_weights(N, L, point, j0, L + 1) == [0.0] * (L + 1 - j0)
@@ -719,7 +723,7 @@ class TestKernelTables:
                 block = [PhiKernel(N, L, phi) for phi in (0.3, 1.5, switch)]
                 K.fill_tau_integrals(block)
                 for ker in block:
-                    assert ker._use_series()
+                    assert _on_series(ker.phi)
                     assert math.isfinite(ker.tau_integral()[0])
                     for tau in (0.0, 0.01, 1.0, 10.0):
                         assert math.isfinite(remainder(ker, tau) + remainder_dtau(ker, tau))
@@ -730,19 +734,21 @@ class TestKernelTables:
         def pieces(phi):
             return K._euler_block(N, L, [phi], [PhiKernel(N, L, phi).nu]).tolist()
 
-        for phi in (3.0, 9.0, 2.9):
-            pieces(phi)
+        # each log-series table against its scalar formulas in Python integers
         rows = _euler_rows(N, L)
-        heads, steps = rows.series
-        assert heads.shape == steps.shape == (N - L, heads.shape[1]) and heads.shape[1] > 0
-        for k in range(N - L):
-            s, h = int(rows.s[k]), int(rows.h[k])
-            assert rows.amp[k] == -0.25 * _series_term_ratios(N, L)[k] and rows.first[k] == 1.0 / math.factorial(s)
-            assert list(zip(heads[k].tolist(), steps[k].tolist())) == [
-                _log_series_step(2 * N + h, s, j) for j in range(heads.shape[1])
-            ]
-        # a kernel reading a table grown by others gives the value it gave growing it
-        _euler_rows.cache_clear()
+        for length in (1, 8, 40, 136):
+            heads, steps = K._log_table(N, L, length)
+            assert heads.shape == steps.shape == (N - L, length)
+            for k in range(N - L):
+                s, h = int(rows.s[k]), int(rows.h[k])
+                a = 2 * N + h
+                assert rows.amp[k] == -0.25 * _series_term_ratios(N, L)[k] and rows.first[k] == 1.0 / math.factorial(s)
+                assert list(zip(heads[k].tolist(), steps[k].tolist())) == [
+                    ((a + j) / ((j + 1) * (j + s + 1)), 1.0 / (a + j) - 1.0 / (j + 1) - 1.0 / (j + s + 1))
+                    for j in range(length)
+                ]
+        # a node's pieces do not depend on the tables built before it
+        K._log_table.cache_clear()
         first = pieces(2.9)
         pieces(3.0)
         assert pieces(2.9) == first
@@ -764,7 +770,7 @@ class TestKernelTables:
         out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         sizes = json.loads(out.stdout)
-        tables = ("_tail_table", "_euler_rows", "_row_table", "_series_term_ratios")
+        tables = ("_tail_table", "_euler_rows", "_log_table", "_row_table", "_series_term_ratios")
         assert {*(f"lambshift.kernel.{name}" for name in tables), "lambshift.shifts._channels"} <= set(sizes)
         assert all(size == 0 for size in sizes.values()), sizes
 
@@ -782,9 +788,9 @@ class TestEulerBlock:
         # recur downwards); every value and bound is that of the kernel alone
         alone = {phi: PhiKernel(N, L, phi).tau_integral() for phi in self.PHIS}
         block = [PhiKernel(N, L, phi) for phi in self.PHIS]
-        assert {ker._use_series() for ker in block} == {True, False}
+        assert {_on_series(ker.phi) for ker in block} == {True, False}
         if N >= 18:
-            assert max(ker.nu for ker in block if not ker._use_series()) >= 1.0
+            assert max(ker.nu for ker in block if not _on_series(ker.phi)) >= 1.0
         K.fill_tau_integrals(block)
         for ker in block:
             value, bound, _, _ = ker.tau_integral()
@@ -817,13 +823,13 @@ class TestEulerBlock:
         # a NaN entry never meets the stopping test: the doubling stops at
         # _SERIES_MAX_STEPS and names the state.  The guard on the step table
         # ends the test instead if the bound is ever lost.
-        step = K._log_series_step
+        table = K._log_table
 
-        def guarded(a, s, j):
-            assert j < 4 * K._SERIES_MAX_STEPS, "the log series doubled past its bound"
-            return step(a, s, j)
+        def guarded(N, L, length):
+            assert length <= K._SERIES_MAX_STEPS, "the log series doubled past its bound"
+            return table(N, L, length)
 
-        monkeypatch.setattr(K, "_log_series_step", guarded)
+        monkeypatch.setattr(K, "_log_table", guarded)
         nu = complex(N * math.exp(-5.0), math.nan)
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match=rf"\(N, L\) = \({N}, {L}\) has not ended"):
             K._euler_block(N, L, [4.0, 5.0], [complex(N * math.exp(-4.0)), nu])
@@ -860,7 +866,7 @@ class TestBlockStream:
             ker = PhiKernel(N, L, phi)
             if phi == 0.0:
                 continue
-            chunks[phi] = len(self._chunks_taken(monkeypatch, ker.tau_integral)) if ker._use_series() else 0
+            chunks[phi] = len(self._chunks_taken(monkeypatch, ker.tau_integral)) if _on_series(phi) else 0
             alone[phi] = repr(ker.tau_integral())
         block = [PhiKernel(N, L, phi) for phi in phis]
         filled = []
@@ -884,34 +890,20 @@ class TestBlockStream:
     def test_any_factor_sums_as_in_a_block_of_one(self):
         # the oracles' remainder factors u^j and j u^j, their tolerances and a
         # factor that reads each row's nu
-        block = [PhiKernel(4, 1, phi) for phi in (2.5, 0.2, 2.0, 1.0, 2.8)]
+        phis = [2.5, 0.2, 2.0, 1.0, 2.8]
+        nus = [PhiKernel(4, 1, phi).nu for phi in phis]
         factors = [
             (lambda j, nu: 0.4**j, {"abs_tol": 1e-320}),
             (lambda j, nu: j * 0.99**j, {"abs_tol": 1e-320}),
             (lambda j, nu: j / (j - nu), {"rel_tol": 1e-16}),
         ]
         for factor, tols in factors:
-            sums = K._series_sums(block, factor, **tols)
-            assert repr(sums) == repr([K._series_sums([ker], factor, **tols)[0] for ker in block])
+            sums = K._series_sums(4, 1, phis, np.array(nus), factor, **tols)
+            alone = [K._series_sums(4, 1, [phi], [nu], factor, **tols)[0] for phi, nu in zip(phis, nus)]
+            assert repr(sums) == repr(alone)
         u = math.exp(-0.9)
-        assert remainder(block[0], 0.9) == K._series_sums(block, lambda j, nu: u**j, abs_tol=1e-320)[0]
-
-    def test_rows_of_a_chunk_equal_the_streams_of_one(self):
-        # every q_j of a row equals its kernel's own stream, and a mask
-        # sent to the stream drops exactly the rows it clears
-        block = [PhiKernel(7, 3, phi) for phi in (0.3, 2.2, 1.1)]
-        alone = [_stream(ker, 7 + 96 + 192 + 384) for ker in block]
-        chunks = K._coeff_chunks(block)
-        j, q = next(chunks)
-        got = [q]
-        j, q = chunks.send(np.array([True, False, True]))
-        got.append(q)
-        j, q = chunks.send(None)
-        got.append(q)
-        assert q.shape == (2, 384) and j[-1] == 7 + 96 + 192 + 384 - 1
-        assert np.array_equal(got[0], np.array([a[:96] for a in alone]))
-        for row, ker in ((0, 0), (1, 2)):
-            assert np.array_equal(np.concatenate([got[1][row], got[2][row]]), alone[ker][96:])
+        whole = K._series_sums(4, 1, phis, nus, lambda j, nu: u**j, abs_tol=1e-320)
+        assert remainder(PhiKernel(4, 1, 2.5), 0.9) == whole[0]
 
     def test_zero_phi_raises_without_a_numpy_warning(self):
         import warnings
@@ -931,10 +923,10 @@ class TestBlockStream:
         # series forced there, a factor that does not decay leaves the tail
         # bound open until j = 2e6; phi = 0.5 converges and is not named
         monkeypatch.setattr(K, "SERIES_T2_MAX", 1.0)
-        block = [PhiKernel(1, 0, phi) for phi in (20.0, 0.5, 25.0)]
+        phis = [20.0, 0.5, 25.0]
         try:
             with pytest.raises(ArithmeticError) as info:
-                K._series_sums(block, lambda j, nu: 1.0 + 0.0 * j)
+                K._series_sums(1, 0, phis, [math.exp(-phi) for phi in phis], lambda j, nu: 1.0 + 0.0 * j)
         finally:
             K._tail_table.cache_clear()  # 2e6 indices of (1, 0) tabulated
         message = str(info.value)

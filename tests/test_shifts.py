@@ -834,7 +834,7 @@ class TestOneInnerIntegralPerNode:
         tau_integral = kernel.PhiKernel.tau_integral
 
         def recording(ker):
-            calls.append((ker._use_series(), ker._tau is not None))
+            calls.append((math.tanh(ker.phi / 2.0) ** 2 <= kernel.SERIES_T2_MAX, ker._tau is not None))
             return tau_integral(ker)
 
         monkeypatch.setattr(kernel.PhiKernel, "tau_integral", recording)
