@@ -3,11 +3,11 @@
 Each subcommand accepts only the flags it reads; any other flag is a
 usage error.
 
-Exit codes: 0 success, 1 internal error, 2 invalid quantum numbers or
-flags (an unknown flag included), 3 a quadrature did not converge (the
-report is still printed, flagged converged=false) or the arithmetic
-overflowed, divided by zero or gave a non-finite integrand (only an
-error line on stderr).
+Exit codes: 0 success, 1 internal error, 2 invalid quantum numbers,
+constants or flags (an unknown flag included), 3 a quadrature did not
+converge (the report is still printed, flagged converged=false) or the
+arithmetic overflowed, divided by zero, gave a non-finite integrand or a
+non-finite output (only an error line on stderr, naming the quantity).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .constants import CONSTANTS_ENV_VAR, resolve_constants
@@ -114,6 +115,31 @@ def _round_floats(obj):
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
     return obj
+
+
+def _non_finite(obj, name: str = "") -> str | None:
+    """The name of the first float in obj that is not finite, or None.
+
+    The name is the path to it: dict keys joined by dots, list indices in
+    brackets, and a table record (a dict with a quantity) named by its
+    quantity and row.
+    """
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else name
+    if isinstance(obj, dict):
+        entries = [(f"{name}.{key}" if name else str(key), value) for key, value in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        entries = [
+            (f"{v['quantity']} (row {i})" if isinstance(v, dict) and "quantity" in v else f"{name}[{i}]", v)
+            for i, v in enumerate(obj)
+        ]
+    else:
+        return None
+    for label, value in entries:
+        found = _non_finite(value, label)
+        if found is not None:
+            return found
+    return None
 
 
 def _render(payload, records: list[dict], fmt: str) -> str:
@@ -216,6 +242,10 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         payload, records, status = runner(args, resolve_constants(args.constants_file))
+        bad = _non_finite(payload)
+        if bad is not None:  # JSON has no inf or nan, and no format should print them
+            print(f"error: {bad} is not finite", file=sys.stderr)
+            return EXIT_NOT_CONVERGED
         sys.stdout.write(_render(payload, records, args.format))
         return status
     except (ArithmeticError, IntegrandError) as exc:  # overflow, zero division, inf or nan

@@ -33,6 +33,8 @@ class PhysicalConstants:
                 "physical constants must be finite and positive, got "
                 f"alpha0={self.alpha0!r}, mec2_eV={self.mec2_eV!r}, hbar_eVs={self.hbar_eVs!r}"
             )
+        if self.alpha0 >= 1.0:  # the bound-state energies and the expansion in Z alpha0 need alpha0 < 1
+            raise ValueError(f"the fine-structure constant must be below 1, got alpha0={self.alpha0!r}")
 
     def energy_unit_eV(self, Z: int) -> float:
         """Atomic energy unit E0 = mec2 (Z alpha0)^2 in eV."""

@@ -15,13 +15,13 @@ passes all phi nodes of a quadrature call as one block, and a lone kernel
 is a block of one.  A block forms the weights j = -1 .. N of all its nodes
 at once (_block_rows, one Jacobi recurrence over the whole row, the same
 floats as _row_weights node by node), hence their residues; the tail
-coefficients of its series-branch nodes come in forward (nodes x j) chunks
-that _series_sums sums row by row, forming each weight once and dropping
-each row once it has stopped.  PhiKernel itself holds only (N, L, phi, nu),
-its residues and the filled value.  Summing the tail directly
-removes the catastrophic cancellation that subtracting the finite series
-from the closed form would cause at small phi, where the integrand weight
-e^{nu tau} grows almost as fast as the kernel decays.
+coefficients of all its series-branch nodes come in forward (nodes x j)
+chunks of one stream that _series_sums sums row by row, forming each weight
+once and dropping each row once it has stopped.  PhiKernel itself holds
+only (N, L, phi, nu), its residues and the filled value.  Summing the tail
+directly removes the catastrophic cancellation that subtracting the finite
+series from the closed form would cause at small phi, where the integrand
+weight e^{nu tau} grows almost as fast as the kernel decays.
 Every phi-independent coefficient of these loops is computed once,
 lazily, and then read: the binomial ratios, powers and Jacobi steps of
 the weights j <= N (_row_table, its steps from specfun._jacobi_steps,
@@ -37,10 +37,11 @@ polynomial of degree 2N - L, takes over without ever being evaluated in
 tau: Euler's integral turns the inner integral int e^{nu tau} dQ~/dtau
 dtau into one Gauss function per factored term of pi, each summed in
 closed form around t^2 = 1, for all closed-branch nodes of a block and
-all terms at once (_euler_block, to whose pieces fill_tau_integrals adds
-the residue terms); the same Gauss pieces at the complex nu + i eps are
-the eps oracle's inner integral at large phi, reached without a PhiKernel
-and so without a weight row.  Within a block, only a node's Jacobi point
+all terms at once (_euler_block, its log series one (nodes x terms x j)
+slab in _log_series, to whose pieces fill_tau_integrals adds the residue
+terms); the same Gauss pieces at the complex nu + i eps are the eps
+oracle's inner integral at large phi, reached without a PhiKernel and so
+without a weight row.  Within a block, only a node's Jacobi point
 and gains (_block_rows, which must equal residue_coeffs' floats), its
 e^-phi and its one digamma (_euler_block) are scalar calls; every other
 per-node quantity is an array operation over the block's nodes.
@@ -308,10 +309,6 @@ def _log_table(N: int, L: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     return (a + j) / ((j + 1.0) * (j + s + 1.0)), 1.0 / (a + j) - 1.0 / (j + 1.0) - 1.0 / (j + s + 1.0)
 
 
-# Nodes x terms x steps of one _log_series slice: 16 kB per array, so
-# that a block's sums add little to the peak memory of a pass.
-_SERIES_ELEMENTS = 1 << 11
-
 # Steps past which a log series that has not ended is an error, not a
 # longer retry.  The longest that ends, over N <= 86 with L in
 # {0, N//2, N-1}, phi = 2.89 .. 30 and nu real or nu + i eps, takes 129
@@ -343,62 +340,52 @@ def _log_series(N: int, L: int, bh, g, w):
     cumulative products and sums over j, which add in the loop's order, so
     each running sum is the loop's float; an entry ends at the first j
     with |ratio_j| < 1 and |term_j g_j ratio_j| <= 1e-17 (1 - |ratio_j|)
-    |sum through j|.  The nodes go in slices of falling w, each summed to
-    _series_length at its largest w, and that length doubles while an
-    entry of the slice has not ended, up to _SERIES_MAX_STEPS; a series
+    |sum through j|.  All entries are one (nodes x terms x steps) slab,
+    summed to _series_length at the block's largest w; that length doubles
+    while an entry has not ended, up to _SERIES_MAX_STEPS, and a series
     still open there (a NaN entry never ends) raises ArithmeticError
-    naming (N, L).
+    naming (N, L).  An entry's sum does not depend on the length, so it
+    does not depend on the rest of the block either.
     """
     first = _euler_rows(N, L).first
-    nodes, terms = bh.shape
-    order = sorted(range(nodes), key=w[:, 0].tolist().__getitem__, reverse=True)
-    bh, g, w = bh[order], g[order], w[order]
-    out = np.empty_like(bh)
-    lo = 0
-    while lo < nodes:
-        length = _series_length(N, float(w[lo, 0]))
-        count = max(1, _SERIES_ELEMENTS // (terms * length))
-        while True:
-            heads, steps = _log_table(N, L, length)
-            # three arrays of (slice x terms x length): x, then the terms, their products
-            # and |product ratio|; the ratios, then the bound; the brackets, then the sums
-            x = bh[lo : lo + count, :, None] + np.arange(length, dtype=float)
-            ratio = heads * x
-            ratio *= w[lo : lo + count, :, None]
-            sums = np.empty_like(x)
-            sums[..., 0] = g[lo : lo + count]
-            np.divide(1.0, x[..., :-1], out=sums[..., 1:])
-            sums[..., 1:] += steps[:, :-1]
-            x[..., 0] = first
-            x[..., 1:] = ratio[..., :-1]
-            np.cumprod(x, axis=2, out=x)
-            np.cumsum(sums, axis=2, out=sums)
-            x *= sums
-            np.cumsum(x, axis=2, out=sums)
-            x *= ratio
-            np.abs(x, out=x)
-            np.abs(ratio, out=ratio)
-            ends = ratio < 1.0
-            np.subtract(1.0, ratio, out=ratio)
-            ratio *= 1.0e-17
-            ratio *= sums  # |1e-17 (1 - r) sum| wherever r < 1, the only entries that can end
-            ends &= x <= np.abs(ratio, out=ratio)
-            del x, ratio
-            ends = np.logical_or.accumulate(ends.reshape(-1, length), axis=1)  # True from the first end on
-            if ends[:, -1].all():
-                break
-            length *= 2
-            if length > _SERIES_MAX_STEPS:
-                raise ArithmeticError(
-                    f"a log series of the Euler closed form at (N, L) = ({N}, {L}) has not "
-                    f"ended within {length // 2} steps"
-                )
-        ends[:, 1:] &= ~ends[:, :-1]  # the first end of each entry alone
-        out[lo : lo + count] = sums.reshape(-1, length)[ends].reshape(-1, terms)
-        lo += count
-    result = np.empty_like(out)
-    result[order] = out
-    return result
+    length = _series_length(N, float(w.max()))
+    while True:
+        heads, steps = _log_table(N, L, length)
+        # three arrays of (nodes x terms x length): x, then the terms, their products
+        # and |product ratio|; the ratios, then the bound; the brackets, then the sums
+        x = bh[:, :, None] + np.arange(length, dtype=float)
+        ratio = heads * x
+        ratio *= w[:, :, None]
+        sums = np.empty_like(x)
+        sums[..., 0] = g
+        np.divide(1.0, x[..., :-1], out=sums[..., 1:])
+        sums[..., 1:] += steps[:, :-1]
+        x[..., 0] = first
+        x[..., 1:] = ratio[..., :-1]
+        np.cumprod(x, axis=2, out=x)
+        np.cumsum(sums, axis=2, out=sums)
+        x *= sums
+        np.cumsum(x, axis=2, out=sums)
+        x *= ratio
+        np.abs(x, out=x)
+        np.abs(ratio, out=ratio)
+        ends = ratio < 1.0
+        np.subtract(1.0, ratio, out=ratio)
+        ratio *= 1.0e-17
+        ratio *= sums  # |1e-17 (1 - r) sum| wherever r < 1, the only entries that can end
+        ends &= x <= np.abs(ratio, out=ratio)
+        del x, ratio
+        ends = np.logical_or.accumulate(ends, axis=2)  # True from the first end on
+        if ends[..., -1].all():
+            break
+        length *= 2
+        if length > _SERIES_MAX_STEPS:
+            raise ArithmeticError(
+                f"a log series of the Euler closed form at (N, L) = ({N}, {L}) has not "
+                f"ended within {length // 2} steps"
+            )
+    ends[..., 1:] &= ~ends[..., :-1]  # the first end of each entry alone
+    return sums[ends].reshape(bh.shape)
 
 
 def _psi_rows(N: int, nus) -> np.ndarray:
@@ -568,7 +555,9 @@ def _series_sums(N: int, L: int, phis, nu, factor, rel_tol=1.0e-13, abs_tol=1.0e
     leaves the chunks that follow, after as many chunks as its node would
     take alone, so every sum equals that of a block of one bit for bit.  A
     row still open past j = 2e6 raises ArithmeticError naming (N, L, phi)
-    of every open node.
+    of every open node.  The block is one stream whatever its size: the
+    4096-column cap and the j = 2e6 guard, not a cap on rows, bound the
+    arrays of a run that does not converge.
     """
     points, rows = block or _block_rows(N, L, phis)
     # one row per open node: w, t^2, nu, the gain G at the chunk's start and the weights j0 - 1, j0
@@ -600,12 +589,6 @@ def _series_sums(N: int, L: int, phis, nu, factor, rel_tol=1.0e-13, abs_tol=1.0e
         j0, chunk = j1, min(2 * chunk, 4096)
 
 
-# Nodes per series stream: a chunk of 96 coefficients then holds at most
-# this many rows (24 kB per array), so that a call of 55 nodes adds little
-# to the peak memory of a pass.
-_STREAM_ROWS = 32
-
-
 def fill_tau_integrals(kernels) -> np.ndarray:
     """Fill the tau integrals of kernels of one (N, L) as one block; return their residues.
 
@@ -614,9 +597,9 @@ def fill_tau_integrals(kernels) -> np.ndarray:
     The block forms the weight rows j = -1 .. N of every node at once
     (_block_rows) and from them the residues R_0 .. R_{N-1}, one row per
     kernel, which it returns.  The series-branch nodes with nu < N
-    (phi > 0) get their sums from _series_sums streams of up to
-    _STREAM_ROWS nodes; the closed-branch nodes get their residue terms
-    and the Gauss pieces of one _euler_block, each node's pieces summed by
+    (phi > 0) get their sums from one _series_sums stream, however many
+    they are; the closed-branch nodes get their residue terms and the
+    Gauss pieces of one _euler_block, each node's pieces summed by
     math.fsum and their magnitudes, for the bound, by one array sum over
     the block.  Every value equals that of the kernel in a block of one
     bit for bit.  The kernels at phi = 0 are left unfilled: tau_integral
@@ -630,13 +613,12 @@ def fill_tau_integrals(kernels) -> np.ndarray:
     taus = [None] * len(kernels)  # None at phi = 0, where tau_integral raises
     series = points[:, 1] <= SERIES_T2_MAX  # t^2 of each node
     summed = np.flatnonzero(series & (nus < N))
-    for lo in range(0, summed.size, _STREAM_ROWS):
-        group = summed[lo : lo + _STREAM_ROWS]
+    if summed.size:
         sums = _series_sums(
-            N, L, phis[group].tolist(), nus[group], lambda j, nu: j / (j - nu), TAU_REL_TOL, TAU_ABS_TOL,
-            (points[group], rows[group]),
+            N, L, phis[summed].tolist(), nus[summed], lambda j, nu: j / (j - nu), TAU_REL_TOL, TAU_ABS_TOL,
+            (points[summed], rows[summed]),
         )
-        for i, total in zip(group.tolist(), sums):
+        for i, total in zip(summed.tolist(), sums):
             taus[i] = -total, max(TAU_REL_TOL * abs(total), TAU_ABS_TOL)
     closed = np.flatnonzero(~series)
     if closed.size:

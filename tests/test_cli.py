@@ -136,6 +136,47 @@ def test_non_finite_constants_exit_2(tmp_path, capsys, monkeypatch, argv, key, s
     assert out == "" and "finite and positive" in err
 
 
+def _constants_file(tmp_path, **values):
+    values = {"alpha0": "7.2973525693e-3", "mec2_eV": "510998.95", "hbar_eVs": "6.582119569e-16", **values}
+    path = tmp_path / "c.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv, constants, name",
+    [
+        # a tiny hbar puts every rate and every frequency past the double range
+        (("rates", "--n", "2", "--l", "1"), {"hbar_eVs": "1e-320"}, "partial_rates[0][1]"),
+        (("shift", "--n", "2", "--l", "1"), {"hbar_eVs": "1e-320"}, "lamb_shift_MHz"),
+        (("table", "--id", "2"), {"hbar_eVs": "1e-320"}, "lamb_shift_dipole (row 2).computed"),
+        (("rates", "--n", "2", "--l", "1"), {"mec2_eV": "1e305"}, "partial_rates[0][1]"),
+    ],
+)
+def test_non_finite_output_exits_3_without_a_report(tmp_path, capsys, argv, constants, name, fmt):
+    # a finite constant set whose outputs are inf or nan: no format prints them
+    # (json has no Infinity), the error line names the first of them
+    status, out, err = run_cli(capsys, *argv, "--constants-file", _constants_file(tmp_path, **constants),
+                               "--format", fmt)
+    assert status == EXIT_NOT_CONVERGED
+    assert out == ""
+    assert err == f"error: {name} is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "command, alpha0",
+    # before alpha0 < 1 was required: bethe failed on its phi edges, shift at
+    # phi = 0, and rates printed 8.1e253 with exit 0
+    [(("bethe", "--n", "1", "--l", "0"), "1e3"), (("shift", "--n", "2", "--l", "1"), "1e80"),
+     (("rates", "--n", "2", "--l", "1"), "1e80")],
+)
+def test_alpha0_of_one_or_more_exits_2(tmp_path, capsys, command, alpha0):
+    status, out, err = run_cli(capsys, *command, "--constants-file", _constants_file(tmp_path, alpha0=alpha0))
+    assert status == EXIT_USAGE
+    assert out == "" and "alpha0" in err
+
+
 def test_nonconvergence_exit_3(capsys, monkeypatch):
     import lambshift.cli as cli_mod
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -94,6 +95,16 @@ def test_load_constants_rejects_non_finite_or_non_positive(tmp_path, key, value)
     path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     with pytest.raises(ValueError, match="finite and positive"):
         load_constants(str(path))
+
+
+@pytest.mark.parametrize("alpha0", [1.0, 1.0 + 2.0**-52, 1e3, 1e80])
+def test_alpha0_of_one_or_more_is_rejected(alpha0):
+    with pytest.raises(ValueError, match=re.escape(f"below 1, got alpha0={alpha0!r}")):
+        PhysicalConstants(alpha0=alpha0)
+
+
+def test_alpha0_just_below_one_is_accepted():
+    assert PhysicalConstants(alpha0=math.nextafter(1.0, 0.0)).alpha0 < 1.0
 
 
 def test_resolve_constants_env_var(tmp_path, monkeypatch):

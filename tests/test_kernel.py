@@ -887,6 +887,47 @@ class TestBlockStream:
             else:
                 assert repr(ker.tau_integral()) == alone[ker.phi], ker.phi
 
+    @pytest.mark.parametrize("N, L", [(4, 1), (20, 0)])
+    def test_a_large_block_is_one_stream_and_one_log_series_slab(self, monkeypatch, N, L):
+        # 42 series nodes and 21 closed ones at w = 0.199 .. 1e-5, mixed: more
+        # than 32 rows of one stream and, at (20, 0), more than 2048
+        # log-series entries, the old caps
+        series = np.linspace(0.06, 2.87, 42).tolist()
+        closed = [2.0 * math.acosh(w**-0.5) for w in np.geomspace(0.199, 1e-5, 21).tolist()]
+        phis = series[::2] + closed + series[1::2]
+        assert sum(map(_on_series, phis)) == 42 and len(phis) == 63
+        alone = [repr(PhiKernel(N, L, phi).tau_integral()) for phi in phis]
+        chunks, calls, lengths = [], [], []
+        log_series, series_length = K._log_series, K._series_length
+
+        def chunk(N, L, point, j0, j1, gain):
+            chunks.append((j0, np.size(gain)))
+            return _tail_weights(N, L, point, j0, j1, gain)
+
+        def recording(*args):
+            calls.append((args, log_series(*args)))
+            return calls[-1][1]
+
+        def measured(N, w):
+            lengths.append(w)
+            return series_length(N, w)
+
+        block = [PhiKernel(N, L, phi) for phi in phis]
+        with monkeypatch.context() as m:
+            m.setattr(K, "_tail_weights", chunk)
+            m.setattr(K, "_log_series", recording)
+            m.setattr(K, "_series_length", measured)
+            K.fill_tau_integrals(block)
+        assert [repr(ker.tau_integral()) for ker in block] == alone
+        # one stream: a single first chunk, holding every series node
+        assert [rows for j0, rows in chunks if j0 == N + 1] == [42]
+        # one slab, sized once at the largest w, whose entries are those of the nodes one by one
+        ((_, _, bh, g, w), slab), = calls
+        assert bh.shape == (21, N - L) and lengths == [max(w[:, 0].tolist())]
+        for i in range(21):
+            node = log_series(N, L, bh[i : i + 1], g[i : i + 1], w[i : i + 1])
+            assert repr(node.tolist()) == repr(slab[i : i + 1].tolist()), i
+
     def test_any_factor_sums_as_in_a_block_of_one(self):
         # the oracles' remainder factors u^j and j u^j, their tolerances and a
         # factor that reads each row's nu
