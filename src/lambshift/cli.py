@@ -1,13 +1,15 @@
 """Command-line interface: shifts, rates, Bethe logarithms, table reproduction.
 
 Each subcommand accepts only the flags it reads; any other flag is a
-usage error.
+usage error.  --rel-tol is each phi integral's relative tolerance; there
+is no absolute one.
 
 Exit codes: 0 success, 1 internal error, 2 invalid quantum numbers,
-constants or flags (an unknown flag included), 3 a quadrature did not
-converge (the report is still printed, flagged converged=false) or the
-arithmetic overflowed, divided by zero, gave a non-finite integrand or a
-non-finite output (only an error line on stderr, naming the quantity).
+constants, Z alpha0 >= 1 or flags (an unknown flag included), 3 a
+quadrature did not converge (the report is still printed, flagged
+converged=false) or the arithmetic overflowed, divided by zero, gave a
+non-finite integrand or a non-finite output (only an error line on
+stderr, naming the quantity).
 """
 
 from __future__ import annotations
@@ -44,14 +46,12 @@ _FLAGS = {
     "--cutoff-x": dict(type=float, default=None,
                        help="dipole photon-energy cutoff x = hw/(2 mec2)"),
     "--id": dict(type=int, required=True, choices=(1, 2, 3)),
-    "--rel-tol": dict(type=float, default=1.0e-9),
-    "--abs-tol": dict(type=float, default=1.0e-14),
+    "--rel-tol": dict(type=float, default=1.0e-9, help="relative tolerance of each integral"),
     "--format": dict(choices=("text", "csv", "json"), default="text"),
     "--constants-file": dict(default=None,
                              help=f"key=value constants file (or set ${CONSTANTS_ENV_VAR})"),
 }
 _STATE = ("--n", "--l", "--z")
-_TOLERANCES = ("--rel-tol", "--abs-tol")
 _OUTPUT = ("--format", "--constants-file")
 
 # subcommand: (help text, flags); verify has no help text, which keeps it
@@ -59,12 +59,12 @@ _OUTPUT = ("--format", "--constants-file")
 # part of the supported surface.
 _COMMANDS = {
     "shift": ("Lamb shift of one bound state",
-              (*_STATE, "--dipole", "--cutoff-x", *_TOLERANCES, *_OUTPUT)),
+              (*_STATE, "--dipole", "--cutoff-x", "--rel-tol", *_OUTPUT)),
     "rates": ("partial and total decay rates", (*_STATE, "--dipole", *_OUTPUT)),
     "bethe": ("Bethe logarithm and mean excitation energy",
-              (*_STATE, *_TOLERANCES, *_OUTPUT)),
-    "table": ("reproduce a published table", ("--id", *_TOLERANCES, *_OUTPUT)),
-    "verify": (None, (*_TOLERANCES, *_OUTPUT)),
+              (*_STATE, "--rel-tol", *_OUTPUT)),
+    "table": ("reproduce a published table", ("--id", "--rel-tol", *_OUTPUT)),
+    "verify": (None, ("--rel-tol", *_OUTPUT)),
 }
 
 _TABLE_KEYS = ("table_id", "N", "L", "J", "n", "quantity", "unit", "computed",
@@ -92,10 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-def _spec(args) -> QuadratureSpec:
-    return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
 
 
 def _rows(head: dict, quantities) -> list[dict]:
@@ -166,7 +162,7 @@ def _render(payload, records: list[dict], fmt: str) -> str:
 def _run_shift(args, constants):
     state = QuantumState(N=args.n, L=args.l, Z=args.z)
     options = DipoleOptions(enabled=args.dipole, cutoff_x=args.cutoff_x)
-    result = lamb_shift(state, options, _spec(args), constants)
+    result = lamb_shift(state, options, QuadratureSpec(args.rel_tol), constants)
     records = _rows({"N": state.N, "L": state.L, "Z": state.Z}, [
         ("lamb_shift", "MHz", result.lamb_shift_MHz),
         ("tau_phi_term", "MHz", result.tau_phi_term_MHz),
@@ -190,7 +186,7 @@ def _run_rates(args, constants):
 
 
 def _run_bethe(args, constants):
-    result = bethe_log(args.n, args.l, constants, _spec(args), Z=args.z)
+    result = bethe_log(args.n, args.l, constants, QuadratureSpec(args.rel_tol), Z=args.z)
     records = _rows({"N": args.n, "L": args.l}, [
         ("bethe_log", "1", result.gamma),
         ("mean_excitation", "Ry", result.mean_excitation_Ry),
@@ -201,7 +197,7 @@ def _run_bethe(args, constants):
 
 
 def _run_table(args, constants):
-    cells = generate_table(args.id, constants, _spec(args))
+    cells = generate_table(args.id, constants, QuadratureSpec(args.rel_tol))
     records = [{k: getattr(cell, k) for k in _TABLE_KEYS} for cell in cells]
     converged = all(cell.converged for cell in cells)
     return records, records, EXIT_OK if converged else EXIT_NOT_CONVERGED
@@ -219,7 +215,7 @@ def _run_verify(args, constants):
             "deviation": abs(closed - series),
             "tolerance": 1.0e-10,
         })
-    primary = lamb_shift(QuantumState(N=1, L=0), DipoleOptions(), _spec(args), constants)
+    primary = lamb_shift(QuantumState(N=1, L=0), DipoleOptions(), QuadratureSpec(args.rel_tol), constants)
     eps_route = shift_via_eps_extrapolated(QuantumState(N=1, L=0), constants=constants)
     checks.append({
         "check": "shift_rotated_vs_eps_axis_N1L0",

@@ -225,16 +225,14 @@ def tau_integral_by_quadrature(
 
     The integrand is the closed u-form minus the residues
     (_closed_remainder_dtau) at any phi, one array of nodes per call; an
-    overflow becomes a non-finite node and raises IntegrandError.  Its
-    absolute tolerance is multiplied by the dipole weight e^{2 phi}
-    wherever the result is used, so it is an independent check of
-    PhiKernel.tau_integral, not a replacement.
+    overflow becomes a non-finite node and raises IntegrandError.  It is an
+    independent check of PhiKernel.tau_integral, not a replacement.
 
     Only nu = N e^{-phi} < max(1, L) is accepted, else ValueError: the
     residues subtracted from the u-form leave roundoff of order
     eps e^{-max(1, L) tau}, which the weight e^{nu tau} amplifies once nu
-    reaches max(1, L), so the tail panels would never fall below abs_tol
-    and would march on until they overflow.
+    reaches max(1, L), so the tail panels would never fall below the
+    target of the running total and would march on until they overflow.
     """
     nu, bound = N * math.exp(-phi), max(1, L)
     if nu >= bound:
@@ -242,7 +240,7 @@ def tau_integral_by_quadrature(
             f"nu = N e^-phi = {nu!r} is not below max(1, L) = {bound} at (N, L, phi) = ({N}, {L}, {phi!r})"
         )
     ker = PhiKernel(N, L, phi)
-    spec = spec or QuadratureSpec(rel_tol=1.0e-10, abs_tol=1.0e-15, max_subdivisions=400)
+    spec = spec or QuadratureSpec(rel_tol=1.0e-10, max_subdivisions=400)
 
     def integrand(tau: np.ndarray) -> np.ndarray:
         return np.exp(ker.nu * tau) * _closed_remainder_dtau(ker, tau)

@@ -1,15 +1,16 @@
 """Adaptive Gauss-Kronrod quadrature and Cauchy principal values.
 
 One 7-15 pair drives everything: panels are refined by bisecting
-whichever panel carries the largest |K15 - G7| estimate, a last edge of
-math.inf makes the rest of a semi-infinite domain one such panel in
-t = e^-x (integrate_panels), the oracles' integrate_semi_infinite grows
-dyadic tail panels until a whole panel contributes less than the absolute
-tolerance, and principal values fold the integrand about the
-pole so the singular parts cancel before any node is evaluated.  The
-shifts take their principal values by singularity subtraction instead
-(shifts._shift_bracket); integrate_principal_value is the independent
-check of that route (oracles.pv_term_by_principal_values).
+whichever panel carries the largest |K15 - G7| estimate until their sum
+is at most rel_tol |integral|, a last edge of math.inf makes the rest of
+a semi-infinite domain one such panel in t = e^-x (integrate_panels), the
+oracles' integrate_semi_infinite grows dyadic tail panels until a whole
+panel falls below that target of the running total, and principal
+values fold the integrand about the pole so the singular parts cancel
+before any node is evaluated.  The shifts take their principal values
+by singularity subtraction instead (shifts._shift_bracket);
+integrate_principal_value is the independent check of that route
+(oracles.pv_term_by_principal_values).
 
 Integrands are array functions: f receives a 1-D numpy array of nodes and
 returns an array of the values at all of them, or a (nodes, C) array of C
@@ -79,27 +80,24 @@ class IntegrandError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for one integral.
+    """Tolerance and budget for one integral.
 
-    abs_tol is also integrate_semi_infinite's truncation threshold: panel
-    extension stops once a whole panel contributes less than it.  In the
-    package only the reference routes of oracles call that function;
-    integrate_panels ends a semi-infinite domain on a last edge math.inf
-    and truncates nothing.
+    An integral has converged once its summed error estimate is at most
+    rel_tol |integral| (target), with no absolute floor, so a tolerance
+    below the integral's roundoff ends unconverged.  Nothing truncates a
+    domain: integrate_panels ends one on a last edge math.inf, and
+    integrate_semi_infinite runs its panels below the target of its total.
     """
 
     rel_tol: float = 1.0e-9
-    abs_tol: float = 1.0e-14
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise ValueError(
-                f"tolerances must be positive and finite, got {self.rel_tol!r} and {self.abs_tol!r}"
-            )
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
     def target(self, value: float) -> float:
-        return max(self.rel_tol * abs(value), self.abs_tol)
+        return self.rel_tol * abs(value)
 
 
 @dataclass
@@ -359,20 +357,17 @@ def integrate_semi_infinite(
     """Adaptive integral over (origin, infinity) for eventually decaying f.
 
     Panels of doubling width, (0,1], (1,3], (3,7], ... from the origin,
-    extend until an entire panel contributes below abs_tol twice in a row;
-    the collected panels are then refined like any finite-domain integral.
+    extend until a whole panel's value and error are within the target of
+    the running total twice in a row; the panels are then refined like any
+    finite-domain integral.
     """
     spec = spec or QuadratureSpec()
     panels, lo, quiet = [], origin, 0
     for hi in _dyadic_edges(lo):
         panels += _panels(f, (lo, hi))
-        if abs(math.fsum(panels[-1].value)) < spec.abs_tol and panels[-1].error < spec.abs_tol:
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-        if len(panels) >= spec.max_subdivisions:
+        target = spec.target(math.fsum(v for p in panels for v in p.value))
+        quiet = quiet + 1 if max(abs(math.fsum(panels[-1].value)), panels[-1].error) <= target else 0
+        if quiet >= 2 or len(panels) >= spec.max_subdivisions:
             break
         lo = hi
     return _refine(f, panels, spec)
@@ -389,10 +384,12 @@ def integrate_principal_value(
 
     The denominator defaults to (x - pole) and must have a simple zero at
     the pole and nowhere else in the domain.  On the symmetric window
-    [pole-delta, pole+delta] the integral is taken as
-    int_0^delta [h(pole+s) + h(pole-s)] ds with h the full integrand,
-    which is regular at s = 0; outside the window ordinary adaptive
-    quadrature applies.  upper = None means a semi-infinite domain.
+    [pole-delta, pole+delta] the integral is taken as int_0^delta F ds,
+    F(s) = h(pole+s) + h(pole-s) with h the full integrand, which is
+    regular at s = 0; for the default denominator F = [g(pole+s) -
+    g(pole-s)]/s, so a g even about the pole folds to exact zeros.
+    Outside the window ordinary adaptive quadrature applies, and
+    upper = None means a semi-infinite domain.
 
     Below the floor s = sqrt(eps) pole, where pole +- s keeps less than
     half of the digits of s and a denominator with roundoff may vanish off
@@ -430,7 +427,7 @@ def integrate_principal_value(
     def folded(s: np.ndarray) -> np.ndarray:
         below = s < floor
         s = np.maximum(s, floor)
-        values = h(pole + s) + h(pole - s)
+        values = (g(pole + s) - g(pole - s)) / s if denominator is None else h(pole + s) + h(pole - s)
         if not at_floor and below.any():
             at_floor.append(float(values[below.argmax()]))
         return values

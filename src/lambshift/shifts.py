@@ -92,6 +92,14 @@ class DipoleOptions:
 NON_DIPOLE = DipoleOptions()
 
 
+def _constants_for(state: QuantumState, constants: PhysicalConstants | None) -> PhysicalConstants:
+    """constants, or the defaults, if state's Z alpha0 is below 1, the Dirac point-nucleus limit."""
+    constants = constants or default_constants()
+    if state.Z * constants.alpha0 >= 1.0:
+        raise ValueError(f"Z alpha0 must be below 1, got Z={state.Z} and alpha0={constants.alpha0!r}")
+    return constants
+
+
 def shift_prefactor(state: QuantumState, constants: PhysicalConstants) -> float:
     """-4 mec2 a0 (Z a0)^2/(3 pi N^2) in eV, the factor of every shift integral."""
     N, Z = state.N, state.Z
@@ -172,7 +180,7 @@ def decay_rates(
     Gamma_n = -(8 a0/(3 N^2)) R_n(cosh phi_0) w(phi_0) mec2 (Z a0)^2/hbar
     at the pole phi_0 = ln(N/n); the ground state has no channels.
     """
-    constants = constants or default_constants()
+    constants = _constants_for(state, constants)
     return _partial_rates(state, _photon_weight(state, options, constants), constants)
 
 
@@ -331,7 +339,7 @@ def lamb_shift(
     -4 mec2 a0 (Z a0)^2/(3 pi N^2) multiplies the phi integral of the
     weighted inner tau integral plus one principal value per decay channel.
     """
-    constants = constants or default_constants()
+    constants = _constants_for(state, constants)
     limit = options.phi_cut(state, constants) if options.enabled else math.inf
     tau_MHz, pv_MHz, diag = _shift_bracket(state, options, spec, constants, limit)
     rates = _partial_rates(state, _photon_weight(state, options, constants), constants)
@@ -413,7 +421,7 @@ def bethe_log(
     whose integrand tends to a constant: one panel takes it at the default
     tolerances, and no node comes near phi = 355, where the dipole weight
     overflows, as the doubling panels of a semi-infinite domain would at
-    tight tolerances.  spec's tolerances are in units of gamma.
+    tight tolerances.  rel_tol is relative to int_0^inf h, not to gamma.
 
     The phi of the cutoffs are marks of the integral (integrate_panels),
     whose running sums are the estimates
@@ -424,8 +432,8 @@ def bethe_log(
     interpolant of that panel's nodes, so the estimates take no nodes of
     their own.
     """
-    constants = constants or default_constants()
     state = QuantumState(N=N, L=L, Z=Z)
+    constants = _constants_for(state, constants)
     limits = [DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, constants) for x in BETHE_CUTOFFS]
 
     def weight(phi: float) -> float:

@@ -177,6 +177,37 @@ def test_alpha0_of_one_or_more_exits_2(tmp_path, capsys, command, alpha0):
     assert out == "" and "alpha0" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    # before Z alpha0 < 1 was required: shift --z 200 printed 3.07e10 MHz with exit 0
+    [("shift", "--n", "2", "--l", "1", "--z", "138"), ("shift", "--n", "2", "--l", "1", "--z", "200"),
+     ("rates", "--n", "2", "--l", "1", "--z", "200"), ("bethe", "--n", "2", "--l", "1", "--z", "138")],
+)
+def test_z_alpha0_of_one_or_more_exits_2(capsys, command):
+    status, out, err = run_cli(capsys, *command)
+    assert status == EXIT_USAGE
+    assert out == "" and "Z alpha0" in err and f"Z={command[-1]}" in err and "alpha0=0.0072973525693" in err
+
+
+@pytest.mark.parametrize("command", ["shift", "rates", "bethe"])
+def test_z_alpha0_just_below_one_is_accepted(capsys, command):
+    # Z = 137: Z alpha0 = 0.99974, below the limit, however poor the expansion is there
+    status, out, _ = run_cli(capsys, command, "--n", "2", "--l", "1", "--z", "137", "--format", "json")
+    assert status == EXIT_OK
+    assert json.loads(out)
+
+
+@pytest.mark.parametrize("command", ["shift", "rates", "bethe"])
+def test_z_alpha0_of_one_from_a_constants_file_exits_2(tmp_path, capsys, command):
+    # alpha0 = 0.5 alone passes; with Z = 2 the coupling reaches 1
+    path = _constants_file(tmp_path, alpha0="0.5")
+    status, out, err = run_cli(capsys, command, "--n", "2", "--l", "1", "--z", "2", "--constants-file", path)
+    assert status == EXIT_USAGE
+    assert out == "" and "Z=2" in err and "alpha0=0.5" in err
+    status, out, _ = run_cli(capsys, "rates", "--n", "2", "--l", "1", "--constants-file", path)
+    assert status == EXIT_OK and out
+
+
 def test_nonconvergence_exit_3(capsys, monkeypatch):
     import lambshift.cli as cli_mod
 
@@ -280,12 +311,11 @@ def test_flag_the_subcommand_does_not_read_exits_2(capsys, argv):
 # Every flag listed here is read by its subcommand's runner; a flag added
 # to the parser without a runner that reads it fails this test.
 SUBCOMMAND_FLAGS = {
-    "shift": {"--n", "--l", "--z", "--dipole", "--cutoff-x", "--rel-tol", "--abs-tol",
-              "--format", "--constants-file"},
+    "shift": {"--n", "--l", "--z", "--dipole", "--cutoff-x", "--rel-tol", "--format", "--constants-file"},
     "rates": {"--n", "--l", "--z", "--dipole", "--format", "--constants-file"},
-    "bethe": {"--n", "--l", "--z", "--rel-tol", "--abs-tol", "--format", "--constants-file"},
-    "table": {"--id", "--rel-tol", "--abs-tol", "--format", "--constants-file"},
-    "verify": {"--rel-tol", "--abs-tol", "--format", "--constants-file"},
+    "bethe": {"--n", "--l", "--z", "--rel-tol", "--format", "--constants-file"},
+    "table": {"--id", "--rel-tol", "--format", "--constants-file"},
+    "verify": {"--rel-tol", "--format", "--constants-file"},
 }
 
 
@@ -299,4 +329,19 @@ def test_each_subcommand_declares_exactly_the_flags_it_reads():
         for name, p in subparsers.choices.items()
     }
     assert declared == SUBCOMMAND_FLAGS
-    assert sum(map(len, declared.values())) == 31
+    assert sum(map(len, declared.values())) == 27
+
+
+@pytest.mark.parametrize("argv", [
+    ("shift", "--n", "2", "--l", "1"),
+    ("bethe", "--n", "2", "--l", "1"),
+    ("table", "--id", "1"),
+    ("verify",),
+])
+def test_abs_tol_is_an_unknown_flag(capsys, argv):
+    # every integral stops on rel_tol |integral| alone; there is no absolute tolerance
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--abs-tol", "1e-14"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--abs-tol" in captured.err

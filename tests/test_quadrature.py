@@ -55,7 +55,7 @@ class TestSemiInfinite:
         mp.mp.dps = 50
         ref = float(mp.sqrt(mp.pi) / 2)
         assert r.value == pytest.approx(ref, abs=1e-13)
-        assert r.error_estimate <= max(1e-9 * r.value, 1e-14) * 1.001
+        assert r.error_estimate <= 1e-9 * r.value
 
     def test_integrable_endpoint_singularity(self):
         r = integrate_semi_infinite(lambda x: np.exp(-x) / np.sqrt(x))
@@ -64,10 +64,10 @@ class TestSemiInfinite:
         assert r.value == pytest.approx(ref, rel=1e-8)
 
     def test_converged_flag_and_bound(self):
-        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-14)
+        spec = QuadratureSpec(rel_tol=1e-9)
         r = integrate_semi_infinite(lambda x: np.exp(-x) * np.sin(3 * x), spec)
         assert r.converged
-        assert r.error_estimate <= max(spec.rel_tol * abs(r.value), spec.abs_tol)
+        assert r.error_estimate <= spec.rel_tol * abs(r.value)
         assert r.value == pytest.approx(0.3, abs=1e-11)
 
     def test_non_finite_integrand_is_hard_error(self):
@@ -75,13 +75,13 @@ class TestSemiInfinite:
             integrate_semi_infinite(lambda x: np.full_like(x, np.nan))
 
     def test_budget_exhaustion_flags_not_converged(self):
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=8)
+        spec = QuadratureSpec(rel_tol=1e-15, max_subdivisions=8)
         r = integrate_semi_infinite(lambda x: np.exp(-x) / (1e-4 + x), spec)
         assert not r.converged
 
     def test_budget_counts_panels_created(self):
         # 1 initial panel + 2 per bisection: the fourth bisection reaches 8
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=8)
+        spec = QuadratureSpec(rel_tol=1e-15, max_subdivisions=8)
         r = integrate_panels(lambda x: np.exp(-x) / (1e-4 + x), (0.0, 1.0), spec)
         assert r.subdivisions == 4
         assert r.evaluations == 135
@@ -89,15 +89,16 @@ class TestSemiInfinite:
 
     def test_doubling_budget_stays_within_error_estimate(self):
         f = lambda x: np.exp(-x) * np.cos(7 * x) / (0.1 + x)
-        base = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=500)
-        double = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=1000)
+        base = QuadratureSpec(rel_tol=1e-10, max_subdivisions=500)
+        double = QuadratureSpec(rel_tol=1e-10, max_subdivisions=1000)
         r1 = integrate_semi_infinite(f, base)
         r2 = integrate_semi_infinite(f, double)
         assert r1.converged
         assert abs(r2.value - r1.value) <= r1.error_estimate + 1e-16
 
     def test_truncation_scales_with_decay_rate(self):
-        # integrand with decay rate lambda is truncated near -ln(abs_tol)/lambda
+        # the dyadic panels of an integrand with decay rate lambda end where a
+        # whole panel falls below rel_tol times the running total
         for lam in (0.5, 2.0, 8.0):
             r = integrate_semi_infinite(lambda x, l=lam: np.exp(-l * x))
             assert r.value == pytest.approx(1.0 / lam, rel=1e-10)
@@ -126,7 +127,7 @@ class TestFinitePanels:
         # 1/(x - 1) diverges at the edge x = 1: bisection closes in on it
         # until a node would round onto it, and stops there unconverged
         # instead of dividing by zero
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
+        spec = QuadratureSpec(rel_tol=1e-12)
         r = integrate_panels(lambda x: 1.0 / (x - 1.0), (0.0, 1.0, 2.0), spec)
         assert not r.converged and math.isfinite(r.value)
         assert r.subdivisions < spec.max_subdivisions
@@ -150,7 +151,7 @@ class TestMarks:
 
     def test_exponential(self):
         # 0.3 lies in the unsplit panel (0, 1), 5.5 in a piece of the bisected (1, 20)
-        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16)
+        spec = QuadratureSpec(rel_tol=1e-14)
         marks = (0.3, 1.0, 5.5, 20.0)
         r = integrate_panels(lambda x: np.exp(-x), (0.0, 1.0, 20.0), spec, marks=marks)
         assert r.converged and r.subdivisions > 0
@@ -159,7 +160,7 @@ class TestMarks:
             assert got == pytest.approx(-math.expm1(-m), rel=0, abs=4e-16)
 
     def test_polynomial_of_degree_14(self):
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-15)
+        spec = QuadratureSpec(rel_tol=1e-15)
         r = integrate_panels(self._poly, (0.0, 1.0, 2.5), spec, marks=self.MARKS)
         assert r.subdivisions > 0
         exact = [self._poly_integral(m) for m in self.MARKS]
@@ -175,7 +176,7 @@ class TestMarks:
 
     def test_two_columns(self):
         # the running integral of a multi-column f sums its columns
-        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16)
+        spec = QuadratureSpec(rel_tol=1e-14)
         pair = lambda x: np.column_stack((np.exp(-x), self._poly(x)))
         r = integrate_panels(pair, (0.0, 1.0, 2.5), spec, marks=self.MARKS)
         assert len(r.columns) == 2 and r.subdivisions > 0
@@ -193,7 +194,7 @@ class TestMarks:
 class TestInfiniteLastEdge:
     """A last edge of math.inf: the panel (a, inf) is taken in t = e^-x on (0, e^-a)."""
 
-    SPEC = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16)
+    SPEC = QuadratureSpec(rel_tol=1e-13)
     E1_AT_1 = 0.21938393439552027  # E_1(1) = int_1^inf e^-x/x dx
 
     @pytest.mark.parametrize(
@@ -362,7 +363,7 @@ class TestColumns:
         return np.column_stack((wave + np.exp(-2 * x), -wave + 1.0 / (1.0 + x * x)))
 
     def test_column_totals_match_scalar_integrals(self):
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
+        spec = QuadratureSpec(rel_tol=1e-12)
         both = integrate_semi_infinite(self._pair, spec)
         assert both.converged and len(both.columns) == 2
         for c, total in enumerate(both.columns):
@@ -405,7 +406,7 @@ class TestColumns:
             (integrate_panels(lambda x: np.exp(-x) / (1e-2 + x), (0.0, 1.0)),
              (3.860601580295792, 1.7835974919222508e-09, 195, True, 6)),
             (integrate_principal_value(lambda x: np.exp(-x), 1.0),
-             (-0.6971748832350663, 1.955740658955394e-10, 165, True, 1)),
+             (-0.6971748832350663, 1.9557395487323694e-10, 165, True, 1)),
         )
         for r, want in pinned:
             assert (r.value, r.error_estimate, r.evaluations, r.converged, r.subdivisions) == want
@@ -435,7 +436,7 @@ class TestPrincipalValue:
         # 5.2e-9 off with error_estimate 8.1e-10)
         mp.mp.dps = 30
         pole = math.log(1.5)
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
+        spec = QuadratureSpec(rel_tol=1e-12)
         denominator = lambda x: 3 * np.exp(-x) - 2  # noqa: E731
         if upper is None:
             numerator = lambda x: np.exp(-x)  # noqa: E731
@@ -473,9 +474,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
+        QuadratureSpec(rel_tol=-1.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             QuadratureSpec(rel_tol=bad)
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureSpec(abs_tol=bad)
