@@ -69,9 +69,11 @@ from .su11 import rep_matrix_element  # noqa: F401
 # Switch from the exponential series to the Euler closed form once the
 # series ratio tanh^2(phi/2) exceeds this (phi ~ 2.89).
 SERIES_T2_MAX = 0.80
-# The series branch's tau integral stops once its tail bound meets
-# max(TAU_REL_TOL |value|, TAU_ABS_TOL).
-TAU_REL_TOL, TAU_ABS_TOL = 1.0e-13, 1.0e-15
+# Every kernel series (the series branch's tau integral and the oracles'
+# remainders) stops once its tail bound meets TAU_REL_TOL |sum|, with no
+# absolute floor: at high L the tail terms rise for a while before they
+# decay, and a floor ends the sum on terms that are still growing.
+TAU_REL_TOL = 1.0e-13
 EULER_GAMMA = 0.57721566490153286061
 
 
@@ -526,10 +528,12 @@ class PhiKernel:
         that fill_tau_integrals left, or those of a block of this kernel
         alone.  In the series regime the integral is the exact sum
         -sum_j j q_j/(j - nu), summed until the tail bound meets
-        max(1e-13 |value|, 1e-15), which is the bound returned.  Otherwise
-        it is the closed form, the residue terms n R_n/(n - nu) plus the
-        Gauss pieces of _euler_block, whose error bound is the roundoff
-        1e-15 sum |pieces|.
+        TAU_REL_TOL |value| (1e-13), which is the bound returned: relative
+        alone, since at high L the value can lie far below any fixed floor
+        (2.4e-8 at (50, 49, 2.8), whose first 96 tail terms are all below
+        1e-15 and still rising).  Otherwise it is the closed form, the
+        residue terms n R_n/(n - nu) plus the Gauss pieces of _euler_block,
+        whose error bound is the roundoff 1e-15 sum |pieces|.
         """
         if self.nu >= self.N:  # phi = 0: the j = N denominator vanishes
             raise ValueError("the weighted tau integral diverges at phi = 0")
@@ -539,7 +543,7 @@ class PhiKernel:
         return value, bound, 0, True
 
 
-def _series_sums(N: int, L: int, phis, nu, factor, rel_tol=1.0e-13, abs_tol=1.0e-300, block=None) -> list[float]:
+def _series_sums(N: int, L: int, phis, nu, factor, block=None) -> list[float]:
     """sum_{j >= N} q_j factor(j, nu) at each node of a block of one (N, L), for positive decreasing-enough factors.
 
     phis is a list of the nodes and nu an array of their nu; block is their
@@ -550,14 +554,18 @@ def _series_sums(N: int, L: int, phis, nu, factor, rel_tol=1.0e-13, abs_tol=1.0e
     each |D_{N,j}|^2 is formed once, a chunk costs the same whatever came
     before it, and every q_j equals its value from one _tail_weights call
     over the whole range.  factor gets a chunk's j (floats, from
-    _tail_table) and the column of its open rows' nu.  Each row stops on its
-    own tail bound, one array comparison over the open rows per chunk, and
-    leaves the chunks that follow, after as many chunks as its node would
-    take alone, so every sum equals that of a block of one bit for bit.  A
-    row still open past j = 2e6 raises ArithmeticError naming (N, L, phi)
-    of every open node.  The block is one stream whatever its size: the
-    4096-column cap and the j = 2e6 guard, not a cap on rows, bound the
-    arrays of a run that does not converge.
+    _tail_table) and the column of its open rows' nu.  Each row stops once
+    its tail bound, the largest of the chunk's last eight terms times
+    r/(1 - r) with r the ratio t^2 (1 + 2N/j) capped at 0.999, meets
+    TAU_REL_TOL |sum|, read at call time (see there: no absolute floor).
+    One array comparison over the open rows per chunk decides, and a
+    stopped row leaves the chunks that follow, after as many chunks as its
+    node would take alone, so every sum equals that of a block of one bit
+    for bit.  A row still open past j = 2e6 raises
+    ArithmeticError naming (N, L, phi) of every open node.  The block is
+    one stream whatever its size: the 4096-column cap and the j = 2e6
+    guard, not a cap on rows, bound the arrays of a run that does not
+    converge.
     """
     points, rows = block or _block_rows(N, L, phis)
     # one row per open node: w, t^2, nu, the gain G at the chunk's start and the weights j0 - 1, j0
@@ -577,8 +585,7 @@ def _series_sums(N: int, L: int, phis, nu, factor, rel_tol=1.0e-13, abs_tol=1.0e
         totals += terms.sum(axis=1)
         sums[open_] = totals
         ratio = np.minimum(0.999, t2[:, 0] * (1.0 + 2.0 * N / j1))
-        bound = np.maximum(rel_tol * np.abs(totals), abs_tol)
-        keep = ~(np.abs(terms[:, -8:]).max(axis=1) * ratio / (1.0 - ratio) <= bound)
+        keep = ~(np.abs(terms[:, -8:]).max(axis=1) * ratio / (1.0 - ratio) <= TAU_REL_TOL * np.abs(totals))
         if not keep.any():
             return sums.tolist()
         if not keep.all():
@@ -615,11 +622,10 @@ def fill_tau_integrals(kernels) -> np.ndarray:
     summed = np.flatnonzero(series & (nus < N))
     if summed.size:
         sums = _series_sums(
-            N, L, phis[summed].tolist(), nus[summed], lambda j, nu: j / (j - nu), TAU_REL_TOL, TAU_ABS_TOL,
-            (points[summed], rows[summed]),
+            N, L, phis[summed].tolist(), nus[summed], lambda j, nu: j / (j - nu), (points[summed], rows[summed])
         )
         for i, total in zip(summed.tolist(), sums):
-            taus[i] = -total, max(TAU_REL_TOL * abs(total), TAU_ABS_TOL)
+            taus[i] = -total, TAU_REL_TOL * abs(total)
     closed = np.flatnonzero(~series)
     if closed.size:
         gauss = _euler_block(N, L, phis[closed].tolist(), nus[closed].tolist())

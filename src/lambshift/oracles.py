@@ -203,7 +203,7 @@ def remainder(ker: PhiKernel, tau: float) -> float:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if _tanh2(ker.phi) <= kernel.SERIES_T2_MAX:
         u = math.exp(-tau)
-        return _series_sums(ker.N, ker.L, [ker.phi], [ker.nu], lambda j, nu: u**j, abs_tol=1.0e-320)[0]
+        return _series_sums(ker.N, ker.L, [ker.phi], [ker.nu], lambda j, nu: u**j)[0]
     x = np.array([tau])
     *_, up, _, res = _closed_terms(ker, x)
     return float((q_imag_time(ker, x) - np.add.reduce(res * up, axis=-1))[0])
@@ -214,7 +214,7 @@ def remainder_dtau(ker: PhiKernel, tau: float) -> float:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if _tanh2(ker.phi) <= kernel.SERIES_T2_MAX:
         u = math.exp(-tau)
-        return -_series_sums(ker.N, ker.L, [ker.phi], [ker.nu], lambda j, nu: j * u**j, abs_tol=1.0e-320)[0]
+        return -_series_sums(ker.N, ker.L, [ker.phi], [ker.nu], lambda j, nu: j * u**j)[0]
     return float(_closed_remainder_dtau(ker, np.array([tau]))[0])
 
 

@@ -18,7 +18,7 @@ from lambshift.cli import main
 FIXTURE = Path(__file__).with_name("data") / "cli_outputs.json"
 COMMANDS = [f"table --id {i} --format csv" for i in (1, 2, 3)] + [
     f"{command} --n {N} --l {L} --format json"
-    for N, L in ((5, 0), (8, 3), (20, 10), (3, 2))
+    for N, L in ((5, 0), (8, 3), (20, 10), (3, 2), (50, 49))
     for command in ("shift", "bethe")
 ]
 

@@ -499,9 +499,13 @@ class TestClosedBranchArrays:
 class TestTauIntegral:
     def test_series_vs_quadrature_branches(self):
         # the hot path (series at these phi, the Euler form beyond phi ~ 2.89)
-        # against the oracle's adaptive quadrature of the closed u-form
+        # against the oracle's adaptive quadrature of the closed u-form; at
+        # (50, 49), (60, 59) and (86, 85) every term of the first tail chunk
+        # is below 1e-15 and still rising, where an absolute floor stopped the
+        # series at 5.6e-21, 3.0e-25 and 7.3e-36 instead of ~2.4e-8
         for (N, L, phi) in (
             (2, 0, 2.0), (4, 1, 2.5), (3, 0, 2.9), (6, 5, 1.5), (2, 0, 4.0), (4, 1, 5.0), (3, 0, 3.5),
+            (50, 49, 2.8), (60, 59, 2.7), (86, 85, 2.5),
         ):
             value = PhiKernel(N, L, phi).tau_integral()[0]
             quad = tau_integral_by_quadrature(N, L, phi)
@@ -519,16 +523,16 @@ class TestTauIntegral:
         assert quad.value == pytest.approx(PhiKernel(25, 5, 3.05).tau_integral()[0], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
-        "N, L, phi", [(2, 0, 1.0), (4, 1, 2.5), (3, 0, 2.85), (6, 5, 1.5), (1, 0, 0.05)]
+        "N, L, phi", [(2, 0, 1.0), (4, 1, 2.5), (3, 0, 2.85), (6, 5, 1.5), (1, 0, 0.05), (50, 49, 2.8)]
     )
-    def test_series_branch_returns_the_bound_it_met(self, N, L, phi):
+    def test_series_branch_returns_the_bound_it_met(self, monkeypatch, N, L, phi):
         ker = PhiKernel(N, L, phi)
         assert _on_series(ker.phi)
         value, error, evaluations, converged = ker.tau_integral()
         assert (evaluations, converged) == (0, True)
-        assert error == max(1e-13 * abs(value), 1e-15)
-        nu = ker.nu
-        tighter = -K._series_sums(N, L, [phi], [nu], lambda j, nu: j / (j - nu), rel_tol=1e-16, abs_tol=1e-300)[0]
+        assert error == 1e-13 * abs(value)
+        monkeypatch.setattr(K, "TAU_REL_TOL", 1e-16)
+        tighter = -K._series_sums(N, L, [phi], [ker.nu], lambda j, nu: j / (j - nu))[0]
         assert abs(value - tighter) <= error
 
     def test_against_mpmath_quadrature(self):
@@ -928,22 +932,24 @@ class TestBlockStream:
             node = log_series(N, L, bh[i : i + 1], g[i : i + 1], w[i : i + 1])
             assert repr(node.tolist()) == repr(slab[i : i + 1].tolist()), i
 
-    def test_any_factor_sums_as_in_a_block_of_one(self):
-        # the oracles' remainder factors u^j and j u^j, their tolerances and a
-        # factor that reads each row's nu
+    def test_any_factor_sums_as_in_a_block_of_one(self, monkeypatch):
+        # the oracles' remainder factors u^j and j u^j, and a factor that reads
+        # each row's nu, at the default and at a tighter TAU_REL_TOL
         phis = [2.5, 0.2, 2.0, 1.0, 2.8]
         nus = [PhiKernel(4, 1, phi).nu for phi in phis]
         factors = [
-            (lambda j, nu: 0.4**j, {"abs_tol": 1e-320}),
-            (lambda j, nu: j * 0.99**j, {"abs_tol": 1e-320}),
-            (lambda j, nu: j / (j - nu), {"rel_tol": 1e-16}),
+            (lambda j, nu: 0.4**j, K.TAU_REL_TOL),
+            (lambda j, nu: j * 0.99**j, K.TAU_REL_TOL),
+            (lambda j, nu: j / (j - nu), 1e-16),
         ]
-        for factor, tols in factors:
-            sums = K._series_sums(4, 1, phis, np.array(nus), factor, **tols)
-            alone = [K._series_sums(4, 1, [phi], [nu], factor, **tols)[0] for phi, nu in zip(phis, nus)]
+        for factor, rel_tol in factors:
+            with monkeypatch.context() as m:
+                m.setattr(K, "TAU_REL_TOL", rel_tol)
+                sums = K._series_sums(4, 1, phis, np.array(nus), factor)
+                alone = [K._series_sums(4, 1, [phi], [nu], factor)[0] for phi, nu in zip(phis, nus)]
             assert repr(sums) == repr(alone)
         u = math.exp(-0.9)
-        whole = K._series_sums(4, 1, phis, nus, lambda j, nu: u**j, abs_tol=1e-320)
+        whole = K._series_sums(4, 1, phis, nus, lambda j, nu: u**j)
         assert remainder(PhiKernel(4, 1, 2.5), 0.9) == whole[0]
 
     def test_zero_phi_raises_without_a_numpy_warning(self):

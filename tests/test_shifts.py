@@ -510,21 +510,22 @@ class TestTransitionRestart:
 
 
 class TestDefaultSpecAccuracy:
-    """Default-spec shifts against rel_tol 1e-12 runs of the same route."""
+    """Default-spec shifts and Bethe logarithms against rel_tol 1e-12 runs of the same route.
+
+    Both runs share the tau series, which stops on TAU_REL_TOL |sum| alone.
+    Under the former absolute floor of 1e-15 the series stopped at (50, 49),
+    (50, 48), (60, 59) and (86, 85) on tail terms that were still rising, and
+    the outer quadrature chased the resulting jumps: the default runs sat
+    2.1e-8 .. 7.7e-7 from the tight ones, with converged=True.  Now (50, 49)
+    sits 4.5e-12 (Z = 1) and 4.1e-12 (Z = 92) from its tight run, and the
+    others of ROADMAP item 2's grid at most 1.9e-10 ((86, 84)).
+    """
 
     TIGHT = QuadratureSpec(rel_tol=1e-12)
-    POLE_CANCELLATION = pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 2: 6.3e-8 (Z = 1) and 5.8e-8 (Z = 92) off, yet converged=True; the phi "
-        "integral cancels against the closed-form pole terms, and only the integral meets rel_tol",
-    )
 
     @pytest.mark.parametrize(
         "N, L",
-        [
-            *TABLE1_STATES, (5, 4), (7, 2), (8, 3), (8, 7), (10, 9), (20, 10), (20, 18), (30, 28), (30, 29),
-            pytest.param(50, 49, marks=POLE_CANCELLATION),
-        ],
+        [*TABLE1_STATES, (5, 4), (7, 2), (8, 3), (8, 7), (10, 9), (20, 10), (20, 18), (30, 28), (30, 29), (50, 49)],
     )
     def test_within_1e_11_of_the_tight_run(self, N, L):
         for Z in (1, 92):
@@ -532,6 +533,19 @@ class TestDefaultSpecAccuracy:
             default, tight = lamb_shift(state), lamb_shift(state, spec=self.TIGHT)
             assert default.converged and tight.converged
             assert default.lamb_shift_MHz == pytest.approx(tight.lamb_shift_MHz, rel=1e-11, abs=0), Z
+
+    @pytest.mark.parametrize("N, L", [(50, 48), (60, 59), (86, 85)])
+    def test_high_l_shift_and_gamma_within_1e_9_of_the_tight_run(self, N, L):
+        # ROADMAP item 2's gate on a sample of its grid: 2.3e-11, 2.6e-11 and
+        # 4.5e-11 now, against 2.1e-8 .. 7.7e-7 under the tau series' floor
+        for Z in (1, 92):
+            state = QuantumState(N=N, L=L, Z=Z)
+            default, tight = lamb_shift(state), lamb_shift(state, spec=self.TIGHT)
+            assert default.converged and tight.converged
+            assert default.lamb_shift_MHz == pytest.approx(tight.lamb_shift_MHz, rel=1e-9, abs=0), Z
+            default, tight = bethe_log(N, L, Z=Z), bethe_log(N, L, spec=self.TIGHT, Z=Z)
+            assert default.converged and tight.converged
+            assert default.gamma == pytest.approx(tight.gamma, rel=1e-9, abs=0), Z
 
 
 class TestSmallCouplingLimit:
@@ -546,9 +560,11 @@ class TestSmallCouplingLimit:
     against the Bethe logarithm's dipole weight, cutoff marks and sum rule;
     the tau kernel and the residues are shared.  The bounds are measured
     at the default spec: for L >= 1, |DeltaE/A + gamma|/|gamma| is
-    1.4e-6 .. 1.5e-9 at alpha0 = 1e-4 and falls 78-86-fold to 1.8e-8 ..
-    1.8e-11 at 1e-5, a little short of alpha0^2; for L = 0 the remainder
+    1.4e-6 .. 5.6e-10 at alpha0 = 1e-4 and falls 71-87-fold to 1.8e-8 ..
+    7.9e-12 at 1e-5, a little short of alpha0^2; for L = 0 the remainder
     is 10.620 .. 10.660 alpha0 at both alpha0, the same across N to 7.8e-8.
+    (50, 48) and (86, 85) stayed at 1.8e-7 and 2.9e-7 at both alpha0 while
+    an absolute floor of 1e-15 stopped the tau series early at high L.
     """
 
     ALPHAS = (1e-4, 1e-5)
@@ -569,7 +585,7 @@ class TestSmallCouplingLimit:
 
     @pytest.mark.parametrize(
         "N, L",
-        [(2, 1), (4, 1), (20, 10), (10, 9), (30, 28), (50, 49)],
+        [(2, 1), (4, 1), (20, 10), (10, 9), (30, 28), (50, 49), (50, 48), (86, 85)],
     )
     def test_remainder_falls_almost_as_alpha0_squared(self, N, L):
         gamma = abs(bethe_log(N, L).gamma)
