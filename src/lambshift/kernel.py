@@ -42,9 +42,11 @@ slab in _log_series, to whose pieces fill_tau_integrals adds the residue
 terms); the same Gauss pieces at the complex nu + i eps are the eps
 oracle's inner integral at large phi, reached without a PhiKernel and so
 without a weight row.  Within a block, only a node's Jacobi point
-and gains (_block_rows, which must equal residue_coeffs' floats), its
-e^-phi and its one digamma (_euler_block) are scalar calls; every other
-per-node quantity is an array operation over the block's nodes.
+(_block_rows), its e^-phi and its one digamma (_euler_block) are scalar
+calls; every other per-node quantity is an array operation over the
+block's nodes, the weight gains too: their powers t^{2k} are running
+products, as in _row_weights, not pow, so the rows keep residue_coeffs'
+floats.
 Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 (oracles.q_imag_time, oracles.remainder), the real-time kernel
 (oracles.kernel_q) and the adaptive quadrature of the inner integral
@@ -92,16 +94,17 @@ def _jacobi_point(L: int, phi: float) -> tuple[float, float, float]:
 def _row_table(N: int, L: int) -> tuple:
     """The phi-independent factors of the weights L < j <= N, kept per (N, L).
 
-    Entry j - L - 1 is (C(N+L, 2L+1)/C(j+L, 2L+1), N - j, the Jacobi
-    steps of degree 1 .. j - L - 1 at (N - j, 2L + 1) from specfun's table):
-    the binomial ratio of G_j, the power of t^2 in it and the recurrence of
-    its Jacobi polynomial (see _row_weights).
+    Entry j - L - 1 is (C(N+L, 2L+1)/C(j+L, 2L+1), the Jacobi steps of
+    degree 1 .. j - L - 1 at (N - j, 2L + 1) from specfun's table): the
+    binomial ratio of G_j and the recurrence of its Jacobi polynomial (see
+    _row_weights; the power N - j of t^2 in G_j is the entry's distance
+    from the last).
     """
     top, rows = math.comb(N + L, 2 * L + 1), []
     for j in range(L + 1, N + 1):
         degree = j - L - 1
         steps = tuple(_jacobi_steps(degree, N - j, 2 * L + 1)[:degree])
-        rows.append((top / math.comb(j + L, 2 * L + 1), N - j, steps))
+        rows.append((top / math.comb(j + L, 2 * L + 1), steps))
     return tuple(rows)
 
 
@@ -116,15 +119,21 @@ def _row_weights(N: int, L: int, point, j0: int, j1: int) -> list[float]:
         G_j = C(h+L, 2L+1)/C(l+L, 2L+1) t^{2(h-l)} cosh^{-4(L+1)}(phi/2).
 
     Here j <= N, and every phi-independent factor comes from _row_table;
-    the zeros j <= L never index it.  The square is a product, as in
-    _block_rows, whose rows equal these floats bit for bit.
+    the zeros j <= L never index it.  t^{2(N-j)} is the running product
+    (t^2)^k that _block_rows' cumulative product forms (not pow: C pow and
+    numpy's power round differently in ~8% of their results), here from
+    the last weight down, and the square is a product, so the rows of
+    _block_rows equal these floats bit for bit.
     """
     w, t2, gain = point
-    lo = max(j0, L + 1)
-    weights = [0.0] * (lo - j0)
-    for ratio, power, steps in _row_table(N, L)[lo - L - 1 : j1 - L - 1]:
+    table, weights, power = _row_table(N, L), [0.0] * (j1 - j0), 1.0
+    for _ in range(N + 1 - j1):  # k = N - j of the last weight, j = j1 - 1
+        power *= t2
+    for j in range(j1 - 1, max(j0, L + 1) - 1, -1):
+        ratio, steps = table[j - L - 1]
         p = _jacobi_from_steps(steps, w)
-        weights.append(ratio * t2**power * gain * p * p)
+        weights[j - j0] = ratio * power * gain * p * p
+        power *= t2
     return weights
 
 
@@ -140,7 +149,7 @@ def _row_steps(N: int, L: int) -> tuple:
     table = _row_table(N, L)
     keep = (0.0, 1.0, 0.0)
     return tuple(
-        tuple(map(np.array, zip(*(steps[k] if k < len(steps) else keep for _, _, steps in table))))
+        tuple(map(np.array, zip(*(steps[k] if k < len(steps) else keep for _, steps in table))))
         for k in range(N - L - 1)
     )
 
@@ -151,19 +160,23 @@ def _block_rows(N: int, L: int, phis) -> tuple[np.ndarray, np.ndarray]:
     one row per node.
 
     The batched _row_weights: each row equals _row_weights(N, L, point, -1,
-    N + 1) bit for bit.  The factors G_j are formed per node in Python
-    floats (t^{2(N-j)} by pow, as there) and the polynomials of all
-    weights j <= N of all nodes in one recurrence (_row_steps), so a
-    block costs N - L - 1 array steps where its nodes alone would cost
-    (N - L)^2/2 scalar steps each.
+    N + 1) bit for bit.  Only the Jacobi points are per-node calls.  The
+    factors G_j = ratio_j t^{2(N-j)} G_N of all nodes and weights are one
+    array expression, t^{2k} one cumulative product over k (the running
+    products of _row_weights), and the polynomials of all weights j <= N of
+    all nodes are one recurrence (_row_steps), so a block costs N - L - 1
+    array steps where its nodes alone would cost (N - L)^2/2 scalar steps
+    each.
     """
-    points = [_jacobi_point(L, phi) for phi in phis]
-    table = _row_table(N, L)
-    gains = np.array([[ratio * t2**power * gain for ratio, power, _ in table] for _, t2, gain in points])
-    points = np.array(points)
+    points = np.array([_jacobi_point(L, phi) for phi in phis])
+    powers = np.empty((len(points), N - L))  # t^{2k}, k = 0 .. N - L - 1
+    powers[:, 0] = 1.0
+    powers[:, 1:] = points[:, 1:2]
+    np.cumprod(powers, axis=1, out=powers)
+    ratios = np.array([ratio for ratio, _ in _row_table(N, L)])
     p = _jacobi_from_steps(_row_steps(N, L), points[:, :1])
     rows = np.zeros((len(points), N + 2))
-    rows[:, L + 2 :] = gains * p * p
+    rows[:, L + 2 :] = ratios * powers[:, ::-1] * points[:, 2:] * p * p  # weight j has power N - j
     return points, rows
 
 

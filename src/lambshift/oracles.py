@@ -224,15 +224,19 @@ def tau_integral_by_quadrature(
     """int_0^inf e^{nu tau} dQ~/dtau dtau by adaptive Gauss-Kronrod quadrature.
 
     The integrand is the closed u-form minus the residues
-    (_closed_remainder_dtau) at any phi, one array of nodes per call; an
-    overflow becomes a non-finite node and raises IntegrandError.  It is an
-    independent check of PhiKernel.tau_integral, not a replacement.
+    (_closed_remainder_dtau) at any phi, one array of nodes per call.  It is
+    an independent check of PhiKernel.tau_integral, not a replacement.
 
     Only nu = N e^{-phi} < max(1, L) is accepted, else ValueError: the
     residues subtracted from the u-form leave roundoff of order
     eps e^{-max(1, L) tau}, which the weight e^{nu tau} amplifies once nu
     reaches max(1, L), so the tail panels would never fall below the
-    target of the running total and would march on until they overflow.
+    target of the running total.  Below that bound the roundoff decays,
+    but only like e^{(nu - max(1, L)) tau}: just below it ((10, 9) at
+    phi = 0.11 .. 0.17, (50, 49) up to 0.33) the doubling panels reach
+    tau where e^{nu tau} overflows while the remainder, of order u^N,
+    has left the double range.  Such a node is lost: it counts as 0, and
+    the result reports converged=False whatever its error estimate.
     """
     nu, bound = N * math.exp(-phi), max(1, L)
     if nu >= bound:
@@ -241,12 +245,21 @@ def tau_integral_by_quadrature(
         )
     ker = PhiKernel(N, L, phi)
     spec = spec or QuadratureSpec(rel_tol=1.0e-10, max_subdivisions=400)
+    lost = False
 
     def integrand(tau: np.ndarray) -> np.ndarray:
-        return np.exp(ker.nu * tau) * _closed_remainder_dtau(ker, tau)
+        nonlocal lost
+        values = np.exp(ker.nu * tau) * _closed_remainder_dtau(ker, tau)
+        finite = np.isfinite(values)
+        if not finite.all():
+            lost = True
+            values[~finite] = 0.0
+        return values
 
     with np.errstate(over="ignore", invalid="ignore"):
-        return integrate_semi_infinite(integrand, spec)
+        result = integrate_semi_infinite(integrand, spec)
+    result.converged = result.converged and not lost
+    return result
 
 
 def pv_term_by_principal_values(

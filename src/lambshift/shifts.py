@@ -25,7 +25,6 @@ x = e^-phi (quadrature.integrate_panels).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -228,15 +227,36 @@ def _pole_terms(N: int, L: int, weight) -> list[tuple[int, float, float]]:
 
 
 def _phi_edges(terms, limit: float) -> tuple[float, ...]:
-    """Panel edges of [0, limit]: 0, every pole, then dyadic panels from the last pole.
+    """Panel edges of [0, limit]: 0, every pole, then doubling panels from the last pole.
 
-    The dipole shifts end these panels at their cutoff.  The Bethe
-    logarithm ends them at its last cutoff and the non-dipole shift at
-    max(phi_w, phi_L + 1), past the weight's transition; both then add the
-    last edge math.inf, whose panel integrate_panels takes in x = e^-phi.
+    The dipole shifts end these panels at their cutoff, and the Bethe
+    logarithm at its last cutoff before the last edge math.inf: their
+    weights have no transition, so the panels may widen (_transition_edges
+    is the non-dipole shift's layout).
     """
     lead = (0.0, *(pole for _, pole, _ in reversed(terms)))
     return lead[:-1] + dyadic_edges_upto(lead[-1], limit)
+
+
+def _transition_edges(terms, transition: float) -> tuple[float, ...]:
+    """Panel edges of [0, inf) for the non-dipole shift, whose weight turns over at phi_w = transition.
+
+    0, every pole, the first panel [phi_L, phi_L + 1] from the last pole
+    phi_L, then ceil(phi_w - phi_L - 1) equal panels up to phi_w, and
+    math.inf, whose panel (phi_T, inf) integrate_panels takes in
+    x = e^-phi; phi_T = max(phi_w, phi_L + 1), so a transition within 1 of
+    phi_L leaves the first panel alone.  Every panel is at most 1 wide,
+    the width over which the weight turns over, so the first integrand
+    call resolves the turn.  The first panel is that of the doubling
+    panels before it: high-L states, whose integral lies next to phi_L,
+    bisect it towards the pole as they did (a first panel 0.997 wide moved
+    (50, 49) by 1.6e-11 and (86, 85) at a0 = 1e-5 by 4e-11 of the Bethe
+    logarithm, near the roundoff of their 2.6e3-fold cancellation).
+    """
+    lead = (0.0, *(pole for _, pole, _ in reversed(terms)))
+    start = lead[-1] + 1.0
+    count = math.ceil(transition - start)  # <= 0 where phi_T = start
+    return (*lead, *(start + (transition - start) * k / count for k in range(count)), max(transition, start), math.inf)
 
 
 def _bracket_integrand(N: int, L: int, weight, terms):
@@ -250,11 +270,15 @@ def _bracket_integrand(N: int, L: int, weight, terms):
     fills all their tau integrals at once (kernel.fill_tau_integrals,
     which returns their residues), calls each kernel's tau_integral once
     to read its value, and forms the PV column as arrays over the nodes.
-    Each node's w comes from the scalar weight function of the rates and
-    pole strengths, and each gap expm1(phi_n - phi) from math.expm1:
-    numpy's first expm1 pages in its code, ~0.1 MB of a pass's peak
-    memory.  An inner integral that fails raises, so every value read has
-    converged.
+    The first call takes every starting panel of the layout, so with the
+    non-dipole shift's panels at most 1 wide through the weight's
+    transition (_transition_edges) one call resolves a Table-1 state; only
+    a bisection makes another.  Each node's w comes from the scalar weight
+    function of the rates and pole strengths, and each gap
+    expm1(phi_n - phi) from math.expm1: numpy's first expm1 pages in its
+    code, ~0.1 MB of a pass's peak memory, and a vectorized weight and
+    gap measured within noise.  An inner integral that fails raises, so
+    every value read has converged.
     """
     start = max(1, L)
     poles = [pole for _, pole, _ in terms]
@@ -301,12 +325,14 @@ def _shift_bracket(
     in the subtracted numerator.  The pole strengths read the residues of
     _channels, as the rates do.  A dipole shift's doubling panels run from
     the last pole phi_L = ln(N/max(1, L)) to the cutoff.  The non-dipole
-    weight w = 1 - (1+s)^{-1/2}, s = (Z a0/N)^2 (e^{2 phi} - 1), saturates
-    past phi_w = ln(N/(Z a0)), where the integrand only decays: its phi
-    panels end at phi_T = max(phi_w, phi_L + 1), and the last edge math.inf
-    makes the rest one refinable panel in x = e^-phi, so no absolute
-    threshold truncates the domain.  The one quadrature is the
-    tau_phi_integral part, refined against the integral it reports.
+    weight w = 1 - (1+s)^{-1/2}, s = (Z a0/N)^2 (e^{2 phi} - 1), turns over
+    about 1 wide in phi around phi_w = ln(N/(Z a0)) and saturates past it,
+    where the integrand only decays: its phi panels run from phi_L in
+    panels at most 1 wide to phi_T = max(phi_w, phi_L + 1)
+    (_transition_edges), and the last edge math.inf makes the rest one
+    refinable panel in x = e^-phi, so no absolute threshold truncates the
+    domain.  The one quadrature is the tau_phi_integral part, refined
+    against the integral it reports.
     """
     N, L = state.N, state.L
     weight = _photon_weight(state, options, constants)
@@ -315,8 +341,7 @@ def _shift_bracket(
         raise ValueError(f"dipole cutoff phi={limit:.3f} does not clear the pole at {terms[0][1]:.3f}")
     integrand = _bracket_integrand(N, L, weight, terms)
     if limit == math.inf:
-        transition = max(math.log(N / (state.Z * constants.alpha0)), math.log(N / max(1, L)) + 1.0)
-        edges = (*_phi_edges(terms, transition), math.inf)
+        edges = _transition_edges(terms, math.log(N / (state.Z * constants.alpha0)))
     else:
         edges = _phi_edges(terms, limit)
     outer = integrate_panels(integrand, edges, spec)
@@ -517,6 +542,9 @@ class TableCell:
 
 
 def _load_reference_values() -> dict:
+    """The published table values keyed by (table_id, quantity, N, L, J, n); csv loads here, not on import."""
+    import csv
+
     refs = {}
     path = resources.files("lambshift").joinpath("data/reference_tables.csv")
     with path.open("r", encoding="utf-8") as fh:

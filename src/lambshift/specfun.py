@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,7 +56,11 @@ def _hyp2f1_exact(a: int, b: int, c: int, z: float):
     """Terminating 2F1 with exact rational arithmetic (z taken bit-exact).
 
     A sum beyond the float range stays an exact Fraction (see ln_abs).
+    fractions (and decimal, which it imports) load on the first call, not
+    with the package: only a cancelling reference series comes here.
     """
+    from fractions import Fraction
+
     zq = Fraction(z)
     term = Fraction(1)
     total = Fraction(1)
@@ -71,9 +74,12 @@ def _hyp2f1_exact(a: int, b: int, c: int, z: float):
 
 
 def ln_abs(x) -> float:
-    """ln|x| of a float, or of an exact Fraction of any size."""
-    if isinstance(x, Fraction):
-        return math.log(abs(x.numerator)) - math.log(x.denominator)
+    """ln|x| of a float, or of an exact Fraction of any size (from _hyp2f1_exact)."""
+    if not isinstance(x, float):
+        from fractions import Fraction
+
+        if isinstance(x, Fraction):
+            return math.log(abs(x.numerator)) - math.log(x.denominator)
     return math.log(abs(x))
 
 

@@ -23,6 +23,12 @@ an error of that series.  The oracle-tau check can: it recomputes the
 integral taken from oracles.tau_integral_by_quadrature wherever that
 applies (nu < max(1, L)) and converges, and from the kernel elsewhere, and
 gates their gap to the default shift at 1e-11.
+
+The grid count prints the outer evaluations and integrand calls of the 48
+default shifts of ROADMAP item 2's grid (N in {10, 20, 30, 50, 60, 86},
+L in {0, N//2, N-2, N-1}, Z in {1, 92}) and fails if the evaluations rise
+more than 2% over the 30,030 of doubling panels through the non-dipole
+weight's transition, so that the layout's cost beyond the tables shows.
 """
 
 import json
@@ -38,20 +44,25 @@ sys.path.insert(0, SRC)  # for `python tests/optin_high_n.py`; pytest reads src 
 
 from lambshift import kernel, shifts  # noqa: E402
 from lambshift.oracles import tau_integral_by_quadrature  # noqa: E402
-from lambshift.quadrature import IntegrandError  # noqa: E402
 
 # (N, L): (shift MHz, its outer evaluations, Bethe logarithm, its evaluations).
 # (60, 0) from the route before each integrand call became one array block,
 # (86, 0) from the route before the tau block lost its stream and slab caps,
 # with the shift's evaluations of the purely relative stopping rule (1,785
-# under an absolute floor of 1e-14, 1.4e-14 from this value).
+# under an absolute floor of 1e-14, 1.4e-14 from this value) and of panels at
+# most 1 wide through the weight's transition ((60, 0) took 1,335 with
+# doubling panels there).
 EXPECTED = {
-    (60, 0): (0.03805405038954235, 1335, 2.722805384583539, 960),
+    (60, 0): (0.03805405038954235, 1305, 2.722805384583539, 960),
     (86, 0): (0.012923010798784848, 1845, 2.722728255110574, 1350),
 }
 
 HIGH_L = [(N, L, Z) for N in (20, 30, 50, 60, 86) for L in (N - 2, N - 1) for Z in (1, 92)]
 ORACLE_TAU = [(50, 48), (50, 49), (86, 85)]
+# ROADMAP item 2's grid of default shifts, and its outer evaluations with
+# doubling panels up to the weight's transition (563 integrand calls)
+GRID = [(N, L, Z) for N in (10, 20, 30, 50, 60, 86) for L in sorted({0, N // 2, N - 2, N - 1}) for Z in (1, 92)]
+GRID_EVALUATIONS_BEFORE = 30_030
 
 _CHILD = """
 import json, resource, sys
@@ -119,10 +130,7 @@ class _OracleTau(kernel.PhiKernel):
         own = super().tau_integral()
         on_series = math.tanh(self.phi / 2.0) ** 2 <= kernel.SERIES_T2_MAX
         if on_series and self.nu < max(1, self.L):
-            try:
-                quad = tau_integral_by_quadrature(self.N, self.L, self.phi)
-            except IntegrandError:  # a tail node overflowed: the oracle does not converge here
-                return own
+            quad = tau_integral_by_quadrature(self.N, self.L, self.phi)
             if quad.converged:
                 _OracleTau.replaced += 1
                 return quad.value, quad.error_estimate, 0, True
@@ -153,6 +161,38 @@ def test_shift_with_oracle_tau_at_the_series_nodes(N, L):
     assert gap <= 1e-11
 
 
+def grid_counts() -> tuple[int, int]:
+    """The outer evaluations and the integrand calls of every default shift of GRID."""
+    calls, original = [0], shifts._bracket_integrand
+
+    def counting(*args):
+        integrand = original(*args)
+
+        def counted(phis):
+            calls[0] += 1
+            return integrand(phis)
+
+        return counted
+
+    shifts._bracket_integrand = counting
+    try:
+        evaluations = sum(
+            shifts.lamb_shift(shifts.QuantumState(N=N, L=L, Z=Z)).diagnostics.evaluations for N, L, Z in GRID
+        )
+    finally:
+        shifts._bracket_integrand = original
+    print(f"\ngrid of {len(GRID)} shifts: {evaluations} outer evaluations in {calls[0]} integrand calls "
+          f"({GRID_EVALUATIONS_BEFORE} with doubling panels through the transition)")
+    return evaluations, calls[0]
+
+
+def test_grid_evaluations_within_2_percent_of_the_doubling_layout():
+    # panels at most 1 wide through the weight's transition may cost more
+    # starting nodes where they save bisections: 30,120 in 499 calls
+    evaluations, _ = grid_counts()
+    assert evaluations <= 1.02 * GRID_EVALUATIONS_BEFORE
+
+
 if __name__ == "__main__":
     for N, L in sorted(EXPECTED):
         for quantity in ("shift", "bethe"):
@@ -163,3 +203,4 @@ if __name__ == "__main__":
         high_l_gap(N, L, Z)
     for N, L in ORACLE_TAU:
         oracle_tau_gap(N, L)
+    grid_counts()

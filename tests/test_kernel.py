@@ -522,6 +522,17 @@ class TestTauIntegral:
         assert quad.converged
         assert quad.value == pytest.approx(PhiKernel(25, 5, 3.05).tau_integral()[0], rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("N, L, phi", [(20, 19, 0.111), (10, 9, 0.125)])
+    def test_quadrature_oracle_just_below_its_bound_ends_unconverged(self, N, L, phi):
+        # nu = 18.0 and 8.8, just below L: the doubling panels reach tau where
+        # e^{nu tau} overflows while u^N has left the double range; those
+        # nodes raised IntegrandError (nan at tau = 62.9 and 126.7), and now
+        # count as lost, so the result ends converged=False
+        assert N * math.exp(-phi) < L
+        quad = tau_integral_by_quadrature(N, L, phi)
+        assert not quad.converged
+        assert math.isfinite(quad.value) and math.isfinite(quad.error_estimate)
+
     @pytest.mark.parametrize(
         "N, L, phi", [(2, 0, 1.0), (4, 1, 2.5), (3, 0, 2.85), (6, 5, 1.5), (1, 0, 0.05), (50, 49, 2.8)]
     )
@@ -689,9 +700,12 @@ class TestKernelTables:
                 fresh = [_jacobi_step(k, float(N - j), beta) for k in range(1, degree + 1)]
                 assert _JACOBI_STEPS[N - j, beta][:degree] == fresh
                 binom = math.comb(N + L, 2 * L + 1) / math.comb(j + L, 2 * L + 1)
-                assert _row_table(N, L)[j - L - 1] == (binom, N - j, tuple(fresh))
+                assert _row_table(N, L)[j - L - 1] == (binom, tuple(fresh))
                 p = _jacobi_from_steps(fresh, w)
-                want = binom * t2 ** (N - j) * gain * p * p
+                power = 1.0  # t^{2(N-j)} as a running product, not pow
+                for _ in range(N - j):
+                    power *= t2
+                want = binom * power * gain * p * p
                 assert row[j + 1] == want
                 for j0 in range(-1, j + 1):
                     assert _row_weights(N, L, point, j0, j + 1) == row[j0 + 1 : j + 2]
@@ -777,6 +791,18 @@ class TestKernelTables:
         tables = ("_tail_table", "_euler_rows", "_log_table", "_row_table", "_series_term_ratios")
         assert {*(f"lambshift.kernel.{name}" for name in tables), "lambshift.shifts._channels"} <= set(sizes)
         assert all(size == 0 for size in sizes.values()), sizes
+
+    def test_import_loads_no_fractions_decimal_or_csv(self):
+        # fractions (which imports decimal) loads with the exact-rational
+        # fallback of a reference series, csv with the published tables
+        src = str(Path(K.__file__).resolve().parents[1])
+        code = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import lambshift, lambshift.oracles; "
+            "print(json.dumps(sorted(m for m in ('fractions', 'decimal', 'csv') if m in sys.modules)))"
+        )
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == []
 
 
 class TestEulerBlock:

@@ -432,20 +432,23 @@ class TestPoleSubtraction:
 
 
 class TestTransitionRestart:
-    """The non-dipole phi panels end past the weight's transition phi_w = ln(N/(Z a0)),
-    and one panel in x = e^-phi takes the rest of the semi-infinite domain."""
+    """The non-dipole phi panels run through the weight's transition phi_w = ln(N/(Z a0))
+    in panels at most 1 wide, and one panel in x = e^-phi takes the rest of the
+    semi-infinite domain."""
 
     # (evaluations, lamb_shift_MHz, tau_phi_term_MHz, pv_term_MHz) of each
     # Table-1 state at the default spec; the shifts are those of the layout
     # whose doubling panels ran from the last pole alone, in 1,665
-    # evaluations and 25 bisections
+    # evaluations and 25 bisections.  The doubling panels that ended at
+    # phi_w took (2,1) in 105 and (4,0) in 165 evaluations, with one
+    # bisection of a panel across the transition in each state but (2,1)
     TABLE1 = {
         (1, 0): (90, 7936.290038546572, 7936.290038546572, 0.0),
         (2, 0): (105, 1015.3974447520557, 492.46309571361905, 522.9343490384366),
-        (2, 1): (105, 4.086179389745254, 71.02259348797212, -66.93641409822686),
+        (2, 1): (135, 4.086179389745254, 71.02259348797212, -66.93641409822686),
         (3, 0): (120, 302.63023668271546, 108.60094977309282, 194.02928690962267),
         (3, 1): (120, 1.5396016995756456, 8.129751035542347, -6.590149335966701),
-        (4, 0): (165, 127.9746820529746, 36.29722072522628, 91.67746132774832),
+        (4, 0): (135, 127.9746820529746, 36.29722072522628, 91.67746132774832),
         (4, 1): (135, 0.7134081090003961, 3.11986245038057, -2.406454341380174),
     }
 
@@ -464,10 +467,11 @@ class TestTransitionRestart:
         return calls, lamb_shift(state)
 
     @staticmethod
-    def _layout(N, L, offsets, end):
-        """0, the poles ascending, the last pole plus each doubling offset, then end."""
+    def _layout(N, L, count, end):
+        """0, the poles ascending, the last pole plus 1, then count equal panels up to end."""
         lead = (0.0, *sorted(pole for _, pole, _ in _channels(N, L)))
-        return (*lead, *(lead[-1] + offset for offset in offsets), end)
+        start = lead[-1] + 1.0
+        return (*lead, *(start + (end - start) * k / count for k in range(count)), end)
 
     @pytest.mark.parametrize("N, L", list(TABLE1))
     def test_table_1_counts_and_shifts(self, N, L):
@@ -480,21 +484,46 @@ class TestTransitionRestart:
 
     @pytest.mark.parametrize("N, L", list(TABLE1))
     def test_table_1_edges_end_at_the_transition(self, monkeypatch, N, L):
-        # one call: the phi panels end at phi_w, then the last edge inf
-        # makes (phi_w, inf) one panel in x = e^-phi
+        # one call: phi_w - phi_L = ln(max(1, L)/a0) = 4.92 for every Table-1
+        # state, so [phi_L, phi_L + 1] and four panels 0.98 wide end at phi_w,
+        # then the last edge inf makes (phi_w, inf) one panel in x = e^-phi
         end = math.log(N / C.alpha0)
         (edges,), _ = self._edges(monkeypatch, QuantumState(N=N, L=L))
-        want = self._layout(N, L, (1.0, 3.0), end)
+        want = self._layout(N, L, 4, end)
         assert edges[:-1] == pytest.approx(want, rel=0, abs=1e-14) and edges[-2:] == (end, math.inf)
+        run = edges[len(_channels(N, L)) : -1]  # phi_L .. phi_w
+        assert max(b - a for a, b in zip(run, run[1:])) <= 1.0 + 1e-14
 
-    @pytest.mark.parametrize("N, L, evaluations", [(10, 9, 195), (8, 7, 165)])
-    def test_near_circular_states_end_at_the_transition(self, monkeypatch, N, L, evaluations):
+    def test_table_1_takes_one_integrand_call_per_state_but_2p(self, monkeypatch):
+        # every panel across the transition is resolved by the first call;
+        # only (2,1) bisects, on its (0, ln 2) panel: 8 calls and 840 nodes
+        import lambshift.shifts as shifts_mod
+
+        calls, original = {}, shifts_mod._bracket_integrand
+
+        def counting(N, L, *args):
+            f = original(N, L, *args)
+
+            def g(phis):
+                calls[N, L] = calls.get((N, L), 0) + 1
+                return f(phis)
+
+            return g
+
+        monkeypatch.setattr(shifts_mod, "_bracket_integrand", counting)
+        evaluations = sum(lamb_shift(QuantumState(N=N, L=L)).diagnostics.evaluations for N, L in self.TABLE1)
+        assert calls == {state: 2 if state == (2, 1) else 1 for state in self.TABLE1}
+        assert evaluations == 840
+
+    @pytest.mark.parametrize("N, L, count, evaluations", [(10, 9, 7, 210), (8, 7, 6, 195)])
+    def test_near_circular_states_end_at_the_transition(self, monkeypatch, N, L, count, evaluations):
         end = math.log(N / C.alpha0)
         (edges,), result = self._edges(monkeypatch, QuantumState(N=N, L=L))
-        # phi_w - phi_L is 7.12 for (10,9) and 6.87 for (8,7); the doubling
-        # run stops before a last panel narrower than 1, which would have
-        # been [phi_L + 7, phi_w] for (10,9)
-        want = self._layout(N, L, (1.0, 3.0), end)
+        # phi_w - phi_L is 7.12 for (10,9) and 6.87 for (8,7): after
+        # [phi_L, phi_L + 1], seven panels 0.87 wide and six 0.98 wide; the
+        # doubling panels had ended [phi_L + 3, phi_L + 7, phi_w] and
+        # [phi_L + 3, phi_w], in 195 and 165 evaluations
+        want = self._layout(N, L, count, end)
         assert edges[:-1] == pytest.approx(want, rel=0, abs=1e-14) and edges[-2:] == (end, math.inf)
         assert result.converged
         assert result.diagnostics.parts["tau_phi_integral"].evaluations == evaluations
@@ -595,21 +624,23 @@ class TestSmallCouplingLimit:
 
 
 # Shifts and Bethe logarithms beyond the tables, with their outer evaluation
-# counts, from the route before each integrand call became one array block:
-# (N, L, Z): (shift MHz, evaluations, gamma, evaluations).  The (20, 10) and
-# (30, 28) shift counts, and the (30, 28) shift, are those of the purely
-# relative stopping rule: an absolute floor of 1e-14 stopped (30, 28) 1.1e-8
-# from its rel_tol 1e-12 run after 135 evaluations.
+# counts: (N, L, Z): (shift MHz, evaluations, gamma, evaluations).  The values
+# are from the route before each integrand call became one array block; the
+# (30, 28) shift is that of the purely relative stopping rule: an absolute
+# floor of 1e-14 stopped (30, 28) 1.1e-8 from its rel_tol 1e-12 run after 135
+# evaluations.  The shift counts are those of panels at most 1 wide through
+# the weight's transition (shifts._transition_edges); the doubling panels
+# took 495, 570, 285 and 255.
 HIGH_N_BEFORE_BLOCKS = {
-    (20, 0, 1): (1.0273018310731508, 495, 2.723967084293013, 360),
-    (20, 10, 1): (1.3027704527679911e-05, 570, -9.603671400947368e-05, 225),
-    (30, 28, 1): (1.0920844552864828e-07, 285, -2.717210126435994e-06, 225),
-    (8, 3, 92): (929720.9167496533, 255, -0.00285911455929516, 165),
+    (20, 0, 1): (1.0273018310731508, 435, 2.723967084293013, 360),
+    (20, 10, 1): (1.3027704527679911e-05, 555, -9.603671400947368e-05, 225),
+    (30, 28, 1): (1.0920844552864828e-07, 330, -2.717210126435994e-06, 225),
+    (8, 3, 92): (929720.9167496533, 240, -0.00285911455929516, 165),
 }
 
 
 class TestHighNRegression:
-    """The array-block integrand keeps the shifts, the Bethe logarithms and their node counts beyond the tables."""
+    """The array-block integrand keeps the shifts and the Bethe logarithms beyond the tables, with pinned node counts."""
 
     @pytest.mark.parametrize("N, L, Z", list(HIGH_N_BEFORE_BLOCKS))
     def test_within_1e_10_with_the_same_evaluations(self, N, L, Z):
