@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .constants import PhysicalConstants, default_constants
+from .constants import PhysicalConstants
 from .kernel import (
     PhiKernel,
     _euler_block,
@@ -57,6 +57,7 @@ from .quadrature import (
 from .shifts import (
     DipoleOptions,
     QuantumState,
+    _constants_for,
     _photon_weight,
     bethe_amplitude,
     lamb_shift,
@@ -279,7 +280,7 @@ def pv_term_by_principal_values(
     absolute roundoff of ~eps n next to the pole, which the folded
     integrand would amplify without bound as the fold closes.
     """
-    constants = constants or default_constants()
+    constants = _constants_for(state, constants)
     N, L = state.N, state.L
     upper = options.phi_cut(state, constants) if options.enabled else None
     weight = _photon_weight(state, options, constants)
@@ -309,7 +310,7 @@ def circular_rate_closed_form(
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    constants = constants or default_constants()
+    constants = _constants_for(QuantumState(N=N, L=N - 1, Z=Z), constants)
     unit = constants.rate_unit_per_s(Z)
     shape = (2.0 / 3.0) * (N - 0.5) / (N**4 * (N - 1) ** 2)
     shape *= (1.0 + 1.0 / (4.0 * N * (N - 1))) ** (-2 * N)
@@ -506,7 +507,7 @@ def shift_via_eps_real_axis(
     """
     if not 0.0 < eps < math.inf:  # NaN and inf included: no node integrates them
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    constants = constants or default_constants()
+    constants = _constants_for(state, constants)
     N, L = state.N, state.L
 
     nodes, weights, _ = kronrod_nodes_weights()
@@ -565,8 +566,8 @@ def bethe_log_by_cutoffs(
     For s states the extrapolation is biased by about (Z a0)^2/x (6.6e-10
     at x = 1e3 .. 1e5 and Z = 1), so it is a check at large cutoffs only.
     """
-    constants = constants or default_constants()
     state = QuantumState(N=N, L=L, Z=Z)
+    constants = _constants_for(state, constants)
     amplitude = bethe_amplitude(state, constants)
     nodes, estimates = [], []
     for x in cutoffs:

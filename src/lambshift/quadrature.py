@@ -25,8 +25,8 @@ IntegrandError.
 Each panel keeps its 15 rows of node values, so integrate_panels can also
 report running integrals up to marks inside its domain at no further
 evaluation: the final panels below a mark, plus the integral up to the
-mark of the degree-14 interpolant of the panel that holds it.  Its
-weights come from the Legendre form of that interpolant (_interpolant_weights).
+mark of the degree-14 interpolant of the panel that holds it, integrated
+exactly by the rule itself on the part below the mark (_interpolant_weights).
 
 All nodes are interior, so integrands may be singular (integrably) at
 panel endpoints, in particular at the origin of a semi-infinite domain.
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import takewhile
 from typing import Callable, Sequence
 
@@ -95,6 +94,8 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+        if not isinstance(self.max_subdivisions, int) or self.max_subdivisions < 1:
+            raise ValueError(f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
 
     def target(self, value: float) -> float:
         return self.rel_tol * abs(value)
@@ -144,48 +145,21 @@ _NODES, _WTS_K, _WTS_G = kronrod_nodes_weights()
 PANEL_NODES = len(_NODES)  # an integrand call holds whole panels of this many nodes
 _X = np.array(_NODES)
 _W = np.array((_WTS_K, _WTS_G)).T  # (15, 2): kronrod and gauss columns
-
-
-def _legendre(y: float, count: int) -> list[float]:
-    """P_0(y) .. P_{count-1}(y) by the three-term recurrence."""
-    p = [1.0, y]
-    for j in range(1, count - 1):
-        p.append(((2 * j + 1) * y * p[j] - j * p[j - 1]) / (j + 1))
-    return p[:count]
-
-
-@lru_cache(maxsize=None)
-def _legendre_inverse() -> np.ndarray:
-    """Inverse of the table P_j(x_k), k nodes by j = 0..14 degrees, of the Kronrod nodes x_k.
-
-    It maps a panel's 15 node values to the Legendre coefficients of their
-    degree-14 interpolant.  Gauss-Jordan elimination with partial pivoting
-    in the array operations the quadrature already uses: a first LAPACK
-    call adds ~0.5 MB of peak RSS, and other numpy routines 0.1-0.3 MB, in
-    the pages of numpy's code they touch.
-    """
-    n = PANEL_NODES
-    a = np.array([[*_legendre(x, n), *(float(i == k) for i in range(n))] for k, x in enumerate(_NODES)])
-    for i in range(n):
-        pivot = max(range(i, n), key=lambda r: abs(a[r, i]))
-        a[i], a[pivot] = a[pivot].copy(), a[i].copy()
-        a[i] /= a[i, i]
-        column = a[:, i].copy()
-        column[i] = 0.0
-        a -= column[:, None] * a[i]
-    return a[:, n:]
+# x_k - x_j, by rows j and columns k, and infinite where j = k; built from
+# floats, as numpy's comparison and casting loops add ~0.15 MB of peak RSS
+_GAPS = np.array([[xk - xj if xk != xj else math.inf for xk in _NODES] for xj in _NODES])
 
 
 def _interpolant_weights(y: float) -> np.ndarray:
     """int_{-1}^{y} l_k for each Lagrange basis polynomial l_k of the Kronrod nodes, y in [-1, 1].
 
-    The integral of the interpolant is sum_j c_j int_{-1}^{y} P_j, with
-    int_{-1}^{y} P_j = (P_{j+1}(y) - P_{j-1}(y))/(2j + 1) for j >= 1 and
-    y + 1 for j = 0.
+    l_k = prod_{j != k} (x - x_j)/(x_k - x_j) has degree 14, so the rule
+    itself, mapped onto (-1, y), integrates it exactly.  Its factors, as
+    1 + (x - x_k)/(x_k - x_j), are 1 for j = k and make l_k(x_i) exactly 0 or 1.
     """
-    p = _legendre(y, PANEL_NODES + 1)
-    integrals = [y + 1.0, *((p[j + 1] - p[j - 1]) / (2 * j + 1) for j in range(1, PANEL_NODES))]
-    return np.add.reduce(np.array(integrals)[:, None] * _legendre_inverse(), axis=0)
+    c, h = _frame(-1.0, y)
+    factors = 1.0 + (c + h * _X[:, None] - _X) / _GAPS[:, None, :]  # [j, node, k]
+    return h * np.add.reduce(_W[:, :1] * np.multiply.reduce(factors, axis=0), axis=0)
 
 
 def _frame(a: float, b: float) -> tuple[float, float]:
@@ -317,7 +291,8 @@ def integrate_panels(
     result's running holds the integral from edges[0] up to it, read off
     the final panels: those below the mark, plus the integral up to the
     mark of the degree-14 interpolant of the 15 node values of the panel
-    that holds it.  Marks cost no evaluation and do not steer the refinement.
+    that holds it, which the 15-node rule up to the mark integrates
+    exactly.  Marks cost no evaluation and do not steer the refinement.
     """
     spec = spec or QuadratureSpec()
     if len(edges) < 2 or not -math.inf < edges[0] or not all(a < b for a, b in zip(edges, edges[1:])):

@@ -454,8 +454,9 @@ def bethe_log(
     each cutoff x, with A = bethe_amplitude, in the form
     int_0^Phi h + sum_n A_n _pole_pv(N, n, Phi) + delta_{L0} (ln(1 - e^{-2 Phi}) - 2 ln N).
     A cutoff inside a panel reads the integral up to it off the degree-14
-    interpolant of that panel's nodes, so the estimates take no nodes of
-    their own.
+    interpolant of that panel's nodes, integrated exactly by the panel's
+    own 15-node rule mapped onto the stretch below the cutoff, so the
+    estimates take no nodes of their own.
     """
     state = QuantumState(N=N, L=L, Z=Z)
     constants = _constants_for(state, constants)
@@ -509,7 +510,7 @@ def dipole_lamb_full(
     """
     if state.J is None:
         raise ValueError("state needs a total angular momentum J")
-    constants = constants or default_constants()
+    constants = _constants_for(state, constants)
     L, Z = state.L, state.Z
     amplitude = bethe_amplitude(state, constants)
     if L == 0:
@@ -610,11 +611,11 @@ def generate_table(
             ))
             for J in j_values:
                 state = QuantumState(N=N, L=L, J=J)
-                full, _ = dipole_lamb_full(state, bethe.gamma, constants)
+                # the part without the QED constant does not depend on J
+                full, without = dipole_lamb_full(state, bethe.gamma, constants)
                 cells.append(
                     _cell(refs, table_id, N, L, J, None, "lamb_shift_dipole", "MHz", full, ok)
                 )
-            _, without = dipole_lamb_full(QuantumState(N=N, L=L, J=L + 0.5), bethe.gamma, constants)
             cells.append(
                 _cell(refs, table_id, N, L, None, None, "lamb_shift_dipole_atomic", "MHz", without, ok)
             )

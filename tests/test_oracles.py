@@ -12,6 +12,7 @@ from lambshift.oracles import (
     _inner_t_integral_spectral,
     _kernel_matrix_element_grid,
     bethe_log_by_cutoffs,
+    circular_rate_closed_form,
     kernel_via_spectral_series,
     neville_extrapolate,
     pv_term_by_principal_values,
@@ -358,3 +359,19 @@ def test_bethe_log_matches_cutoff_route(N, L):
     assert result.converged
     gamma, _ = bethe_log_by_cutoffs(N, L, (1e7, 3e7, 1e8, 3e8, 1e9))
     assert abs(result.gamma - gamma) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        # each returned a number at Z = 200 (-1.2e10, 3.0e10 - 3.0e10j and 1.0e12)
+        lambda state: pv_term_by_principal_values(state, DipoleOptions()),
+        lambda state: shift_via_eps_real_axis(state, 0.05),
+        lambda state: circular_rate_closed_form(state.N, state.Z),
+        lambda state: bethe_log_by_cutoffs(state.N, state.L, (1.0e7,), Z=state.Z),
+    ],
+    ids=["pv", "eps", "circular", "cutoffs"],
+)
+def test_z_alpha0_of_one_or_more_raises(route):
+    with pytest.raises(ValueError, match="Z alpha0"):
+        route(QuantumState(N=2, L=1, Z=200))

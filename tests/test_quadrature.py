@@ -7,6 +7,7 @@ import pytest
 from lambshift.quadrature import (
     IntegrandError,
     QuadratureSpec,
+    _interpolant_weights,
     integrate_panels,
     integrate_principal_value,
     integrate_semi_infinite,
@@ -182,6 +183,19 @@ class TestMarks:
         assert len(r.columns) == 2 and r.subdivisions > 0
         exact = [-math.expm1(-m) + self._poly_integral(m) for m in self.MARKS]
         assert r.running == pytest.approx(exact, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("y", [-1.0, -0.37, 0.2, 0.9, 1.0])
+    def test_weights_integrate_every_monomial_up_to_degree_14(self, y):
+        weights = _interpolant_weights(y)
+        nodes = np.array(kronrod_nodes_weights()[0])
+        for d in range(15):
+            exact = (y ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
+            assert abs(math.fsum(weights * nodes**d) - exact) <= 2e-15, d
+
+    def test_weights_at_the_ends_of_the_panel(self):
+        # up to the panel's end they are the Kronrod weights, at its start nothing
+        assert _interpolant_weights(1.0).tolist() == list(kronrod_nodes_weights()[1])
+        assert _interpolant_weights(-1.0).tolist() == [0.0] * 15
 
     @pytest.mark.parametrize(
         "marks", [(0.0,), (-0.5,), (2.0 + 1e-15,), (1.5, 0.5), (0.5, 0.5), (0.5, 3.0)]
@@ -478,3 +492,8 @@ def test_spec_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             QuadratureSpec(rel_tol=bad)
+    # the budget counts panels; one of 0 or less left every integral unrefined and unconverged
+    for bad in (0, -3, 2.5, 1.0, None):
+        with pytest.raises(ValueError, match="max_subdivisions"):
+            QuadratureSpec(max_subdivisions=bad)
+    assert QuadratureSpec(max_subdivisions=1).max_subdivisions == 1

@@ -931,6 +931,12 @@ class TestDipoleLambFull:
         amplitude = 8.0 * C.alpha0**3 / (3.0 * math.pi) * (C.mec2_eV * C.alpha0**2 / 2.0)
         assert full - tilde == pytest.approx(C.eV_to_MHz(amplitude * 19.0 / 30.0), rel=1e-12)
 
+    @pytest.mark.parametrize("Z", [138, 200])
+    def test_z_alpha0_of_one_or_more_raises(self, Z):
+        # Z = 200 returned 2.0e10 MHz while bethe_log(2, 1, Z=200) raised
+        with pytest.raises(ValueError, match="Z alpha0"):
+            dipole_lamb_full(QuantumState(N=2, L=1, J=1.5, Z=Z), -0.03)
+
 
 class TestTables:
     def test_table_1_layout_and_references(self):
@@ -955,6 +961,17 @@ class TestTables:
         assert len(by_quantity["lamb_shift_dipole"]) == 6  # both J per N
         gamma_2p = [c for c in by_quantity["bethe_log"] if c.N == 2][0]
         assert gamma_2p.computed == pytest.approx(-0.0300156, abs=5e-4)
+
+    @pytest.mark.parametrize("table_id, states, calls", [(2, 4, 4), (3, 3, 6)])
+    def test_one_dipole_lamb_full_call_per_state_and_j(self, monkeypatch, table_id, states, calls):
+        # the atomic cell comes from the J loop's calls, not from one more per state
+        seen = []
+        monkeypatch.setattr(
+            "lambshift.shifts.dipole_lamb_full", lambda *args: seen.append(args) or dipole_lamb_full(*args)
+        )
+        cells = generate_table(table_id)
+        assert len(seen) == calls
+        assert len([c for c in cells if c.quantity == "lamb_shift_dipole_atomic"]) == states
 
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError):
