@@ -78,7 +78,8 @@ def load_constants(path: str) -> PhysicalConstants:
     """Read a ``key = value`` constants file.
 
     Recognised keys: alpha0, mec2_eV, hbar_eVs.  Blank lines and lines
-    starting with ``#`` are ignored; unknown keys are an error.
+    starting with ``#`` are ignored; unknown keys, and a constant given
+    twice (under any alias), are an error.
     """
     values: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -92,6 +93,8 @@ def load_constants(path: str) -> PhysicalConstants:
             field = _FIELD_ALIASES.get(key.strip().lower())
             if field is None:
                 raise ValueError(f"{path}:{lineno}: unknown constant {key.strip()!r}")
+            if field in values:
+                raise ValueError(f"{path}:{lineno}: constant {field} given twice")
             values[field] = float(text.strip())
     missing = {"alpha0", "mec2_eV", "hbar_eVs"} - set(values)
     if missing:

@@ -142,7 +142,6 @@ def kronrod_nodes_weights():
 
 
 _NODES, _WTS_K, _WTS_G = kronrod_nodes_weights()
-PANEL_NODES = len(_NODES)  # an integrand call holds whole panels of this many nodes
 _X = np.array(_NODES)
 _W = np.array((_WTS_K, _WTS_G)).T  # (15, 2): kronrod and gauss columns
 # x_k - x_j, by rows j and columns k, and infinite where j = k; built from

@@ -1,12 +1,12 @@
-"""Terminating hypergeometric sums, Jacobi polynomials, gamma ratios, digamma.
+"""Terminating hypergeometric sums, Jacobi polynomials, digamma.
 
 The Jacobi recurrence builds every kernel weight (kernel._row_weights
 and kernel._tail_weights) and the real-time kernel of the oracles; the
-Gauss series and gamma ratios serve the reference route, su11 matrix
-elements; the digamma function enters the closed form of the inner tau
-integral (PhiKernel.tau_integral), complex for the eps oracle.  Narrow
-parameter ranges (nonpositive integer series indices, integer Jacobi
-parameters) allow exact finite summation throughout.  The divided
+Gauss series serves the reference route, su11 matrix elements, summed
+exactly in rationals; the digamma function enters the closed form of the
+inner tau integral (PhiKernel.tau_integral), complex for the eps oracle.
+Narrow parameter ranges (nonpositive integer series indices, integer
+Jacobi parameters) allow exact finite summation throughout.  The divided
 coefficients of each Jacobi recurrence step depend only on (degree,
 alpha, beta); for scalar parameters they are tabulated once, lazily, in
 _JACOBI_STEPS (see _jacobi_steps).
@@ -19,53 +19,25 @@ import math
 
 import numpy as np
 
-# Alternating terminating series lose roughly condition * n * eps relative
-# accuracy to per-term rounding, so anything noticeably cancellation-prone
-# is redone in exact rational arithmetic (cheap: <= |a|+1 small rationals).
-CONDITION_LIMIT = 4.0
-
 # (alpha, beta) -> [(c1, c0, c2) of degree 1, 2, ...], see _jacobi_steps
 _JACOBI_STEPS: dict = {}
 
 
-class _NeumaierAcc:
-    """Running compensated sum; also tracks the sum of magnitudes."""
+def _hyp2f1_exact(a: int, b: float, c: int, z: float):
+    """Terminating 2F1 in exact rational arithmetic (b and z taken bit-exact).
 
-    __slots__ = ("total", "comp", "abs_total")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.comp = 0.0
-        self.abs_total = 0.0
-
-    def add(self, v: float) -> None:
-        t = self.total + v
-        if abs(self.total) >= abs(v):
-            self.comp += (self.total - t) + v
-        else:
-            self.comp += (v - t) + self.total
-        self.total = t
-        self.abs_total += abs(v)
-
-    @property
-    def value(self) -> float:
-        return self.total + self.comp
-
-
-def _hyp2f1_exact(a: int, b: int, c: int, z: float):
-    """Terminating 2F1 with exact rational arithmetic (z taken bit-exact).
-
-    A sum beyond the float range stays an exact Fraction (see ln_abs).
-    fractions (and decimal, which it imports) load on the first call, not
-    with the package: only a cancelling reference series comes here.
+    The float result is the exact sum correctly rounded; a sum beyond the
+    float range stays an exact Fraction (see ln_abs).  fractions (and
+    decimal, which it imports) load on the first call, not with the
+    package: only the reference route sums a Gauss series.
     """
     from fractions import Fraction
 
-    zq = Fraction(z)
+    bq, zq = Fraction(b), Fraction(z)
     term = Fraction(1)
     total = Fraction(1)
     for k in range(-a):
-        term *= Fraction((a + k) * (b + k), (c + k) * (k + 1)) * zq
+        term *= (a + k) * (bq + k) * zq / ((c + k) * (k + 1))
         total += term
     try:
         return float(total)
@@ -83,36 +55,19 @@ def ln_abs(x) -> float:
     return math.log(abs(x))
 
 
-def hyp2f1_terminating(a: int, b: int, c: int, z: float):
-    """Gauss series 2F1(a, b; c; z) for nonpositive integer a and real z.
+def hyp2f1_terminating(a: int, b: float, c: int, z: float):
+    """Gauss series 2F1(a, b; c; z) for nonpositive integer a and real b, z.
 
-    The sum terminates after |a|+1 terms and is accumulated lowest order
-    first with compensated summation.  Severe alternating-sign
-    cancellation (term sum exceeding the result by more than
-    CONDITION_LIMIT) triggers an exact rational re-evaluation, which comes
-    back as a Fraction when the value does not fit a double.
+    The sum terminates after |a|+1 terms and is summed exactly by
+    _hyp2f1_exact, so the float returned is correctly rounded however much
+    the terms cancel; a value beyond the float range comes back as a
+    Fraction.
     """
     if a != int(a) or a > 0:
         raise ValueError(f"series does not terminate: a={a!r} must be a nonpositive integer")
-    a = int(a)
     if c != int(c) or c < 1:
         raise ValueError(f"require positive integer c, got {c!r}")
-    c = int(c)
-    if a == 0 or z == 0:
-        return 1.0
-
-    acc = _NeumaierAcc()
-    term = 1.0
-    acc.add(term)
-    for k in range(-a):
-        term *= (a + k) * (b + k) * z / ((c + k) * (k + 1))
-        acc.add(term)
-    result = acc.value
-    scale = max(abs(result), 5e-324)
-    if acc.abs_total > CONDITION_LIMIT * scale or not math.isfinite(acc.abs_total):
-        if b == int(b):
-            return _hyp2f1_exact(a, int(b), c, z)
-    return result
+    return _hyp2f1_exact(int(a), b, int(c), z)
 
 
 def _jacobi_step(k: int, alpha, beta):
@@ -185,18 +140,6 @@ def _as_float_like(w, value: float):
         return value + 0.0 * w
     except TypeError:
         return value
-
-
-def ln_gamma_ratio(num: int, den: int) -> float:
-    """ln(Gamma(num)/Gamma(den)) for positive integers, by summed logs."""
-    if num < 1 or den < 1 or num != int(num) or den != int(den):
-        raise ValueError(f"require positive integer arguments, got ({num!r}, {den!r})")
-    num, den = int(num), int(den)
-    if num == den:
-        return 0.0
-    lo, hi = min(num, den), max(num, den)
-    total = math.fsum(math.log(k) for k in range(lo, hi))
-    return total if num > den else -total
 
 
 def digamma(x):

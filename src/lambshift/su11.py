@@ -4,8 +4,9 @@ A group element is the coordinate pair (alpha, beta) of the defining 2x2
 matrix [[alpha, beta], [beta*, alpha*]] with |alpha|^2 - |beta|^2 = 1.
 The unitary representation acting on a tower m0, m0+1, ... is evaluated in
 closed form from the Baker-Campbell-Hausdorff disentangling of the element;
-the resulting finite sum is a terminating Gauss series with square-root
-gamma-ratio prefactors handled in log space.
+the resulting finite sum is a terminating Gauss series, summed exactly,
+with a square-root ratio of factorials, taken exactly, as its prefactor;
+magnitudes are assembled in log space.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .specfun import hyp2f1_terminating, ln_abs, ln_gamma_ratio
+from .specfun import hyp2f1_terminating, ln_abs
 
 DET_TOLERANCE = 1.0e-9
 
@@ -113,16 +114,17 @@ class RepLabel:
 def _finite_transform(m0: int, m_row: int, m_col: int, alpha: complex, beta: complex) -> complex:
     """Closed-form matrix element for m_row <= m_col, any integer m0 <= m_row.
 
-    Phase convention: raising matrix elements positive.  The gamma-ratio
-    square root and the series are assembled in log space so towers up to
-    m ~ 10^2 and large boosts, where the series alone exceeds the float
-    range, do not overflow.
+    Phase convention: raising matrix elements positive.  The square root
+    of the exact factorial ratio and the series are assembled in log space
+    so towers up to m ~ 10^2 and large boosts, where the series alone
+    exceeds the float range, do not overflow.
     """
+    from fractions import Fraction
+
+    f = math.factorial
     mp_, m = m_row, m_col
     d = m - mp_
-    lnmag = 0.5 * (
-        ln_gamma_ratio(m + m0, mp_ + m0) + ln_gamma_ratio(m - m0 + 1, mp_ - m0 + 1)
-    ) - ln_gamma_ratio(d + 1, 1)
+    lnmag = 0.5 * ln_abs(Fraction(f(m + m0 - 1) * f(m - m0), f(mp_ + m0 - 1) * f(mp_ - m0) * f(d) ** 2))
     series = hyp2f1_terminating(m0 - mp_, 1 - m0 - mp_, d + 1, -abs(beta) ** 2)
     if series == 0.0:
         return 0.0 + 0.0j

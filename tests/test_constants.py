@@ -80,6 +80,21 @@ def test_load_constants_rejects_unknown_key(tmp_path):
         load_constants(str(path))
 
 
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        ("alpha0 = 0.0073\nmec2_eV = 511000.0\nalpha0 = 0.5\nhbar_eVs = 6.58e-16\n", 3),
+        ("alpha0 = 7.2e-3\nmec2_eV = 511000.0\nhbar_eVs = 6.58e-16\n# alias\nhbar_ev_s = 6.6e-16\n", 5),
+    ],
+)
+def test_load_constants_rejects_a_constant_given_twice(tmp_path, text, lineno):
+    # the last value must not silently win
+    path = tmp_path / "twice.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: constant")):
+        load_constants(str(path))
+
+
 def test_load_constants_rejects_missing_key(tmp_path):
     path = tmp_path / "incomplete.txt"
     path.write_text("alpha0 = 7.2e-3\n")
