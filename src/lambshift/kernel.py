@@ -27,8 +27,10 @@ lazily, and then read: the binomial ratios, powers and Jacobi steps of
 the weights j <= N (_row_table, its steps from specfun._jacobi_steps,
 keyed by (N - j, 2L + 1) and so shared by every N, laid out as rows over
 j by _row_steps), the indices, gain ratios and steps of every tail chunk
-(_tail_table, the only source of them; the series branch stops within a
-bounded depth for each (N, L), so the table stays bounded) and the factors
+(_tail_table, the only source of them, kept for the last
+_TAIL_TABLE_CHUNKS chunks asked for: the series branch stops within a
+bounded depth for each (N, L), and a series that never stops keeps no
+more than that) and the factors
 of each Euler log series with its first term 1/s! (_euler_rows) and the
 steps of the log series themselves (_log_table, one table per length).
 At large phi the series converges too slowly (ratio t^2 -> 1,
@@ -185,7 +187,13 @@ def _q(below, at, above):
     return 0.5 * at - 0.25 * above - 0.25 * below
 
 
-@lru_cache(maxsize=None)
+# Tail chunks kept by _tail_table: a Table-1 or Bethe pass reads 14, and a
+# series forced past its switch, which runs to j = 2e6 before it raises,
+# would otherwise keep every chunk (30.8 MB at (1, 0)).
+_TAIL_TABLE_CHUNKS = 32
+
+
+@lru_cache(maxsize=_TAIL_TABLE_CHUNKS)
 def _tail_table(N: int, L: int, j0: int, j1: int):
     """The phi-independent part of _tail_weights over j0 <= j < j1, kept per (N, L, j0, j1).
 

@@ -19,21 +19,25 @@ is exact at every finite epsilon: one period of the 2 pi-periodic dQ/dT
 divided by 1 - e^{2 pi (i nu - eps)}, folded onto [0, pi] by
 dQ/dT(2 pi - T) = -conj dQ/dT(T).  Up to phi = 3.5 that half period is
 a T grid whose size depends only on the node's panel count, so the phi
-nodes of a panel with one count are one (phi x T) block: the trig of T
-is taken once per block row and the hyperbolics once per node, and the
+nodes with one count are (phi x T) blocks of up to 15 nodes: the trig of
+T is taken once per block row and the hyperbolics once per node, and the
 phase e^{-2iN chi} of the kernel and its rate are algebraic in them, with
-no angle, complex exponential or complex division per element.  At large
-phi it is the kernel's exponential series summed in closed form: the
-Gauss pieces of the rotated inner integral's Euler form at the complex
-nu + i eps (kernel._euler_block, all such nodes of a panel in one
-block), which hold the whole damped integral, residue terms and tail
-alike.
+no angle, complex exponential or complex division per element.  A block
+is kept as its T-moments, which do not depend on eps (the damping
+e^{-+eps T} is their Taylor series, exact in double up to EPS_MAX), so an
+eps sweep whose phi nodes stay put, the 1s route of verify, evaluates the
+kernel on the grid once.  At large phi it is the kernel's exponential
+series summed in closed form: the Gauss pieces of the rotated inner
+integral's Euler form at the complex nu + i eps (kernel._euler_block, all
+such nodes of a call in one block), which hold the whole damped
+integral, residue terms and tail alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,9 +54,10 @@ from .kernel import (
 from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
+    _W,
+    _X,
     integrate_principal_value,
     integrate_semi_infinite,
-    kronrod_nodes_weights,
 )
 from .shifts import (
     DipoleOptions,
@@ -390,7 +395,8 @@ def _dq_dt_grid(N: int, L: int, T: np.ndarray, phi: float | np.ndarray) -> np.nd
     """
     phase, amp, damp, dchi = _kernel_matrix_element_grid(N, L, T, phi)
     s2 = np.sin(T / 2.0) ** 2
-    return phase * _complex(0.5 * np.sin(T) * amp + s2 * damp, (-2.0 * N * s2) * dchi * amp)
+    phase *= _complex(0.5 * np.sin(T) * amp + s2 * damp, (-2.0 * N * s2) * dchi * amp)
+    return phase
 
 
 def _phi_breakpoints(N: int, L: int, eps: float, phi_max: float):
@@ -417,6 +423,45 @@ def _phi_breakpoints(N: int, L: int, eps: float, phi_max: float):
 # phi <= ln N, far below the switch, so the pole treatment under test is
 # still probed entirely by direct T integration).
 PHI_OSCILLATORY_MAX = 3.5
+# The damping enters the folded T grid only as e^{-eps T} and e^{eps T} with
+# 0 <= T <= pi.  Up to EPS_MAX their Taylor series to the order
+# _MOMENTS - 1 = 16 leave at most e^{eps pi} (eps pi)^17/17! = 1.0e-16 < 2^-53
+# of every term, so the grid keeps the eps-free T-moments of its terms.
+EPS_MAX = 0.25
+_MOMENTS = 17
+# phi nodes per (phi x T) block of the grid: one quadrature panel's worth
+_BLOCK_ROWS = 15
+
+
+# 64 blocks: a 1s call forms 23, a 2s or 2p call 49 (about 4 kB each)
+@lru_cache(maxsize=64)
+def _t_moments(N, L, count, phis, nus, nodes, weights):
+    """mu_m = sum_T (h W_T T^m/m!) e^{i nu T} dQ/dT(T), m < _MOMENTS, per node of one grid block.
+
+    The block is the tuples phis and nus, all nodes with the same panel
+    count, against one row of times: count Gauss-Kronrod panels of half
+    width h = pi/(2 count) on [0, pi], nodes and weights the rule's
+    tuples.  e^{i nu T} is formed from its factors e^{i nu mid} and
+    e^{i nu offset}.  Returns a read-only (nodes x _MOMENTS) array, kept
+    per block: the 1s nodes of every eps form the same blocks.
+    """
+    half = 0.5 * math.pi / count
+    mids, offsets = (2 * np.arange(count) + 1) * half, half * np.array(nodes)
+    t = (mids[:, None] + offsets).ravel()
+    v = _dq_dt_grid(N, L, t, np.array(phis)[:, None])
+    nu_col = np.array(nus)[:, None]
+    # scaled in place through a view: a product would be one more (phi x T) transient
+    by_panel = v.reshape(len(phis), count, len(nodes))
+    by_panel *= np.exp(1j * nu_col * mids)[:, :, None]
+    by_panel *= np.exp(1j * nu_col * offsets)[:, None]
+    # rows h W T^m/m!, each from the last
+    row = np.tile(half * np.array(weights), count)
+    moments = np.empty((len(phis), _MOMENTS), dtype=complex)
+    for m in range(_MOMENTS):
+        moments[:, m] = v @ row
+        row *= t / (m + 1)
+    moments.flags.writeable = False
+    return moments
 
 
 def _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights):
@@ -430,32 +475,33 @@ def _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights):
 
     Panels of width 2/(N cosh phi), a third of the local oscillation period,
     hold ~1e-14 up to phi = 3.5.  phi and nu are floats (a complex is
-    returned) or equal-length arrays.  A node's T grid depends only on its
-    panel count, so the nodes of each count are one (phi x T) block: a
-    column of phi against one row of times, summed along the row.  As
-    e^{sT} = e^{-eps T} e^{i nu T} and 1/e^{sT} = e^{eps T} conj e^{i nu T},
-    with v = e^{i nu T} dQ/dT the fold is two real-weighted row sums,
-    sum (w e^{-eps T}) v - e^{2 pi s} conj sum (w e^{eps T}) v.
+    returned) or equal-length arrays; 0 < eps <= EPS_MAX.  A node's T grid
+    depends only on its panel count, so the nodes of each count are
+    (phi x T) blocks of up to _BLOCK_ROWS nodes: a column of phi against
+    one row of times, summed along the row.  As e^{sT} = e^{-eps T}
+    e^{i nu T} and 1/e^{sT} = e^{eps T} conj e^{i nu T}, with
+    v = e^{i nu T} dQ/dT the fold is two real-weighted row sums,
+    sum (w e^{-eps T}) v - e^{2 pi s} conj sum (w e^{eps T}) v, and with
+    the T-moments mu_m of a block (_t_moments) they are
+    sum_m (-eps)^m mu_m and sum_m eps^m mu_m.  The moments do not depend
+    on eps: a block is evaluated once per process, and every later call
+    with the same nodes (the 1s route at each eps) only sums them.
     """
     phis, nus = np.atleast_1d(np.asarray(phi, dtype=float), np.asarray(nu, dtype=float))
     panels = np.ceil(math.pi / np.minimum(0.25, 2.0 / (N * np.cosh(phis)))).astype(int)
     wraps = np.exp(2.0 * math.pi * (1j * nus - eps))
+    forward, backward = (-eps) ** np.arange(_MOMENTS), eps ** np.arange(_MOMENTS)
+    rule = tuple(nodes.tolist()), tuple(weights.tolist())
     inner = np.empty(phis.size, dtype=complex)
     # sorted(set()), not np.unique: its first call in a process costs 11-19 ms
     # and 1.7 MB of peak RSS (numpy 2.4.6)
     for count in sorted(set(panels.tolist())):
-        block = panels == count
-        half = 0.5 * math.pi / count
-        mids, offsets = (2 * np.arange(count) + 1) * half, half * nodes
-        t = mids[:, None] + offsets  # (panels x nodes)
-        decay = np.exp(-eps * t)
-        forward, backward = (half * weights * decay).ravel(), (half * weights / decay).ravel()
-        # e^{i nu T} from its factors e^{i nu mid} and e^{i nu offset}
-        nu_col = nus[block, None]
-        turn = np.exp(1j * nu_col * mids)[:, :, None] * np.exp(1j * nu_col * offsets)[:, None]
-        v = turn.reshape(-1, t.size) * _dq_dt_grid(N, L, t.ravel(), phis[block, None])
-        wrap = wraps[block]
-        inner[block] = (v @ forward - wrap * np.conj(v @ backward)) / (1.0 - wrap)
+        rows = np.flatnonzero(panels == count)
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
+            mu = _t_moments(N, L, count, tuple(phis[block].tolist()), tuple(nus[block].tolist()), *rule)
+            wrap = wraps[block]
+            inner[block] = (mu @ forward - wrap * np.conj(mu @ backward)) / (1.0 - wrap)
     return complex(inner[0]) if np.ndim(phi) == 0 else inner
 
 
@@ -492,7 +538,17 @@ def shift_via_eps_real_axis(
     Evaluates -C int dphi w(phi) int_0^inf dT e^{i(nu + i eps)T} dQ/dT
     with composite Gauss-Kronrod grids in both variables; the real part
     estimates the Lamb shift and the imaginary part -Gamma/2 (in the same
-    frequency units).  Meant to be extrapolated in eps.
+    frequency units).  Meant to be extrapolated in eps; 0 < eps <= EPS_MAX,
+    else ValueError before any integral starts.
+
+    The nodes of every phi panel are one array: those up to
+    PHI_OSCILLATORY_MAX are one _inner_t_integral_grid call, the rest one
+    _inner_t_integral_spectral call (one kernel._euler_block).  The grid
+    keeps the T-moments of its blocks for the process (_t_moments): for
+    N = 1 the phi edges do not depend on eps, so the calls at the second
+    and later eps of a sweep only sum moments.  For N >= 2 the edges
+    refined around the poles ln(N/n) move with eps, and every call forms
+    its own.
 
     The phi domain is not [0, phi_max] with phi_max = 9 + ln N: the
     integer edges of _phi_breakpoints run up to round(9 + ln N), so for
@@ -505,33 +561,22 @@ def shift_via_eps_real_axis(
     grows to 5.6e-5 with the domain: part of it is the phi truncation
     cancelling the error of the eps extrapolation.
     """
-    if not 0.0 < eps < math.inf:  # NaN and inf included: no node integrates them
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not 0.0 < eps <= EPS_MAX:  # NaN and inf included: no node integrates them
+        raise ValueError(f"eps must be positive and finite, at most EPS_MAX = {EPS_MAX}, got {eps}")
     constants = _constants_for(state, constants)
     N, L = state.N, state.L
 
-    nodes, weights, _ = kronrod_nodes_weights()
-    nodes = np.asarray(nodes)
-    weights = np.asarray(weights)
-
-    phi_max = 9.0 + math.log(N)
-    phi_edges = _phi_breakpoints(N, L, eps, phi_max)
-
-    def phi_integrand(phi_nodes: np.ndarray) -> np.ndarray:
-        nus = N * np.exp(-phi_nodes)
-        inner = np.empty(phi_nodes.size, dtype=complex)
-        grid = phi_nodes <= PHI_OSCILLATORY_MAX
-        if grid.any():
-            inner[grid] = _inner_t_integral_grid(N, L, phi_nodes[grid], nus[grid], eps, nodes, weights)
-        if not grid.all():
-            inner[~grid] = _inner_t_integral_spectral(N, L, phi_nodes[~grid], nus[~grid], eps)
-        return np.array([weight_nondipole(state, phi, constants) for phi in phi_nodes]) * inner
-
-    total = 0.0 + 0.0j
-    for a, b in zip(phi_edges[:-1], phi_edges[1:]):
-        c, h = 0.5 * (a + b), 0.5 * (b - a)
-        total += h * np.dot(weights, phi_integrand(c + h * nodes))
-
+    nodes, weights = _X, _W[:, 0]
+    phi_edges = _phi_breakpoints(N, L, eps, 9.0 + math.log(N))
+    centres, halves = 0.5 * (phi_edges[:-1] + phi_edges[1:]), 0.5 * (phi_edges[1:] - phi_edges[:-1])
+    phis = (centres[:, None] + halves[:, None] * nodes).ravel()
+    nus = N * np.exp(-phis)
+    inner = np.empty(phis.size, dtype=complex)
+    grid = phis <= PHI_OSCILLATORY_MAX
+    inner[grid] = _inner_t_integral_grid(N, L, phis[grid], nus[grid], eps, nodes, weights)
+    inner[~grid] = _inner_t_integral_spectral(N, L, phis[~grid], nus[~grid], eps)
+    values = np.array([weight_nondipole(state, phi, constants) for phi in phis.tolist()]) * inner
+    total = halves @ (values.reshape(halves.size, nodes.size) @ weights)
     return constants.eV_to_MHz(shift_prefactor(state, constants)) * total
 
 

@@ -804,6 +804,35 @@ class TestKernelTables:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == []
 
+    def test_tail_table_keeps_a_bounded_number_of_chunks(self):
+        # a series that never stops asks for ~490 chunks before it raises at
+        # j = 2e6; the table keeps the last _TAIL_TABLE_CHUNKS of them, where
+        # an unbounded one kept all (30.8 MB at (1, 0))
+        _tail_table.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="did not converge"):
+                K._series_sums(1, 0, [20.0], [math.exp(-20.0)], lambda j, nu: 1.0 + 0.0 * j)
+            info = _tail_table.cache_info()
+        finally:
+            _tail_table.cache_clear()
+        assert info.maxsize == K._TAIL_TABLE_CHUNKS
+        assert info.misses > 400 and info.currsize == info.maxsize
+
+    @pytest.mark.parametrize("route", ["lamb_shift", "bethe_log"])
+    def test_tail_table_holds_every_chunk_of_a_pass(self, route):
+        # the Table-1 and Bethe states read each chunk once per process:
+        # none is evicted, so none is built twice
+        from lambshift import shifts
+
+        _tail_table.cache_clear()
+        for N, L in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)):
+            if route == "lamb_shift":
+                shifts.lamb_shift(shifts.QuantumState(N=N, L=L))
+            else:
+                shifts.bethe_log(N, L)
+        info = _tail_table.cache_info()
+        assert info.hits > 0 and info.misses == info.currsize < info.maxsize
+
 
 class TestEulerBlock:
     """The closed branch of a block of kernels: each kernel's tau integral as in its block of one."""
@@ -1001,7 +1030,7 @@ class TestBlockStream:
             with pytest.raises(ArithmeticError) as info:
                 K._series_sums(1, 0, phis, [math.exp(-phi) for phi in phis], lambda j, nu: 1.0 + 0.0 * j)
         finally:
-            K._tail_table.cache_clear()  # 2e6 indices of (1, 0) tabulated
+            K._tail_table.cache_clear()  # the last chunks of (1, 0), up to j = 2e6
         message = str(info.value)
         assert "did not converge" in message
         assert "(1, 0, 20.0)" in message and "(1, 0, 25.0)" in message and "0.5" not in message

@@ -5,8 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lambshift.kernel import PhiKernel
+from lambshift.kernel import PhiKernel, _euler_block
 from lambshift.oracles import (
+    EPS_MAX,
+    PHI_OSCILLATORY_MAX,
     _dq_dt_grid,
     _inner_t_integral_grid,
     _inner_t_integral_spectral,
@@ -124,6 +126,10 @@ class TestEpsilonAxis:
         for eps in (0.0, -0.01, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="eps must be positive and finite"):
                 shift_via_eps_real_axis(QuantumState(N=1, L=0), eps)
+        # above EPS_MAX the T-moments of the grid no longer hold e^{+-eps T}
+        for eps in (math.nextafter(EPS_MAX, math.inf), 0.3, 1.0):
+            with pytest.raises(ValueError, match=f"at most EPS_MAX = {EPS_MAX}"):
+                shift_via_eps_real_axis(QuantumState(N=1, L=0), eps)
 
     # At 2N = 24 the grid's terms cancel 5.1e3-fold in the sum, so roundoff
     # alone leaves ~1e-12 (1.7e-12 measured); every other case meets 1e-12.
@@ -138,6 +144,51 @@ class TestEpsilonAxis:
         got = _inner_t_integral_grid(N, L, phi, nu, eps, np.asarray(nodes), np.asarray(weights))
         want = _mp_damped_inner(N, L, phi, nu, eps)
         assert abs(got - want) <= self.PERIOD_REL.get((N, L), 1e-12) * abs(want)
+
+    @pytest.mark.parametrize("N, L", [(1, 0), (2, 1), (12, 5)])
+    @pytest.mark.parametrize("eps", [0.00625, 0.0125, 0.05, EPS_MAX])
+    def test_moments_equal_direct_weighted_sums(self, N, L, eps):
+        # sum_m (-+eps)^m mu_m against the row sums with the weights
+        # h W e^{-+eps T} themselves, over a GK15 panel's 15 phi (several
+        # T-grid sizes) and the oscillatory end phi = 3.5
+        nodes, weights, _ = (np.asarray(x) for x in kronrod_nodes_weights())
+        phis = np.append(1.75 + 1.75 * nodes, PHI_OSCILLATORY_MAX)
+        nus = N * np.exp(-phis)
+        got = _inner_t_integral_grid(N, L, phis, nus, eps, nodes, weights)
+        for phi, nu, value in zip(phis, nus, got):
+            count = math.ceil(math.pi / min(0.25, 2.0 / (N * math.cosh(phi))))
+            half = 0.5 * math.pi / count
+            t = ((2 * np.arange(count) + 1)[:, None] * half + half * nodes).ravel()
+            w = np.tile(half * weights, count)
+            v = np.exp(1j * nu * t) * _dq_dt_grid(N, L, t, phi)
+            wrap = cmath.exp(2.0 * math.pi * (1j * nu - eps))
+            want = (v @ (w * np.exp(-eps * t)) - wrap * np.conj(v @ (w * np.exp(eps * t)))) / (1.0 - wrap)
+            assert abs(value - want) <= self.PERIOD_REL.get((N, L), 1e-12) * abs(want), phi
+
+    def test_eps_sweep_evaluates_each_grid_node_once(self, monkeypatch):
+        # the 1s nodes do not move with eps: the three verify calls form
+        # dQ/dT at each phi node of the T grid once, and each call sums
+        # its phi > 3.5 nodes in one Euler block
+        from lambshift import oracles
+
+        seen, blocks = [], []
+
+        def dq_dt(N, L, T, phi):
+            seen.extend(np.ravel(phi).tolist())
+            return _dq_dt_grid(N, L, T, phi)
+
+        def euler_block(N, L, phis, nus):
+            blocks.append(len(phis))
+            return _euler_block(N, L, phis, nus)
+
+        monkeypatch.setattr(oracles, "_dq_dt_grid", dq_dt)
+        monkeypatch.setattr(oracles, "_euler_block", euler_block)
+        oracles._t_moments.cache_clear()
+        for eps in (0.05, 0.025, 0.0125):
+            shift_via_eps_real_axis(QuantumState(N=1, L=0), eps)
+        assert len(seen) == len(set(seen)) == 165  # 11 phi panels up to 3.5
+        assert max(seen) <= PHI_OSCILLATORY_MAX
+        assert blocks == [90, 90, 90]  # 6 phi panels from 3.5 to 9
 
     def test_dm_dt_matches_central_differences(self):
         # the analytic dM/dT behind dQ/dT, including the Jacobi derivative

@@ -32,7 +32,10 @@ before = tracer.counts["quadrature.outer.evals"]
 bethe = ls.bethe_log(2, 1)
 bethe_evals = [tracer.counts["quadrature.outer.evals"] - before, bethe.diagnostics.evaluations]
 ls.decay_rates(QuantumState(N=3, L=1))
-oracles.shift_via_eps_real_axis(QuantumState(N=1, L=0), 0.05)
+# the second call reuses the T-moments of the first: the traced grid
+# site still runs, and sums them
+for eps in (0.05, 0.025):
+    oracles.shift_via_eps_real_axis(QuantumState(N=1, L=0), eps)
 print(json.dumps({"failures": tracer.crosscheck_failures, "metrics": tracer.layer_metrics(),
                   "bethe_evals": bethe_evals}))
 """
@@ -59,6 +62,9 @@ def test_tracer_patches_every_site():
     # channel that lamb_shift(2, 1) computed, decay_rates(3, 1) adds two
     assert metrics["kernel.residue_coeffs.calls"] == 3
     assert metrics["kernel.residue_coeffs.unique_ratio"] == 1.0
+    # one grid and one spectral call per eps call
+    for name in ("oracles.eps_real_axis", "oracles.inner_grid", "oracles.inner_spectral"):
+        assert metrics[f"{name}.calls"] == 2, name
     # both parts of the Bethe integral go through the traced integrate_panels
     # site: the tracer counts exactly the evaluations the result reports
     traced, reported = report["bethe_evals"]
