@@ -8,7 +8,7 @@ part), Bethe logarithms, and reproductions of the published tables.
 
 from .constants import PhysicalConstants, default_constants, load_constants, rydberg_energy
 from .kernel import residue_coeffs
-from .quadrature import QuadratureResult, QuadratureSpec, integrate_semi_infinite
+from .quadrature import QuadratureResult, QuadratureSpec
 from .shifts import (
     BetheResult,
     DipoleOptions,
@@ -38,7 +38,6 @@ __all__ = [
     "default_constants",
     "dipole_lamb_full",
     "generate_table",
-    "integrate_semi_infinite",
     "lamb_shift",
     "load_constants",
     "residue_coeffs",

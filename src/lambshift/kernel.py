@@ -5,7 +5,7 @@ the dilation matrix of the discrete series.  On the rotated contour T = -i
 tau it is the exponential series sum_j q_j u^j in u = e^{-tau}, with
 q_j = |D_{N,j}|^2/2 - |D_{N,j+1}|^2/4 - |D_{N,j-1}|^2/4 for every j (_q, the
 one place the formula is written), every |D|^2 from one Jacobi closed form
-(_row_weights for j <= N, _tail_weights beyond;
+(_row_table's factors for j <= N, _tail_weights beyond;
 su11.rep_matrix_element is only an independent reference).  The q_j with
 j < N are the residues R_j and the j >= N tail is the remainder Q~.
 The kernels of one (N, L) are evaluated as blocks (fill_tau_integrals,
@@ -13,12 +13,12 @@ the only function that reads or writes PhiKernel objects; every function
 below it takes (N, L) and arrays of phi and nu): the shift integrand
 passes all phi nodes of a quadrature call as one block, and a lone kernel
 is a block of one.  A block forms the weights j = -1 .. N of all its nodes
-at once (_block_rows, one Jacobi recurrence over the whole row, the same
-floats as _row_weights node by node), hence their residues; the tail
+at once (_block_rows, one Jacobi recurrence over the whole row), hence
+their residues, the same floats as residue_coeffs channel by channel; the tail
 coefficients of all its series-branch nodes come in forward (nodes x j)
 chunks of one stream that _series_sums sums row by row, forming each weight
 once and dropping each row once it has stopped.  PhiKernel itself holds
-only (N, L, phi, nu), its residues and the filled value.  Summing the tail
+only (N, L, phi, nu) and the filled value.  Summing the tail
 directly removes the catastrophic cancellation that subtracting the finite
 series from the closed form would cause at small phi, where the integrand
 weight e^{nu tau} grows almost as fast as the kernel decays.
@@ -47,8 +47,7 @@ without a weight row.  Within a block, only a node's Jacobi point
 (_block_rows), its e^-phi and its one digamma (_euler_block) are scalar
 calls; every other per-node quantity is an array operation over the
 block's nodes, the weight gains too: their powers t^{2k} are running
-products, as in _row_weights, not pow, so the rows keep residue_coeffs'
-floats.
+products, as in residue_coeffs, not pow, so the rows keep its floats.
 Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 (oracles.q_imag_time, oracles.remainder), the real-time kernel
 (oracles.kernel_q) and the adaptive quadrature of the inner integral
@@ -58,7 +57,8 @@ Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+import numbers
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -79,10 +79,15 @@ SERIES_T2_MAX = 0.80
 # decay, and a floor ends the sum on terms that are still growing.
 TAU_REL_TOL = 1.0e-13
 EULER_GAMMA = 0.57721566490153286061
+# The types a quantum number or residue index may have (numpy's integers
+# are registered as numbers.Integral; an integral float is not one).  int
+# comes first: the ABC check alone took ~0.5 us on a shared 2-vCPU VM, and
+# it runs on every node and channel.
+_INTEGERS = (int, numbers.Integral)
 
 
 def validate_quantum_numbers(N: int, L: int) -> None:
-    if N != int(N) or L != int(L) or N < 1 or L < 0 or L > N - 1:
+    if not isinstance(N, _INTEGERS) or not isinstance(L, _INTEGERS) or not 0 <= L < N:
         raise ValueError(f"invalid quantum numbers N={N!r}, L={L!r} (need 0 <= L <= N-1)")
 
 
@@ -96,23 +101,6 @@ def _jacobi_point(L: int, phi: float) -> tuple[float, float, float]:
 def _row_table(N: int, L: int) -> tuple:
     """The phi-independent factors of the weights L < j <= N, kept per (N, L).
 
-    Entry j - L - 1 is (C(N+L, 2L+1)/C(j+L, 2L+1), the Jacobi steps of
-    degree 1 .. j - L - 1 at (N - j, 2L + 1) from specfun's table): the
-    binomial ratio of G_j and the recurrence of its Jacobi polynomial (see
-    _row_weights; the power N - j of t^2 in G_j is the entry's distance
-    from the last).
-    """
-    top, rows = math.comb(N + L, 2 * L + 1), []
-    for j in range(L + 1, N + 1):
-        degree = j - L - 1
-        steps = tuple(_jacobi_steps(degree, N - j, 2 * L + 1)[:degree])
-        rows.append((top / math.comb(j + L, 2 * L + 1), steps))
-    return tuple(rows)
-
-
-def _row_weights(N: int, L: int, point, j0: int, j1: int) -> list[float]:
-    """|D_{N,j}|^2 for j0 <= j < j1, L < j1 <= N + 1 (zero for j <= L), point from _jacobi_point.
-
     Bargmann's closed form makes each weight a Jacobi polynomial at a point
     in [-1, 1], symmetric in N and j, free of alternating sums; with
     l = min(N, j), h = max(N, j) and t = tanh(phi/2),
@@ -120,23 +108,18 @@ def _row_weights(N: int, L: int, point, j0: int, j1: int) -> list[float]:
         |D_{N,j}|^2 = G_j P_{l-L-1}^{(h-l, 2L+1)}(1 - 2t^2)^2,
         G_j = C(h+L, 2L+1)/C(l+L, 2L+1) t^{2(h-l)} cosh^{-4(L+1)}(phi/2).
 
-    Here j <= N, and every phi-independent factor comes from _row_table;
-    the zeros j <= L never index it.  t^{2(N-j)} is the running product
-    (t^2)^k that _block_rows' cumulative product forms (not pow: C pow and
-    numpy's power round differently in ~8% of their results), here from
-    the last weight down, and the square is a product, so the rows of
-    _block_rows equal these floats bit for bit.
+    Here j <= N: entry j - L - 1 is (C(N+L, 2L+1)/C(j+L, 2L+1), the Jacobi
+    steps of degree 1 .. j - L - 1 at (N - j, 2L + 1) from specfun's
+    table), the binomial ratio of G_j and the recurrence of its Jacobi
+    polynomial; the power N - j of t^2 in G_j is the entry's distance from
+    the last.  The weights j <= L are zero and never index it.
     """
-    w, t2, gain = point
-    table, weights, power = _row_table(N, L), [0.0] * (j1 - j0), 1.0
-    for _ in range(N + 1 - j1):  # k = N - j of the last weight, j = j1 - 1
-        power *= t2
-    for j in range(j1 - 1, max(j0, L + 1) - 1, -1):
-        ratio, steps = table[j - L - 1]
-        p = _jacobi_from_steps(steps, w)
-        weights[j - j0] = ratio * power * gain * p * p
-        power *= t2
-    return weights
+    top, rows = math.comb(N + L, 2 * L + 1), []
+    for j in range(L + 1, N + 1):
+        degree = j - L - 1
+        steps = tuple(_jacobi_steps(degree, N - j, 2 * L + 1)[:degree])
+        rows.append((top / math.comb(j + L, 2 * L + 1), steps))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -161,14 +144,13 @@ def _block_rows(N: int, L: int, phis) -> tuple[np.ndarray, np.ndarray]:
     (w, t^2, G_N) as an (M x 3) array and the weights |D_{N,j}|^2, j = -1 .. N,
     one row per node.
 
-    The batched _row_weights: each row equals _row_weights(N, L, point, -1,
-    N + 1) bit for bit.  Only the Jacobi points are per-node calls.  The
-    factors G_j = ratio_j t^{2(N-j)} G_N of all nodes and weights are one
-    array expression, t^{2k} one cumulative product over k (the running
-    products of _row_weights), and the polynomials of all weights j <= N of
-    all nodes are one recurrence (_row_steps), so a block costs N - L - 1
-    array steps where its nodes alone would cost (N - L)^2/2 scalar steps
-    each.
+    Only the Jacobi points are per-node calls.  The factors
+    G_j = ratio_j t^{2(N-j)} G_N of all nodes and weights (_row_table) are
+    one array expression, t^{2k} one cumulative product over k (not pow: C
+    pow and numpy's power round differently in ~8% of their results), and
+    the polynomials of all weights j <= N of all nodes are one recurrence
+    (_row_steps), so a block costs N - L - 1 array steps where its nodes
+    alone would cost (N - L)^2/2 scalar steps each.
     """
     points = np.array([_jacobi_point(L, phi) for phi in phis])
     powers = np.empty((len(points), N - L))  # t^{2k}, k = 0 .. N - L - 1
@@ -209,7 +191,7 @@ def _tail_table(N: int, L: int, j0: int, j1: int):
 def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain):
     """|D_{N,j}|^2 for N < j0 <= j < j1 and the gain G at j1 - 1, given G at j0 - 1.
 
-    The one route for the weights beyond _row_weights: one cumulative
+    The one route for the weights beyond _row_table's: one cumulative
     product of G_j/G_{j-1} = t^2 (j+L)/(j-L-1), which is sequential, so
     carrying G across a split changes no value.  Its coefficients come
     from _tail_table, built once per (N, L, j0, j1).  point is that of one
@@ -228,18 +210,30 @@ def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain):
 def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
     """Residue R_n = q_n of e^{-n tau} in the kernel series, L <= n <= N-1.
 
-    Only the three weights j = n-1, n, n+1 are computed, as plain floats
-    from the entries of _row_table that PhiKernel's rows read, and _q
-    combines them: a scalar call (one per decay channel per process, at
-    its pole, through shifts._channels, which every rate, pole strength
-    and Bethe logarithm reads) would spend more on a whole row of
-    weights or on a numpy array than on the arithmetic.  It equals
-    PhiKernel(N, L, phi).residues[n] bit for bit.
+    Only the three weights j = n+1, n, n-1 (those above L) are computed,
+    as plain floats from the entries of _row_table that the rows of
+    _block_rows read, and _q combines them: a scalar call (one per decay
+    channel per process, at its pole, through shifts._channels, which
+    every rate, pole strength and Bethe logarithm reads) would spend more
+    on a whole row of weights or on a numpy array than on the arithmetic.
+    t^{2(N-j)} is the running product (t^2)^k that _block_rows' cumulative
+    product forms, here from the last weight down, and the square is a
+    product, so R_n equals the residue of fill_tau_integrals' row at phi
+    bit for bit.
     """
     validate_quantum_numbers(N, L)
-    if n != int(n) or not L <= n < N:
+    if not isinstance(n, _INTEGERS) or not L <= n < N:
         raise ValueError(f"residue index n={n!r} outside [L, N-1] = [{L}, {N - 1}]")
-    return _q(*_row_weights(N, L, _jacobi_point(L, phi), n - 1, n + 2))
+    w, t2, gain = _jacobi_point(L, phi)
+    table, weights, power = _row_table(N, L), [0.0, 0.0, 0.0], 1.0
+    for _ in range(N - n - 1):  # k = N - j of j = n + 1
+        power *= t2
+    for j in range(n + 1, max(n - 2, L), -1):
+        ratio, steps = table[j - L - 1]
+        p = _jacobi_from_steps(steps, w)
+        weights[j - n + 1] = ratio * power * gain * p * p
+        power *= t2
+    return _q(*weights)
 
 
 @lru_cache(maxsize=None)
@@ -518,7 +512,7 @@ def _euler_block(N: int, L: int, phis, nus) -> np.ndarray:
 
 
 class PhiKernel:
-    """Kernel data at fixed (N, L, phi): the residues and the inner tau integral.
+    """Kernel data at fixed (N, L, phi): the inner tau integral.
 
     Construction keeps N, L, phi and nu = N e^-phi only; the weights are
     formed for whole blocks of nodes (fill_tau_integrals), and a lone
@@ -534,12 +528,6 @@ class PhiKernel:
         self.phi = phi
         self.nu = N * math.exp(-phi)
         self._tau = None  # (value, error bound) of tau_integral, see fill_tau_integrals
-
-    @cached_property
-    def residues(self) -> tuple[float, ...]:
-        """R_0 .. R_{N-1} (zero below L), from the node's weights j = -1 .. N as a block of one."""
-        row = _block_rows(self.N, self.L, [self.phi])[1][0]
-        return tuple(_q(row[:-2], row[1:-1], row[2:]).tolist())
 
     def tau_integral(self):
         """int_0^inf e^{nu tau} dQ~/dtau dtau, the inner integral of the shift.

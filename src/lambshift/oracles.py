@@ -175,7 +175,8 @@ def _closed_terms(ker: PhiKernel, tau):
     u, omu = np.exp(mt), -np.expm1(mt)
     up = u**p
     g = math.exp(-ln_ch2) + _tanh2(phi) * omu
-    return np.array(amps), p, q, u, omu, g, up, up * omu ** (q - 1.0), np.array(ker.residues)[p.astype(int)]
+    res = np.array([residue_coeffs(N, L, phi, n) for n in range(N - 1, L - 1, -1)])  # R_p
+    return np.array(amps), p, q, u, omu, g, up, up * omu ** (q - 1.0), res
 
 
 def q_imag_time(ker: PhiKernel, tau):
@@ -435,27 +436,28 @@ _BLOCK_ROWS = 15
 
 # 64 blocks: a 1s call forms 23, a 2s or 2p call 49 (about 4 kB each)
 @lru_cache(maxsize=64)
-def _t_moments(N, L, count, phis, nus, nodes, weights):
+def _t_moments(N, L, count, phis, nus):
     """mu_m = sum_T (h W_T T^m/m!) e^{i nu T} dQ/dT(T), m < _MOMENTS, per node of one grid block.
 
     The block is the tuples phis and nus, all nodes with the same panel
     count, against one row of times: count Gauss-Kronrod panels of half
-    width h = pi/(2 count) on [0, pi], nodes and weights the rule's
-    tuples.  e^{i nu T} is formed from its factors e^{i nu mid} and
-    e^{i nu offset}.  Returns a read-only (nodes x _MOMENTS) array, kept
-    per block: the 1s nodes of every eps form the same blocks.
+    width h = pi/(2 count) on [0, pi], with the module's 15-point Kronrod
+    rule (quadrature._X and _W[:, 0]).  e^{i nu T} is formed from its
+    factors e^{i nu mid} and e^{i nu offset}.  Returns a read-only
+    (nodes x _MOMENTS) array, kept per block: the 1s nodes of every eps
+    form the same blocks.
     """
     half = 0.5 * math.pi / count
-    mids, offsets = (2 * np.arange(count) + 1) * half, half * np.array(nodes)
+    mids, offsets = (2 * np.arange(count) + 1) * half, half * _X
     t = (mids[:, None] + offsets).ravel()
     v = _dq_dt_grid(N, L, t, np.array(phis)[:, None])
     nu_col = np.array(nus)[:, None]
     # scaled in place through a view: a product would be one more (phi x T) transient
-    by_panel = v.reshape(len(phis), count, len(nodes))
+    by_panel = v.reshape(len(phis), count, _X.size)
     by_panel *= np.exp(1j * nu_col * mids)[:, :, None]
     by_panel *= np.exp(1j * nu_col * offsets)[:, None]
     # rows h W T^m/m!, each from the last
-    row = np.tile(half * np.array(weights), count)
+    row = np.tile(half * _W[:, 0], count)
     moments = np.empty((len(phis), _MOMENTS), dtype=complex)
     for m in range(_MOMENTS):
         moments[:, m] = v @ row
@@ -464,7 +466,7 @@ def _t_moments(N, L, count, phis, nus, nodes, weights):
     return moments
 
 
-def _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights):
+def _inner_t_integral_grid(N, L, phis, nus, eps):
     """int_0^inf e^{(i nu - eps) T} dQ/dT dT, exactly, from half a period.
 
     dQ/dT is 2 pi-periodic, so with s = i nu - eps the damped integral is
@@ -474,8 +476,8 @@ def _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights):
         int_0^pi [e^{sT} dQ/dT(T) - e^{s(2 pi - T)} conj dQ/dT(T)] dT.
 
     Panels of width 2/(N cosh phi), a third of the local oscillation period,
-    hold ~1e-14 up to phi = 3.5.  phi and nu are floats (a complex is
-    returned) or equal-length arrays; 0 < eps <= EPS_MAX.  A node's T grid
+    hold ~1e-14 up to phi = 3.5.  phis and nus are equal-length arrays, and
+    one complex is returned per node; 0 < eps <= EPS_MAX.  A node's T grid
     depends only on its panel count, so the nodes of each count are
     (phi x T) blocks of up to _BLOCK_ROWS nodes: a column of phi against
     one row of times, summed along the row.  As e^{sT} = e^{-eps T}
@@ -487,11 +489,9 @@ def _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights):
     on eps: a block is evaluated once per process, and every later call
     with the same nodes (the 1s route at each eps) only sums them.
     """
-    phis, nus = np.atleast_1d(np.asarray(phi, dtype=float), np.asarray(nu, dtype=float))
     panels = np.ceil(math.pi / np.minimum(0.25, 2.0 / (N * np.cosh(phis)))).astype(int)
     wraps = np.exp(2.0 * math.pi * (1j * nus - eps))
     forward, backward = (-eps) ** np.arange(_MOMENTS), eps ** np.arange(_MOMENTS)
-    rule = tuple(nodes.tolist()), tuple(weights.tolist())
     inner = np.empty(phis.size, dtype=complex)
     # sorted(set()), not np.unique: its first call in a process costs 11-19 ms
     # and 1.7 MB of peak RSS (numpy 2.4.6)
@@ -499,13 +499,13 @@ def _inner_t_integral_grid(N, L, phi, nu, eps, nodes, weights):
         rows = np.flatnonzero(panels == count)
         for start in range(0, rows.size, _BLOCK_ROWS):
             block = rows[start : start + _BLOCK_ROWS]
-            mu = _t_moments(N, L, count, tuple(phis[block].tolist()), tuple(nus[block].tolist()), *rule)
+            mu = _t_moments(N, L, count, tuple(phis[block].tolist()), tuple(nus[block].tolist()))
             wrap = wraps[block]
             inner[block] = (mu @ forward - wrap * np.conj(mu @ backward)) / (1.0 - wrap)
-    return complex(inner[0]) if np.ndim(phi) == 0 else inner
+    return inner
 
 
-def _inner_t_integral_spectral(N, L, phi, nu, eps):
+def _inner_t_integral_spectral(N, L, phis, nus, eps):
     """Exact damped integral from the exponential series of the kernel, in closed form.
 
     With nu' = nu + i eps,
@@ -516,16 +516,14 @@ def _inner_t_integral_spectral(N, L, phi, nu, eps):
     inner integral continued analytically to nu', whose residue terms
     +m R_m/(m - nu') cancel those, so the sum is the Gauss pieces of
     kernel._euler_block at nu' alone, with no weight row formed; the real
-    and imaginary parts of each node are each one math.fsum.  phi and nu
-    are floats (a complex is returned) or equal-length arrays: then all
-    nodes are one block and one complex is returned per node.
+    and imaginary parts of each node are each one math.fsum.  phis and nus
+    are equal-length arrays: all nodes are one block, and one complex is
+    returned per node.
     """
-    phis, nus = np.atleast_1d(np.asarray(phi, dtype=float)).tolist(), np.atleast_1d(nu).tolist()
-    pieces = _euler_block(N, L, phis, [complex(x, eps) for x in nus])
-    inner = np.array([
+    pieces = _euler_block(N, L, phis.tolist(), [complex(x, eps) for x in nus.tolist()])
+    return np.array([
         complex(math.fsum(re), math.fsum(im)) for re, im in zip(pieces.real.tolist(), pieces.imag.tolist())
     ])
-    return complex(inner[0]) if np.ndim(phi) == 0 else inner
 
 
 def shift_via_eps_real_axis(
@@ -573,7 +571,7 @@ def shift_via_eps_real_axis(
     nus = N * np.exp(-phis)
     inner = np.empty(phis.size, dtype=complex)
     grid = phis <= PHI_OSCILLATORY_MAX
-    inner[grid] = _inner_t_integral_grid(N, L, phis[grid], nus[grid], eps, nodes, weights)
+    inner[grid] = _inner_t_integral_grid(N, L, phis[grid], nus[grid], eps)
     inner[~grid] = _inner_t_integral_spectral(N, L, phis[~grid], nus[~grid], eps)
     values = np.array([weight_nondipole(state, phi, constants) for phi in phis.tolist()]) * inner
     total = halves @ (values.reshape(halves.size, nodes.size) @ weights)

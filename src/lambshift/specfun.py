@@ -1,7 +1,7 @@
 """Terminating hypergeometric sums, Jacobi polynomials, digamma.
 
-The Jacobi recurrence builds every kernel weight (kernel._row_weights
-and kernel._tail_weights) and the real-time kernel of the oracles; the
+The Jacobi recurrence builds every kernel weight (from kernel._row_table
+and kernel._tail_table) and the real-time kernel of the oracles; the
 Gauss series serves the reference route, su11 matrix elements, summed
 exactly in rationals; the digamma function enters the closed form of the
 inner tau integral (PhiKernel.tau_integral), complex for the eps oracle.

@@ -18,7 +18,6 @@ from lambshift.kernel import (
     _jacobi_point,
     _q,
     _row_table,
-    _row_weights,
     _series_term_ratios,
     _tail_table,
     _tail_weights,
@@ -91,6 +90,12 @@ def _on_series(phi):
     return math.tanh(phi / 2.0) ** 2 <= K.SERIES_T2_MAX
 
 
+def _residues(N, L, phi):
+    """R_0 .. R_{N-1} of one node (zero below L), as fill_tau_integrals forms them from its weight row."""
+    row = K._block_rows(N, L, [phi])[1][0]
+    return _q(row[:-2], row[1:-1], row[2:]).tolist()
+
+
 def _stream(N, L, phi, j1):
     """q_N .. q_{j1-1} of one node: its _block_rows weights, then _tail_weights in the series' chunks."""
     points, rows = K._block_rows(N, L, [phi])
@@ -113,7 +118,7 @@ class TestDilationWeights:
         for phi in poles[:: max(1, len(poles) // 3)] + [0.3, 1.7, 4.0, 12.0]:
             point = _jacobi_point(L, phi)
             tail = _tail_weights(N, L, point, N + 1, N + 4, point[2])[0].tolist()
-            got = _row_weights(N, L, point, 0, N + 1) + tail  # j = 0 .. N+3
+            got = K._block_rows(N, L, [phi])[1][0, 1:].tolist() + tail  # j = 0 .. N+3
             want = [_mp_dilation_weight(N, L, j, phi) for j in range(N + 4)]
             u = scaling_coords(phi)
             ref = [abs(rep_matrix_element(label, N, j, u)) ** 2 for j in range(N + 4)]
@@ -241,7 +246,7 @@ class TestResidues:
         # the pole of channel max(1, (N+L)//2) (phi = 0 for N = 1) and on
         # both sides of the series/closed switch
         for phi in (math.log(N / max(1, (N + L) // 2)), 0.3, 2.85, 2.95, 4.0):
-            table = PhiKernel(N, L, phi).residues
+            table = _residues(N, L, phi)
             for n in range(L, N):
                 assert residue_coeffs(N, L, phi, n) == table[n], (phi, n)
 
@@ -255,15 +260,22 @@ class TestResidues:
                     phi = math.log(N / n)
                     got = residue_coeffs(N, L, phi, n)
                     assert type(got) is float
-                    assert got == PhiKernel(N, L, phi).residues[n], (N, L, n)
+                    assert got == _residues(N, L, phi)[n], (N, L, n)
                     channels += 1
         assert channels == 1520
 
     @pytest.mark.parametrize("N, L", [(1, 0), (3, 1), (6, 5), (12, 6)])
     def test_rejects_index_outside_channels(self, N, L):
-        for n in (L - 1, N):
-            with pytest.raises(ValueError):
+        # an integral float is no index or quantum number: it must fail as a
+        # ValueError, not deep in the kernel; numpy integers are integers
+        for n in (L - 1, N, float(L)):
+            with pytest.raises(ValueError, match="residue index"):
                 residue_coeffs(N, L, 0.7, n)
+        for args in ((float(N), L), (N, float(L))):
+            with pytest.raises(ValueError, match="invalid quantum numbers"):
+                residue_coeffs(*args, 0.7, L)
+        want = residue_coeffs(N, L, 0.7, L)
+        assert residue_coeffs(np.int64(N), np.int64(L), 0.7, np.int64(L)) == want
 
     def test_matches_series_coefficients(self):
         # the u-expansion of the closed form, at 60 digits
@@ -295,13 +307,14 @@ class TestResidues:
         assert not _on_series(ker.phi)
         want = _mp_coeffs(N, L, phi, 0, N)
         scale = max(abs(x) for x in want)
+        residues = _residues(N, L, phi)
         for n in range(N):
-            assert abs(ker.residues[n] - want[n]) <= 1e-12 * scale
+            assert abs(residues[n] - want[n]) <= 1e-12 * scale
 
     def test_completeness_with_spectral_tail(self):
         # sum of all exponential coefficients vanishes (kernel is 0 at T=0);
         # the tail from the reference route, one scalar matrix element per
-        # j, independent of the Jacobi form of _row_weights and _tail_weights
+        # j, independent of the Jacobi form of _row_table and _tail_weights
         for (N, phi) in ((2, 0.5), (4, 1.5), (6, 3.0)):
             L = 0
             label = RepLabel(L + 1)
@@ -365,7 +378,7 @@ class TestRemainder:
         # weights j <= N row by row and one _tail_weights call beyond
         J = 5000
         point = _jacobi_point(L, phi)
-        head = np.array(_row_weights(N, L, point, -1, N + 1))
+        head = K._block_rows(N, L, [phi])[1][0]
         whole = np.concatenate((head, _tail_weights(N, L, point, N + 1, J + 1, point[2])[0]))
         coeffs = _q(whole[:-2], whole[1:-1], whole[2:])  # q_0 .. q_{J-1}
         assert np.array_equal(_stream(N, L, phi, J), coeffs[N:])
@@ -375,7 +388,7 @@ class TestRemainder:
             j = _tail_table(N, L, j0 + 1, j0 + chunk + 1)[0]
             assert j.dtype == float and np.array_equal(j, np.arange(j0, j0 + chunk))
             j0, chunk = j0 + chunk, min(2 * chunk, 4096)
-        assert np.array_equal(np.array(PhiKernel(N, L, phi).residues), coeffs[:N])
+        assert np.array_equal(_residues(N, L, phi), coeffs[:N])
         pieces, gain = [head], point[2]
         for a, b in ((N + 1, 97), (97, 98), (98, 2000), (2000, J + 1)):
             tail, gain = _tail_weights(N, L, point, a, b, gain)
@@ -484,8 +497,9 @@ class TestClosedBranchArrays:
         ker = PhiKernel(N, L, phi)
         assert not _on_series(ker.phi)
         got = _closed_remainder_dtau(ker, self.TAUS)
+        residues = _residues(N, L, phi)
         for g, tau in zip(got.tolist(), self.TAUS):
-            want, scale = _mp_closed_dtau(N, L, phi, tau, ker.residues)
+            want, scale = _mp_closed_dtau(N, L, phi, tau, residues)
             assert abs(g - want) <= 1e-12 * scale, tau
 
     @pytest.mark.parametrize("phi", [3.0, 5.0, 8.0, 10.0])
@@ -569,7 +583,7 @@ class TestTauIntegral:
             ker = PhiKernel(N, L, phi)
             assert not _on_series(ker.phi)
             value, error, evaluations, converged = ker.tau_integral()
-            residue_terms = [n * ker.residues[n] / (n - ker.nu) for n in range(max(L, 1), N)]
+            residue_terms = [n * residue_coeffs(N, L, phi, n) / (n - ker.nu) for n in range(max(L, 1), N)]
             pieces = residue_terms + K._euler_block(N, L, [phi], [ker.nu])[0].tolist()
             assert (value, evaluations, converged) == (math.fsum(pieces), 0, True)
             assert error == 1e-15 * np.abs(np.array(pieces)).sum()
@@ -642,7 +656,7 @@ class TestEulerForm:
                 ker = PhiKernel(N, L, phi)
                 assert not _on_series(ker.phi)
                 got = ker.tau_integral()[0]
-                want, pieces = _mp_euler_form(N, L, phi, ker.residues)
+                want, pieces = _mp_euler_form(N, L, phi, _residues(N, L, phi))
                 assert abs(got - want) <= 1e-13 * (abs(want) + pieces), (L, phi)
 
     @pytest.mark.parametrize("N", [1, 4, 20, 50, 86])
@@ -684,17 +698,12 @@ class TestKernelTables:
     @pytest.mark.parametrize("N, L", [(4, 1), (12, 0), (20, 7), (6, 5)])
     def test_weights_from_the_table_equal_on_the_fly_bit_for_bit(self, N, L):
         # the row table and the shared (alpha, beta) table hold each fresh
-        # factor, and a weight read from them equals the one from factors
-        # computed on the spot, in a whole row and in any window of it
+        # factor, and a weight of the block row read from them equals the
+        # one from factors computed on the spot
         for phi in (0.4, 2.0, 7.5):
-            point = _jacobi_point(L, phi)
-            w, t2, gain = point
-            row = _row_weights(N, L, point, -1, N + 1)  # j = -1 .. N
+            w, t2, gain = _jacobi_point(L, phi)
+            row = K._block_rows(N, L, [phi])[1][0].tolist()  # j = -1 .. N
             assert len(row) == N + 2 and row[: L + 2] == [0.0] * (L + 2)
-            assert K._block_rows(N, L, [phi])[1][0].tolist() == row
-            # windows inside j <= L are zeros: no (negative) index reads the table
-            for j0 in range(-1, L + 1):
-                assert _row_weights(N, L, point, j0, L + 1) == [0.0] * (L + 1 - j0)
             for j in range(L + 1, N + 1):
                 degree, beta = j - L - 1, 2.0 * L + 1.0
                 fresh = [_jacobi_step(k, float(N - j), beta) for k in range(1, degree + 1)]
@@ -707,8 +716,6 @@ class TestKernelTables:
                     power *= t2
                 want = binom * power * gain * p * p
                 assert row[j + 1] == want
-                for j0 in range(-1, j + 1):
-                    assert _row_weights(N, L, point, j0, j + 1) == row[j0 + 1 : j + 2]
 
     def test_repeated_series_node_computes_no_jacobi_step(self, monkeypatch):
         # every chunk of the stream, the second (j - N up to 288) included,
@@ -938,7 +945,7 @@ class TestBlockStream:
         # every kernel is filled but the phi = 0 one, left to tau_integral to
         # raise, and the returned residues are each kernel's own
         assert [ker._tau is None for ker in block] == [phi == 0.0 for phi in phis]
-        assert filled[0].tolist() == [list(PhiKernel(N, L, phi).residues) for phi in phis]
+        assert filled[0].tolist() == [_residues(N, L, phi) for phi in phis]
         for ker in block:
             if ker.phi == 0.0:
                 with pytest.raises(ValueError, match="diverges at phi = 0"):

@@ -139,9 +139,8 @@ class TestEpsilonAxis:
         "N, L, phi, eps", [(1, 0, 3.4, 0.0125), (2, 1, 1.0, 0.00625), (3, 0, 3.4, 0.05), (12, 5, 3.4, 0.025)]
     )
     def test_inner_grid_matches_mpmath_period(self, N, L, phi, eps):
-        nodes, weights, _ = kronrod_nodes_weights()
         nu = N * math.exp(-phi)
-        got = _inner_t_integral_grid(N, L, phi, nu, eps, np.asarray(nodes), np.asarray(weights))
+        got = _inner_t_integral_grid(N, L, np.array([phi]), np.array([nu]), eps)[0]
         want = _mp_damped_inner(N, L, phi, nu, eps)
         assert abs(got - want) <= self.PERIOD_REL.get((N, L), 1e-12) * abs(want)
 
@@ -154,7 +153,7 @@ class TestEpsilonAxis:
         nodes, weights, _ = (np.asarray(x) for x in kronrod_nodes_weights())
         phis = np.append(1.75 + 1.75 * nodes, PHI_OSCILLATORY_MAX)
         nus = N * np.exp(-phis)
-        got = _inner_t_integral_grid(N, L, phis, nus, eps, nodes, weights)
+        got = _inner_t_integral_grid(N, L, phis, nus, eps)
         for phi, nu, value in zip(phis, nus, got):
             count = math.ceil(math.pi / min(0.25, 2.0 / (N * math.cosh(phi))))
             half = 0.5 * math.pi / count
@@ -225,12 +224,11 @@ class TestEpsilonAxis:
     def test_grid_finite_at_high_n(self, N, L):
         # the phase is normalised before its power is taken: conj(f)^{2N}
         # alone would overflow at phi = 3.5 for N ~ 125 and beyond
-        nodes, weights, _ = (np.asarray(x) for x in kronrod_nodes_weights())
         phi = 3.5
         phase, amp, damp, dchi = _kernel_matrix_element_grid(N, L, np.linspace(0.0, math.pi, 4001), phi)
         assert all(np.all(np.isfinite(x)) for x in (phase, amp, damp, dchi))
-        value = _inner_t_integral_grid(N, L, phi, N * math.exp(-phi), 0.0125, nodes, weights)
-        assert cmath.isfinite(value)
+        value = _inner_t_integral_grid(N, L, np.array([phi]), np.array([N * math.exp(-phi)]), 0.0125)
+        assert np.all(np.isfinite(value))
 
     @pytest.mark.parametrize(
         "N, L, phi", [(1, 0, 0.3), (2, 1, 1.0), (3, 0, 2.2), (4, 2, 3.5), (6, 0, 2.9), (5, 4, 0.05)]
@@ -245,16 +243,16 @@ class TestEpsilonAxis:
     @pytest.mark.parametrize("N, L, eps", [(1, 0, 0.0125), (3, 1, 0.05)])
     def test_batched_grid_equals_scalar_calls(self, N, L, eps):
         # one call over a GK15 panel's 15 phi (different T-grid sizes) gives
-        # each phi's scalar value
-        nodes, weights, _ = (np.asarray(x) for x in kronrod_nodes_weights())
+        # each phi's value as a call of its own
+        nodes = np.asarray(kronrod_nodes_weights()[0])
         phis = 1.75 + 1.75 * nodes
         nus = N * np.exp(-phis)
-        batch = _inner_t_integral_grid(N, L, phis, nus, eps, nodes, weights)
+        batch = _inner_t_integral_grid(N, L, phis, nus, eps)
         assert batch.shape == (15,)
-        for phi, nu, got in zip(phis, nus, batch):
-            one = _inner_t_integral_grid(N, L, float(phi), float(nu), eps, nodes, weights)
-            assert isinstance(one, complex)
-            assert abs(got - one) <= 1e-14 * abs(one)
+        for i, got in enumerate(batch):
+            one = _inner_t_integral_grid(N, L, phis[i : i + 1], nus[i : i + 1], eps)
+            assert one.shape == (1,)
+            assert abs(got - one[0]) <= 1e-14 * abs(one[0])
 
     @pytest.mark.parametrize(
         "N, L, phi, eps",
@@ -264,10 +262,9 @@ class TestEpsilonAxis:
         # the two inner routes meet at PHI_OSCILLATORY_MAX = 3.5: the T grid
         # over one folded period against the kernel's exponential series in
         # closed form (residue terms plus the Euler form at nu + i eps)
-        nodes, weights, _ = kronrod_nodes_weights()
-        nu = N * math.exp(-phi)
-        grid = _inner_t_integral_grid(N, L, phi, nu, eps, np.asarray(nodes), np.asarray(weights))
-        spectral = _inner_t_integral_spectral(N, L, phi, nu, eps)
+        phis, nus = np.array([phi]), np.array([N * math.exp(-phi)])
+        grid = _inner_t_integral_grid(N, L, phis, nus, eps)[0]
+        spectral = _inner_t_integral_spectral(N, L, phis, nus, eps)[0]
         assert abs(spectral - grid) <= 1e-12 * abs(grid)
 
     @pytest.mark.parametrize("N, L", [(1, 0), (2, 1), (3, 2), (4, 1), (6, 2), (20, 10)])
@@ -276,7 +273,7 @@ class TestEpsilonAxis:
         for phi in (3.5, 6.0, 9.0, 12.69):
             for eps in (0.05, 0.0125, 0.003):
                 nu = N * math.exp(-phi)
-                got = _inner_t_integral_spectral(N, L, phi, nu, eps)
+                got = _inner_t_integral_spectral(N, L, np.array([phi]), np.array([nu]), eps)[0]
                 want = _mp_spectral_tail(N, L, phi, nu, eps)
                 assert abs(got - want) <= 1e-13 * abs(want), (phi, eps)
 
@@ -288,11 +285,11 @@ class TestEpsilonAxis:
         def no_row(*args):
             raise AssertionError("the spectral route formed a weight row")
 
-        monkeypatch.setattr(kernel, "_row_weights", no_row)
+        monkeypatch.setattr(kernel, "_block_rows", no_row)
         monkeypatch.setattr(kernel, "_row_table", no_row)
         for N, L, phi in ((1, 0, 3.5), (4, 1, 6.0), (20, 10, 9.0)):
-            value = _inner_t_integral_spectral(N, L, phi, N * math.exp(-phi), 0.0125)
-            assert cmath.isfinite(value)
+            value = _inner_t_integral_spectral(N, L, np.array([phi]), np.array([N * math.exp(-phi)]), 0.0125)
+            assert np.all(np.isfinite(value))
 
     @pytest.mark.parametrize("N", [1, 4, 20, 50])
     @pytest.mark.parametrize("eps", [0.05, 0.0125])
@@ -306,7 +303,9 @@ class TestEpsilonAxis:
             assert int(nus[0]) == 1 and int(nus[1]) == 0
         for L in sorted({0, N // 2, N - 1}):
             block = _inner_t_integral_spectral(N, L, phis, nus, eps)
-            alone = [_inner_t_integral_spectral(N, L, phi, nu, eps) for phi, nu in zip(phis.tolist(), nus.tolist())]
+            alone = [
+                _inner_t_integral_spectral(N, L, phis[i : i + 1], nus[i : i + 1], eps)[0] for i in range(phis.size)
+            ]
             assert block.tolist() == alone, L
 
     def test_single_eps_near_primary(self, eps_shift):

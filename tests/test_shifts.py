@@ -53,6 +53,16 @@ class TestQuantumState:
             QuantumState(N=2, L=1, J=2.0)
         with pytest.raises(ValueError):
             QuantumState(N=1, L=0, J=-0.5)
+        # an integral float is no quantum number: it must fail here, as the
+        # ValueError that the CLI maps to exit 2, not deep in the kernel
+        with pytest.raises(ValueError, match="invalid quantum numbers"):
+            lamb_shift(QuantumState(N=2.0, L=0))
+        with pytest.raises(ValueError, match="invalid quantum numbers"):
+            decay_rates(QuantumState(N=3, L=1.0))
+        with pytest.raises(ValueError, match="invalid quantum numbers"):
+            bethe_log(2.0, 0)
+        # numpy integers are integers
+        assert decay_rates(QuantumState(N=np.int64(3), L=np.int64(1))) == decay_rates(QuantumState(N=3, L=1))
 
     def test_dipole_options_validation(self):
         with pytest.raises(ValueError):
@@ -815,7 +825,7 @@ class TestBethe:
         assert outer.subdivisions < QuadratureSpec().max_subdivisions // 10
 
     def test_one_residue_call_per_channel(self, monkeypatch):
-        # the phi nodes read every R_n from PhiKernel.residues; residue_coeffs
+        # the phi nodes read every R_n from fill_tau_integrals' rows; residue_coeffs
         # gives only each channel's pole strength, once per process
         import lambshift.shifts as shifts_mod
 
