@@ -1,14 +1,18 @@
 """Adaptive Gauss-Kronrod quadrature and Cauchy principal values.
 
 One 7-15 pair drives everything: panels are refined by bisecting
-whichever panel carries the largest |K15 - G7| estimate until their sum
-is at most rel_tol |integral|, a last edge of math.inf makes the rest of
-a semi-infinite domain one such panel in t = e^-x (integrate_panels), the
-oracles' integrate_semi_infinite grows dyadic tail panels until a whole
-panel falls below that target of the running total, and principal
-values fold the integrand about the pole so the singular parts cancel
-before any node is evaluated.  The shifts take their principal values
-by singularity subtraction instead (shifts._shift_bracket);
+whichever panel carries the largest error estimate until their sum is at
+most rel_tol |integral|.  A panel's estimate is that of its 15-point
+value: where the Legendre coefficients of its degree-14 interpolant have
+decayed, their tail extrapolated past degree 14, and elsewhere
+|K15 - G7|, in effect the error of the 7-point rule (_panel_error).  A
+last edge of math.inf makes the rest of a semi-infinite domain one such
+panel in t = e^-x (integrate_panels), the oracles'
+integrate_semi_infinite grows dyadic tail panels until a whole panel
+falls below that target of the running total, and principal values fold
+the integrand about the pole so the singular parts cancel before any
+node is evaluated.  The shifts take their principal values by
+singularity subtraction instead (shifts._shift_bracket);
 integrate_principal_value is the independent check of that route
 (oracles.pv_term_by_principal_values).
 
@@ -73,6 +77,68 @@ _WG = (
 )
 
 
+# Rows 9, 10, 13 and 14 of the inverse of V[i, k] = P_k(x_i) at the 15
+# Kronrod nodes, on the nonnegative abscissae in _XGK's order (even rows are
+# symmetric, odd rows antisymmetric): row k applied to a panel's node values
+# is the Legendre coefficient c_k of their degree-14 interpolant.  Exact to
+# 33 digits from mpmath; tests/test_quadrature.py checks them against P_j.
+_LEGENDRE_ROWS = {
+    9: (
+        0.141673669082500858887716838969772,
+        -0.166256623422168808443525045516796,
+        -0.181442566122020068671858208642372,
+        0.4197140759322146068371187877316,
+        -0.147129786215698378209648982194021,
+        -0.362454172761982560612537778617997,
+        0.46372779425153965879074808408711,
+        0.0,
+    ),
+    10: (
+        0.138729956396644884713487351822309,
+        -0.235232635615776707345103461614687,
+        -0.00454163115413780707059047844412794,
+        0.363653242793321034349259262382026,
+        -0.473150543882563846276720045141115,
+        0.172624106953099187663828202378926,
+        0.302462337722854959012192012801631,
+        -0.529089666426883410092705688369923,
+    ),
+    13: (
+        0.0965707143346964659757319541552004,
+        -0.267611327075807899988603947433705,
+        0.384888865700437042524848209641181,
+        -0.437899554807784831224381618068854,
+        0.420657412237561756348294157405719,
+        -0.33002741379440774152871413039661,
+        0.180398285284409871492895370613197,
+        0.0,
+    ),
+    14: (
+        0.0505052523670278229945732489215619,
+        -0.146201951379381873355681284188827,
+        0.230755247928894226339117611484883,
+        -0.306202939037978631793967696486851,
+        0.372160738193176938473636235349442,
+        -0.421651768144555709567794466643343,
+        0.450176248927154346585241483090521,
+        -0.459081657708674239350250263054775,
+    ),
+}
+
+# The Legendre-tail error estimate of a panel (_panel_error), calibrated on
+# Table 1, Tables 2/3 and the opt-in grid of tests/optin_high_n.py.  With
+# top = max |c13|, |c14| and mid = max |c9|, |c10|, the coefficients have
+# decayed where r = top/mid <= _DECAYED or top <= _NOISE max|y|; the error
+# is then the tail extrapolated three degrees on at the observed decay
+# r^(1/4) per degree, 2 top r^(3/4), plus _ROUNDOFF max|y|.  Extrapolating
+# four or five degrees missed the tight Bethe marks at Z = 92 (1.1e-12
+# against 1e-13), eight or ten degrees the 1e-11 default-spec pins of
+# (1, 0), (20, 18) and (50, 49).
+_DECAYED = 0.1
+_NOISE = 1.0e-13
+_ROUNDOFF = 2.0e-15
+
+
 class IntegrandError(ValueError):
     """The integrand returned a non-finite value."""
 
@@ -125,25 +191,25 @@ class QuadratureResult:
         )
 
 
+def _mirrored(half: Sequence[float], parity: float = 1.0) -> tuple[float, ...]:
+    """The 15 node entries, in the rule's order (-x, x for each x of _XGK, then 0),
+    of a symmetric (parity 1) or antisymmetric (parity -1) row given at _XGK."""
+    out = []
+    for x, v in zip(_XGK, half):
+        out.extend((v,) if x == 0.0 else (parity * v, v))
+    return tuple(out)
+
+
 def kronrod_nodes_weights():
     """Full 15-node rule on [-1, 1]: (nodes, kronrod weights, gauss weights)."""
-    nodes, wk, wg = [], [], []
-    for i, x in enumerate(_XGK):
-        gauss_w = _WG[(i - 1) // 2] if i % 2 == 1 else 0.0
-        if x == 0.0:
-            nodes.append(0.0)
-            wk.append(_WGK[i])
-            wg.append(_WG[3])
-        else:
-            nodes.extend((-x, x))
-            wk.extend((_WGK[i], _WGK[i]))
-            wg.extend((gauss_w, gauss_w))
-    return tuple(nodes), tuple(wk), tuple(wg)
+    gauss = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3])
+    return _mirrored(_XGK, -1.0), _mirrored(_WGK), _mirrored(gauss)
 
 
 _NODES, _WTS_K, _WTS_G = kronrod_nodes_weights()
 _X = np.array(_NODES)
-_W = np.array((_WTS_K, _WTS_G)).T  # (15, 2): kronrod and gauss columns
+# (15, 6): the kronrod and gauss weights, then the rows of c_9, c_10, c_13, c_14
+_W = np.array((_WTS_K, _WTS_G, *(_mirrored(row, (-1.0) ** k) for k, row in _LEGENDRE_ROWS.items()))).T
 # x_k - x_j, by rows j and columns k, and infinite where j = k; built from
 # floats, as numpy's comparison and casting loops add ~0.15 MB of peak RSS
 _GAPS = np.array([[xk - xj if xk != xj else math.inf for xk in _NODES] for xj in _NODES])
@@ -177,12 +243,13 @@ def _frame(a: float, b: float) -> tuple[float, float]:
 def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
     """Gauss-Kronrod panels between consecutive edges, all nodes in one call of f.
 
-    Returns (kronrod values, |K-G| estimates, node rows), one entry per
+    Returns (kronrod values, error estimates, node rows), one entry per
     panel.  A value is the tuple of the C column values of f (C = 1 for an
-    f of one array), and the estimate is the largest of the columns' and
-    their sum's: columns whose oscillations cancel make a smooth sum, whose
-    estimate alone would bound no column.  The rows are the (15, C) values
-    of the panel's integrand at its nodes, f/t on a panel (a, inf) (_frame).
+    f of one array), and the estimate is the largest of the columns' and,
+    for C > 1, their sum's (_panel_error): columns whose oscillations
+    cancel make a smooth sum, whose estimate alone would bound no column.
+    The rows are the (15, C) values of the panel's integrand at its nodes,
+    f/t on a panel (a, inf) (_frame).
     """
     halves = [_frame(a, b) for a, b in zip(edges, edges[1:])]
     t = np.concatenate([c + h * _X for c, h in halves])
@@ -196,17 +263,45 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
         i = int(np.argmin(finite))
         bad = next(v for v in rows[i].tolist() if not math.isfinite(v))
         raise IntegrandError(f"integrand returned {bad!r} at x={float(x[i])!r}")
-    # multiply and add, not a BLAS product, whose buffers add ~0.6 MB of peak
-    # RSS; sums[panel][column] is (kronrod, gauss)
     panel_rows = rows.reshape(len(halves), _X.size, -1)
-    sums = np.add.reduce(panel_rows[..., None] * _W[:, None], axis=1).tolist()
+    columns = panel_rows.shape[2]
+    judged = panel_rows
+    if columns > 1:
+        judged = np.concatenate((panel_rows, panel_rows.sum(axis=2, keepdims=True)), axis=2)
+    # multiply and add, not a BLAS product, whose buffers add ~0.6 MB of peak
+    # RSS; sums[panel][column] is (kronrod, gauss, c9, c10, c13, c14)
+    sums = np.add.reduce(judged[..., None] * _W[:, None], axis=1).tolist()
+    scales = np.abs(judged).max(axis=1).tolist()
     values, errors = [], []
-    for (_, h), cols in zip(halves, sums):
-        k, g = zip(*cols)
-        values.append(tuple(h * kc for kc in k))
-        column_errors = (abs(h * (kc - gc)) for kc, gc in cols)
-        errors.append(max(abs(h * (math.fsum(k) - math.fsum(g))), *column_errors))
+    for (_, h), cols, scale in zip(halves, sums, scales):
+        values.append(tuple(h * col[0] for col in cols[:columns]))
+        errors.append(h * max(map(_panel_error, cols, scale)))
     return values, errors, panel_rows
+
+
+def _panel_error(rules: list[float], scale: float) -> float:
+    """The error of K15 on [-1, 1] for one column of a panel, given its
+    (kronrod, gauss, c9, c10, c13, c14) sums (_gk15) and max|y| as scale.
+
+    Where the column's Legendre coefficients have decayed, the tail of the
+    series extrapolated past degree 14, 2 top r^(3/4), plus a roundoff
+    floor; elsewhere |K15 - G7|, in effect the error of the 7-point rule
+    (see _DECAYED for the constants and their calibration).  The null
+    rules c9, c10, c13 and c14 are those of Berntsen and Espelid, ACM TOMS
+    17(2), 1991, reviewed in Gonnet, ACM Computing Surveys 44(4), 2012.
+    It runs on Python floats, once per panel and column: numpy steps over
+    the few panels of a call cost ~1 us each, and that form read
+    bethe_tables pass_s +2.4% and +2.5% in two rounds of ten perfbench
+    pairs, this one +0.5% and +1.6% (BENCH_43.json).
+    """
+    k, g, c9, c10, c13, c14 = rules
+    top, mid = max(abs(c13), abs(c14)), max(abs(c9), abs(c10))
+    if top <= _DECAYED * mid or top <= _NOISE * scale:
+        # r = top/mid at most 1: a noise-level tail above mid shows no decay
+        # rate; 0 for a zero column
+        r = top / max(mid, top, sys.float_info.min)
+        return 2.0 * top * r**0.75 + _ROUNDOFF * scale
+    return abs(k - g)
 
 
 @dataclass
@@ -369,7 +464,7 @@ def integrate_principal_value(
     half of the digits of s and a denominator with roundoff may vanish off
     the pole, the folded integrand F, even in s and so flat there, is taken
     at the floor.  F(floor) carries the roundoff of the fold, O(|F|) there,
-    and a constant panel gets no Gauss-Kronrod error estimate, so once the
+    and a constant panel gets no error estimate above roundoff, so once the
     refinement reaches below the floor, [0, floor], integrated as
     floor F(floor), adds floor |F(floor) - F(eps^(1/4) pole)| to the error
     (F is flat, and its roundoff small, at the second point) and the window

@@ -26,6 +26,7 @@ x = e^-phi (quadrature.integrate_panels).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from importlib import resources
@@ -47,6 +48,11 @@ from .quadrature import (
 # gamma itself does not depend on them.
 BETHE_CUTOFFS = (1.0e3, 3.0e3, 1.0e4, 3.0e4, 1.0e5)
 
+# Widest panel of the non-dipole shift's run from phi_L + 1 to phi_w
+# (_transition_edges).  At 1.5 Table 1 takes 705 evaluations with no
+# bisection; at 2 (3, 1) and (4, 1) bisect, 660 in 9 integrand calls.
+_TRANSITION_WIDTH = 1.5
+
 
 @dataclass(frozen=True)
 class QuantumState:
@@ -59,7 +65,8 @@ class QuantumState:
 
     def __post_init__(self) -> None:
         validate_quantum_numbers(self.N, self.L)
-        if self.Z < 1 or self.Z != int(self.Z):
+        # int first, as for N and L: the numbers.Integral check alone costs ~0.4 us
+        if not isinstance(self.Z, (int, numbers.Integral)) or self.Z < 1:
             raise ValueError(f"nuclear charge must be a positive integer, got {self.Z!r}")
         if self.J is not None:
             if self.J < 0.5 or abs(abs(self.J - self.L) - 0.5) > 1e-12:
@@ -242,20 +249,23 @@ def _transition_edges(terms, transition: float) -> tuple[float, ...]:
     """Panel edges of [0, inf) for the non-dipole shift, whose weight turns over at phi_w = transition.
 
     0, every pole, the first panel [phi_L, phi_L + 1] from the last pole
-    phi_L, then ceil(phi_w - phi_L - 1) equal panels up to phi_w, and
-    math.inf, whose panel (phi_T, inf) integrate_panels takes in
+    phi_L, then ceil((phi_w - phi_L - 1)/1.5) equal panels up to phi_w,
+    and math.inf, whose panel (phi_T, inf) integrate_panels takes in
     x = e^-phi; phi_T = max(phi_w, phi_L + 1), so a transition within 1 of
-    phi_L leaves the first panel alone.  Every panel is at most 1 wide,
-    the width over which the weight turns over, so the first integrand
-    call resolves the turn.  The first panel is that of the doubling
-    panels before it: high-L states, whose integral lies next to phi_L,
-    bisect it towards the pole as they did (a first panel 0.997 wide moved
-    (50, 49) by 1.6e-11 and (86, 85) at a0 = 1e-5 by 4e-11 of the Bethe
-    logarithm, near the roundoff of their 2.6e3-fold cancellation).
+    phi_L leaves the first panel alone.  The weight turns over about 1
+    wide, and panels at most _TRANSITION_WIDTH = 1.5 wide resolve it in
+    the first integrand call under the Legendre-tail panel estimate
+    (quadrature._panel_error); under |K15 - G7| they had to be at most 1
+    wide, at 840 Table-1 evaluations against 705.  The first panel is that
+    of the doubling panels before it: high-L states, whose integral lies
+    next to phi_L, bisect it towards the pole as they did (a first panel
+    0.997 wide moved (50, 49) by 1.6e-11 and (86, 85) at a0 = 1e-5 by 4e-11
+    of the Bethe logarithm, near the roundoff of their 2.6e3-fold
+    cancellation).
     """
     lead = (0.0, *(pole for _, pole, _ in reversed(terms)))
     start = lead[-1] + 1.0
-    count = math.ceil(transition - start)  # <= 0 where phi_T = start
+    count = math.ceil((transition - start) / _TRANSITION_WIDTH)  # <= 0 where phi_T = start
     return (*lead, *(start + (transition - start) * k / count for k in range(count)), max(transition, start), math.inf)
 
 
@@ -271,7 +281,7 @@ def _bracket_integrand(N: int, L: int, weight, terms):
     which returns their residues), calls each kernel's tau_integral once
     to read its value, and forms the PV column as arrays over the nodes.
     The first call takes every starting panel of the layout, so with the
-    non-dipole shift's panels at most 1 wide through the weight's
+    non-dipole shift's panels at most 1.5 wide through the weight's
     transition (_transition_edges) one call resolves a Table-1 state; only
     a bisection makes another.  Each node's w comes from the scalar weight
     function of the rates and pole strengths, and each gap
@@ -328,7 +338,7 @@ def _shift_bracket(
     weight w = 1 - (1+s)^{-1/2}, s = (Z a0/N)^2 (e^{2 phi} - 1), turns over
     about 1 wide in phi around phi_w = ln(N/(Z a0)) and saturates past it,
     where the integrand only decays: its phi panels run from phi_L in
-    panels at most 1 wide to phi_T = max(phi_w, phi_L + 1)
+    panels at most 1.5 wide to phi_T = max(phi_w, phi_L + 1)
     (_transition_edges), and the last edge math.inf makes the rest one
     refinable panel in x = e^-phi, so no absolute threshold truncates the
     domain.  The one quadrature is the tau_phi_integral part, refined
@@ -385,9 +395,9 @@ class BetheResult:
     """Bethe logarithm, its mean excitation energy and its phi integral.
 
     estimates are the dipole-shift estimates of gamma at the cutoffs_used,
-    error_estimate the Gauss-Kronrod error of the phi integral, both in
-    units of gamma; diagnostics holds that integral as its one part,
-    tau_phi_integral, as for a shift.
+    error_estimate the summed panel error estimate of the phi integral
+    (quadrature._panel_error), both in units of gamma; diagnostics holds
+    that integral as its one part, tau_phi_integral, as for a shift.
     """
 
     N: int
