@@ -9,9 +9,9 @@ fixture so it can be overridden from the command line.
 from __future__ import annotations
 
 import math
+import numbers
 import os
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 
 # CODATA 2018 values.
 ALPHA0_CODATA2018 = 7.2973525693e-3          # fine-structure constant
@@ -19,22 +19,25 @@ MEC2_EV_CODATA2018 = 510998.95000            # electron rest energy, eV
 HBAR_EVS_CODATA2018 = 6.582119569e-16        # reduced Planck constant, eV s
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(namedtuple("PhysicalConstants", "alpha0 mec2_eV hbar_eVs")):
     """Fine-structure constant, electron rest energy (eV), hbar (eV s)."""
 
-    alpha0: float = ALPHA0_CODATA2018
-    mec2_eV: float = MEC2_EV_CODATA2018
-    hbar_eVs: float = HBAR_EVS_CODATA2018
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0 < self.alpha0 < math.inf and 0 < self.mec2_eV < math.inf and 0 < self.hbar_eVs < math.inf):
+    def __new__(
+        cls,
+        alpha0: float = ALPHA0_CODATA2018,
+        mec2_eV: float = MEC2_EV_CODATA2018,
+        hbar_eVs: float = HBAR_EVS_CODATA2018,
+    ) -> "PhysicalConstants":
+        if not all(isinstance(v, (float, int, numbers.Real)) and 0 < v < math.inf for v in (alpha0, mec2_eV, hbar_eVs)):
             raise ValueError(
                 "physical constants must be finite and positive, got "
-                f"alpha0={self.alpha0!r}, mec2_eV={self.mec2_eV!r}, hbar_eVs={self.hbar_eVs!r}"
+                f"alpha0={alpha0!r}, mec2_eV={mec2_eV!r}, hbar_eVs={hbar_eVs!r}"
             )
-        if self.alpha0 >= 1.0:  # the bound-state energies and the expansion in Z alpha0 need alpha0 < 1
-            raise ValueError(f"the fine-structure constant must be below 1, got alpha0={self.alpha0!r}")
+        if alpha0 >= 1.0:  # the bound-state energies and the expansion in Z alpha0 need alpha0 < 1
+            raise ValueError(f"the fine-structure constant must be below 1, got alpha0={alpha0!r}")
+        return tuple.__new__(cls, (alpha0, mec2_eV, hbar_eVs))
 
     def energy_unit_eV(self, Z: int) -> float:
         """Atomic energy unit E0 = mec2 (Z alpha0)^2 in eV."""
@@ -115,5 +118,7 @@ def resolve_constants(path: str | None = None) -> PhysicalConstants:
 
 
 def bundled_fixture_path() -> str:
-    """Path of the packaged CODATA 2018 fixture file."""
+    """Path of the packaged CODATA 2018 fixture file; importlib.resources loads here, not on import."""
+    from importlib import resources
+
     return str(resources.files("lambshift").joinpath("data/codata2018.txt"))

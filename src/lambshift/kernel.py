@@ -58,8 +58,8 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -250,7 +250,7 @@ def _harmonic(n: int) -> float:
     return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
-class _EulerRows(NamedTuple):
+class _EulerRows(namedtuple("_EulerRows", "amp p h psi psi0 first a s finite past")):
     """The phi-independent data of _euler_block, as arrays over the factored terms k < N - L.
 
     With m = q_k + 1 - 2N, s = |m| and h = max(m, 0): amp = -t_k/4, p =
@@ -260,19 +260,11 @@ class _EulerRows(NamedTuple):
     j = 0), first = 1/s! its first term, a = 2N + h and s, and for the
     terms with m < 0 (all but the last when L = 0, where m = 1)
     finite = q!/(2N-1)! (q+1)_j (s-j-1)!/j! for j < s, zero beyond, and
-    past = 1.0 where j >= s, else 0.0, both over the longest s.
+    past = 1.0 where j >= s, else 0.0, both over the longest s.  All are
+    float arrays but psi, a list of ints.
     """
 
-    amp: np.ndarray
-    p: np.ndarray
-    h: np.ndarray
-    psi: list
-    psi0: np.ndarray
-    first: np.ndarray
-    a: np.ndarray
-    s: np.ndarray
-    finite: np.ndarray
-    past: np.ndarray
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

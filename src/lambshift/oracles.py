@@ -36,7 +36,7 @@ integral, residue terms and tail alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -93,11 +93,10 @@ def _expm_nilpotent(m: np.ndarray) -> np.ndarray:
     return np.eye(2, dtype=complex) + m  # m^2 = 0 for pure ladder matrices
 
 
-@dataclass
-class SpectralKernelValue:
-    value: complex
-    last_term: float  # truncation monitor
-    terms: int
+class SpectralKernelValue(namedtuple("SpectralKernelValue", "value last_term terms")):
+    """The kernel summed over terms eigenstates, with the size of the last term as truncation monitor."""
+
+    __slots__ = ()
 
 
 def kernel_via_spectral_series(
@@ -265,8 +264,7 @@ def tau_integral_by_quadrature(
 
     with np.errstate(over="ignore", invalid="ignore"):
         result = integrate_semi_infinite(integrand, spec)
-    result.converged = result.converged and not lost
-    return result
+    return result._replace(converged=result.converged and not lost)
 
 
 def pv_term_by_principal_values(

@@ -39,8 +39,9 @@ panel endpoints, in particular at the origin of a semi-infinite domain.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import takewhile
 from typing import Callable, Sequence
 
@@ -143,8 +144,7 @@ class IntegrandError(ValueError):
     """The integrand returned a non-finite value."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(namedtuple("QuadratureSpec", "rel_tol max_subdivisions")):
     """Tolerance and budget for one integral.
 
     An integral has converged once its summed error estimate is at most
@@ -154,31 +154,35 @@ class QuadratureSpec:
     integrate_semi_infinite runs its panels below the target of its total.
     """
 
-    rel_tol: float = 1.0e-9
-    max_subdivisions: int = 2000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
-        if not isinstance(self.max_subdivisions, int) or self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
+    def __new__(cls, rel_tol: float = 1.0e-9, max_subdivisions: int = 2000) -> "QuadratureSpec":
+        if not isinstance(rel_tol, (float, int, numbers.Real)) or not 0.0 < rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+        if not isinstance(max_subdivisions, int) or isinstance(max_subdivisions, bool) or max_subdivisions < 1:
+            raise ValueError(f"max_subdivisions must be an integer >= 1, got {max_subdivisions!r}")
+        return tuple.__new__(cls, (rel_tol, max_subdivisions))
 
     def target(self, value: float) -> float:
         return self.rel_tol * abs(value)
 
 
-@dataclass
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
-    subdivisions: int = 0
-    # each column's total for a multi-column integrand, whose value is their sum
-    columns: tuple[float, ...] = ()
-    # the integral (all columns summed) from the first edge up to each of
-    # integrate_panels' marks; a sum of results has none
-    running: tuple[float, ...] = ()
+class QuadratureResult(
+    namedtuple(
+        "QuadratureResult",
+        "value error_estimate evaluations converged subdivisions columns running",
+        defaults=(0, (), ()),
+    )
+):
+    """An integral, its error estimate, its evaluation count and whether it converged.
+
+    columns holds each column's total for a multi-column integrand, whose
+    value is their sum; running holds the integral (all columns summed)
+    from the first edge up to each of integrate_panels' marks, and a sum of
+    results has none.
+    """
+
+    __slots__ = ()
 
     def __add__(self, other: "QuadratureResult") -> "QuadratureResult":
         return QuadratureResult(
@@ -304,13 +308,11 @@ def _panel_error(rules: list[float], scale: float) -> float:
     return abs(k - g)
 
 
-@dataclass
-class _Panel:
-    a: float
-    b: float
-    value: tuple[float, ...]  # one entry per column
-    error: float
-    rows: np.ndarray  # (15, C) values of the panel's integrand at its nodes (_gk15)
+class _Panel(namedtuple("_Panel", "a b value error rows")):
+    """A GK15 panel from a to b: each column's value, the panel error, and the
+    (15, C) array rows of the integrand's values at its nodes (_gk15)."""
+
+    __slots__ = ()
 
     def integral_upto(self, x: float) -> list[float]:
         """Each column's integral from a to x in [a, b] of the degree-14 interpolant of the rows."""
@@ -337,14 +339,15 @@ def _panels(f, edges: Sequence[float]) -> list[_Panel]:
     return list(map(_Panel, edges, edges[1:], *_gk15(f, edges)))
 
 
-def _refine(f, panels: list[_Panel], spec: QuadratureSpec) -> QuadratureResult:
+def _refine(f, panels: list[_Panel], spec: QuadratureSpec, marks: Sequence[float] = ()) -> QuadratureResult:
     """Bisect the worst panel in place until the summed error meets the tolerance.
 
     panels stay ordered by position; math.fsum is correctly rounded, so the
     order of the sums does not matter.  The budget counts panels created.
     A panel too narrow to split in floating point (its nodes would land on
     its edges, a pole among them) ends the refinement unconverged.  Each
-    panel given took 15 evaluations, and each bisection takes 30.
+    panel given took 15 evaluations, and each bisection takes 30.  The
+    result's running is read off the final panels at each of marks.
     """
     evals = 15 * len(panels)
     subdivisions = 0
@@ -360,7 +363,8 @@ def _refine(f, panels: list[_Panel], spec: QuadratureSpec) -> QuadratureResult:
             halves = panels[i].split(f)
         if halves is None:
             columns = columns if len(columns) > 1 else ()
-            return QuadratureResult(total, error, evals, converged, subdivisions, columns)
+            running = tuple(_running_sum(panels, m) for m in marks)
+            return QuadratureResult(total, error, evals, converged, subdivisions, columns, running)
         panels[i:i + 1] = halves
         evals += 30
         subdivisions += 1
@@ -394,10 +398,7 @@ def integrate_panels(
     last = edges[-2] if edges[-1] == math.inf else edges[-1]
     if any(not edges[0] < m <= last for m in marks) or any(b <= a for a, b in zip(marks, marks[1:])):
         raise ValueError(f"marks must ascend within ({edges[0]!r}, {last!r}], got {marks!r}")
-    panels = _panels(f, edges)
-    result = _refine(f, panels, spec)
-    result.running = tuple(_running_sum(panels, m) for m in marks)
-    return result
+    return _refine(f, _panels(f, edges), spec, marks)
 
 
 def _dyadic_edges(origin: float):
@@ -506,9 +507,9 @@ def integrate_principal_value(
         # F(0) from F at eps^(1/4) pole, where its roundoff is ~sqrt(eps) F
         # and its curvature moves it as little
         reference = float(folded(np.array([sys.float_info.epsilon ** 0.25 * pole]))[0])
-        total.error_estimate += floor * abs(at_floor[0] - reference)
-        total.evaluations += 1
-        total.converged &= total.error_estimate <= spec.target(total.value)
+        error = total.error_estimate + floor * abs(at_floor[0] - reference)
+        converged = total.converged and error <= spec.target(total.value)
+        total = total._replace(error_estimate=error, evaluations=total.evaluations + 1, converged=converged)
     if pole - delta > 0.0:
         total = total + integrate_panels(h, (0.0, pole - delta), spec)
     if upper is None:
@@ -518,11 +519,13 @@ def integrate_principal_value(
     return total
 
 
-@dataclass
-class Diagnostics:
-    """Named quadrature results gathered while assembling a shift."""
+class Diagnostics(namedtuple("Diagnostics", "parts")):
+    """Named quadrature results gathered while assembling a shift: a dict parts, empty by default."""
 
-    parts: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, parts: dict | None = None) -> "Diagnostics":
+        return tuple.__new__(cls, ({} if parts is None else parts,))
 
     @property
     def converged(self) -> bool:

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache, partial
-from importlib import resources
 
 import numpy as np
 
@@ -54,38 +53,35 @@ BETHE_CUTOFFS = (1.0e3, 3.0e3, 1.0e4, 3.0e4, 1.0e5)
 _TRANSITION_WIDTH = 1.5
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class QuantumState(namedtuple("QuantumState", "N L J Z")):
     """Bound-state label (N, L, optional J) of a hydrogen-like ion of charge Z."""
 
-    N: int
-    L: int
-    J: float | None = None
-    Z: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        validate_quantum_numbers(self.N, self.L)
+    def __new__(cls, N: int, L: int, J: float | None = None, Z: int = 1) -> "QuantumState":
+        validate_quantum_numbers(N, L)
         # int first, as for N and L: the numbers.Integral check alone costs ~0.4 us
-        if not isinstance(self.Z, (int, numbers.Integral)) or self.Z < 1:
-            raise ValueError(f"nuclear charge must be a positive integer, got {self.Z!r}")
-        if self.J is not None:
-            if self.J < 0.5 or abs(abs(self.J - self.L) - 0.5) > 1e-12:
-                raise ValueError(f"J must be L +/- 1/2 and >= 1/2, got J={self.J!r} for L={self.L}")
+        if not isinstance(Z, (int, numbers.Integral)) or Z < 1:
+            raise ValueError(f"nuclear charge must be a positive integer, got {Z!r}")
+        if J is not None and not (
+            isinstance(J, (float, numbers.Real)) and J >= 0.5 and abs(abs(J - L) - 0.5) <= 1e-12
+        ):
+            raise ValueError(f"J must be L +/- 1/2 and >= 1/2, got J={J!r} for L={L}")
+        return tuple.__new__(cls, (N, L, J, Z))
 
 
-@dataclass(frozen=True)
-class DipoleOptions:
+class DipoleOptions(namedtuple("DipoleOptions", "enabled cutoff_x")):
     """Dipole-approximation switch with its photon-energy cutoff x = hw/(2 mec2)."""
 
-    enabled: bool = False
-    cutoff_x: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cutoff_x is not None:
-            if not self.enabled:
+    def __new__(cls, enabled: bool = False, cutoff_x: float | None = None) -> "DipoleOptions":
+        if cutoff_x is not None:
+            if not enabled:
                 raise ValueError("cutoff_x needs the dipole approximation: enabled=True, or --dipole")
-            if not math.isfinite(self.cutoff_x) or self.cutoff_x <= 0:
-                raise ValueError(f"cutoff_x must be positive and finite, got {self.cutoff_x!r}")
+            if not isinstance(cutoff_x, (float, int, numbers.Real)) or not 0 < cutoff_x < math.inf:
+                raise ValueError(f"cutoff_x must be positive and finite, got {cutoff_x!r}")
+        return tuple.__new__(cls, (enabled, cutoff_x))
 
     def phi_cut(self, state: QuantumState, constants: PhysicalConstants) -> float:
         """Upper end of the frequency integration: e^{2 phi} = 1 + 4 x (N/(Z a0))^2."""
@@ -195,18 +191,21 @@ def sum_rates(rates) -> float:
     return math.fsum(g for _, g in rates)
 
 
-@dataclass
-class ShiftResult:
-    """Lamb shift with its rate table and integration diagnostics."""
+class ShiftResult(
+    namedtuple(
+        "ShiftResult",
+        "state lamb_shift_MHz partial_rates total_rate tau_phi_term_MHz pv_term_MHz diagnostics converged",
+        defaults=(None, True),
+    )
+):
+    """Lamb shift with its rate table ((n, Gamma_n) pairs) and integration diagnostics."""
 
-    state: QuantumState
-    lamb_shift_MHz: float
-    partial_rates: tuple[tuple[int, float], ...]
-    total_rate: float
-    tau_phi_term_MHz: float
-    pv_term_MHz: float
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
-    converged: bool = True
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "ShiftResult":
+        self = super().__new__(cls, *fields, **named)
+        # by default an empty Diagnostics of its own: parts is a dict
+        return self._replace(diagnostics=Diagnostics()) if self.diagnostics is None else self
 
     def as_dict(self) -> dict:
         return {
@@ -390,8 +389,13 @@ def lamb_shift(
     )
 
 
-@dataclass
-class BetheResult:
+class BetheResult(
+    namedtuple(
+        "BetheResult",
+        "N L gamma mean_excitation_Ry cutoffs_used estimates error_estimate converged diagnostics",
+        defaults=(None,),
+    )
+):
     """Bethe logarithm, its mean excitation energy and its phi integral.
 
     estimates are the dipole-shift estimates of gamma at the cutoffs_used,
@@ -400,15 +404,12 @@ class BetheResult:
     that integral as its one part, tau_phi_integral, as for a shift.
     """
 
-    N: int
-    L: int
-    gamma: float
-    mean_excitation_Ry: float
-    cutoffs_used: tuple[float, ...]
-    estimates: tuple[float, ...]
-    error_estimate: float
-    converged: bool
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "BetheResult":
+        self = super().__new__(cls, *fields, **named)
+        # by default an empty Diagnostics of its own: parts is a dict
+        return self._replace(diagnostics=Diagnostics()) if self.diagnostics is None else self
 
     def as_dict(self) -> dict:
         return {
@@ -535,26 +536,29 @@ def dipole_lamb_full(
     return full, without_qed
 
 
-@dataclass(frozen=True)
-class TableCell:
-    """One scalar of a reproduced table, paired with its published value."""
+class TableCell(
+    namedtuple(
+        "TableCell",
+        "table_id N L J n quantity unit computed reference rel_dev converged",
+        defaults=(True,),
+    )
+):
+    """One scalar of a reproduced table, paired with its published value.
 
-    table_id: int
-    N: int
-    L: int
-    J: float | None
-    n: int | None
-    quantity: str
-    unit: str
-    computed: float
-    reference: float | None
-    rel_dev: float | None
-    converged: bool = True
+    J and the channel n are None where the quantity has none, reference and
+    rel_dev = (computed - reference)/|reference| where no value is published.
+    """
+
+    __slots__ = ()
 
 
 def _load_reference_values() -> dict:
-    """The published table values keyed by (table_id, quantity, N, L, J, n); csv loads here, not on import."""
+    """The published table values keyed by (table_id, quantity, N, L, J, n).
+
+    csv and importlib.resources load here, not on import.
+    """
     import csv
+    from importlib import resources
 
     refs = {}
     path = resources.files("lambshift").joinpath("data/reference_tables.csv")

@@ -13,28 +13,29 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import numbers
+from collections import namedtuple
 
 from .specfun import hyp2f1_terminating, ln_abs
 
 DET_TOLERANCE = 1.0e-9
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "alpha beta")):
     """SU(1,1) coordinates (alpha, beta) with |alpha|^2 - |beta|^2 = 1."""
 
-    alpha: complex
-    beta: complex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, alpha: complex, beta: complex) -> "GroupElement":
+        self = tuple.__new__(cls, (alpha, beta))
         # Relative to the element scale: the defining coordinates of large
         # boosts cannot satisfy the constraint to absolute precision.
-        scale = max(1.0, abs(self.alpha) ** 2)
+        scale = max(1.0, abs(alpha) ** 2)
         if not abs(self.det_defect()) <= DET_TOLERANCE * scale:
             raise ValueError(
                 f"not an SU(1,1) element: |alpha|^2 - |beta|^2 - 1 = {self.det_defect():.3e}"
             )
+        return self
 
     def det_defect(self) -> float:
         return abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0
@@ -73,13 +74,10 @@ def time_evolution_coords(T: float, phi: float) -> GroupElement:
     return GroupElement(alpha, beta)
 
 
-@dataclass(frozen=True)
-class BchCoordinates:
-    """Disentangling coordinates: alpha = e^{i chi} cosh rho, beta = e^{i psi} sinh rho."""
+class BchCoordinates(namedtuple("BchCoordinates", "rho chi psi")):
+    """Disentangling coordinates, floats: alpha = e^{i chi} cosh rho, beta = e^{i psi} sinh rho."""
 
-    rho: float
-    chi: float
-    psi: float
+    __slots__ = ()
 
 
 def bch_decompose(u: GroupElement) -> BchCoordinates:
@@ -96,15 +94,15 @@ def bch_reconstruct(b: BchCoordinates) -> GroupElement:
     return GroupElement(alpha, beta)
 
 
-@dataclass(frozen=True)
-class RepLabel:
+class RepLabel(namedtuple("RepLabel", "m0")):
     """Lower-bounded tower starting at m0 = L+1; Casimir value m0(1-m0)."""
 
-    m0: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m0 < 1 or self.m0 != int(self.m0):
-            raise ValueError(f"m0 must be a positive integer, got {self.m0!r}")
+    def __new__(cls, m0: int) -> "RepLabel":
+        if not isinstance(m0, (int, numbers.Real)) or not 1 <= m0 < math.inf or m0 != int(m0):
+            raise ValueError(f"m0 must be a positive integer, got {m0!r}")
+        return tuple.__new__(cls, (m0,))
 
     @property
     def casimir(self) -> int:

@@ -118,6 +118,14 @@ def test_alpha0_of_one_or_more_is_rejected(alpha0):
         PhysicalConstants(alpha0=alpha0)
 
 
+@pytest.mark.parametrize("key", ["alpha0", "mec2_eV", "hbar_eVs"])
+@pytest.mark.parametrize("value", ["0.007", None, 1j])
+def test_a_constant_that_is_no_real_number_raises_value_error(key, value):
+    # a comparison with a string raised TypeError, past the check's message
+    with pytest.raises(ValueError, match="finite and positive"):
+        PhysicalConstants(**{key: value})
+
+
 def test_alpha0_just_below_one_is_accepted():
     assert PhysicalConstants(alpha0=math.nextafter(1.0, 0.0)).alpha0 < 1.0
 

@@ -799,17 +799,34 @@ class TestKernelTables:
         assert {*(f"lambshift.kernel.{name}" for name in tables), "lambshift.shifts._channels"} <= set(sizes)
         assert all(size == 0 for size in sizes.values()), sizes
 
-    def test_import_loads_no_fractions_decimal_or_csv(self):
+    def test_import_loads_no_fractions_decimal_csv_or_dataclasses(self):
         # fractions (which imports decimal) loads with the exact-rational
-        # fallback of a reference series, csv with the published tables
+        # fallback of a reference series, csv with the published tables;
+        # the record types are namedtuples, whose import generates no methods
         src = str(Path(K.__file__).resolve().parents[1])
         code = (
             "import json, sys; sys.path.insert(0, sys.argv[1]); import lambshift, lambshift.oracles; "
-            "print(json.dumps(sorted(m for m in ('fractions', 'decimal', 'csv') if m in sys.modules)))"
+            "print(json.dumps(sorted(m for m in ('fractions', 'decimal', 'csv', 'dataclasses') if m in sys.modules)))"
         )
         out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == []
+
+    def test_import_without_site_loads_no_importlib_resources(self):
+        # under -S no .pth file preloads importlib.resources, which brings
+        # pathlib, tempfile, shutil, bz2, lzma and random; the package
+        # fixture paths import it when called
+        src = str(Path(K.__file__).resolve().parents[1])
+        numpy_parent = str(Path(np.__file__).resolve().parents[1])
+        code = (
+            "import json, sys; sys.path[:0] = sys.argv[1:3]; import lambshift, lambshift.oracles; "
+            "print(json.dumps('importlib.resources' in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code, src, numpy_parent], capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) is False
 
     def test_tail_table_keeps_a_bounded_number_of_chunks(self):
         # a series that never stops asks for ~490 chunks before it raises at

@@ -510,11 +510,13 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=-1.0)
-    for bad in (math.nan, math.inf, -math.inf):
+    # a string raised TypeError from the comparison
+    for bad in (math.nan, math.inf, -math.inf, "1e-9", None):
         with pytest.raises(ValueError, match="finite"):
             QuadratureSpec(rel_tol=bad)
-    # the budget counts panels; one of 0 or less left every integral unrefined and unconverged
-    for bad in (0, -3, 2.5, 1.0, None):
+    # the budget counts panels; one of 0 or less left every integral
+    # unrefined and unconverged, and True was taken as a budget of 1
+    for bad in (0, -3, 2.5, 1.0, None, True, "5"):
         with pytest.raises(ValueError, match="max_subdivisions"):
             QuadratureSpec(max_subdivisions=bad)
     assert QuadratureSpec(max_subdivisions=1).max_subdivisions == 1

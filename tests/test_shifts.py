@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath as mp
@@ -61,6 +60,11 @@ class TestQuantumState:
             QuantumState(N=2, L=1, J=2.0)
         with pytest.raises(ValueError):
             QuantumState(N=1, L=0, J=-0.5)
+        # NaN failed both comparisons and was accepted, so dipole_lamb_full
+        # took the J = L - 1/2 constant; a string raised TypeError
+        for J in (math.nan, math.inf, "1.5"):
+            with pytest.raises(ValueError, match=r"J must be .* got J="):
+                QuantumState(N=2, L=1, J=J)
         # an integral float is no quantum number: it must fail here, as the
         # ValueError that the CLI maps to exit 2, not deep in the kernel
         with pytest.raises(ValueError, match="invalid quantum numbers"):
@@ -75,6 +79,10 @@ class TestQuantumState:
     def test_dipole_options_validation(self):
         with pytest.raises(ValueError):
             DipoleOptions(enabled=True, cutoff_x=-1.0)
+        # math.isfinite raised TypeError on a string
+        for bad in ("3", math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="cutoff_x must be positive and finite"):
+                DipoleOptions(enabled=True, cutoff_x=bad)
         with pytest.raises(ValueError):
             DipoleOptions(enabled=True).phi_cut(QuantumState(N=1, L=0), C)
         # a cutoff without the dipole approximation would be silently ignored
@@ -676,7 +684,7 @@ class TestSmallCouplingLimit:
 
     @staticmethod
     def _remainder(N, L, alpha0):
-        constants = dataclasses.replace(C, alpha0=alpha0)
+        constants = PhysicalConstants(alpha0=alpha0, mec2_eV=C.mec2_eV, hbar_eVs=C.hbar_eVs)
         state = QuantumState(N=N, L=L)
         shift = constants.MHz_to_eV(lamb_shift(state, constants=constants).lamb_shift_MHz)
         remainder = shift / bethe_amplitude(state, constants) + bethe_log(N, L).gamma

@@ -136,6 +136,11 @@ class TestRepresentation:
         assert RepLabel(3).casimir == -6
         with pytest.raises(ValueError):
             RepLabel(0)
+        # a string raised TypeError from the comparison, NaN from int()
+        for bad in ("2", 2.5, math.nan, math.inf, None):
+            with pytest.raises(ValueError, match="m0 must be a positive integer"):
+                RepLabel(bad)
+        assert RepLabel(2.0).casimir == -2
 
     def test_identity_is_kronecker_delta(self):
         label = RepLabel(2)
