@@ -24,6 +24,11 @@ COMMANDS = [f"table --id {i} --format csv" for i in (1, 2, 3)] + [
     f"{command} --n {N} --l {L} --format json"
     for N, L in ((5, 0), (8, 3), (20, 10), (3, 2), (50, 49))
     for command in ("shift", "bethe")
+] + [
+    "shift --n 3 --l 1 --dipole --cutoff-x 1e4 --format json",
+    "shift --n 2 --l 0 --dipole --cutoff-x 1e3 --format csv",
+    # exits 2 with no output: the cutoff lies below the (2, 1) pole
+    "shift --n 2 --l 1 --dipole --cutoff-x 1e-9",
 ]
 
 
@@ -54,7 +59,7 @@ def _leaves(value, path: str = ""):
 
 def _cells(stdout: str):
     """(line i (the row's cells before this one), column, value) of each CSV cell."""
-    header, *rows = csv.reader(io.StringIO(stdout))
+    header, *rows = [*csv.reader(io.StringIO(stdout))] or [[]]
     for i, row in enumerate(rows, start=2):
         for j, (column, value) in enumerate(zip(header, row)):
             yield f"line {i} ({','.join(row[:j])}) {column}", value
