@@ -115,10 +115,3 @@ def resolve_constants(path: str | None = None) -> PhysicalConstants:
     if path is None:
         return default_constants()
     return load_constants(path)
-
-
-def bundled_fixture_path() -> str:
-    """Path of the packaged CODATA 2018 fixture file; importlib.resources loads here, not on import."""
-    from importlib import resources
-
-    return str(resources.files("lambshift").joinpath("data/codata2018.txt"))

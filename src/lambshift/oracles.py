@@ -7,7 +7,7 @@ remainder in tau from the closed u-form (q_imag_time, remainder,
 remainder_dtau; the hot path only integrates them in closed form), the
 inner tau integral by adaptive quadrature of that u-form, the PV term of
 a shift as one folded principal value per decay channel (against the
-singularity subtraction of shifts._shift_bracket), the dipole rate of
+singularity subtraction of shifts._bracket_integrand), the dipole rate of
 the circular states (N, N-1) in closed form, the Bethe logarithm by
 Neville extrapolation of dipole shifts at finite cutoffs (against the one
 convergent integral of shifts.bethe_log), and the un-rotated
@@ -279,10 +279,11 @@ def pv_term_by_principal_values(
     cutoff or infinity, is folded about its pole phi_n = ln(N/n) by
     integrate_principal_value, with residue_coeffs evaluated at every node.
     It shares neither nodes nor the pole strength with the closed-form
-    subtraction of shifts._shift_bracket, whose pv_term_MHz it checks.  The
-    denominator is taken as n expm1(phi_n - phi): N e^-phi - n has an
-    absolute roundoff of ~eps n next to the pole, which the folded
-    integrand would amplify without bound as the fold closes.
+    subtraction of shifts._bracket_integrand, and it checks the
+    pv_term_MHz of shifts.lamb_shift.  The denominator is taken as
+    n expm1(phi_n - phi): N e^-phi - n has an absolute roundoff of ~eps n
+    next to the pole, which the folded integrand would amplify without
+    bound as the fold closes.
     """
     constants = _constants_for(state, constants)
     N, L = state.N, state.L

@@ -12,7 +12,7 @@ integrate_semi_infinite grows dyadic tail panels until a whole panel
 falls below that target of the running total, and principal values fold
 the integrand about the pole so the singular parts cancel before any
 node is evaluated.  The shifts take their principal values by
-singularity subtraction instead (shifts._shift_bracket);
+singularity subtraction instead (shifts._bracket_integrand);
 integrate_principal_value is the independent check of that route
 (oracles.pv_term_by_principal_values).
 

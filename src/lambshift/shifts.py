@@ -9,9 +9,10 @@ takes the whole real part.  A channel's pole phi_n = ln(N/n) and residue
 depend on (N, L, n) alone, not on Z, the constants or the dipole switch,
 so one table per state (_channels) holds them, computed once per process,
 for its rates in both approximations, its shifts and its Bethe logarithm.
-Every phi integral of the shift bracket is then set by (N, L), a photon
-weight w(phi) and its domain: the dipole approximation differs only in
-the weight and in a finite cutoff on phi.  The Bethe logarithm is that
+Every phi integrand of a shift is then set by (N, L) and a photon weight
+w(phi) (_bracket_integrand), and its integral by these and its domain:
+the dipole approximation differs only in the weight and in a finite
+cutoff on phi.  The Bethe logarithm is that
 cutoff pushed to infinity, with the weight in units of gamma,
 w = (e^{2 phi} - 1)/(2N): adding Bethe's sum rule makes it one convergent
 phi integral, so no cutoff extrapolation is needed.  The non-dipole
@@ -227,11 +228,6 @@ def _pole_pv(N: int, n: int, limit: float) -> float:
     return math.log((N - n) / (n - N * math.exp(-limit))) / n
 
 
-def _pole_terms(N: int, L: int, weight) -> list[tuple[int, float, float]]:
-    """(n, phi_n, A_n) per open channel of _channels: pole strength A_n = w(phi_n) n R_n(phi_n)."""
-    return [(n, pole, weight(pole) * n * r) for n, pole, r in _channels(N, L)]
-
-
 def _phi_edges(terms, limit: float) -> tuple[float, ...]:
     """Panel edges of [0, limit]: 0, every pole, then doubling panels from the last pole.
 
@@ -268,27 +264,38 @@ def _transition_edges(terms, transition: float) -> tuple[float, ...]:
     return (*lead, *(start + (transition - start) * k / count for k in range(count)), max(transition, start), math.inf)
 
 
-def _bracket_integrand(N: int, L: int, weight, terms):
-    """The phi integrand of a bracket under the photon weight w(phi).
+def _bracket_integrand(N: int, L: int, weight):
+    """(integrand, terms): the phi integrand of a bracket under the photon
+    weight w(phi), and the closed-form pole terms it subtracts.
 
-    The integrand maps an array of phi nodes to rows (w tau integral,
-    subtracted PV integrand), the second summed over the channels of terms
-    (from _pole_terms under the same weight) as
-    [w n R_n - A_n e^(phi_n - phi)]/(N e^-phi - n), see _shift_bracket.
-    Every call is one block, whatever its nodes: it builds their kernels,
-    fills all their tau integrals at once (kernel.fill_tau_integrals,
-    which returns their residues), calls each kernel's tau_integral once
-    to read its value, and forms the PV column as arrays over the nodes.
-    The first call takes every starting panel of the layout, so with the
-    non-dipole shift's panels at most 1.5 wide through the weight's
-    transition (_transition_edges) one call resolves a Table-1 state; only
-    a bisection makes another.  Each node's w comes from the scalar weight
-    function of the rates and pole strengths, and each gap
-    expm1(phi_n - phi) from math.expm1: numpy's first expm1 pages in its
-    code, ~0.1 MB of a pass's peak memory, and a vectorized weight and
-    gap measured within noise.  An inner integral that fails raises, so
-    every value read has converged.
+    terms holds (n, phi_n, A_n) per open channel of _channels, with the
+    pole strength A_n = w(phi_n) n R_n(phi_n), the residue behind Gamma_n.
+    Up to Phi, the principal value of channel n is A_n _pole_pv(N, n, Phi) plus
+
+        int_0^Phi [w n R_n - A_n e^(phi_n - phi)]/(N e^-phi - n) dphi,
+
+    whose integrand is regular.  Its denominator is taken as
+    n expm1(phi_n - phi), zero only at the pole itself: at tight
+    tolerances the refinement reaches nodes within an ulp of the pole,
+    where N e^-phi rounds to exactly n.  The poles are panel edges, so no
+    node comes near the cancellation in the subtracted numerator.
+
+    The integrand maps an array of phi nodes to rows (w tau integral, sum
+    of these regular integrands).  Every call is one block, whatever its
+    nodes: it builds their kernels, fills all their tau integrals at once
+    (kernel.fill_tau_integrals, which returns their residues), calls each
+    kernel's tau_integral once to read its value, and forms the PV column
+    as arrays over the nodes.  The first call takes every starting panel
+    of the layout, so with the non-dipole shift's panels at most 1.5 wide
+    through the weight's transition (_transition_edges) one call resolves
+    a Table-1 state; only a bisection makes another.  Each node's w comes
+    from the scalar weight function of the rates and pole strengths, and
+    each gap expm1(phi_n - phi) from math.expm1: numpy's first expm1 pages
+    in its code, ~0.1 MB of a pass's peak memory, and a vectorized weight
+    and gap measured within noise.  An inner integral that fails raises,
+    so every value read has converged.
     """
+    terms = [(n, pole, weight(pole) * n * r) for n, pole, r in _channels(N, L)]
     start = max(1, L)
     poles = [pole for _, pole, _ in terms]
     n = np.array([[n for n, _, _ in terms]], dtype=float)
@@ -305,60 +312,7 @@ def _bracket_integrand(N: int, L: int, weight, terms):
         regular = (w[:, None] * n * residues - strengths * (nu / n)) / (n * gaps)
         return np.stack((w * tau, regular.sum(axis=1)), axis=1)
 
-    return integrand
-
-
-def _shift_bracket(
-    state: QuantumState,
-    options: DipoleOptions,
-    spec: QuadratureSpec | None,
-    constants: PhysicalConstants,
-    limit: float,
-) -> tuple[float, float, Diagnostics]:
-    """The two bracket terms of the shift in MHz, (tau term, PV term, diagnostics),
-    with phi integrated up to limit: math.inf for the semi-infinite
-    non-dipole shift, the cutoff phi of a dipole shift.
-
-    Each channel's principal value loses its pole phi_n = ln(N/n) by
-    singularity subtraction.  With the pole strength A_n = w(phi_n) n R_n(phi_n),
-    the residue behind Gamma_n, it is A_n _pole_pv(N, n, Phi) plus
-
-        int_0^Phi [w n R_n - A_n e^(phi_n - phi)]/(N e^-phi - n) dphi,
-
-    whose integrand is regular.  Its denominator is taken as
-    n expm1(phi_n - phi), zero only at the pole itself: at tight
-    tolerances the refinement reaches nodes within an ulp of the pole,
-    where N e^-phi rounds to exactly n.  One two-column quadrature takes the tau
-    integrand and the sum of these at the same nodes (_bracket_integrand).  The
-    poles are the first panel edges, so no node comes near the cancellation
-    in the subtracted numerator.  The pole strengths read the residues of
-    _channels, as the rates do.  A dipole shift's doubling panels run from
-    the last pole phi_L = ln(N/max(1, L)) to the cutoff.  The non-dipole
-    weight w = 1 - (1+s)^{-1/2}, s = (Z a0/N)^2 (e^{2 phi} - 1), turns over
-    about 1 wide in phi around phi_w = ln(N/(Z a0)) and saturates past it,
-    where the integrand only decays: its phi panels run from phi_L in
-    panels at most 1.5 wide to phi_T = max(phi_w, phi_L + 1)
-    (_transition_edges), and the last edge math.inf makes the rest one
-    refinable panel in x = e^-phi, so no absolute threshold truncates the
-    domain.  The one quadrature is the tau_phi_integral part, refined
-    against the integral it reports.
-    """
-    N, L = state.N, state.L
-    weight = _photon_weight(state, options, constants)
-    terms = _pole_terms(N, L, weight)
-    if terms and limit <= terms[0][1] + 1.0e-6:
-        raise ValueError(f"dipole cutoff phi={limit:.3f} does not clear the pole at {terms[0][1]:.3f}")
-    integrand = _bracket_integrand(N, L, weight, terms)
-    if limit == math.inf:
-        edges = _transition_edges(terms, math.log(N / (state.Z * constants.alpha0)))
-    else:
-        edges = _phi_edges(terms, limit)
-    outer = integrate_panels(integrand, edges, spec)
-    diag = Diagnostics({"tau_phi_integral": outer})
-    tau, regular = outer.columns
-    pv = math.fsum([regular, *(a * _pole_pv(N, n, limit) for n, _, a in terms)])
-    prefactor = shift_prefactor(state, constants)
-    return constants.eV_to_MHz(prefactor * tau), constants.eV_to_MHz(prefactor * pv), diag
+    return integrand, terms
 
 
 def lamb_shift(
@@ -370,13 +324,35 @@ def lamb_shift(
     """Lamb shift (10^6 Hz) plus the partial and total decay rates.
 
     Real part of the rotated-contour representation: the prefactor
-    -4 mec2 a0 (Z a0)^2/(3 pi N^2) multiplies the phi integral of the
-    weighted inner tau integral plus one principal value per decay channel.
+    -4 mec2 a0 (Z a0)^2/(3 pi N^2) multiplies the phi integral, up to Phi,
+    of the weighted inner tau integral plus one principal value per decay
+    channel.  Phi is the cutoff phi of a dipole shift, whose doubling
+    panels run from the last pole to it (_phi_edges), and math.inf for the
+    non-dipole shift, whose weight turns over about 1 wide around
+    phi_w = ln(N/(Z a0)) and saturates past it (_transition_edges).  Both
+    terms are one two-column quadrature of _bracket_integrand, the
+    tau_phi_integral part, refined against the integral it reports, plus
+    the pole terms it subtracts; the rates read the same residues under
+    the same photon weight.
     """
     constants = _constants_for(state, constants)
+    N, L = state.N, state.L
     limit = options.phi_cut(state, constants) if options.enabled else math.inf
-    tau_MHz, pv_MHz, diag = _shift_bracket(state, options, spec, constants, limit)
-    rates = _partial_rates(state, _photon_weight(state, options, constants), constants)
+    weight = _photon_weight(state, options, constants)
+    integrand, terms = _bracket_integrand(N, L, weight)
+    if terms and limit <= terms[0][1] + 1.0e-6:
+        raise ValueError(f"dipole cutoff phi={limit:.3f} does not clear the pole at {terms[0][1]:.3f}")
+    if limit == math.inf:
+        edges = _transition_edges(terms, math.log(N / (state.Z * constants.alpha0)))
+    else:
+        edges = _phi_edges(terms, limit)
+    outer = integrate_panels(integrand, edges, spec)
+    tau, regular = outer.columns
+    pv = math.fsum([regular, *(a * _pole_pv(N, n, limit) for n, _, a in terms)])
+    prefactor = shift_prefactor(state, constants)
+    tau_MHz = constants.eV_to_MHz(prefactor * tau)
+    pv_MHz = constants.eV_to_MHz(prefactor * pv)
+    rates = _partial_rates(state, weight, constants)
     return ShiftResult(
         state=state,
         lamb_shift_MHz=tau_MHz + pv_MHz,
@@ -384,8 +360,8 @@ def lamb_shift(
         total_rate=sum_rates(rates),
         tau_phi_term_MHz=tau_MHz,
         pv_term_MHz=pv_MHz,
-        diagnostics=diag,
-        converged=diag.converged,
+        diagnostics=Diagnostics({"tau_phi_integral": outer}),
+        converged=outer.converged,
     )
 
 
@@ -435,7 +411,7 @@ def bethe_log(
     """Bethe logarithm gamma(N, L) as one convergent integral over phi.
 
     In units of gamma the dipole weight is w(phi) = (e^{2 phi} - 1)/(2N),
-    the dipole weight of _shift_bracket times N/(Z a0)^2, and its bracket
+    the dipole weight of lamb_shift times N/(Z a0)^2, and its bracket
     integrand (_bracket_integrand) plus the sum rule is
 
         h(phi) = tau column + subtracted PV column + 2 delta_{L0},
@@ -476,9 +452,8 @@ def bethe_log(
     def weight(phi: float) -> float:
         return math.expm1(2.0 * phi) / (2 * N)
 
-    terms = _pole_terms(N, L, weight)
+    bracket, terms = _bracket_integrand(N, L, weight)
     sum_rule = 2.0 if L == 0 else 0.0
-    bracket = _bracket_integrand(N, L, weight, terms)
 
     def h(phis: np.ndarray) -> np.ndarray:
         return bracket(phis).sum(axis=1) + sum_rule

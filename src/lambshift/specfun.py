@@ -130,16 +130,8 @@ def _jacobi_recurrence(n: int, alpha: float, beta: float, w):
     arrays (broadcast together).
     """
     if n == 0:
-        return _as_float_like(w, 1.0)
+        return 1.0 + 0.0 * w  # 1.0 broadcast to the shape of w
     return _jacobi_from_steps(_jacobi_steps(n, alpha, beta)[:n], w)
-
-
-def _as_float_like(w, value: float):
-    """1.0 broadcast to the shape of w (scalar or numpy array)."""
-    try:
-        return value + 0.0 * w
-    except TypeError:
-        return value
 
 
 def digamma(x):

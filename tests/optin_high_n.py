@@ -167,13 +167,13 @@ def grid_counts() -> tuple[int, int]:
     calls, original = [0], shifts._bracket_integrand
 
     def counting(*args):
-        integrand = original(*args)
+        integrand, terms = original(*args)
 
         def counted(phis):
             calls[0] += 1
             return integrand(phis)
 
-        return counted
+        return counted, terms
 
     shifts._bracket_integrand = counting
     try:

@@ -118,6 +118,14 @@ def test_constants_file_flag(tmp_path, capsys):
     assert "626.81" in out
 
 
+def test_constants_line_without_equals_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("alpha0 = 7.2973525693e-3\nmec2_eV 510998.95\nhbar_eVs = 6.582119569e-16\n")
+    status, out, err = run_cli(capsys, "shift", "--n", "2", "--l", "1", "--constants-file", str(path))
+    assert status == EXIT_USAGE
+    assert out == "" and f"{path}:2: expected 'key = value'" in err
+
+
 @pytest.mark.parametrize(
     "argv, key", [(("shift", "--n", "2", "--l", "1"), "mec2_eV"), (("rates", "--n", "2", "--l", "1"), "alpha0")]
 )

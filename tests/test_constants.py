@@ -1,11 +1,11 @@
 import math
 import re
+from importlib import resources
 
 import pytest
 
 from lambshift.constants import (
     PhysicalConstants,
-    bundled_fixture_path,
     default_constants,
     load_constants,
     resolve_constants,
@@ -61,7 +61,7 @@ def test_frequency_round_trip():
 
 
 def test_bundled_fixture_matches_defaults():
-    fixture = load_constants(bundled_fixture_path())
+    fixture = load_constants(str(resources.files("lambshift").joinpath("data/codata2018.txt")))
     assert fixture == default_constants()
 
 

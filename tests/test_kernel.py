@@ -216,6 +216,10 @@ class TestKernelQ:
         with pytest.raises(ValueError):
             kernel_q(2, 1, 1.0, -0.1)
 
+    def test_phi_kernel_rejects_negative_phi(self):
+        with pytest.raises(ValueError, match="phi must be nonnegative, got -0.1"):
+            PhiKernel(1, 0, -0.1)
+
 
 class TestResidues:
     def test_circular_state_closed_form(self):
@@ -333,6 +337,13 @@ class TestResidues:
 
 
 class TestRemainder:
+    def test_negative_tau_raises(self):
+        # on the series branch (phi = 1) and the closed branch (phi = 4)
+        for ker in (PhiKernel(3, 0, 1.0), PhiKernel(8, 0, 4.0)):
+            for route in (remainder, remainder_dtau):
+                with pytest.raises(ValueError, match="tau must be nonnegative, got -0.5"):
+                    route(ker, -0.5)
+
     def test_zero_phi_closed_form(self):
         for (N, L) in ((1, 0), (3, 1), (5, 2)):
             for tau in (0.2, 1.0, 4.0):
