@@ -12,16 +12,15 @@ for its rates in both approximations, its shifts and its Bethe logarithm.
 Every phi integrand of a shift is then set by (N, L) and a photon weight
 w(phi) (_bracket_integrand), and its integral by these and its domain:
 the dipole approximation differs only in the weight and in a finite
-cutoff on phi.  The Bethe logarithm is that
-cutoff pushed to infinity, with the weight in units of gamma,
-w = (e^{2 phi} - 1)/(2N): adding Bethe's sum rule makes it one convergent
-phi integral, so no cutoff extrapolation is needed.  The non-dipole
-weight is the smooth form of Bethe's mc^2 cutoff and saturates past
-phi_w = ln(N/(Z a0)).  Each shift and each Bethe logarithm is one
-quadrature over phi, refined against the integral it reports: a
-semi-infinite domain ends on the last edge math.inf, which makes the rest
-past the weight's transition, or past the last Bethe cutoff, one panel in
-x = e^-phi (quadrature.integrate_panels).
+cutoff on phi.  The Bethe logarithm is that cutoff pushed to infinity,
+with the weight in units of gamma, w = (e^{2 phi} - 1)/(2N): adding
+Bethe's sum rule makes it one convergent phi integral, so no cutoff
+extrapolation is needed.  The non-dipole weight is the smooth form of
+Bethe's mc^2 cutoff and saturates past phi_w = ln(N/(Z a0)).  Each shift
+and each Bethe logarithm is one quadrature over phi, refined against the
+integral it reports: a semi-infinite domain ends on the last edge
+math.inf, which makes the rest past the weight's transition, or past the
+last Bethe cutoff, one panel in x = e^-phi (quadrature.integrate_panels).
 """
 
 from __future__ import annotations

@@ -215,8 +215,6 @@ class TestKernelQ:
             kernel_q(0, 0, 1.0, 1.0)
         with pytest.raises(ValueError):
             kernel_q(2, 1, 1.0, -0.1)
-
-    def test_phi_kernel_rejects_negative_phi(self):
         with pytest.raises(ValueError, match="phi must be nonnegative, got -0.1"):
             PhiKernel(1, 0, -0.1)
 

@@ -46,6 +46,10 @@ class TestGroupChart:
     def test_rejects_non_group_coordinates(self):
         with pytest.raises(ValueError):
             GroupElement(1.5, 0.2)
+        # _replace skips GroupElement's own check: |alpha|^2 - |beta|^2 = 4 - sinh^2(0.45)
+        u = scaling_coords(0.9)._replace(alpha=2.0 + 0j)
+        with pytest.raises(ValueError, match="determinant invariant"):
+            rep_matrix_element(RepLabel(2), 2, 3, u)
 
     def test_scaling_one_parameter_subgroup(self):
         rng = random.Random(7)
@@ -148,12 +152,6 @@ class TestRepresentation:
             for mc in range(2, 6):
                 got = rep_matrix_element(label, mr, mc, IDENTITY)
                 assert got == (1.0 if mr == mc else 0.0)
-
-    def test_element_off_the_group_raises(self):
-        # _replace skips GroupElement's own check: |alpha|^2 - |beta|^2 = 4 - sinh^2(0.45)
-        u = scaling_coords(0.9)._replace(alpha=2.0 + 0j)
-        with pytest.raises(ValueError, match="determinant invariant"):
-            rep_matrix_element(RepLabel(2), 2, 3, u)
 
     def test_below_tower_indices_vanish(self):
         label = RepLabel(3)
