@@ -60,6 +60,7 @@ import math
 import numbers
 from collections import namedtuple
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -82,13 +83,16 @@ EULER_GAMMA = 0.57721566490153286061
 # The types a quantum number or residue index may have (numpy's integers
 # are registered as numbers.Integral; an integral float is not one).  int
 # comes first: the ABC check alone took ~0.5 us on a shared 2-vCPU VM, and
-# it runs on every node and channel.
+# it runs on every node and channel (so does validate_quantum_numbers'
+# operator.index, which costs a third of int()).
 _INTEGERS = (int, numbers.Integral)
 
 
-def validate_quantum_numbers(N: int, L: int) -> None:
+def validate_quantum_numbers(N: int, L: int) -> tuple[int, int]:
+    """(N, L) as Python ints, the only keys of the per-(N, L) tables: a numpy integer hashes like its int."""
     if not isinstance(N, _INTEGERS) or not isinstance(L, _INTEGERS) or not 0 <= L < N:
         raise ValueError(f"invalid quantum numbers N={N!r}, L={L!r} (need 0 <= L <= N-1)")
+    return index(N), index(L)
 
 
 def _jacobi_point(L: int, phi: float) -> tuple[float, float, float]:
@@ -221,7 +225,7 @@ def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
     product, so R_n equals the residue of fill_tau_integrals' row at phi
     bit for bit.
     """
-    validate_quantum_numbers(N, L)
+    N, L = validate_quantum_numbers(N, L)
     if not isinstance(n, _INTEGERS) or not L <= n < N:
         raise ValueError(f"residue index n={n!r} outside [L, N-1] = [{L}, {N - 1}]")
     w, t2, gain = _jacobi_point(L, phi)
@@ -512,13 +516,11 @@ class PhiKernel:
     """
 
     def __init__(self, N: int, L: int, phi: float):
-        validate_quantum_numbers(N, L)
+        self.N, self.L = validate_quantum_numbers(N, L)
         if phi < 0.0:
             raise ValueError(f"phi must be nonnegative, got {phi}")
-        self.N = N
-        self.L = L
         self.phi = phi
-        self.nu = N * math.exp(-phi)
+        self.nu = self.N * math.exp(-phi)
         self._tau = None  # (value, error bound) of tau_integral, see fill_tau_integrals
 
     def tau_integral(self):

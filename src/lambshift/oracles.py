@@ -112,7 +112,7 @@ def kernel_via_spectral_series(
     With imaginary_time=True the sum is evaluated at T = -i tau, where the
     prefactor becomes -sinh^2(tau/2) and every exponential is real.
     """
-    validate_quantum_numbers(N, L)
+    N, L = validate_quantum_numbers(N, L)
     if n_max < N + 10:
         raise ValueError(f"n_max={n_max} too small; need at least N+10")
     label = RepLabel(L + 1)
@@ -315,8 +315,8 @@ def circular_rate_closed_form(
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    constants = _constants_for(QuantumState(N=N, L=N - 1, Z=Z), constants)
-    unit = constants.rate_unit_per_s(Z)
+    state = QuantumState(N=N, L=N - 1, Z=Z)
+    N, unit = state.N, _constants_for(state, constants).rate_unit_per_s(state.Z)
     shape = (2.0 / 3.0) * (N - 0.5) / (N**4 * (N - 1) ** 2)
     shape *= (1.0 + 1.0 / (4.0 * N * (N - 1))) ** (-2 * N)
     return shape * unit / 1.0e6
@@ -378,7 +378,7 @@ def kernel_q(N: int, L: int, T: float, phi: float) -> complex:
     would alternate violently; its phase is the algebraic
     (conj(f)^2/(1-z))^N of _kernel_matrix_element_grid.
     """
-    validate_quantum_numbers(N, L)
+    N, L = validate_quantum_numbers(N, L)
     if phi < 0.0:
         raise ValueError(f"phi must be nonnegative, got {phi}")
     phase, amp, _, _ = _kernel_matrix_element_grid(N, L, np.array([T]), phi)

@@ -528,10 +528,6 @@ class Diagnostics(namedtuple("Diagnostics", "parts")):
         return tuple.__new__(cls, ({} if parts is None else parts,))
 
     @property
-    def converged(self) -> bool:
-        return all(r.converged for r in self.parts.values())
-
-    @property
     def error_estimate(self) -> float:
         return math.fsum(r.error_estimate for r in self.parts.values())
 

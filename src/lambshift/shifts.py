@@ -33,7 +33,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .constants import PhysicalConstants, default_constants
-from .kernel import PhiKernel, fill_tau_integrals, residue_coeffs, validate_quantum_numbers
+from .kernel import _INTEGERS, PhiKernel, fill_tau_integrals, residue_coeffs, validate_quantum_numbers
 from .quadrature import (
     Diagnostics,
     QuadratureSpec,
@@ -59,15 +59,14 @@ class QuantumState(namedtuple("QuantumState", "N L J Z")):
     __slots__ = ()
 
     def __new__(cls, N: int, L: int, J: float | None = None, Z: int = 1) -> "QuantumState":
-        validate_quantum_numbers(N, L)
-        # int first, as for N and L: the numbers.Integral check alone costs ~0.4 us
-        if not isinstance(Z, (int, numbers.Integral)) or Z < 1:
+        N, L = validate_quantum_numbers(N, L)
+        if not isinstance(Z, _INTEGERS) or Z < 1:
             raise ValueError(f"nuclear charge must be a positive integer, got {Z!r}")
         if J is not None and not (
             isinstance(J, (float, numbers.Real)) and J >= 0.5 and abs(abs(J - L) - 0.5) <= 1e-12
         ):
             raise ValueError(f"J must be L +/- 1/2 and >= 1/2, got J={J!r} for L={L}")
-        return tuple.__new__(cls, (N, L, J, Z))
+        return tuple.__new__(cls, (N, L, J, int(Z)))
 
 
 class DipoleOptions(namedtuple("DipoleOptions", "enabled cutoff_x")):
@@ -445,7 +444,7 @@ def bethe_log(
     estimates take no nodes of their own.
     """
     state = QuantumState(N=N, L=L, Z=Z)
-    constants = _constants_for(state, constants)
+    N, L, constants = state.N, state.L, _constants_for(state, constants)
     limits = [DipoleOptions(enabled=True, cutoff_x=x).phi_cut(state, constants) for x in BETHE_CUTOFFS]
 
     def weight(phi: float) -> float:

@@ -96,8 +96,8 @@ def _residues(N, L, phi):
     return _q(row[:-2], row[1:-1], row[2:]).tolist()
 
 
-def _stream(N, L, phi, j1):
-    """q_N .. q_{j1-1} of one node: its _block_rows weights, then _tail_weights in the series' chunks."""
+def _weights(N, L, phi, j1):
+    """|D_{N,j}|^2 of one node from j = -1 to j1 or past: _block_rows, then _tail_weights in the series' chunks."""
     points, rows = K._block_rows(N, L, [phi])
     w, t2, gain = points[0]
     weights, j0, chunk = [rows[0]], N, 96  # rows[0] holds j = -1 .. N
@@ -105,7 +105,12 @@ def _stream(N, L, phi, j1):
         tail, gain = _tail_weights(N, L, (w, t2, None), j0 + 1, j0 + chunk + 1, gain)
         weights.append(tail)
         j0, chunk = j0 + chunk, min(2 * chunk, 4096)
-    weights = np.concatenate(weights)
+    return np.concatenate(weights)
+
+
+def _stream(N, L, phi, j1):
+    """q_N .. q_{j1-1} of one node, from the weights of _weights."""
+    weights = _weights(N, L, phi, j1)
     return _q(weights[:-2], weights[1:-1], weights[2:])[N:j1]
 
 
@@ -141,6 +146,26 @@ class TestDilationWeights:
                     continue
             got = residue_coeffs(N, L, phi0, n)
             assert abs(got - want) <= 1e-12 * abs(want), n
+
+    @pytest.mark.parametrize("N", [*range(1, 21), 50, 86])
+    def test_weights_obey_the_su11_sum_rules(self, N):
+        # the hot-path weights of any N, no mpmath: D_{N,j}(phi) is a column
+        # of a unitary representation of the boost exp(phi K1) of su(1,1)
+        # with Casimir L(L+1), so its moments in j = K0 are those of K0
+        # boosted: sum |D|^2 = 1, sum j |D|^2 = N cosh phi and
+        # sum j^2 |D|^2 = N^2 cosh^2 phi + (N^2 - L(L+1)) sinh^2 phi/2; past
+        # the mean the terms fall off like t^{2j} <= e^{-j/cosh^2(phi/2)}, so
+        # the 40 cosh phi terms beyond 6N cosh phi shrink them by e^-40 or more
+        for L in range(N) if N <= 20 else (0, N // 2, N - 1):
+            for phi in (0.5, 1.5, 2.5, 3.5):
+                c, s = math.cosh(phi), math.sinh(phi)
+                j1 = math.ceil((6 * N + 40) * c)
+                d = _weights(N, L, phi, j1)[: j1 + 2]
+                j = np.arange(-1.0, j1 + 1)
+                got = [math.fsum(d.tolist()), math.fsum((j * d).tolist()), math.fsum((j * j * d).tolist())]
+                want = [1.0, N * c, N * N * c * c + (N * N - L * (L + 1)) * s * s / 2]
+                for moment, (g, w) in enumerate(zip(got, want)):
+                    assert abs(g - w) <= 1e-12 * w, (L, phi, moment)
 
 
 def test_hot_path_never_calls_reference_route(monkeypatch):

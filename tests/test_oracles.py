@@ -364,10 +364,11 @@ def test_shift_matches_principal_value_oracle(N, L, Z, cutoff_x):
     one s state, a mid-L state, the circular state of N = 10 and the mid-L
     state of N = 20 at Z = 1 (few and many channels, both sides of the
     series/closed switch); two Z = 92 states, where the weight saturates;
-    and two dipole cutoff shifts, the finite-domain route of bethe_log.
-    The (20,10) entry is the loosest: with the folded principal values the
-    shift sits 5.5e-10 from a rel_tol 1e-12, abs_tol 1e-17 run of the
-    subtraction, which the default run meets to 7e-13.
+    and two dipole cutoff shifts, the route of oracles.bethe_log_by_cutoffs.
+    The loosest entries are (12,5) at Z = 92 and (20,10): with the folded
+    principal values the shift sits 1.6e-12 and 1.3e-12 from a rel_tol
+    1e-12 run of the subtraction, which their default runs meet to 2.0e-14
+    and 2.1e-15.
     """
     state = QuantumState(N=N, L=L, Z=Z)
     options = DipoleOptions(enabled=cutoff_x is not None, cutoff_x=cutoff_x)

@@ -1,4 +1,8 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -73,6 +77,25 @@ class TestQuantumState:
             bethe_log(2.0, 0)
         # numpy integers are integers
         assert decay_rates(QuantumState(N=np.int64(3), L=np.int64(1))) == decay_rates(QuantumState(N=3, L=1))
+
+    def test_numpy_integers_leave_python_floats_in_the_tables(self):
+        # a numpy-integer state first, in a fresh interpreter: its (N, L)
+        # keys the process-wide tables (shifts._channels and the Jacobi
+        # steps), which hand their values to every later caller, so they
+        # must be filled from Python ints and hold Python floats
+        src = str(Path(kernel.__file__).resolve().parents[1])
+        code = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+            "from lambshift.kernel import residue_coeffs; "
+            "from lambshift.shifts import QuantumState, bethe_log, decay_rates; "
+            "first = decay_rates(QuantumState(np.int64(3), np.int64(1))); "
+            "values = [g for _, g in first + decay_rates(QuantumState(3, 1))] + [residue_coeffs(3, 1, 0.7, 1)]; "
+            "ints = [bethe_log(np.int64(2), np.int64(1)).N, QuantumState(2, 0, Z=np.int64(2)).Z]; "
+            "print(json.dumps([[type(v).__name__ for v in values], [type(v).__name__ for v in ints]]))"
+        )
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [["float"] * 5, ["int", "int"]]
 
     def test_dipole_options_validation(self):
         with pytest.raises(ValueError):
@@ -771,6 +794,17 @@ class TestBethe:
         for N, L in ((1, 0), (2, 0), (2, 1)):
             gammas = [bethe_log(N, L, spec=spec, Z=Z).gamma for Z in (1, 2, 92)]
             assert max(gammas) - min(gammas) <= 1e-12, (N, L, gammas)
+
+    def test_s_states_are_smooth_in_one_over_n_squared_beyond_the_tables(self):
+        # gamma(N, 0) has an expansion in 1/N^2 for large N; a degree-5 fit
+        # to N = 20, 22 .. 40 leaves 4.2e-10 at most, bounded at 3x that.  A
+        # jump at one N leaves 1 - leverage of it in the residual: 0.29-0.71
+        # at N = 24 .. 38 (3e-9 at N = 30 fails), 0.2 at 40, ~0 at 20 and 22
+        Ns = range(20, 41, 2)
+        gammas = [bethe_log(N, 0).gamma for N in Ns]
+        x = 1.0 / np.array(Ns, dtype=float) ** 2
+        fit = np.polynomial.Polynomial.fit(x, gammas, 5)
+        assert np.abs(fit(x) - gammas).max() <= 1.25e-9
 
     @staticmethod
     def _cutoff_estimates(state, spec=None):
