@@ -220,10 +220,11 @@ def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
     channel per process, at its pole, through shifts._channels, which
     every rate, pole strength and Bethe logarithm reads) would spend more
     on a whole row of weights or on a numpy array than on the arithmetic.
-    t^{2(N-j)} is the running product (t^2)^k that _block_rows' cumulative
-    product forms, here from the last weight down, and the square is a
-    product, so R_n equals the residue of fill_tau_integrals' row at phi
-    bit for bit.
+    Each weight's Jacobi recurrence runs inline, specfun._jacobi_from_steps'
+    loop written out with no call per weight.  t^{2(N-j)} is the running
+    product (t^2)^k that _block_rows' cumulative product forms, here from
+    the last weight down, and the square is a product, so R_n equals the
+    residue of fill_tau_integrals' row at phi bit for bit.
     """
     N, L = validate_quantum_numbers(N, L)
     if not isinstance(n, _INTEGERS) or not L <= n < N:
@@ -234,7 +235,9 @@ def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
         power *= t2
     for j in range(n + 1, max(n - 2, L), -1):
         ratio, steps = table[j - L - 1]
-        p = _jacobi_from_steps(steps, w)
+        p, p_prev = 1.0, 0.0
+        for c1, c0, c2 in steps:
+            p, p_prev = (c1 * w + c0) * p - c2 * p_prev, p
         weights[j - n + 1] = ratio * power * gain * p * p
         power *= t2
     return _q(*weights)

@@ -60,6 +60,7 @@ from .quadrature import (
     integrate_semi_infinite,
 )
 from .shifts import (
+    NON_DIPOLE,
     DipoleOptions,
     QuantumState,
     _constants_for,
@@ -67,7 +68,6 @@ from .shifts import (
     bethe_amplitude,
     lamb_shift,
     shift_prefactor,
-    weight_nondipole,
 )
 from .specfun import _jacobi_recurrence
 from .su11 import BchCoordinates, RepLabel, rep_matrix_element, scaling_coords
@@ -545,7 +545,8 @@ def shift_via_eps_real_axis(
     N = 1 the phi edges do not depend on eps, so the calls at the second
     and later eps of a sweep only sum moments.  For N >= 2 the edges
     refined around the poles ln(N/n) move with eps, and every call forms
-    its own.
+    its own.  Each node's w(phi) comes from the non-dipole weight closure
+    of shifts._photon_weight, the same floats as the shifts and rates.
 
     The phi domain is not [0, phi_max] with phi_max = 9 + ln N: the
     integer edges of _phi_breakpoints run up to round(9 + ln N), so for
@@ -572,7 +573,8 @@ def shift_via_eps_real_axis(
     grid = phis <= PHI_OSCILLATORY_MAX
     inner[grid] = _inner_t_integral_grid(N, L, phis[grid], nus[grid], eps)
     inner[~grid] = _inner_t_integral_spectral(N, L, phis[~grid], nus[~grid], eps)
-    values = np.array([weight_nondipole(state, phi, constants) for phi in phis.tolist()]) * inner
+    weight = _photon_weight(state, NON_DIPOLE, constants)
+    values = np.array([weight(phi) for phi in phis.tolist()]) * inner
     total = halves @ (values.reshape(halves.size, nodes.size) @ weights)
     return constants.eV_to_MHz(shift_prefactor(state, constants)) * total
 

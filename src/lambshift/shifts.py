@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,22 +123,43 @@ def bethe_amplitude(state: QuantumState, constants: PhysicalConstants) -> float:
 
 def weight_nondipole(state: QuantumState, phi: float, constants: PhysicalConstants) -> float:
     """Photon-energy weight 2x/(1+2x) with x(1+x) = (Z a0/N)^2 e^phi sinh(phi)/2."""
-    try:
-        s = (state.Z * constants.alpha0 / state.N) ** 2 * math.expm1(2.0 * phi)
-    except OverflowError:  # phi > 354.9, where s > 1e291 for N <= 10^6 and w rounds to 1
-        return 1.0
-    # w = 1 - (1+s)^{-1/2}, kept accurate for small s
-    return -math.expm1(-0.5 * math.log1p(s))
+    return _photon_weight(state, NON_DIPOLE, constants)(phi)
 
 
 def weight_dipole(state: QuantumState, phi: float, constants: PhysicalConstants) -> float:
     """Dipole-limit weight 2 x_d with x_d = (Z a0/N)^2 (e^{2 phi} - 1)/4."""
-    return 0.5 * (state.Z * constants.alpha0 / state.N) ** 2 * math.expm1(2.0 * phi)
+    return _photon_weight(state, DipoleOptions(enabled=True), constants)(phi)
 
 
 def _photon_weight(state: QuantumState, options: DipoleOptions, constants: PhysicalConstants):
-    """The photon-energy weight w(phi) of state's shift bracket and rates under options."""
-    return partial(weight_dipole if options.enabled else weight_nondipole, state, constants=constants)
+    """The photon-energy weight w(phi) of state's shift bracket and rates under options.
+
+    The one place both weights are written (weight_nondipole and
+    weight_dipole call it): a closure over the state's k = (Z a0/N)^2,
+    formed once per state, so a node or a channel pays one expm1 and a
+    product.  The non-dipole weight is w = 1 - (1 + s)^{-1/2} with
+    s = k (e^{2 phi} - 1), kept accurate for small s; the dipole weight is
+    w = (0.5 k)(e^{2 phi} - 1).  Both are the floats of the written
+    formulas (Z a0/N)^2 expm1(2 phi) and 0.5 (Z a0/N)^2 expm1(2 phi)
+    evaluated left to right, which square first and then multiply.
+    """
+    k = (state.Z * constants.alpha0 / state.N) ** 2
+    if options.enabled:
+        half = 0.5 * k
+
+        def weight(phi: float) -> float:
+            return half * math.expm1(2.0 * phi)
+
+        return weight
+
+    def weight(phi: float) -> float:
+        try:
+            s = k * math.expm1(2.0 * phi)
+        except OverflowError:  # phi > 354.9, where s > 1e291 for N <= 10^6 and w rounds to 1
+            return 1.0
+        return -math.expm1(-0.5 * math.log1p(s))
+
+    return weight
 
 
 @lru_cache(maxsize=None)
@@ -157,18 +178,21 @@ def _channels(N: int, L: int) -> tuple[tuple[int, float, float], ...]:
 def _partial_rates(state: QuantumState, weight, constants: PhysicalConstants) -> tuple:
     """(n, Gamma_n) in 10^6/s from the channels of _channels under the photon weight w(phi).
 
-    The one closed channel, an s state decaying to 1s by one transverse
-    photon (L = 0, n = 1), is reported as exactly 0.0: its residue vanishes
-    analytically and is left with the roundoff of ln(N/n) alone.  Every
-    other residue is kept, however small its rate.
+    The state's factors, -8 a0/(3 N^2) and mec2 (Z a0)^2/hbar, are formed
+    once, outside the channel loop; each channel's product keeps its
+    left-to-right order, factor R_n w(phi_n) base / 10^6.  The one closed
+    channel, an s state decaying to 1s by one transverse photon (L = 0,
+    n = 1), is reported as exactly 0.0: its residue vanishes analytically
+    and is left with the roundoff of ln(N/n) alone.  Every other residue is
+    kept, however small its rate.
     """
-    N, Z = state.N, state.Z
+    N, L, Z = state.N, state.L, state.Z
     base = constants.mec2_eV * (Z * constants.alpha0) ** 2 / constants.hbar_eVs
-    rates = []
-    for n, pole, r_n in _channels(N, state.L):
-        gamma = -(8.0 * constants.alpha0 / (3.0 * N * N)) * r_n * weight(pole) * base / 1.0e6
-        rates.append((n, 0.0 if state.L == 0 and n == 1 else gamma))
-    return tuple(rates)
+    factor = -(8.0 * constants.alpha0 / (3.0 * N * N))
+    return tuple([
+        (n, 0.0 if L == 0 and n == 1 else factor * r_n * weight(pole) * base / 1.0e6)
+        for n, pole, r_n in _channels(N, L)
+    ])
 
 
 def decay_rates(

@@ -4,7 +4,8 @@ The Jacobi recurrence builds every kernel weight (from kernel._row_table
 and kernel._tail_table) and the real-time kernel of the oracles; the
 Gauss series serves the reference route, su11 matrix elements, summed
 exactly in rationals; the digamma function enters the closed form of the
-inner tau integral (PhiKernel.tau_integral), complex for the eps oracle.
+inner tau integral through kernel._psi_rows, inside kernel._euler_block,
+complex for the eps oracle.
 Narrow parameter ranges (nonpositive integer series indices, integer
 Jacobi parameters) allow exact finite summation throughout.  The divided
 coefficients of each Jacobi recurrence step depend only on (degree,
@@ -101,8 +102,13 @@ def _jacobi_steps(n: int, alpha, beta) -> list:
     The steps depend on (k, alpha, beta) alone, so for scalar parameters
     they are computed once, lazily, and kept in _JACOBI_STEPS keyed by
     (alpha, beta), each list grown to the highest degree asked for (the
-    kernel weights key it by (N - j, 2L + 1), which every N shares).  An
-    array alpha gets fresh steps; kernel._tail_table keeps its own.
+    kernel weights key it by the ints (N - j, 2L + 1), which every N
+    shares: the rates of every N <= 20 hold 1,330 steps).  A scalar family
+    grows past degree 1 in one inline loop, _jacobi_step's expressions
+    written out with no call per step, so each step is the same floats as
+    _jacobi_step's; an extension that meets a vanishing leading
+    coefficient raises there and keeps the steps below it.  An array alpha
+    gets fresh steps from _jacobi_step; kernel._tail_table keeps its own.
     """
     if isinstance(alpha, np.ndarray):
         return [_jacobi_step(k, alpha, beta) for k in range(1, n + 1)]
@@ -110,7 +116,19 @@ def _jacobi_steps(n: int, alpha, beta) -> list:
     if steps is None:
         steps = _JACOBI_STEPS[alpha, beta] = []
     if len(steps) < n:
-        steps.extend([_jacobi_step(k, alpha, beta) for k in range(len(steps) + 1, n + 1)])
+        if not steps:
+            steps.append(_jacobi_step(1, alpha, beta))
+        ab, squares = alpha + beta, alpha * alpha - beta * beta
+        for k in range(len(steps) + 1, n + 1):
+            s = 2.0 * k + ab
+            lead = 2.0 * k * (k + ab) * (s - 2.0)
+            if not lead:
+                raise ValueError(f"degenerate Jacobi recurrence at degree {k} for (alpha, beta)=({alpha}, {beta})")
+            steps.append((
+                (s - 1.0) * (s * (s - 2.0)) / lead,
+                (s - 1.0) * squares / lead,
+                2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s / lead,
+            ))
     return steps
 
 

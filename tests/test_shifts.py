@@ -137,6 +137,37 @@ class TestWeights:
         for phi in (356.0, 400.0, 700.0):
             assert weight_nondipole(state, phi, C) == 1.0
 
+    @pytest.mark.parametrize("Z", [1, 92])
+    @pytest.mark.parametrize("N", [1, 4, 86])
+    def test_closure_equals_the_written_formula_bit_for_bit(self, N, Z):
+        # the closure over k = (Z a0/N)^2 squares first and takes the dipole
+        # weight as (0.5 k) expm1(2 phi), the order of the written formulas
+        def nondipole(phi):
+            try:
+                s = (Z * C.alpha0 / N) ** 2 * math.expm1(2.0 * phi)
+            except OverflowError:
+                return 1.0
+            return -math.expm1(-0.5 * math.log1p(s))
+
+        def dipole(phi):
+            return 0.5 * (Z * C.alpha0 / N) ** 2 * math.expm1(2.0 * phi)
+
+        state = QuantumState(N=N, L=0, Z=Z)
+        poles = sorted({math.log(M / n) for M, _ in TABLE1_STATES for n in range(1, M)})
+        phis = (*poles, 0.0, 1e-5, 20.0, 354.0, 356.0)
+        for options, formula, public in ((NON_DIPOLE, nondipole, weight_nondipole), (DIPOLE, dipole, weight_dipole)):
+            weight = _photon_weight(state, options, C)
+            for phi in phis:
+                if phi > 354.9 and options.enabled:  # e^{2 phi} overflows a double
+                    for f in (weight, formula, lambda phi: public(state, phi, C)):
+                        with pytest.raises(OverflowError):
+                            f(phi)
+                    continue
+                assert weight(phi) == formula(phi) == public(state, phi, C), (options, phi)
+        saturated = _photon_weight(state, NON_DIPOLE, C)
+        for phi in (354.95, 356.0, 400.0, 700.0, 1e300):
+            assert saturated(phi) == 1.0
+
     def test_nondipole_direct_arithmetic(self):
         state = QuantumState(N=2, L=0)
         phi = math.log(2.0)
@@ -229,6 +260,29 @@ class TestPoleResidues:
                     (n, math.log(N / n), residue_coeffs(N, L, math.log(N / n), n)) for n in range(max(1, L), N)
                 )
                 assert _channels(N, L) == want, (N, L)
+
+    def test_cold_tables_hold_machine_independent_counts(self):
+        # a fresh interpreter's sweep of every N <= 20 state in both
+        # approximations (the benchmark's rates grid) fills each lazy table
+        # to a fixed size, one residue per channel; a second sweep reads them
+        src = str(Path(kernel.__file__).resolve().parents[1])
+        code = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from lambshift import kernel, shifts, specfun; "
+            "from lambshift.shifts import DipoleOptions, QuantumState, decay_rates; "
+            "calls = []; residue = shifts.residue_coeffs; "
+            "shifts.residue_coeffs = lambda *args: calls.append(args) or residue(*args); "
+            "cases = [(QuantumState(N, L), DipoleOptions(enabled=dipole)) "
+            "for N in range(1, 21) for L in range(N) for dipole in (False, True)]; "
+            "first = [decay_rates(*case) for case in cases]; "
+            "counts = [sum(map(len, specfun._JACOBI_STEPS.values())), kernel._row_table.cache_info().currsize, "
+            "shifts._channels.cache_info().currsize, len(calls)]; "
+            "second = [decay_rates(*case) for case in cases]; "
+            "print(json.dumps([counts, len(calls), len(cases), first == second]))"
+        )
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [[1330, 209, 210, 1520], 1520, 420, True]
 
     def test_keyed_by_state_alone(self, tmp_path):
         # the residues depend on (N, L) only: rates read from a table filled

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lambshift import specfun
 from lambshift.specfun import (
     _JACOBI_STEPS,
     _jacobi_recurrence,
@@ -175,7 +176,7 @@ class TestJacobi:
         # (0, -m) at degree >= m hits a vanishing leading coefficient, for
         # float and array arguments alike; kernel_q factors it out instead
         for x in (1.7, np.array([1.7, -0.2])):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="degenerate Jacobi recurrence at degree 3"):
                 _jacobi_recurrence(61, 0.0, -3.0, x)
 
     def test_unsupported_degenerate_combination(self):
@@ -198,6 +199,29 @@ class TestJacobiTable:
                 fresh = _jacobi_step(k, a, beta)
                 assert table[a][k - 1] == fresh
                 assert tuple(c[i] for c in arrays) == fresh
+
+    @pytest.mark.parametrize("beta", [1, 3, 39])
+    def test_integer_families_grown_in_steps_equal_fresh_steps(self, beta, monkeypatch):
+        # kernel._row_table keys the families by the ints (N - j, 2L + 1)
+        # and grows each as its row tables grow: every step of the inline
+        # loop is the float _jacobi_step gives, whatever the increments
+        monkeypatch.setattr(specfun, "_JACOBI_STEPS", {})
+        for degree in (3, 9, 40):
+            for alpha in range(40):
+                steps = _jacobi_steps(degree, alpha, beta)
+                assert len(steps) == degree
+                assert steps == [_jacobi_step(k, alpha, beta) for k in range(1, degree + 1)], (alpha, degree)
+        assert set(specfun._JACOBI_STEPS) == {(alpha, beta) for alpha in range(40)}
+
+    def test_failed_extension_keeps_the_valid_steps(self, monkeypatch):
+        # (0, -3) degenerates at degree 3: the steps below it stay in the
+        # family, each its fresh value, and a retry raises at the same degree
+        monkeypatch.setattr(specfun, "_JACOBI_STEPS", {})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="degenerate Jacobi recurrence at degree 3"):
+                _jacobi_steps(10, 0.0, -3.0)
+            assert specfun._JACOBI_STEPS[0.0, -3.0] == [_jacobi_step(k, 0.0, -3.0) for k in (1, 2)]
+        assert _jacobi_steps(2, 0.0, -3.0) == [_jacobi_step(k, 0.0, -3.0) for k in (1, 2)]
 
     def test_table_grows_on_demand_and_only_for_scalars(self):
         key = (123.0, 5.0)
