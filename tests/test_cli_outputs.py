@@ -29,6 +29,11 @@ COMMANDS = [f"table --id {i} --format csv" for i in (1, 2, 3)] + [
     "shift --n 2 --l 0 --dipole --cutoff-x 1e3 --format csv",
     # exits 2 with no output: the cutoff lies below the (2, 1) pole
     "shift --n 2 --l 1 --dipole --cutoff-x 1e-9",
+    # residues past N = 4 (row tables of Jacobi degree up to 12 in both
+    # approximations) and the oracles' Jacobi recurrence (kernel_q)
+    "rates --n 20 --l 7 --format json",
+    "rates --n 12 --l 0 --dipole --format csv",
+    "verify --format json",
 ]
 
 
