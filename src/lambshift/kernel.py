@@ -188,8 +188,7 @@ def _tail_table(N: int, L: int, j0: int, j1: int):
     are (j+L)/(j-L-1) and the Jacobi steps are at alpha = j - N.
     """
     j = np.arange(j0, j1, dtype=float)
-    degree = N - L - 1
-    return j - 1.0, (j + L) / (j - L - 1), _jacobi_steps(degree, j - N, 2.0 * L + 1.0) if degree else ()
+    return j - 1.0, (j + L) / (j - L - 1), _jacobi_steps(N - L - 1, j - N, 2.0 * L + 1.0)
 
 
 def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain):

@@ -71,69 +71,46 @@ def hyp2f1_terminating(a: int, b: float, c: int, z: float):
     return _hyp2f1_exact(int(a), b, int(c), z)
 
 
-def _jacobi_step(k: int, alpha, beta):
-    """Divided coefficients (c1, c0, c2) of degree k of the three-term recurrence,
+def _jacobi_steps(n: int, alpha, beta) -> list:
+    """The divided coefficients (c1, c0, c2) of degrees 1..n of the three-term recurrence
 
         P_k(w) = (c1 w + c0) P_{k-1}(w) - c2 P_{k-2}(w),   P_0 = 1, P_{-1} = 0,
 
-    the standard recurrence with its leading coefficient 2k(k+alpha+beta)
-    (2k+alpha+beta-2) divided out.  alpha may be a numpy array (the
-    coefficients then are arrays, element by element the same floats as for
-    each scalar alpha).  Raises ValueError where the leading coefficient
-    vanishes.
+    of P^{(alpha, beta)}: the standard recurrence (DLMF 18.9.2) with its
+    leading coefficient 2k(k+alpha+beta)(2k+alpha+beta-2) divided out.
+    They depend on (k, alpha, beta) alone, so for a scalar alpha they are
+    computed once, lazily, and kept in _JACOBI_STEPS keyed by (alpha, beta),
+    each list grown to the highest degree asked for (the kernel weights key
+    it by the ints (N - j, 2L + 1), which every N shares: the rates of
+    every N <= 20 hold 1,330 steps).  An array alpha (kernel._tail_table's
+    j - N) gets a fresh list of array steps, element by element the same
+    floats as each scalar alpha's.  A vanishing leading coefficient raises
+    ValueError at its degree; a scalar family keeps the steps below it.
     """
-    ab = alpha + beta
-    if k == 1:
-        return (ab + 2.0) / 2.0, (alpha - beta) / 2.0, 0.0
-    s = 2.0 * k + ab
-    lead = 2.0 * k * (k + ab) * (s - 2.0)
-    if not (lead.all() if isinstance(lead, np.ndarray) else lead):
-        raise ValueError(f"degenerate Jacobi recurrence at degree {k} for (alpha, beta)=({alpha}, {beta})")
-    return (
-        (s - 1.0) * (s * (s - 2.0)) / lead,
-        (s - 1.0) * (alpha * alpha - beta * beta) / lead,
-        2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s / lead,
-    )
-
-
-def _jacobi_steps(n: int, alpha, beta) -> list:
-    """The steps 1..n of P^{(alpha, beta)}, from the shared table for a scalar alpha.
-
-    The steps depend on (k, alpha, beta) alone, so for scalar parameters
-    they are computed once, lazily, and kept in _JACOBI_STEPS keyed by
-    (alpha, beta), each list grown to the highest degree asked for (the
-    kernel weights key it by the ints (N - j, 2L + 1), which every N
-    shares: the rates of every N <= 20 hold 1,330 steps).  A scalar family
-    grows past degree 1 in one inline loop, _jacobi_step's expressions
-    written out with no call per step, so each step is the same floats as
-    _jacobi_step's; an extension that meets a vanishing leading
-    coefficient raises there and keeps the steps below it.  An array alpha
-    gets fresh steps from _jacobi_step; kernel._tail_table keeps its own.
-    """
-    if isinstance(alpha, np.ndarray):
-        return [_jacobi_step(k, alpha, beta) for k in range(1, n + 1)]
-    steps = _JACOBI_STEPS.get((alpha, beta))
+    array = isinstance(alpha, np.ndarray)
+    steps = [] if array else _JACOBI_STEPS.get((alpha, beta))
     if steps is None:
         steps = _JACOBI_STEPS[alpha, beta] = []
-    if len(steps) < n:
-        if not steps:
-            steps.append(_jacobi_step(1, alpha, beta))
-        ab, squares = alpha + beta, alpha * alpha - beta * beta
-        for k in range(len(steps) + 1, n + 1):
-            s = 2.0 * k + ab
-            lead = 2.0 * k * (k + ab) * (s - 2.0)
-            if not lead:
-                raise ValueError(f"degenerate Jacobi recurrence at degree {k} for (alpha, beta)=({alpha}, {beta})")
-            steps.append((
-                (s - 1.0) * (s * (s - 2.0)) / lead,
-                (s - 1.0) * squares / lead,
-                2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s / lead,
-            ))
+    if len(steps) >= n:
+        return steps
+    ab, squares = alpha + beta, alpha * alpha - beta * beta
+    if not steps:
+        steps.append(((ab + 2.0) / 2.0, (alpha - beta) / 2.0, 0.0))
+    for k in range(len(steps) + 1, n + 1):
+        s = 2.0 * k + ab
+        lead = 2.0 * k * (k + ab) * (s - 2.0)
+        if not (lead.all() if array else lead):
+            raise ValueError(f"degenerate Jacobi recurrence at degree {k} for (alpha, beta)=({alpha}, {beta})")
+        steps.append((
+            (s - 1.0) * (s * (s - 2.0)) / lead,
+            (s - 1.0) * squares / lead,
+            2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s / lead,
+        ))
     return steps
 
 
 def _jacobi_from_steps(steps, w):
-    """P_n(w) from its n divided steps (see _jacobi_step), n >= 1 or w a scalar."""
+    """P_n(w) from its n divided steps (see _jacobi_steps), n >= 1 or w a scalar."""
     p, p_prev = 1.0, 0.0
     for c1, c0, c2 in steps:
         p, p_prev = (c1 * w + c0) * p - c2 * p_prev, p

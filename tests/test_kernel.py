@@ -24,7 +24,7 @@ from lambshift.kernel import (
     residue_coeffs,
 )
 from lambshift import specfun
-from lambshift.specfun import _JACOBI_STEPS, _jacobi_from_steps, _jacobi_step
+from lambshift.specfun import _JACOBI_STEPS, _jacobi_from_steps, _jacobi_steps
 from lambshift.oracles import (
     _closed_remainder_dtau,
     kernel_q,
@@ -730,17 +730,17 @@ class TestKernelTables:
     """The phi-independent coefficients are tabulated once; the values are those computed on the fly."""
 
     @pytest.mark.parametrize("N, L", [(4, 1), (12, 0), (20, 7), (6, 5)])
-    def test_weights_from_the_table_equal_on_the_fly_bit_for_bit(self, N, L):
-        # the row table and the shared (alpha, beta) table hold each fresh
-        # factor, and a weight of the block row read from them equals the
-        # one from factors computed on the spot
+    def test_weights_from_the_table_equal_on_the_fly_bit_for_bit(self, N, L, exact_jacobi_step):
+        # the row table and the shared (alpha, beta) table hold each exact
+        # factor correctly rounded, and a weight of the block row read from
+        # them equals the one from factors computed on the spot
         for phi in (0.4, 2.0, 7.5):
             w, t2, gain = _jacobi_point(L, phi)
             row = K._block_rows(N, L, [phi])[1][0].tolist()  # j = -1 .. N
             assert len(row) == N + 2 and row[: L + 2] == [0.0] * (L + 2)
             for j in range(L + 1, N + 1):
-                degree, beta = j - L - 1, 2.0 * L + 1.0
-                fresh = [_jacobi_step(k, float(N - j), beta) for k in range(1, degree + 1)]
+                degree, beta = j - L - 1, 2 * L + 1
+                fresh = [exact_jacobi_step(k, N - j, beta) for k in range(1, degree + 1)]
                 assert _JACOBI_STEPS[N - j, beta][:degree] == fresh
                 binom = math.comb(N + L, 2 * L + 1) / math.comb(j + L, 2 * L + 1)
                 assert _row_table(N, L)[j - L - 1] == (binom, tuple(fresh))
@@ -753,17 +753,20 @@ class TestKernelTables:
 
     def test_repeated_series_node_computes_no_jacobi_step(self, monkeypatch):
         # every chunk of the stream, the second (j - N up to 288) included,
-        # is tabulated once: the same node again steps no recurrence
+        # is tabulated once: the same node again asks for no Jacobi steps
         PhiKernel(4, 1, 2.5).tau_integral()
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return _jacobi_step(*args)
+            return _jacobi_steps(*args)
 
-        monkeypatch.setattr(specfun, "_jacobi_step", counting)
+        monkeypatch.setattr(K, "_jacobi_steps", counting)
         PhiKernel(4, 1, 2.5).tau_integral()
         assert calls == []
+        _tail_table.cache_clear()  # the counter sees the chunks' steps once they are gone
+        PhiKernel(4, 1, 2.5).tau_integral()
+        assert calls
 
     def test_series_branch_tabulates_a_bounded_depth(self, monkeypatch):
         # the series branch stops within the first four chunks (j - N < 1441)

@@ -11,7 +11,6 @@ from lambshift import specfun
 from lambshift.specfun import (
     _JACOBI_STEPS,
     _jacobi_recurrence,
-    _jacobi_step,
     _jacobi_steps,
     digamma,
     hyp2f1_terminating,
@@ -188,40 +187,46 @@ class TestJacobi:
 
 class TestJacobiTable:
     @pytest.mark.parametrize("beta", [1.0, 7.0])
-    def test_table_equals_on_the_fly_steps_bit_for_bit(self, beta):
-        # the shared scalar table, each fresh step, and an array alpha (as
-        # kernel tail chunks pass it) hold the same floats element by element
+    def test_table_equals_on_the_fly_steps_bit_for_bit(self, beta, exact_jacobi_step):
+        # the shared scalar table and an array alpha (as kernel tail chunks
+        # pass it) hold the exact coefficients correctly rounded, element by
+        # element
         alphas = np.arange(0.0, 40.0)
         table = {a: _jacobi_steps(15, a, beta)[:15] for a in alphas.tolist()}
         for k, arrays in enumerate(_jacobi_steps(15, alphas, beta), 1):
             arrays = [np.broadcast_to(c, alphas.shape).tolist() for c in arrays]
             for i, a in enumerate(alphas.tolist()):
-                fresh = _jacobi_step(k, a, beta)
-                assert table[a][k - 1] == fresh
-                assert tuple(c[i] for c in arrays) == fresh
+                exact = exact_jacobi_step(k, int(a), int(beta))
+                assert table[a][k - 1] == exact
+                assert tuple(c[i] for c in arrays) == exact
 
     @pytest.mark.parametrize("beta", [1, 3, 39])
-    def test_integer_families_grown_in_steps_equal_fresh_steps(self, beta, monkeypatch):
+    def test_integer_families_grown_in_steps_equal_fresh_steps(self, beta, monkeypatch, exact_jacobi_step):
         # kernel._row_table keys the families by the ints (N - j, 2L + 1)
-        # and grows each as its row tables grow: every step of the inline
-        # loop is the float _jacobi_step gives, whatever the increments
+        # and grows each as its row tables grow: whatever the increments,
+        # a family holds the steps of one call for its whole degree, each
+        # the exact coefficient correctly rounded
         monkeypatch.setattr(specfun, "_JACOBI_STEPS", {})
         for degree in (3, 9, 40):
             for alpha in range(40):
-                steps = _jacobi_steps(degree, alpha, beta)
-                assert len(steps) == degree
-                assert steps == [_jacobi_step(k, alpha, beta) for k in range(1, degree + 1)], (alpha, degree)
-        assert set(specfun._JACOBI_STEPS) == {(alpha, beta) for alpha in range(40)}
-
-    def test_failed_extension_keeps_the_valid_steps(self, monkeypatch):
-        # (0, -3) degenerates at degree 3: the steps below it stay in the
-        # family, each its fresh value, and a retry raises at the same degree
+                assert len(_jacobi_steps(degree, alpha, beta)) == degree
+        grown = specfun._JACOBI_STEPS
+        assert set(grown) == {(alpha, beta) for alpha in range(40)}
         monkeypatch.setattr(specfun, "_JACOBI_STEPS", {})
+        for alpha in range(40):
+            exact = [exact_jacobi_step(k, alpha, beta) for k in range(1, 41)]
+            assert _jacobi_steps(40, alpha, beta) == grown[alpha, beta] == exact, alpha
+
+    def test_failed_extension_keeps_the_valid_steps(self, monkeypatch, exact_jacobi_step):
+        # (0, -3) degenerates at degree 3: the steps below it stay in the
+        # family, each its exact value, and a retry raises at the same degree
+        monkeypatch.setattr(specfun, "_JACOBI_STEPS", {})
+        valid = [exact_jacobi_step(k, 0, -3) for k in (1, 2)]
         for _ in range(2):
             with pytest.raises(ValueError, match="degenerate Jacobi recurrence at degree 3"):
                 _jacobi_steps(10, 0.0, -3.0)
-            assert specfun._JACOBI_STEPS[0.0, -3.0] == [_jacobi_step(k, 0.0, -3.0) for k in (1, 2)]
-        assert _jacobi_steps(2, 0.0, -3.0) == [_jacobi_step(k, 0.0, -3.0) for k in (1, 2)]
+            assert specfun._JACOBI_STEPS[0.0, -3.0] == valid
+        assert _jacobi_steps(2, 0.0, -3.0) == valid
 
     def test_table_grows_on_demand_and_only_for_scalars(self):
         key = (123.0, 5.0)
