@@ -57,9 +57,12 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "alpha0 mec2_eV hbar_eVs
         return freq_MHz * 1.0e6 * h
 
 
+_DEFAULT_CONSTANTS = PhysicalConstants()
+
+
 def default_constants() -> PhysicalConstants:
-    """CODATA 2018 constant set."""
-    return PhysicalConstants()
+    """CODATA 2018 constant set, one immutable record built and validated once."""
+    return _DEFAULT_CONSTANTS
 
 
 def rydberg_energy(constants: PhysicalConstants, Z: int, N: int) -> float:

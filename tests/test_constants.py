@@ -20,6 +20,12 @@ def test_default_constants_are_codata_2018():
     assert c.hbar_eVs == 6.582119569e-16
 
 
+def test_default_constants_are_one_record():
+    # every call made without constants reads the same immutable record
+    assert default_constants() is default_constants()
+    assert default_constants() == PhysicalConstants()
+
+
 def test_defaults_inside_sanity_windows():
     c = default_constants()
     assert 7.29e-3 < c.alpha0 < 7.30e-3
