@@ -99,50 +99,37 @@ def _rows(head: dict, quantities) -> list[dict]:
     return [{**head, "quantity": q, "unit": unit, "value": v} for q, unit, v in quantities]
 
 
-def _round_floats(obj):
-    """Render every float at 12 significant digits, recursively.
+class _NonFinite(ArithmeticError):
+    """A float of the payload that is not finite; the message is its path."""
 
-    Keeps json and csv output numerically bit-identical.
+
+def _rounded(obj, name: str = ""):
+    """obj with every float rendered at 12 significant digits, recursively.
+
+    Keeps json and csv output numerically bit-identical.  The first float
+    that is not finite raises _NonFinite with its path: dict keys joined by
+    dots, list indices in brackets, and a table record (a dict with a
+    quantity) named by its quantity and row.
     """
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise _NonFinite(name)
         return float(_fmt(obj))
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {key: _rounded(value, f"{name}.{key}" if name else str(key)) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return [
+            _rounded(v, f"{v['quantity']} (row {i})" if isinstance(v, dict) and "quantity" in v else f"{name}[{i}]")
+            for i, v in enumerate(obj)
+        ]
     return obj
 
 
-def _non_finite(obj, name: str = "") -> str | None:
-    """The name of the first float in obj that is not finite, or None.
-
-    The name is the path to it: dict keys joined by dots, list indices in
-    brackets, and a table record (a dict with a quantity) named by its
-    quantity and row.
-    """
-    if isinstance(obj, float):
-        return None if math.isfinite(obj) else name
-    if isinstance(obj, dict):
-        entries = [(f"{name}.{key}" if name else str(key), value) for key, value in obj.items()]
-    elif isinstance(obj, (list, tuple)):
-        entries = [
-            (f"{v['quantity']} (row {i})" if isinstance(v, dict) and "quantity" in v else f"{name}[{i}]", v)
-            for i, v in enumerate(obj)
-        ]
-    else:
-        return None
-    for label, value in entries:
-        found = _non_finite(value, label)
-        if found is not None:
-            return found
-    return None
-
-
 def _render(payload, records: list[dict], fmt: str) -> str:
-    """json renders the payload; csv and text the records, which share their keys."""
+    """json renders the (rounded) payload; csv and text the records, which share their keys."""
     stream = io.StringIO()
     if fmt == "json":
-        json.dump(_round_floats(payload), stream, indent=2)
+        json.dump(payload, stream, indent=2)
         stream.write("\n")
         return stream.getvalue()
     keys = list(records[0].keys())
@@ -238,12 +225,11 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         payload, records, status = runner(args, resolve_constants(args.constants_file))
-        bad = _non_finite(payload)
-        if bad is not None:  # JSON has no inf or nan, and no format should print them
-            print(f"error: {bad} is not finite", file=sys.stderr)
-            return EXIT_NOT_CONVERGED
-        sys.stdout.write(_render(payload, records, args.format))
+        sys.stdout.write(_render(_rounded(payload), records, args.format))
         return status
+    except _NonFinite as exc:  # JSON has no inf or nan, and no format should print them
+        print(f"error: {exc} is not finite", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except (ArithmeticError, IntegrandError) as exc:  # overflow, zero division, inf or nan
         print(f"error: {exc!r}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
