@@ -101,7 +101,10 @@ def load_constants(path: str) -> PhysicalConstants:
                 raise ValueError(f"{path}:{lineno}: unknown constant {key.strip()!r}")
             if field in values:
                 raise ValueError(f"{path}:{lineno}: constant {field} given twice")
-            values[field] = float(text.strip())
+            try:
+                values[field] = float(text.strip())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {field} is not a number: {text.strip()!r}") from None
     missing = {"alpha0", "mec2_eV", "hbar_eVs"} - set(values)
     if missing:
         raise ValueError(f"{path}: missing constants {sorted(missing)}")

@@ -1,8 +1,9 @@
 """Brute-force cross-check evaluators, kept off the primary result path.
 
 Eight independent routes back the closed forms used elsewhere: the kernel
-as an explicit sum over the compact-generator eigenbasis, the disentangled
-2x2 product behind the polar decomposition, the rotated kernel and its
+as an explicit sum over the compact-generator eigenbasis, the polar (BCH)
+decomposition of an SU(1,1) element (BchCoordinates) against the 2x2
+product of its disentangled factors, the rotated kernel and its
 remainder in tau from the closed u-form (q_imag_time, remainder,
 remainder_dtau; the hot path only integrates them in closed form), the
 inner tau integral by adaptive quadrature of that u-form, the PV term of
@@ -35,6 +36,7 @@ integral, residue terms and tail alike.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from functools import lru_cache
@@ -70,27 +72,31 @@ from .shifts import (
     shift_prefactor,
 )
 from .specfun import _jacobi_recurrence
-from .su11 import BchCoordinates, RepLabel, rep_matrix_element, scaling_coords
+from .su11 import GroupElement, RepLabel, rep_matrix_element, scaling_coords
 
-# Defining-representation ladder generators jpm = -sigma_pm/sqrt(2).
-_JP = np.array([[0.0, -1.0 / math.sqrt(2.0)], [0.0, 0.0]], dtype=complex)
-_JM = np.array([[0.0, 0.0], [-1.0 / math.sqrt(2.0), 0.0]], dtype=complex)
+
+class BchCoordinates(namedtuple("BchCoordinates", "rho chi psi")):
+    """Disentangling coordinates, floats: alpha = e^{i chi} cosh rho, beta = e^{i psi} sinh rho."""
+
+    __slots__ = ()
+
+
+def bch_decompose(u: GroupElement) -> BchCoordinates:
+    """Polar coordinates of a group element; psi := 0 when beta vanishes."""
+    rho = math.acosh(max(1.0, abs(u.alpha)))
+    chi = cmath.phase(u.alpha) % (2.0 * math.pi)
+    psi = cmath.phase(u.beta) % (2.0 * math.pi) if u.beta != 0 else 0.0
+    return BchCoordinates(rho=rho, chi=chi, psi=psi)
 
 
 def bch_reconstruct_2x2(b: BchCoordinates) -> np.ndarray:
     """Product of the four disentangled factors in the defining representation."""
-    t = math.tanh(b.rho)
-    c = math.cosh(b.rho)
-    phase = b.chi + b.psi
-    raise_factor = _expm_nilpotent(-math.sqrt(2.0) * t * np.exp(1j * phase) * _JP)
-    lower_factor = _expm_nilpotent(-math.sqrt(2.0) * t * np.exp(-1j * phase) * _JM)
-    compact = np.diag([1.0 / c, c]).astype(complex)  # (1/cosh rho)^{2 j3}
+    t, c, phase = math.tanh(b.rho), math.cosh(b.rho), b.chi + b.psi
+    raise_factor = np.array([[1.0, t * np.exp(1j * phase)], [0.0, 1.0]])
+    compact = np.diag([1.0 / c, c])  # (1/cosh rho)^{2 j3}
+    lower_factor = np.array([[1.0, 0.0], [t * np.exp(-1j * phase), 1.0]])
     rotation = np.diag([np.exp(1j * b.chi), np.exp(-1j * b.chi)])
     return raise_factor @ compact @ lower_factor @ rotation
-
-
-def _expm_nilpotent(m: np.ndarray) -> np.ndarray:
-    return np.eye(2, dtype=complex) + m  # m^2 = 0 for pure ladder matrices
 
 
 class SpectralKernelValue(namedtuple("SpectralKernelValue", "value last_term terms")):

@@ -75,6 +75,8 @@ class DipoleOptions(namedtuple("DipoleOptions", "enabled cutoff_x")):
     __slots__ = ()
 
     def __new__(cls, enabled: bool = False, cutoff_x: float | None = None) -> "DipoleOptions":
+        if enabled is not True and enabled is not False:
+            raise ValueError(f"enabled must be True or False, got {enabled!r}")
         if cutoff_x is not None:
             if not enabled:
                 raise ValueError("cutoff_x needs the dipole approximation: enabled=True, or --dipole")
@@ -373,7 +375,8 @@ def lamb_shift(
     pv = math.fsum([regular, *(a * _pole_pv(N, n, limit) for n, _, a in terms)])
     prefactor = shift_prefactor(state, constants)
     tau_MHz = constants.eV_to_MHz(prefactor * tau)
-    pv_MHz = constants.eV_to_MHz(prefactor * pv)
+    # no open channel (N = 1): report the empty PV term as 0.0, not a negative prefactor times 0.0
+    pv_MHz = constants.eV_to_MHz(prefactor * pv) if terms else 0.0
     rates = _partial_rates(state, weight, constants)
     return ShiftResult(
         state=state,

@@ -1,12 +1,11 @@
-"""SU(1,1) group chart and lower-bounded discrete-series matrix elements.
+"""SU(1,1) discrete-series matrix elements: the reference the Jacobi-form kernel is checked against.
 
 A group element is the coordinate pair (alpha, beta) of the defining 2x2
 matrix [[alpha, beta], [beta*, alpha*]] with |alpha|^2 - |beta|^2 = 1.
-The unitary representation acting on a tower m0, m0+1, ... is evaluated in
-closed form from the Baker-Campbell-Hausdorff disentangling of the element;
-the resulting finite sum is a terminating Gauss series, summed exactly,
-with a square-root ratio of factorials, taken exactly, as its prefactor;
-magnitudes are assembled in log space.
+On a tower m0, m0+1, ... its matrix element is the closed form of the
+Baker-Campbell-Hausdorff disentangling (oracles holds its polar coordinates
+and 2x2 check): a terminating Gauss series, summed exactly, times the square
+root of an exact factorial ratio, with magnitudes assembled in log space.
 """
 
 from __future__ import annotations
@@ -40,18 +39,12 @@ class GroupElement(namedtuple("GroupElement", "alpha beta")):
     def det_defect(self) -> float:
         return abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.alpha.conjugate(), -self.beta)
-
     def matrix(self):
         """Defining 2x2 matrix as nested tuples."""
         return (
             (self.alpha, self.beta),
             (self.beta.conjugate(), self.alpha.conjugate()),
         )
-
-
-IDENTITY = GroupElement(1.0 + 0.0j, 0.0j)
 
 
 def compose(u1: GroupElement, u2: GroupElement) -> GroupElement:
@@ -66,34 +59,6 @@ def scaling_coords(phi: float) -> GroupElement:
     return GroupElement(complex(math.cosh(phi / 2.0)), 1j * math.sinh(phi / 2.0))
 
 
-def time_evolution_coords(T: float, phi: float) -> GroupElement:
-    """Element generated by the tilted compact generator at parameters (T, phi)."""
-    half = T / 2.0
-    alpha = complex(math.cos(half), -math.sin(half) * math.cosh(phi))
-    beta = complex(-math.sin(half) * math.sinh(phi))
-    return GroupElement(alpha, beta)
-
-
-class BchCoordinates(namedtuple("BchCoordinates", "rho chi psi")):
-    """Disentangling coordinates, floats: alpha = e^{i chi} cosh rho, beta = e^{i psi} sinh rho."""
-
-    __slots__ = ()
-
-
-def bch_decompose(u: GroupElement) -> BchCoordinates:
-    """Polar coordinates of a group element; psi := 0 when beta vanishes."""
-    rho = math.acosh(max(1.0, abs(u.alpha)))
-    chi = cmath.phase(u.alpha) % (2.0 * math.pi)
-    psi = cmath.phase(u.beta) % (2.0 * math.pi) if u.beta != 0 else 0.0
-    return BchCoordinates(rho=rho, chi=chi, psi=psi)
-
-
-def bch_reconstruct(b: BchCoordinates) -> GroupElement:
-    alpha = cmath.exp(1j * b.chi) * math.cosh(b.rho)
-    beta = cmath.exp(1j * b.psi) * math.sinh(b.rho)
-    return GroupElement(alpha, beta)
-
-
 class RepLabel(namedtuple("RepLabel", "m0")):
     """Lower-bounded tower starting at m0 = L+1; Casimir value m0(1-m0)."""
 
@@ -103,10 +68,6 @@ class RepLabel(namedtuple("RepLabel", "m0")):
         if not isinstance(m0, (int, numbers.Real)) or not 1 <= m0 < math.inf or m0 != int(m0):
             raise ValueError(f"m0 must be a positive integer, got {m0!r}")
         return tuple.__new__(cls, (m0,))
-
-    @property
-    def casimir(self) -> int:
-        return self.m0 * (1 - self.m0)
 
 
 def _finite_transform(m0: int, m_row: int, m_col: int, alpha: complex, beta: complex) -> complex:

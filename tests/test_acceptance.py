@@ -17,6 +17,7 @@ import lambshift as ls
 from lambshift.constants import default_constants
 from lambshift.kernel import PhiKernel
 from lambshift.oracles import (
+    bch_decompose,
     bch_reconstruct_2x2,
     kernel_q,
     kernel_via_spectral_series,
@@ -36,7 +37,7 @@ from lambshift.shifts import (
     lamb_shift,
     shift_prefactor,
 )
-from lambshift.su11 import GroupElement, RepLabel, bch_decompose, compose, rep_matrix_element
+from lambshift.su11 import GroupElement, RepLabel, compose, rep_matrix_element
 
 CONSTANTS = default_constants()
 

@@ -29,6 +29,8 @@ COMMANDS = [f"table --id {i} --format csv" for i in (1, 2, 3)] + [
     "shift --n 2 --l 0 --dipole --cutoff-x 1e3 --format csv",
     # exits 2 with no output: the cutoff lies below the (2, 1) pole
     "shift --n 2 --l 1 --dipole --cutoff-x 1e-9",
+    # no open channel: the PV term is a zero column times a negative prefactor
+    "shift --n 1 --l 0 --format json",
     # residues past N = 4 (row tables of Jacobi degree up to 12 in both
     # approximations) and the oracles' Jacobi recurrence (kernel_q)
     "rates --n 20 --l 7 --format json",
@@ -86,7 +88,7 @@ def moved(old: dict, new: dict) -> list[str]:
             pairs = [dict(_cells(out["stdout"])) for out in (before, after)]
         for field in dict.fromkeys([*pairs[0], *pairs[1]]):
             was, now = (p.get(field, "(none)") for p in pairs)
-            if was != now:
+            if repr(was) != repr(now):  # == would pass -0.0 for 0.0
                 lines.append(f"{command}: {field}: {was} -> {now}")
     return lines
 
@@ -96,6 +98,8 @@ def test_moved_names_each_changed_field_and_cell():
     new = {"a": {"exit": 0, "stdout": '{"x": 1, "d": {"e": [1, 5]}}'}, "t": {"exit": 2, "stdout": "k,v\n1,2\n3,6\n"}}
     assert moved(old, new) == ["a: d.e[1]: 2 -> 5", "t: exit 0 -> 2", "t: line 3 (3) v: 4 -> 6"]
     assert moved(old, old) == []
+    signed = {"z": {"exit": 0, "stdout": '{"v": -0.0}'}}
+    assert moved(signed, {"z": {"exit": 0, "stdout": '{"v": 0.0}'}}) == ["z: v: -0.0 -> 0.0"]
 
 
 if __name__ == "__main__":

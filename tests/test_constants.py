@@ -101,6 +101,14 @@ def test_load_constants_rejects_a_constant_given_twice(tmp_path, text, lineno):
         load_constants(str(path))
 
 
+def test_load_constants_names_the_line_of_an_unparsable_value(tmp_path):
+    # float()'s own message named neither the file nor the line
+    path = tmp_path / "typo.txt"
+    path.write_text("mec2_eV = 511000.0\nalpha0 = 7.29e-3x\nhbar_eVs = 6.58e-16\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: alpha0 is not a number: '7.29e-3x'")):
+        load_constants(str(path))
+
+
 def test_load_constants_rejects_missing_key(tmp_path):
     path = tmp_path / "incomplete.txt"
     path.write_text("alpha0 = 7.2e-3\n")

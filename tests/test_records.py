@@ -21,10 +21,10 @@ from lambshift.constants import (
     PhysicalConstants,
 )
 from lambshift.kernel import _EulerRows
-from lambshift.oracles import SpectralKernelValue
+from lambshift.oracles import BchCoordinates, SpectralKernelValue
 from lambshift.quadrature import Diagnostics, QuadratureResult, QuadratureSpec, _Panel
 from lambshift.shifts import BetheResult, DipoleOptions, QuantumState, ShiftResult, TableCell
-from lambshift.su11 import BchCoordinates, GroupElement, RepLabel
+from lambshift.su11 import GroupElement, RepLabel
 
 # values: a sample of every field in constructor order; defaults: the
 # trailing fields that have one; changed: fields set to other valid values

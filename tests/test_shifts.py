@@ -109,6 +109,10 @@ class TestQuantumState:
         # a cutoff without the dipole approximation would be silently ignored
         with pytest.raises(ValueError, match="enabled=True.*--dipole"):
             DipoleOptions(cutoff_x=1.0e3)
+        # a truthy non-bool returned the dipole rates: 167.3438... against 167.3378...
+        for bad in ("false", 1, 0, None, np.True_, np.False_):
+            with pytest.raises(ValueError, match=f"enabled must be True or False, got {bad!r}"):
+                DipoleOptions(bad)
         opts = DipoleOptions(enabled=True, cutoff_x=1.0e4)
         phi = opts.phi_cut(QuantumState(N=2, L=0), C)
         ratio = 2.0 / C.alpha0
@@ -329,6 +333,7 @@ class TestLambShift:
         assert result.converged
         assert result.lamb_shift_MHz == pytest.approx(7936.29, rel=2e-3)
         assert result.pv_term_MHz == 0.0
+        assert math.copysign(1.0, result.pv_term_MHz) == 1.0  # not -0.0
         assert result.total_rate == 0.0
         assert result.partial_rates == ()
 

@@ -5,43 +5,55 @@ import random
 import numpy as np
 import pytest
 
-from lambshift.oracles import bch_reconstruct_2x2
+from lambshift.oracles import BchCoordinates, bch_decompose, bch_reconstruct_2x2
 from lambshift.su11 import (
-    IDENTITY,
-    BchCoordinates,
     GroupElement,
     RepLabel,
     _finite_transform,
-    bch_decompose,
-    bch_reconstruct,
     compose,
     rep_matrix_element,
     scaling_coords,
-    time_evolution_coords,
 )
+
+IDENTITY = GroupElement(1.0 + 0.0j, 0.0j)
+# the tilted compact generator's element at (T, phi) = (0.8, 0.5), (0.7, 1.2) and (1.1, 0.6):
+# alpha = cos(T/2) - i sin(T/2) cosh(phi), beta = -sin(T/2) sinh(phi)
+TILTED = {
+    (T, phi): GroupElement(
+        complex(math.cos(T / 2.0), -math.sin(T / 2.0) * math.cosh(phi)),
+        complex(-math.sin(T / 2.0) * math.sinh(phi)),
+    )
+    for T, phi in ((0.8, 0.5), (0.7, 1.2), (1.1, 0.6))
+}
+
+
+def element(rho: float, chi: float, psi: float) -> GroupElement:
+    """The element of polar coordinates alpha = e^{i chi} cosh rho, beta = e^{i psi} sinh rho."""
+    return GroupElement(cmath.exp(1j * chi) * math.cosh(rho), cmath.exp(1j * psi) * math.sinh(rho))
+
+
+def random_coords(rng: random.Random) -> tuple[float, float, float]:
+    return rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)
 
 
 def random_element(rng: random.Random) -> GroupElement:
-    rho = rng.uniform(0.0, 2.0)
-    chi = rng.uniform(0.0, 2.0 * math.pi)
-    psi = rng.uniform(0.0, 2.0 * math.pi)
-    return GroupElement(
-        cmath.exp(1j * chi) * math.cosh(rho), cmath.exp(1j * psi) * math.sinh(rho)
-    )
+    return element(*random_coords(rng))
+
+
+def inverse(u: GroupElement) -> GroupElement:
+    return GroupElement(u.alpha.conjugate(), -u.beta)
 
 
 class TestGroupChart:
     def test_identity_and_inverse(self):
         u = scaling_coords(0.8)
         assert compose(IDENTITY, u) == u
-        w = compose(u, u.inverse())
+        w = compose(u, inverse(u))
         assert abs(w.alpha - 1.0) < 1e-15 and abs(w.beta) < 1e-15
 
     def test_canonical_elements_satisfy_tight_determinant(self):
         for phi in (0.0, 0.3, 2.0, 8.0):
             assert abs(scaling_coords(phi).det_defect()) < 1e-12
-        for T in (0.0, 1.0, 3.9):
-            assert abs(time_evolution_coords(T, 1.3).det_defect()) < 1e-12
 
     def test_rejects_non_group_coordinates(self):
         with pytest.raises(ValueError):
@@ -63,16 +75,6 @@ class TestGroupChart:
             assert abs(got.alpha - prod[0, 0]) < 1e-12
             assert abs(got.alpha - want.alpha) < 1e-12
             assert abs(got.beta - want.beta) < 1e-12
-
-    def test_time_evolution_coordinates(self):
-        u = time_evolution_coords(0.0, 1.7)
-        assert u.alpha == 1.0 and u.beta == 0.0
-        u = time_evolution_coords(2.2, 0.0)
-        assert u.alpha == pytest.approx(cmath.exp(-1.1j), rel=1e-15)
-        assert u.beta == 0.0
-        u = time_evolution_coords(math.pi, 0.9)
-        assert u.alpha == pytest.approx(-1j * math.cosh(0.9), rel=1e-14)
-        assert u.beta == pytest.approx(-math.sinh(0.9), rel=1e-14, abs=0)
 
     def test_scaling_half_angle(self):
         phi = math.acosh(1.25)
@@ -97,8 +99,7 @@ class TestBch:
         rng = random.Random(3)
         for _ in range(50):
             u = random_element(rng)
-            b = bch_decompose(u)
-            v = bch_reconstruct(b)
+            v = element(*bch_decompose(u))
             assert abs(u.alpha - v.alpha) < 1e-12
             assert abs(u.beta - v.beta) < 1e-12
 
@@ -118,7 +119,7 @@ class TestBch:
         assert np.max(np.abs(m - expect)) < 1e-14
 
     def test_reconstructs_time_evolution_element(self):
-        u = time_evolution_coords(1.1, 0.6)
+        u = TILTED[1.1, 0.6]
         m = bch_reconstruct_2x2(bch_decompose(u))
         assert np.max(np.abs(m - np.array(u.matrix()))) < 1e-12
 
@@ -126,8 +127,8 @@ class TestBch:
         # with beta = 0 any psi describes the same element, so fixing
         # psi := 0 cannot change anything downstream
         chi = 0.7
-        canonical = bch_reconstruct(BchCoordinates(0.0, chi, 0.0))
-        arbitrary = bch_reconstruct(BchCoordinates(0.0, chi, 1.234))
+        canonical = element(0.0, chi, 0.0)
+        arbitrary = element(0.0, chi, 1.234)
         assert canonical == arbitrary
         a = bch_reconstruct_2x2(BchCoordinates(0.0, chi, 0.0))
         b = bch_reconstruct_2x2(BchCoordinates(0.0, chi, 1.234))
@@ -136,15 +137,15 @@ class TestBch:
 
 
 class TestRepresentation:
-    def test_label_validation_and_casimir(self):
-        assert RepLabel(3).casimir == -6
+    def test_label_validation(self):
+        assert RepLabel(3).m0 == 3
         with pytest.raises(ValueError):
             RepLabel(0)
         # a string raised TypeError from the comparison, NaN from int()
         for bad in ("2", 2.5, math.nan, math.inf, None):
             with pytest.raises(ValueError, match="m0 must be a positive integer"):
                 RepLabel(bad)
-        assert RepLabel(2.0).casimir == -2
+        assert RepLabel(2.0).m0 == 2
 
     def test_identity_is_kronecker_delta(self):
         label = RepLabel(2)
@@ -164,7 +165,7 @@ class TestRepresentation:
         phi = math.acosh(1.25)
         got = rep_matrix_element(label, 2, 2, scaling_coords(phi))
         assert abs(got) ** 2 == pytest.approx((8.0 / 9.0) ** 4, rel=1e-13, abs=0)
-        u = time_evolution_coords(0.7, 1.2)
+        u = TILTED[0.7, 1.2]
         expect = u.alpha.conjugate() ** -4
         assert rep_matrix_element(label, 2, 2, u) == pytest.approx(expect, rel=1e-12)
 
@@ -172,17 +173,17 @@ class TestRepresentation:
         # independent oracle: the r-sum over disentangled ladder powers
         rng = random.Random(5)
         for _ in range(25):
-            u = random_element(rng)
-            b = bch_decompose(u)
+            coords = random_coords(rng)
+            u = element(*coords)
             m0 = rng.randint(1, 3)
             mr = rng.randint(m0, m0 + 5)
             mc = rng.randint(m0, m0 + 5)
             got = rep_matrix_element(RepLabel(m0), mr, mc, u)
-            want = _ladder_series_oracle(m0, mr, mc, b)
+            want = _ladder_series_oracle(m0, mr, mc, *coords)
             assert got == pytest.approx(want, rel=2e-11, abs=1e-13)
 
     def test_unitarity_partial_sums(self):
-        u = compose(scaling_coords(1.1), time_evolution_coords(0.8, 0.5))
+        u = compose(scaling_coords(1.1), TILTED[0.8, 0.5])
         for m0 in (1, 2, 3):
             label = RepLabel(m0)
             for m_row in range(m0, m0 + 4):
@@ -233,14 +234,14 @@ class TestRepresentation:
         u = random_element(rng)
         label = RepLabel(2)
         lhs = rep_matrix_element(label, 5, 3, u)
-        rhs = rep_matrix_element(label, 3, 5, u.inverse()).conjugate()
+        rhs = rep_matrix_element(label, 3, 5, inverse(u)).conjugate()
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def _ladder_series_oracle(m0, m_row, m_col, b: BchCoordinates):
+def _ladder_series_oracle(m0, m_row, m_col, rho, chi, psi):
     """Direct r-sum with explicit gamma factors; independent code path."""
-    t = math.tanh(b.rho)
-    c = math.cosh(b.rho)
+    t = math.tanh(rho)
+    c = math.cosh(rho)
     total = 0.0 + 0.0j
     for r in range(m0, min(m_row, m_col) + 1):
         amp = math.sqrt(
@@ -254,7 +255,7 @@ def _ladder_series_oracle(m0, m_row, m_col, b: BchCoordinates):
             * math.factorial(m_row - r)
             * math.factorial(m_col - r)
         )
-        phase = cmath.exp(1j * ((b.chi + b.psi) * (m_row - r) - (b.chi + b.psi) * (m_col - r) + 2 * b.chi * m_col))
+        phase = cmath.exp(1j * ((chi + psi) * (m_row - r) - (chi + psi) * (m_col - r) + 2 * chi * m_col))
         total += (
             (-t) ** (m_row - r) * t ** (m_col - r) / c ** (2 * r) * amp * phase
         )
