@@ -17,14 +17,15 @@ kernel Q(T, phi) is written once (kernel_q).  Tolerances here are looser
 by construction; the oscillatory epsilon route in particular only makes
 sense after extrapolating the damping to zero.  Its inner time integral
 is exact at every finite epsilon: one period of the 2 pi-periodic dQ/dT
-divided by 1 - e^{2 pi (i nu - eps)}, folded onto [0, pi] by
-dQ/dT(2 pi - T) = -conj dQ/dT(T).  Up to phi = 3.5 that half period is
+divided by 1 - e^{2 pi s}, s = i nu - eps, integrated by parts into -s
+times the damped period of Q itself (Q vanishes at 0 and 2 pi), and folded onto
+[0, pi] by Q(2 pi - T) = conj Q(T).  Up to phi = 3.5 that half period is
 a T grid whose size depends only on the node's panel count, so the phi
 nodes with one count are (phi x T) blocks of up to 15 nodes: the trig of
-T is taken once per block row and the hyperbolics once per node, and the
-phase e^{-2iN chi} of the kernel and its rate are algebraic in them, with
-no angle, complex exponential or complex division per element.  A block
-is kept as its T-moments, which do not depend on eps (the damping
+T is taken once per count and the hyperbolics once per node, and the
+phase e^{-2iN chi} of the kernel is algebraic in them, with no angle,
+complex exponential or complex division per element.  A call's grid is
+kept as one table of T-moments, which do not depend on eps (the damping
 e^{-+eps T} is their Taylor series, exact in double up to EPS_MAX), so an
 eps sweep whose phi nodes stay put, the 1s route of verify, evaluates the
 kernel on the grid once.  At large phi it is the kernel's exponential
@@ -82,8 +83,12 @@ class BchCoordinates(namedtuple("BchCoordinates", "rho chi psi")):
 
 
 def bch_decompose(u: GroupElement) -> BchCoordinates:
-    """Polar coordinates of a group element; psi := 0 when beta vanishes."""
-    rho = math.acosh(max(1.0, abs(u.alpha)))
+    """Polar coordinates of a group element; psi := 0 when beta vanishes.
+
+    rho comes from |beta| = sinh rho: cosh rho rounds to 1 below rho ~ 1e-8,
+    so acosh |alpha| would lose a small boost entirely.
+    """
+    rho = math.asinh(abs(u.beta))
     chi = cmath.phase(u.alpha) % (2.0 * math.pi)
     psi = cmath.phase(u.beta) % (2.0 * math.pi) if u.beta != 0 else 0.0
     return BchCoordinates(rho=rho, chi=chi, psi=psi)
@@ -336,43 +341,33 @@ def _complex(re, im) -> np.ndarray:
 
 
 def _kernel_matrix_element_grid(N: int, L: int, T: np.ndarray, phi: float | np.ndarray):
-    """The matrix element M(T) on the real axis and its T-derivative, as (e^{-2iN chi}, A, dA/dT, dchi/dT).
+    """The matrix element M(T) on the real axis as its two factors (e^{-2iN chi}, A).
 
-    M = e^{-2iN chi} A with A = (1-z)^{-(L+1)} P_{N-L-1}^{(0, 2L+1)}(w) real,
-    so dM/dT = e^{-2iN chi} (dA/dT - 2iN A dchi/dT).  T and phi are
-    broadcast together: a float phi, one phi per time, or a row of times
-    against a column of phi (the blocks of _inner_t_integral_grid), where
-    the trig of T is taken once per time and the hyperbolics once per
-    phi.  With f = cos(T/2) + i sin(T/2) cosh(phi) = |f| e^{i chi} and
-    z = -sin^2(T/2) sinh^2(phi), |f|^2 = 1 - z, so the phase and its rate
-    are algebraic, with no angle taken:
+    M = e^{-2iN chi} A with A = (1-z)^{-(L+1)} P_{N-L-1}^{(0, 2L+1)}(w) real.
+    T and phi are broadcast together: a float phi, one phi per time, or a
+    row of times against a column of phi (the blocks of _t_moments), where
+    the trig of T is taken once per time and the hyperbolics once per phi.
+    With f = cos(T/2) + i sin(T/2) cosh(phi) = |f| e^{i chi} and
+    z = -sin^2(T/2) sinh^2(phi), |f|^2 = 1 - z, so the phase is algebraic,
+    with no angle taken:
 
-        e^{-2iN chi} = (conj(f)^2/(1-z))^N,  dchi/dT = Im(f' conj f)/|f|^2 = cosh(phi)/(2(1-z)),
+        e^{-2iN chi} = (conj(f)^2/(1-z))^N,
 
     conj(f)^2 = cos^2(T/2) - sin^2(T/2) cosh^2(phi) - i sin(T) cosh(phi).
     The quotient has modulus one before its power is taken: conj(f)^{2N}
     and (1-z)^N apart would overflow at phi = 3.5 from N ~ 125.
     """
     half = T / 2.0
-    s2, c2, sin_t = np.sin(half) ** 2, np.cos(half) ** 2, np.sin(T)
+    s2, c2 = np.sin(half) ** 2, np.cos(half) ** 2
     cosh_phi, sinh2_phi = np.cosh(phi), np.sinh(phi) ** 2
     minus_z = s2 * sinh2_phi
     inverse = 1.0 / (1.0 + minus_z)  # 1/(1-z) = 1/|f|^2
-    w = (1.0 - minus_z) * inverse
-
-    degree = N - L - 1
-    poly = _jacobi_recurrence(degree, 0.0, 2.0 * L + 1.0, w)
-    # dP_n^{(0, 2L+1)}/dw = (n + 2L + 2)/2 P_{n-1}^{(1, 2L+2)}
-    dpoly = 0.0
-    if degree:
-        dpoly = (degree + 2 * L + 2) / 2.0 * _jacobi_recurrence(degree - 1, 1.0, 2.0 * L + 2.0, w)
-    phase = _complex((c2 - s2 * cosh_phi**2) * inverse, -(sin_t * cosh_phi) * inverse)
+    # P at w = (1+z)/(1-z), formed in the call so that w is freed with it
+    poly = _jacobi_recurrence(N - L - 1, 0.0, 2.0 * L + 1.0, (1.0 - minus_z) * inverse)
+    phase = _complex((c2 - s2 * cosh_phi**2) * inverse, -(np.sin(T) * cosh_phi) * inverse)
     if N > 1:  # numpy raises a complex array to the power 1 the slow way
         phase **= N
-    amp = inverse ** (L + 1) * poly
-    # dA/dT = dz/dT [(L+1) A + 2 (1-z)^{-(L+2)} dP/dw]/(1-z), as dw/dz = 2/(1-z)^2
-    damp = (-0.5 * sin_t * sinh2_phi) * inverse * ((L + 1) * amp + 2.0 * inverse ** (L + 2) * dpoly)
-    return phase, amp, damp, 0.5 * cosh_phi * inverse
+    return phase, inverse ** (L + 1) * poly
 
 
 def kernel_q(N: int, L: int, T: float, phi: float) -> complex:
@@ -387,22 +382,8 @@ def kernel_q(N: int, L: int, T: float, phi: float) -> complex:
     N, L = validate_quantum_numbers(N, L)
     if phi < 0.0:
         raise ValueError(f"phi must be nonnegative, got {phi}")
-    phase, amp, _, _ = _kernel_matrix_element_grid(N, L, np.array([T]), phi)
+    phase, amp = _kernel_matrix_element_grid(N, L, np.array([T]), phi)
     return complex(math.sin(T / 2.0) ** 2 * phase[0] * amp[0])
-
-
-def _dq_dt_grid(N: int, L: int, T: np.ndarray, phi: float | np.ndarray) -> np.ndarray:
-    """dQ/dT on the real axis, T and phi broadcast as in _kernel_matrix_element_grid.
-
-    dQ/dT = sin(T)/2 M + sin^2(T/2) dM/dT is e^{-2iN chi} times one complex
-    factor of real parts.  Q(2 pi - T) = conj Q(T), since Q = sin^2(T/2)
-    sum_n |D_{N,n}|^2 e^{-i n T} with integer n, so dQ/dT(2 pi - T) =
-    -conj dQ/dT(T).
-    """
-    phase, amp, damp, dchi = _kernel_matrix_element_grid(N, L, T, phi)
-    s2 = np.sin(T / 2.0) ** 2
-    phase *= _complex(0.5 * np.sin(T) * amp + s2 * damp, (-2.0 * N * s2) * dchi * amp)
-    return phase
 
 
 def _phi_breakpoints(N: int, L: int, eps: float, phi_max: float):
@@ -439,75 +420,84 @@ _MOMENTS = 17
 _BLOCK_ROWS = 15
 
 
-# 64 blocks: a 1s call forms 23, a 2s or 2p call 49 (about 4 kB each)
-@lru_cache(maxsize=64)
-def _t_moments(N, L, count, phis, nus):
-    """mu_m = sum_T (h W_T T^m/m!) e^{i nu T} dQ/dT(T), m < _MOMENTS, per node of one grid block.
+# One table per phi grid of a call, (nodes x _MOMENTS) complex: 45 kB for
+# the 165 grid nodes of 1s, which every eps of a sweep shares
+@lru_cache(maxsize=4)
+def _t_moments(N, L, phis, nus):
+    """mu_m = sum_T (h W_T T^m/m!) e^{i nu T} Q(T), m < _MOMENTS, per node of one phi grid.
 
-    The block is the tuples phis and nus, all nodes with the same panel
-    count, against one row of times: count Gauss-Kronrod panels of half
-    width h = pi/(2 count) on [0, pi], with the module's 15-point Kronrod
-    rule (quadrature._X and _W[:, 0]).  e^{i nu T} is formed from its
-    factors e^{i nu mid} and e^{i nu offset}.  Returns a read-only
-    (nodes x _MOMENTS) array, kept per block: the 1s nodes of every eps
-    form the same blocks.
+    phis and nus are the equal-length tuples of one call's grid nodes.  A
+    node's times are count Gauss-Kronrod panels of half width
+    h = pi/(2 count) on [0, pi], with the module's 15-point Kronrod rule
+    (quadrature._X and _W[:, 0]); panels of width 2/(N cosh phi), a third
+    of the local oscillation period, hold ~1e-14 up to phi = 3.5.  The
+    times depend only on the count, so the nodes of each count are
+    (phi x T) blocks of up to _BLOCK_ROWS nodes, a column of phi against
+    one row of times, and each moment of a block is one matrix-vector
+    product with a weight row.  The trig of T is taken once per count and
+    the hyperbolics once per node (_kernel_matrix_element_grid), and
+    e^{i nu T} is formed from its factors e^{i nu mid} and e^{i nu offset}.
+    Returns a read-only (nodes x _MOMENTS) array.
     """
-    half = 0.5 * math.pi / count
-    mids, offsets = (2 * np.arange(count) + 1) * half, half * _X
-    t = (mids[:, None] + offsets).ravel()
-    v = _dq_dt_grid(N, L, t, np.array(phis)[:, None])
-    nu_col = np.array(nus)[:, None]
-    # scaled in place through a view: a product would be one more (phi x T) transient
-    by_panel = v.reshape(len(phis), count, _X.size)
-    by_panel *= np.exp(1j * nu_col * mids)[:, :, None]
-    by_panel *= np.exp(1j * nu_col * offsets)[:, None]
-    # rows h W T^m/m!, each from the last
-    row = np.tile(half * _W[:, 0], count)
-    moments = np.empty((len(phis), _MOMENTS), dtype=complex)
-    for m in range(_MOMENTS):
-        moments[:, m] = v @ row
-        row *= t / (m + 1)
+    phis, nus = np.array(phis), np.array(nus)
+    counts = np.ceil(math.pi / np.minimum(0.25, 2.0 / (N * np.cosh(phis)))).astype(int)
+    moments = np.empty((phis.size, _MOMENTS), dtype=complex)
+    # sorted(set()), not np.unique: its first call in a process costs 11-19 ms
+    # and 1.7 MB of peak RSS (numpy 2.4.6)
+    for count in sorted(set(counts.tolist())):
+        half = 0.5 * math.pi / count
+        mids, offsets = (2 * np.arange(count) + 1) * half, half * _X
+        t = (mids[:, None] + offsets).ravel()
+        s2, weights = np.sin(t / 2.0) ** 2, np.tile(half * _W[:, 0], count)
+        nodes = np.flatnonzero(counts == count)
+        for start in range(0, nodes.size, _BLOCK_ROWS):
+            block = nodes[start : start + _BLOCK_ROWS]
+            q, amp = _kernel_matrix_element_grid(N, L, t, phis[block, None])
+            amp *= s2
+            q *= amp  # Q = sin^2(T/2) e^{-2iN chi} A
+            # scaled in place through a view: a product would be one more (phi x T) transient
+            nu_col = nus[block, None]
+            by_panel = q.reshape(block.size, count, _X.size)
+            by_panel *= np.exp(1j * nu_col * mids)[:, :, None]
+            by_panel *= np.exp(1j * nu_col * offsets)[:, None]
+            # rows h W T^m/m!, each from the last, complex: numpy would cast a
+            # real row to complex at every product
+            row = weights.astype(complex)
+            for m in range(_MOMENTS):
+                moments[block, m] = q @ row
+                row *= t / (m + 1)
     moments.flags.writeable = False
     return moments
 
 
 def _inner_t_integral_grid(N, L, phis, nus, eps):
-    """int_0^inf e^{(i nu - eps) T} dQ/dT dT, exactly, from half a period.
+    """int_0^inf e^{(i nu - eps) T} dQ/dT dT, exactly, from half a period of Q.
 
     dQ/dT is 2 pi-periodic, so with s = i nu - eps the damped integral is
-    the one over [0, 2 pi] divided by 1 - e^{2 pi s}, and the reflection
-    dQ/dT(2 pi - T) = -conj dQ/dT(T) folds that period onto [0, pi]:
+    the one over [0, 2 pi] divided by 1 - e^{2 pi s}.  By parts, as
+    Q(0) = Q(2 pi) = 0, that period is -s int_0^{2 pi} e^{sT} Q dT, and the
+    reflection Q(2 pi - T) = conj Q(T) (Q = sin^2(T/2) sum_n
+    |D_{N,n}|^2 e^{-i n T} with integer n) folds it onto [0, pi]:
 
-        int_0^pi [e^{sT} dQ/dT(T) - e^{s(2 pi - T)} conj dQ/dT(T)] dT.
+        -s int_0^pi [e^{sT} Q(T) + e^{s(2 pi - T)} conj Q(T)] dT.
 
-    Panels of width 2/(N cosh phi), a third of the local oscillation period,
-    hold ~1e-14 up to phi = 3.5.  phis and nus are equal-length arrays, and
-    one complex is returned per node; 0 < eps <= EPS_MAX.  A node's T grid
-    depends only on its panel count, so the nodes of each count are
-    (phi x T) blocks of up to _BLOCK_ROWS nodes: a column of phi against
-    one row of times, summed along the row.  As e^{sT} = e^{-eps T}
-    e^{i nu T} and 1/e^{sT} = e^{eps T} conj e^{i nu T}, with
-    v = e^{i nu T} dQ/dT the fold is two real-weighted row sums,
-    sum (w e^{-eps T}) v - e^{2 pi s} conj sum (w e^{eps T}) v, and with
-    the T-moments mu_m of a block (_t_moments) they are
-    sum_m (-eps)^m mu_m and sum_m eps^m mu_m.  The moments do not depend
-    on eps: a block is evaluated once per process, and every later call
-    with the same nodes (the 1s route at each eps) only sums them.
+    Unlike the period of dQ/dT, this integral does not vanish as s -> 0,
+    so the quotient by 1 - e^{2 pi s} cancels nothing.  phis and nus are
+    equal-length arrays, and one complex is returned per node;
+    0 < eps <= EPS_MAX.  As e^{sT} = e^{-eps T} e^{i nu T} and
+    1/e^{sT} = e^{eps T} conj e^{i nu T}, with v = e^{i nu T} Q the fold is
+    two real-weighted sums, sum (w e^{-eps T}) v + e^{2 pi s} conj
+    sum (w e^{eps T}) v, and with the T-moments mu_m of the grid
+    (_t_moments) they are sum_m (-eps)^m mu_m and sum_m eps^m mu_m.  The
+    moments do not depend on eps: a phi grid's table is formed once per
+    process, and every later call on the same nodes (the 1s route at each
+    eps) is two matrix-vector products.
     """
-    panels = np.ceil(math.pi / np.minimum(0.25, 2.0 / (N * np.cosh(phis)))).astype(int)
-    wraps = np.exp(2.0 * math.pi * (1j * nus - eps))
+    mu = _t_moments(N, L, tuple(phis.tolist()), tuple(nus.tolist()))
+    s = 1j * nus - eps
+    wraps = np.exp(2.0 * math.pi * s)
     forward, backward = (-eps) ** np.arange(_MOMENTS), eps ** np.arange(_MOMENTS)
-    inner = np.empty(phis.size, dtype=complex)
-    # sorted(set()), not np.unique: its first call in a process costs 11-19 ms
-    # and 1.7 MB of peak RSS (numpy 2.4.6)
-    for count in sorted(set(panels.tolist())):
-        rows = np.flatnonzero(panels == count)
-        for start in range(0, rows.size, _BLOCK_ROWS):
-            block = rows[start : start + _BLOCK_ROWS]
-            mu = _t_moments(N, L, count, tuple(phis[block].tolist()), tuple(nus[block].tolist()))
-            wrap = wraps[block]
-            inner[block] = (mu @ forward - wrap * np.conj(mu @ backward)) / (1.0 - wrap)
-    return inner
+    return -s * (mu @ forward + wraps * np.conj(mu @ backward)) / (1.0 - wraps)
 
 
 def _inner_t_integral_spectral(N, L, phis, nus, eps):
@@ -539,20 +529,22 @@ def shift_via_eps_real_axis(
     """Complex shift in MHz from the un-rotated representation at finite eps.
 
     Evaluates -C int dphi w(phi) int_0^inf dT e^{i(nu + i eps)T} dQ/dT
-    with composite Gauss-Kronrod grids in both variables; the real part
-    estimates the Lamb shift and the imaginary part -Gamma/2 (in the same
-    frequency units).  Meant to be extrapolated in eps; 0 < eps <= EPS_MAX,
-    else ValueError before any integral starts.
+    with composite Gauss-Kronrod grids in both variables (the T grid
+    integrates Q by parts); the real part estimates the Lamb shift and the
+    imaginary part -Gamma/2 (in the same frequency units).  Meant to be
+    extrapolated in eps; 0 < eps <= EPS_MAX, else ValueError before any
+    integral starts.
 
     The nodes of every phi panel are one array: those up to
     PHI_OSCILLATORY_MAX are one _inner_t_integral_grid call, the rest one
-    _inner_t_integral_spectral call (one kernel._euler_block).  The grid
-    keeps the T-moments of its blocks for the process (_t_moments): for
-    N = 1 the phi edges do not depend on eps, so the calls at the second
-    and later eps of a sweep only sum moments.  For N >= 2 the edges
-    refined around the poles ln(N/n) move with eps, and every call forms
-    its own.  Each node's w(phi) comes from the non-dipole weight closure
-    of shifts._photon_weight, the same floats as the shifts and rates.
+    _inner_t_integral_spectral call (one kernel._euler_block).  The grid's
+    T-moments are kept as one table per phi grid (_t_moments): for N = 1
+    the phi edges do not depend on eps, so the calls at the second and
+    later eps of a sweep are two matrix-vector products each.  For N >= 2
+    the edges refined around the poles ln(N/n) move with eps, and every
+    call forms its own table.  Each node's w(phi) comes from the
+    non-dipole weight closure of shifts._photon_weight, the same floats as
+    the shifts and rates.
 
     The phi domain is not [0, phi_max] with phi_max = 9 + ln N: the
     integer edges of _phi_breakpoints run up to round(9 + ln N), so for

@@ -9,12 +9,12 @@ from lambshift.kernel import PhiKernel, _euler_block
 from lambshift.oracles import (
     EPS_MAX,
     PHI_OSCILLATORY_MAX,
-    _dq_dt_grid,
     _inner_t_integral_grid,
     _inner_t_integral_spectral,
     _kernel_matrix_element_grid,
     bethe_log_by_cutoffs,
     circular_rate_closed_form,
+    kernel_q,
     kernel_via_spectral_series,
     neville_extrapolate,
     pv_term_by_principal_values,
@@ -107,10 +107,10 @@ def _mp_spectral_tail(N, L, phi, nu, eps):
         return complex(-nu * total)
 
 
-def _matrix_element(N, L, T, phi):
-    """M(T) and dM/dT = e^{-2iN chi} (dA/dT - 2iN A dchi/dT) from the grid's factors."""
-    phase, amp, damp, dchi = _kernel_matrix_element_grid(N, L, T, phi)
-    return phase * amp, phase * (damp - 2j * N * amp * dchi)
+def _q_grid(N, L, T, phi):
+    """Q(T) = sin^2(T/2) e^{-2iN chi} A from the grid's factors, T and phi broadcast."""
+    phase, amp = _kernel_matrix_element_grid(N, L, T, phi)
+    return np.sin(T / 2.0) ** 2 * phase * amp
 
 
 class TestEpsilonAxis:
@@ -131,25 +131,23 @@ class TestEpsilonAxis:
             with pytest.raises(ValueError, match=f"at most EPS_MAX = {EPS_MAX}"):
                 shift_via_eps_real_axis(QuantumState(N=1, L=0), eps)
 
-    # At 2N = 24 the grid's terms cancel 5.1e3-fold in the sum, so roundoff
-    # alone leaves ~1e-12 (1.7e-12 measured); every other case meets 1e-12.
-    PERIOD_REL = {(12, 5): 5e-12}
-
     @pytest.mark.parametrize(
-        "N, L, phi, eps", [(1, 0, 3.4, 0.0125), (2, 1, 1.0, 0.00625), (3, 0, 3.4, 0.05), (12, 5, 3.4, 0.025)]
+        "N, L, phi, eps",
+        [(1, 0, 3.4, 0.0125), (2, 1, 1.0, 0.00625), (3, 0, 3.4, 0.05), (4, 1, 3.4, 0.0125), (12, 5, 3.4, 0.025)],
     )
     def test_inner_grid_matches_mpmath_period(self, N, L, phi, eps):
+        # the grid integrates Q by parts, the reference dQ/dT itself
         nu = N * math.exp(-phi)
         got = _inner_t_integral_grid(N, L, np.array([phi]), np.array([nu]), eps)[0]
         want = _mp_damped_inner(N, L, phi, nu, eps)
-        assert abs(got - want) <= self.PERIOD_REL.get((N, L), 1e-12) * abs(want)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("N, L", [(1, 0), (2, 1), (12, 5)])
     @pytest.mark.parametrize("eps", [0.00625, 0.0125, 0.05, EPS_MAX])
     def test_moments_equal_direct_weighted_sums(self, N, L, eps):
-        # sum_m (-+eps)^m mu_m against the row sums with the weights
-        # h W e^{-+eps T} themselves, over a GK15 panel's 15 phi (several
-        # T-grid sizes) and the oscillatory end phi = 3.5
+        # sum_m (-+eps)^m mu_m against the row sums of -s e^{i nu T} Q with
+        # the weights h W e^{-+eps T} themselves, over a GK15 panel's 15 phi
+        # (several T-grid sizes) and the oscillatory end phi = 3.5
         nodes, weights, _ = (np.asarray(x) for x in kronrod_nodes_weights())
         phis = np.append(1.75 + 1.75 * nodes, PHI_OSCILLATORY_MAX)
         nus = N * np.exp(-phis)
@@ -159,28 +157,29 @@ class TestEpsilonAxis:
             half = 0.5 * math.pi / count
             t = ((2 * np.arange(count) + 1)[:, None] * half + half * nodes).ravel()
             w = np.tile(half * weights, count)
-            v = np.exp(1j * nu * t) * _dq_dt_grid(N, L, t, phi)
-            wrap = cmath.exp(2.0 * math.pi * (1j * nu - eps))
-            want = (v @ (w * np.exp(-eps * t)) - wrap * np.conj(v @ (w * np.exp(eps * t)))) / (1.0 - wrap)
-            assert abs(value - want) <= self.PERIOD_REL.get((N, L), 1e-12) * abs(want), phi
+            v = np.exp(1j * nu * t) * _q_grid(N, L, t, phi)
+            s = 1j * nu - eps
+            wrap = cmath.exp(2.0 * math.pi * s)
+            want = -s * (v @ (w * np.exp(-eps * t)) + wrap * np.conj(v @ (w * np.exp(eps * t)))) / (1.0 - wrap)
+            assert abs(value - want) <= 1e-12 * abs(want), phi
 
     def test_eps_sweep_evaluates_each_grid_node_once(self, monkeypatch):
         # the 1s nodes do not move with eps: the three verify calls form
-        # dQ/dT at each phi node of the T grid once, and each call sums
-        # its phi > 3.5 nodes in one Euler block
+        # Q at each phi node of the T grid once, and each call sums its
+        # phi > 3.5 nodes in one Euler block
         from lambshift import oracles
 
         seen, blocks = [], []
 
-        def dq_dt(N, L, T, phi):
+        def matrix_element(N, L, T, phi):
             seen.extend(np.ravel(phi).tolist())
-            return _dq_dt_grid(N, L, T, phi)
+            return _kernel_matrix_element_grid(N, L, T, phi)
 
         def euler_block(N, L, phis, nus):
             blocks.append(len(phis))
             return _euler_block(N, L, phis, nus)
 
-        monkeypatch.setattr(oracles, "_dq_dt_grid", dq_dt)
+        monkeypatch.setattr(oracles, "_kernel_matrix_element_grid", matrix_element)
         monkeypatch.setattr(oracles, "_euler_block", euler_block)
         oracles._t_moments.cache_clear()
         for eps in (0.05, 0.025, 0.0125):
@@ -189,25 +188,15 @@ class TestEpsilonAxis:
         assert max(seen) <= PHI_OSCILLATORY_MAX
         assert blocks == [90, 90, 90]  # 6 phi panels from 3.5 to 9
 
-    def test_dm_dt_matches_central_differences(self):
-        # the analytic dM/dT behind dQ/dT, including the Jacobi derivative
-        # (n+2L+2)/2 P_{n-1}^{(1,2L+2)}, against the grid's own M
-        T = np.linspace(0.05, 2.0 * math.pi - 0.05, 61)
-        step = 1e-6
-        for (N, L, phi) in ((1, 0, 0.8), (2, 0, 1.7), (4, 1, 0.3), (6, 2, 2.4)):
-            _, dm = _matrix_element(N, L, T, phi)
-            fd = (_matrix_element(N, L, T + step, phi)[0] - _matrix_element(N, L, T - step, phi)[0]) / (2 * step)
-            assert np.max(np.abs(dm - fd)) <= 1e-8 * np.max(np.abs(dm)), (N, L, phi)
-
     @pytest.mark.parametrize("N, L", [(1, 0), (3, 1), (6, 2), (12, 5)])
     def test_matrix_element_block_equals_per_phi_calls(self, N, L):
         # a row of times against a column of phi, the blocks of the T grid,
         # gives each phi's own call
         T = np.linspace(0.0, math.pi, 97)[None, :]
         phis = np.array([0.0, 0.4, 1.3, 2.77, 3.5])
-        block = _matrix_element(N, L, T, phis[:, None])
+        block = _kernel_matrix_element_grid(N, L, T, phis[:, None])
         for i, phi in enumerate(phis):
-            for got, want in zip(block, _matrix_element(N, L, T[0], float(phi))):
+            for got, want in zip(block, _kernel_matrix_element_grid(N, L, T[0], float(phi))):
                 assert got.shape == (phis.size, T.size)
                 assert np.max(np.abs(got[i] - want)) <= 1e-14 * np.max(np.abs(want)), phi
 
@@ -225,8 +214,8 @@ class TestEpsilonAxis:
         # the phase is normalised before its power is taken: conj(f)^{2N}
         # alone would overflow at phi = 3.5 for N ~ 125 and beyond
         phi = 3.5
-        phase, amp, damp, dchi = _kernel_matrix_element_grid(N, L, np.linspace(0.0, math.pi, 4001), phi)
-        assert all(np.all(np.isfinite(x)) for x in (phase, amp, damp, dchi))
+        phase, amp = _kernel_matrix_element_grid(N, L, np.linspace(0.0, math.pi, 4001), phi)
+        assert np.all(np.isfinite(phase)) and np.all(np.isfinite(amp))
         value = _inner_t_integral_grid(N, L, np.array([phi]), np.array([N * math.exp(-phi)]), 0.0125)
         assert np.all(np.isfinite(value))
 
@@ -234,11 +223,15 @@ class TestEpsilonAxis:
         "N, L, phi", [(1, 0, 0.3), (2, 1, 1.0), (3, 0, 2.2), (4, 2, 3.5), (6, 0, 2.9), (5, 4, 0.05)]
     )
     def test_dq_dt_reflection(self, N, L, phi):
-        # dQ/dT(2 pi - T) = -conj dQ/dT(T), which folds the period onto [0, pi]
+        # Q(2 pi - T) = conj Q(T), so dQ/dT(2 pi - T) = -conj dQ/dT(T): it
+        # folds the period onto [0, pi]; and Q(0) = Q(2 pi) = 0, the boundary
+        # terms that integrating the period by parts drops
         T = np.linspace(0.0, math.pi, 257)
-        dq = _dq_dt_grid(N, L, T, phi)
-        mirror = _dq_dt_grid(N, L, 2.0 * math.pi - T, phi)
-        assert np.max(np.abs(mirror + np.conj(dq))) <= 1e-12 * np.max(np.abs(dq))
+        q = _q_grid(N, L, T, phi)
+        mirror = _q_grid(N, L, 2.0 * math.pi - T, phi)
+        assert np.max(np.abs(mirror - np.conj(q))) <= 1e-12 * np.max(np.abs(q))
+        assert kernel_q(N, L, 0.0, phi) == 0.0
+        assert abs(kernel_q(N, L, 2.0 * math.pi, phi)) <= 2e-32  # sin^2(pi) = 1.5e-32 in double, |M| <= 1
 
     @pytest.mark.parametrize("N, L, eps", [(1, 0, 0.0125), (3, 1, 0.05)])
     def test_batched_grid_equals_scalar_calls(self, N, L, eps):

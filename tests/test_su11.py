@@ -95,6 +95,15 @@ class TestBch:
         assert b.rho == pytest.approx(r, rel=1e-14, abs=0)
         assert b.chi == 0.0 and b.psi == 0.0
 
+    @pytest.mark.parametrize("rho", [1e-9, 1e-7, 1e-6, 1e-5])
+    def test_small_boost_is_kept(self, rho):
+        # criterion 8's bound at boosts below its random draws: cosh rho
+        # rounds to 1 here, so rho must come from sinh rho = |beta|
+        for k in range(1, 100):
+            u = element(rho, 2.0 * math.pi * k / 100, 0.3)
+            m = bch_reconstruct_2x2(bch_decompose(u))
+            assert np.max(np.abs(m - np.array(u.matrix()))) <= 1e-12, k
+
     def test_reconstruct_round_trip_on_coordinates(self):
         rng = random.Random(3)
         for _ in range(50):
