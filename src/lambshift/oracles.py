@@ -18,21 +18,21 @@ by construction; the oscillatory epsilon route in particular only makes
 sense after extrapolating the damping to zero.  Its inner time integral
 is exact at every finite epsilon: one period of the 2 pi-periodic dQ/dT
 divided by 1 - e^{2 pi s}, s = i nu - eps, integrated by parts into -s
-times the damped period of Q itself (Q vanishes at 0 and 2 pi), and folded onto
-[0, pi] by Q(2 pi - T) = conj Q(T).  Up to phi = 3.5 that half period is
-a T grid whose size depends only on the node's panel count, so the phi
-nodes with one count are (phi x T) blocks of up to 15 nodes: the trig of
-T is taken once per count and the hyperbolics once per node, and the
-phase e^{-2iN chi} of the kernel is algebraic in them, with no angle,
-complex exponential or complex division per element.  A call's grid is
-kept as one table of T-moments, which do not depend on eps (the damping
-e^{-+eps T} is their Taylor series, exact in double up to EPS_MAX), so an
-eps sweep whose phi nodes stay put, the 1s route of verify, evaluates the
-kernel on the grid once.  At large phi it is the kernel's exponential
-series summed in closed form: the Gauss pieces of the rotated inner
-integral's Euler form at the complex nu + i eps (kernel._euler_block, all
-such nodes of a call in one block), which hold the whole damped
-integral, residue terms and tail alike.
+times the damped period of Q itself (Q vanishes at 0 and 2 pi), and
+folded onto [0, pi] by Q(2 pi - T) = conj Q(T).  Up to phi = 3.5 that
+half period is a T grid whose size depends only on the node's panel
+count, so the phi nodes with one count are (phi x T) blocks of up to 15
+nodes: the trig of T is taken once per block row and the hyperbolics
+once per node, and the phase e^{-2iN chi} of the kernel is algebraic in
+them, with no angle, complex exponential or complex division per
+element.  A call's grid is kept as one table of T-moments, which do not
+depend on eps (the damping e^{-+eps T} is their Taylor series, exact in
+double up to EPS_MAX), so an eps sweep whose phi nodes stay put, the 1s
+route of verify, evaluates the kernel on the grid once.  At large phi it
+is the kernel's exponential series summed in closed form: the Gauss
+pieces of the rotated inner integral's Euler form at the complex
+nu + i eps (kernel._euler_block, all such nodes of a call in one block),
+which hold the whole damped integral, residue terms and tail alike.
 """
 
 from __future__ import annotations
@@ -434,8 +434,8 @@ def _t_moments(N, L, phis, nus):
     times depend only on the count, so the nodes of each count are
     (phi x T) blocks of up to _BLOCK_ROWS nodes, a column of phi against
     one row of times, and each moment of a block is one matrix-vector
-    product with a weight row.  The trig of T is taken once per count and
-    the hyperbolics once per node (_kernel_matrix_element_grid), and
+    product with a weight row.  The trig of T is taken once per block row
+    and the hyperbolics once per node (_kernel_matrix_element_grid), and
     e^{i nu T} is formed from its factors e^{i nu mid} and e^{i nu offset}.
     Returns a read-only (nodes x _MOMENTS) array.
     """
