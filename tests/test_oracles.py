@@ -136,7 +136,7 @@ class TestEpsilonAxis:
         [(1, 0, 3.4, 0.0125), (2, 1, 1.0, 0.00625), (3, 0, 3.4, 0.05), (4, 1, 3.4, 0.0125), (12, 5, 3.4, 0.025)],
     )
     def test_inner_grid_matches_mpmath_period(self, N, L, phi, eps):
-        # the grid integrates Q by parts, the reference dQ/dT itself
+        # the grid integrates Q by parts; the reference integrates dQ/dT
         nu = N * math.exp(-phi)
         got = _inner_t_integral_grid(N, L, np.array([phi]), np.array([nu]), eps)[0]
         want = _mp_damped_inner(N, L, phi, nu, eps)

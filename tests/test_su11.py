@@ -98,7 +98,8 @@ class TestBch:
     @pytest.mark.parametrize("rho", [1e-9, 1e-7, 1e-6, 1e-5])
     def test_small_boost_is_kept(self, rho):
         # criterion 8's bound at boosts below its random draws: cosh rho
-        # rounds to 1 here, so rho must come from sinh rho = |beta|
+        # keeps only rho^2/2 of the boost (none below rho ~ 1e-8), so rho
+        # must come from sinh rho = |beta|
         for k in range(1, 100):
             u = element(rho, 2.0 * math.pi * k / 100, 0.3)
             m = bch_reconstruct_2x2(bch_decompose(u))
