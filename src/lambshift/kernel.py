@@ -44,10 +44,11 @@ slab in _log_series, to whose pieces fill_tau_integrals adds the residue
 terms); the same Gauss pieces at the complex nu + i eps are the eps
 oracle's inner integral at large phi, reached without a PhiKernel and so
 without a weight row.  Within a block, only a node's Jacobi point
-(_block_rows), its e^-phi and its one digamma (_euler_block) are scalar
-calls; every other per-node quantity is an array operation over the
-block's nodes, the weight gains too: their powers t^{2k} are running
-products, as in residue_coeffs, not pow, so the rows keep its floats.
+(_block_rows) and its e^-phi (_euler_block) are scalar calls; every
+other per-node quantity is an array operation over the block's nodes,
+the digamma heads too (one specfun.digamma per block, _psi_rows) and the
+weight gains: their powers t^{2k} are running products, as in
+residue_coeffs, not pow, so the rows keep its floats.
 Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 (oracles.q_imag_time, oracles.remainder), the real-time kernel
 (oracles.kernel_q) and the adaptive quadrature of the inner integral
@@ -406,15 +407,17 @@ def _log_series(N: int, L: int, bh, g, w):
 def _psi_rows(N: int, nus) -> np.ndarray:
     """psi(1 - nu + i), i < N, one row per nu (real or complex, with 1 - nu + i never 0 or a negative integer).
 
-    The rows of the scalar recurrence (float for float at real nu): one
-    digamma at the first positive argument, i = int(nu), then running sums
-    (cumsum adds in the loop's order) of 1/(i - nu) upward and of
-    -1/(i + 1 - nu) downward.
+    The rows of the scalar recurrence (float for float at real nu): the
+    heads at the first positive argument, i = int(nu), where 1 - nu + i
+    lies on digamma's strip (0 < Re <= 1, |Im| = eps), all from one array
+    specfun.digamma, then running sums (cumsum adds in the loop's order) of
+    1/(i - nu) upward and of -1/(i + 1 - nu) downward.  Every head is the
+    float of its node alone, so each row is too.
     """
-    first = [int(x.real) for x in nus]
-    nu, i = np.array(nus)[:, None], np.arange(N, dtype=float)
-    below, at = i < np.array(first, dtype=float)[:, None], [k * N + f for k, f in enumerate(first)]
-    heads = [digamma(1.0 - x + f) for x, f in zip(nus, first)]
+    first = [int(x.real) for x in nus]  # Python ints: np.floor would page in its code
+    nu, i, f = np.array(nus)[:, None], np.arange(N, dtype=float), np.array(first, dtype=float)
+    below, at = i < f[:, None], [k * N + j for k, j in enumerate(first)]
+    heads = digamma(1.0 - nu[:, 0] + f)
     inv = np.zeros((len(nus), N + 1), dtype=nu.dtype)
     inv[:, 1:] = 1.0 / (i + 1.0 - nu)
     psi = inv[:, :-1].copy()
@@ -458,16 +461,16 @@ def _euler_block(N: int, L: int, phis, nus) -> np.ndarray:
 
     f_j from _euler_rows.  What is left are Pochhammer polynomials in b,
     one finite sum and one log series in w per term (_log_series); every
-    psi(b+h+j) follows from one digamma by recurrence, and
+    psi(b+h+j) follows from one digamma head by recurrence, and
     w = 4 e^-phi/(1+e^-phi)^2 is formed directly, t^2 as 1 - w.
 
     The nodes are one block.  w, w^3, ln w and t^{2k} are columns over the
     nodes, and the digamma rows psi(1 - nu + i), i < N, cumulative sums
-    from each node's one digamma at i = int(nu), upward and, where
-    int(nu) >= 1, downward, in the recurrence's order.  Only e^-phi
-    (math.exp: numpy's first exp pages in its code, ~0.1 MB of a pass's
-    peak memory) and that digamma (a numpy psi was no faster for blocks of
-    15-32) are scalar calls per node.  The rest is array operations over
+    from each node's digamma head at i = int(nu), upward and, where
+    int(nu) >= 1, downward, in the recurrence's order (_psi_rows, all heads
+    of the block from one array specfun.digamma).  Only e^-phi (math.exp:
+    numpy's first exp pages in its code, ~0.1 MB of a pass's peak memory)
+    is a scalar call per node.  The rest is array operations over
     (nodes x terms), and over j for the sums, each in the order of a
     term-by-term loop, so a node's pieces do not depend on the rest of the
     block.  Returns a (nodes x 2(N-L)) array of the Gauss terms only, two

@@ -1,17 +1,18 @@
 """Brute-force cross-check evaluators, kept off the primary result path.
 
-Eight independent routes back the closed forms used elsewhere: the kernel
-as an explicit sum over the compact-generator eigenbasis, the polar (BCH)
-decomposition of an SU(1,1) element (BchCoordinates) against the 2x2
-product of its disentangled factors, the rotated kernel and its
+Nine independent routes back the closed forms used elsewhere: the kernel
+as an explicit sum over the compact-generator eigenbasis, the scalar
+digamma for any Re x > 0 (against specfun.digamma's strip form), the
+polar (BCH) decomposition of an SU(1,1) element (BchCoordinates) against
+the 2x2 product of its disentangled factors, the rotated kernel and its
 remainder in tau from the closed u-form (q_imag_time, remainder,
 remainder_dtau; the hot path only integrates them in closed form), the
 inner tau integral by adaptive quadrature of that u-form, the PV term of
 a shift as one folded principal value per decay channel (against the
-singularity subtraction of shifts._bracket_integrand), the dipole rate of
-the circular states (N, N-1) in closed form, the Bethe logarithm by
-Neville extrapolation of dipole shifts at finite cutoffs (against the one
-convergent integral of shifts.bethe_log), and the un-rotated
+singularity subtraction of shifts._bracket_integrand), the dipole rate
+of the circular states (N, N-1) in closed form, the Bethe logarithm by
+Neville extrapolation of dipole shifts at finite cutoffs (against the
+one convergent integral of shifts.bethe_log), and the un-rotated
 real-axis double integral at finite damping epsilon, whose real-time
 kernel Q(T, phi) is written once (kernel_q).  Tolerances here are looser
 by construction; the oscillatory epsilon route in particular only makes
@@ -21,18 +22,20 @@ divided by 1 - e^{2 pi s}, s = i nu - eps, integrated by parts into -s
 times the damped period of Q itself (Q vanishes at 0 and 2 pi), and
 folded onto [0, pi] by Q(2 pi - T) = conj Q(T).  Up to phi = 3.5 that
 half period is a T grid whose size depends only on the node's panel
-count, so the phi nodes with one count are (phi x T) blocks of up to 15
-nodes: the trig of T is taken once per block row and the hyperbolics
-once per node, and the phase e^{-2iN chi} of the kernel is algebraic in
-them, with no angle, complex exponential or complex division per
-element.  A call's grid is kept as one table of T-moments, which do not
-depend on eps (the damping e^{-+eps T} is their Taylor series, exact in
-double up to EPS_MAX), so an eps sweep whose phi nodes stay put, the 1s
-route of verify, evaluates the kernel on the grid once.  At large phi it
-is the kernel's exponential series summed in closed form: the Gauss
-pieces of the rotated inner integral's Euler form at the complex
-nu + i eps (kernel._euler_block, all such nodes of a call in one block),
-which hold the whole damped integral, residue terms and tail alike.
+count, rounded up the ladder 13 * 2^k so that a grid has few counts, and
+the phi nodes with one count are (phi x T) blocks of at most 2925
+elements (15 rows at 13 panels): the trig of T is taken once per block
+row and the hyperbolics once per node, and the phase e^{-2iN chi} of the
+kernel is algebraic in them, with no angle, complex exponential or
+complex division per element.  A call's grid is kept as one table of
+T-moments, which do not depend on eps (the damping e^{-+eps T} is their
+Taylor series, exact in double up to EPS_MAX), so an eps sweep whose phi
+nodes stay put, the 1s route of verify, evaluates the kernel on the grid
+once.  At large phi it is the kernel's exponential series summed in
+closed form: the Gauss pieces of the rotated inner integral's Euler form
+at the complex nu + i eps (kernel._euler_block, all such nodes of a call
+in one block), which hold the whole damped integral, residue terms and
+tail alike.
 """
 
 from __future__ import annotations
@@ -333,6 +336,32 @@ def circular_rate_closed_form(
     return shape * unit / 1.0e6
 
 
+def digamma(x):
+    """psi(x) for a float or complex x, Re x > 0, within ~6e-16 of max(1, |psi(x)|).
+
+    The scalar reference of specfun.digamma's strip form, by another
+    route: recurs up to Re x >= 14 with psi(x) = psi(x+1) - 1/x, then sums
+    the asymptotic series ln x - 1/(2x) - sum_k B_2k/(2k x^2k) through
+    x^-14, whose first omitted term is below 3e-19 there (|x| >= Re x).  A
+    complex x gives a complex, its real and imaginary parts each one
+    math.fsum.
+    """
+    if not x.real > 0.0:
+        raise ValueError(f"digamma needs Re x > 0, got {x!r}")
+    terms = []
+    while x.real < 14.0:
+        terms.append(-1.0 / x)
+        x += 1.0
+    x2 = 1.0 / (x * x)
+    tail = x2 * (1 / 12 - x2 * (1 / 120 - x2 * (1 / 252 - x2 * (1 / 240 - x2 * (
+        1 / 132 - x2 * (691 / 32760 - x2 / 12))))))
+    if isinstance(x, complex):
+        terms += (cmath.log(x), -0.5 / x, -tail)
+        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    terms += (math.log(x), -0.5 / x, -tail)
+    return math.fsum(terms)
+
+
 def _complex(re, im) -> np.ndarray:
     """re + i im, filled in place: re + 1j * im forms two complex temporaries."""
     out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
@@ -416,31 +445,54 @@ PHI_OSCILLATORY_MAX = 3.5
 # of every term, so the grid keeps the eps-free T-moments of its terms.
 EPS_MAX = 0.25
 _MOMENTS = 17
-# phi nodes per (phi x T) block of the grid: one quadrature panel's worth
-_BLOCK_ROWS = 15
+# Panel counts of the T grid on [0, pi] climb the ladder 13 * 2^k from
+# ceil(pi/0.25) = 13, the count of panels 0.25 wide
+_PANELS = 13
+# (phi x T) elements per block of the grid: 15 rows of the 13-panel grid's 195 times
+_BLOCK_ELEMENTS = 15 * _PANELS * 15
 
 
-# One table per phi grid of a call, (nodes x _MOMENTS) complex: 45 kB for
-# the 165 grid nodes of 1s, which every eps of a sweep shares
-@lru_cache(maxsize=4)
+def _t_panels(N: int, phis: np.ndarray) -> np.ndarray:
+    """The panel count of each node's T grid: the least 13 * 2^k at or above the node's need.
+
+    A node needs ceil(pi/h) panels of width h = min(0.25, 2/(N cosh phi)),
+    a third of the local oscillation period, which hold ~1e-14 up to
+    phi = 3.5.  Rounding that up the doubling ladder only narrows panels,
+    and gives the nodes of a grid few distinct counts (two for 1s, against
+    fourteen needs), so that they share few, full blocks.
+    """
+    need = np.ceil(math.pi / np.minimum(0.25, 2.0 / (N * np.cosh(phis))))
+    counts = np.full(need.shape, _PANELS)
+    while (short := counts < need).any():
+        counts[short] *= 2
+    return counts
+
+
+# One table, of the last phi grid asked for, (nodes x _MOMENTS) complex:
+# 45 kB for the 165 grid nodes of 1s, which every eps of a sweep shares.
+# The grids of N >= 2 move with eps and never repeat, so no more is kept.
+@lru_cache(maxsize=1)
 def _t_moments(N, L, phis, nus):
     """mu_m = sum_T (h W_T T^m/m!) e^{i nu T} Q(T), m < _MOMENTS, per node of one phi grid.
 
     phis and nus are the equal-length tuples of one call's grid nodes.  A
     node's times are count Gauss-Kronrod panels of half width
     h = pi/(2 count) on [0, pi], with the module's 15-point Kronrod rule
-    (quadrature._X and _W[:, 0]); panels of width 2/(N cosh phi), a third
-    of the local oscillation period, hold ~1e-14 up to phi = 3.5.  The
-    times depend only on the count, so the nodes of each count are
-    (phi x T) blocks of up to _BLOCK_ROWS nodes, a column of phi against
-    one row of times, and each moment of a block is one matrix-vector
-    product with a weight row.  The trig of T is taken once per block row
-    and the hyperbolics once per node (_kernel_matrix_element_grid), and
-    e^{i nu T} is formed from its factors e^{i nu mid} and e^{i nu offset}.
-    Returns a read-only (nodes x _MOMENTS) array.
+    (quadrature._X and _W[:, 0]) and count from the ladder of _t_panels.
+    The times depend only on the count, so the nodes of each count are
+    (phi x T) blocks, a column of phi against one row of times, of as many
+    rows as keep rows x times within _BLOCK_ELEMENTS = 2925 (15 rows at
+    13 panels, 7 at 26, 3 at 52, 1 at 104), which bounds each block's
+    transients; from 208 panels on (N cosh phi > 66, so only for N >= 4)
+    a node is a block of one, past the budget by itself.  Each moment of a
+    block is one matrix-vector product with a weight row.  The trig of T
+    is taken once per block row and the hyperbolics once per node
+    (_kernel_matrix_element_grid), and e^{i nu T} is formed from its
+    factors e^{i nu mid} and e^{i nu offset}.  Returns a read-only
+    (nodes x _MOMENTS) array.
     """
     phis, nus = np.array(phis), np.array(nus)
-    counts = np.ceil(math.pi / np.minimum(0.25, 2.0 / (N * np.cosh(phis)))).astype(int)
+    counts = _t_panels(N, phis)
     moments = np.empty((phis.size, _MOMENTS), dtype=complex)
     # sorted(set()), not np.unique: its first call in a process costs 11-19 ms
     # and 1.7 MB of peak RSS (numpy 2.4.6)
@@ -450,8 +502,9 @@ def _t_moments(N, L, phis, nus):
         t = (mids[:, None] + offsets).ravel()
         s2, weights = np.sin(t / 2.0) ** 2, np.tile(half * _W[:, 0], count)
         nodes = np.flatnonzero(counts == count)
-        for start in range(0, nodes.size, _BLOCK_ROWS):
-            block = nodes[start : start + _BLOCK_ROWS]
+        rows = max(1, _BLOCK_ELEMENTS // t.size)
+        for start in range(0, nodes.size, rows):
+            block = nodes[start : start + rows]
             q, amp = _kernel_matrix_element_grid(N, L, t, phis[block, None])
             amp *= s2
             q *= amp  # Q = sin^2(T/2) e^{-2iN chi} A
@@ -489,8 +542,8 @@ def _inner_t_integral_grid(N, L, phis, nus, eps):
     two real-weighted sums, sum (w e^{-eps T}) v + e^{2 pi s} conj
     sum (w e^{eps T}) v, and with the T-moments mu_m of the grid
     (_t_moments) they are sum_m (-eps)^m mu_m and sum_m eps^m mu_m.  The
-    moments do not depend on eps: a phi grid's table is formed once per
-    process, and every later call on the same nodes (the 1s route at each
+    moments do not depend on eps: the last phi grid's table is kept, so
+    every call right after one on the same nodes (the 1s route at each
     eps) is two matrix-vector products.
     """
     mu = _t_moments(N, L, tuple(phis.tolist()), tuple(nus.tolist()))
@@ -537,12 +590,12 @@ def shift_via_eps_real_axis(
 
     The nodes of every phi panel are one array: those up to
     PHI_OSCILLATORY_MAX are one _inner_t_integral_grid call, the rest one
-    _inner_t_integral_spectral call (one kernel._euler_block).  The grid's
-    T-moments are kept as one table per phi grid (_t_moments): for N = 1
-    the phi edges do not depend on eps, so the calls at the second and
-    later eps of a sweep are two matrix-vector products each.  For N >= 2
-    the edges refined around the poles ln(N/n) move with eps, and every
-    call forms its own table.  Each node's w(phi) comes from the
+    _inner_t_integral_spectral call (one kernel._euler_block).  The
+    T-moments of the last phi grid are kept as one table (_t_moments): for
+    N = 1 the phi edges do not depend on eps, so the calls at the second
+    and later eps of a sweep are two matrix-vector products each.  For
+    N >= 2 the edges refined around the poles ln(N/n) move with eps, and
+    every call forms its own table, which replaces the last.  Each node's w(phi) comes from the
     non-dipole weight closure of shifts._photon_weight, the same floats as
     the shifts and rates.
 

@@ -698,11 +698,12 @@ class TestEulerForm:
         # int(nu) runs from 0 to 4 over these nodes (N = 86 at phi = 2.9),
         # so the rows recur upward and downward; real nu gives the loop's
         # floats, complex nu + i eps differs only in the rounding of
-        # numpy's complex division, amplified where the running sum cancels
+        # numpy's complex division, amplified where the running sum cancels.
+        # The head is the strip form's at a block of one node
         def recurrence(nu):
             first = int(nu.real)
             psi = [0.0] * N
-            psi[first] = specfun.digamma(1.0 - nu + first)
+            psi[first] = specfun.digamma(np.array([1.0 - nu + first]))[0]
             for i in range(first + 1, N):
                 psi[i] = psi[i - 1] + 1.0 / (i - nu)
             for i in range(first - 1, -1, -1):
@@ -942,17 +943,27 @@ class TestEulerBlock:
     def test_log_series_that_never_ends_raises(self, monkeypatch, N, L):
         # a NaN entry never meets the stopping test: the doubling stops at
         # _SERIES_MAX_STEPS and names the state.  The guard on the step table
-        # ends the test instead if the bound is ever lost.
-        table = K._log_table
+        # ends the test instead if the bound is ever lost.  A NaN nu stops
+        # earlier, at the digamma strip's check, so the NaN enters the log
+        # series through a node's digamma head
+        table, strip = K._log_table, K.digamma
 
         def guarded(N, L, length):
             assert length <= K._SERIES_MAX_STEPS, "the log series doubled past its bound"
             return table(N, L, length)
 
+        def nan_last_head(x):
+            heads = strip(x)
+            heads[-1] = math.nan
+            return heads
+
+        nus = [complex(N * math.exp(-4.0), 0.0125), complex(N * math.exp(-5.0), 0.0125)]
+        with pytest.raises(ValueError, match="digamma needs 0 < Re x <= 1"):
+            K._euler_block(N, L, [4.0, 5.0], [nus[0], complex(nus[1].real, math.nan)])
         monkeypatch.setattr(K, "_log_table", guarded)
-        nu = complex(N * math.exp(-5.0), math.nan)
+        monkeypatch.setattr(K, "digamma", nan_last_head)
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match=rf"\(N, L\) = \({N}, {L}\) has not ended"):
-            K._euler_block(N, L, [4.0, 5.0], [complex(N * math.exp(-4.0)), nu])
+            K._euler_block(N, L, [4.0, 5.0], nus)
 
 
 class TestBlockStream:

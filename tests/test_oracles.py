@@ -11,7 +11,9 @@ from lambshift.oracles import (
     PHI_OSCILLATORY_MAX,
     _inner_t_integral_grid,
     _inner_t_integral_spectral,
+    _BLOCK_ELEMENTS,
     _kernel_matrix_element_grid,
+    _t_panels,
     bethe_log_by_cutoffs,
     circular_rate_closed_form,
     kernel_q,
@@ -152,8 +154,7 @@ class TestEpsilonAxis:
         phis = np.append(1.75 + 1.75 * nodes, PHI_OSCILLATORY_MAX)
         nus = N * np.exp(-phis)
         got = _inner_t_integral_grid(N, L, phis, nus, eps)
-        for phi, nu, value in zip(phis, nus, got):
-            count = math.ceil(math.pi / min(0.25, 2.0 / (N * math.cosh(phi))))
+        for phi, nu, value, count in zip(phis, nus, got, _t_panels(N, phis).tolist()):
             half = 0.5 * math.pi / count
             t = ((2 * np.arange(count) + 1)[:, None] * half + half * nodes).ravel()
             w = np.tile(half * weights, count)
@@ -187,6 +188,64 @@ class TestEpsilonAxis:
         assert len(seen) == len(set(seen)) == 165  # 11 phi panels up to 3.5
         assert max(seen) <= PHI_OSCILLATORY_MAX
         assert blocks == [90, 90, 90]  # 6 phi panels from 3.5 to 9
+
+    @pytest.mark.parametrize("N, L", [(1, 0), (2, 0), (2, 1), (12, 5)])
+    def test_panel_counts_climb_the_ladder(self, N, L, monkeypatch):
+        # each node's count is 13 * 2^k and at least its need of panels at
+        # most min(0.25, 2/(N cosh phi)) wide; the nodes of one count share
+        # blocks of at most 2925 (phi x T) elements, or are blocks of one
+        from lambshift import oracles
+
+        eps = 0.05
+        edges = oracles._phi_breakpoints(N, L, eps, 9.0 + math.log(N))
+        centres, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        nodes = np.asarray(kronrod_nodes_weights()[0])
+        phis = (centres[:, None] + halves[:, None] * nodes).ravel()
+        phis = phis[phis <= PHI_OSCILLATORY_MAX]
+        counts = _t_panels(N, phis)
+        for phi, count in zip(phis.tolist(), counts.tolist()):
+            need = math.ceil(math.pi / min(0.25, 2.0 / (N * math.cosh(phi))))
+            k = round(math.log2(count / 13))
+            assert count == 13 * 2**k and count >= need and (k == 0 or count < 2 * need), phi
+        shapes = []
+
+        def matrix_element(N, L, T, phi):
+            shapes.append((np.size(phi), T.size))
+            return _kernel_matrix_element_grid(N, L, T, phi)
+
+        monkeypatch.setattr(oracles, "_kernel_matrix_element_grid", matrix_element)
+        oracles._t_moments.cache_clear()
+        _inner_t_integral_grid(N, L, phis, N * np.exp(-phis), eps)
+        assert _BLOCK_ELEMENTS == 15 * 195 == 2925
+        assert sum(rows for rows, _ in shapes) == phis.size
+        assert all(rows * times <= 2925 or rows == 1 for rows, times in shapes)
+        by_count = {times: rows for rows, times in shapes}
+        assert sorted(by_count) == [15 * c for c in sorted(set(counts.tolist()))]
+        if N == 1:  # 165 nodes: 144 at 13 panels in 10 blocks, 21 at 26 in 3 of 7
+            assert len(set(counts.tolist())) == 2 and len(shapes) == 13
+
+    def test_eps_range_lies_on_the_digamma_strip(self):
+        # the spectral nodes' digamma heads sit at 1 - nu + floor(nu) - i eps,
+        # so every eps the route accepts must lie on specfun.digamma's strip
+        from lambshift.specfun import STRIP_IM_MAX
+
+        assert EPS_MAX <= STRIP_IM_MAX
+        for N, L in ((1, 0), (4, 1), (50, 49)):
+            phis = np.array([3.6, 6.0, 12.69])
+            value = _inner_t_integral_spectral(N, L, phis, N * np.exp(-phis), EPS_MAX)
+            assert np.all(np.isfinite(value))
+
+    def test_moment_cache_keeps_one_table(self):
+        # the grids of N >= 2 move with eps and never repeat; only the 1s
+        # sweep reads a table again, each eps right after the last
+        from lambshift import oracles
+
+        oracles._t_moments.cache_clear()
+        for N, L in ((1, 0), (2, 0), (2, 1)):
+            for eps in (0.05, 0.025, 0.0125):
+                shift_via_eps_real_axis(QuantumState(N=N, L=L), eps)
+        info = oracles._t_moments.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 7, 1, 1)
 
     @pytest.mark.parametrize("N, L", [(1, 0), (3, 1), (6, 2), (12, 5)])
     def test_matrix_element_block_equals_per_phi_calls(self, N, L):

@@ -8,11 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lambshift import specfun
+from lambshift.oracles import digamma
 from lambshift.specfun import (
     _JACOBI_STEPS,
+    STRIP_IM_MAX,
     _jacobi_recurrence,
     _jacobi_steps,
-    digamma,
     hyp2f1_terminating,
     ln_abs,
 )
@@ -249,9 +250,9 @@ class TestJacobiTable:
 
 
 class TestDigamma:
-    # the closed-form tau integral calls digamma once, at 1 - nu + floor(nu)
-    # in (0, 1], and reaches psi(b + j) for j up to ~60 beyond 2N by
-    # recurrence; the shifted arguments check where that recurrence lands
+    # oracles.digamma, the scalar reference of specfun.digamma's strip form,
+    # at the strip's real points 1 - nu + floor(nu) in (0, 1] and at
+    # psi(b + j), j up to ~60 beyond 2N, where the kernel's recurrence lands
     STARTS = np.linspace(0.0, 1.0, 201)[1:]
 
     def test_start_interval_against_mpmath(self):
@@ -273,9 +274,54 @@ class TestDigamma:
                 digamma(x)
 
 
+class TestStripDigamma:
+    # specfun.digamma, the closed-form tau integral's one array call per
+    # block: heads psi(1 - nu + floor(nu)), Re in (0, 1], at real nu and at
+    # nu + i eps, |Im| = eps <= EPS_MAX
+    STARTS = TestDigamma.STARTS
+
+    @staticmethod
+    def _complex_points():
+        rng = np.random.default_rng(20261021)
+        re = 1.0 - rng.uniform(0.0, 1.0, 1000)  # (0, 1]
+        im = rng.uniform(-STRIP_IM_MAX, STRIP_IM_MAX, 1000)
+        corners = [complex(r, i) for r in (1e-12, 0.5, 1.0) for i in (-STRIP_IM_MAX, STRIP_IM_MAX)]
+        return np.concatenate((re + 1j * im, corners))
+
+    def test_start_interval_against_mpmath(self):
+        got = specfun.digamma(self.STARTS)
+        assert got.dtype == float
+        with mp.workdps(30):
+            for x, value in zip(self.STARTS.tolist(), got.tolist()):
+                want = mp.digamma(x)
+                assert abs(value - want) <= 1e-15 * max(1.0, abs(want)), x
+
+    def test_complex_strip_against_mpmath(self):
+        points = self._complex_points()
+        got = specfun.digamma(points)
+        assert got.dtype == complex
+        with mp.workdps(20):
+            for x, value in zip(points.tolist(), got.tolist()):
+                want = mp.digamma(x)
+                assert abs(value - want) <= 1e-15 * max(1.0, abs(want)), x
+
+    def test_block_of_one_equals_block(self):
+        # each element's float is its own, whatever else the array holds
+        for points in (self.STARTS, self._complex_points()[:90]):
+            block = specfun.digamma(points).tolist()
+            assert block == [specfun.digamma(points[i : i + 1])[0] for i in range(points.size)]
+            assert block[:15] == specfun.digamma(points[:15]).tolist()
+
+    def test_rejects_points_off_the_strip(self):
+        for x in (0.0, -0.5, 1.0 + 1e-15, 1.5, math.nan, complex(0.5, STRIP_IM_MAX * 1.01), complex(math.nan, 0.1),
+                  complex(0.0, 0.1), complex(0.5, math.nan)):
+            with pytest.raises(ValueError, match="digamma needs 0 < Re x <= 1"):
+                specfun.digamma(np.array([0.5, x]))
+
+
 class TestComplexDigamma:
-    # the eps oracle evaluates the Euler form at nu + i eps: one digamma at
-    # 1 - nu' + floor(Re nu') and its recurrences, Im = -eps
+    # the reference at complex points beyond the strip: the eps oracle's
+    # Euler form at nu + i eps recurs from 1 - nu' + floor(Re nu'), Im = -eps
     def test_random_points_against_mpmath(self):
         rng = np.random.default_rng(20261018)
         # Re in (0, 20], |Im| <= 1
