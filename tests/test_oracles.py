@@ -9,9 +9,9 @@ from lambshift.kernel import PhiKernel, _euler_block
 from lambshift.oracles import (
     EPS_MAX,
     PHI_OSCILLATORY_MAX,
+    _BLOCK_ELEMENTS,
     _inner_t_integral_grid,
     _inner_t_integral_spectral,
-    _BLOCK_ELEMENTS,
     _kernel_matrix_element_grid,
     _t_panels,
     bethe_log_by_cutoffs,
