@@ -22,16 +22,19 @@ divided by 1 - e^{2 pi s}, s = i nu - eps, integrated by parts into -s
 times the damped period of Q itself (Q vanishes at 0 and 2 pi), and
 folded onto [0, pi] by Q(2 pi - T) = conj Q(T).  Up to phi = 3.5 that
 half period is a T grid whose size depends only on the node's panel
-count, rounded up the ladder 13 * 2^k so that a grid has few counts, and
-the phi nodes with one count are (phi x T) blocks of at most 2925
-elements (15 rows at 13 panels): the trig of T is taken once per block
-row and the hyperbolics once per node, and the phase e^{-2iN chi} of the
-kernel is algebraic in them, with no angle, complex exponential or
-complex division per element.  A call's grid is kept as one table of
-T-moments, which do not depend on eps (the damping e^{-+eps T} is their
-Taylor series, exact in double up to EPS_MAX), so an eps sweep whose phi
-nodes stay put, the 1s route of verify, evaluates the kernel on the grid
-once.  At large phi it is the kernel's exponential series summed in
+count, sized by the kernel's oscillation alone (panels a third of its
+local period, at most 0.8 wide) and rounded up the ladder 4 * 2^k so
+that a grid has few counts, and the phi nodes with one count are
+(phi x T) blocks of at most 2925 elements (48 rows at 4 panels): the
+trig of T is taken once per block row and the hyperbolics once per
+node, and the phase e^{-2iN chi} of the kernel is algebraic in them,
+with no angle, complex exponential or complex division per element.  A
+call's phi grid is kept as one table, its photon weights and the
+T-moments of its grid nodes, which do not depend on eps (the damping
+e^{-+eps T} is their Taylor series, exact in double up to EPS_MAX), so
+an eps sweep whose phi nodes stay put, the 1s route of verify, weighs
+its nodes and evaluates the kernel on the grid once.  At large phi it is
+the kernel's exponential series summed in
 closed form: the Gauss pieces of the rotated inner integral's Euler form
 at the complex nu + i eps (kernel._euler_block, all such nodes of a call
 in one block), which hold the whole damped integral, residue terms and
@@ -391,12 +394,14 @@ def _kernel_matrix_element_grid(N: int, L: int, T: np.ndarray, phi: float | np.n
     cosh_phi, sinh2_phi = np.cosh(phi), np.sinh(phi) ** 2
     minus_z = s2 * sinh2_phi
     inverse = 1.0 / (1.0 + minus_z)  # 1/(1-z) = 1/|f|^2
-    # P at w = (1+z)/(1-z), formed in the call so that w is freed with it
-    poly = _jacobi_recurrence(N - L - 1, 0.0, 2.0 * L + 1.0, (1.0 - minus_z) * inverse)
+    amp = inverse ** (L + 1)
+    if N - L >= 2:  # P of degree 0 is exactly 1
+        # P at w = (1+z)/(1-z), formed in the call so that w is freed with it
+        amp *= _jacobi_recurrence(N - L - 1, 0.0, 2.0 * L + 1.0, (1.0 - minus_z) * inverse)
     phase = _complex((c2 - s2 * cosh_phi**2) * inverse, -(np.sin(T) * cosh_phi) * inverse)
     if N > 1:  # numpy raises a complex array to the power 1 the slow way
         phase **= N
-    return phase, inverse ** (L + 1) * poly
+    return phase, amp
 
 
 def kernel_q(N: int, L: int, T: float, phi: float) -> complex:
@@ -445,53 +450,50 @@ PHI_OSCILLATORY_MAX = 3.5
 # of every term, so the grid keeps the eps-free T-moments of its terms.
 EPS_MAX = 0.25
 _MOMENTS = 17
-# Panel counts of the T grid on [0, pi] climb the ladder 13 * 2^k from
-# ceil(pi/0.25) = 13, the count of panels 0.25 wide
-_PANELS = 13
-# (phi x T) elements per block of the grid: 15 rows of the 13-panel grid's 195 times
-_BLOCK_ELEMENTS = 15 * _PANELS * 15
+# Panel counts of the T grid on [0, pi] climb the ladder 4 * 2^k from
+# ceil(pi/0.8) = 4, the count of panels 0.8 wide
+_PANELS = 4
+# (phi x T) elements per block of the grid, the bound on each block's
+# transients: 48 rows at 4 panels, 24 at 8, 12 at 16, 6 at 32, 3 at 64
+_BLOCK_ELEMENTS = 2925
 
 
 def _t_panels(N: int, phis: np.ndarray) -> np.ndarray:
-    """The panel count of each node's T grid: the least 13 * 2^k at or above the node's need.
+    """The panel count of each node's T grid: the least 4 * 2^k at or above the node's need.
 
-    A node needs ceil(pi/h) panels of width h = min(0.25, 2/(N cosh phi)),
-    a third of the local oscillation period, which hold ~1e-14 up to
-    phi = 3.5.  Rounding that up the doubling ladder only narrows panels,
-    and gives the nodes of a grid few distinct counts (two for 1s, against
-    fourteen needs), so that they share few, full blocks.
+    A node needs ceil(pi/h) panels of width h = min(0.8, 2/(N cosh phi)),
+    a third of the local oscillation period; the 15-point Kronrod rule is
+    exact to degree 22, so such panels hold every moment of _t_moments to
+    ~1e-15 of the node's largest up to phi = 3.5, as on a grid with four
+    times the panels.  Rounding the need up the doubling ladder only
+    narrows panels, and gives the nodes of a grid few distinct counts
+    (four for 1s), so that they share few, full blocks.
     """
-    need = np.ceil(math.pi / np.minimum(0.25, 2.0 / (N * np.cosh(phis))))
+    need = np.ceil(math.pi / np.minimum(0.8, 2.0 / (N * np.cosh(phis))))
     counts = np.full(need.shape, _PANELS)
     while (short := counts < need).any():
         counts[short] *= 2
     return counts
 
 
-# One table, of the last phi grid asked for, (nodes x _MOMENTS) complex:
-# 45 kB for the 165 grid nodes of 1s, which every eps of a sweep shares.
-# The grids of N >= 2 move with eps and never repeat, so no more is kept.
-@lru_cache(maxsize=1)
 def _t_moments(N, L, phis, nus):
-    """mu_m = sum_T (h W_T T^m/m!) e^{i nu T} Q(T), m < _MOMENTS, per node of one phi grid.
+    """mu_m = sum_T (h W_T T^m/m!) e^{i nu T} Q(T), m < _MOMENTS, per node of a phi grid.
 
-    phis and nus are the equal-length tuples of one call's grid nodes.  A
-    node's times are count Gauss-Kronrod panels of half width
-    h = pi/(2 count) on [0, pi], with the module's 15-point Kronrod rule
-    (quadrature._X and _W[:, 0]) and count from the ladder of _t_panels.
-    The times depend only on the count, so the nodes of each count are
-    (phi x T) blocks, a column of phi against one row of times, of as many
-    rows as keep rows x times within _BLOCK_ELEMENTS = 2925 (15 rows at
-    13 panels, 7 at 26, 3 at 52, 1 at 104), which bounds each block's
-    transients; from 208 panels on (N cosh phi > 66, so only for N >= 4)
-    a node is a block of one, past the budget by itself.  Each moment of a
-    block is one matrix-vector product with a weight row.  The trig of T
-    is taken once per block row and the hyperbolics once per node
+    phis and nus are equal-length arrays of nodes.  A node's times are
+    count Gauss-Kronrod panels of half width h = pi/(2 count) on [0, pi],
+    with the module's 15-point Kronrod rule (quadrature._X and _W[:, 0])
+    and count from the ladder of _t_panels.  The times depend only on the
+    count, so the nodes of each count are (phi x T) blocks, a column of phi
+    against one row of times, of as many rows as keep rows x times within
+    _BLOCK_ELEMENTS = 2925, which bounds each block's transients; from 128
+    panels on (N cosh phi > 40.7, so only for N >= 3) a node is a block of
+    one, past the budget by itself.  Each moment of a block is one
+    matrix-vector product with a weight row.  The trig of T is taken once
+    per block row and the hyperbolics once per node
     (_kernel_matrix_element_grid), and e^{i nu T} is formed from its
-    factors e^{i nu mid} and e^{i nu offset}.  Returns a read-only
-    (nodes x _MOMENTS) array.
+    factors e^{i nu mid} and e^{i nu offset}.  Returns a (nodes x _MOMENTS)
+    array.
     """
-    phis, nus = np.array(phis), np.array(nus)
     counts = _t_panels(N, phis)
     moments = np.empty((phis.size, _MOMENTS), dtype=complex)
     # sorted(set()), not np.unique: its first call in a process costs 11-19 ms
@@ -519,12 +521,36 @@ def _t_moments(N, L, phis, nus):
             for m in range(_MOMENTS):
                 moments[block, m] = q @ row
                 row *= t / (m + 1)
-    moments.flags.writeable = False
     return moments
 
 
-def _inner_t_integral_grid(N, L, phis, nus, eps):
-    """int_0^inf e^{(i nu - eps) T} dQ/dT dT, exactly, from half a period of Q.
+# One table, of the last phi grid asked for: w(phi) at each node (255 floats
+# for 1s) and the T-moments of the nodes up to PHI_OSCILLATORY_MAX
+# (165 x _MOMENTS complex for 1s, 45 kB), which every eps of a 1s sweep
+# shares.  The grids of N >= 2 move with eps and never repeat, so no more
+# is kept.
+@lru_cache(maxsize=1)
+def _grid_table(state, constants, phis):
+    """(w, mu) of one call's phi nodes: the weight column and the grid's T-moments.
+
+    state and constants are the call's, and phis is the tuple of all its
+    phi nodes, which is the key of the one table kept.  w is the non-dipole
+    weight closure of shifts._photon_weight at every node, the same floats
+    as the shifts and rates, and mu is _t_moments of the nodes
+    phi <= PHI_OSCILLATORY_MAX at nu = N e^{-phi}, in their order.  Both
+    arrays are read-only.
+    """
+    grid = np.array(phis)
+    grid = grid[grid <= PHI_OSCILLATORY_MAX]
+    mu = _t_moments(state.N, state.L, grid, state.N * np.exp(-grid))
+    weight = _photon_weight(state, NON_DIPOLE, constants)
+    w = np.array([weight(phi) for phi in phis])
+    w.flags.writeable = mu.flags.writeable = False
+    return w, mu
+
+
+def _inner_t_integral_grid(mu, nus, eps):
+    """int_0^inf e^{(i nu - eps) T} dQ/dT dT, exactly, from the T-moments mu of half a period of Q.
 
     dQ/dT is 2 pi-periodic, so with s = i nu - eps the damped integral is
     the one over [0, 2 pi] divided by 1 - e^{2 pi s}.  By parts, as
@@ -535,18 +561,14 @@ def _inner_t_integral_grid(N, L, phis, nus, eps):
         -s int_0^pi [e^{sT} Q(T) + e^{s(2 pi - T)} conj Q(T)] dT.
 
     Unlike the period of dQ/dT, this integral does not vanish as s -> 0,
-    so the quotient by 1 - e^{2 pi s} cancels nothing.  phis and nus are
-    equal-length arrays, and one complex is returned per node;
-    0 < eps <= EPS_MAX.  As e^{sT} = e^{-eps T} e^{i nu T} and
-    1/e^{sT} = e^{eps T} conj e^{i nu T}, with v = e^{i nu T} Q the fold is
-    two real-weighted sums, sum (w e^{-eps T}) v + e^{2 pi s} conj
-    sum (w e^{eps T}) v, and with the T-moments mu_m of the grid
-    (_t_moments) they are sum_m (-eps)^m mu_m and sum_m eps^m mu_m.  The
-    moments do not depend on eps: the last phi grid's table is kept, so
-    every call right after one on the same nodes (the 1s route at each
-    eps) is two matrix-vector products.
+    so the quotient by 1 - e^{2 pi s} cancels nothing.  mu holds the
+    nodes' rows of _t_moments and nus their frequencies, and one complex is
+    returned per node; 0 < eps <= EPS_MAX.  As e^{sT} = e^{-eps T} e^{i nu T}
+    and 1/e^{sT} = e^{eps T} conj e^{i nu T}, with v = e^{i nu T} Q the fold
+    is two real-weighted sums, sum (w e^{-eps T}) v + e^{2 pi s} conj
+    sum (w e^{eps T}) v, that is sum_m (-eps)^m mu_m and sum_m eps^m mu_m:
+    two matrix-vector products, whatever the grid.
     """
-    mu = _t_moments(N, L, tuple(phis.tolist()), tuple(nus.tolist()))
     s = 1j * nus - eps
     wraps = np.exp(2.0 * math.pi * s)
     forward, backward = (-eps) ** np.arange(_MOMENTS), eps ** np.arange(_MOMENTS)
@@ -590,12 +612,13 @@ def shift_via_eps_real_axis(
 
     The nodes of every phi panel are one array: those up to
     PHI_OSCILLATORY_MAX are one _inner_t_integral_grid call, the rest one
-    _inner_t_integral_spectral call (one kernel._euler_block).  The
-    T-moments of the last phi grid are kept as one table (_t_moments): for
-    N = 1 the phi edges do not depend on eps, so the calls at the second
-    and later eps of a sweep are two matrix-vector products each.  For
-    N >= 2 the edges refined around the poles ln(N/n) move with eps, and
-    every call forms its own table, which replaces the last.  Each node's w(phi) comes from the
+    _inner_t_integral_spectral call (one kernel._euler_block).  The last
+    phi grid's weights w(phi) and T-moments are kept as one table
+    (_grid_table): for N = 1 the phi edges do not depend on eps, so the
+    calls at the second and later eps of a sweep form no weight and take
+    two matrix-vector products for the grid.  For N >= 2 the edges refined
+    around the poles ln(N/n) move with eps, and every call forms its own
+    table, which replaces the last.  Each node's w(phi) comes from the
     non-dipole weight closure of shifts._photon_weight, the same floats as
     the shifts and rates.
 
@@ -620,12 +643,12 @@ def shift_via_eps_real_axis(
     centres, halves = 0.5 * (phi_edges[:-1] + phi_edges[1:]), 0.5 * (phi_edges[1:] - phi_edges[:-1])
     phis = (centres[:, None] + halves[:, None] * nodes).ravel()
     nus = N * np.exp(-phis)
+    w, mu = _grid_table(state, constants, tuple(phis.tolist()))
     inner = np.empty(phis.size, dtype=complex)
     grid = phis <= PHI_OSCILLATORY_MAX
-    inner[grid] = _inner_t_integral_grid(N, L, phis[grid], nus[grid], eps)
+    inner[grid] = _inner_t_integral_grid(mu, nus[grid], eps)
     inner[~grid] = _inner_t_integral_spectral(N, L, phis[~grid], nus[~grid], eps)
-    weight = _photon_weight(state, NON_DIPOLE, constants)
-    values = np.array([weight(phi) for phi in phis.tolist()]) * inner
+    values = w * inner
     total = halves @ (values.reshape(halves.size, nodes.size) @ weights)
     return constants.eV_to_MHz(shift_prefactor(state, constants)) * total
 

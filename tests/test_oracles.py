@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +14,7 @@ from lambshift.oracles import (
     _inner_t_integral_grid,
     _inner_t_integral_spectral,
     _kernel_matrix_element_grid,
+    _t_moments,
     _t_panels,
     bethe_log_by_cutoffs,
     circular_rate_closed_form,
@@ -24,7 +26,7 @@ from lambshift.oracles import (
     shift_via_eps_real_axis,
 )
 from lambshift.quadrature import kronrod_nodes_weights
-from lambshift.shifts import DipoleOptions, QuantumState, bethe_log, lamb_shift
+from lambshift.shifts import DipoleOptions, QuantumState, _photon_weight, bethe_log, lamb_shift
 
 
 def _mp_damped_inner(N, L, phi, nu, eps):
@@ -115,6 +117,22 @@ def _q_grid(N, L, T, phi):
     return np.sin(T / 2.0) ** 2 * phase * amp
 
 
+def _route_grid_nodes(N, L, eps):
+    """The phi nodes of shift_via_eps_real_axis's T grid for (N, L) at eps."""
+    from lambshift import oracles
+
+    edges = oracles._phi_breakpoints(N, L, eps, 9.0 + math.log(N))
+    centres, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = np.asarray(kronrod_nodes_weights()[0])
+    phis = (centres[:, None] + halves[:, None] * nodes).ravel()
+    return phis[phis <= PHI_OSCILLATORY_MAX]
+
+
+def _grid(N, L, phis, nus, eps):
+    """The T grid's damped inner integral at the nodes (phis, nus): their moments, folded."""
+    return _inner_t_integral_grid(_t_moments(N, L, phis, nus), nus, eps)
+
+
 class TestEpsilonAxis:
     def test_rejects_bad_inputs(self, monkeypatch):
         # a NaN eps would reach the spectral nodes, whose log series cannot
@@ -140,7 +158,7 @@ class TestEpsilonAxis:
     def test_inner_grid_matches_mpmath_period(self, N, L, phi, eps):
         # the grid integrates Q by parts; the reference integrates dQ/dT
         nu = N * math.exp(-phi)
-        got = _inner_t_integral_grid(N, L, np.array([phi]), np.array([nu]), eps)[0]
+        got = _grid(N, L, np.array([phi]), np.array([nu]), eps)[0]
         want = _mp_damped_inner(N, L, phi, nu, eps)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -153,7 +171,7 @@ class TestEpsilonAxis:
         nodes, weights, _ = (np.asarray(x) for x in kronrod_nodes_weights())
         phis = np.append(1.75 + 1.75 * nodes, PHI_OSCILLATORY_MAX)
         nus = N * np.exp(-phis)
-        got = _inner_t_integral_grid(N, L, phis, nus, eps)
+        got = _grid(N, L, phis, nus, eps)
         for phi, nu, value, count in zip(phis, nus, got, _t_panels(N, phis).tolist()):
             half = 0.5 * math.pi / count
             t = ((2 * np.arange(count) + 1)[:, None] * half + half * nodes).ravel()
@@ -166,11 +184,11 @@ class TestEpsilonAxis:
 
     def test_eps_sweep_evaluates_each_grid_node_once(self, monkeypatch):
         # the 1s nodes do not move with eps: the three verify calls form
-        # Q at each phi node of the T grid once, and each call sums its
-        # phi > 3.5 nodes in one Euler block
+        # Q at each phi node of the T grid once and the weight column once,
+        # and each call sums its phi > 3.5 nodes in one Euler block
         from lambshift import oracles
 
-        seen, blocks = [], []
+        seen, blocks, weighed = [], [], []
 
         def matrix_element(N, L, T, phi):
             seen.extend(np.ravel(phi).tolist())
@@ -180,33 +198,39 @@ class TestEpsilonAxis:
             blocks.append(len(phis))
             return _euler_block(N, L, phis, nus)
 
+        def photon_weight(*args):
+            weight = _photon_weight(*args)
+
+            def counted(phi):
+                weighed.append(phi)
+                return weight(phi)
+
+            return counted
+
         monkeypatch.setattr(oracles, "_kernel_matrix_element_grid", matrix_element)
         monkeypatch.setattr(oracles, "_euler_block", euler_block)
-        oracles._t_moments.cache_clear()
+        monkeypatch.setattr(oracles, "_photon_weight", photon_weight)
+        oracles._grid_table.cache_clear()
         for eps in (0.05, 0.025, 0.0125):
             shift_via_eps_real_axis(QuantumState(N=1, L=0), eps)
         assert len(seen) == len(set(seen)) == 165  # 11 phi panels up to 3.5
         assert max(seen) <= PHI_OSCILLATORY_MAX
         assert blocks == [90, 90, 90]  # 6 phi panels from 3.5 to 9
+        assert len(weighed) == len(set(weighed)) == 255  # one column for all three calls
 
     @pytest.mark.parametrize("N, L", [(1, 0), (2, 0), (2, 1), (12, 5)])
     def test_panel_counts_climb_the_ladder(self, N, L, monkeypatch):
-        # each node's count is 13 * 2^k and at least its need of panels at
-        # most min(0.25, 2/(N cosh phi)) wide; the nodes of one count share
+        # each node's count is 4 * 2^k and at least its need of panels at
+        # most min(0.8, 2/(N cosh phi)) wide; the nodes of one count share
         # blocks of at most 2925 (phi x T) elements, or are blocks of one
         from lambshift import oracles
 
-        eps = 0.05
-        edges = oracles._phi_breakpoints(N, L, eps, 9.0 + math.log(N))
-        centres, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-        nodes = np.asarray(kronrod_nodes_weights()[0])
-        phis = (centres[:, None] + halves[:, None] * nodes).ravel()
-        phis = phis[phis <= PHI_OSCILLATORY_MAX]
+        phis = _route_grid_nodes(N, L, 0.05)
         counts = _t_panels(N, phis)
         for phi, count in zip(phis.tolist(), counts.tolist()):
-            need = math.ceil(math.pi / min(0.25, 2.0 / (N * math.cosh(phi))))
-            k = round(math.log2(count / 13))
-            assert count == 13 * 2**k and count >= need and (k == 0 or count < 2 * need), phi
+            need = math.ceil(math.pi / min(0.8, 2.0 / (N * math.cosh(phi))))
+            k = round(math.log2(count / 4))
+            assert count == 4 * 2**k and count >= need and (k == 0 or count < 2 * need), phi
         shapes = []
 
         def matrix_element(N, L, T, phi):
@@ -214,15 +238,28 @@ class TestEpsilonAxis:
             return _kernel_matrix_element_grid(N, L, T, phi)
 
         monkeypatch.setattr(oracles, "_kernel_matrix_element_grid", matrix_element)
-        oracles._t_moments.cache_clear()
-        _inner_t_integral_grid(N, L, phis, N * np.exp(-phis), eps)
-        assert _BLOCK_ELEMENTS == 15 * 195 == 2925
+        _t_moments(N, L, phis, N * np.exp(-phis))
+        assert _BLOCK_ELEMENTS == 2925
         assert sum(rows for rows, _ in shapes) == phis.size
         assert all(rows * times <= 2925 or rows == 1 for rows, times in shapes)
         by_count = {times: rows for rows, times in shapes}
         assert sorted(by_count) == [15 * c for c in sorted(set(counts.tolist()))]
-        if N == 1:  # 165 nodes: 144 at 13 panels in 10 blocks, 21 at 26 in 3 of 7
-            assert len(set(counts.tolist())) == 2 and len(shapes) == 13
+        if N == 1:  # 165 nodes: 96, 33, 22 and 14 at 4, 8, 16 and 32 panels, in 2 + 2 + 2 + 3 blocks
+            assert Counter(counts.tolist()) == {4: 96, 8: 33, 16: 22, 32: 14} and len(shapes) == 9
+
+    @pytest.mark.parametrize("N, L", [(1, 0), (2, 1), (4, 1)])
+    def test_moments_hold_on_a_finer_grid(self, N, L, monkeypatch):
+        # every node's T-moments against the same node's on a grid with four
+        # times the panels, to 2e-15 of the node's largest moment
+        from lambshift import oracles
+
+        phis = _route_grid_nodes(N, L, 0.05)
+        nus = N * np.exp(-phis)
+        got = _t_moments(N, L, phis, nus)
+        monkeypatch.setattr(oracles, "_t_panels", lambda N, phis: 4 * _t_panels(N, phis))
+        fine = _t_moments(N, L, phis, nus)
+        err = np.max(np.abs(got - fine), axis=1) / np.max(np.abs(fine), axis=1)
+        assert err.max() <= 2e-15, phis[err.argmax()]
 
     def test_eps_range_lies_on_the_digamma_strip(self):
         # the spectral nodes' digamma heads sit at 1 - nu + floor(nu) - i eps,
@@ -240,11 +277,11 @@ class TestEpsilonAxis:
         # sweep reads a table again, each eps right after the last
         from lambshift import oracles
 
-        oracles._t_moments.cache_clear()
+        oracles._grid_table.cache_clear()
         for N, L in ((1, 0), (2, 0), (2, 1)):
             for eps in (0.05, 0.025, 0.0125):
                 shift_via_eps_real_axis(QuantumState(N=N, L=L), eps)
-        info = oracles._t_moments.cache_info()
+        info = oracles._grid_table.cache_info()
         assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 7, 1, 1)
 
     @pytest.mark.parametrize("N, L", [(1, 0), (3, 1), (6, 2), (12, 5)])
@@ -275,7 +312,7 @@ class TestEpsilonAxis:
         phi = 3.5
         phase, amp = _kernel_matrix_element_grid(N, L, np.linspace(0.0, math.pi, 4001), phi)
         assert np.all(np.isfinite(phase)) and np.all(np.isfinite(amp))
-        value = _inner_t_integral_grid(N, L, np.array([phi]), np.array([N * math.exp(-phi)]), 0.0125)
+        value = _grid(N, L, np.array([phi]), np.array([N * math.exp(-phi)]), 0.0125)
         assert np.all(np.isfinite(value))
 
     @pytest.mark.parametrize(
@@ -299,10 +336,10 @@ class TestEpsilonAxis:
         nodes = np.asarray(kronrod_nodes_weights()[0])
         phis = 1.75 + 1.75 * nodes
         nus = N * np.exp(-phis)
-        batch = _inner_t_integral_grid(N, L, phis, nus, eps)
+        batch = _grid(N, L, phis, nus, eps)
         assert batch.shape == (15,)
         for i, got in enumerate(batch):
-            one = _inner_t_integral_grid(N, L, phis[i : i + 1], nus[i : i + 1], eps)
+            one = _grid(N, L, phis[i : i + 1], nus[i : i + 1], eps)
             assert one.shape == (1,)
             assert abs(got - one[0]) <= 1e-14 * abs(one[0])
 
@@ -315,7 +352,7 @@ class TestEpsilonAxis:
         # over one folded period against the kernel's exponential series in
         # closed form (residue terms plus the Euler form at nu + i eps)
         phis, nus = np.array([phi]), np.array([N * math.exp(-phi)])
-        grid = _inner_t_integral_grid(N, L, phis, nus, eps)[0]
+        grid = _grid(N, L, phis, nus, eps)[0]
         spectral = _inner_t_integral_spectral(N, L, phis, nus, eps)[0]
         assert abs(spectral - grid) <= 1e-12 * abs(grid)
 
