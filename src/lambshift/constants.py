@@ -66,9 +66,9 @@ def default_constants() -> PhysicalConstants:
 
 
 def rydberg_energy(constants: PhysicalConstants, Z: int, N: int) -> float:
-    """Bound-state energy E_N = -mec2 (Z alpha0)^2 / (2 N^2) in eV."""
-    if N < 1 or Z < 1:
-        raise ValueError(f"require N >= 1 and Z >= 1, got N={N}, Z={Z}")
+    """Bound-state energy E_N = -mec2 (Z alpha0)^2 / (2 N^2) in eV, for integers N >= 1 and Z >= 1."""
+    if not all(isinstance(x, (int, numbers.Integral)) and x >= 1 for x in (N, Z)):
+        raise ValueError(f"require integers N >= 1 and Z >= 1, got N={N!r}, Z={Z!r}")
     return -constants.mec2_eV * (Z * constants.alpha0) ** 2 / (2.0 * N * N)
 
 

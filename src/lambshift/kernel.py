@@ -22,17 +22,21 @@ only (N, L, phi, nu) and the filled value.  Summing the tail
 directly removes the catastrophic cancellation that subtracting the finite
 series from the closed form would cause at small phi, where the integrand
 weight e^{nu tau} grows almost as fast as the kernel decays.
-Every phi-independent coefficient of these loops is computed once,
-lazily, and then read: the binomial ratios, powers and Jacobi steps of
-the weights j <= N (_row_table, its steps from specfun._jacobi_steps,
-keyed by (N - j, 2L + 1) and so shared by every N, laid out as rows over
-j by _row_steps), the indices, gain ratios and steps of every tail chunk
-(_tail_table, the only source of them, kept for the last
-_TAIL_TABLE_CHUNKS chunks asked for: the series branch stops within a
-bounded depth for each (N, L), and a series that never stops keeps no
-more than that) and the factors
-of each Euler log series with its first term 1/s! (_euler_rows) and the
-steps of the log series themselves (_log_table, one table per length).
+Every phi-independent coefficient of these loops is computed lazily and
+then read.  The binomial ratios and Jacobi steps of the weights j <= N
+are _row_table, kept per (N, L) for the whole process, since every rate
+reads it once per channel; its steps come from specfun._jacobi_steps,
+keyed by (N - j, 2L + 1) and so shared by every N.  Everything else that
+depends on (N, L) alone lives in one record, _tables, which holds the
+last state asked for and no other: the weight steps as rows over j
+(_row_steps), the gain ratios and steps of each tail chunk narrower than
+the stream's 4096-column cap (_tail_table; the series branch stops
+within its first four chunks, so a series that never stops keeps six),
+the factors of each Euler log series with its first term 1/s!
+(_euler_rows) and the steps of the log series themselves (_log_table,
+one table per length).  Every caller reads a state's tables only while
+it works on that state, so each is built once per state and a sweep over
+states holds one state's tables.
 At large phi the series converges too slowly (ratio t^2 -> 1,
 t = tanh(phi/2)) and the closed u-form Q = pi(u) (1 - u t^2)^{-2N}, pi a
 polynomial of degree 2N - L, takes over without ever being evaluated in
@@ -127,9 +131,22 @@ def _row_table(N: int, L: int) -> tuple:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
+def _tables(N: int, L: int) -> dict:
+    """The tables of the last (N, L) asked for, by (builder, key); _table fills it."""
+    return {}
+
+
+def _table(builder, N: int, L: int, *key):
+    """builder(N, L, *key), built once while (N, L) is the state that _tables holds."""
+    tables = _tables(N, L)
+    if (builder, key) not in tables:
+        tables[builder, key] = builder(N, L, *key)
+    return tables[builder, key]
+
+
 def _row_steps(N: int, L: int) -> tuple:
-    """The Jacobi steps of the weights L < j <= N as rows over j, kept per (N, L).
+    """The Jacobi steps of the weights L < j <= N as rows over j.
 
     Step k is (c1, c0, c2), three arrays whose entry j - L - 1 is step k of
     weight j's polynomial (_row_table) up to its degree j - L - 1 and
@@ -163,7 +180,7 @@ def _block_rows(N: int, L: int, phis) -> tuple[np.ndarray, np.ndarray]:
     powers[:, 1:] = points[:, 1:2]
     np.cumprod(powers, axis=1, out=powers)
     ratios = np.array([ratio for ratio, _ in _row_table(N, L)])
-    p = _jacobi_from_steps(_row_steps(N, L), points[:, :1])
+    p = _jacobi_from_steps(_table(_row_steps, N, L), points[:, :1])
     rows = np.zeros((len(points), N + 2))
     rows[:, L + 2 :] = ratios * powers[:, ::-1] * points[:, 2:] * p * p  # weight j has power N - j
     return points, rows
@@ -174,22 +191,14 @@ def _q(below, at, above):
     return 0.5 * at - 0.25 * above - 0.25 * below
 
 
-# Tail chunks kept by _tail_table: a Table-1 or Bethe pass reads 14, and a
-# series forced past its switch, which runs to j = 2e6 before it raises,
-# would otherwise keep every chunk (30.8 MB at (1, 0)).
-_TAIL_TABLE_CHUNKS = 32
-
-
-@lru_cache(maxsize=_TAIL_TABLE_CHUNKS)
 def _tail_table(N: int, L: int, j0: int, j1: int):
-    """The phi-independent part of _tail_weights over j0 <= j < j1, kept per (N, L, j0, j1).
+    """The phi-independent part of _tail_weights over j0 <= j < j1.
 
-    (j - 1, ratios, steps) over the array j as floats: j - 1 indexes the
-    q_{j-1} that weight j completes (its last neighbour), the gain ratios
-    are (j+L)/(j-L-1) and the Jacobi steps are at alpha = j - N.
+    (ratios, steps) over the array j as floats: the gain ratios
+    (j+L)/(j-L-1) and the Jacobi steps at alpha = j - N.
     """
     j = np.arange(j0, j1, dtype=float)
-    return j - 1.0, (j + L) / (j - L - 1), _jacobi_steps(N - L - 1, j - N, 2.0 * L + 1.0)
+    return (j + L) / (j - L - 1), _jacobi_steps(N - L - 1, j - N, 2.0 * L + 1.0)
 
 
 def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain):
@@ -198,13 +207,15 @@ def _tail_weights(N: int, L: int, point, j0: int, j1: int, gain):
     The one route for the weights beyond _row_table's: one cumulative
     product of G_j/G_{j-1} = t^2 (j+L)/(j-L-1), which is sequential, so
     carrying G across a split changes no value.  Its coefficients come
-    from _tail_table, built once per (N, L, j0, j1).  point is that of one
+    from _tail_table, kept in _tables for a range narrower than the
+    stream's 4096-column cap and built afresh at the cap, where a stream
+    that does not stop asks for ever new ranges.  point is that of one
     node (floats) or of a block of nodes (w and t^2 as columns, gain a row
     of their gains): a block is one row per node, each row the same floats
     as the node alone.
     """
     w, t2, _ = point
-    _, ratios, steps = _tail_table(N, L, j0, j1)
+    ratios, steps = _table(_tail_table, N, L, j0, j1) if j1 - j0 < 4096 else _tail_table(N, L, j0, j1)
     gains = t2 * ratios
     gains[..., 0] *= gain
     np.cumprod(gains, axis=-1, out=gains)
@@ -243,7 +254,6 @@ def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
     return _q(*weights)
 
 
-@lru_cache(maxsize=None)
 def _series_term_ratios(N: int, L: int) -> tuple[float, ...]:
     """Terminating-series coefficients t_k of 2F1(L+1-N, -L-N; 1; z)."""
     a, b = L + 1 - N, -L - N
@@ -274,9 +284,8 @@ class _EulerRows(namedtuple("_EulerRows", "amp p h psi psi0 first a s finite pas
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
 def _euler_rows(N: int, L: int) -> _EulerRows:
-    """The _EulerRows of (N, L), built once.
+    """The _EulerRows of (N, L).
 
     1/s! is a double only for s <= 170, and s = 2N - 3 at k = 0, so the
     rows exist for N <= 86: beyond, an OverflowError names the state.
@@ -311,7 +320,6 @@ def _euler_rows(N: int, L: int) -> _EulerRows:
     )
 
 
-@lru_cache(maxsize=None)
 def _log_table(N: int, L: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """The parts of steps j < length of the log series S_k (_euler_block) that do not depend on phi.
 
@@ -320,7 +328,7 @@ def _log_table(N: int, L: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     integer-valued float far below 2^53, so each entry is the float of the
     same expression in Python integers.
     """
-    rows = _euler_rows(N, L)
+    rows = _table(_euler_rows, N, L)
     a, s, j = rows.a[:, None], rows.s[:, None], np.arange(length, dtype=float)
     return (a + j) / ((j + 1.0) * (j + s + 1.0)), 1.0 / (a + j) - 1.0 / (j + 1.0) - 1.0 / (j + s + 1.0)
 
@@ -363,10 +371,10 @@ def _log_series(N: int, L: int, bh, g, w):
     naming (N, L).  An entry's sum does not depend on the length, so it
     does not depend on the rest of the block either.
     """
-    first = _euler_rows(N, L).first
+    first = _table(_euler_rows, N, L).first
     length = _series_length(N, float(w.max()))
     while True:
-        heads, steps = _log_table(N, L, length)
+        heads, steps = _table(_log_table, N, L, length)
         # three arrays of (nodes x terms x length): x, then the terms, their products
         # and |product ratio|; the ratios, then the bound; the brackets, then the sums
         x = bh[:, :, None] + np.arange(length, dtype=float)
@@ -485,7 +493,7 @@ def _euler_block(N: int, L: int, phis, nus) -> np.ndarray:
     if poles:
         at = ", ".join(f"({N}, {L}, {phi!r})" for phi in poles)
         raise ArithmeticError(f"nu = N e^-phi is a residue pole of the closed-form tau integral at (N, L, phi) = {at}")
-    rows = _euler_rows(N, L)
+    rows = _table(_euler_rows, N, L)
     phi, nu = np.array(phis, dtype=float)[:, None], np.array(nus)[:, None]
     e = np.array([math.exp(-x) for x in phis])[:, None]  # by math.exp, see above
     u = 1.0 + e
@@ -561,8 +569,8 @@ def _series_sums(N: int, L: int, phis, nu, factor, block=None) -> list[float]:
     last chunk and carrying only each row's last two weights into the next:
     each |D_{N,j}|^2 is formed once, a chunk costs the same whatever came
     before it, and every q_j equals its value from one _tail_weights call
-    over the whole range.  factor gets a chunk's j (floats, from
-    _tail_table) and the column of its open rows' nu.  Each row stops once
+    over the whole range.  factor gets a chunk's j (floats) and the
+    column of its open rows' nu.  Each row stops once
     its tail bound, the largest of the chunk's last eight terms times
     r/(1 - r) with r the ratio t^2 (1 + 2N/j) capped at 0.999, meets
     TAU_REL_TOL |sum|, read at call time (see there: no absolute floor).
@@ -589,7 +597,7 @@ def _series_sums(N: int, L: int, phis, nu, factor, block=None) -> list[float]:
         terms = _q(weights[:, :-2], weights[:, 1:-1], weights[:, 2:])
         edge = weights[:, -2:].copy()
         del weights
-        terms *= factor(_tail_table(N, L, j0 + 1, j1 + 1)[0], nu)
+        terms *= factor(np.arange(j0, j1, dtype=float), nu)
         totals += terms.sum(axis=1)
         sums[open_] = totals
         ratio = np.minimum(0.999, t2[:, 0] * (1.0 + 2.0 * N / j1))

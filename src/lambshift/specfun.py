@@ -1,7 +1,8 @@
 """Terminating hypergeometric sums, Jacobi polynomials, digamma.
 
-The Jacobi recurrence builds every kernel weight (from kernel._row_table
-and kernel._tail_table) and the real-time kernel of the oracles; the
+The Jacobi recurrence builds every kernel weight (from kernel._row_table,
+kept per (N, L), and kernel._tail_table, kept for the last (N, L) in
+kernel._tables) and the real-time kernel of the oracles; the
 Gauss series serves the reference route, su11 matrix elements, summed
 exactly in rationals; the digamma function, on the strip where the closed
 form of the inner tau integral needs it, gives the heads of
@@ -84,7 +85,8 @@ def _jacobi_steps(n: int, alpha, beta) -> list:
     it by the ints (N - j, 2L + 1), which every N shares: the rates of
     every N <= 20 hold 1,330 steps).  An array alpha (kernel._tail_table's
     j - N) gets a fresh list of array steps, element by element the same
-    floats as each scalar alpha's.  A vanishing leading coefficient raises
+    floats as each scalar alpha's, which the kernel keeps only while it
+    works on one (N, L) (kernel._tables).  A vanishing leading coefficient raises
     ValueError at its degree; a scalar family keeps the steps below it.
     """
     array = isinstance(alpha, np.ndarray)

@@ -29,6 +29,12 @@ default shifts of ROADMAP item 2's grid (N in {10, 20, 30, 50, 60, 86},
 L in {0, N//2, N-2, N-1}, Z in {1, 92}) and fails if the evaluations rise
 more than 2% over the 30,030 of doubling panels through the non-dipole
 weight's transition, so that the layout's cost beyond the tables shows.
+
+The memory sweep runs the default shifts of 30 states (N = 10, 18, ..., 82,
+L in {0, N//2, N-1}) in one child under tracemalloc and gates what they
+leave allocated after gc.collect() at 8 MB (ROADMAP item 24): the kernel
+keeps the tables of the last state only (kernel._tables), where per-state
+caches held 24.0 MB after the same sweep.
 """
 
 import json
@@ -64,6 +70,9 @@ ORACLE_TAU = [(50, 48), (50, 49), (86, 85)]
 # doubling panels up to the weight's transition (563 integrand calls)
 GRID = [(N, L, Z) for N in (10, 20, 30, 50, 60, 86) for L in sorted({0, N // 2, N - 2, N - 1}) for Z in (1, 92)]
 GRID_EVALUATIONS_BEFORE = 30_030
+# the memory sweep's states, and the most its shifts may leave allocated
+SWEEP = [(N, L) for N in range(10, 83, 8) for L in sorted({0, N // 2, N - 1})]
+SWEEP_HELD_MB_MAX = 8.0
 
 _CHILD = """
 import json, resource, sys
@@ -80,6 +89,19 @@ else:
     value = result.gamma
 print(json.dumps({"value": value, "evaluations": result.diagnostics.evaluations, "converged": result.converged,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+"""
+
+
+_SWEEP_CHILD = """
+import gc, json, sys, tracemalloc
+sys.path.insert(0, sys.argv[1])
+from lambshift.shifts import QuantumState, lamb_shift
+tracemalloc.start()
+for N, L in json.loads(sys.argv[2]):
+    assert lamb_shift(QuantumState(N=N, L=L)).converged, (N, L)
+gc.collect()
+held, peak = tracemalloc.get_traced_memory()
+print(json.dumps({"held_mb": held / 2**20, "peak_mb": peak / 2**20}))
 """
 
 
@@ -196,6 +218,22 @@ def test_grid_evaluations_within_2_percent_of_the_doubling_layout():
     assert evaluations <= 1.02 * GRID_EVALUATIONS_BEFORE
 
 
+def sweep_memory() -> dict:
+    """The MB that the shifts of SWEEP leave allocated after gc.collect(), and their tracemalloc peak, in one child."""
+    out = subprocess.run(
+        [sys.executable, "-c", _SWEEP_CHILD, SRC, json.dumps(SWEEP)], capture_output=True, text=True, timeout=600
+    )
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    print(f"\nsweep of {len(SWEEP)} shifts: {got['held_mb']:.2f} MB held after gc.collect(), "
+          f"tracemalloc peak {got['peak_mb']:.1f} MB")
+    return got
+
+
+def test_sweep_holds_at_most_8_mb():
+    assert sweep_memory()["held_mb"] <= SWEEP_HELD_MB_MAX
+
+
 if __name__ == "__main__":
     for N, L in sorted(EXPECTED):
         for quantity in ("shift", "bethe"):
@@ -207,3 +245,4 @@ if __name__ == "__main__":
     for N, L in ORACLE_TAU:
         oracle_tau_gap(N, L)
     grid_counts()
+    sweep_memory()

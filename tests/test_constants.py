@@ -53,7 +53,7 @@ def test_rydberg_scaled_energy_independent_of_n_and_z():
             assert rydberg_energy(c, Z, N) * N * N / (Z * Z) == pytest.approx(base, rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize("Z,N", [(0, 1), (1, 0), (-1, 3)])
+@pytest.mark.parametrize("Z,N", [(0, 1), (1, 0), (-1, 3), (1, 1.5), (1.5, 1), (2.0, 1), ("1", 1)])
 def test_rydberg_rejects_bad_quantum_numbers(Z, N):
     with pytest.raises(ValueError):
         rydberg_energy(default_constants(), Z, N)

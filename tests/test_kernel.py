@@ -416,12 +416,19 @@ class TestRemainder:
         whole = np.concatenate((head, _tail_weights(N, L, point, N + 1, J + 1, point[2])[0]))
         coeffs = _q(whole[:-2], whole[1:-1], whole[2:])  # q_0 .. q_{J-1}
         assert np.array_equal(_stream(N, L, phi, J), coeffs[N:])
-        # each chunk's indices, from the tail table, are those of its q_j
+        # each chunk's indices, as the stream gives them to its factor, are those of its q_j
+        seen = []
+
+        def factor(j, nu):
+            seen.append(j)
+            return j / (j - nu)
+
+        K._series_sums(N, L, [phi], [N * math.exp(-phi)], factor)
         j0, chunk = N, 96
-        while j0 < J:
-            j = _tail_table(N, L, j0 + 1, j0 + chunk + 1)[0]
+        for j in seen:
             assert j.dtype == float and np.array_equal(j, np.arange(j0, j0 + chunk))
             j0, chunk = j0 + chunk, min(2 * chunk, 4096)
+        assert seen
         assert np.array_equal(_residues(N, L, phi), coeffs[:N])
         pieces, gain = [head], point[2]
         for a, b in ((N + 1, 97), (97, 98), (98, 2000), (2000, J + 1)):
@@ -765,7 +772,7 @@ class TestKernelTables:
         monkeypatch.setattr(K, "_jacobi_steps", counting)
         PhiKernel(4, 1, 2.5).tau_integral()
         assert calls == []
-        _tail_table.cache_clear()  # the counter sees the chunks' steps once they are gone
+        K._tables.cache_clear()  # the counter sees the chunks' steps once they are gone
         PhiKernel(4, 1, 2.5).tau_integral()
         assert calls
 
@@ -811,7 +818,7 @@ class TestKernelTables:
                     for j in range(length)
                 ]
         # a node's pieces do not depend on the tables built before it
-        K._log_table.cache_clear()
+        K._tables.cache_clear()
         first = pieces(2.9)
         pieces(3.0)
         assert pieces(2.9) == first
@@ -833,9 +840,38 @@ class TestKernelTables:
         out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         sizes = json.loads(out.stdout)
-        tables = ("_tail_table", "_euler_rows", "_log_table", "_row_table", "_series_term_ratios")
+        tables = ("_tables", "_row_table")
         assert {*(f"lambshift.kernel.{name}" for name in tables), "lambshift.shifts._channels"} <= set(sizes)
         assert all(size == 0 for size in sizes.values()), sizes
+
+    def test_values_do_not_depend_on_the_order_of_states(self):
+        # the record holds one state's tables at a time: two fresh
+        # interpreters run the same calls in orders where each state follows
+        # a different one, and every value is the same float
+        src = str(Path(K.__file__).resolve().parents[1])
+        code = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); from lambshift import kernel, oracles, shifts; "
+            "S = shifts.QuantumState; "
+            "shift = lambda N, L: (lambda r: (r.lamb_shift_MHz, r.partial_rates, r.pv_term_MHz))"
+            "(shifts.lamb_shift(S(N=N, L=L))); "
+            "calls = {'shift21': lambda: shift(2, 1), 'shift30': lambda: shift(3, 0), "
+            "'bethe21': lambda: (lambda r: (r.gamma, r.estimates))(shifts.bethe_log(2, 1)), "
+            "'rates52': lambda: shifts.decay_rates(S(N=5, L=2)), "
+            "'eps10': lambda: oracles.shift_via_eps_real_axis(S(N=1, L=0), 0.025)}; "
+            "values = {name: repr(calls[name]()) for name in sys.argv[2:]}; "
+            "print(json.dumps([values, kernel._tables.cache_info().currsize]))"
+        )
+        orders = (
+            ("shift21", "eps10", "bethe21", "shift30", "rates52"),
+            ("shift30", "bethe21", "rates52", "eps10", "shift21"),
+        )
+        runs = []
+        for order in orders:
+            out = subprocess.run([sys.executable, "-c", code, src, *order], capture_output=True, text=True, timeout=60)
+            assert out.returncode == 0, out.stderr
+            runs.append(json.loads(out.stdout))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1] == 1
 
     def test_import_loads_no_fractions_decimal_csv_or_dataclasses(self):
         # fractions (which imports decimal) loads with the exact-rational
@@ -866,34 +902,51 @@ class TestKernelTables:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) is False
 
-    def test_tail_table_keeps_a_bounded_number_of_chunks(self):
+    @staticmethod
+    def _counting_tail_table(monkeypatch):
+        """The (N, L, j0, j1) of every tail chunk built from here on."""
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return _tail_table(*args)
+
+        monkeypatch.setattr(K, "_tail_table", counting)
+        return built
+
+    def test_tail_table_keeps_a_bounded_number_of_chunks(self, monkeypatch):
         # a series that never stops asks for ~490 chunks before it raises at
-        # j = 2e6; the table keeps the last _TAIL_TABLE_CHUNKS of them, where
-        # an unbounded one kept all (30.8 MB at (1, 0))
-        _tail_table.cache_clear()
+        # j = 2e6; the record keeps the six below the stream's 4096-column
+        # cap and builds each chunk at the cap afresh, where a table of
+        # every chunk would hold 30.8 MB at (1, 0)
+        built = self._counting_tail_table(monkeypatch)
+        K._tables.cache_clear()
         try:
             with pytest.raises(ArithmeticError, match="did not converge"):
                 K._series_sums(1, 0, [20.0], [math.exp(-20.0)], lambda j, nu: 1.0 + 0.0 * j)
-            info = _tail_table.cache_info()
+            kept = [key for builder, key in K._tables(1, 0) if builder is K._tail_table]
         finally:
-            _tail_table.cache_clear()
-        assert info.maxsize == K._TAIL_TABLE_CHUNKS
-        assert info.misses > 400 and info.currsize == info.maxsize
+            K._tables.cache_clear()
+        assert len(built) > 400 and len(set(built)) == len(built)
+        assert len(kept) == 6 and all(j1 - j0 < 4096 for j0, j1 in kept)
 
     @pytest.mark.parametrize("route", ["lamb_shift", "bethe_log"])
-    def test_tail_table_holds_every_chunk_of_a_pass(self, route):
-        # the Table-1 and Bethe states read each chunk once per process:
-        # none is evicted, so none is built twice
+    def test_tail_table_holds_every_chunk_of_a_pass(self, monkeypatch, route):
+        # the Table-1 and Bethe states read their chunks only while they
+        # work on their own state: every chunk lies below the cap, so the
+        # record keeps it, and none is built twice
         from lambshift import shifts
 
-        _tail_table.cache_clear()
+        built = self._counting_tail_table(monkeypatch)
+        K._tables.cache_clear()
         for N, L in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)):
             if route == "lamb_shift":
                 shifts.lamb_shift(shifts.QuantumState(N=N, L=L))
             else:
                 shifts.bethe_log(N, L)
-        info = _tail_table.cache_info()
-        assert info.hits > 0 and info.misses == info.currsize < info.maxsize
+        assert built and len(set(built)) == len(built)
+        assert all(j1 - j0 < 4096 for _, _, j0, j1 in built)
+        assert K._tables.cache_info().currsize == 1
 
 
 class TestEulerBlock:
@@ -1102,7 +1155,7 @@ class TestBlockStream:
             with pytest.raises(ArithmeticError) as info:
                 K._series_sums(1, 0, phis, [math.exp(-phi) for phi in phis], lambda j, nu: 1.0 + 0.0 * j)
         finally:
-            K._tail_table.cache_clear()  # the last chunks of (1, 0), up to j = 2e6
+            K._tables.cache_clear()  # the first chunks of (1, 0)
         message = str(info.value)
         assert "did not converge" in message
         assert "(1, 0, 20.0)" in message and "(1, 0, 25.0)" in message and "0.5" not in message
