@@ -30,7 +30,10 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "alpha0 mec2_eV hbar_eVs
         mec2_eV: float = MEC2_EV_CODATA2018,
         hbar_eVs: float = HBAR_EVS_CODATA2018,
     ) -> "PhysicalConstants":
-        if not all(isinstance(v, (float, int, numbers.Real)) and 0 < v < math.inf for v in (alpha0, mec2_eV, hbar_eVs)):
+        if not all(
+            isinstance(v, (float, int, numbers.Real)) and type(v) is not bool and 0 < v < math.inf
+            for v in (alpha0, mec2_eV, hbar_eVs)
+        ):
             raise ValueError(
                 "physical constants must be finite and positive, got "
                 f"alpha0={alpha0!r}, mec2_eV={mec2_eV!r}, hbar_eVs={hbar_eVs!r}"
@@ -67,7 +70,7 @@ def default_constants() -> PhysicalConstants:
 
 def rydberg_energy(constants: PhysicalConstants, Z: int, N: int) -> float:
     """Bound-state energy E_N = -mec2 (Z alpha0)^2 / (2 N^2) in eV, for integers N >= 1 and Z >= 1."""
-    if not all(isinstance(x, (int, numbers.Integral)) and x >= 1 for x in (N, Z)):
+    if not all(isinstance(x, (int, numbers.Integral)) and type(x) is not bool and x >= 1 for x in (N, Z)):
         raise ValueError(f"require integers N >= 1 and Z >= 1, got N={N!r}, Z={Z!r}")
     return -constants.mec2_eV * (Z * constants.alpha0) ** 2 / (2.0 * N * N)
 

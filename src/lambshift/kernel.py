@@ -23,20 +23,22 @@ directly removes the catastrophic cancellation that subtracting the finite
 series from the closed form would cause at small phi, where the integrand
 weight e^{nu tau} grows almost as fast as the kernel decays.
 Every phi-independent coefficient of these loops is computed lazily and
-then read.  The binomial ratios and Jacobi steps of the weights j <= N
-are _row_table, kept per (N, L) for the whole process, since every rate
-reads it once per channel; its steps come from specfun._jacobi_steps,
-keyed by (N - j, 2L + 1) and so shared by every N.  Everything else that
-depends on (N, L) alone lives in one record, _tables, which holds the
-last state asked for and no other: the weight steps as rows over j
-(_row_steps), the gain ratios and steps of each tail chunk narrower than
-the stream's 4096-column cap (_tail_table; the series branch stops
-within its first four chunks, so a series that never stops keeps six),
-the factors of each Euler log series with its first term 1/s!
-(_euler_rows) and the steps of the log series themselves (_log_table,
-one table per length).  Every caller reads a state's tables only while
-it works on that state, so each is built once per state and a sweep over
-states holds one state's tables.
+then read, and every caller reads a state's coefficients only while it
+works on that state, so each is kept for the last (N, L) asked for and no
+other.  The binomial ratios and Jacobi steps of the weights j <= N are
+_row_table, in an lru_cache of one state of its own: residue_coeffs reads
+it once per decay channel, and a hit there costs less than a read of the
+record.  Everything else that depends on (N, L) alone lives in one
+record, _tables: the same ratios and steps as arrays over j
+(_row_arrays), the gain ratios and steps of each tail chunk narrower
+than the stream's 4096-column cap (_tail_table; the series branch stops
+within its first four chunks, so a series that never stops keeps six)
+and the factors of each Euler log series with its first term 1/s!
+(_euler_rows, from which the log series forms its steps for each length
+it runs).  The Jacobi steps of the weights come from
+specfun._jacobi_steps, keyed by (N - j, 2L + 1) and so shared by every
+N.  So each table is built once per state, and a sweep over states
+holds one state's tables.
 At large phi the series converges too slowly (ratio t^2 -> 1,
 t = tanh(phi/2)) and the closed u-form Q = pi(u) (1 - u t^2)^{-2N}, pi a
 polynomial of degree 2N - L, takes over without ever being evaluated in
@@ -86,16 +88,17 @@ SERIES_T2_MAX = 0.80
 TAU_REL_TOL = 1.0e-13
 EULER_GAMMA = 0.57721566490153286061
 # The types a quantum number or residue index may have (numpy's integers
-# are registered as numbers.Integral; an integral float is not one).  int
-# comes first: the ABC check alone took ~0.5 us on a shared 2-vCPU VM, and
-# it runs on every node and channel (so does validate_quantum_numbers'
+# are registered as numbers.Integral; an integral float is not one, and a
+# bool, an int to isinstance, is rejected by its type).  int comes first:
+# the ABC check alone took ~0.5 us on a shared 2-vCPU VM, and it runs on
+# every node and channel (so does validate_quantum_numbers'
 # operator.index, which costs a third of int()).
 _INTEGERS = (int, numbers.Integral)
 
 
 def validate_quantum_numbers(N: int, L: int) -> tuple[int, int]:
     """(N, L) as Python ints, the only keys of the per-(N, L) tables: a numpy integer hashes like its int."""
-    if not isinstance(N, _INTEGERS) or not isinstance(L, _INTEGERS) or not 0 <= L < N:
+    if bool in (type(N), type(L)) or not isinstance(N, _INTEGERS) or not isinstance(L, _INTEGERS) or not 0 <= L < N:
         raise ValueError(f"invalid quantum numbers N={N!r}, L={L!r} (need 0 <= L <= N-1)")
     return index(N), index(L)
 
@@ -106,9 +109,9 @@ def _jacobi_point(L: int, phi: float) -> tuple[float, float, float]:
     return 2.0 * sech2 - 1.0, math.tanh(phi / 2.0) ** 2, sech2 ** (2 * (L + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _row_table(N: int, L: int) -> tuple:
-    """The phi-independent factors of the weights L < j <= N, kept per (N, L).
+    """The phi-independent factors of the weights L < j <= N, kept for the last (N, L) asked for.
 
     Bargmann's closed form makes each weight a Jacobi polynomial at a point
     in [-1, 1], symmetric in N and j, free of alternating sums; with
@@ -140,22 +143,24 @@ def _tables(N: int, L: int) -> dict:
 def _table(builder, N: int, L: int, *key):
     """builder(N, L, *key), built once while (N, L) is the state that _tables holds."""
     tables = _tables(N, L)
-    if (builder, key) not in tables:
-        tables[builder, key] = builder(N, L, *key)
-    return tables[builder, key]
+    table = tables.get((builder, key))  # no builder returns None
+    if table is None:
+        table = tables[builder, key] = builder(N, L, *key)
+    return table
 
 
-def _row_steps(N: int, L: int) -> tuple:
-    """The Jacobi steps of the weights L < j <= N as rows over j.
+def _row_arrays(N: int, L: int) -> tuple:
+    """(ratios, steps): _row_table of the weights L < j <= N as arrays over j.
 
-    Step k is (c1, c0, c2), three arrays whose entry j - L - 1 is step k of
-    weight j's polynomial (_row_table) up to its degree j - L - 1 and
-    (0, 1, 0) past it, which leaves a value exactly as it is: one
-    recurrence over the arrays gives every weight's own polynomial.
+    ratios holds the binomial ratios, entry j - L - 1 weight j's.  Step k
+    of steps is (c1, c0, c2), three arrays whose entry j - L - 1 is step k
+    of weight j's polynomial up to its degree j - L - 1 and (0, 1, 0) past
+    it, which leaves a value exactly as it is: one recurrence over the
+    arrays gives every weight's own polynomial.
     """
     table = _row_table(N, L)
     keep = (0.0, 1.0, 0.0)
-    return tuple(
+    return np.array([ratio for ratio, _ in table]), tuple(
         tuple(map(np.array, zip(*(steps[k] if k < len(steps) else keep for _, steps in table))))
         for k in range(N - L - 1)
     )
@@ -167,20 +172,20 @@ def _block_rows(N: int, L: int, phis) -> tuple[np.ndarray, np.ndarray]:
     one row per node.
 
     Only the Jacobi points are per-node calls.  The factors
-    G_j = ratio_j t^{2(N-j)} G_N of all nodes and weights (_row_table) are
-    one array expression, t^{2k} one cumulative product over k (not pow: C
-    pow and numpy's power round differently in ~8% of their results), and
-    the polynomials of all weights j <= N of all nodes are one recurrence
-    (_row_steps), so a block costs N - L - 1 array steps where its nodes
-    alone would cost (N - L)^2/2 scalar steps each.
+    G_j = ratio_j t^{2(N-j)} G_N of all nodes and weights are one array
+    expression, t^{2k} one cumulative product over k (not pow: C pow and
+    numpy's power round differently in ~8% of their results), and the
+    polynomials of all weights j <= N of all nodes are one recurrence, both
+    from the arrays of _row_arrays, so a block costs N - L - 1 array steps
+    where its nodes alone would cost (N - L)^2/2 scalar steps each.
     """
     points = np.array([_jacobi_point(L, phi) for phi in phis])
     powers = np.empty((len(points), N - L))  # t^{2k}, k = 0 .. N - L - 1
     powers[:, 0] = 1.0
     powers[:, 1:] = points[:, 1:2]
     np.cumprod(powers, axis=1, out=powers)
-    ratios = np.array([ratio for ratio, _ in _row_table(N, L)])
-    p = _jacobi_from_steps(_table(_row_steps, N, L), points[:, :1])
+    ratios, steps = _table(_row_arrays, N, L)
+    p = _jacobi_from_steps(steps, points[:, :1])
     rows = np.zeros((len(points), N + 2))
     rows[:, L + 2 :] = ratios * powers[:, ::-1] * points[:, 2:] * p * p  # weight j has power N - j
     return points, rows
@@ -238,8 +243,10 @@ def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
     residue of fill_tau_integrals' row at phi bit for bit.
     """
     N, L = validate_quantum_numbers(N, L)
-    if not isinstance(n, _INTEGERS) or not L <= n < N:
+    if type(n) is bool or not isinstance(n, _INTEGERS) or not L <= n < N:
         raise ValueError(f"residue index n={n!r} outside [L, N-1] = [{L}, {N - 1}]")
+    if phi != phi:
+        raise ValueError(f"phi must be a number, got {phi!r}")
     w, t2, gain = _jacobi_point(L, phi)
     table, weights, power = _row_table(N, L), [0.0, 0.0, 0.0], 1.0
     for _ in range(N - n - 1):  # k = N - j of j = n + 1
@@ -320,19 +327,6 @@ def _euler_rows(N: int, L: int) -> _EulerRows:
     )
 
 
-def _log_table(N: int, L: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The parts of steps j < length of the log series S_k (_euler_block) that do not depend on phi.
-
-    Two (terms x length) arrays, (a+j)/((j+1)(j+s+1)) and 1/(a+j) - 1/(j+1)
-    - 1/(j+s+1) with a and s from _euler_rows.  Every operand is an
-    integer-valued float far below 2^53, so each entry is the float of the
-    same expression in Python integers.
-    """
-    rows = _table(_euler_rows, N, L)
-    a, s, j = rows.a[:, None], rows.s[:, None], np.arange(length, dtype=float)
-    return (a + j) / ((j + 1.0) * (j + s + 1.0)), 1.0 / (a + j) - 1.0 / (j + 1.0) - 1.0 / (j + s + 1.0)
-
-
 # Steps past which a log series that has not ended is an error, not a
 # longer retry.  The longest that ends, over N <= 86 with L in
 # {0, N//2, N-1}, phi = 2.89 .. 30 and nu real or nu + i eps, takes 129
@@ -353,38 +347,45 @@ def _series_length(N: int, w: float) -> int:
     return 8 * math.ceil(steps / 8)
 
 
-def _log_series(N: int, L: int, bh, g, w):
+def _log_series(N: int, L: int, rows: _EulerRows, bh, g, w):
     """S_k of _euler_block for each node and term, every one stopped by the test of a term-by-term loop.
 
     Entry (i, k) sums term_j g_j, term_0 = 1/s! and term_{j+1} = term_j
     ratio_j with ratio_j = (a+j)(bh+j) w/((j+1)(j+s+1)), and g_{j+1} = g_j
     + 1/(a+j) - 1/(j+1) - 1/(j+s+1) + 1/(bh+j), the digamma recurrences of
-    its bracket, from g_0 = g; bh and g are (nodes x terms), w a column.
-    The terms, brackets and running sums of the first few steps are
-    cumulative products and sums over j, which add in the loop's order, so
-    each running sum is the loop's float; an entry ends at the first j
-    with |ratio_j| < 1 and |term_j g_j ratio_j| <= 1e-17 (1 - |ratio_j|)
-    |sum through j|.  All entries are one (nodes x terms x steps) slab,
-    summed to _series_length at the block's largest w; that length doubles
-    while an entry has not ended, up to _SERIES_MAX_STEPS, and a series
-    still open there (a NaN entry never ends) raises ArithmeticError
-    naming (N, L).  An entry's sum does not depend on the length, so it
-    does not depend on the rest of the block either.
+    its bracket, from g_0 = g; a, s and 1/s! are those of rows, the
+    _EulerRows of (N, L), bh and g are (nodes x terms), w a column.  The
+    parts of the steps that do not depend on phi, (a+j)/((j+1)(j+s+1)) and
+    1/(a+j) - 1/(j+1) - 1/(j+s+1), are two (terms x length) arrays formed
+    for each length run: every operand is an integer-valued float far
+    below 2^53, so each entry is the float of the same expression in
+    Python integers.  The terms, brackets and running sums of the first
+    few steps are cumulative products and sums over j, which add in the
+    loop's order, so each running sum is the loop's float; an entry ends
+    at the first j with |ratio_j| < 1 and |term_j g_j ratio_j| <= 1e-17
+    (1 - |ratio_j|) |sum through j|.  All entries are one
+    (nodes x terms x steps) slab, summed to _series_length at the block's
+    largest w; that length doubles while an entry has not ended, up to
+    _SERIES_MAX_STEPS, and a series still open there (a NaN entry never
+    ends) raises ArithmeticError naming (N, L).  An entry's sum does not
+    depend on the length, so it does not depend on the rest of the block
+    either.
     """
-    first = _table(_euler_rows, N, L).first
+    a, s = rows.a[:, None], rows.s[:, None]
     length = _series_length(N, float(w.max()))
     while True:
-        heads, steps = _table(_log_table, N, L, length)
+        j = np.arange(length, dtype=float)
+        heads, steps = (a + j) / ((j + 1.0) * (j + s + 1.0)), 1.0 / (a + j) - 1.0 / (j + 1.0) - 1.0 / (j + s + 1.0)
         # three arrays of (nodes x terms x length): x, then the terms, their products
         # and |product ratio|; the ratios, then the bound; the brackets, then the sums
-        x = bh[:, :, None] + np.arange(length, dtype=float)
+        x = bh[:, :, None] + j
         ratio = heads * x
         ratio *= w[:, :, None]
         sums = np.empty_like(x)
         sums[..., 0] = g
         np.divide(1.0, x[..., :-1], out=sums[..., 1:])
         sums[..., 1:] += steps[:, :-1]
-        x[..., 0] = first
+        x[..., 0] = rows.first
         x[..., 1:] = ratio[..., :-1]
         np.cumprod(x, axis=2, out=x)
         np.cumsum(sums, axis=2, out=sums)
@@ -503,7 +504,7 @@ def _euler_block(N: int, L: int, phis, nus) -> np.ndarray:
     w3, ln_w = w**3, -(phi - 2.0 * math.log(2.0) + 2.0 * (np.log(u) - (u - 1.0 - e) / u))
     amp = rows.amp * (1.0 - w) ** np.arange(N - L, dtype=float)  # -t_k t^{2k}/4, t^2 = 1 - w
     base = amp * w3
-    total = _log_series(N, L, rows.p - nu + rows.h, ln_w + rows.psi0 + _psi_rows(N, nus)[:, rows.psi], w)
+    total = _log_series(N, L, rows, rows.p - nu + rows.h, ln_w + rows.psi0 + _psi_rows(N, nus)[:, rows.psi], w)
     pieces = []
     f, width = rows.finite.shape
     if f:
@@ -530,8 +531,8 @@ class PhiKernel:
 
     def __init__(self, N: int, L: int, phi: float):
         self.N, self.L = validate_quantum_numbers(N, L)
-        if phi < 0.0:
-            raise ValueError(f"phi must be nonnegative, got {phi}")
+        if not 0.0 <= phi < math.inf:  # NaN fails both
+            raise ValueError(f"phi must be finite and nonnegative, got {phi!r}")
         self.phi = phi
         self.nu = self.N * math.exp(-phi)
         self._tau = None  # (value, error bound) of tau_integral, see fill_tau_integrals

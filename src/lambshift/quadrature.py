@@ -157,7 +157,7 @@ class QuadratureSpec(namedtuple("QuadratureSpec", "rel_tol max_subdivisions")):
     __slots__ = ()
 
     def __new__(cls, rel_tol: float = 1.0e-9, max_subdivisions: int = 2000) -> "QuadratureSpec":
-        if not isinstance(rel_tol, (float, int, numbers.Real)) or not 0.0 < rel_tol < math.inf:
+        if type(rel_tol) is bool or not isinstance(rel_tol, (float, int, numbers.Real)) or not 0.0 < rel_tol < math.inf:
             raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
         if not isinstance(max_subdivisions, int) or isinstance(max_subdivisions, bool) or max_subdivisions < 1:
             raise ValueError(f"max_subdivisions must be an integer >= 1, got {max_subdivisions!r}")

@@ -60,7 +60,7 @@ class QuantumState(namedtuple("QuantumState", "N L J Z")):
 
     def __new__(cls, N: int, L: int, J: float | None = None, Z: int = 1) -> "QuantumState":
         N, L = validate_quantum_numbers(N, L)
-        if not isinstance(Z, _INTEGERS) or Z < 1:
+        if type(Z) is bool or not isinstance(Z, _INTEGERS) or Z < 1:
             raise ValueError(f"nuclear charge must be a positive integer, got {Z!r}")
         if J is not None and not (
             isinstance(J, (float, numbers.Real)) and J >= 0.5 and abs(abs(J - L) - 0.5) <= 1e-12
@@ -80,7 +80,9 @@ class DipoleOptions(namedtuple("DipoleOptions", "enabled cutoff_x")):
         if cutoff_x is not None:
             if not enabled:
                 raise ValueError("cutoff_x needs the dipole approximation: enabled=True, or --dipole")
-            if not isinstance(cutoff_x, (float, int, numbers.Real)) or not 0 < cutoff_x < math.inf:
+            if type(cutoff_x) is bool or not (
+                isinstance(cutoff_x, (float, int, numbers.Real)) and 0 < cutoff_x < math.inf
+            ):
                 raise ValueError(f"cutoff_x must be positive and finite, got {cutoff_x!r}")
         return tuple.__new__(cls, (enabled, cutoff_x))
 

@@ -1,8 +1,8 @@
 """Terminating hypergeometric sums, Jacobi polynomials, digamma.
 
-The Jacobi recurrence builds every kernel weight (from kernel._row_table,
-kept per (N, L), and kernel._tail_table, kept for the last (N, L) in
-kernel._tables) and the real-time kernel of the oracles; the
+The Jacobi recurrence builds every kernel weight (from kernel._row_table
+and kernel._tail_table, both kept for the last (N, L) only) and the
+real-time kernel of the oracles; the
 Gauss series serves the reference route, su11 matrix elements, summed
 exactly in rationals; the digamma function, on the strip where the closed
 form of the inner tau integral needs it, gives the heads of

@@ -34,7 +34,9 @@ The memory sweep runs the default shifts of 30 states (N = 10, 18, ..., 82,
 L in {0, N//2, N-1}) in one child under tracemalloc and gates what they
 leave allocated after gc.collect() at 8 MB (ROADMAP item 24): the kernel
 keeps the tables of the last state only (kernel._tables), where per-state
-caches held 24.0 MB after the same sweep.
+caches held 24.0 MB after the same sweep.  The rates sweep does the same for
+decay_rates of every state with N <= 40 and gates it at 3.5 MB: the row
+tables keep the last state only too, where a cache per (N, L) held 5.3 MB.
 """
 
 import json
@@ -73,6 +75,9 @@ GRID_EVALUATIONS_BEFORE = 30_030
 # the memory sweep's states, and the most its shifts may leave allocated
 SWEEP = [(N, L) for N in range(10, 83, 8) for L in sorted({0, N // 2, N - 1})]
 SWEEP_HELD_MB_MAX = 8.0
+# the rates sweep's states, and the most their decay rates may leave allocated
+RATES_SWEEP = [(N, L) for N in range(1, 41) for L in range(N)]
+RATES_SWEEP_HELD_MB_MAX = 3.5
 
 _CHILD = """
 import json, resource, sys
@@ -95,10 +100,13 @@ print(json.dumps({"value": value, "evaluations": result.diagnostics.evaluations,
 _SWEEP_CHILD = """
 import gc, json, sys, tracemalloc
 sys.path.insert(0, sys.argv[1])
-from lambshift.shifts import QuantumState, lamb_shift
+from lambshift.shifts import QuantumState, decay_rates, lamb_shift
 tracemalloc.start()
-for N, L in json.loads(sys.argv[2]):
-    assert lamb_shift(QuantumState(N=N, L=L)).converged, (N, L)
+for N, L in json.loads(sys.argv[3]):
+    if sys.argv[2] == "shift":
+        assert lamb_shift(QuantumState(N=N, L=L)).converged, (N, L)
+    else:
+        decay_rates(QuantumState(N=N, L=L))
 gc.collect()
 held, peak = tracemalloc.get_traced_memory()
 print(json.dumps({"held_mb": held / 2**20, "peak_mb": peak / 2**20}))
@@ -218,20 +226,29 @@ def test_grid_evaluations_within_2_percent_of_the_doubling_layout():
     assert evaluations <= 1.02 * GRID_EVALUATIONS_BEFORE
 
 
-def sweep_memory() -> dict:
-    """The MB that the shifts of SWEEP leave allocated after gc.collect(), and their tracemalloc peak, in one child."""
+def sweep_memory(quantity: str = "shift") -> dict:
+    """The MB that a sweep leaves allocated after gc.collect(), and its tracemalloc peak, in one child.
+
+    quantity "shift" runs the shifts of SWEEP, any other the decay rates of RATES_SWEEP.
+    """
+    states, label = (SWEEP, "shifts") if quantity == "shift" else (RATES_SWEEP, "decay rates")
     out = subprocess.run(
-        [sys.executable, "-c", _SWEEP_CHILD, SRC, json.dumps(SWEEP)], capture_output=True, text=True, timeout=600
+        [sys.executable, "-c", _SWEEP_CHILD, SRC, quantity, json.dumps(states)],
+        capture_output=True, text=True, timeout=600,
     )
     assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout)
-    print(f"\nsweep of {len(SWEEP)} shifts: {got['held_mb']:.2f} MB held after gc.collect(), "
+    print(f"\nsweep of {len(states)} {label}: {got['held_mb']:.2f} MB held after gc.collect(), "
           f"tracemalloc peak {got['peak_mb']:.1f} MB")
     return got
 
 
 def test_sweep_holds_at_most_8_mb():
     assert sweep_memory()["held_mb"] <= SWEEP_HELD_MB_MAX
+
+
+def test_rates_sweep_holds_at_most_3_5_mb():
+    assert sweep_memory("rates")["held_mb"] <= RATES_SWEEP_HELD_MB_MAX
 
 
 if __name__ == "__main__":
@@ -246,3 +263,4 @@ if __name__ == "__main__":
         oracle_tau_gap(N, L)
     grid_counts()
     sweep_memory()
+    sweep_memory("rates")

@@ -53,7 +53,7 @@ def test_rydberg_scaled_energy_independent_of_n_and_z():
             assert rydberg_energy(c, Z, N) * N * N / (Z * Z) == pytest.approx(base, rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize("Z,N", [(0, 1), (1, 0), (-1, 3), (1, 1.5), (1.5, 1), (2.0, 1), ("1", 1)])
+@pytest.mark.parametrize("Z,N", [(0, 1), (1, 0), (-1, 3), (1, 1.5), (1.5, 1), (2.0, 1), ("1", 1), (True, True)])
 def test_rydberg_rejects_bad_quantum_numbers(Z, N):
     with pytest.raises(ValueError):
         rydberg_energy(default_constants(), Z, N)
@@ -133,9 +133,10 @@ def test_alpha0_of_one_or_more_is_rejected(alpha0):
 
 
 @pytest.mark.parametrize("key", ["alpha0", "mec2_eV", "hbar_eVs"])
-@pytest.mark.parametrize("value", ["0.007", None, 1j])
+@pytest.mark.parametrize("value", ["0.007", None, 1j, True])
 def test_a_constant_that_is_no_real_number_raises_value_error(key, value):
-    # a comparison with a string raised TypeError, past the check's message
+    # a comparison with a string raised TypeError, past the check's message;
+    # True was taken as the constant 1
     with pytest.raises(ValueError, match="finite and positive"):
         PhysicalConstants(**{key: value})
 

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import json
 import math
@@ -240,8 +241,13 @@ class TestKernelQ:
             kernel_q(0, 0, 1.0, 1.0)
         with pytest.raises(ValueError):
             kernel_q(2, 1, 1.0, -0.1)
-        with pytest.raises(ValueError, match="phi must be nonnegative, got -0.1"):
+        with pytest.raises(ValueError, match="phi must be finite and nonnegative, got -0.1"):
             PhiKernel(1, 0, -0.1)
+        # a NaN phi failed deep in the closed branch, an infinite one ran
+        # the log series to its step bound
+        for phi in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"phi must be finite and nonnegative, got {phi!r}"):
+                PhiKernel(2, 1, phi)
 
 
 class TestResidues:
@@ -293,14 +299,19 @@ class TestResidues:
 
     @pytest.mark.parametrize("N, L", [(1, 0), (3, 1), (6, 5), (12, 6)])
     def test_rejects_index_outside_channels(self, N, L):
-        # an integral float is no index or quantum number: it must fail as a
-        # ValueError, not deep in the kernel; numpy integers are integers
-        for n in (L - 1, N, float(L)):
+        # an integral float or a bool is no index or quantum number: it must
+        # fail as a ValueError, not deep in the kernel; numpy integers are
+        # integers
+        for n in (L - 1, N, float(L), True, False):
             with pytest.raises(ValueError, match="residue index"):
                 residue_coeffs(N, L, 0.7, n)
-        for args in ((float(N), L), (N, float(L))):
+        for args in ((float(N), L), (N, float(L)), (True, False)):
             with pytest.raises(ValueError, match="invalid quantum numbers"):
                 residue_coeffs(*args, 0.7, L)
+        # a NaN phi returned NaN; phi = inf is the limit 0.0
+        with pytest.raises(ValueError, match="phi must be a number, got nan"):
+            residue_coeffs(N, L, math.nan, L)
+        assert residue_coeffs(N, L, math.inf, L) == 0.0
         want = residue_coeffs(N, L, 0.7, L)
         assert residue_coeffs(np.int64(N), np.int64(L), 0.7, np.int64(L)) == want
 
@@ -804,19 +815,15 @@ class TestKernelTables:
         def pieces(phi):
             return K._euler_block(N, L, [phi], [PhiKernel(N, L, phi).nu]).tolist()
 
-        # each log-series table against its scalar formulas in Python integers
+        # each Euler row against its scalar formulas in Python integers; the
+        # log series forms the steps of its terms from a and s
         rows = _euler_rows(N, L)
-        for length in (1, 8, 40, 136):
-            heads, steps = K._log_table(N, L, length)
-            assert heads.shape == steps.shape == (N - L, length)
-            for k in range(N - L):
-                s, h = int(rows.s[k]), int(rows.h[k])
-                a = 2 * N + h
-                assert rows.amp[k] == -0.25 * _series_term_ratios(N, L)[k] and rows.first[k] == 1.0 / math.factorial(s)
-                assert list(zip(heads[k].tolist(), steps[k].tolist())) == [
-                    ((a + j) / ((j + 1) * (j + s + 1)), 1.0 / (a + j) - 1.0 / (j + 1) - 1.0 / (j + s + 1))
-                    for j in range(length)
-                ]
+        for k in range(N - L):
+            m = 2 * k + 3 - 2 * N
+            s, h = abs(m), max(m, 0)
+            assert rows.amp[k] == -0.25 * _series_term_ratios(N, L)[k] and rows.first[k] == 1.0 / math.factorial(s)
+            fields = (rows.p[k], rows.h[k], rows.psi[k], rows.a[k], rows.s[k])
+            assert fields == (N - 1 - k, h, N - 2 - k + h, 2 * N + h, s)
         # a node's pieces do not depend on the tables built before it
         K._tables.cache_clear()
         first = pieces(2.9)
@@ -824,30 +831,38 @@ class TestKernelTables:
         assert pieces(2.9) == first
 
     def test_tables_empty_after_import(self):
-        # every table is built lazily, so importing the package builds none:
-        # every cached function of kernel, shifts and specfun, found by its
-        # cache_info, and the Jacobi steps
+        # every table is built lazily, so importing the package builds none.
+        # The cached functions of every module of the package, found by their
+        # cache_info, are exactly these four, so a new cache cannot pass
+        # unseen; the Jacobi steps are the one table kept in a dict
         src = str(Path(K.__file__).resolve().parents[1])
         code = (
-            "import json, sys; sys.path.insert(0, sys.argv[1]); import lambshift, lambshift.oracles; "
-            "from lambshift import kernel, shifts, specfun; "
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import lambshift, lambshift.cli, lambshift.oracles; "
+            "from lambshift import specfun; "
+            "modules = [m for name, m in sys.modules.items() if name.startswith('lambshift.')]; "
             "sizes = {f'{f.__module__}.{f.__name__}': f.cache_info().currsize "
-            "for m in (kernel, shifts, specfun) for f in vars(m).values() "
-            "if callable(getattr(f, 'cache_info', None))}; "
+            "for m in modules for f in vars(m).values() if callable(getattr(f, 'cache_info', None))}; "
             "sizes['lambshift.specfun._JACOBI_STEPS'] = len(specfun._JACOBI_STEPS); "
-            "print(json.dumps(sizes))"
+            "print(json.dumps([sorted(m.__name__ for m in modules), sizes]))"
         )
         out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        sizes = json.loads(out.stdout)
-        tables = ("_tables", "_row_table")
-        assert {*(f"lambshift.kernel.{name}" for name in tables), "lambshift.shifts._channels"} <= set(sizes)
+        modules, sizes = json.loads(out.stdout)
+        assert {f"lambshift.{m}" for m in ("kernel", "oracles", "shifts", "specfun")} <= set(modules)
+        assert set(sizes) == {
+            "lambshift.kernel._row_table",
+            "lambshift.kernel._tables",
+            "lambshift.shifts._channels",
+            "lambshift.oracles._grid_table",
+            "lambshift.specfun._JACOBI_STEPS",
+        }
         assert all(size == 0 for size in sizes.values()), sizes
 
     def test_values_do_not_depend_on_the_order_of_states(self):
         # the record holds one state's tables at a time: two fresh
         # interpreters run the same calls in orders where each state follows
-        # a different one, and every value is the same float
+        # a different one, and every value is the same float; the residues
+        # alternate between two states and build each state's rows afresh
         src = str(Path(K.__file__).resolve().parents[1])
         code = (
             "import json, sys; sys.path.insert(0, sys.argv[1]); from lambshift import kernel, oracles, shifts; "
@@ -857,13 +872,15 @@ class TestKernelTables:
             "calls = {'shift21': lambda: shift(2, 1), 'shift30': lambda: shift(3, 0), "
             "'bethe21': lambda: (lambda r: (r.gamma, r.estimates))(shifts.bethe_log(2, 1)), "
             "'rates52': lambda: shifts.decay_rates(S(N=5, L=2)), "
-            "'eps10': lambda: oracles.shift_via_eps_real_axis(S(N=1, L=0), 0.025)}; "
+            "'eps10': lambda: oracles.shift_via_eps_real_axis(S(N=1, L=0), 0.025), "
+            "'residues': lambda: [[kernel.residue_coeffs(N, L, 0.7, n) for n in range(L, N)] "
+            "for N, L in ((6, 2), (5, 2), (6, 2), (5, 2))]}; "
             "values = {name: repr(calls[name]()) for name in sys.argv[2:]}; "
             "print(json.dumps([values, kernel._tables.cache_info().currsize]))"
         )
         orders = (
-            ("shift21", "eps10", "bethe21", "shift30", "rates52"),
-            ("shift30", "bethe21", "rates52", "eps10", "shift21"),
+            ("shift21", "eps10", "residues", "bethe21", "shift30", "rates52"),
+            ("shift30", "bethe21", "rates52", "residues", "eps10", "shift21"),
         )
         runs = []
         for order in orders:
@@ -872,6 +889,9 @@ class TestKernelTables:
             runs.append(json.loads(out.stdout))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1] == 1
+        six, five, six_again, five_again = ast.literal_eval(runs[0][0]["residues"])
+        assert (six, five) == (six_again, five_again) and len(six) == 4 and len(five) == 3
+        assert six == [residue_coeffs(6, 2, 0.7, n) for n in range(2, 6)]
 
     def test_import_loads_no_fractions_decimal_csv_or_dataclasses(self):
         # fractions (which imports decimal) loads with the exact-rational
@@ -995,15 +1015,16 @@ class TestEulerBlock:
     @pytest.mark.parametrize("N, L", [(1, 0), (3, 1)])
     def test_log_series_that_never_ends_raises(self, monkeypatch, N, L):
         # a NaN entry never meets the stopping test: the doubling stops at
-        # _SERIES_MAX_STEPS and names the state.  The guard on the step table
+        # _SERIES_MAX_STEPS and names the state.  The guard on the slab's
+        # length, which every run of the log series takes from np.arange,
         # ends the test instead if the bound is ever lost.  A NaN nu stops
         # earlier, at the digamma strip's check, so the NaN enters the log
         # series through a node's digamma head
-        table, strip = K._log_table, K.digamma
+        arange, strip = np.arange, K.digamma
 
-        def guarded(N, L, length):
-            assert length <= K._SERIES_MAX_STEPS, "the log series doubled past its bound"
-            return table(N, L, length)
+        def guarded(n, *args, **kwargs):
+            assert n <= K._SERIES_MAX_STEPS, "the log series doubled past its bound"
+            return arange(n, *args, **kwargs)
 
         def nan_last_head(x):
             heads = strip(x)
@@ -1013,10 +1034,11 @@ class TestEulerBlock:
         nus = [complex(N * math.exp(-4.0), 0.0125), complex(N * math.exp(-5.0), 0.0125)]
         with pytest.raises(ValueError, match="digamma needs 0 < Re x <= 1"):
             K._euler_block(N, L, [4.0, 5.0], [nus[0], complex(nus[1].real, math.nan)])
-        monkeypatch.setattr(K, "_log_table", guarded)
         monkeypatch.setattr(K, "digamma", nan_last_head)
-        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match=rf"\(N, L\) = \({N}, {L}\) has not ended"):
-            K._euler_block(N, L, [4.0, 5.0], nus)
+        with monkeypatch.context() as m, np.errstate(invalid="ignore"):
+            m.setattr(np, "arange", guarded)
+            with pytest.raises(ArithmeticError, match=rf"\(N, L\) = \({N}, {L}\) has not ended"):
+                K._euler_block(N, L, [4.0, 5.0], nus)
 
 
 class TestBlockStream:
@@ -1106,10 +1128,10 @@ class TestBlockStream:
         # one stream: a single first chunk, holding every series node
         assert [rows for j0, rows in chunks if j0 == N + 1] == [42]
         # one slab, sized once at the largest w, whose entries are those of the nodes one by one
-        ((_, _, bh, g, w), slab), = calls
+        ((_, _, rows, bh, g, w), slab), = calls
         assert bh.shape == (21, N - L) and lengths == [max(w[:, 0].tolist())]
         for i in range(21):
-            node = log_series(N, L, bh[i : i + 1], g[i : i + 1], w[i : i + 1])
+            node = log_series(N, L, rows, bh[i : i + 1], g[i : i + 1], w[i : i + 1])
             assert repr(node.tolist()) == repr(slab[i : i + 1].tolist()), i
 
     def test_any_factor_sums_as_in_a_block_of_one(self, monkeypatch):

@@ -510,8 +510,9 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=-1.0)
-    # a string raised TypeError from the comparison
-    for bad in (math.nan, math.inf, -math.inf, "1e-9", None):
+    # a string raised TypeError from the comparison, and True was stored as
+    # the tolerance
+    for bad in (math.nan, math.inf, -math.inf, "1e-9", None, True):
         with pytest.raises(ValueError, match="finite"):
             QuadratureSpec(rel_tol=bad)
     # the budget counts panels; one of 0 or less left every integral

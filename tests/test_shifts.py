@@ -58,6 +58,11 @@ class TestQuantumState:
             with pytest.raises(ValueError, match="nuclear charge"):
                 QuantumState(N=2, L=0, Z=Z)
         assert QuantumState(N=2, L=0, Z=np.int64(2)).Z == 2
+        # a bool is no quantum number or charge: (True, False) became (1, 0)
+        with pytest.raises(ValueError, match="invalid quantum numbers"):
+            QuantumState(N=True, L=False)
+        with pytest.raises(ValueError, match="nuclear charge"):
+            QuantumState(N=2, L=0, Z=True)
         with pytest.raises(ValueError):
             QuantumState(N=2, L=1, J=2.0)
         with pytest.raises(ValueError):
@@ -101,7 +106,7 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             DipoleOptions(enabled=True, cutoff_x=-1.0)
         # math.isfinite raised TypeError on a string
-        for bad in ("3", math.nan, math.inf, 0.0):
+        for bad in ("3", math.nan, math.inf, 0.0, True):
             with pytest.raises(ValueError, match="cutoff_x must be positive and finite"):
                 DipoleOptions(enabled=True, cutoff_x=bad)
         with pytest.raises(ValueError):
@@ -268,7 +273,10 @@ class TestPoleResidues:
     def test_cold_tables_hold_machine_independent_counts(self):
         # a fresh interpreter's sweep of every N <= 20 state in both
         # approximations (the benchmark's rates grid) fills each lazy table
-        # to a fixed size, one residue per channel; a second sweep reads them
+        # to a fixed size, one residue per channel and one row table built
+        # per state with channels; a second sweep reads them.  The row table
+        # holds the last state alone, and the rates build no table of the
+        # kernel's record
         src = str(Path(kernel.__file__).resolve().parents[1])
         code = (
             "import json, sys; sys.path.insert(0, sys.argv[1]); "
@@ -279,14 +287,15 @@ class TestPoleResidues:
             "cases = [(QuantumState(N, L), DipoleOptions(enabled=dipole)) "
             "for N in range(1, 21) for L in range(N) for dipole in (False, True)]; "
             "first = [decay_rates(*case) for case in cases]; "
-            "counts = [sum(map(len, specfun._JACOBI_STEPS.values())), kernel._row_table.cache_info().currsize, "
+            "counts = [sum(map(len, specfun._JACOBI_STEPS.values())), kernel._row_table.cache_info().misses, "
             "shifts._channels.cache_info().currsize, len(calls)]; "
             "second = [decay_rates(*case) for case in cases]; "
-            "print(json.dumps([counts, len(calls), len(cases), first == second]))"
+            "held = [f.cache_info().currsize for f in (kernel._row_table, kernel._tables)]; "
+            "print(json.dumps([counts, len(calls), len(cases), first == second, held]))"
         )
         out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout) == [[1330, 209, 210, 1520], 1520, 420, True]
+        assert json.loads(out.stdout) == [[1330, 209, 210, 1520], 1520, 420, True, [1, 0]]
 
     def test_keyed_by_state_alone(self, tmp_path):
         # the residues depend on (N, L) only: rates read from a table filled
