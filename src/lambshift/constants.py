@@ -18,6 +18,26 @@ ALPHA0_CODATA2018 = 7.2973525693e-3          # fine-structure constant
 MEC2_EV_CODATA2018 = 510998.95000            # electron rest energy, eV
 HBAR_EVS_CODATA2018 = 6.582119569e-16        # reduced Planck constant, eV s
 
+# The one input rule of the package's records and entry points: what an
+# integer and a finite real are.  numpy's integers are registered as
+# numbers.Integral; an integral float is not one, and a bool, an int to
+# isinstance, is rejected by its type.  int comes first in _INTEGERS: the
+# ABC check alone took ~0.5 us on a shared 2-vCPU VM, and the two checks of
+# kernel that run on every node and channel (validate_quantum_numbers and
+# residue_coeffs' index) spell is_integer inline over this tuple, with no
+# call (validate_quantum_numbers' operator.index costs a third of int()).
+_INTEGERS = (int, numbers.Integral)
+
+
+def is_integer(x) -> bool:
+    """x is an int or a numpy integer, not a bool."""
+    return type(x) is not bool and isinstance(x, _INTEGERS)
+
+
+def is_finite_real(x) -> bool:
+    """x is a real number, not a bool, NaN or infinite."""
+    return type(x) is not bool and isinstance(x, (float, int, numbers.Real)) and -math.inf < x < math.inf
+
 
 class PhysicalConstants(namedtuple("PhysicalConstants", "alpha0 mec2_eV hbar_eVs")):
     """Fine-structure constant, electron rest energy (eV), hbar (eV s)."""
@@ -30,10 +50,7 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "alpha0 mec2_eV hbar_eVs
         mec2_eV: float = MEC2_EV_CODATA2018,
         hbar_eVs: float = HBAR_EVS_CODATA2018,
     ) -> "PhysicalConstants":
-        if not all(
-            isinstance(v, (float, int, numbers.Real)) and type(v) is not bool and 0 < v < math.inf
-            for v in (alpha0, mec2_eV, hbar_eVs)
-        ):
+        if not all(is_finite_real(v) and v > 0 for v in (alpha0, mec2_eV, hbar_eVs)):
             raise ValueError(
                 "physical constants must be finite and positive, got "
                 f"alpha0={alpha0!r}, mec2_eV={mec2_eV!r}, hbar_eVs={hbar_eVs!r}"
@@ -70,7 +87,7 @@ def default_constants() -> PhysicalConstants:
 
 def rydberg_energy(constants: PhysicalConstants, Z: int, N: int) -> float:
     """Bound-state energy E_N = -mec2 (Z alpha0)^2 / (2 N^2) in eV, for integers N >= 1 and Z >= 1."""
-    if not all(isinstance(x, (int, numbers.Integral)) and type(x) is not bool and x >= 1 for x in (N, Z)):
+    if not all(is_integer(x) and x >= 1 for x in (N, Z)):
         raise ValueError(f"require integers N >= 1 and Z >= 1, got N={N!r}, Z={Z!r}")
     return -constants.mec2_eV * (Z * constants.alpha0) ** 2 / (2.0 * N * N)
 

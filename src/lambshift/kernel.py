@@ -64,13 +64,15 @@ Only the checks evaluate kernels: the u-form and the remainder Q~ in tau
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from functools import lru_cache
 from operator import index
 
 import numpy as np
 
+# The integer types of constants.is_integer, which the per-node and
+# per-channel checks below spell inline, with no call.
+from .constants import _INTEGERS
 from .specfun import _jacobi_from_steps, _jacobi_steps, digamma
 
 # Unused here; kept bound because perfbench/tracing.py wraps
@@ -87,13 +89,6 @@ SERIES_T2_MAX = 0.80
 # decay, and a floor ends the sum on terms that are still growing.
 TAU_REL_TOL = 1.0e-13
 EULER_GAMMA = 0.57721566490153286061
-# The types a quantum number or residue index may have (numpy's integers
-# are registered as numbers.Integral; an integral float is not one, and a
-# bool, an int to isinstance, is rejected by its type).  int comes first:
-# the ABC check alone took ~0.5 us on a shared 2-vCPU VM, and it runs on
-# every node and channel (so does validate_quantum_numbers'
-# operator.index, which costs a third of int()).
-_INTEGERS = (int, numbers.Integral)
 
 
 def validate_quantum_numbers(N: int, L: int) -> tuple[int, int]:
@@ -245,8 +240,8 @@ def residue_coeffs(N: int, L: int, phi: float, n: int) -> float:
     N, L = validate_quantum_numbers(N, L)
     if type(n) is bool or not isinstance(n, _INTEGERS) or not L <= n < N:
         raise ValueError(f"residue index n={n!r} outside [L, N-1] = [{L}, {N - 1}]")
-    if phi != phi:
-        raise ValueError(f"phi must be a number, got {phi!r}")
+    if not phi >= 0.0:
+        raise ValueError(f"phi must be a number, got {phi!r} (need phi >= 0)")
     w, t2, gain = _jacobi_point(L, phi)
     table, weights, power = _row_table(N, L), [0.0, 0.0, 0.0], 1.0
     for _ in range(N - n - 1):  # k = N - j of j = n + 1

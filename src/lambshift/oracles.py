@@ -414,8 +414,8 @@ def kernel_q(N: int, L: int, T: float, phi: float) -> complex:
     (conj(f)^2/(1-z))^N of _kernel_matrix_element_grid.
     """
     N, L = validate_quantum_numbers(N, L)
-    if phi < 0.0:
-        raise ValueError(f"phi must be nonnegative, got {phi}")
+    if not (-math.inf < T < math.inf and 0.0 <= phi < math.inf):
+        raise ValueError(f"need a finite T and a finite phi >= 0, got T={T!r}, phi={phi!r}")
     phase, amp = _kernel_matrix_element_grid(N, L, np.array([T]), phi)
     return complex(math.sin(T / 2.0) ** 2 * phase[0] * amp[0])
 

@@ -39,13 +39,14 @@ panel endpoints, in particular at the origin of a semi-infinite domain.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from collections import namedtuple
 from itertools import takewhile
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .constants import is_finite_real, is_integer
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1]
 # (nonnegative abscissae; the rule is symmetric).
@@ -157,11 +158,11 @@ class QuadratureSpec(namedtuple("QuadratureSpec", "rel_tol max_subdivisions")):
     __slots__ = ()
 
     def __new__(cls, rel_tol: float = 1.0e-9, max_subdivisions: int = 2000) -> "QuadratureSpec":
-        if type(rel_tol) is bool or not isinstance(rel_tol, (float, int, numbers.Real)) or not 0.0 < rel_tol < math.inf:
+        if not is_finite_real(rel_tol) or rel_tol <= 0.0:
             raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-        if not isinstance(max_subdivisions, int) or isinstance(max_subdivisions, bool) or max_subdivisions < 1:
+        if not is_integer(max_subdivisions) or max_subdivisions < 1:
             raise ValueError(f"max_subdivisions must be an integer >= 1, got {max_subdivisions!r}")
-        return tuple.__new__(cls, (rel_tol, max_subdivisions))
+        return tuple.__new__(cls, (rel_tol, int(max_subdivisions)))
 
     def target(self, value: float) -> float:
         return self.rel_tol * abs(value)
@@ -474,9 +475,9 @@ def integrate_principal_value(
     N e^-x - n, unlike n expm1(pole - x), may miss a tight tolerance.
     """
     spec = spec or QuadratureSpec()
-    if pole <= 0.0:
-        raise ValueError(f"pole must be positive, got {pole}")
-    if upper is not None and upper <= pole:
+    if not 0.0 < pole < math.inf:
+        raise ValueError(f"pole must be positive and finite, got {pole}")
+    if upper is not None and not upper > pole:
         raise ValueError(f"pole {pole} not inside (0, {upper})")
 
     if denominator is None:

@@ -26,14 +26,13 @@ last Bethe cutoff, one panel in x = e^-phi (quadrature.integrate_panels).
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
-from .constants import PhysicalConstants, default_constants
-from .kernel import _INTEGERS, PhiKernel, fill_tau_integrals, residue_coeffs, validate_quantum_numbers
+from .constants import PhysicalConstants, default_constants, is_finite_real, is_integer
+from .kernel import PhiKernel, fill_tau_integrals, residue_coeffs, validate_quantum_numbers
 from .quadrature import (
     Diagnostics,
     QuadratureSpec,
@@ -60,11 +59,9 @@ class QuantumState(namedtuple("QuantumState", "N L J Z")):
 
     def __new__(cls, N: int, L: int, J: float | None = None, Z: int = 1) -> "QuantumState":
         N, L = validate_quantum_numbers(N, L)
-        if type(Z) is bool or not isinstance(Z, _INTEGERS) or Z < 1:
+        if not is_integer(Z) or Z < 1:
             raise ValueError(f"nuclear charge must be a positive integer, got {Z!r}")
-        if J is not None and not (
-            isinstance(J, (float, numbers.Real)) and J >= 0.5 and abs(abs(J - L) - 0.5) <= 1e-12
-        ):
+        if J is not None and not (is_finite_real(J) and J >= 0.5 and abs(abs(J - L) - 0.5) <= 1e-12):
             raise ValueError(f"J must be L +/- 1/2 and >= 1/2, got J={J!r} for L={L}")
         return tuple.__new__(cls, (N, L, J, int(Z)))
 
@@ -80,9 +77,7 @@ class DipoleOptions(namedtuple("DipoleOptions", "enabled cutoff_x")):
         if cutoff_x is not None:
             if not enabled:
                 raise ValueError("cutoff_x needs the dipole approximation: enabled=True, or --dipole")
-            if type(cutoff_x) is bool or not (
-                isinstance(cutoff_x, (float, int, numbers.Real)) and 0 < cutoff_x < math.inf
-            ):
+            if not is_finite_real(cutoff_x) or cutoff_x <= 0:
                 raise ValueError(f"cutoff_x must be positive and finite, got {cutoff_x!r}")
         return tuple.__new__(cls, (enabled, cutoff_x))
 

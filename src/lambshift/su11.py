@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from collections import namedtuple
 
+from .constants import is_finite_real
 from .specfun import hyp2f1_terminating, ln_abs
 
 DET_TOLERANCE = 1.0e-9
@@ -65,7 +65,7 @@ class RepLabel(namedtuple("RepLabel", "m0")):
     __slots__ = ()
 
     def __new__(cls, m0: int) -> "RepLabel":
-        if not isinstance(m0, (int, numbers.Real)) or not 1 <= m0 < math.inf or m0 != int(m0):
+        if not is_finite_real(m0) or m0 < 1 or m0 != int(m0):
             raise ValueError(f"m0 must be a positive integer, got {m0!r}")
         return tuple.__new__(cls, (m0,))
 

@@ -1,9 +1,12 @@
+import ast
 import math
 import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import lambshift
 from lambshift.constants import (
     PhysicalConstants,
     default_constants,
@@ -159,3 +162,18 @@ def test_units_are_pure_functions_of_inputs():
     assert c.energy_unit_eV(2) == 5.0e5 * (2 * 7.0e-3) ** 2
     assert c.rate_unit_per_s(1) == 5.0e5 * 7.0e-3 * 7.0e-3**4 / 6.6e-16
     assert math.isclose(c.eV_to_MHz(2.0 * math.pi * 6.6e-16 * 1e6), 1.0)
+
+
+def test_only_constants_imports_numbers():
+    # constants.is_integer and is_finite_real are the package's one input
+    # rule; a module that imports numbers spells the rule a second time.
+    # Finding constants itself shows that the parse sees the import.
+    importers = set()
+    for path in sorted(Path(lambshift.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if any(name.partition(".")[0] == "numbers" for name in names):
+                importers.add(path.stem)
+    assert importers == {"constants"}

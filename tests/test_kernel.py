@@ -241,6 +241,10 @@ class TestKernelQ:
             kernel_q(0, 0, 1.0, 1.0)
         with pytest.raises(ValueError):
             kernel_q(2, 1, 1.0, -0.1)
+        # a NaN T or phi returned nan+nanj
+        for T, phi in ((1.0, math.nan), (math.nan, 1.0), (1.0, math.inf), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="need a finite T and a finite phi >= 0"):
+                kernel_q(2, 1, T, phi)
         with pytest.raises(ValueError, match="phi must be finite and nonnegative, got -0.1"):
             PhiKernel(1, 0, -0.1)
         # a NaN phi failed deep in the closed branch, an infinite one ran
@@ -308,9 +312,12 @@ class TestResidues:
         for args in ((float(N), L), (N, float(L)), (True, False)):
             with pytest.raises(ValueError, match="invalid quantum numbers"):
                 residue_coeffs(*args, 0.7, L)
-        # a NaN phi returned NaN; phi = inf is the limit 0.0
+        # a NaN phi returned NaN, a negative one the value at -phi; phi = inf
+        # is the limit 0.0
         with pytest.raises(ValueError, match="phi must be a number, got nan"):
             residue_coeffs(N, L, math.nan, L)
+        with pytest.raises(ValueError, match="need phi >= 0"):
+            residue_coeffs(N, L, -0.5, L)
         assert residue_coeffs(N, L, math.inf, L) == 0.0
         want = residue_coeffs(N, L, 0.7, L)
         assert residue_coeffs(np.int64(N), np.int64(L), 0.7, np.int64(L)) == want

@@ -499,10 +499,18 @@ class TestPrincipalValue:
     def test_rejects_nonpositive_pole(self):
         with pytest.raises(ValueError):
             integrate_principal_value(lambda x: np.ones_like(x), pole=0.0)
+        # a NaN pole raised IntegrandError at x ~ 0.0021
+        for pole in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="pole must be positive and finite"):
+                integrate_principal_value(lambda x: np.ones_like(x), pole=pole)
 
     def test_rejects_pole_outside_domain(self):
         with pytest.raises(ValueError):
             integrate_principal_value(lambda x: np.ones_like(x), pole=3.0, upper=2.0)
+        # upper = NaN returned the converged PV over (0, 1.5) alone
+        with pytest.raises(ValueError, match="not inside"):
+            integrate_principal_value(lambda x: np.exp(-x), 1.0, upper=math.nan)
+        assert integrate_principal_value(lambda x: np.exp(-x), 1.0, upper=math.inf).converged
 
 
 def test_spec_validation():
@@ -521,3 +529,5 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="max_subdivisions"):
             QuadratureSpec(max_subdivisions=bad)
     assert QuadratureSpec(max_subdivisions=1).max_subdivisions == 1
+    # numpy integers are integers here as at every other integer input
+    assert QuadratureSpec(max_subdivisions=np.int64(5)).max_subdivisions == 5

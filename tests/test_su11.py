@@ -151,8 +151,9 @@ class TestRepresentation:
         assert RepLabel(3).m0 == 3
         with pytest.raises(ValueError):
             RepLabel(0)
-        # a string raised TypeError from the comparison, NaN from int()
-        for bad in ("2", 2.5, math.nan, math.inf, None):
+        # a string raised TypeError from the comparison, NaN from int(), and
+        # True was taken as the tower m0 = 1
+        for bad in ("2", 2.5, math.nan, math.inf, None, True):
             with pytest.raises(ValueError, match="m0 must be a positive integer"):
                 RepLabel(bad)
         assert RepLabel(2.0).m0 == 2
