@@ -17,28 +17,16 @@ real-axis double integral at finite damping epsilon, whose real-time
 kernel Q(T, phi) is written once (kernel_q).  Tolerances here are looser
 by construction; the oscillatory epsilon route in particular only makes
 sense after extrapolating the damping to zero.  Its inner time integral
-is exact at every finite epsilon: one period of the 2 pi-periodic dQ/dT
-divided by 1 - e^{2 pi s}, s = i nu - eps, integrated by parts into -s
-times the damped period of Q itself (Q vanishes at 0 and 2 pi), and
-folded onto [0, pi] by Q(2 pi - T) = conj Q(T).  Up to phi = 3.5 that
-half period is a T grid whose size depends only on the node's panel
-count, sized by the kernel's oscillation alone (panels a third of its
-local period, at most 0.8 wide) and rounded up the ladder 4 * 2^k so
-that a grid has few counts, and the phi nodes with one count are
-(phi x T) blocks of at most 2925 elements (48 rows at 4 panels): the
-trig of T is taken once per block row and the hyperbolics once per
-node, and the phase e^{-2iN chi} of the kernel is algebraic in them,
-with no angle, complex exponential or complex division per element.  A
-call's phi grid is kept as one table, its photon weights and the
-T-moments of its grid nodes, which do not depend on eps (the damping
-e^{-+eps T} is their Taylor series, exact in double up to EPS_MAX), so
-an eps sweep whose phi nodes stay put, the 1s route of verify, weighs
-its nodes and evaluates the kernel on the grid once.  At large phi it is
-the kernel's exponential series summed in
-closed form: the Gauss pieces of the rotated inner integral's Euler form
-at the complex nu + i eps (kernel._euler_block, all such nodes of a call
-in one block), which hold the whole damped integral, residue terms and
-tail alike.
+is exact at every finite epsilon: at each phi node it is the sum
+-sum_j j q_j/(j - nu - i eps) over the coefficients of the kernel's
+exponential series Q = sum_j q_j e^{-ijT}.  Up to phi = 3.5 the q_j are
+one inverse real FFT of the real-time matrix element M(T) (_fft_rows),
+kept with the photon weights as one table of the call's phi grid, so an
+eps sweep whose nodes stay put, the 1s route of verify, samples the
+kernel and weighs its nodes once.  Beyond, the same sum is the Gauss
+pieces of the rotated inner integral's Euler form at the complex
+nu + i eps (kernel._euler_block, all such nodes of a call in one block),
+whose digamma strip bounds eps.
 """
 
 from __future__ import annotations
@@ -49,12 +37,14 @@ from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
+import numpy.fft  # np.fft loads lazily; here it loads with oracles, not in the first eps call
 
 from . import kernel
 from .constants import PhysicalConstants
 from .kernel import (
     PhiKernel,
     _euler_block,
+    _q,
     _series_sums,
     _series_term_ratios,
     residue_coeffs,
@@ -78,7 +68,7 @@ from .shifts import (
     lamb_shift,
     shift_prefactor,
 )
-from .specfun import _jacobi_recurrence
+from .specfun import STRIP_IM_MAX, _jacobi_recurrence
 from .su11 import GroupElement, RepLabel, rep_matrix_element, scaling_coords
 
 
@@ -377,7 +367,7 @@ def _kernel_matrix_element_grid(N: int, L: int, T: np.ndarray, phi: float | np.n
 
     M = e^{-2iN chi} A with A = (1-z)^{-(L+1)} P_{N-L-1}^{(0, 2L+1)}(w) real.
     T and phi are broadcast together: a float phi, one phi per time, or a
-    row of times against a column of phi (the blocks of _t_moments), where
+    row of times against a column of phi (the blocks of _fft_rows), where
     the trig of T is taken once per time and the hyperbolics once per phi.
     With f = cos(T/2) + i sin(T/2) cosh(phi) = |f| e^{i chi} and
     z = -sin^2(T/2) sinh^2(phi), |f|^2 = 1 - z, so the phase is algebraic,
@@ -442,137 +432,94 @@ def _phi_breakpoints(N: int, L: int, eps: float, phi_max: float):
 # around T = 2 pi k; beyond this phi the oscillations are handed to the
 # eigenbasis sum in closed form instead (every pole nu = n sits at
 # phi <= ln N, far below the switch, so the pole treatment under test is
-# still probed entirely by direct T integration).
+# still probed entirely by the sampled kernel).
 PHI_OSCILLATORY_MAX = 3.5
-# The damping enters the folded T grid only as e^{-eps T} and e^{eps T} with
-# 0 <= T <= pi.  Up to EPS_MAX their Taylor series to the order
-# _MOMENTS - 1 = 16 leave at most e^{eps pi} (eps pi)^17/17! = 1.0e-16 < 2^-53
-# of every term, so the grid keeps the eps-free T-moments of its terms.
-EPS_MAX = 0.25
-_MOMENTS = 17
-# Panel counts of the T grid on [0, pi] climb the ladder 4 * 2^k from
-# ceil(pi/0.8) = 4, the count of panels 0.8 wide
-_PANELS = 4
-# (phi x T) elements per block of the grid, the bound on each block's
-# transients: 48 rows at 4 panels, 24 at 8, 12 at 16, 6 at 32, 3 at 64
+# eps enters the spectral nodes' digamma heads at Im x = -eps, so the route
+# takes the strip of specfun.digamma as its bound
+EPS_MAX = STRIP_IM_MAX
+# (phi x T) samples per block of the FFT rows, the bound on each block's
+# transients: 45 rows of K/2 + 1 samples at K = 128, 11 at 512, 1 from 4096
 _BLOCK_ELEMENTS = 2925
+# A row of q_j ends past its last weight above this share of its largest
+_ROW_CUT = 1.0e-14
 
 
-def _t_panels(N: int, phis: np.ndarray) -> np.ndarray:
-    """The panel count of each node's T grid: the least 4 * 2^k at or above the node's need.
+def _fft_sizes(N: int, phis: np.ndarray) -> np.ndarray:
+    """The FFT size K = 2^ceil(log2(16 N cosh phi + 64)) of each node: 16 times its frequency spread."""
+    return 2 ** np.ceil(np.log2(16.0 * N * np.cosh(phis) + 64.0)).astype(int)
 
-    A node needs ceil(pi/h) panels of width h = min(0.8, 2/(N cosh phi)),
-    a third of the local oscillation period; the 15-point Kronrod rule is
-    exact to degree 22, so such panels hold every moment of _t_moments to
-    ~1e-15 of the node's largest up to phi = 3.5, as on a grid with four
-    times the panels.  Rounding the need up the doubling ladder only
-    narrows panels, and gives the nodes of a grid few distinct counts
-    (four for 1s), so that they share few, full blocks.
+
+def _fft_rows(N: int, L: int, phis: np.ndarray):
+    """(q, j, starts): the q_j of Q(T) = sum_j q_j e^{-ijT} at each node of phis, row after row.
+
+    M(T) = sum_n |D_{N,n}|^2 e^{-inT} is sampled at K/2 + 1 equispaced T on
+    [0, pi], and as M(-T) = conj M(T) one inverse real FFT of length K
+    gives every weight n < K, the weights n <= L exactly 0; kernel._q forms
+    the q_j.  The nodes of one K are (phi x T) blocks within
+    _BLOCK_ELEMENTS.  A row runs from j = 0 to one past its last weight
+    above _ROW_CUT of its largest; the rows lie one after another in q and
+    j (exact integers, as floats), row i from starts[i].
     """
-    need = np.ceil(math.pi / np.minimum(0.8, 2.0 / (N * np.cosh(phis))))
-    counts = np.full(need.shape, _PANELS)
-    while (short := counts < need).any():
-        counts[short] *= 2
-    return counts
-
-
-def _t_moments(N, L, phis, nus):
-    """mu_m = sum_T (h W_T T^m/m!) e^{i nu T} Q(T), m < _MOMENTS, per node of a phi grid.
-
-    phis and nus are equal-length arrays of nodes.  A node's times are
-    count Gauss-Kronrod panels of half width h = pi/(2 count) on [0, pi],
-    with the module's 15-point Kronrod rule (quadrature._X and _W[:, 0])
-    and count from the ladder of _t_panels.  The times depend only on the
-    count, so the nodes of each count are (phi x T) blocks, a column of phi
-    against one row of times, of as many rows as keep rows x times within
-    _BLOCK_ELEMENTS = 2925, which bounds each block's transients; from 128
-    panels on (N cosh phi > 40.7, so only for N >= 3) a node is a block of
-    one, past the budget by itself.  Each moment of a block is one
-    matrix-vector product with a weight row.  The trig of T is taken once
-    per block row and the hyperbolics once per node
-    (_kernel_matrix_element_grid), and e^{i nu T} is formed from its
-    factors e^{i nu mid} and e^{i nu offset}.  Returns a (nodes x _MOMENTS)
-    array.
-    """
-    counts = _t_panels(N, phis)
-    moments = np.empty((phis.size, _MOMENTS), dtype=complex)
+    sizes = _fft_sizes(N, phis)
+    rows = [None] * phis.size
     # sorted(set()), not np.unique: its first call in a process costs 11-19 ms
     # and 1.7 MB of peak RSS (numpy 2.4.6)
-    for count in sorted(set(counts.tolist())):
-        half = 0.5 * math.pi / count
-        mids, offsets = (2 * np.arange(count) + 1) * half, half * _X
-        t = (mids[:, None] + offsets).ravel()
-        s2, weights = np.sin(t / 2.0) ** 2, np.tile(half * _W[:, 0], count)
-        nodes = np.flatnonzero(counts == count)
-        rows = max(1, _BLOCK_ELEMENTS // t.size)
-        for start in range(0, nodes.size, rows):
-            block = nodes[start : start + rows]
-            q, amp = _kernel_matrix_element_grid(N, L, t, phis[block, None])
-            amp *= s2
-            q *= amp  # Q = sin^2(T/2) e^{-2iN chi} A
-            # scaled in place through a view: a product would be one more (phi x T) transient
-            nu_col = nus[block, None]
-            by_panel = q.reshape(block.size, count, _X.size)
-            by_panel *= np.exp(1j * nu_col * mids)[:, :, None]
-            by_panel *= np.exp(1j * nu_col * offsets)[:, None]
-            # rows h W T^m/m!, each from the last, complex: numpy would cast a
-            # real row to complex at every product
-            row = weights.astype(complex)
-            for m in range(_MOMENTS):
-                moments[block, m] = q @ row
-                row *= t / (m + 1)
-    return moments
+    for size in sorted(set(sizes.tolist())):
+        t = np.arange(size // 2 + 1) * (2.0 * math.pi / size)
+        nodes = np.flatnonzero(sizes == size)
+        step = max(1, _BLOCK_ELEMENTS // t.size)
+        for start in range(0, nodes.size, step):
+            block = nodes[start : start + step]
+            m, amp = _kernel_matrix_element_grid(N, L, t, phis[block, None])
+            m *= amp
+            weights = np.zeros((block.size, size + 1))  # |D_{N,n}|^2, n = -1 .. K - 1
+            weights[:, L + 2 :] = np.fft.irfft(m, size)[:, L + 1 :]
+            big = weights[:, ::-1] > _ROW_CUT * weights.max(axis=1, keepdims=True)
+            ends = size + 1 - np.argmax(big, axis=1)  # q_j up to j = 1 + the last weight kept
+            weights = weights[:, : ends.max() + 2]
+            q = _q(weights[:, :-2], weights[:, 1:-1], weights[:, 2:])
+            for node, row, end in zip(block.tolist(), q, ends.tolist()):
+                rows[node] = row[:end]
+    lengths = [row.size for row in rows]
+    starts = np.cumsum([0] + lengths[:-1])
+    return np.concatenate(rows), np.arange(float(sum(lengths))) - np.repeat(starts, lengths), starts
 
 
-# One table, of the last phi grid asked for: w(phi) at each node (255 floats
-# for 1s) and the T-moments of the nodes up to PHI_OSCILLATORY_MAX
-# (165 x _MOMENTS complex for 1s, 45 kB), which every eps of a 1s sweep
-# shares.  The grids of N >= 2 move with eps and never repeat, so no more
-# is kept.
+# One table, of the last phi grid asked for, which every eps of a 1s sweep
+# shares.  The grids of N >= 2 move with eps and never repeat.
 @lru_cache(maxsize=1)
 def _grid_table(state, constants, phis):
-    """(w, mu) of one call's phi nodes: the weight column and the grid's T-moments.
+    """(w, rows) of one call's phi nodes: the weight column and the grid's q_j rows.
 
     state and constants are the call's, and phis is the tuple of all its
     phi nodes, which is the key of the one table kept.  w is the non-dipole
     weight closure of shifts._photon_weight at every node, the same floats
-    as the shifts and rates, and mu is _t_moments of the nodes
-    phi <= PHI_OSCILLATORY_MAX at nu = N e^{-phi}, in their order.  Both
-    arrays are read-only.
+    as the shifts and rates, and rows is _fft_rows of the nodes
+    phi <= PHI_OSCILLATORY_MAX, in their order.  Every array is read-only.
     """
     grid = np.array(phis)
-    grid = grid[grid <= PHI_OSCILLATORY_MAX]
-    mu = _t_moments(state.N, state.L, grid, state.N * np.exp(-grid))
+    rows = _fft_rows(state.N, state.L, grid[grid <= PHI_OSCILLATORY_MAX])
     weight = _photon_weight(state, NON_DIPOLE, constants)
     w = np.array([weight(phi) for phi in phis])
-    w.flags.writeable = mu.flags.writeable = False
-    return w, mu
+    for array in (w, *rows):
+        array.flags.writeable = False
+    return w, rows
 
 
-def _inner_t_integral_grid(mu, nus, eps):
-    """int_0^inf e^{(i nu - eps) T} dQ/dT dT, exactly, from the T-moments mu of half a period of Q.
+def _inner_t_integral_grid(rows, nus, eps):
+    """int_0^inf e^{(i nu - eps) T} dQ/dT dT = -sum_j j q_j/(j - nu'), nu' = nu + i eps, one per node.
 
-    dQ/dT is 2 pi-periodic, so with s = i nu - eps the damped integral is
-    the one over [0, 2 pi] divided by 1 - e^{2 pi s}.  By parts, as
-    Q(0) = Q(2 pi) = 0, that period is -s int_0^{2 pi} e^{sT} Q dT, and the
-    reflection Q(2 pi - T) = conj Q(T) (Q = sin^2(T/2) sum_n
-    |D_{N,n}|^2 e^{-i n T} with integer n) folds it onto [0, pi]:
-
-        -s int_0^pi [e^{sT} Q(T) + e^{s(2 pi - T)} conj Q(T)] dT.
-
-    Unlike the period of dQ/dT, this integral does not vanish as s -> 0,
-    so the quotient by 1 - e^{2 pi s} cancels nothing.  mu holds the
-    nodes' rows of _t_moments and nus their frequencies, and one complex is
-    returned per node; 0 < eps <= EPS_MAX.  As e^{sT} = e^{-eps T} e^{i nu T}
-    and 1/e^{sT} = e^{eps T} conj e^{i nu T}, with v = e^{i nu T} Q the fold
-    is two real-weighted sums, sum (w e^{-eps T}) v + e^{2 pi s} conj
-    sum (w e^{eps T}) v, that is sum_m (-eps)^m mu_m and sum_m eps^m mu_m:
-    two matrix-vector products, whatever the grid.
+    rows is _fft_rows of the nodes.  As sum_j q_j = Q(0) = 0 the sum is
+    taken as -nu' sum_j q_j/(j - nu'), which weighs the FFT's roundoff by
+    nu'/(j - nu') in place of j/(j - nu'): where the sum cancels to 1e-8
+    of the weights (high L at phi = 3.5) it reads 4e-14 of mpmath, not
+    4e-12.  With d = j - nu, its real q_j make it two real sums a row.
     """
-    s = 1j * nus - eps
-    wraps = np.exp(2.0 * math.pi * s)
-    forward, backward = (-eps) ** np.arange(_MOMENTS), eps ** np.arange(_MOMENTS)
-    return -s * (mu @ forward + wraps * np.conj(mu @ backward)) / (1.0 - wraps)
+    q, j, starts = rows
+    d = j - np.repeat(nus, np.diff(starts, append=q.size))
+    scaled = q / (d * d + eps * eps)
+    sums = _complex(np.add.reduceat(scaled * d, starts), eps * np.add.reduceat(scaled, starts))
+    return -(nus + 1j * eps) * sums
 
 
 def _inner_t_integral_spectral(N, L, phis, nus, eps):
@@ -604,8 +551,8 @@ def shift_via_eps_real_axis(
     """Complex shift in MHz from the un-rotated representation at finite eps.
 
     Evaluates -C int dphi w(phi) int_0^inf dT e^{i(nu + i eps)T} dQ/dT
-    with composite Gauss-Kronrod grids in both variables (the T grid
-    integrates Q by parts); the real part estimates the Lamb shift and the
+    with composite Gauss-Kronrod grids in phi and the inner integral
+    exact at each node; the real part estimates the Lamb shift and the
     imaginary part -Gamma/2 (in the same frequency units).  Meant to be
     extrapolated in eps; 0 < eps <= EPS_MAX, else ValueError before any
     integral starts.
@@ -613,14 +560,14 @@ def shift_via_eps_real_axis(
     The nodes of every phi panel are one array: those up to
     PHI_OSCILLATORY_MAX are one _inner_t_integral_grid call, the rest one
     _inner_t_integral_spectral call (one kernel._euler_block).  The last
-    phi grid's weights w(phi) and T-moments are kept as one table
+    phi grid's weights w(phi) and FFT rows q_j are kept as one table
     (_grid_table): for N = 1 the phi edges do not depend on eps, so the
-    calls at the second and later eps of a sweep form no weight and take
-    two matrix-vector products for the grid.  For N >= 2 the edges refined
-    around the poles ln(N/n) move with eps, and every call forms its own
-    table, which replaces the last.  Each node's w(phi) comes from the
-    non-dipole weight closure of shifts._photon_weight, the same floats as
-    the shifts and rates.
+    calls at the second and later eps of a sweep form no weight and
+    sample no kernel.  For N >= 2 the edges refined around the poles
+    ln(N/n) move with eps, and every call forms its own table, which
+    replaces the last.  Each node's w(phi) comes from the non-dipole
+    weight closure of shifts._photon_weight, the same floats as the
+    shifts and rates.
 
     The phi domain is not [0, phi_max] with phi_max = 9 + ln N: the
     integer edges of _phi_breakpoints run up to round(9 + ln N), so for
@@ -643,10 +590,10 @@ def shift_via_eps_real_axis(
     centres, halves = 0.5 * (phi_edges[:-1] + phi_edges[1:]), 0.5 * (phi_edges[1:] - phi_edges[:-1])
     phis = (centres[:, None] + halves[:, None] * nodes).ravel()
     nus = N * np.exp(-phis)
-    w, mu = _grid_table(state, constants, tuple(phis.tolist()))
+    w, rows = _grid_table(state, constants, tuple(phis.tolist()))
     inner = np.empty(phis.size, dtype=complex)
     grid = phis <= PHI_OSCILLATORY_MAX
-    inner[grid] = _inner_t_integral_grid(mu, nus[grid], eps)
+    inner[grid] = _inner_t_integral_grid(rows, nus[grid], eps)
     inner[~grid] = _inner_t_integral_spectral(N, L, phis[~grid], nus[~grid], eps)
     values = w * inner
     total = halves @ (values.reshape(halves.size, nodes.size) @ weights)

@@ -142,7 +142,7 @@ _PSI_TAYLOR = np.array([
     -4.401820633602188e-09, 1.760295677618269e-09, -7.039949010119622e-10, 2.8156276111135825e-10,
     -1.126150584061632e-10, 4.5043155479529544e-11,
 ])
-# |Im x| bound of digamma's strip: the eps oracle's EPS_MAX, Im x = -eps
+# |Im x| bound of digamma's strip, Im x = -eps: it bounds the eps oracle's damping (oracles.EPS_MAX)
 STRIP_IM_MAX = 0.25
 
 

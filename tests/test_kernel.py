@@ -913,6 +913,20 @@ class TestKernelTables:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == []
 
+    def test_import_loads_no_numpy_fft_before_oracles(self):
+        # numpy alone does not load numpy.fft; only the eps route's FFT rows
+        # use it, so the package and its CLI leave it to oracles, which
+        # imports it at the top
+        src = str(Path(K.__file__).resolve().parents[1])
+        code = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import numpy; numpy_alone = 'numpy.fft' in sys.modules; "
+            "import lambshift, lambshift.cli; package = 'numpy.fft' in sys.modules; import lambshift.oracles; "
+            "print(json.dumps([numpy_alone, package, 'numpy.fft' in sys.modules]))"
+        )
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [False, False, True]
+
     def test_import_without_site_loads_no_importlib_resources(self):
         # under -S no .pth file preloads importlib.resources, which brings
         # pathlib, tempfile, shutil, bz2, lzma and random; the package

@@ -6,16 +6,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lambshift.kernel import PhiKernel, _euler_block
+from lambshift.kernel import PhiKernel, _euler_block, residue_coeffs
 from lambshift.oracles import (
     EPS_MAX,
     PHI_OSCILLATORY_MAX,
     _BLOCK_ELEMENTS,
+    _fft_rows,
+    _fft_sizes,
     _inner_t_integral_grid,
     _inner_t_integral_spectral,
     _kernel_matrix_element_grid,
-    _t_moments,
-    _t_panels,
     bethe_log_by_cutoffs,
     circular_rate_closed_form,
     kernel_q,
@@ -92,6 +92,42 @@ class TestSpectralSeries:
         assert abs(got.imag) < 1e-15
 
 
+def _long_damped_period(N, L, phi, nu, eps):
+    """int_0^inf e^{(i nu - eps)T} dQ/dT dT from one period of Q, summed in long double.
+
+    dQ/dT is 2 pi-periodic and Q(0) = Q(2 pi) = 0, so by parts the damped
+    integral is -s int_0^{2 pi} e^{sT} Q dT/(1 - e^{2 pi s}), s = i nu - eps,
+    and Q(2 pi - T) = conj Q(T) folds the period onto [0, pi].  Near an
+    integer nu that quotient cancels (1e-12 of the result is lost in
+    double at (12, 5, 1.386, 0.00625)), so every step is taken in numpy's
+    long double (64-bit significand on x86-64) from the Jacobi form
+    Q = sin^2(T/2) (conj(f)^2/(1-z))^N (1-z)^{-(L+1)} P_{N-L-1}^{(0, 2L+1)}(w),
+    w = (1+z)/(1-z), on GK15 panels a sixth of the kernel's local period
+    wide; it reads within 5e-16 of _mp_damped_inner there.
+    """
+    ld = np.longdouble
+    nodes, weights, _ = (np.asarray(x, dtype=ld) for x in kronrod_nodes_weights())
+    count = math.ceil(math.pi / min(0.4, 1.0 / (N * math.cosh(phi))))
+    half = np.arccos(ld(-1)) / (2 * count)
+    t = ((2 * np.arange(count, dtype=ld) + 1)[:, None] * half + half * nodes).ravel()
+    ch, minus_z = np.cosh(ld(phi)), np.sin(t / 2) ** 2 * np.sinh(ld(phi)) ** 2
+    x, beta = (1 - minus_z) / (1 + minus_z), ld(2 * L + 1)
+    p_prev, p = np.ones_like(x), 1 + (beta + 2) * (x - 1) / 2
+    for n in range(2, N - L):  # the Jacobi recurrence at alpha = 0
+        c = 2 * n + beta
+        p_prev, p = p, ((c - 1) * (c * (c - 2) * x - beta * beta) * p - 2 * (n - 1) * (n + beta - 1) * c * p_prev) / (
+            2 * n * (n + beta) * (c - 2)
+        )
+    if N - L == 1:
+        p = p_prev
+    conj_f2 = np.cos(t / 2) ** 2 - np.sin(t / 2) ** 2 * ch * ch - 1j * np.sin(t) * ch
+    q = np.sin(t / 2) ** 2 * (conj_f2 / (1 + minus_z)) ** N * p / (1 + minus_z) ** (L + 1)
+    v, w = np.exp(1j * ld(nu) * t) * q, np.tile(half * weights, count)
+    s = 1j * ld(nu) - ld(eps)
+    wrap = np.exp(2 * np.arccos(ld(-1)) * s)
+    return complex(-s * (v @ (w * np.exp(-ld(eps) * t)) + wrap * np.conj(v @ (w * np.exp(ld(eps) * t)))) / (1 - wrap))
+
+
 def _mp_spectral_tail(N, L, phi, nu, eps):
     """-sum_m m q_m/(m - nu') at 50 digits, nu' = nu + i eps, from mpmath's own Beta and 2F1.
 
@@ -118,7 +154,7 @@ def _q_grid(N, L, T, phi):
 
 
 def _route_grid_nodes(N, L, eps):
-    """The phi nodes of shift_via_eps_real_axis's T grid for (N, L) at eps."""
+    """The phi nodes of shift_via_eps_real_axis's grid route for (N, L) at eps."""
     from lambshift import oracles
 
     edges = oracles._phi_breakpoints(N, L, eps, 9.0 + math.log(N))
@@ -129,8 +165,16 @@ def _route_grid_nodes(N, L, eps):
 
 
 def _grid(N, L, phis, nus, eps):
-    """The T grid's damped inner integral at the nodes (phis, nus): their moments, folded."""
-    return _inner_t_integral_grid(_t_moments(N, L, phis, nus), nus, eps)
+    """The grid route's damped inner integral at the nodes (phis, nus): their FFT rows, summed."""
+    return _inner_t_integral_grid(_fft_rows(N, L, phis), nus, eps)
+
+
+def _rows_of(rows):
+    """The q_j of each node of _fft_rows' flat table, one array per node."""
+    q, j, starts = rows
+    ends = np.append(starts[1:], q.size)
+    assert all(np.array_equal(j[a:b], np.arange(b - a)) for a, b in zip(starts, ends))
+    return [q[a:b] for a, b in zip(starts, ends)]
 
 
 class TestEpsilonAxis:
@@ -146,7 +190,7 @@ class TestEpsilonAxis:
         for eps in (0.0, -0.01, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="eps must be positive and finite"):
                 shift_via_eps_real_axis(QuantumState(N=1, L=0), eps)
-        # above EPS_MAX the T-moments of the grid no longer hold e^{+-eps T}
+        # above EPS_MAX the spectral nodes' digamma heads leave specfun's strip
         for eps in (math.nextafter(EPS_MAX, math.inf), 0.3, 1.0):
             with pytest.raises(ValueError, match=f"at most EPS_MAX = {EPS_MAX}"):
                 shift_via_eps_real_axis(QuantumState(N=1, L=0), eps)
@@ -156,7 +200,7 @@ class TestEpsilonAxis:
         [(1, 0, 3.4, 0.0125), (2, 1, 1.0, 0.00625), (3, 0, 3.4, 0.05), (4, 1, 3.4, 0.0125), (12, 5, 3.4, 0.025)],
     )
     def test_inner_grid_matches_mpmath_period(self, N, L, phi, eps):
-        # the grid integrates Q by parts; the reference integrates dQ/dT
+        # the grid sums the FFT coefficients of Q; the reference integrates dQ/dT
         nu = N * math.exp(-phi)
         got = _grid(N, L, np.array([phi]), np.array([nu]), eps)[0]
         want = _mp_damped_inner(N, L, phi, nu, eps)
@@ -165,26 +209,20 @@ class TestEpsilonAxis:
     @pytest.mark.parametrize("N, L", [(1, 0), (2, 1), (12, 5)])
     @pytest.mark.parametrize("eps", [0.00625, 0.0125, 0.05, EPS_MAX])
     def test_moments_equal_direct_weighted_sums(self, N, L, eps):
-        # sum_m (-+eps)^m mu_m against the row sums of -s e^{i nu T} Q with
-        # the weights h W e^{-+eps T} themselves, over a GK15 panel's 15 phi
-        # (several T-grid sizes) and the oscillatory end phi = 3.5
-        nodes, weights, _ = (np.asarray(x) for x in kronrod_nodes_weights())
+        # the sums of the FFT rows against one period of the kernel weighed
+        # directly in extended precision, over a GK15 panel's 15 phi
+        # (several FFT sizes) and the oscillatory end phi = 3.5
+        nodes = np.asarray(kronrod_nodes_weights()[0])
         phis = np.append(1.75 + 1.75 * nodes, PHI_OSCILLATORY_MAX)
         nus = N * np.exp(-phis)
         got = _grid(N, L, phis, nus, eps)
-        for phi, nu, value, count in zip(phis, nus, got, _t_panels(N, phis).tolist()):
-            half = 0.5 * math.pi / count
-            t = ((2 * np.arange(count) + 1)[:, None] * half + half * nodes).ravel()
-            w = np.tile(half * weights, count)
-            v = np.exp(1j * nu * t) * _q_grid(N, L, t, phi)
-            s = 1j * nu - eps
-            wrap = cmath.exp(2.0 * math.pi * s)
-            want = -s * (v @ (w * np.exp(-eps * t)) + wrap * np.conj(v @ (w * np.exp(eps * t)))) / (1.0 - wrap)
+        for phi, nu, value in zip(phis.tolist(), nus.tolist(), got):
+            want = _long_damped_period(N, L, phi, nu, eps)
             assert abs(value - want) <= 1e-12 * abs(want), phi
 
     def test_eps_sweep_evaluates_each_grid_node_once(self, monkeypatch):
-        # the 1s nodes do not move with eps: the three verify calls form
-        # Q at each phi node of the T grid once and the weight column once,
+        # the 1s nodes do not move with eps: the three verify calls sample
+        # M at each phi node of the grid route once and the weight column once,
         # and each call sums its phi > 3.5 nodes in one Euler block
         from lambshift import oracles
 
@@ -220,17 +258,16 @@ class TestEpsilonAxis:
 
     @pytest.mark.parametrize("N, L", [(1, 0), (2, 0), (2, 1), (12, 5)])
     def test_panel_counts_climb_the_ladder(self, N, L, monkeypatch):
-        # each node's count is 4 * 2^k and at least its need of panels at
-        # most min(0.8, 2/(N cosh phi)) wide; the nodes of one count share
-        # blocks of at most 2925 (phi x T) elements, or are blocks of one
+        # each node's FFT size K is the least power of 2 at or above
+        # 16 N cosh(phi) + 64, sampled at K/2 + 1 times; the nodes of one K
+        # share blocks of at most 2925 (phi x T) elements, or are blocks of one
         from lambshift import oracles
 
         phis = _route_grid_nodes(N, L, 0.05)
-        counts = _t_panels(N, phis)
-        for phi, count in zip(phis.tolist(), counts.tolist()):
-            need = math.ceil(math.pi / min(0.8, 2.0 / (N * math.cosh(phi))))
-            k = round(math.log2(count / 4))
-            assert count == 4 * 2**k and count >= need and (k == 0 or count < 2 * need), phi
+        sizes = _fft_sizes(N, phis)
+        for phi, size in zip(phis.tolist(), sizes.tolist()):
+            need = 16.0 * N * math.cosh(phi) + 64.0
+            assert size == 2 ** round(math.log2(size)) and need <= size < 2 * need, phi
         shapes = []
 
         def matrix_element(N, L, T, phi):
@@ -238,28 +275,29 @@ class TestEpsilonAxis:
             return _kernel_matrix_element_grid(N, L, T, phi)
 
         monkeypatch.setattr(oracles, "_kernel_matrix_element_grid", matrix_element)
-        _t_moments(N, L, phis, N * np.exp(-phis))
+        _fft_rows(N, L, phis)
         assert _BLOCK_ELEMENTS == 2925
         assert sum(rows for rows, _ in shapes) == phis.size
         assert all(rows * times <= 2925 or rows == 1 for rows, times in shapes)
-        by_count = {times: rows for rows, times in shapes}
-        assert sorted(by_count) == [15 * c for c in sorted(set(counts.tolist()))]
-        if N == 1:  # 165 nodes: 96, 33, 22 and 14 at 4, 8, 16 and 32 panels, in 2 + 2 + 2 + 3 blocks
-            assert Counter(counts.tolist()) == {4: 96, 8: 33, 16: 22, 32: 14} and len(shapes) == 9
+        by_size = {times: rows for rows, times in shapes}
+        assert sorted(by_size) == [size // 2 + 1 for size in sorted(set(sizes.tolist()))]
+        if N == 1:  # 165 nodes: 123, 33 and 9 at K = 128, 256 and 512, in 3 + 2 + 1 blocks
+            assert Counter(sizes.tolist()) == {128: 123, 256: 33, 512: 9} and len(shapes) == 6
 
     @pytest.mark.parametrize("N, L", [(1, 0), (2, 1), (4, 1)])
     def test_moments_hold_on_a_finer_grid(self, N, L, monkeypatch):
-        # every node's T-moments against the same node's on a grid with four
-        # times the panels, to 2e-15 of the node's largest moment
+        # aliasing: every node's rows at K against the same node's at 2K
+        # samples, within 1e-15 (|q_j| <= 1/2), and they end within one j
         from lambshift import oracles
 
         phis = _route_grid_nodes(N, L, 0.05)
-        nus = N * np.exp(-phis)
-        got = _t_moments(N, L, phis, nus)
-        monkeypatch.setattr(oracles, "_t_panels", lambda N, phis: 4 * _t_panels(N, phis))
-        fine = _t_moments(N, L, phis, nus)
-        err = np.max(np.abs(got - fine), axis=1) / np.max(np.abs(fine), axis=1)
-        assert err.max() <= 2e-15, phis[err.argmax()]
+        got = _rows_of(_fft_rows(N, L, phis))
+        monkeypatch.setattr(oracles, "_fft_sizes", lambda N, phis: 2 * _fft_sizes(N, phis))
+        fine = _rows_of(_fft_rows(N, L, phis))
+        for phi, row, fine_row in zip(phis.tolist(), got, fine):
+            assert abs(row.size - fine_row.size) <= 1, phi
+            size = min(row.size, fine_row.size)
+            assert np.max(np.abs(row[:size] - fine_row[:size])) <= 1e-15, phi
 
     def test_eps_range_lies_on_the_digamma_strip(self):
         # the spectral nodes' digamma heads sit at 1 - nu + floor(nu) - i eps,
@@ -286,7 +324,7 @@ class TestEpsilonAxis:
 
     @pytest.mark.parametrize("N, L", [(1, 0), (3, 1), (6, 2), (12, 5)])
     def test_matrix_element_block_equals_per_phi_calls(self, N, L):
-        # a row of times against a column of phi, the blocks of the T grid,
+        # a row of times against a column of phi, the blocks of the FFT rows,
         # gives each phi's own call
         T = np.linspace(0.0, math.pi, 97)[None, :]
         phis = np.array([0.0, 0.4, 1.3, 2.77, 3.5])
@@ -319,9 +357,10 @@ class TestEpsilonAxis:
         "N, L, phi", [(1, 0, 0.3), (2, 1, 1.0), (3, 0, 2.2), (4, 2, 3.5), (6, 0, 2.9), (5, 4, 0.05)]
     )
     def test_dq_dt_reflection(self, N, L, phi):
-        # Q(2 pi - T) = conj Q(T), so dQ/dT(2 pi - T) = -conj dQ/dT(T): it
-        # folds the period onto [0, pi]; and Q(0) = Q(2 pi) = 0, the boundary
-        # terms that integrating the period by parts drops
+        # Q(2 pi - T) = conj Q(T), so dQ/dT(2 pi - T) = -conj dQ/dT(T): the
+        # samples of M on [0, pi] stand for the whole period; and Q(0) =
+        # Q(2 pi) = 0, the boundary terms that the period sum of
+        # test_moments_equal_direct_weighted_sums drops
         T = np.linspace(0.0, math.pi, 257)
         q = _q_grid(N, L, T, phi)
         mirror = _q_grid(N, L, 2.0 * math.pi - T, phi)
@@ -331,7 +370,7 @@ class TestEpsilonAxis:
 
     @pytest.mark.parametrize("N, L, eps", [(1, 0, 0.0125), (3, 1, 0.05)])
     def test_batched_grid_equals_scalar_calls(self, N, L, eps):
-        # one call over a GK15 panel's 15 phi (different T-grid sizes) gives
+        # one call over a GK15 panel's 15 phi (different FFT sizes) gives
         # each phi's value as a call of its own
         nodes = np.asarray(kronrod_nodes_weights()[0])
         phis = 1.75 + 1.75 * nodes
@@ -348,9 +387,10 @@ class TestEpsilonAxis:
         [(3, 0, 3.4, 0.05), (3, 0, 3.5, 0.0125), (2, 1, 3.5, 0.05), (4, 1, 3.5, 0.0125)],
     )
     def test_inner_spectral_matches_grid(self, N, L, phi, eps):
-        # the two inner routes meet at PHI_OSCILLATORY_MAX = 3.5: the T grid
-        # over one folded period against the kernel's exponential series in
-        # closed form (residue terms plus the Euler form at nu + i eps)
+        # the two inner routes meet at PHI_OSCILLATORY_MAX = 3.5: the
+        # kernel's exponential series from its FFT coefficients against the
+        # same series in closed form (residue terms plus the Euler form at
+        # nu + i eps)
         phis, nus = np.array([phi]), np.array([N * math.exp(-phi)])
         grid = _grid(N, L, phis, nus, eps)[0]
         spectral = _inner_t_integral_spectral(N, L, phis, nus, eps)[0]
@@ -411,6 +451,36 @@ class TestEpsilonAxis:
         result = lamb_shift(QuantumState(N=2, L=1))
         expected = -result.total_rate / (4.0 * math.pi)
         assert value.imag == pytest.approx(expected, rel=0.1)
+
+
+# Item 27's states: every L up to N = 4, and L = 0, N//2 and N - 1 at N = 8
+# and 20; the nodes of item 13 at N >= 50 stay out
+FFT_REFERENCE_STATES = [
+    *((N, L) for N in (1, 2, 3, 4) for L in range(N)),
+    *((N, L) for N in (8, 20) for L in (0, N // 2, N - 1)),
+]
+
+
+@pytest.mark.parametrize("N, L", FFT_REFERENCE_STATES)
+def test_fft_rows_reproduce_residues_and_tau_integrals(N, L):
+    """The FFT rows of the eps route as an independent reference for the kernel's coefficients.
+
+    The rows come from the real-time matrix element alone, with no
+    residue_coeffs, no tail weight and no Euler form.  Their q_n, L <= n < N,
+    are the residues R_n, and their tail -sum_{m >= N} m q_m/(m - nu) is
+    PhiKernel.tau_integral on both of its branches (series below phi = 2.89,
+    closed above).  Each gap is within 1e-13 of max(1, |value|); the worst
+    read 3.5e-15 for R_n and 1.8e-14 for the tail (2.4e-14 absolute at
+    |tau| > 1).
+    """
+    phis = np.array([0.1, 0.5, 1.0, 2.0, 2.95, 3.5])
+    for phi, row in zip(phis.tolist(), _rows_of(_fft_rows(N, L, phis))):
+        for n in range(L, N):
+            assert abs(row[n] - residue_coeffs(N, L, phi, n)) <= 1e-13, (phi, n)
+        nu, m = N * math.exp(-phi), np.arange(N, row.size)
+        tail = -np.sum(m * row[N:] / (m - nu))
+        want = PhiKernel(N, L, phi).tau_integral()[0]
+        assert abs(tail - want) <= 1e-13 * max(1.0, abs(want)), phi
 
 
 # shift_via_eps_real_axis (MHz, real and imaginary part) before the inner
