@@ -100,46 +100,33 @@ def bch_reconstruct_2x2(b: BchCoordinates) -> np.ndarray:
     return raise_factor @ compact @ lower_factor @ rotation
 
 
-class SpectralKernelValue(namedtuple("SpectralKernelValue", "value last_term terms")):
-    """The kernel summed over terms eigenstates, with the size of the last term as truncation monitor."""
+class SpectralKernelValue(namedtuple("SpectralKernelValue", "value last_term")):
+    """The kernel summed over the eigenbasis, with the size of the last term as truncation monitor."""
 
     __slots__ = ()
 
 
-def kernel_via_spectral_series(
-    N: int,
-    L: int,
-    time: float,
-    phi: float,
-    n_max: int,
-    imaginary_time: bool = False,
-) -> SpectralKernelValue:
-    """Kernel from the eigenbasis sum sin^2(T/2) sum_n |D_{N,n}|^2 e^{-i n T}.
+def kernel_via_spectral_series(N: int, L: int, time: complex, phi: float, n_max: int) -> SpectralKernelValue:
+    """Kernel from the eigenbasis sum sin^2(T/2) sum_n |D_{N,n}|^2 e^{-i n T}, n = L+1 .. n_max.
 
-    With imaginary_time=True the sum is evaluated at T = -i tau, where the
-    prefactor becomes -sinh^2(tau/2) and every exponential is real.
+    The sum converges for any T with Im T <= 0, so one formula serves the
+    real axis and the rotated contour: T = -1j * tau gives Q(-i tau, phi),
+    whose prefactor is -sinh^2(tau/2) and whose exponentials are e^{-n tau},
+    real up to a zero imaginary part.
     """
     N, L = validate_quantum_numbers(N, L)
     if n_max < N + 10:
         raise ValueError(f"n_max={n_max} too small; need at least N+10")
     label = RepLabel(L + 1)
     u = scaling_coords(phi)
-    if imaginary_time:
-        prefactor = -math.sinh(time / 2.0) ** 2
-    else:
-        prefactor = math.sin(time / 2.0) ** 2
-
+    prefactor = cmath.sin(time / 2.0) ** 2
     total = 0.0 + 0.0j
     last = 0.0
     for n in range(L + 1, n_max + 1):
-        weight = abs(rep_matrix_element(label, N, n, u)) ** 2
-        if imaginary_time:
-            term = weight * math.exp(-n * time)
-        else:
-            term = weight * complex(math.cos(n * time), -math.sin(n * time))
+        term = abs(rep_matrix_element(label, N, n, u)) ** 2 * cmath.exp(-1j * n * time)
         total += term
         last = abs(term)
-    return SpectralKernelValue(value=prefactor * total, last_term=abs(prefactor) * last, terms=n_max - L)
+    return SpectralKernelValue(value=prefactor * total, last_term=abs(prefactor) * last)
 
 
 def _tanh2(phi: float) -> float:
@@ -185,10 +172,15 @@ def _closed_terms(ker: PhiKernel, tau):
     return np.array(amps), p, q, u, omu, g, up, up * omu ** (q - 1.0), res
 
 
+def _u_form(N: int, terms):
+    """Q(-i tau, phi) = sum_k A_k u^p (1-u)^q g^{-2N} from the _closed_terms of tau."""
+    amp, _, _, _, omu, g, _, base, _ = terms
+    return np.add.reduce(amp * base * (omu * g ** (-2 * N)), axis=-1)
+
+
 def q_imag_time(ker: PhiKernel, tau):
     """Full kernel Q(-i tau, phi) via the closed u-form, tau a float or an array."""
-    amp, _, _, _, omu, g, _, base, _ = _closed_terms(ker, tau)
-    return np.add.reduce(amp * base * (omu * g ** (-2 * ker.N)), axis=-1)
+    return _u_form(ker.N, _closed_terms(ker, tau))
 
 
 def _closed_remainder_dtau(ker: PhiKernel, tau):
@@ -217,9 +209,9 @@ def remainder(ker: PhiKernel, tau: float) -> float:
     if _tanh2(ker.phi) <= kernel.SERIES_T2_MAX:
         u = math.exp(-tau)
         return _series_sums(ker.N, ker.L, [ker.phi], [ker.nu], lambda j, nu: u**j)[0]
-    x = np.array([tau])
-    *_, up, _, res = _closed_terms(ker, x)
-    return float((q_imag_time(ker, x) - np.add.reduce(res * up, axis=-1))[0])
+    terms = _closed_terms(ker, np.array([tau]))
+    *_, up, _, res = terms
+    return float((_u_form(ker.N, terms) - np.add.reduce(res * up, axis=-1))[0])
 
 
 def remainder_dtau(ker: PhiKernel, tau: float) -> float:
@@ -579,6 +571,16 @@ def shift_via_eps_real_axis(
     from the rotated contour, so the 2.1e-5 agreement at phi_max = 9
     grows to 5.6e-5 with the domain: part of it is the phi truncation
     cancelling the error of the eps extrapolation.
+
+    Nor is the layout converged at phi = 0.  _phi_breakpoints ladders the
+    poles ln(N/n) for n = max(1, L) .. N - 1, but not the n = N term at
+    phi = 0, whose peak j q_j/(j - nu - i eps) is about eps/N wide.
+    Against the same edges with every panel split in four, the real and
+    imaginary parts are off by 3.3e-7 and 5.6e-6 (1s), 9.0e-7 and 4.1e-5
+    (2s) and 1.8e-4 and 1.0e-5 (2p) at eps = 0.0125, and the real part of
+    3p by 1.8e-5 at eps = 0.025; splitting only the panels below
+    phi = 0.25 lands within 3.7e-13 of that (tests/optin_eps_layout.py).
+    The same ladder at phi = 0 closes the gap, and moves the values by it.
     """
     if not 0.0 < eps <= EPS_MAX:  # NaN and inf included: no node integrates them
         raise ValueError(f"eps must be positive and finite, at most EPS_MAX = {EPS_MAX}, got {eps}")
@@ -646,13 +648,13 @@ def bethe_log_by_cutoffs(
     return neville_extrapolate(nodes, estimates)
 
 
-def shift_via_eps_extrapolated(
-    state: QuantumState,
-    eps_values=(0.05, 0.025, 0.0125),
-    constants: PhysicalConstants | None = None,
-) -> complex:
-    """Damping-extrapolated real-axis shift (complex MHz)."""
-    values = [shift_via_eps_real_axis(state, eps, constants=constants) for eps in eps_values]
-    real, _ = neville_extrapolate(list(eps_values), [v.real for v in values])
-    imag, _ = neville_extrapolate(list(eps_values), [v.imag for v in values])
+# The damping schedule of shift_via_eps_extrapolated, the 1s route of verify
+EPS_SCHEDULE = (0.05, 0.025, 0.0125)
+
+
+def shift_via_eps_extrapolated(state: QuantumState, constants: PhysicalConstants | None = None) -> complex:
+    """Real-axis shift (complex MHz) extrapolated to zero damping from the eps of EPS_SCHEDULE."""
+    values = [shift_via_eps_real_axis(state, eps, constants=constants) for eps in EPS_SCHEDULE]
+    real, _ = neville_extrapolate(list(EPS_SCHEDULE), [v.real for v in values])
+    imag, _ = neville_extrapolate(list(EPS_SCHEDULE), [v.imag for v in values])
     return complex(real, imag)

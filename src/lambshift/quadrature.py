@@ -172,7 +172,7 @@ class QuadratureResult(
     namedtuple(
         "QuadratureResult",
         "value error_estimate evaluations converged subdivisions columns running",
-        defaults=(0, (), ()),
+        defaults=((),),
     )
 ):
     """An integral, its error estimate, its evaluation count and whether it converged.
@@ -521,12 +521,9 @@ def integrate_principal_value(
 
 
 class Diagnostics(namedtuple("Diagnostics", "parts")):
-    """Named quadrature results gathered while assembling a shift: a dict parts, empty by default."""
+    """Named quadrature results gathered while assembling a shift: a dict parts, name to QuadratureResult."""
 
     __slots__ = ()
-
-    def __new__(cls, parts: dict | None = None) -> "Diagnostics":
-        return tuple.__new__(cls, ({} if parts is None else parts,))
 
     @property
     def error_estimate(self) -> float:

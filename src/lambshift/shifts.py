@@ -217,17 +217,11 @@ class ShiftResult(
     namedtuple(
         "ShiftResult",
         "state lamb_shift_MHz partial_rates total_rate tau_phi_term_MHz pv_term_MHz diagnostics converged",
-        defaults=(None, True),
     )
 ):
     """Lamb shift with its rate table ((n, Gamma_n) pairs) and integration diagnostics."""
 
     __slots__ = ()
-
-    def __new__(cls, *fields, **named) -> "ShiftResult":
-        self = super().__new__(cls, *fields, **named)
-        # by default an empty Diagnostics of its own: parts is a dict
-        return self._replace(diagnostics=Diagnostics()) if self.diagnostics is None else self
 
     def as_dict(self) -> dict:
         return {
@@ -391,7 +385,6 @@ class BetheResult(
     namedtuple(
         "BetheResult",
         "N L gamma mean_excitation_Ry cutoffs_used estimates error_estimate converged diagnostics",
-        defaults=(None,),
     )
 ):
     """Bethe logarithm, its mean excitation energy and its phi integral.
@@ -403,11 +396,6 @@ class BetheResult(
     """
 
     __slots__ = ()
-
-    def __new__(cls, *fields, **named) -> "BetheResult":
-        self = super().__new__(cls, *fields, **named)
-        # by default an empty Diagnostics of its own: parts is a dict
-        return self._replace(diagnostics=Diagnostics()) if self.diagnostics is None else self
 
     def as_dict(self) -> dict:
         return {
@@ -537,7 +525,6 @@ class TableCell(
     namedtuple(
         "TableCell",
         "table_id N L J n quantity unit computed reference rel_dev converged",
-        defaults=(True,),
     )
 ):
     """One scalar of a reproduced table, paired with its published value.

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from lambshift.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
-from lambshift.quadrature import IntegrandError
+from lambshift.quadrature import Diagnostics, IntegrandError
 
 
 def run_cli(capsys, *argv):
@@ -271,7 +271,7 @@ def test_table_with_unconverged_bethe_log_exits_3(capsys, monkeypatch):
     def unconverged(N, L, *args, **kwargs):
         return shifts_mod.BetheResult(
             N=N, L=L, gamma=-0.03, mean_excitation_Ry=math.exp(-0.03), cutoffs_used=(),
-            estimates=(), error_estimate=0.0, converged=False,
+            estimates=(), error_estimate=0.0, converged=False, diagnostics=Diagnostics({}),
         )
 
     monkeypatch.setattr(shifts_mod, "bethe_log", unconverged)

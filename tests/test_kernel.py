@@ -406,7 +406,7 @@ class TestRemainder:
         want = float(np.sum(tail * np.exp(-np.arange(N, 300) * tau)))
         assert got == pytest.approx(want, rel=1e-12, abs=0)
         # and against the independent matrix-element series
-        full = kernel_via_spectral_series(N, L, tau, phi, 300, imaginary_time=True).value.real
+        full = kernel_via_spectral_series(N, L, -1j * tau, phi, 300).value.real
         sub = sum(residue_coeffs(N, L, phi, n) * math.exp(-n * tau) for n in range(L, N))
         assert got == pytest.approx(full - sub, rel=1e-10, abs=0)
 
@@ -458,7 +458,7 @@ class TestRemainder:
     def test_reality_of_rotated_kernel(self):
         # the full rotated kernel is real; assert through the spectral sum
         for (N, L, tau, phi) in ((2, 0, 0.7, 1.2), (5, 3, 0.3, 2.1)):
-            val = kernel_via_spectral_series(N, L, tau, phi, 300, imaginary_time=True).value
+            val = kernel_via_spectral_series(N, L, -1j * tau, phi, 300).value
             assert abs(val.imag) <= 1e-13 * abs(val)
 
     def test_decay_order(self):

@@ -11,6 +11,6 @@ import importlib
 import pytest
 
 
-@pytest.mark.parametrize("module", ["optin_high_n", "optin_exact_rates"])
+@pytest.mark.parametrize("module", ["optin_high_n", "optin_exact_rates", "optin_eps_layout"])
 def test_optin_module_imports(module):
     assert importlib.import_module(module).__file__.endswith(f"{module}.py")

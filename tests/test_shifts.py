@@ -391,7 +391,7 @@ class TestLambShift:
         from lambshift.cli import _run_rates
         from lambshift.quadrature import QuadratureResult
 
-        stub = QuadratureResult(0.0, 0.0, 0, True, columns=(0.0, 0.0))
+        stub = QuadratureResult(0.0, 0.0, 0, True, subdivisions=0, columns=(0.0, 0.0))
         monkeypatch.setattr(shifts_mod, "integrate_panels", lambda *args: stub)
         for N in range(1, 21):
             for L in range(N):
